@@ -23,6 +23,10 @@ from .formatting import ratio_display, round_half_up
 EXIT_VERIFICATION_FAILED = 1
 EXIT_RESOURCE = 3
 
+# Tables for a report reach this far past its bound, so that runs and gaps
+# straddling the bound can still close.
+COVERAGE_MARGIN = 100_000
+
 
 class BoundType(click.ParamType):
     """Integer bounds, plain or in scientific notation (1e6, 2.5e7)."""
@@ -66,41 +70,44 @@ def guarded(fn):
     return wrapper
 
 
-def _cache_file(cache_dir, name):
-    if cache_dir is None:
-        return None
-    path = Path(cache_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path / name
+def _cached(cache_dir, name, load, covers, build):
+    """The table cached as `name` if `load` accepts it and it `covers` the
+    request; otherwise a new one from `build`, written to the cache."""
+    path = None if cache_dir is None else Path(cache_dir) / name
+    if path is not None and path.exists():
+        try:
+            table = load(path)
+        except ValueError as exc:
+            click.echo(f"note: rebuilding rejected cache file: {exc}", err=True)
+        else:
+            if covers(table):
+                return table
+    table = build()
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        table.save(path)
+    return table
 
 
 def _prime_table(limit, cache_dir):
-    path = _cache_file(cache_dir, f"primes_{limit}.rppt")
-    if path is not None and path.exists():
-        table = prime_core.load(path)
-        if table.limit >= limit:
-            return table
-    table = prime_core.build(limit)
-    if path is not None:
-        table.save(path)
-    return table
+    return _cached(cache_dir, f"primes_{limit}.rppt", prime_core.load,
+                   lambda t: t.limit >= limit, lambda: prime_core.build(limit))
 
 
 def _ramanujan_below(x, pt, cache_dir):
-    path = _cache_file(cache_dir, f"ramanujan_below_{x}.rprt")
-    if path is not None and path.exists():
-        table = ramanujan_core.load(path)
-        if table.complete_below >= x:
-            return table
-    table = ramanujan_core.compute_below(x, pt)
-    if path is not None:
-        table.save(path)
-    return table
+    return _cached(cache_dir, f"ramanujan_below_{x}.rprt", ramanujan_core.load,
+                   lambda t: t.complete_below >= x,
+                   lambda: ramanujan_core.compute_below(x, pt))
 
 
 def _tables_below(x, cache_dir):
     pt = _prime_table(ramanujan_core.prime_limit_for_below(x), cache_dir)
     return pt, _ramanujan_below(x, pt, cache_dir)
+
+
+def _tables_covering(bound, cache_dir):
+    """Tables for a report up to `bound`, COVERAGE_MARGIN past it."""
+    return _tables_below(bound + COVERAGE_MARGIN, cache_dir)
 
 
 def _emit(rows, columns, fmt, output):
@@ -237,7 +244,7 @@ def verify(ctx, target, max_n, multiplier, limit, bound):
             f"{ramanujan_core.rank_scaling_threshold(multiplier)}, R_mn < {limit}"
         )
     else:
-        pt, table = _tables_below(bound + 100_000, cache_dir)
+        pt, table = _tables_covering(bound, cache_dir)
         counterexamples = twin_stats.lower_membership_violations(bound, table, pt)
         if counterexamples:
             click.echo(f"COUNTEREXAMPLES: {counterexamples[:10]}")
@@ -255,7 +262,7 @@ def runs(ctx, max_decade, fmt, output):
     """Longest-run statistics per decade, with coin-toss expectations."""
     if max_decade < 1:
         raise click.UsageError("--max-decade must be >= 1")
-    pt, rt = _tables_below(10 ** max_decade + 100_000, ctx.obj["cache_dir"])
+    pt, rt = _tables_covering(10 ** max_decade, ctx.obj["cache_dir"])
     reports = run_stats.decade_reports(max_decade, rt, pt)
     rows = [
         (
@@ -288,7 +295,7 @@ def twins(ctx, bound, strict, fmt, output):
         raise click.UsageError(
             f"--strict applies from {twin_stats.RATIO_CONJECTURE_MIN_BOUND} up"
         )
-    pt, rt = _tables_below(bound + 100_000, ctx.obj["cache_dir"])
+    pt, rt = _tables_covering(bound, ctx.obj["cache_dir"])
     census = twin_stats.twin_census(bound, rt, pt)
     rows = [(
         bound, census.pi2, census.pi21, census.pi22,
@@ -319,7 +326,7 @@ def brun(ctx, kind, bound):
         "one": twin_stats.KIND_AT_LEAST_ONE,
         "both": twin_stats.KIND_BOTH,
     }[kind]
-    pt, rt = _tables_below(bound + 100_000, ctx.obj["cache_dir"])
+    pt, rt = _tables_covering(bound, ctx.obj["cache_dir"])
     partial = twin_stats.brun_partial(bound, kind_name, rt, pt)
     click.echo(f"sum = {partial.sum:.10g} over {partial.terms} pairs (bound {bound})")
 
@@ -340,7 +347,7 @@ def sharp(ctx, max_run, bound, output):
     """First sharp run of each length, as JSON lines of gap records."""
     if max_run < 1:
         raise click.UsageError("--max-run must be >= 1")
-    pt, rt = _tables_below(bound + 100_000, ctx.obj["cache_dir"])
+    pt, rt = _tables_covering(bound, ctx.obj["cache_dir"])
     lines = []
     for r in range(1, max_run + 1):
         try:
@@ -372,7 +379,7 @@ def sharp(ctx, max_run, bound, output):
 @guarded
 def twin_check(ctx, bound):
     """Verify every twin Ramanujan pair sits in a composite stretch of 5+."""
-    pt, rt = _tables_below(bound + 100_000, ctx.obj["cache_dir"])
+    pt, rt = _tables_covering(bound, ctx.obj["cache_dir"])
     lesser, ram_lo, ram_hi = twin_stats.twin_pair_arrays(bound, rt, pt)
     pairs = lesser[ram_lo & ram_hi]
     min_len = None

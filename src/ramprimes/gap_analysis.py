@@ -15,6 +15,7 @@ import numpy as np
 from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
 from .prime_core import PrimeTable
 from .ramanujan_core import RamanujanTable
+from .run_stats import run_blocks, run_starts
 
 DEFAULT_SHARP_SEARCH_BOUND = 20_000_000
 
@@ -33,14 +34,14 @@ class GapRecord:
 
 
 def _maximal_composite_interval(lo: int, hi: int, pt: PrimeTable) -> tuple[int, int]:
-    a, b = lo, hi
-    while a > 1 and not pt.is_prime(a - 1):
-        a -= 1
-    while b < pt.limit and not pt.is_prime(b + 1):
-        b += 1
-    if b == pt.limit:
+    """The largest prime-free [a, b] around a prime-free [lo, hi], with hi >= 1."""
+    # Bertrand's postulate puts the next prime after hi at or below 2*hi
+    primes = pt.primes_upto(min(2 * hi, pt.limit))
+    below = int(np.searchsorted(primes, lo))
+    above = int(np.searchsorted(primes, hi, side="right"))
+    if above == primes.size:
         raise CoverageError(f"composite interval still open at table limit {pt.limit}")
-    return a, b
+    return (int(primes[below - 1]) + 1 if below else 1), int(primes[above]) - 1
 
 
 def gap_for_run(start_index: int, run_length: int, rt: RamanujanTable, pt: PrimeTable) -> GapRecord:
@@ -97,27 +98,18 @@ def first_sharp_run(
         raise CoverageError(
             f"search bound {search_bound} beyond membership coverage {rt.complete_below}"
         )
-    primes = pt.primes_upto(min(pt.limit, rt.complete_below - 1))
-    if primes.size < r:
-        raise NotFoundBelowBound(search_bound)
-    mask = rt.membership_mask(primes)
-    mask[0] = False  # drop the even Ramanujan prime 2
-    cs = np.concatenate([[0], np.cumsum(mask.astype(np.int64))])
-    all_ram = cs[r:] - cs[:-r] == r
-    starts = np.flatnonzero(all_ram)
+    primes, mask = rt.classified_primes(pt)
+    starts = run_starts(mask[1:], r) + 1  # skip index 0, the even Ramanujan prime 2
     starts = starts[primes[starts] < search_bound]
-    if starts.size:
-        lo = (primes[starts] + 1) // 2
-        hi = (primes[starts + r - 1] + 1) // 2
-        sharp = pt.is_prime_batch(lo - 1) & pt.is_prime_batch(hi + 1)
-        hits = np.flatnonzero(sharp)
-        if hits.size:
-            first = int(starts[hits[0]])
-            record = gap_for_run(first + 1, r, rt, pt)  # re-validate the certificate
-            if not record.sharp:
-                raise InternalConsistencyError("sharp candidate failed re-validation")
-            return record.run_start
-    raise NotFoundBelowBound(search_bound)
+    lo = (primes[starts] + 1) // 2
+    hi = (primes[starts + r - 1] + 1) // 2
+    hits = np.flatnonzero(pt.is_prime_batch(lo - 1) & pt.is_prime_batch(hi + 1))
+    if hits.size == 0:
+        raise NotFoundBelowBound(search_bound)
+    record = gap_for_run(int(starts[hits[0]]) + 1, r, rt, pt)  # re-validate the certificate
+    if not record.sharp:
+        raise InternalConsistencyError("sharp candidate failed re-validation")
+    return record.run_start
 
 
 def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, int]:
@@ -168,16 +160,10 @@ def odd_ramanujan_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
     cov = min(pt.limit, rt.complete_below - 1)
     if bound > cov:
         raise CoverageError(f"runs below {bound} need coverage {cov} or more")
-    primes = pt.primes_upto(cov)
-    empty = np.zeros(0, dtype=np.int64)
-    if primes.size == 0:
-        return empty, empty, empty, empty
-    mask = rt.membership_mask(primes)
-    mask[0] = False
-    edges = np.flatnonzero(np.diff(mask))
-    starts = np.concatenate([[0], edges + 1])
-    lengths = np.diff(np.concatenate([starts, [mask.size]]))
-    keep = mask[starts] & (primes[starts] < bound)
+    primes, mask = rt.classified_primes(pt)
+    starts, lengths, values = run_blocks(mask[1:])  # skip index 0, the even prime 2
+    starts += 1
+    keep = values & (primes[starts] < bound)
     starts, lengths = starts[keep], lengths[keep]
     return starts + 1, primes[starts], primes[starts + lengths - 1], lengths
 

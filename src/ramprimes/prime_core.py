@@ -62,11 +62,13 @@ class PrimeTable:
         self._prime_cache_limit = -1
 
     def _build_checkpoints(self) -> np.ndarray:
-        if len(self._packed) == 0:
-            return np.zeros(1, dtype=np.int64)
-        pops = np.bitwise_count(self._packed).astype(np.int64)
-        bounds = np.arange(0, len(self._packed), self._bytes_per_block)
-        sums = np.add.reduceat(pops, bounds)
+        # The uint8 popcounts are summed per block by a buffered reduction;
+        # casting them to int64 first would take eight times the table's size.
+        pops = np.bitwise_count(self._packed)
+        full = len(pops) - len(pops) % self._bytes_per_block
+        sums = pops[:full].reshape(-1, self._bytes_per_block).sum(axis=1, dtype=np.int64)
+        if full < len(pops):
+            sums = np.append(sums, pops[full:].sum(dtype=np.int64))
         return np.concatenate([[0], np.cumsum(sums)])
 
     @property
@@ -262,9 +264,10 @@ def build(
     nbits = (limit + 1) // 2
     nbytes = (nbits + 7) // 8
     checkpoint_bytes = 8 * (nbytes // (count_stride // 16) + 2)
-    if nbytes + checkpoint_bytes > memory_ceiling:
+    needed = 2 * nbytes + checkpoint_bytes  # the flags, their uint8 popcounts, checkpoints
+    if needed > memory_ceiling:
         raise ResourceLimitError(
-            f"limit {limit} needs about {nbytes + checkpoint_bytes} bytes of flag "
+            f"limit {limit} needs about {needed} bytes of flag "
             f"storage, over the {memory_ceiling}-byte ceiling"
         )
 

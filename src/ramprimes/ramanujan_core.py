@@ -85,6 +85,7 @@ class RamanujanTable:
     scan_limit: int
     complete_below: int
     _ranks: np.ndarray | None = field(default=None, repr=False)
+    _mask: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def count(self) -> int:
@@ -114,6 +115,20 @@ class RamanujanTable:
             return np.zeros(v.shape, dtype=bool)
         idx = np.clip(np.searchsorted(self.values, v), 0, self.count - 1)
         return self.values[idx] == v
+
+    def classified_primes(self, primes: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+        """Every prime both tables can classify, with its memoized, read-only
+        Ramanujan mask. The primes from 2 to any covered bound are a prefix
+        of this list, so callers slice the mask instead of classifying again."""
+        cov = min(primes.limit, self.complete_below - 1)
+        listed = primes.primes_upto(cov)
+        if self._mask is None or self._mask.size != listed.size:
+            mask = np.zeros(listed.size, dtype=bool)
+            covered = self.values[: int(np.searchsorted(self.values, cov, side="right"))]
+            mask[np.searchsorted(listed, covered)] = True
+            mask.setflags(write=False)
+            self._mask = mask
+        return listed, self._mask
 
     def prime_ranks(self, primes: PrimeTable) -> np.ndarray:
         """pi(R_n) for every n, computed once and memoized."""
@@ -332,6 +347,14 @@ def verify_max_ratio_bound(table: RamanujanTable, primes: PrimeTable) -> bool:
     return bool(below.all()) and 47 * table.value(5) == 41 * primes.nth_prime(15)
 
 
+def _rank_scaling_failures(table, m, limit, primes, first, stop=None) -> np.ndarray:
+    """Ascending n in [first, stop) with R_mn < limit and pi(R_mn) > m*pi(R_n)."""
+    ranks = table.prime_ranks(primes)
+    end = int(np.searchsorted(table.values, limit)) // m + 1  # R_mn < limit for n < end
+    ns = np.arange(first, end if stop is None else min(stop, end), dtype=np.int64)
+    return ns[ranks[m * ns - 1] > m * ranks[ns - 1]]
+
+
 def rank_scaling_violations(
     table: RamanujanTable,
     m: int,
@@ -346,13 +369,7 @@ def rank_scaling_violations(
     start = rank_scaling_threshold(m)
     if m == 1:
         return []
-    ranks = table.prime_ranks(primes)
-    max_idx = int(np.searchsorted(table.values, limit))  # indices with R < limit
-    ns = np.arange(start, max_idx // m + 1, dtype=np.int64)
-    if ns.size == 0:
-        return []
-    bad = ranks[m * ns - 1] > m * ranks[ns - 1]
-    return [(m, int(v)) for v in ns[bad]]
+    return [(m, int(n)) for n in _rank_scaling_failures(table, m, limit, primes, start)]
 
 
 def first_violation_below_threshold(
@@ -369,10 +386,5 @@ def first_violation_below_threshold(
     start = rank_scaling_threshold(m)
     if m < 2 or start <= 1:
         return None
-    ranks = table.prime_ranks(primes)
-    max_idx = int(np.searchsorted(table.values, limit))
-    ns = np.arange(1, min(start, max_idx // m + 1), dtype=np.int64)
-    if ns.size == 0:
-        return None
-    bad = np.flatnonzero(ranks[m * ns - 1] > m * ranks[ns - 1])
-    return int(ns[bad[0]]) if bad.size else None
+    bad = _rank_scaling_failures(table, m, limit, primes, 1, stop=start)
+    return int(bad[0]) if bad.size else None

@@ -61,19 +61,17 @@ def run_variance(p: float) -> float:
     return math.pi ** 2 / (6 * math.log(1 / p) ** 2) + 1 / 12
 
 
-def _classified_primes(rt: RamanujanTable, pt: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
-    """All primes the tables can classify, with their Ramanujan mask."""
-    cov = min(pt.limit, rt.complete_below - 1)
-    primes = pt.primes_upto(cov)
-    return primes, rt.membership_mask(primes)
-
-
-def _run_blocks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def run_blocks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """RLE of a boolean sequence: (start indices, lengths, block values)."""
-    edges = np.flatnonzero(np.diff(mask))
-    starts = np.concatenate([[0], edges + 1])
-    lengths = np.diff(np.concatenate([starts, [len(mask)]]))
+    starts = np.flatnonzero(np.diff(mask, prepend=~mask[:1]))  # index 0 always starts a block
+    lengths = np.diff(starts, append=len(mask))
     return starts, lengths, mask[starts]
+
+
+def run_starts(mask: np.ndarray, length: int) -> np.ndarray:
+    """Ascending indices i with mask[i : i + length] all True."""
+    cs = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
+    return np.flatnonzero(cs[length:] - cs[:-length] == length)
 
 
 def ramanujan_fraction(bound: int, rt: RamanujanTable, pt: PrimeTable) -> float:
@@ -96,10 +94,10 @@ def longest_runs(bound: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, i
     """
     if bound < 10:
         raise ValueError(f"bound must be >= 10, got {bound}")
-    primes, mask = _classified_primes(rt, pt)
+    primes, mask = rt.classified_primes(pt)
     if primes.size == 0 or int(primes[-1]) < bound - 1:
         raise CoverageError(f"tables do not cover {bound}")
-    starts, lengths, values = _run_blocks(mask)
+    starts, lengths, values = run_blocks(mask)
     eligible = primes[starts] < bound
     if eligible[-1]:
         # the final block starts below the bound and is still open at the
@@ -120,16 +118,12 @@ def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) 
         raise ValueError(f"run length must be >= 1, got {length}")
     if kind not in (RAMANUJAN, NON_RAMANUJAN):
         raise ValueError(f"kind must be {RAMANUJAN!r} or {NON_RAMANUJAN!r}")
-    primes, mask = _classified_primes(rt, pt)
+    primes, mask = rt.classified_primes(pt)
     if kind == NON_RAMANUJAN:
         mask = ~mask
-    if primes.size < length:
-        raise NotFoundBelowBound(int(primes[-1]) if primes.size else 0)
-    cs = np.concatenate([[0], np.cumsum(mask.astype(np.int64))])
-    window = cs[length:] - cs[:-length]
-    hits = np.flatnonzero(window == length)
+    hits = run_starts(mask, length)
     if hits.size == 0:
-        raise NotFoundBelowBound(int(primes[-1]))
+        raise NotFoundBelowBound(int(primes[-1]) if primes.size else 0)
     return int(primes[hits[0]])
 
 

@@ -66,7 +66,7 @@ def twin_pair_arrays(bound: int, rt: RamanujanTable, pt: PrimeTable):
             f"twin census at {bound} needs Ramanujan membership through {bound + 2}"
         )
     primes = pt.primes_upto(bound + 2)
-    ram = rt.membership_mask(primes)
+    ram = rt.classified_primes(pt)[1][: primes.size]
     pair = (primes[1:] - primes[:-1] == 2) & (primes[:-1] <= bound)
     return primes[:-1][pair], ram[:-1][pair], ram[1:][pair]
 
@@ -109,10 +109,10 @@ def lower_membership_violations(bound: int, rt: RamanujanTable, pt: PrimeTable) 
     primes = pt.primes_upto(min(bound, pt.limit))
     if primes.size < 2:
         return []
-    ram = rt.membership_mask(primes)
-    pis = pt.prime_count_batch(primes)
-    half_pis = pt.prime_count_batch(primes // 2)
-    cond = (pis[:-1] - half_pis[:-1] + 1) == (pis[1:] - half_pis[1:])
+    ram = rt.classified_primes(pt)[1][: primes.size]
+    # s = pi(p) - pi(p/2); primes lists every prime up to its end, so pi(primes[i]) = i + 1
+    s = np.arange(1, primes.size + 1) - pt.prime_count_batch(primes // 2)
+    cond = s[:-1] + 1 == s[1:]
     bad = cond & ram[1:] & ~ram[:-1]
     return [(int(primes[i]), int(primes[i + 1])) for i in np.flatnonzero(bad)]
 
@@ -138,37 +138,37 @@ def check_one_sided_counts(bound: int, rt: RamanujanTable, pt: PrimeTable) -> bo
 
     At every twin-pair event up to `bound`, pairs with one-or-both members
     Ramanujan must equal pairs whose smaller member is Ramanujan, and pairs
-    with both Ramanujan must equal pairs whose larger member is.
+    with both Ramanujan must equal pairs whose larger member is. Running
+    counts agree at every event exactly when each pair adds the same to both.
     """
     _, ram_lo, ram_hi = twin_pair_arrays(bound, rt, pt)
-    c_any = np.cumsum(ram_lo | ram_hi)
-    c_both = np.cumsum(ram_lo & ram_hi)
-    c_small = np.cumsum(ram_lo)
-    c_large = np.cumsum(ram_hi)
-    return bool(np.array_equal(c_any, c_small) and np.array_equal(c_both, c_large))
+    return np.array_equal(ram_lo | ram_hi, ram_lo) and np.array_equal(ram_lo & ram_hi, ram_hi)
 
 
-def ratio_inequalities_hold(bound: int, census: TwinCensus) -> bool:
-    """The three strict ratio inequalities at one bound, compared exactly."""
+def _ratios_hold(pi2, pi21, pi22):
+    """pi21/pi2 < 4/5, pi22/pi2 > 2/5 and pi22/pi21 > 1/2 in integer arithmetic,
+    elementwise when given count arrays."""
+    return (5 * pi21 < 4 * pi2) & (5 * pi22 > 2 * pi2) & (2 * pi22 > pi21)
+
+
+def _check_ratio_scope(bound: int) -> None:
     if bound < RATIO_CONJECTURE_MIN_BOUND:
         raise ValueError(
             f"the conjectured inequalities start at {RATIO_CONJECTURE_MIN_BOUND}, got {bound}"
         )
-    return (
-        5 * census.pi21 < 4 * census.pi2
-        and 5 * census.pi22 > 2 * census.pi2
-        and 2 * census.pi22 > census.pi21
-    )
+
+
+def ratio_inequalities_hold(bound: int, census: TwinCensus) -> bool:
+    """The three strict ratio inequalities at one bound, compared exactly."""
+    _check_ratio_scope(bound)
+    return _ratios_hold(census.pi2, census.pi21, census.pi22)
 
 
 def ratio_inequalities_strict(bound: int, rt: RamanujanTable, pt: PrimeTable) -> bool:
     """Event-driven variant: the inequalities must hold at every twin-pair
     count state from 10^5 up to `bound`, not just at decade snapshots.
     """
-    if bound < RATIO_CONJECTURE_MIN_BOUND:
-        raise ValueError(
-            f"the conjectured inequalities start at {RATIO_CONJECTURE_MIN_BOUND}, got {bound}"
-        )
+    _check_ratio_scope(bound)
     lesser, ram_lo, ram_hi = twin_pair_arrays(bound, rt, pt)
     c2 = np.arange(1, lesser.size + 1, dtype=np.int64)
     c21 = np.cumsum((ram_lo | ram_hi).astype(np.int64))
@@ -176,13 +176,7 @@ def ratio_inequalities_strict(bound: int, rt: RamanujanTable, pt: PrimeTable) ->
     start = int(np.searchsorted(lesser, RATIO_CONJECTURE_MIN_BOUND, side="right")) - 1
     if start < 0:
         return True
-    sl = slice(start, None)
-    ok = (
-        (5 * c21[sl] < 4 * c2[sl])
-        & (5 * c22[sl] > 2 * c2[sl])
-        & (2 * c22[sl] > c21[sl])
-    )
-    return bool(ok.all())
+    return bool(_ratios_hold(c2[start:], c21[start:], c22[start:]).all())
 
 
 def brun_partial(bound: int, kind: str, rt: RamanujanTable, pt: PrimeTable) -> BrunPartial:

@@ -161,3 +161,19 @@ def test_cache_warm_and_cold_identical(runner, tmp_path):
     warm = invoke(runner, *args)
     assert cold.output == warm.output
     assert cold.exit_code == warm.exit_code == 0
+
+
+def test_rejected_cache_file_is_rebuilt(runner, tmp_path):
+    cache = tmp_path / "cache"
+    args = ["--cache-dir", str(cache), "twins", "--bound", "1e3", "--format", "csv"]
+    cold = invoke(runner, *args)
+    for pattern in ("primes_*.rppt", "ramanujan_below_*.rprt"):
+        (path,) = cache.glob(pattern)
+        path.write_bytes(path.read_bytes()[:10])  # cut inside the header
+        rebuilt = invoke(runner, *args)
+        assert rebuilt.exit_code == 0
+        assert rebuilt.stdout == cold.stdout
+        assert "rejected cache file" in rebuilt.stderr
+        warm = invoke(runner, *args)  # the rebuilt file replaced the bad one
+        assert warm.stdout == cold.stdout
+        assert warm.stderr == ""

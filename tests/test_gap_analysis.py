@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ramprimes import gap_analysis, twin_stats
-from ramprimes.errors import InternalConsistencyError, NotFoundBelowBound
+from ramprimes import gap_analysis, prime_core, twin_stats
+from ramprimes.errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
 from ramprimes.gap_analysis import (
     first_sharp_run,
     gap_for_run,
@@ -15,6 +15,18 @@ from ramprimes.gap_analysis import (
 # first sharp run of length r = 1..11 starts at... (OEIS A177804)
 SHARP_STARTS = [11, 4919, 1439, 7187, 37547, 210143, 3376943, 663563,
                 4429739, 17939627, 12034427]
+
+
+def walk_composite_interval(lo, hi, pt):
+    """Reference for the enclosing gap: widen [lo, hi] one integer at a time."""
+    a, b = lo, hi
+    while a > 1 and not pt.is_prime(a - 1):
+        a -= 1
+    while b < pt.limit and not pt.is_prime(b + 1):
+        b += 1
+    if b == pt.limit:
+        raise CoverageError(f"composite interval still open at table limit {pt.limit}")
+    return a, b
 
 
 def test_gap_for_single_prime_eleven(rt_wide, pt_wide):
@@ -86,11 +98,32 @@ def test_twin_gap_check_reference_pairs(rt_wide, pt_wide):
 
 
 def test_twin_gap_check_all_small_pairs(rt_wide, pt_wide):
-    lesser, ram_lo, ram_hi = twin_stats.twin_pair_arrays(10 ** 5, rt_wide, pt_wide)
-    for p in lesser[ram_lo & ram_hi]:
-        a, b = twin_gap_check(int(p), int(p) + 2, rt_wide, pt_wide)
+    lesser, ram_lo, ram_hi = twin_stats.twin_pair_arrays(10 ** 6, rt_wide, pt_wide)
+    for p in lesser[ram_lo & ram_hi].tolist():
+        a, b = twin_gap_check(p, p + 2, rt_wide, pt_wide)
+        assert (a, b) == walk_composite_interval((p + 1) // 2, (p + 3) // 2, pt_wide)
         assert b - a + 1 >= 5
         assert a <= (p + 1) // 2 and (p + 3) // 2 <= b
+
+
+def test_gap_records_match_the_scalar_walk(rt_wide, pt_wide):
+    ranks, _, _, lengths = odd_ramanujan_runs(rt_wide, pt_wide, 10 ** 5)
+    for rank, r in zip(ranks.tolist(), lengths.tolist()):
+        record = gap_for_run(rank, r, rt_wide, pt_wide)
+        assert record.enclosing_gap == walk_composite_interval(
+            record.gap_lo, record.gap_hi, pt_wide)
+
+
+def test_enclosing_gap_open_at_table_limit():
+    # 89 and 97 are consecutive primes; no prime follows 97 up to 100
+    pt = prime_core.build(100)
+    assert gap_analysis._maximal_composite_interval(92, 94, pt) == (90, 96)
+    with pytest.raises(CoverageError, match="table limit 100"):
+        gap_analysis._maximal_composite_interval(98, 99, pt)
+    with pytest.raises(CoverageError):
+        walk_composite_interval(98, 99, pt)
+    # a prime exactly at the limit closes the gap
+    assert gap_analysis._maximal_composite_interval(92, 94, prime_core.build(97)) == (90, 96)
 
 
 def test_twin_gap_check_validation(rt_wide, pt_wide):

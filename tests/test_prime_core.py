@@ -32,6 +32,11 @@ def test_build_rejects_tiny_limit():
 def test_build_rejects_over_memory_ceiling():
     with pytest.raises(ResourceLimitError):
         prime_core.build(10 ** 8, memory_ceiling=1000)
+    # at 10**6 the flags and checkpoints take 62,636 bytes; the popcount pass
+    # over the flags while checkpointing takes 62,500 more
+    with pytest.raises(ResourceLimitError):
+        prime_core.build(10 ** 6, memory_ceiling=100_000)
+    assert prime_core.build(10 ** 6, memory_ceiling=130_000).limit == 10 ** 6
 
 
 def test_nth_prime_reference_points():

@@ -103,8 +103,24 @@ def test_compute_below_two_is_empty(pt1m):
     rt = compute_below(2, pt1m)
     assert rt.count == 0
     assert rt.membership_mask(np.array([], dtype=np.int64)).size == 0
+    assert rt.classified_primes(pt1m)[1].size == 0
     with pytest.raises(ValueError):
         rt.value(1)
+
+
+def test_classified_primes_share_one_mask(rt_wide, pt_wide):
+    primes, mask = rt_wide.classified_primes(pt_wide)
+    assert np.array_equal(primes, pt_wide.primes_upto(rt_wide.complete_below - 1))
+    assert np.array_equal(mask, rt_wide.membership_mask(primes))
+    assert rt_wide.classified_primes(pt_wide)[1] is mask
+
+
+def test_classified_primes_mask_is_read_only(rt_wide, pt_wide):
+    _, mask = rt_wide.classified_primes(pt_wide)
+    with pytest.raises(ValueError):
+        mask[0] = False
+    with pytest.raises(ValueError):
+        mask[1:][:3] = True
 
 
 def test_compute_below_membership_coverage(pt1m):

@@ -141,7 +141,7 @@ def test_runs_partition_the_primes(rt_wide, pt_wide):
     bound = 10 ** 5
     primes = pt_wide.primes_upto(bound - 1)
     mask = rt_wide.membership_mask(primes)
-    starts, lengths, _ = run_stats._run_blocks(mask)
+    starts, lengths, _ = run_stats.run_blocks(mask)
     assert int(lengths.sum()) == pt_wide.prime_count(bound - 1)
     assert int(lengths.sum()) == len(primes)
 
