@@ -25,9 +25,7 @@ _MAGIC = b"RPPT"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQQ")
 
-# Extraction / sieving chunk, in odd flags. Must stay a multiple of 8 so
-# chunk starts are byte-aligned in the packed array.
-_CHUNK_BITS = 1 << 24
+_EXTRACT_CHUNK = 1 << 25  # integers per step when the prime list is extracted
 
 
 def simple_sieve_flags(limit: int) -> np.ndarray:
@@ -176,6 +174,18 @@ class PrimeTable:
         primes = self._primes_through(x)
         return primes[: int(np.searchsorted(primes, x, side="right"))]
 
+    def primes_between(self, lo: int, hi: int) -> np.ndarray:
+        """All primes in [lo, hi], ascending, read from the flags, not the prime list."""
+        if lo < 0 or hi > self.limit:
+            raise ValueError(f"primes_between [{lo}, {hi}] outside [0, {self.limit}]")
+        b0, b1 = lo >> 1, (hi - 1) >> 1  # bits of the first and last odd in range
+        if b1 < b0:
+            return np.array([2] if lo <= 2 <= hi else [], dtype=np.int64)
+        byte0 = b0 >> 3
+        bits = np.unpackbits(self._packed[byte0 : (b1 >> 3) + 1], bitorder="little").view(bool)
+        odd = 2 * (b0 + np.flatnonzero(bits[b0 - (byte0 << 3) : b1 + 1 - (byte0 << 3)])) + 1
+        return np.concatenate([[2], odd]) if lo <= 2 <= hi else odd
+
     def flags_range(self, lo: int, hi: int) -> np.ndarray:
         """Primality flags for every integer in [lo, hi] as a bool array."""
         if not 0 <= lo <= hi <= self.limit:
@@ -196,16 +206,10 @@ class PrimeTable:
         """Cached ascending array of all primes <= max(x, previous requests)."""
         if self._prime_cache is None or self._prime_cache_limit < x:
             x = min(max(x, 2), self.limit)
-            parts = [np.array([2], dtype=np.int64)]
-            if x >= 3:
-                last_bit = (x if x & 1 else x - 1) >> 1
-                for s in range(0, last_bit + 1, _CHUNK_BITS):
-                    e = min(s + _CHUNK_BITS, last_bit + 1)
-                    bits = np.unpackbits(
-                        self._packed[s >> 3 : (e + 7) >> 3], bitorder="little"
-                    )[: e - s]
-                    parts.append(2 * (s + np.flatnonzero(bits)) + 1)
-            cache = np.concatenate(parts)
+            # 2 goes in apart: prepending it would copy the first chunk and raise peak RSS
+            chunks = (self.primes_between(max(lo, 3), min(lo + _EXTRACT_CHUNK - 1, x))
+                      for lo in range(0, x + 1, _EXTRACT_CHUNK))
+            cache = np.concatenate([np.array([2], dtype=np.int64), *chunks])
             cache.setflags(write=False)
             self._prime_cache = cache
             self._prime_cache_limit = x
@@ -234,6 +238,9 @@ def load(path) -> PrimeTable:
             raise ValueError(f"{path}: not a prime table cache")
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported cache version {version}")
+        if limit < 2 or nbytes != ((limit + 1) // 2 + 7) // 8 or stride < 16 or stride % 16:
+            raise ValueError(f"{path}: inconsistent header (limit {limit}, "
+                             f"stride {stride}, {nbytes} flag bytes)")
         packed = np.fromfile(fh, dtype=np.uint8, count=nbytes)
     if len(packed) != nbytes:
         raise ValueError(f"{path}: truncated flag data")

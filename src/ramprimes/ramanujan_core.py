@@ -5,7 +5,8 @@ The n-th Ramanujan prime R_n is the smallest integer such that every
 x >= R_n has at least n primes in (x/2, x]. Writing s(k) for the number
 of primes in (k/2, k], R_n equals 1 plus the largest k with s(k) = n - 1,
 and the scan only has to run to the (3n)-th prime because R_n is known to
-stay below it.
+stay below it. s changes only at a prime p (+1) and at 2q for a prime q
+(-1), so the scan steps from event to event rather than over every integer.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ _MAGIC = b"RPRT"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQQ")
 
-_SCAN_BLOCK = 1 << 22
+_SCAN_BLOCK = 1 << 20  # integers per scan block; the block size bounds peak RSS
 
 
 def nth_prime_upper(k: int) -> int:
@@ -155,9 +156,9 @@ def load(path) -> RamanujanTable:
             raise ValueError(f"{path}: not a Ramanujan table cache")
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported cache version {version}")
+        if 8 * count != path.stat().st_size - _HEADER.size:
+            raise ValueError(f"{path}: {count} values do not fit the payload size")
         values = np.fromfile(fh, dtype=np.int64, count=count)
-    if len(values) != count:
-        raise ValueError(f"{path}: truncated values")
     return RamanujanTable(values=values, scan_limit=int(scan_limit),
                           complete_below=int(complete_below))
 
@@ -172,27 +173,17 @@ class BoundsReport:
     argmax_n: int | None = None
 
 
-def _interval_counts(primes: PrimeTable, lo: int, hi: int, offset: int) -> np.ndarray:
-    """s(k) = pi(k) - pi(k//2) for k in [lo, hi]; offset must equal s(lo - 1)."""
-    delta = primes.flags_range(lo, hi).astype(np.int8)
-    first_even = lo if lo % 2 == 0 else lo + 1
-    if first_even <= hi:
-        halves = primes.flags_range(first_even >> 1, hi >> 1)
-        delta[first_even - lo :: 2] -= halves.view(np.int8)
-    s = np.cumsum(delta, dtype=np.int64)
-    s += offset
-    return s
-
-
 def compute_first(n: int, primes: PrimeTable, *, block_size: int = _SCAN_BLOCK) -> RamanujanTable:
-    """Compute R_1..R_n by scanning the interval prime counts s(k).
+    """Compute R_1..R_n by walking the events of the interval prime counts s(k).
 
     Conceptually the scan walks k = 1 .. p_3n - 1 keeping a counter that
     gains one when k is prime and loses one when k is even with k/2 prime,
     recording for each value v the last k where the counter equals v; R_{v+1}
-    is that k plus one. Here the walk is evaluated blockwise from the right:
-    since s moves by at most 1 per step, its suffix minimum is a staircase
-    whose step from v to v+1 sits exactly at the last k with s(k) = v.
+    is that k plus one. Here the walk runs blockwise from the right and moves
+    from event to event: the primes and the doubled primes 2q of a block,
+    merged by one stable sort. Since s moves by at most 1 per event, its
+    suffix minimum is a staircase whose step from v to v+1 sits at the end
+    of the last event interval with suffix minimum v.
     """
     if n < 1:
         raise ValueError(f"count must be >= 1, got {n}")
@@ -204,22 +195,24 @@ def compute_first(n: int, primes: PrimeTable, *, block_size: int = _SCAN_BLOCK) 
     top = primes.nth_prime(3 * n) - 1
     values = np.zeros(n, dtype=np.int64)
     carry = None  # min of s over every k already walked, all to the right
-    first_lo = 1 + block_size * ((top - 1) // block_size)
-    for lo in range(first_lo, 0, -block_size):
+    for lo in range(1 + block_size * ((top - 1) // block_size), 0, -block_size):
         hi = min(lo + block_size - 1, top)
-        offset = primes.prime_count(lo - 1) - primes.prime_count((lo - 1) // 2)
-        s = _interval_counts(primes, lo, hi, offset)
-        if carry is None:
-            carry = int(s[-1]) + 1
+        up = primes.primes_between(lo, hi)
+        events = np.concatenate([up, 2 * primes.primes_between((lo + 1) // 2, hi // 2)])
+        order = np.argsort(events, kind="stable")  # one merge of two sorted runs
+        # s[i] holds from starts[i] to starts[i + 1] - 1; interval 0 is empty when
+        # an event sits at lo, and the last entry stands for the walk right of hi
+        starts = np.concatenate([[lo], events[order], [hi + 1]])
+        s = np.empty(starts.size, dtype=np.int64)
+        s[0] = primes.prime_count(lo - 1) - primes.prime_count((lo - 1) // 2)
+        np.cumsum(2 * (order < up.size).view(np.int8) - 1, out=s[1:-1])  # +1 at p, -1 at 2q
+        s[1:-1] += s[0]
+        s[-1] = s[-2] + 1 if carry is None else carry
+        np.minimum(s, n, out=s)  # R_{v+1} is wanted only for v < n
         m = np.minimum.accumulate(s[::-1])[::-1]
-        np.minimum(m, carry, out=m)
-        v_lo = int(m[0])
-        v_hi = min(n, carry)  # exclusive
-        if v_hi > v_lo:
-            v = np.arange(v_lo, v_hi, dtype=np.int64)
-            pos = np.searchsorted(m, v, side="right") - 1
-            values[v] = lo + pos + 1  # R_{v+1} = 1 + last k with s(k) = v
-        carry = v_lo
+        rise = np.flatnonzero(m[1:] != m[:-1])  # each step of the staircase is +1
+        values[m[rise]] = starts[rise + 1]  # R_{v+1} = 1 + last k with s(k) = v
+        carry = int(m[0])
         if carry == 0:
             break
     if values[0] != 2 or np.any(np.diff(values) <= 0):
@@ -228,7 +221,7 @@ def compute_first(n: int, primes: PrimeTable, *, block_size: int = _SCAN_BLOCK) 
                           complete_below=int(values[-1]) + 1)
 
 
-def compute_below(x: int, primes: PrimeTable, *, block_size: int = _SCAN_BLOCK) -> RamanujanTable:
+def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:
     """All Ramanujan primes < x.
 
     Sizing: with n = ceil(pi(x)/2) + 1 the n-th Ramanujan prime already
@@ -240,7 +233,7 @@ def compute_below(x: int, primes: PrimeTable, *, block_size: int = _SCAN_BLOCK) 
     if x > primes.limit:
         raise CoverageError(f"bound {x} beyond table limit {primes.limit}")
     n = -(-primes.prime_count(x) // 2) + 1
-    table = compute_first(n, primes, block_size=block_size)
+    table = compute_first(n, primes)
     if int(table.values[-1]) < x:
         raise InternalConsistencyError("sizing bound failed to clear the cutoff")
     kept = table.values[: int(np.searchsorted(table.values, x))].copy()

@@ -177,3 +177,20 @@ def test_rejected_cache_file_is_rebuilt(runner, tmp_path):
         warm = invoke(runner, *args)  # the rebuilt file replaced the bad one
         assert warm.stdout == cold.stdout
         assert warm.stderr == ""
+
+
+def test_cache_with_impossible_header_is_rebuilt(runner, tmp_path):
+    cache = tmp_path / "cache"
+    args = ["--cache-dir", str(cache), "twins", "--bound", "1e3", "--format", "csv"]
+    cold = invoke(runner, *args)
+    # the high byte of the flag byte count (prime table) and of the value
+    # count (Ramanujan table): loading them as stated would ask for ~2**64 bytes
+    for pattern, offset in (("primes_*.rppt", 31), ("ramanujan_below_*.rprt", 15)):
+        (path,) = cache.glob(pattern)
+        data = bytearray(path.read_bytes())
+        data[offset] ^= 0xFF
+        path.write_bytes(bytes(data))
+        rebuilt = invoke(runner, *args)
+        assert rebuilt.exit_code == 0
+        assert rebuilt.stdout == cold.stdout
+        assert "rejected cache file" in rebuilt.stderr

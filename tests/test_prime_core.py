@@ -175,3 +175,42 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + bytes(60))
     with pytest.raises(ValueError):
         prime_core.load(path)
+
+
+@given(lo=st.integers(min_value=0, max_value=10 ** 6),
+       width=st.integers(min_value=-2, max_value=5000))
+def test_primes_between_matches_flags(pt1m, lo, width):
+    hi = min(lo + width, 10 ** 6)
+    got = pt1m.primes_between(lo, hi)
+    assert got.dtype == np.int64
+    expected = lo + np.flatnonzero(pt1m.flags_range(lo, hi)) if lo <= hi else []
+    assert got.tolist() == list(expected)
+
+
+def test_primes_between_edges(pt1m):
+    for lo, hi, expected in [(0, 0, []), (0, 1, []), (0, 2, [2]), (2, 2, [2]), (3, 3, [3]),
+                             (2, 7, [2, 3, 5, 7]), (24, 28, []), (5, 4, []),
+                             (999_980, 10 ** 6, [999_983])]:
+        assert pt1m.primes_between(lo, hi).tolist() == expected
+    for lo, hi in [(-1, 10), (0, 10 ** 6 + 1)]:
+        with pytest.raises(ValueError):
+            pt1m.primes_between(lo, hi)
+
+
+# header layout: magic 0-3, version 4-7, limit 8-15, stride 16-23, nbytes 24-31
+@pytest.mark.parametrize("offset, mask", [
+    (31, 0xFF),  # nbytes near 2**64: rejected before any allocation
+    (24, 0x01),  # nbytes one off
+    (8, 0x01),   # limit 100001 on a payload built for 100000
+    (15, 0x80),  # limit near 2**63
+    (16, 0x01),  # stride not a multiple of 16
+    (18, 0x01),  # stride zero
+])
+def test_load_rejects_inconsistent_header(tmp_path, offset, mask):
+    path = tmp_path / "primes.rppt"
+    prime_core.build(10 ** 5).save(path)
+    data = bytearray(path.read_bytes())
+    data[offset] ^= mask
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError):
+        prime_core.load(path)

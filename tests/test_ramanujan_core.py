@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramprimes import prime_core, ramanujan_core
 from ramprimes.errors import CoverageError
@@ -51,6 +53,34 @@ def oracle_tables(n_max: int):
     return values, counts, primes
 
 
+def blockwise_reference(n: int, primes, block_size: int = 1 << 22) -> np.ndarray:
+    """R_1..R_n from a per-integer scan: s(k) for every k of each block from
+    the primality flags, then the right-to-left suffix-minimum staircase.
+    A second route to the production event walk, which never builds s(k)."""
+    top = primes.nth_prime(3 * n) - 1
+    values = np.zeros(n, dtype=np.int64)
+    carry = None  # min of s over every k already walked, all to the right
+    for lo in range(1 + block_size * ((top - 1) // block_size), 0, -block_size):
+        hi = min(lo + block_size - 1, top)
+        delta = primes.flags_range(lo, hi).astype(np.int8)
+        first_even = lo + lo % 2
+        if first_even <= hi:
+            halves = primes.flags_range(first_even >> 1, hi >> 1)
+            delta[first_even - lo :: 2] -= halves.view(np.int8)
+        s = np.cumsum(delta, dtype=np.int64)
+        s += primes.prime_count(lo - 1) - primes.prime_count((lo - 1) // 2)
+        if carry is None:
+            carry = int(s[-1]) + 1
+        m = np.minimum.accumulate(s[::-1])[::-1]
+        np.minimum(m, carry, out=m)
+        v = np.arange(int(m[0]), min(n, carry), dtype=np.int64)
+        values[v] = lo + np.searchsorted(m, v, side="right")  # 1 + last k with s(k) = v
+        carry = int(m[0])
+        if carry == 0:
+            break
+    return values
+
+
 @pytest.fixture(scope="module")
 def oracle_1000():
     return oracle_tables(1000)
@@ -67,6 +97,21 @@ def test_single_value(pt1m):
 def test_matches_direct_definition_oracle(pt1m, oracle_1000):
     values, _, _ = oracle_1000
     assert compute_first(1000, pt1m).values.tolist() == values
+
+
+def test_matches_blockwise_reference_below_21e6(pt_wide, rt_wide):
+    x = rt_wide.complete_below
+    reference = blockwise_reference(-(-pt_wide.prime_count(x) // 2) + 1, pt_wide)
+    assert np.array_equal(reference[reference < x], rt_wide.values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(min_value=1, max_value=400), block=st.integers(min_value=1, max_value=5000))
+def test_any_block_size_matches_both_oracles(pt1m, oracle_1000, n, block):
+    # block 1 starts every block on an event, so the first interval is empty
+    values = compute_first(n, pt1m, block_size=block).values
+    assert values.tolist() == oracle_1000[0][:n]
+    assert np.array_equal(values, blockwise_reference(n, pt1m, block))
 
 
 def test_interval_counts_walk_properties(oracle_1000):
@@ -139,7 +184,7 @@ def test_coverage_error_names_requirement():
 
 def test_block_size_does_not_change_results(pt1m):
     baseline = compute_first(200, pt1m).values
-    for block in (64, 1 << 10, 1 << 14):
+    for block in (1, 2, 3, 64, 1 << 10, 1 << 14):
         assert np.array_equal(compute_first(200, pt1m, block_size=block).values, baseline)
 
 
@@ -267,6 +312,22 @@ def test_table_save_load_roundtrip(tmp_path, pt1m):
     assert np.array_equal(loaded.values, rt.values)
     assert loaded.scan_limit == rt.scan_limit
     assert loaded.complete_below == rt.complete_below
+
+
+# header layout: magic 0-3, version 4-7, count 8-15, scan_limit 16-23, complete_below 24-31
+@pytest.mark.parametrize("offset, mask, cut", [
+    (15, 0xFF, 0),  # count near 2**64: rejected before any allocation
+    (8, 0x01, 0),   # count one off
+    (8, 0x00, 8),   # header intact, last value cut off
+])
+def test_load_rejects_count_that_does_not_fit_payload(tmp_path, pt1m, offset, mask, cut):
+    path = tmp_path / "ramanujan.rprt"
+    compute_first(100, pt1m).save(path)
+    data = bytearray(path.read_bytes())
+    data[offset] ^= mask
+    path.write_bytes(bytes(data[: len(data) - cut]))
+    with pytest.raises(ValueError):
+        ramanujan_core.load(path)
 
 
 def test_bounds_report_fields():
