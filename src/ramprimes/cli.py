@@ -2,7 +2,8 @@
 results, and emit the run/twin/gap reports as table, CSV, or JSON.
 
 Exit codes: 0 success, 1 a verification failed, 2 usage error, 3 resource
-limit hit.
+limit hit, 4 internal fault (a proved property failed, or tables the command
+built itself fell short of its request).
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from pathlib import Path
 import click
 
 from . import gap_analysis, prime_core, ramanujan_core, run_stats, twin_stats
-from .errors import CoverageError, NotFoundBelowBound, ResourceLimitError
+from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound, ResourceLimitError
 from .formatting import ratio_display, round_half_up
 
 EXIT_VERIFICATION_FAILED = 1
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 # Tables for a report reach this far past its bound, so that runs and gaps
 # straddling the bound can still close.
@@ -62,8 +64,9 @@ def guarded(fn):
         except ResourceLimitError as exc:
             click.echo(f"resource limit: {exc}", err=True)
             sys.exit(EXIT_RESOURCE)
-        except CoverageError as exc:
-            raise click.ClickException(str(exc))
+        except (CoverageError, InternalConsistencyError) as exc:
+            click.echo(f"internal fault: {exc}", err=True)
+            sys.exit(EXIT_INTERNAL)
         except ValueError as exc:
             raise click.UsageError(str(exc))
 
@@ -380,15 +383,11 @@ def sharp(ctx, max_run, bound, output):
 def twin_check(ctx, bound):
     """Verify every twin Ramanujan pair sits in a composite stretch of 5+."""
     pt, rt = _tables_covering(bound, ctx.obj["cache_dir"])
-    lesser, ram_lo, ram_hi = twin_stats.twin_pair_arrays(bound, rt, pt)
-    pairs = lesser[ram_lo & ram_hi]
-    min_len = None
-    for p in pairs:
-        a, b = gap_analysis.twin_gap_check(int(p), int(p) + 2, rt, pt)
-        if min_len is None or b - a + 1 < min_len:
-            min_len = b - a + 1
+    lesser, a, b = gap_analysis.twin_gap_table(rt, pt)
+    n = int(lesser.searchsorted(bound, side="right"))
+    min_len = int((b[:n] - a[:n]).min()) + 1 if n else None
     click.echo(
-        f"{pairs.size} twin Ramanujan pairs below {bound}; "
+        f"{n} twin Ramanujan pairs below {bound}; "
         f"smallest enclosing gap length {min_len}"
     )
 

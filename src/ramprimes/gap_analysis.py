@@ -4,6 +4,11 @@ For a run of r consecutive primes that are all odd Ramanujan primes, from
 p to q, every integer in [(p+1)/2, (q+1)/2] is composite. A run is "sharp"
 when the integers just outside that interval are both prime. The single
 even Ramanujan prime 2 takes no part in any of this.
+
+The halves of a twin Ramanujan pair sit in a prime gap of length 5 or more.
+`twin_gap_table` checks that for every covered pair at once, with array
+operations, and memoizes the gaps on the Ramanujan table; `twin_gap_check`
+answers one pair from it.
 """
 
 from __future__ import annotations
@@ -112,43 +117,70 @@ def first_sharp_run(
     return record.run_start
 
 
-def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, int]:
-    """Maximal prime gap containing the halved endpoints of twin Ramanujan
-    primes (p, q); its length is checked to be at least 5.
+def _require_none(bad: np.ndarray, lesser: np.ndarray, what: str) -> None:
+    """Raise for the first twin pair flagged in `bad`: a proved property failed."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        p = int(lesser[hits[0]])
+        raise InternalConsistencyError(f"twin Ramanujan pair ({p}, {p + 2}): {what}")
+
+
+def twin_gap_table(rt: RamanujanTable, pt: PrimeTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every classified twin Ramanujan pair (p, p + 2) with p > 3, as the
+    ascending lesser members p and the ends a, b of the maximal prime gap
+    holding the halved pair; each gap is checked to be at least 5 long.
 
     The case split behind the guarantee is verified along the way: writing
     p = 6k - 1, an even k puts the halved pair at the start of a five-wide
     composite stretch, while an odd k relies on (q+3)/2 being composite,
-    which is forced by q being Ramanujan.
+    which is forced by q being Ramanujan. Those stretches are read from the
+    flags, the gap ends from the prime list. The three read-only arrays are
+    built on first use and memoized on `rt` for `pt`.
+    """
+    memo = rt._twin_gaps
+    if memo is not None and memo[0] is pt:
+        return memo[1:]
+    primes, mask = rt.classified_primes(pt)
+    pair = (primes[1:] - primes[:-1] == 2) & mask[:-1] & mask[1:] & (primes[:-1] > 3)
+    lesser = primes[:-1][pair]
+    k, rem = np.divmod(lesser + 1, 6)
+    _require_none(rem, lesser, "not of the form 6k -/+ 1")
+    odd = (k & 1).astype(bool)
+    _require_none(odd & pt.is_prime_batch((lesser + 5) // 2), lesser,
+                  "(q+3)/2 prime despite q being Ramanujan")
+    gap_lo = (lesser + 1) // 2  # = 3k; the halved pair is 3k, 3k + 1
+    span = gap_lo - odd  # [gap_lo, gap_lo + 4] for even k, one lower for odd k
+    inside = np.zeros(lesser.size, dtype=bool)
+    for offset in range(5):
+        inside |= pt.is_prime_batch(span + offset)
+    _require_none(inside, lesser, "prime inside the expected five-wide composite span")
+    # q = p + 2 is a listed prime above the halved pair, so the gap closes inside the list
+    a = primes[np.searchsorted(primes, gap_lo) - 1] + 1
+    b = primes[np.searchsorted(primes, gap_lo + 1, side="right")] - 1
+    _require_none(b - a + 1 < 5, lesser, "enclosing gap shorter than 5")
+    for arr in (lesser, a, b):
+        arr.setflags(write=False)
+    rt._twin_gaps = (pt, lesser, a, b)
+    return lesser, a, b
+
+
+def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, int]:
+    """Maximal prime gap containing the halved endpoints of twin Ramanujan
+    primes (p, q), read from `twin_gap_table`, which checked it.
     """
     if q != p + 2:
         raise ValueError(f"({p}, {q}) is not a twin pair")
     if p <= 3:
         raise ValueError(f"twin gap analysis needs p > 3, got {p}")
+    lesser, a, b = twin_gap_table(rt, pt)
+    i = int(np.searchsorted(lesser, p))
+    if i < lesser.size and lesser[i] == p:
+        return int(a[i]), int(b[i])
     if not (pt.is_prime(p) and pt.is_prime(q)):
         raise ValueError(f"({p}, {q}) are not both prime")
     if not (rt.contains(p) and rt.contains(q)):
         raise ValueError(f"({p}, {q}) are not both Ramanujan")
-    k, rem = divmod(p + 1, 6)
-    if rem:
-        raise InternalConsistencyError(f"twin pair ({p}, {q}) not of the form 6k -/+ 1")
-    gap_lo, gap_hi = (p + 1) // 2, (q + 1) // 2  # = 3k, 3k + 1
-    if k % 2 == 0:
-        span = (gap_lo, gap_lo + 4)
-    else:
-        if pt.is_prime((q + 3) // 2):
-            raise InternalConsistencyError(
-                f"(q+3)/2 = {(q + 3) // 2} prime despite {q} being Ramanujan"
-            )
-        span = (gap_lo - 1, gap_lo + 3)
-    if pt.flags_range(span[0], span[1]).any():
-        raise InternalConsistencyError(f"prime inside expected composite span {span}")
-    a, b = _maximal_composite_interval(gap_lo, gap_hi, pt)
-    if b - a + 1 < 5:
-        raise InternalConsistencyError(
-            f"enclosing gap ({a}, {b}) shorter than 5 for twins ({p}, {q})"
-        )
-    return a, b
+    raise InternalConsistencyError(f"twin Ramanujan pair ({p}, {q}) missing from the gap table")
 
 
 def odd_ramanujan_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):

@@ -87,6 +87,8 @@ class RamanujanTable:
     complete_below: int
     _ranks: np.ndarray | None = field(default=None, repr=False)
     _mask: np.ndarray | None = field(default=None, repr=False)
+    # (prime table, lesser, a, b), built by gap_analysis.twin_gap_table
+    _twin_gaps: tuple | None = field(default=None, repr=False)
 
     @property
     def count(self) -> int:

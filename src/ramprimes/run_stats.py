@@ -84,6 +84,28 @@ def ramanujan_fraction(bound: int, rt: RamanujanTable, pt: PrimeTable) -> float:
     return count / pt.prime_count(bound - 1)
 
 
+def _classified_runs(rt: RamanujanTable, pt: PrimeTable):
+    """The classified primes and the RLE of their mask, keyed by the first
+    prime of each block: (primes, block first primes, lengths, values)."""
+    primes, mask = rt.classified_primes(pt)
+    starts, lengths, values = run_blocks(mask)
+    return primes, primes[starts], lengths, values
+
+
+def _longest_runs(bound: int, runs) -> tuple[int, int]:
+    primes, first, lengths, values = runs
+    if primes.size == 0 or int(primes[-1]) < bound - 1:
+        raise CoverageError(f"tables do not cover {bound}")
+    n = int(np.searchsorted(first, bound))  # the blocks starting below the bound
+    if n == first.size:
+        # the final block starts below the bound and is still open at the
+        # edge of classification coverage, so its full length is unknown
+        raise CoverageError(f"run at coverage edge unresolved; extend tables past {primes[-1]}")
+    ram = lengths[:n][values[:n]]
+    nonram = lengths[:n][~values[:n]]
+    return int(ram.max(initial=0)), int(nonram.max(initial=0))
+
+
 def longest_runs(bound: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, int]:
     """Longest run of Ramanujan primes and of non-Ramanujan primes below `bound`.
 
@@ -94,18 +116,7 @@ def longest_runs(bound: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, i
     """
     if bound < 10:
         raise ValueError(f"bound must be >= 10, got {bound}")
-    primes, mask = rt.classified_primes(pt)
-    if primes.size == 0 or int(primes[-1]) < bound - 1:
-        raise CoverageError(f"tables do not cover {bound}")
-    starts, lengths, values = run_blocks(mask)
-    eligible = primes[starts] < bound
-    if eligible[-1]:
-        # the final block starts below the bound and is still open at the
-        # edge of classification coverage, so its full length is unknown
-        raise CoverageError(f"run at coverage edge unresolved; extend tables past {primes[-1]}")
-    ram = lengths[eligible & values]
-    nonram = lengths[eligible & ~values]
-    return int(ram.max(initial=0)), int(nonram.max(initial=0))
+    return _longest_runs(bound, _classified_runs(rt, pt))
 
 
 def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) -> int:
@@ -129,27 +140,33 @@ def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) 
 
 def decade_report(decade: int, rt: RamanujanTable, pt: PrimeTable) -> RunReport:
     """Build the full run-statistics row for the bound 10**decade."""
-    bound = 10 ** decade
-    if bound - 1 > pt.limit or bound > rt.complete_below:
-        raise CoverageError(f"tables do not cover the 10^{decade} row")
-    frac_count = int(np.searchsorted(rt.values, bound))
-    trials = pt.prime_count(bound - 1)
-    p = frac_count / trials
-    lr, ln = longest_runs(bound, rt, pt)
-    return RunReport(
-        bound=bound,
-        ram_count=frac_count,
-        trials=trials,
-        longest_ram=lr,
-        longest_nonram=ln,
-        expected_ram=expected_run_length(trials, p),
-        expected_nonram=expected_run_length(trials, 1 - p),
-        variance_ram=run_variance(p),
-        variance_nonram=run_variance(1 - p),
-    )
+    return decade_reports(decade, rt, pt)[-1]
 
 
 def decade_reports(max_decade: int, rt: RamanujanTable, pt: PrimeTable) -> list[RunReport]:
+    """Run-statistics rows for the bounds 10**1 .. 10**max_decade; one RLE
+    of the classified mask answers every row."""
     if max_decade < 1:
         raise ValueError(f"max_decade must be >= 1, got {max_decade}")
-    return [decade_report(d, rt, pt) for d in range(1, max_decade + 1)]
+    runs = _classified_runs(rt, pt)
+    reports = []
+    for decade in range(1, max_decade + 1):
+        bound = 10 ** decade
+        if bound - 1 > pt.limit or bound > rt.complete_below:
+            raise CoverageError(f"tables do not cover the 10^{decade} row")
+        frac_count = int(np.searchsorted(rt.values, bound))
+        trials = pt.prime_count(bound - 1)
+        p = frac_count / trials
+        lr, ln = _longest_runs(bound, runs)
+        reports.append(RunReport(
+            bound=bound,
+            ram_count=frac_count,
+            trials=trials,
+            longest_ram=lr,
+            longest_nonram=ln,
+            expected_ram=expected_run_length(trials, p),
+            expected_nonram=expected_run_length(trials, 1 - p),
+            variance_ram=run_variance(p),
+            variance_nonram=run_variance(1 - p),
+        ))
+    return reports

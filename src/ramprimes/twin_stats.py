@@ -65,8 +65,10 @@ def twin_pair_arrays(bound: int, rt: RamanujanTable, pt: PrimeTable):
         raise CoverageError(
             f"twin census at {bound} needs Ramanujan membership through {bound + 2}"
         )
-    primes = pt.primes_upto(bound + 2)
-    ram = rt.classified_primes(pt)[1][: primes.size]
+    # slice the classified list: asking pt for a shorter list first would build a second one
+    listed, mask = rt.classified_primes(pt)
+    n = int(np.searchsorted(listed, bound + 2, side="right"))
+    primes, ram = listed[:n], mask[:n]
     pair = (primes[1:] - primes[:-1] == 2) & (primes[:-1] <= bound)
     return primes[:-1][pair], ram[:-1][pair], ram[1:][pair]
 
@@ -106,10 +108,11 @@ def lower_membership_violations(bound: int, rt: RamanujanTable, pt: PrimeTable) 
     """
     if bound >= rt.complete_below:
         raise CoverageError(f"needs Ramanujan membership through {bound}")
-    primes = pt.primes_upto(min(bound, pt.limit))
+    listed, mask = rt.classified_primes(pt)
+    n = int(np.searchsorted(listed, bound, side="right"))
+    primes, ram = listed[:n], mask[:n]
     if primes.size < 2:
         return []
-    ram = rt.classified_primes(pt)[1][: primes.size]
     # s = pi(p) - pi(p/2); primes lists every prime up to its end, so pi(primes[i]) = i + 1
     s = np.arange(1, primes.size + 1) - pt.prime_count_batch(primes // 2)
     cond = s[:-1] + 1 == s[1:]

@@ -153,6 +153,20 @@ def test_resource_limit_maps_to_exit_three(runner, monkeypatch):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("error", ["InternalConsistencyError", "CoverageError"])
+def test_internal_fault_maps_to_exit_four(runner, monkeypatch, error):
+    from ramprimes import errors, gap_analysis
+
+    def faulty_table(rt, pt):
+        raise getattr(errors, error)("synthetic fault")
+
+    monkeypatch.setattr(gap_analysis, "twin_gap_table", faulty_table)
+    result = runner.invoke(cli, ["gaps", "twin-check", "--bound", "1e3"])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert "internal fault: synthetic fault" in result.stderr
+
+
 def test_cache_warm_and_cold_identical(runner, tmp_path):
     cache = tmp_path / "cache"
     args = ["--cache-dir", str(cache), "twins", "--bound", "1e3", "--format", "csv"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ramprimes import gap_analysis, prime_core, twin_stats
+from ramprimes import gap_analysis, prime_core, ramanujan_core, twin_stats
 from ramprimes.errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
 from ramprimes.gap_analysis import (
     first_sharp_run,
@@ -10,7 +10,9 @@ from ramprimes.gap_analysis import (
     odd_ramanujan_runs,
     run_interval_violations,
     twin_gap_check,
+    twin_gap_table,
 )
+from ramprimes.ramanujan_core import RamanujanTable
 
 # first sharp run of length r = 1..11 starts at... (OEIS A177804)
 SHARP_STARTS = [11, 4919, 1439, 7187, 37547, 210143, 3376943, 663563,
@@ -26,6 +28,38 @@ def walk_composite_interval(lo, hi, pt):
         b += 1
     if b == pt.limit:
         raise CoverageError(f"composite interval still open at table limit {pt.limit}")
+    return a, b
+
+
+def twin_gap_reference(p, q, rt, pt):
+    """Reference for twin_gap_table: the per-pair check it replaced."""
+    if q != p + 2:
+        raise ValueError(f"({p}, {q}) is not a twin pair")
+    if p <= 3:
+        raise ValueError(f"twin gap analysis needs p > 3, got {p}")
+    if not (pt.is_prime(p) and pt.is_prime(q)):
+        raise ValueError(f"({p}, {q}) are not both prime")
+    if not (rt.contains(p) and rt.contains(q)):
+        raise ValueError(f"({p}, {q}) are not both Ramanujan")
+    k, rem = divmod(p + 1, 6)
+    if rem:
+        raise InternalConsistencyError(f"twin pair ({p}, {q}) not of the form 6k -/+ 1")
+    gap_lo, gap_hi = (p + 1) // 2, (q + 1) // 2  # = 3k, 3k + 1
+    if k % 2 == 0:
+        span = (gap_lo, gap_lo + 4)
+    else:
+        if pt.is_prime((q + 3) // 2):
+            raise InternalConsistencyError(
+                f"(q+3)/2 = {(q + 3) // 2} prime despite {q} being Ramanujan"
+            )
+        span = (gap_lo - 1, gap_lo + 3)
+    if pt.flags_range(span[0], span[1]).any():
+        raise InternalConsistencyError(f"prime inside expected composite span {span}")
+    a, b = gap_analysis._maximal_composite_interval(gap_lo, gap_hi, pt)
+    if b - a + 1 < 5:
+        raise InternalConsistencyError(
+            f"enclosing gap ({a}, {b}) shorter than 5 for twins ({p}, {q})"
+        )
     return a, b
 
 
@@ -106,6 +140,51 @@ def test_twin_gap_check_all_small_pairs(rt_wide, pt_wide):
         assert a <= (p + 1) // 2 and (p + 3) // 2 <= b
 
 
+def test_twin_gap_table_matches_the_per_pair_reference(rt_wide, pt_wide):
+    bound = 10 ** 7
+    lesser, ram_lo, ram_hi = twin_stats.twin_pair_arrays(bound, rt_wide, pt_wide)
+    pairs = lesser[ram_lo & ram_hi].tolist()
+    table, a, b = twin_gap_table(rt_wide, pt_wide)
+    n = len(pairs)
+    assert n == 25629 and table[:n].tolist() == pairs
+    assert int(table[n]) > bound  # the table runs on to the end of classification
+    expected = [twin_gap_reference(p, p + 2, rt_wide, pt_wide) for p in pairs]
+    assert list(zip(a[:n].tolist(), b[:n].tolist())) == expected
+
+
+def test_twin_gap_table_is_built_once_and_read_only(pt1m, monkeypatch):
+    rt = ramanujan_core.compute_below(10 ** 5, pt1m)
+    first = twin_gap_table(rt, pt1m)
+    # answering a pair needs neither a prime list nor a mask once the table exists
+    monkeypatch.setattr(rt, "classified_primes", None)
+    monkeypatch.setattr(pt1m, "primes_upto", None)
+    assert all(x is y for x, y in zip(twin_gap_table(rt, pt1m), first))
+    assert twin_gap_check(149, 151, rt, pt1m) == (74, 78)
+    for arr in first:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    monkeypatch.undo()
+    # another prime table gets a table of its own, with the same contents
+    other = twin_gap_table(rt, prime_core.build(pt1m.limit))
+    assert other[0] is not first[0]
+    assert all(np.array_equal(x, y) for x, y in zip(other, first))
+
+
+@pytest.mark.parametrize("extra, failure", [
+    ([13], r"\(11, 13\): prime inside the expected five-wide composite span"),
+    ([5, 7], r"\(5, 7\): \(q\+3\)/2 prime"),
+])
+def test_twin_gap_table_rejects_a_listed_non_ramanujan_twin(pt1m, extra, failure):
+    true = ramanujan_core.compute_below(1000, pt1m)
+    fake = RamanujanTable(values=np.sort(np.append(true.values, extra)),
+                          scan_limit=true.scan_limit, complete_below=1000)
+    with pytest.raises(InternalConsistencyError, match=failure):
+        twin_gap_table(fake, pt1m)
+    with pytest.raises(InternalConsistencyError, match=failure):
+        twin_gap_check(149, 151, fake, pt1m)
+
+
 def test_gap_records_match_the_scalar_walk(rt_wide, pt_wide):
     ranks, _, _, lengths = odd_ramanujan_runs(rt_wide, pt_wide, 10 ** 5)
     for rank, r in zip(ranks.tolist(), lengths.tolist()):
@@ -127,12 +206,23 @@ def test_enclosing_gap_open_at_table_limit():
 
 
 def test_twin_gap_check_validation(rt_wide, pt_wide):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not both Ramanujan"):
         twin_gap_check(11, 13, rt_wide, pt_wide)  # 13 is not Ramanujan
     with pytest.raises(ValueError):
         twin_gap_check(3, 5, rt_wide, pt_wide)  # needs p > 3
     with pytest.raises(ValueError):
         twin_gap_check(11, 17, rt_wide, pt_wide)  # not twins
+    # the reference's messages for a pair not prime, past complete_below, past the limit
+    above = pt_wide.primes_between(rt_wide.complete_below, rt_wide.complete_below + 10 ** 4)
+    p = int(above[np.flatnonzero(np.diff(above) == 2)[0]])
+    limit = pt_wide.limit
+    for pair, message in (((25, 27), "not both prime"), ((p, p + 2), "undecidable"),
+                          ((limit + 1, limit + 3), "outside")):
+        with pytest.raises(ValueError, match=message) as got:
+            twin_gap_check(*pair, rt_wide, pt_wide)
+        with pytest.raises(ValueError) as want:
+            twin_gap_reference(*pair, rt_wide, pt_wide)
+        assert str(got.value) == str(want.value)
 
 
 def test_half_points_always_composite(rt_wide, pt_wide):

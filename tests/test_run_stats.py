@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ramprimes import run_stats
+from ramprimes import ramanujan_core, run_stats
 from ramprimes.errors import CoverageError, NotFoundBelowBound
 from ramprimes.formatting import ratio_display, round_half_up
 from ramprimes.run_stats import (
@@ -166,3 +166,23 @@ def test_decade_report_uses_full_precision_fraction(rt_wide, pt_wide):
 def test_longest_runs_requires_coverage(rt_wide, pt_wide):
     with pytest.raises(CoverageError):
         longest_runs(10 ** 8, rt_wide, pt_wide)
+
+
+def test_decade_reports_encode_the_mask_once(rt_wide, pt_wide, monkeypatch):
+    sizes = []
+    run_blocks = run_stats.run_blocks
+    monkeypatch.setattr(run_stats, "run_blocks", lambda mask: sizes.append(mask.size) or run_blocks(mask))
+    decade_reports(7, rt_wide, pt_wide)
+    assert len(sizes) == 1
+
+
+def test_decade_row_with_a_run_open_at_coverage_edge(pt1m):
+    # classification stops at 10007, inside the non-Ramanujan block from 9931
+    rt = ramanujan_core.compute_below(10_008, pt1m)
+    with pytest.raises(CoverageError, match="unresolved"):
+        decade_reports(4, rt, pt1m)
+    with pytest.raises(CoverageError, match="unresolved"):
+        longest_runs(10_008, rt, pt1m)
+    rows = decade_reports(3, rt, pt1m)
+    assert [(r.longest_ram, r.longest_nonram) for r in rows] == [
+        DECADE_ROWS[d][2::2] for d in (1, 2, 3)]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ramprimes import twin_stats
+from ramprimes import prime_core, ramanujan_core, twin_stats
 from ramprimes.errors import CoverageError
 from ramprimes.formatting import ratio_display
 from ramprimes.twin_stats import (
@@ -174,3 +174,24 @@ def test_brun_kind_validation(rt_wide, pt_wide):
 
 def test_brun_sum_stays_under_heuristic_limit(rt_wide, pt_wide):
     assert brun_partial(10 ** 7, KIND_ALL, rt_wide, pt_wide).sum < 1.9022
+
+
+@pytest.mark.parametrize("scan", [twin_stats.lower_membership_violations,
+                                  twin_stats.twin_pair_arrays])
+def test_scans_slice_the_one_classified_prime_list(scan, monkeypatch):
+    pt = prime_core.build(ramanujan_core.prime_limit_for_below(10 ** 5))
+    rt = ramanujan_core.compute_below(10 ** 5, pt)
+    built = []  # every prime list the table makes
+    through = pt._primes_through
+
+    def spy(x):
+        cache = through(x)
+        if not built or cache is not built[-1]:
+            built.append(cache)
+        return cache
+
+    monkeypatch.setattr(pt, "_primes_through", spy)
+    scan(10 ** 4, rt, pt)
+    listed, _ = rt.classified_primes(pt)
+    assert len(built) == 1 and pt._prime_cache is built[0]
+    assert np.shares_memory(listed, built[0])
