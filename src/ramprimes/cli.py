@@ -9,6 +9,7 @@ built itself fell short of its request).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -359,15 +360,7 @@ def sharp(ctx, max_run, bound, output):
             lines.append(json.dumps({"run_length": r, "not_found_below": exc.bound}))
             continue
         record = gap_analysis.gap_for_run(pt.prime_count(start), r, rt, pt)
-        lines.append(json.dumps({
-            "run_start": record.run_start,
-            "run_end": record.run_end,
-            "run_length": record.run_length,
-            "gap_lo": record.gap_lo,
-            "gap_hi": record.gap_hi,
-            "sharp": record.sharp,
-            "enclosing_gap": list(record.enclosing_gap),
-        }))
+        lines.append(json.dumps(dataclasses.asdict(record)))  # fields in GapRecord order
     text = "\n".join(lines) + "\n"
     if output is None:
         click.echo(text, nl=False)

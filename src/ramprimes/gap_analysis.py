@@ -5,10 +5,11 @@ p to q, every integer in [(p+1)/2, (q+1)/2] is composite. A run is "sharp"
 when the integers just outside that interval are both prime. The single
 even Ramanujan prime 2 takes no part in any of this.
 
-The halves of a twin Ramanujan pair sit in a prime gap of length 5 or more.
-`twin_gap_table` checks that for every covered pair at once, with array
-operations, and memoizes the gaps on the Ramanujan table; `twin_gap_check`
-answers one pair from it.
+Runs are read from the run-length encoding of the classified mask
+(`run_stats.run_blocks`). The halves of a twin Ramanujan pair sit in a prime
+gap of length 5 or more. `twin_gap_table` checks that for every covered
+pair at once, from the table's twin index, and keeps the gaps in the
+table's memo; `twin_gap_check` answers one pair from it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
 from .prime_core import PrimeTable
 from .ramanujan_core import RamanujanTable
-from .run_stats import run_blocks, run_starts
+from .run_stats import run_blocks
 
 DEFAULT_SHARP_SEARCH_BOUND = 20_000_000
 
@@ -104,8 +105,15 @@ def first_sharp_run(
             f"search bound {search_bound} beyond membership coverage {rt.complete_below}"
         )
     primes, mask = rt.classified_primes(pt)
-    starts = run_starts(mask[1:], r) + 1  # skip index 0, the even Ramanujan prime 2
-    starts = starts[primes[starts] < search_bound]
+    # windows start below index n, so they end before n + r - 1; the blocks are
+    # read from index 1, past the even prime 2. A Ramanujan block of b >= r
+    # primes from s holds the b - r + 1 windows starting at s .. s + b - r
+    n = int(np.searchsorted(primes, search_bound))
+    starts, lengths, values = run_blocks(mask[1 : n + r - 1])
+    keep = values & (lengths >= r)
+    counts = lengths[keep] - r + 1
+    before = np.cumsum(counts) - counts  # windows listed ahead of each block
+    starts = np.repeat(starts[keep] + 1 - before, counts) + np.arange(counts.sum())
     lo = (primes[starts] + 1) // 2
     hi = (primes[starts + r - 1] + 1) // 2
     hits = np.flatnonzero(pt.is_prime_batch(lo - 1) & pt.is_prime_batch(hi + 1))
@@ -135,14 +143,15 @@ def twin_gap_table(rt: RamanujanTable, pt: PrimeTable) -> tuple[np.ndarray, np.n
     composite stretch, while an odd k relies on (q+3)/2 being composite,
     which is forced by q being Ramanujan. Those stretches are read from the
     flags, the gap ends from the prime list. The three read-only arrays are
-    built on first use and memoized on `rt` for `pt`.
+    built on first use and kept in the memo of `rt` for `pt`.
     """
-    memo = rt._twin_gaps
-    if memo is not None and memo[0] is pt:
-        return memo[1:]
+    return rt.derived(pt, "twin_gaps", lambda: _build_twin_gaps(rt, pt))
+
+
+def _build_twin_gaps(rt: RamanujanTable, pt: PrimeTable):
     primes, mask = rt.classified_primes(pt)
-    pair = (primes[1:] - primes[:-1] == 2) & mask[:-1] & mask[1:] & (primes[:-1] > 3)
-    lesser = primes[:-1][pair]
+    i = rt.twin_index(pt)
+    lesser = primes[i[mask[i] & mask[i + 1] & (primes[i] > 3)]]
     k, rem = np.divmod(lesser + 1, 6)
     _require_none(rem, lesser, "not of the form 6k -/+ 1")
     odd = (k & 1).astype(bool)
@@ -158,9 +167,6 @@ def twin_gap_table(rt: RamanujanTable, pt: PrimeTable) -> tuple[np.ndarray, np.n
     a = primes[np.searchsorted(primes, gap_lo) - 1] + 1
     b = primes[np.searchsorted(primes, gap_lo + 1, side="right")] - 1
     _require_none(b - a + 1 < 5, lesser, "enclosing gap shorter than 5")
-    for arr in (lesser, a, b):
-        arr.setflags(write=False)
-    rt._twin_gaps = (pt, lesser, a, b)
     return lesser, a, b
 
 

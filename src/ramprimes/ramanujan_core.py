@@ -85,10 +85,7 @@ class RamanujanTable:
     values: np.ndarray
     scan_limit: int
     complete_below: int
-    _ranks: np.ndarray | None = field(default=None, repr=False)
-    _mask: np.ndarray | None = field(default=None, repr=False)
-    # (prime table, lesser, a, b), built by gap_analysis.twin_gap_table
-    _twin_gaps: tuple | None = field(default=None, repr=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)  # see derived()
 
     @property
     def count(self) -> int:
@@ -119,25 +116,42 @@ class RamanujanTable:
         idx = np.clip(np.searchsorted(self.values, v), 0, self.count - 1)
         return self.values[idx] == v
 
+    def derived(self, primes: PrimeTable, key: str, build):
+        """The array, or tuple of arrays, that `build()` returns, made read-only
+        and kept under `key` for `primes`. The memo holds one prime table at a
+        time, under "primes": passing another starts it afresh."""
+        if self._derived.get("primes") is not primes:
+            self._derived = {"primes": primes}
+        if key not in self._derived:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.setflags(write=False)
+            self._derived[key] = value
+        return self._derived[key]
+
     def classified_primes(self, primes: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
         """Every prime both tables can classify, with its memoized, read-only
         Ramanujan mask. The primes from 2 to any covered bound are a prefix
         of this list, so callers slice the mask instead of classifying again."""
         cov = min(primes.limit, self.complete_below - 1)
         listed = primes.primes_upto(cov)
-        if self._mask is None or self._mask.size != listed.size:
+
+        def build():
             mask = np.zeros(listed.size, dtype=bool)
-            covered = self.values[: int(np.searchsorted(self.values, cov, side="right"))]
-            mask[np.searchsorted(listed, covered)] = True
-            mask.setflags(write=False)
-            self._mask = mask
-        return listed, self._mask
+            mask[np.searchsorted(listed, self.values[self.values <= cov])] = True
+            return mask
+
+        return listed, self.derived(primes, "mask", build)
+
+    def twin_index(self, primes: PrimeTable) -> np.ndarray:
+        """Memoized, read-only positions i in the classified list with
+        listed[i + 1] == listed[i] + 2: the lesser members of twin pairs."""
+        return self.derived(primes, "twins", lambda: np.flatnonzero(
+            np.diff(self.classified_primes(primes)[0]) == 2))
 
     def prime_ranks(self, primes: PrimeTable) -> np.ndarray:
         """pi(R_n) for every n, computed once and memoized."""
-        if self._ranks is None:
-            self._ranks = primes.prime_count_batch(self.values)
-        return self._ranks
+        return self.derived(primes, "ranks", lambda: primes.prime_count_batch(self.values))
 
     def save(self, path) -> None:
         path = Path(path)
@@ -285,9 +299,10 @@ def max_ratio(
 ) -> BoundsReport:
     """Exact argmax of R_n/p_3n over 1 <= n <= range_end, n not excluded.
 
-    Ratios are compared by cross-multiplication on integers; no floating
-    point is involved. The maximum is unique because the p_3n are distinct
-    primes exceeding R_n, making all the ratios distinct.
+    A floating-point argmax only picks the first candidate; the answer is
+    settled by cross-multiplication on integers. The maximum is unique
+    because the p_3n are distinct primes exceeding R_n, making all the
+    ratios distinct, so a tie at the maximum raises.
     """
     if range_end < 1 or range_end > table.count:
         raise ValueError(f"range_end {range_end} outside [1, {table.count}]")
@@ -300,21 +315,17 @@ def max_ratio(
     p3 = primes.nth_prime_batch(3 * idx)
     if int(r[-1]) >= 3_000_000_000 or int(p3[-1]) >= 3_000_000_000:
         raise ValueError("values too large for exact 64-bit cross-multiplication")
-    best = 0  # position within idx
-    for chunk in range(0, idx.size, 1 << 16):
-        sl = slice(chunk, min(chunk + (1 << 16), idx.size))
-        better = np.flatnonzero(r[sl] * int(p3[best]) >= int(r[best]) * p3[sl])
-        for j in better + chunk:
-            if j == best:
-                continue
-            lhs = int(r[j]) * int(p3[best])
-            rhs = int(r[best]) * int(p3[j])
-            if lhs == rhs:
-                raise InternalConsistencyError(
-                    f"ratio tie between n={int(idx[j])} and n={int(idx[best])}"
-                )
-            if lhs > rhs:
-                best = int(j)
+    best = int(np.argmax(r / p3))  # a floating-point guess, refined exactly
+    while True:
+        lhs, rhs = r * int(p3[best]), int(r[best]) * p3  # r_j / p3_j against the best
+        beats = np.flatnonzero(lhs > rhs)
+        if beats.size == 0:
+            break
+        best = int(beats[np.argmax(r[beats] / p3[beats])])
+    ties = np.flatnonzero(lhs == rhs)
+    if ties.size > 1:
+        j = int(ties[ties != best][0])
+        raise InternalConsistencyError(f"ratio tie between n={int(idx[j])} and n={int(idx[best])}")
     n_best = int(idx[best])
     return BoundsReport(
         n=n_best,

@@ -3,7 +3,8 @@
 Walking the primes in order and marking each one Ramanujan or not gives a
 two-letter sequence; this module measures its longest runs below decade
 bounds and compares them with the expected longest run of heads for a
-biased coin flipped once per prime.
+biased coin flipped once per prime. Every run query reads one run-length
+encoding of the shared classified mask (`run_blocks`), built per call.
 """
 
 from __future__ import annotations
@@ -68,12 +69,6 @@ def run_blocks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return starts, lengths, mask[starts]
 
 
-def run_starts(mask: np.ndarray, length: int) -> np.ndarray:
-    """Ascending indices i with mask[i : i + length] all True."""
-    cs = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
-    return np.flatnonzero(cs[length:] - cs[:-length] == length)
-
-
 def ramanujan_fraction(bound: int, rt: RamanujanTable, pt: PrimeTable) -> float:
     """Fraction of primes below `bound` that are Ramanujan."""
     if bound < 10:
@@ -122,20 +117,20 @@ def longest_runs(bound: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, i
 def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) -> int:
     """Smallest prime starting `length` consecutive primes of one class.
 
-    A longer block qualifies for every shorter length, so the same start
-    can answer several lengths in a row.
+    The first window of `length` lies at the start of the first block of
+    that class holding `length` or more primes, so a longer block answers
+    every shorter length too.
     """
     if length < 1:
         raise ValueError(f"run length must be >= 1, got {length}")
     if kind not in (RAMANUJAN, NON_RAMANUJAN):
         raise ValueError(f"kind must be {RAMANUJAN!r} or {NON_RAMANUJAN!r}")
     primes, mask = rt.classified_primes(pt)
-    if kind == NON_RAMANUJAN:
-        mask = ~mask
-    hits = run_starts(mask, length)
+    starts, lengths, values = run_blocks(mask)
+    hits = np.flatnonzero((values == (kind == RAMANUJAN)) & (lengths >= length))
     if hits.size == 0:
         raise NotFoundBelowBound(int(primes[-1]) if primes.size else 0)
-    return int(primes[hits[0]])
+    return int(primes[starts[hits[0]]])
 
 
 def decade_report(decade: int, rt: RamanujanTable, pt: PrimeTable) -> RunReport:

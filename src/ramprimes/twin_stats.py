@@ -58,19 +58,18 @@ class BrunPartial:
 
 
 def twin_pair_arrays(bound: int, rt: RamanujanTable, pt: PrimeTable):
-    """Lesser members of twin pairs with lesser <= bound, plus both masks."""
+    """Lesser members of twin pairs with lesser <= bound, plus both masks,
+    sliced from the Ramanujan table's twin index."""
     if bound + 2 > pt.limit:
         raise CoverageError(f"twin census at {bound} needs primes through {bound + 2}")
     if bound + 2 >= rt.complete_below:
         raise CoverageError(
             f"twin census at {bound} needs Ramanujan membership through {bound + 2}"
         )
-    # slice the classified list: asking pt for a shorter list first would build a second one
-    listed, mask = rt.classified_primes(pt)
-    n = int(np.searchsorted(listed, bound + 2, side="right"))
-    primes, ram = listed[:n], mask[:n]
-    pair = (primes[1:] - primes[:-1] == 2) & (primes[:-1] <= bound)
-    return primes[:-1][pair], ram[:-1][pair], ram[1:][pair]
+    primes, mask = rt.classified_primes(pt)
+    i = rt.twin_index(pt)
+    i = i[: int(np.searchsorted(i, np.searchsorted(primes, bound, side="right")))]  # p <= bound
+    return primes[i], mask[i], mask[i + 1]
 
 
 def twin_census(bound: int, rt: RamanujanTable, pt: PrimeTable) -> TwinCensus:
@@ -111,12 +110,10 @@ def lower_membership_violations(bound: int, rt: RamanujanTable, pt: PrimeTable) 
     listed, mask = rt.classified_primes(pt)
     n = int(np.searchsorted(listed, bound, side="right"))
     primes, ram = listed[:n], mask[:n]
-    if primes.size < 2:
-        return []
-    # s = pi(p) - pi(p/2); primes lists every prime up to its end, so pi(primes[i]) = i + 1
-    s = np.arange(1, primes.size + 1) - pt.prime_count_batch(primes // 2)
-    cond = s[:-1] + 1 == s[1:]
-    bad = cond & ram[1:] & ~ram[:-1]
+    # primes lists every prime up to its end, so pi(primes[i]) = i + 1 and the
+    # condition pi(p) - pi(p/2) + 1 == pi(q) - pi(q/2) reduces to pi(p/2) == pi(q/2)
+    half = pt.prime_count_batch(primes // 2)
+    bad = (half[:-1] == half[1:]) & ram[1:] & ~ram[:-1]
     return [(int(primes[i]), int(primes[i + 1])) for i in np.flatnonzero(bad)]
 
 
@@ -187,12 +184,8 @@ def brun_partial(bound: int, kind: str, rt: RamanujanTable, pt: PrimeTable) -> B
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     lesser, ram_lo, ram_hi = twin_pair_arrays(bound, rt, pt)
-    if kind == KIND_AT_LEAST_ONE:
-        keep = ram_lo | ram_hi
-    elif kind == KIND_BOTH:
-        keep = ram_lo & ram_hi
-    else:
-        keep = np.ones(lesser.shape, dtype=bool)
+    keep = {KIND_ALL: slice(None), KIND_AT_LEAST_ONE: ram_lo | ram_hi,
+            KIND_BOTH: ram_lo & ram_hi}[kind]
     ps = lesser[keep].astype(np.float64)
     recips = np.empty(2 * ps.size)
     recips[0::2] = 1.0 / ps

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramprimes import prime_core, ramanujan_core
-from ramprimes.errors import CoverageError
+from ramprimes import gap_analysis, prime_core, ramanujan_core
+from ramprimes.errors import CoverageError, InternalConsistencyError
 from ramprimes.ramanujan_core import (
     LAISHRAM_LIMIT,
     BoundsReport,
+    RamanujanTable,
     check_log_bounds,
     compute_below,
     compute_first,
@@ -168,6 +169,36 @@ def test_classified_primes_mask_is_read_only(rt_wide, pt_wide):
         mask[1:][:3] = True
 
 
+def test_twin_index_lists_the_twin_pairs_read_only(rt_wide, pt_wide):
+    primes, _ = rt_wide.classified_primes(pt_wide)
+    twins = rt_wide.twin_index(pt_wide)
+    # a second route: the flags say which listed primes p have p + 2 prime
+    assert np.array_equal(twins, np.flatnonzero(pt_wide.is_prime_batch(primes[:-1] + 2)))
+    assert rt_wide.twin_index(pt_wide) is twins
+    with pytest.raises(ValueError):
+        twins[0] = 0
+
+
+def test_another_prime_table_rebuilds_each_derived_array_once(pt1m, monkeypatch):
+    rt = compute_below(10 ** 5, pt1m)
+    builds = []
+    derived = rt.derived
+    monkeypatch.setattr(rt, "derived", lambda primes, key, build: derived(
+        primes, key, lambda: builds.append(key) or build()))
+
+    def arrays(pt):
+        return [rt.classified_primes(pt)[1], rt.twin_index(pt),
+                *gap_analysis.twin_gap_table(rt, pt), rt.prime_ranks(pt)]
+
+    first = arrays(pt1m)
+    other = prime_core.build(pt1m.limit)
+    second = arrays(other)
+    assert all(x is not y and np.array_equal(x, y) for x, y in zip(first, second))
+    assert all(x is y for x, y in zip(arrays(other), second))
+    keys = ["mask", "twins", "twin_gaps", "ranks"]
+    assert sorted(builds) == sorted(2 * keys)
+
+
 def test_compute_below_membership_coverage(pt1m):
     rt = compute_below(100, pt1m)
     assert rt.contains(97)
@@ -250,6 +281,13 @@ def test_max_ratio_empty_range(pt1m):
     rt = compute_first(3, pt1m)
     with pytest.raises(ValueError):
         max_ratio(rt, 1, {1}, pt1m)
+
+
+def test_max_ratio_tie_raises(pt1m):
+    # 5/p_3 = 13/p_6 = 1: a table no scan can produce
+    rt = RamanujanTable(values=np.array([5, 13, 17, 29, 41]), scan_limit=41, complete_below=42)
+    with pytest.raises(InternalConsistencyError, match=r"^ratio tie between n=2 and n=1$"):
+        max_ratio(rt, 5, set(), pt1m)
 
 
 def test_max_ratio_is_exact_not_floating(pt1m):

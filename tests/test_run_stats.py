@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ramprimes import ramanujan_core, run_stats
+from ramprimes import gap_analysis, ramanujan_core, run_stats
 from ramprimes.errors import CoverageError, NotFoundBelowBound
 from ramprimes.formatting import ratio_display, round_half_up
 from ramprimes.run_stats import (
@@ -34,6 +34,39 @@ DECADE_ROWS = {
     6: (0.471, 14, 20, 17, 36),
     7: (0.476, 17, 21, 20, 47),
 }
+
+
+def run_starts(mask, length):
+    """Reference window search: ascending indices i with mask[i : i + length] all True."""
+    cs = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
+    return np.flatnonzero(cs[length:] - cs[:-length] == length)
+
+
+def first_run_start_reference(length, kind, rt, pt):
+    primes, mask = rt.classified_primes(pt)
+    hits = run_starts(mask if kind == RAMANUJAN else ~mask, length)
+    if hits.size == 0:
+        raise NotFoundBelowBound(int(primes[-1]))
+    return int(primes[hits[0]])
+
+
+def first_sharp_run_reference(r, rt, pt, search_bound):
+    primes, mask = rt.classified_primes(pt)
+    for i in (run_starts(mask[1:], r) + 1).tolist():  # past the even prime 2
+        p, q = int(primes[i]), int(primes[i + r - 1])
+        if p >= search_bound:
+            break
+        if pt.is_prime((p + 1) // 2 - 1) and pt.is_prime((q + 1) // 2 + 1):
+            return p
+    raise NotFoundBelowBound(search_bound)
+
+
+def outcome(fn, *args):
+    """The value `fn` returns, or the bound of the NotFoundBelowBound it raises."""
+    try:
+        return fn(*args)
+    except NotFoundBelowBound as exc:
+        return ("not found", exc.bound)
 
 
 def test_fraction_small_decades(rt_wide, pt_wide):
@@ -121,6 +154,25 @@ def test_first_run_start_reference_sequences(rt_wide, pt_wide):
 def test_first_run_start_nondecreasing(rt_wide, pt_wide):
     starts = [first_run_start(n, RAMANUJAN, rt_wide, pt_wide) for n in range(1, 14)]
     assert all(b >= a for a, b in zip(starts, starts[1:]))
+
+
+@pytest.mark.parametrize("kind", [RAMANUJAN, NON_RAMANUJAN])
+def test_first_run_start_matches_the_window_search(kind, rt_wide, pt_wide):
+    _, mask = rt_wide.classified_primes(pt_wide)
+    _, lengths, values = run_stats.run_blocks(mask)
+    longest = int(lengths[values == (kind == RAMANUJAN)].max())
+    for length in range(1, longest + 2):  # the last one is not found
+        assert outcome(first_run_start, length, kind, rt_wide, pt_wide) == outcome(
+            first_run_start_reference, length, kind, rt_wide, pt_wide)
+    assert outcome(first_run_start, longest + 1, kind, rt_wide, pt_wide)[0] == "not found"
+
+
+def test_first_sharp_run_matches_the_window_search(rt_wide, pt_wide):
+    for r in range(1, 15):
+        found = outcome(gap_analysis.first_sharp_run, r, rt_wide, pt_wide, 10 ** 6)
+        assert found == outcome(first_sharp_run_reference, r, rt_wide, pt_wide, 10 ** 6)
+        if isinstance(found, int):  # a window from the last prime below the bound counts
+            assert gap_analysis.first_sharp_run(r, rt_wide, pt_wide, found + 1) == found
 
 
 def test_first_run_start_not_found(rt_wide, pt_wide):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ramprimes import prime_core, ramanujan_core, twin_stats
+from ramprimes import gap_analysis, prime_core, ramanujan_core, twin_stats
 from ramprimes.errors import CoverageError
 from ramprimes.formatting import ratio_display
 from ramprimes.twin_stats import (
@@ -176,8 +176,12 @@ def test_brun_sum_stays_under_heuristic_limit(rt_wide, pt_wide):
     assert brun_partial(10 ** 7, KIND_ALL, rt_wide, pt_wide).sum < 1.9022
 
 
-@pytest.mark.parametrize("scan", [twin_stats.lower_membership_violations,
-                                  twin_stats.twin_pair_arrays])
+@pytest.mark.parametrize("scan", [
+    twin_stats.lower_membership_violations,
+    twin_stats.twin_pair_arrays,
+    lambda bound, rt, pt: gap_analysis.twin_gap_table(rt, pt),
+    lambda bound, rt, pt: gap_analysis.first_sharp_run(1, rt, pt, search_bound=bound),
+], ids=["lower_membership_violations", "twin_pair_arrays", "twin_gap_table", "first_sharp_run"])
 def test_scans_slice_the_one_classified_prime_list(scan, monkeypatch):
     pt = prime_core.build(ramanujan_core.prime_limit_for_below(10 ** 5))
     rt = ramanujan_core.compute_below(10 ** 5, pt)
@@ -195,3 +199,27 @@ def test_scans_slice_the_one_classified_prime_list(scan, monkeypatch):
     listed, _ = rt.classified_primes(pt)
     assert len(built) == 1 and pt._prime_cache is built[0]
     assert np.shares_memory(listed, built[0])
+
+
+def test_twin_scans_share_one_twin_index(monkeypatch):
+    pt = prime_core.build(ramanujan_core.prime_limit_for_below(10 ** 5))
+    rt = ramanujan_core.compute_below(10 ** 5, pt)
+    seen = []
+    twin_index = rt.twin_index
+    monkeypatch.setattr(rt, "twin_index",
+                        lambda primes: seen.append(twin_index(primes)) or seen[-1])
+    for bound in (10, 30, 100, 300, 1000, 3000, 10 ** 4, 3 * 10 ** 4):
+        twin_census(bound, rt, pt)
+    for kind in (KIND_ALL, KIND_AT_LEAST_ONE, KIND_BOTH):
+        brun_partial(10 ** 4, kind, rt, pt)
+    gap_analysis.twin_gap_table(rt, pt)
+    assert len(seen) == 12 and all(x is seen[0] for x in seen)
+
+
+def test_lower_membership_violation_is_reported(pt1m):
+    # with 149 dropped, 151 is Ramanujan after a non-Ramanujan 149 and
+    # pi(149/2) = pi(151/2), so the scan must flag the pair
+    true = ramanujan_core.compute_below(1000, pt1m)
+    fake = ramanujan_core.RamanujanTable(values=true.values[true.values != 149],
+                                         scan_limit=true.scan_limit, complete_below=1000)
+    assert lower_membership_violations(999, fake, pt1m) == [(149, 151)]
