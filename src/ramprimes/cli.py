@@ -47,7 +47,7 @@ class BoundType(click.ParamType):
             as_float = float(value)
         except ValueError:
             self.fail(f"{value!r} is not an integer bound", param, ctx)
-        if as_float != int(as_float):
+        if not as_float.is_integer():  # also rejects inf, -inf and nan
             self.fail(f"{value!r} is not an integer bound", param, ctx)
         return int(as_float)
 
@@ -233,20 +233,17 @@ def verify(ctx, target, max_n, multiplier, limit, bound):
     elif target == "conjecture1":
         pt, table = _tables_below(limit, cache_dir)
         violations = ramanujan_core.rank_scaling_violations(table, multiplier, limit, pt)
-        info = ramanujan_core.first_violation_below_threshold(table, multiplier, limit, pt)
-        if info is not None:
-            click.echo(
-                f"note: below the conjectured threshold "
-                f"N({multiplier}) = {ramanujan_core.rank_scaling_threshold(multiplier)}, "
-                f"the first violating n is {info}", err=True,
-            )
+        threshold = ramanujan_core.rank_scaling_threshold(multiplier)
+        last = ramanujan_core.last_violation_below_threshold(table, multiplier, limit, pt)
+        if last is not None:
+            sharpness = ("so the threshold is sharp" if last == threshold - 1 else
+                         f"and none of n = {last + 1}..{threshold - 1} with R_mn < {limit}")
+            click.echo(f"note: the last violating n below N({multiplier}) = {threshold} "
+                       f"is {last}, {sharpness}", err=True)
         if violations:
             click.echo(f"VIOLATIONS: {violations[:10]}")
             ctx.exit(EXIT_VERIFICATION_FAILED)
-        click.echo(
-            f"no violation for m={multiplier}, n >= "
-            f"{ramanujan_core.rank_scaling_threshold(multiplier)}, R_mn < {limit}"
-        )
+        click.echo(f"no violation for m={multiplier}, n >= {threshold}, R_mn < {limit}")
     else:
         pt, table = _tables_covering(bound, cache_dir)
         counterexamples = twin_stats.lower_membership_violations(bound, table, pt)

@@ -56,7 +56,12 @@ def prime_limit_for_below(x: int) -> int:
 
 
 def rank_scaling_threshold(m: int) -> int:
-    """Index N(m) past which pi(R_mn) <= m*pi(R_n) is conjectured to hold."""
+    """Index N(m) from which pi(R_mn) <= m*pi(R_n) is conjectured to hold.
+
+    These are the paper's thresholds, kept as the conjecture's statement
+    rather than derived from the data. Acceptance criterion 09 shows each
+    is sharp: below 1e7 the last violating n is N(m) - 1.
+    """
     if m < 1:
         raise ValueError(f"multiplier must be >= 1, got {m}")
     if m == 1:
@@ -256,13 +261,6 @@ def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:
     return RamanujanTable(values=kept, scan_limit=table.scan_limit, complete_below=x)
 
 
-def prime_rank(table: RamanujanTable, n: int, primes: PrimeTable) -> int:
-    """pi(R_n): the index of R_n in the prime sequence."""
-    if not 1 <= n <= table.count:
-        raise ValueError(f"index {n} outside [1, {table.count}]")
-    return int(table.prime_ranks(primes)[n - 1])
-
-
 def check_log_bounds(table: RamanujanTable, n: int, primes: PrimeTable) -> BoundsReport:
     """Check 2n log 2n < p_2n < R_n < 4n log 4n < p_4n for one n > 1.
 
@@ -353,11 +351,11 @@ def verify_max_ratio_bound(table: RamanujanTable, primes: PrimeTable) -> bool:
     return bool(below.all()) and 47 * table.value(5) == 41 * primes.nth_prime(15)
 
 
-def _rank_scaling_failures(table, m, limit, primes, first, stop=None) -> np.ndarray:
-    """Ascending n in [first, stop) with R_mn < limit and pi(R_mn) > m*pi(R_n)."""
+def _rank_scaling_failures(table, m, limit, primes) -> np.ndarray:
+    """Ascending n >= 1 with R_mn < limit and pi(R_mn) > m*pi(R_n)."""
     ranks = table.prime_ranks(primes)
     end = int(np.searchsorted(table.values, limit)) // m + 1  # R_mn < limit for n < end
-    ns = np.arange(first, end if stop is None else min(stop, end), dtype=np.int64)
+    ns = np.arange(1, end, dtype=np.int64)
     return ns[ranks[m * ns - 1] > m * ranks[ns - 1]]
 
 
@@ -373,24 +371,21 @@ def rank_scaling_violations(
     inequality held throughout the scanned range.
     """
     start = rank_scaling_threshold(m)
-    if m == 1:
-        return []
-    return [(m, int(n)) for n in _rank_scaling_failures(table, m, limit, primes, start)]
+    bad = _rank_scaling_failures(table, m, limit, primes)
+    return [(m, int(n)) for n in bad[bad >= start]]
 
 
-def first_violation_below_threshold(
+def last_violation_below_threshold(
     table: RamanujanTable,
     m: int,
     limit: int,
     primes: PrimeTable,
 ) -> int | None:
-    """Smallest n < N(m) violating pi(R_mn) <= m*pi(R_n), if any.
+    """Largest n < N(m) with R_mn < limit violating pi(R_mn) <= m*pi(R_n), if any.
 
-    Informational only: it suggests how tight the conjectured threshold is,
-    but nothing asserts the threshold is minimal.
+    N(m) - 1 means the threshold is sharp: no smaller one would do.
     """
     start = rank_scaling_threshold(m)
-    if m < 2 or start <= 1:
-        return None
-    bad = _rank_scaling_failures(table, m, limit, primes, 1, stop=start)
-    return int(bad[0]) if bad.size else None
+    bad = _rank_scaling_failures(table, m, limit, primes)
+    bad = bad[bad < start]
+    return int(bad[-1]) if bad.size else None

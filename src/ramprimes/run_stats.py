@@ -35,12 +35,6 @@ class RunReport:
     longest_nonram: int
     expected_ram: float
     expected_nonram: float
-    variance_ram: float
-    variance_nonram: float
-
-    @property
-    def fraction(self) -> float:
-        return self.ram_count / self.trials
 
 
 def expected_run_length(trials: int, p: float) -> float:
@@ -67,16 +61,6 @@ def run_blocks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     starts = np.flatnonzero(np.diff(mask, prepend=~mask[:1]))  # index 0 always starts a block
     lengths = np.diff(starts, append=len(mask))
     return starts, lengths, mask[starts]
-
-
-def ramanujan_fraction(bound: int, rt: RamanujanTable, pt: PrimeTable) -> float:
-    """Fraction of primes below `bound` that are Ramanujan."""
-    if bound < 10:
-        raise ValueError(f"bound must be >= 10, got {bound}")
-    if bound > pt.limit + 1 or bound > rt.complete_below:
-        raise CoverageError(f"tables do not cover {bound}")
-    count = int(np.searchsorted(rt.values, bound))
-    return count / pt.prime_count(bound - 1)
 
 
 def _classified_runs(rt: RamanujanTable, pt: PrimeTable):
@@ -133,11 +117,6 @@ def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) 
     return int(primes[starts[hits[0]]])
 
 
-def decade_report(decade: int, rt: RamanujanTable, pt: PrimeTable) -> RunReport:
-    """Build the full run-statistics row for the bound 10**decade."""
-    return decade_reports(decade, rt, pt)[-1]
-
-
 def decade_reports(max_decade: int, rt: RamanujanTable, pt: PrimeTable) -> list[RunReport]:
     """Run-statistics rows for the bounds 10**1 .. 10**max_decade; one RLE
     of the classified mask answers every row."""
@@ -161,7 +140,5 @@ def decade_reports(max_decade: int, rt: RamanujanTable, pt: PrimeTable) -> list[
             longest_nonram=ln,
             expected_ram=expected_run_length(trials, p),
             expected_nonram=expected_run_length(trials, 1 - p),
-            variance_ram=run_variance(p),
-            variance_nonram=run_variance(1 - p),
         ))
     return reports

@@ -85,21 +85,6 @@ def twin_census(bound: int, rt: RamanujanTable, pt: PrimeTable) -> TwinCensus:
     )
 
 
-def twin_necessary_condition(p: int, q: int, pt: PrimeTable) -> bool:
-    """The twin necessary condition: pi(p) - pi(p/2) + 1 == pi(q) - pi(q/2).
-
-    Halved arguments are floored; a half-integer is never prime, so
-    flooring changes nothing.
-    """
-    if not (pt.is_prime(p) and pt.is_prime(q)):
-        raise ValueError(f"twin_necessary_condition needs two primes, got ({p}, {q})")
-    if p >= q:
-        raise ValueError(f"twin_necessary_condition needs p < q, got ({p}, {q})")
-    lhs = pt.prime_count(p) - pt.prime_count(p // 2) + 1
-    rhs = pt.prime_count(q) - pt.prime_count(q // 2)
-    return lhs == rhs
-
-
 def lower_membership_violations(bound: int, rt: RamanujanTable, pt: PrimeTable) -> list[tuple[int, int]]:
     """Scan consecutive-prime pairs <= bound meeting the necessary condition
     with the larger prime Ramanujan; the smaller is then provably Ramanujan

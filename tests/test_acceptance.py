@@ -144,8 +144,7 @@ def test_criterion_05_run_table_to_1e7(wide_tables):
 def test_criterion_05x_run_table_extended(extended_tables):
     pt, rt, warmup = extended_tables
     with criterion(5, "run-length table rows 8..9 (extended)", budget=900.0 - warmup):
-        for decade in (8, 9):
-            report = run_stats.decade_report(decade, rt, pt)
+        for decade, report in zip((8, 9), run_stats.decade_reports(9, rt, pt)[7:]):
             p_disp, e_ram, a_ram, e_non, a_non = RUN_ROWS[decade]
             assert ratio_display(report.ram_count, report.trials) == p_disp
             assert round_half_up(report.expected_ram) == e_ram
@@ -170,6 +169,7 @@ def test_criterion_06_twin_table_to_1e7(wide_tables):
     with criterion(6, "twin census rows 1..7", budget=120.0 - warmup):
         for decade in range(1, 8):
             _check_twin_row(decade, twin_stats.twin_census(10 ** decade, rt, pt))
+            assert twin_stats.check_one_sided_counts(10 ** decade, rt, pt)
 
 
 def test_criterion_06x_twin_table_extended(extended_tables):
@@ -177,6 +177,7 @@ def test_criterion_06x_twin_table_extended(extended_tables):
     with criterion(6, "twin census rows 8..9 (extended)", budget=900.0 - warmup):
         for decade in (8, 9):
             _check_twin_row(decade, twin_stats.twin_census(10 ** decade, rt, pt))
+            assert twin_stats.check_one_sided_counts(10 ** decade, rt, pt)
 
 
 def test_criterion_07_zero_counterexample_scans(wide_tables):
@@ -202,9 +203,11 @@ def test_criterion_08_sharp_run_sequence(wide_tables):
 
 def test_criterion_09_rank_scaling_scan(wide_tables):
     pt, rt, _ = wide_tables
-    with criterion(9, "rank scaling clean for m = 2..20 below 1e7"):
+    with criterion(9, "rank scaling clean from N(m) on, and N(m) sharp, m = 2..20 below 1e7"):
         for m in range(2, 21):
             assert ramanujan_core.rank_scaling_violations(rt, m, 10 ** 7, pt) == []
+            assert ramanujan_core.last_violation_below_threshold(rt, m, 10 ** 7, pt) == \
+                ramanujan_core.rank_scaling_threshold(m) - 1
 
 
 def test_criterion_10_ratio_inequalities(wide_tables):

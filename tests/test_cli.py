@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from ramprimes import ramanujan_core, twin_stats
 from ramprimes.cli import cli
 
 FIRST_21 = [2, 11, 17, 29, 41, 47, 59, 67, 71, 97, 101, 107, 127, 149, 151,
@@ -47,6 +49,13 @@ def test_compute_usage_errors(runner):
     assert invoke(runner, "compute", "--below", "abc").exit_code == 2
 
 
+@pytest.mark.parametrize("bound", ["1e400", "inf", "-inf", "nan"])
+def test_non_finite_bound_is_usage_error(runner, bound):
+    result = runner.invoke(cli, ["compute", "--below", bound])
+    assert result.exit_code == 2
+    assert f"{bound!r} is not an integer bound" in result.stderr
+
+
 def test_unknown_flag_is_usage_error(runner):
     assert runner.invoke(cli, ["compute", "--frobnicate"]).exit_code == 2
 
@@ -67,6 +76,42 @@ def test_verify_conjecture1(runner):
     result = invoke(runner, "verify", "conjecture1", "--m", "3", "--limit", "1e5")
     assert result.exit_code == 0
     assert "no violation" in result.output
+
+
+@pytest.mark.parametrize("m, limit, stdout, note", [
+    ("3", "1e5", "no violation for m=3, n >= 189, R_mn < 100000\n",
+     "below N(3) = 189 is 188, so the threshold is sharp"),
+    # R_2n < 1e4 reaches only part of n < 1245, so sharpness cannot show
+    ("2", "1e4", "no violation for m=2, n >= 1245, R_mn < 10000\n",
+     "below N(2) = 1245 is 247, and none of n = 248..1244 with R_mn < 10000"),
+])
+def test_verify_conjecture1_notes_last_violation_below_threshold(runner, m, limit, stdout,
+                                                                  note):
+    result = invoke(runner, "verify", "conjecture1", "--m", m, "--limit", limit)
+    assert result.exit_code == 0
+    assert result.stdout == stdout
+    assert note in result.stderr
+
+
+@pytest.mark.parametrize("module, name, value, args, text", [
+    (ramanujan_core, "check_log_bounds",
+     ramanujan_core.BoundsReport(n=2, ratio=Fraction(1, 2), log_bounds_ok=False),
+     ["verify", "theorem2", "--max-n", "10"],
+     "inequality chain FAILED at n = [2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+    (ramanujan_core, "verify_max_ratio_bound", False, ["verify", "theorem4"],
+     "maximum-ratio check FAILED"),
+    (ramanujan_core, "rank_scaling_violations", [(2, 5)],
+     ["verify", "conjecture1", "--m", "2", "--limit", "1e4"], "VIOLATIONS: [(2, 5)]"),
+    (twin_stats, "lower_membership_violations", [(149, 151)],
+     ["verify", "proposition2", "--bound", "1e3"], "COUNTEREXAMPLES: [(149, 151)]"),
+    (twin_stats, "ratio_inequalities_strict", False, ["twins", "--bound", "1e5", "--strict"],
+     "strict ratio inequalities above 1e5: FAIL"),
+])
+def test_failed_verification_exits_one(runner, monkeypatch, module, name, value, args, text):
+    monkeypatch.setattr(module, name, lambda *_: value)
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 1
+    assert text in result.output
 
 
 def test_verify_proposition2(runner):

@@ -15,9 +15,8 @@ from ramprimes.ramanujan_core import (
     check_log_bounds,
     compute_below,
     compute_first,
-    first_violation_below_threshold,
+    last_violation_below_threshold,
     max_ratio,
-    prime_rank,
     rank_scaling_threshold,
     rank_scaling_violations,
     verify_max_ratio_bound,
@@ -221,10 +220,7 @@ def test_block_size_does_not_change_results(pt1m):
 
 def test_prime_rank_values(pt1m):
     rt = compute_first(23, pt1m)
-    assert prime_rank(rt, 1, pt1m) == 1
-    assert prime_rank(rt, 10, pt1m) == 25
-    assert prime_rank(rt, 23, pt1m) == 53
-    assert [prime_rank(rt, n, pt1m) for n in range(1, 24)] == FIRST_RANKS
+    assert rt.prime_ranks(pt1m).tolist() == FIRST_RANKS
 
 
 def test_prime_rank_consistent_with_nth_prime(pt1m):
@@ -337,9 +333,12 @@ def test_rank_scaling_spot_value(pt1m):
     assert ranks[9] <= 2 * ranks[4]  # rank(10) = 25 <= 2 * rank(5) = 26
 
 
-def test_first_violation_below_threshold_is_informational(pt_wide, rt_wide):
-    hit = first_violation_below_threshold(rt_wide, 2, 10 ** 7, pt_wide)
-    assert hit is None or 1 <= hit < rank_scaling_threshold(2)
+def test_rank_scaling_thresholds_are_sharp_below_1e5(pt_wide):
+    rt = compute_below(10 ** 5, pt_wide)
+    for m in range(2, 22):
+        assert last_violation_below_threshold(rt, m, 10 ** 5, pt_wide) == \
+            rank_scaling_threshold(m) - 1
+    assert last_violation_below_threshold(rt, 1, 10 ** 5, pt_wide) is None
 
 
 def test_table_save_load_roundtrip(tmp_path, pt1m):

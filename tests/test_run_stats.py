@@ -13,7 +13,6 @@ from ramprimes.run_stats import (
     expected_run_length,
     first_run_start,
     longest_runs,
-    ramanujan_fraction,
     run_variance,
 )
 
@@ -70,20 +69,17 @@ def outcome(fn, *args):
 
 
 def test_fraction_small_decades(rt_wide, pt_wide):
-    assert ramanujan_fraction(10, rt_wide, pt_wide) == 0.25
-    assert ramanujan_fraction(100, rt_wide, pt_wide) == 0.4
+    tens, hundreds = decade_reports(2, rt_wide, pt_wide)
+    assert tens.ram_count / tens.trials == 0.25
+    assert hundreds.ram_count / hundreds.trials == 0.4
 
 
 def test_fraction_rounds_to_reference(rt_wide, pt_wide):
     count = int(np.searchsorted(rt_wide.values, 10 ** 5))
     trials = pt_wide.prime_count(10 ** 5 - 1)
     assert ratio_display(count, trials) == 0.465
-    assert abs(ramanujan_fraction(10 ** 5, rt_wide, pt_wide) - count / trials) == 0
-
-
-def test_fraction_rejects_tiny_bound(rt_wide, pt_wide):
-    with pytest.raises(ValueError):
-        ramanujan_fraction(9, rt_wide, pt_wide)
+    report = decade_reports(5, rt_wide, pt_wide)[-1]
+    assert (report.ram_count, report.trials) == (count, trials)
 
 
 def test_longest_runs_reference_rows(rt_wide, pt_wide):
@@ -207,12 +203,6 @@ def test_decade_reports_match_reference(rt_wide, pt_wide):
         assert report.longest_ram == a_ram
         assert round_half_up(report.expected_nonram) == e_non
         assert report.longest_nonram == a_non
-
-
-def test_decade_report_uses_full_precision_fraction(rt_wide, pt_wide):
-    report = run_stats.decade_report(4, rt_wide, pt_wide)
-    assert report.fraction == report.ram_count / report.trials
-    assert report.fraction != 0.455  # display value is rounded, the field is not
 
 
 def test_longest_runs_requires_coverage(rt_wide, pt_wide):
