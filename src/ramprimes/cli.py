@@ -32,24 +32,24 @@ COVERAGE_MARGIN = 100_000
 
 
 class BoundType(click.ParamType):
-    """Integer bounds, plain or in scientific notation (1e6, 2.5e7)."""
+    """Positive integer bounds, plain or in scientific notation (1e6, 2.5e7)."""
 
     name = "bound"
 
     def convert(self, value, param, ctx):
-        if isinstance(value, int):
-            return value
         try:
-            return int(value)
+            bound = int(value)
         except ValueError:
-            pass
-        try:
-            as_float = float(value)
-        except ValueError:
-            self.fail(f"{value!r} is not an integer bound", param, ctx)
-        if not as_float.is_integer():  # also rejects inf, -inf and nan
-            self.fail(f"{value!r} is not an integer bound", param, ctx)
-        return int(as_float)
+            try:
+                as_float = float(value)
+            except ValueError:
+                self.fail(f"{value!r} is not an integer bound", param, ctx)
+            if not as_float.is_integer():  # also rejects inf, -inf and nan
+                self.fail(f"{value!r} is not an integer bound", param, ctx)
+            bound = int(as_float)
+        if bound < 1:
+            self.fail(f"{value!r} is not a positive bound", param, ctx)
+        return bound
 
 
 BOUND = BoundType()
@@ -177,8 +177,6 @@ def compute(ctx, count, below, fmt, output):
         raise click.UsageError("exactly one of --count or --below is required")
     cache_dir = ctx.obj["cache_dir"]
     if count is not None:
-        if count < 1:
-            raise click.UsageError("--count must be >= 1")
         pt = _prime_table(ramanujan_core.prime_limit_for_count(count), cache_dir)
         table = ramanujan_core.compute_first(count, pt)
     else:

@@ -71,7 +71,7 @@ def gap_for_run(start_index: int, run_length: int, rt: RamanujanTable, pt: Prime
             f"primes p_{start_index}..p_{start_index + run_length - 1} are not all Ramanujan"
         )
     gap_lo, gap_hi = (p + 1) // 2, (q + 1) // 2
-    if pt.flags_range(gap_lo, gap_hi).any():
+    if pt.primes_between(gap_lo, gap_hi).size:
         raise InternalConsistencyError(
             f"prime found inside [{gap_lo}, {gap_hi}] for run ({p}, {q})"
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,11 @@ DEFAULT_COUNT_STRIDE = 1 << 16
 DEFAULT_MEMORY_CEILING = 4 << 30
 
 _MAGIC = b"RPPT"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIQQQ")
+_VERSION = 2
+_HEADER = struct.Struct("<4sIQQQI")  # magic, version, limit, stride, nbytes, payload CRC32
 
 _EXTRACT_CHUNK = 1 << 25  # integers per step when the prime list is extracted
+_POPCOUNT_SLICE = _EXTRACT_CHUNK // 16  # flag bytes popcounted per step while checkpointing
 
 
 def simple_sieve_flags(limit: int) -> np.ndarray:
@@ -60,14 +62,19 @@ class PrimeTable:
         self._prime_cache_limit = -1
 
     def _build_checkpoints(self) -> np.ndarray:
-        # The uint8 popcounts are summed per block by a buffered reduction;
-        # casting them to int64 first would take eight times the table's size.
-        pops = np.bitwise_count(self._packed)
-        full = len(pops) - len(pops) % self._bytes_per_block
-        sums = pops[:full].reshape(-1, self._bytes_per_block).sum(axis=1, dtype=np.int64)
-        if full < len(pops):
-            sums = np.append(sums, pops[full:].sum(dtype=np.int64))
-        return np.concatenate([[0], np.cumsum(sums)])
+        # One popcount buffer of whole blocks is reused slice by slice and summed
+        # per block by a buffered reduction: no full-size copy of the flags exists.
+        bpb, packed = self._bytes_per_block, self._packed
+        step, nblocks = _popcount_slice(bpb, len(packed))
+        pops = np.empty(step, dtype=np.uint8)
+        sums = np.zeros(nblocks + 1, dtype=np.int64)
+        for s in range(0, len(packed), step):
+            n = min(step, len(packed) - s)
+            k = -(-n // bpb)  # blocks in this slice; a final partial block is zero-padded
+            pops[n : k * bpb] = 0
+            np.bitwise_count(packed[s : s + n], out=pops[:n])
+            sums[s // bpb + 1 :][:k] = pops[: k * bpb].reshape(k, bpb).sum(axis=1, dtype=np.int64)
+        return np.cumsum(sums, out=sums)
 
     @property
     def total_primes(self) -> int:
@@ -110,27 +117,15 @@ class PrimeTable:
     def nth_prime(self, n: int) -> int:
         """The n-th prime in increasing order; nth_prime(1) = 2."""
         if n < 1 or n > self.total_primes:
-            raise ValueError(
-                f"nth_prime argument {n} outside [1, {self.total_primes}] "
-                f"(table limit {self.limit})"
-            )
+            raise ValueError(f"nth_prime argument {n} outside [1, {self.total_primes}] "
+                             f"(table limit {self.limit})")
         if n == 1:
             return 2
         m = n - 1  # rank among odd primes
         blk = int(np.searchsorted(self._checkpoints, m, side="left")) - 1
-        need = m - int(self._checkpoints[blk])
-        s = blk * self._bytes_per_block
-        e = min(s + self._bytes_per_block, len(self._packed))
-        pops = np.cumsum(np.bitwise_count(self._packed[s:e]).astype(np.int64))
-        bi = int(np.searchsorted(pops, need, side="left"))
-        need -= int(pops[bi - 1]) if bi else 0
-        byte = int(self._packed[s + bi])
-        for bit in range(8):
-            if byte >> bit & 1:
-                need -= 1
-                if need == 0:
-                    return (((s + bi) << 3) + bit) * 2 + 1
-        raise AssertionError("checkpoint table inconsistent")
+        stride = self.count_stride  # block blk: the odd numbers in [blk*stride, (blk+1)*stride)
+        odd = self.primes_between(max(blk * stride, 3), min((blk + 1) * stride - 1, self.limit))
+        return int(odd[m - int(self._checkpoints[blk]) - 1])
 
     # -- vectorized queries ------------------------------------------------
 
@@ -163,9 +158,7 @@ class PrimeTable:
             return np.zeros(0, dtype=np.int64)
         if int(n.min()) < 1 or int(n.max()) > self.total_primes:
             raise ValueError(f"nth_prime_batch arguments outside [1, {self.total_primes}]")
-        top = self.nth_prime(int(n.max()))
-        primes = self._primes_through(top)
-        return primes[n - 1]
+        return self._primes_through(self.nth_prime(int(n.max())))[n - 1]
 
     def primes_upto(self, x: int) -> np.ndarray:
         """All primes <= x, ascending. The returned array is read-only."""
@@ -186,43 +179,27 @@ class PrimeTable:
         odd = 2 * (b0 + np.flatnonzero(bits[b0 - (byte0 << 3) : b1 + 1 - (byte0 << 3)])) + 1
         return np.concatenate([[2], odd]) if lo <= 2 <= hi else odd
 
-    def flags_range(self, lo: int, hi: int) -> np.ndarray:
-        """Primality flags for every integer in [lo, hi] as a bool array."""
-        if not 0 <= lo <= hi <= self.limit:
-            raise ValueError(f"flags_range [{lo}, {hi}] outside [0, {self.limit}]")
-        out = np.zeros(hi - lo + 1, dtype=bool)
-        first_odd = lo | 1
-        if first_odd <= hi:
-            last_odd = hi if hi & 1 else hi - 1
-            b0, b1 = first_odd >> 1, last_odd >> 1
-            byte0 = b0 >> 3
-            bits = np.unpackbits(self._packed[byte0 : (b1 >> 3) + 1], bitorder="little")
-            out[first_odd - lo :: 2] = bits[b0 - (byte0 << 3) : b1 + 1 - (byte0 << 3)].view(bool)
-        if lo <= 2 <= hi:
-            out[2 - lo] = True
-        return out
-
     def _primes_through(self, x: int) -> np.ndarray:
         """Cached ascending array of all primes <= max(x, previous requests)."""
-        if self._prime_cache is None or self._prime_cache_limit < x:
+        if self._prime_cache_limit < x:
             x = min(max(x, 2), self.limit)
-            # 2 goes in apart: prepending it would copy the first chunk and raise peak RSS
-            chunks = (self.primes_between(max(lo, 3), min(lo + _EXTRACT_CHUNK - 1, x))
-                      for lo in range(0, x + 1, _EXTRACT_CHUNK))
-            cache = np.concatenate([np.array([2], dtype=np.int64), *chunks])
+            cache = np.empty(self.prime_count(x), dtype=np.int64)
+            cache[0] = 2
+            for lo in range(0, x + 1, _EXTRACT_CHUNK):
+                lo, hi = max(lo, 3), min(lo + _EXTRACT_CHUNK - 1, x)
+                cache[self.prime_count(lo - 1) : self.prime_count(hi)] = self.primes_between(lo, hi)
             cache.setflags(write=False)
-            self._prime_cache = cache
-            self._prime_cache_limit = x
+            self._prime_cache, self._prime_cache_limit = cache, x
         return self._prime_cache
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the packed flags with a self-describing header."""
+        """Write the packed flags with a self-describing, checksummed header."""
         path = Path(path)
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, self.limit, self.count_stride,
-                                  len(self._packed)))
+                                  len(self._packed), zlib.crc32(self._packed)))
             self._packed.tofile(fh)
 
 
@@ -233,7 +210,7 @@ def load(path) -> PrimeTable:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise ValueError(f"{path}: truncated header")
-        magic, version, limit, stride, nbytes = _HEADER.unpack(header)
+        magic, version, limit, stride, nbytes, crc = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a prime table cache")
         if version != _VERSION:
@@ -244,6 +221,8 @@ def load(path) -> PrimeTable:
         packed = np.fromfile(fh, dtype=np.uint8, count=nbytes)
     if len(packed) != nbytes:
         raise ValueError(f"{path}: truncated flag data")
+    if zlib.crc32(packed) != crc:
+        raise ValueError(f"{path}: flag data fails its checksum")
     return PrimeTable(int(limit), packed, int(stride))
 
 
@@ -256,39 +235,39 @@ def build(
 ) -> PrimeTable:
     """Sieve [2, limit] segment by segment and return the finished table.
 
-    Peak working memory is one segment of flags plus the packed output;
     `segment_flags` counts odd numbers per segment. `count_stride` is the
     number of integers covered by one cumulative-count checkpoint and must
-    be a multiple of 16 so checkpoints align with packed bytes.
+    be a multiple of 16 so checkpoints align with packed bytes. Peak memory
+    is what is allocated here, and `memory_ceiling` bounds its sum: the
+    packed flags (one bit per odd number) and the checkpoints, written once
+    at their final size, plus one segment's bool flags, their packed bytes
+    and one popcount slice while checkpointing.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     if count_stride < 16 or count_stride % 16:
         raise ValueError("count_stride must be a positive multiple of 16")
     if segment_flags < 8 or segment_flags % 8:
-        # packed segments are concatenated, so all but the last must fill whole bytes
+        # each segment is written at byte lo_bit >> 3, so segments must fill whole bytes
         raise ValueError("segment_flags must be a positive multiple of 8")
     nbits = (limit + 1) // 2
     nbytes = (nbits + 7) // 8
-    checkpoint_bytes = 8 * (nbytes // (count_stride // 16) + 2)
-    needed = 2 * nbytes + checkpoint_bytes  # the flags, their uint8 popcounts, checkpoints
+    popcount_bytes, nblocks = _popcount_slice(count_stride // 16, nbytes)
+    seg_bits = min(segment_flags, nbits)
+    needed = nbytes + 8 * (nblocks + 1) + seg_bits + (seg_bits + 7) // 8 + popcount_bytes
     if needed > memory_ceiling:
-        raise ResourceLimitError(
-            f"limit {limit} needs about {needed} bytes of flag "
-            f"storage, over the {memory_ceiling}-byte ceiling"
-        )
+        raise ResourceLimitError(f"limit {limit} needs about {needed} bytes to sieve, "
+                                 f"over the {memory_ceiling}-byte ceiling")
 
-    base = np.flatnonzero(simple_sieve_flags(math.isqrt(limit)))
-    base_odd = [int(p) for p in base[1:]]  # odd base primes only
+    base_odd = np.flatnonzero(simple_sieve_flags(math.isqrt(limit)))[1:].tolist()
 
-    chunks = []
+    packed = np.empty(nbytes, dtype=np.uint8)
     for lo_bit in range(0, nbits, segment_flags):
         hi_bit = min(lo_bit + segment_flags, nbits)
         seg = np.ones(hi_bit - lo_bit, dtype=bool)
         if lo_bit == 0:
             seg[0] = False  # the number 1
-        lo_val = 2 * lo_bit + 1
-        hi_val = 2 * hi_bit - 1
+        lo_val, hi_val = 2 * lo_bit + 1, 2 * hi_bit - 1
         for p in base_odd:
             if p * p > hi_val:
                 break
@@ -298,6 +277,12 @@ def build(
             if start > hi_val:
                 continue
             seg[(start >> 1) - lo_bit :: p] = False
-        chunks.append(np.packbits(seg, bitorder="little"))
-    packed = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
+        packed[lo_bit >> 3 : (hi_bit + 7) >> 3] = np.packbits(seg, bitorder="little")
     return PrimeTable(limit, packed, count_stride)
+
+
+def _popcount_slice(bytes_per_block: int, nbytes: int) -> tuple[int, int]:
+    """(bytes popcounted per checkpointing step, number of checkpoint blocks)."""
+    nblocks = -(-nbytes // bytes_per_block)
+    step = bytes_per_block * max(1, _POPCOUNT_SLICE // bytes_per_block)
+    return min(step, nblocks * bytes_per_block), nblocks

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -27,8 +28,8 @@ from .prime_core import PrimeTable
 LAISHRAM_LIMIT = 169350
 
 _MAGIC = b"RPRT"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIQQQ")
+_VERSION = 2
+_HEADER = struct.Struct("<4sIQQQI")  # magic, version, count, scan_limit, complete_below, CRC32
 
 _SCAN_BLOCK = 1 << 20  # integers per scan block; the block size bounds peak RSS
 
@@ -143,7 +144,8 @@ class RamanujanTable:
 
         def build():
             mask = np.zeros(listed.size, dtype=bool)
-            mask[np.searchsorted(listed, self.values[self.values <= cov])] = True
+            kept = self.values[: int(np.searchsorted(self.values, cov, side="right"))]
+            mask[np.searchsorted(listed, kept)] = True
             return mask
 
         return listed, self.derived(primes, "mask", build)
@@ -160,10 +162,11 @@ class RamanujanTable:
 
     def save(self, path) -> None:
         path = Path(path)
+        values = np.ascontiguousarray(self.values, dtype=np.int64)
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(_MAGIC, _VERSION, self.count, self.scan_limit,
-                                  self.complete_below))
-            self.values.astype(np.int64).tofile(fh)
+                                  self.complete_below, zlib.crc32(values)))
+            values.tofile(fh)
 
 
 def load(path) -> RamanujanTable:
@@ -172,7 +175,7 @@ def load(path) -> RamanujanTable:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise ValueError(f"{path}: truncated header")
-        magic, version, count, scan_limit, complete_below = _HEADER.unpack(header)
+        magic, version, count, scan_limit, complete_below, crc = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a Ramanujan table cache")
         if version != _VERSION:
@@ -180,6 +183,8 @@ def load(path) -> RamanujanTable:
         if 8 * count != path.stat().st_size - _HEADER.size:
             raise ValueError(f"{path}: {count} values do not fit the payload size")
         values = np.fromfile(fh, dtype=np.int64, count=count)
+    if zlib.crc32(values) != crc:
+        raise ValueError(f"{path}: values fail their checksum")
     return RamanujanTable(values=values, scan_limit=int(scan_limit),
                           complete_below=int(complete_below))
 
@@ -257,7 +262,7 @@ def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:
     table = compute_first(n, primes)
     if int(table.values[-1]) < x:
         raise InternalConsistencyError("sizing bound failed to clear the cutoff")
-    kept = table.values[: int(np.searchsorted(table.values, x))].copy()
+    kept = table.values[: int(np.searchsorted(table.values, x))]
     return RamanujanTable(values=kept, scan_limit=table.scan_limit, complete_below=x)
 
 

@@ -64,19 +64,19 @@ def run_blocks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _classified_runs(rt: RamanujanTable, pt: PrimeTable):
-    """The classified primes and the RLE of their mask, keyed by the first
-    prime of each block: (primes, block first primes, lengths, values)."""
+    """The classified primes and the RLE of their mask:
+    (primes, block start indices, lengths, values)."""
     primes, mask = rt.classified_primes(pt)
-    starts, lengths, values = run_blocks(mask)
-    return primes, primes[starts], lengths, values
+    return primes, *run_blocks(mask)
 
 
 def _longest_runs(bound: int, runs) -> tuple[int, int]:
-    primes, first, lengths, values = runs
+    primes, starts, lengths, values = runs
     if primes.size == 0 or int(primes[-1]) < bound - 1:
         raise CoverageError(f"tables do not cover {bound}")
-    n = int(np.searchsorted(first, bound))  # the blocks starting below the bound
-    if n == first.size:
+    # the blocks starting below the bound: those starting before its first prime index
+    n = int(np.searchsorted(starts, np.searchsorted(primes, bound)))
+    if n == starts.size:
         # the final block starts below the bound and is still open at the
         # edge of classification coverage, so its full length is unknown
         raise CoverageError(f"run at coverage edge unresolved; extend tables past {primes[-1]}")

@@ -7,6 +7,7 @@ RAMPRIMES_EXTENDED=1 to also reproduce the 10^8 and 10^9 decade rows
 
 import math
 import os
+import resource
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -88,6 +89,12 @@ def extended_tables():
     pt = prime_core.build(ramanujan_core.prime_limit_for_below(EXTENDED_BOUND + margin))
     rt = ramanujan_core.compute_below(EXTENDED_BOUND + margin, pt)
     return pt, rt, time.perf_counter() - start
+
+
+def teardown_module():
+    if EXTENDED:  # the peak memory of the whole run, ru_maxrss in KiB on Linux
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"ACCEPTANCE peak_rss {peak:.0f} MB")
 
 
 def test_criterion_01_golden_sequence():

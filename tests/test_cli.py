@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from ramprimes import ramanujan_core, twin_stats
+from ramprimes import prime_core, ramanujan_core, twin_stats
 from ramprimes.cli import cli
 
 FIRST_21 = [2, 11, 17, 29, 41, 47, 59, 67, 71, 97, 101, 107, 127, 149, 151,
@@ -54,6 +54,21 @@ def test_non_finite_bound_is_usage_error(runner, bound):
     result = runner.invoke(cli, ["compute", "--below", bound])
     assert result.exit_code == 2
     assert f"{bound!r} is not an integer bound" in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "proposition2", "--bound", "-5"],
+    ["gaps", "sharp", "--bound", "0"],
+    ["gaps", "twin-check", "--bound", "0"],
+    ["brun", "--bound", "0"],
+    ["compute", "--count", "0"],
+    ["verify", "theorem2", "--max-n", "-1e3"],
+])
+def test_non_positive_bound_is_usage_error(runner, args):
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"{args[-1]!r} is not a positive bound" in result.stderr
 
 
 def test_unknown_flag_is_usage_error(runner):
@@ -253,3 +268,21 @@ def test_cache_with_impossible_header_is_rebuilt(runner, tmp_path):
         assert rebuilt.exit_code == 0
         assert rebuilt.stdout == cold.stdout
         assert "rejected cache file" in rebuilt.stderr
+
+
+def test_cache_with_corrupted_payload_is_rebuilt(runner, tmp_path):
+    cache = tmp_path / "cache"
+    args = ["--cache-dir", str(cache), "twins", "--bound", "1e3", "--format", "csv"]
+    cold = invoke(runner, *args)
+    # the flags of 81..95 (prime table) and the value R_4 = 29 (Ramanujan table):
+    # read as stored, either flip changes the census
+    for pattern, offset in (("primes_*.rppt", prime_core._HEADER.size + 5),
+                            ("ramanujan_below_*.rprt", ramanujan_core._HEADER.size + 24)):
+        (path,) = cache.glob(pattern)
+        data = bytearray(path.read_bytes())
+        data[offset] ^= 0x01
+        path.write_bytes(bytes(data))
+        rebuilt = invoke(runner, *args)
+        assert rebuilt.exit_code == 0
+        assert rebuilt.stdout == cold.stdout
+        assert "rejected cache file" in rebuilt.stderr and "checksum" in rebuilt.stderr

@@ -13,6 +13,7 @@ from ramprimes.gap_analysis import (
     twin_gap_table,
 )
 from ramprimes.ramanujan_core import RamanujanTable
+from test_prime_core import flags_between
 
 # first sharp run of length r = 1..11 starts at... (OEIS A177804)
 SHARP_STARTS = [11, 4919, 1439, 7187, 37547, 210143, 3376943, 663563,
@@ -53,7 +54,7 @@ def twin_gap_reference(p, q, rt, pt):
                 f"(q+3)/2 = {(q + 3) // 2} prime despite {q} being Ramanujan"
             )
         span = (gap_lo - 1, gap_lo + 3)
-    if pt.flags_range(span[0], span[1]).any():
+    if flags_between(pt, *span).any():
         raise InternalConsistencyError(f"prime inside expected composite span {span}")
     a, b = gap_analysis._maximal_composite_interval(gap_lo, gap_hi, pt)
     if b - a + 1 < 5:
@@ -76,7 +77,7 @@ def test_gap_for_pair_run(rt_wide, pt_wide):
     assert (record.run_start, record.run_end) == (4919, 4931)
     assert (record.gap_lo, record.gap_hi) == (2460, 2466)
     assert record.sharp  # bounded by the primes 2459 and 2467
-    assert not pt_wide.flags_range(2460, 2466).any()
+    assert pt_wide.primes_between(2460, 2466).size == 0
 
 
 def test_gap_for_twin_run(rt_wide, pt_wide):
@@ -254,3 +255,10 @@ def test_long_run_chains_like_its_sub_runs(rt_wide, pt_wide):
     assert subs[-1].gap_hi == full.gap_hi
     for left, right in zip(subs, subs[1:]):
         assert left.gap_hi == right.gap_lo
+
+
+def test_gap_for_run_rejects_a_prime_inside_the_halved_run(pt1m):
+    # a made-up table calling 11 and 13 Ramanujan: 7 = (13 + 1) / 2 ends the gap [6, 7]
+    fake = RamanujanTable(values=np.array([2, 11, 13]), scan_limit=0, complete_below=14)
+    with pytest.raises(InternalConsistencyError, match=r"prime found inside \[6, 7\]"):
+        gap_for_run(5, 2, fake, pt1m)

@@ -9,6 +9,20 @@ from ramprimes import prime_core
 from ramprimes.errors import ResourceLimitError
 
 
+def flags_between(pt, lo: int, hi: int) -> np.ndarray:
+    """Primality flags of every integer in [lo, hi], decoded from the table
+    by `primes_between`: the one route by which tests read per-integer flags."""
+    flags = np.zeros(hi - lo + 1, dtype=bool)
+    flags[pt.primes_between(lo, hi) - lo] = True
+    return flags
+
+
+@pytest.fixture(scope="module")
+def sieve1m():
+    """Flags over [0, 10**6] from the independent one-shot sieve."""
+    return prime_core.simple_sieve_flags(10 ** 6)
+
+
 def trial_division(k: int) -> bool:
     if k < 2:
         return False
@@ -32,11 +46,13 @@ def test_build_rejects_tiny_limit():
 def test_build_rejects_over_memory_ceiling():
     with pytest.raises(ResourceLimitError):
         prime_core.build(10 ** 8, memory_ceiling=1000)
-    # at 10**6 the flags and checkpoints take 62,636 bytes; the popcount pass
-    # over the flags while checkpointing takes 62,500 more
-    with pytest.raises(ResourceLimitError):
-        prime_core.build(10 ** 6, memory_ceiling=100_000)
-    assert prime_core.build(10 ** 6, memory_ceiling=130_000).limit == 10 ** 6
+    # at 10**6 the flags and checkpoints take 62,636 bytes; the working arrays
+    # take 628,036 more: one segment of 500,000 bool flags, their 62,500 packed
+    # bytes and a 65,536-byte popcount slice (16 whole checkpoint blocks)
+    for ceiling in (100_000, 690_671):
+        with pytest.raises(ResourceLimitError):
+            prime_core.build(10 ** 6, memory_ceiling=ceiling)
+    assert prime_core.build(10 ** 6, memory_ceiling=690_672).limit == 10 ** 6
 
 
 def test_nth_prime_reference_points():
@@ -95,7 +111,7 @@ def test_nth_prime_range_errors(pt1m):
 
 
 def test_flags_agree_with_trial_division_exhaustively(pt1m):
-    flags = pt1m.flags_range(0, 10 ** 5)
+    flags = flags_between(pt1m, 0, 10 ** 5)
     expected = np.array([trial_division(k) for k in range(10 ** 5 + 1)])
     assert np.array_equal(flags, expected)
 
@@ -123,13 +139,11 @@ def test_count_of_nth_prime_roundtrip(pt1m, n):
 def test_segmented_matches_simple_construction(segment_flags):
     limit = 10 ** 5 + 7
     pt = prime_core.build(limit, segment_flags=segment_flags)
-    assert np.array_equal(pt.flags_range(0, limit), prime_core.simple_sieve_flags(limit))
+    assert np.array_equal(flags_between(pt, 0, limit), prime_core.simple_sieve_flags(limit))
 
 
-def test_segmented_matches_simple_at_one_million(pt1m):
-    assert np.array_equal(
-        pt1m.flags_range(0, 10 ** 6), prime_core.simple_sieve_flags(10 ** 6)
-    )
+def test_segmented_matches_simple_at_one_million(pt1m, sieve1m):
+    assert np.array_equal(flags_between(pt1m, 0, 10 ** 6), sieve1m)
 
 
 def test_count_stride_variants_agree():
@@ -139,6 +153,17 @@ def test_count_stride_variants_agree():
         pt = prime_core.build(limit, count_stride=stride)
         for x in (2, 3, 1000, 65535, 65536, 99991, limit):
             assert pt.prime_count(x) == reference.prime_count(x)
+
+
+@pytest.mark.parametrize("stride, slice_bytes", [(16, 1), (48, 1000), (4096, 1)])
+def test_checkpoints_for_any_popcount_slice(monkeypatch, stride, slice_bytes):
+    # 6,251 flag bytes: (48, 1000) ends on a 257-byte slice holding a partial block
+    monkeypatch.setattr(prime_core, "_POPCOUNT_SLICE", slice_bytes)
+    limit = 10 ** 5 + 3
+    pt = prime_core.build(limit, count_stride=stride)
+    below = np.concatenate([[0], np.cumsum(prime_core.simple_sieve_flags(limit))])
+    edges = np.minimum(np.arange(pt._checkpoints.size) * stride, limit + 1)
+    assert np.array_equal(pt._checkpoints, np.maximum(below[edges] - 1, 0))  # odd primes only
 
 
 def test_batch_queries_match_scalar(pt1m):
@@ -154,10 +179,35 @@ def test_primes_upto(pt1m):
     assert pt1m.primes_upto(1).size == 0
 
 
-def test_flags_range_windows(pt1m):
-    full = prime_core.simple_sieve_flags(5000)
+def test_primes_between_windows(pt1m, sieve1m):
     for lo, hi in [(0, 0), (2, 2), (3, 17), (16, 64), (999, 1001), (4096, 5000)]:
-        assert np.array_equal(pt1m.flags_range(lo, hi), full[lo : hi + 1])
+        expected = lo + np.flatnonzero(sieve1m[lo : hi + 1])
+        assert pt1m.primes_between(lo, hi).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("stride", [16, 48, prime_core.DEFAULT_COUNT_STRIDE])
+def test_nth_prime_across_checkpoint_boundaries(stride):
+    limit = 10 ** 5 + 3
+    pt = prime_core.build(limit, count_stride=stride)
+    primes = np.flatnonzero(prime_core.simple_sieve_flags(limit))
+    for edge in range(0, limit + 1, stride):  # block edges, in integers
+        rank = int(np.searchsorted(primes, edge))  # primes below the edge
+        for n in (rank - 1, rank, rank + 1, rank + 2):
+            if 1 <= n <= primes.size:
+                assert pt.nth_prime(n) == primes[n - 1]
+    assert pt.total_primes == primes.size
+    assert pt.nth_prime(pt.total_primes) == primes[-1]
+
+
+def test_prime_list_extracts_across_chunk_edges(monkeypatch):
+    monkeypatch.setattr(prime_core, "_EXTRACT_CHUNK", 64)
+    pt = prime_core.build(10 ** 5)
+    flags = prime_core.simple_sieve_flags(10 ** 5)
+    for x in (2, 3, 63, 64, 65, 127, 128, 129, 1000, 10 ** 5):  # each x extracts afresh
+        got = pt._primes_through(x)
+        assert got.size == pt.prime_count(x)
+        assert not got.flags.writeable
+        assert got.tolist() == np.flatnonzero(flags[: x + 1]).tolist()
 
 
 def test_save_load_roundtrip(tmp_path, pt1m):
@@ -167,7 +217,7 @@ def test_save_load_roundtrip(tmp_path, pt1m):
     assert loaded.limit == pt1m.limit
     assert loaded.count_stride == pt1m.count_stride
     assert loaded.prime_count(10 ** 6) == pt1m.prime_count(10 ** 6)
-    assert np.array_equal(loaded.flags_range(0, 10 ** 4), pt1m.flags_range(0, 10 ** 4))
+    assert np.array_equal(flags_between(loaded, 0, 10 ** 6), flags_between(pt1m, 0, 10 ** 6))
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -179,11 +229,11 @@ def test_load_rejects_bad_magic(tmp_path):
 
 @given(lo=st.integers(min_value=0, max_value=10 ** 6),
        width=st.integers(min_value=-2, max_value=5000))
-def test_primes_between_matches_flags(pt1m, lo, width):
+def test_primes_between_matches_flags(pt1m, sieve1m, lo, width):
     hi = min(lo + width, 10 ** 6)
     got = pt1m.primes_between(lo, hi)
     assert got.dtype == np.int64
-    expected = lo + np.flatnonzero(pt1m.flags_range(lo, hi)) if lo <= hi else []
+    expected = lo + np.flatnonzero(sieve1m[lo : hi + 1]) if lo <= hi else []
     assert got.tolist() == list(expected)
 
 
@@ -197,7 +247,7 @@ def test_primes_between_edges(pt1m):
             pt1m.primes_between(lo, hi)
 
 
-# header layout: magic 0-3, version 4-7, limit 8-15, stride 16-23, nbytes 24-31
+# header layout: magic 0-3, version 4-7, limit 8-15, stride 16-23, nbytes 24-31, CRC32 32-35
 @pytest.mark.parametrize("offset, mask", [
     (31, 0xFF),  # nbytes near 2**64: rejected before any allocation
     (24, 0x01),  # nbytes one off
@@ -213,4 +263,14 @@ def test_load_rejects_inconsistent_header(tmp_path, offset, mask):
     data[offset] ^= mask
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError):
+        prime_core.load(path)
+
+
+def test_load_rejects_payload_failing_checksum(tmp_path, pt1m):
+    path = tmp_path / "primes.rppt"
+    pt1m.save(path)
+    data = bytearray(path.read_bytes())
+    data[prime_core._HEADER.size + 1000] ^= 0x04  # one flag among 16001..16015
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="checksum"):
         prime_core.load(path)

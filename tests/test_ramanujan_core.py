@@ -21,6 +21,7 @@ from ramprimes.ramanujan_core import (
     rank_scaling_violations,
     verify_max_ratio_bound,
 )
+from test_prime_core import flags_between
 
 FIRST_21 = [2, 11, 17, 29, 41, 47, 59, 67, 71, 97, 101, 107, 127, 149, 151,
             167, 179, 181, 227, 229, 233]
@@ -62,10 +63,10 @@ def blockwise_reference(n: int, primes, block_size: int = 1 << 22) -> np.ndarray
     carry = None  # min of s over every k already walked, all to the right
     for lo in range(1 + block_size * ((top - 1) // block_size), 0, -block_size):
         hi = min(lo + block_size - 1, top)
-        delta = primes.flags_range(lo, hi).astype(np.int8)
+        delta = flags_between(primes, lo, hi).astype(np.int8)
         first_even = lo + lo % 2
         if first_even <= hi:
-            halves = primes.flags_range(first_even >> 1, hi >> 1)
+            halves = flags_between(primes, first_even >> 1, hi >> 1)
             delta[first_even - lo :: 2] -= halves.view(np.int8)
         s = np.cumsum(delta, dtype=np.int64)
         s += primes.prime_count(lo - 1) - primes.prime_count((lo - 1) // 2)
@@ -136,6 +137,7 @@ def test_compute_below_golden(pt1m):
         2, 11, 17, 29, 41, 47, 59, 67, 71, 97,
     ]
     assert compute_below(3, pt1m).values.tolist() == [2]
+    assert not compute_below(100, pt1m).values.flags.owndata  # a prefix view, not a copy
 
 
 def test_compute_below_density_at_one_million(pt_wide):
@@ -351,7 +353,8 @@ def test_table_save_load_roundtrip(tmp_path, pt1m):
     assert loaded.complete_below == rt.complete_below
 
 
-# header layout: magic 0-3, version 4-7, count 8-15, scan_limit 16-23, complete_below 24-31
+# header layout: magic 0-3, version 4-7, count 8-15, scan_limit 16-23, complete_below 24-31,
+# CRC32 32-35
 @pytest.mark.parametrize("offset, mask, cut", [
     (15, 0xFF, 0),  # count near 2**64: rejected before any allocation
     (8, 0x01, 0),   # count one off
@@ -371,3 +374,20 @@ def test_bounds_report_fields():
     report = BoundsReport(n=5, ratio=Fraction(41, 47), log_bounds_ok=True, argmax_n=5)
     assert report.ratio.numerator == 41
     assert report.ratio.denominator == 47
+
+
+def test_load_rejects_values_failing_checksum(tmp_path, pt1m):
+    path = tmp_path / "ramanujan.rprt"
+    compute_first(100, pt1m).save(path)
+    data = bytearray(path.read_bytes())
+    data[ramanujan_core._HEADER.size + 8 * 50] ^= 0x02  # the low byte of R_51
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="checksum"):
+        ramanujan_core.load(path)
+
+
+def test_classified_mask_includes_a_ramanujan_prime_at_the_coverage_edge(pt1m):
+    rt = compute_below(30, pt1m)  # classification ends at 29 = R_4
+    primes, mask = rt.classified_primes(pt1m)
+    assert primes[-1] == 29 and mask[-1]
+    assert np.array_equal(mask, rt.membership_mask(primes))

@@ -228,3 +228,9 @@ def test_decade_row_with_a_run_open_at_coverage_edge(pt1m):
     rows = decade_reports(3, rt, pt1m)
     assert [(r.longest_ram, r.longest_nonram) for r in rows] == [
         DECADE_ROWS[d][2::2] for d in (1, 2, 3)]
+
+
+def test_a_block_counts_from_its_first_prime(rt_wide, pt_wide):
+    start = first_run_start(47, NON_RAMANUJAN, rt_wide, pt_wide)  # the 47-long run of row 7
+    assert longest_runs(start, rt_wide, pt_wide)[1] < 47
+    assert longest_runs(start + 1, rt_wide, pt_wide)[1] == 47
