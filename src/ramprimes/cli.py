@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -76,7 +77,8 @@ def guarded(fn):
 
 def _cached(cache_dir, name, load, covers, build):
     """The table cached as `name` if `load` accepts it and it `covers` the
-    request; otherwise a new one from `build`, written to the cache."""
+    request; otherwise a new one from `build`, written to the cache through
+    a temporary file, so that `name` never holds a partly written table."""
     path = None if cache_dir is None else Path(cache_dir) / name
     if path is not None and path.exists():
         try:
@@ -89,7 +91,12 @@ def _cached(cache_dir, name, load, covers, build):
     table = build()
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        table.save(path)
+        temp = path.with_name(f"{name}.{os.getpid()}.tmp")
+        try:
+            table.save(temp)
+            os.replace(temp, path)
+        finally:
+            temp.unlink(missing_ok=True)  # gone already once the replace succeeded
     return table
 
 
@@ -98,15 +105,11 @@ def _prime_table(limit, cache_dir):
                    lambda t: t.limit >= limit, lambda: prime_core.build(limit))
 
 
-def _ramanujan_below(x, pt, cache_dir):
-    return _cached(cache_dir, f"ramanujan_below_{x}.rprt", ramanujan_core.load,
-                   lambda t: t.complete_below >= x,
-                   lambda: ramanujan_core.compute_below(x, pt))
-
-
 def _tables_below(x, cache_dir):
     pt = _prime_table(ramanujan_core.prime_limit_for_below(x), cache_dir)
-    return pt, _ramanujan_below(x, pt, cache_dir)
+    return pt, _cached(cache_dir, f"ramanujan_below_{x}.rprt", ramanujan_core.load,
+                       lambda t: t.complete_below >= x,
+                       lambda: ramanujan_core.compute_below(x, pt))
 
 
 def _tables_covering(bound, cache_dir):
@@ -211,10 +214,7 @@ def verify(ctx, target, max_n, multiplier, limit, bound):
     if target == "theorem2":
         pt = _prime_table(ramanujan_core.nth_prime_upper(4 * max_n), cache_dir)
         table = ramanujan_core.compute_first(max_n, pt)
-        bad = [
-            n for n in range(2, max_n + 1)
-            if not ramanujan_core.check_log_bounds(table, n, pt).log_bounds_ok
-        ]
+        bad = ramanujan_core.log_bound_failures(table, max_n, pt)
         if bad:
             click.echo(f"inequality chain FAILED at n = {bad[:10]}")
             ctx.exit(EXIT_VERIFICATION_FAILED)

@@ -5,11 +5,11 @@ p to q, every integer in [(p+1)/2, (q+1)/2] is composite. A run is "sharp"
 when the integers just outside that interval are both prime. The single
 even Ramanujan prime 2 takes no part in any of this.
 
-Runs are read from the run-length encoding of the classified mask
-(`run_stats.run_blocks`). The halves of a twin Ramanujan pair sit in a prime
-gap of length 5 or more. `twin_gap_table` checks that for every covered
-pair at once, from the table's twin index, and keeps the gaps in the
-table's memo; `twin_gap_check` answers one pair from it.
+Runs and their gaps are read by position from the classified prime list
+and the run-length encoding of its mask (`run_stats.run_blocks`). The halves
+of a twin Ramanujan pair sit in a prime gap of length 5 or more.
+`twin_gap_table` checks that for every covered pair at once and keeps the
+gaps in the table's memo; `twin_gap_check` answers one pair from it.
 """
 
 from __future__ import annotations
@@ -39,51 +39,50 @@ class GapRecord:
     enclosing_gap: tuple[int, int] | None = None
 
 
-def _maximal_composite_interval(lo: int, hi: int, pt: PrimeTable) -> tuple[int, int]:
-    """The largest prime-free [a, b] around a prime-free [lo, hi], with hi >= 1."""
-    # Bertrand's postulate puts the next prime after hi at or below 2*hi
-    primes = pt.primes_upto(min(2 * hi, pt.limit))
-    below = int(np.searchsorted(primes, lo))
-    above = int(np.searchsorted(primes, hi, side="right"))
-    if above == primes.size:
-        raise CoverageError(f"composite interval still open at table limit {pt.limit}")
-    return (int(primes[below - 1]) + 1 if below else 1), int(primes[above]) - 1
+def _gap_ends(primes: np.ndarray, lo, hi):
+    """Ends a, b of the maximal prime gaps holding the prime-free [lo, hi],
+    elementwise, read from the ascending prime list `primes`. The list must
+    hold a prime below each lo and one above each hi."""
+    a = primes[np.searchsorted(primes, lo) - 1] + 1
+    b = primes[np.searchsorted(primes, hi, side="right")] - 1
+    return a, b
 
 
 def gap_for_run(start_index: int, run_length: int, rt: RamanujanTable, pt: PrimeTable) -> GapRecord:
     """Build and verify the gap record for the run of `run_length`
     consecutive primes beginning at the prime of rank `start_index`.
 
-    The run must consist of odd Ramanujan primes. The interval between the
-    halved endpoints is checked integer by integer; a prime there would
-    contradict a proved fact, so it raises an internal-consistency error
-    rather than a value error.
+    The run is sliced from the classified primes and must consist of odd
+    Ramanujan primes. The interval between the halved endpoints is checked
+    against the flags; a prime there would contradict a proved fact, so it
+    raises an internal-consistency error rather than a value error.
     """
-    if run_length < 1:
-        raise ValueError(f"run length must be >= 1, got {run_length}")
-    ranks = np.arange(start_index, start_index + run_length, dtype=np.int64)
-    run = pt.nth_prime_batch(ranks)
-    p, q = int(run[0]), int(run[-1])
+    if run_length < 1 or start_index < 1:
+        raise ValueError(f"rank {start_index} and run length {run_length} must be >= 1")
+    primes, mask = rt.classified_primes(pt)
+    end = start_index + run_length - 1
+    if end > primes.size:
+        raise CoverageError(f"run p_{start_index}..p_{end} passes the classified primes")
+    p, q = int(primes[start_index - 1]), int(primes[end - 1])
     if p == 2:
         raise ValueError("runs must consist of odd Ramanujan primes; 2 is excluded")
-    if not rt.membership_mask(run).all():
-        raise ValueError(
-            f"primes p_{start_index}..p_{start_index + run_length - 1} are not all Ramanujan"
-        )
+    if not mask[start_index - 1 : end].all():
+        raise ValueError(f"primes p_{start_index}..p_{end} are not all Ramanujan")
     gap_lo, gap_hi = (p + 1) // 2, (q + 1) // 2
     if pt.primes_between(gap_lo, gap_hi).size:
         raise InternalConsistencyError(
             f"prime found inside [{gap_lo}, {gap_hi}] for run ({p}, {q})"
         )
-    sharp = pt.is_prime(gap_lo - 1) and pt.is_prime(gap_hi + 1)
+    # q is listed above gap_hi, and gap_lo > 2, so both gap ends are in the list
+    a, b = map(int, _gap_ends(primes, gap_lo, gap_hi))
     return GapRecord(
         run_start=p,
         run_end=q,
         run_length=run_length,
         gap_lo=gap_lo,
         gap_hi=gap_hi,
-        sharp=sharp,
-        enclosing_gap=_maximal_composite_interval(gap_lo, gap_hi, pt),
+        sharp=(a, b) == (gap_lo, gap_hi),
+        enclosing_gap=(a, b),
     )
 
 
@@ -164,8 +163,7 @@ def _build_twin_gaps(rt: RamanujanTable, pt: PrimeTable):
         inside |= pt.is_prime_batch(span + offset)
     _require_none(inside, lesser, "prime inside the expected five-wide composite span")
     # q = p + 2 is a listed prime above the halved pair, so the gap closes inside the list
-    a = primes[np.searchsorted(primes, gap_lo) - 1] + 1
-    b = primes[np.searchsorted(primes, gap_lo + 1, side="right")] - 1
+    a, b = _gap_ends(primes, gap_lo, gap_lo + 1)
     _require_none(b - a + 1 < 5, lesser, "enclosing gap shorter than 5")
     return lesser, a, b
 

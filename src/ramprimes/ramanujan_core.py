@@ -157,8 +157,13 @@ class RamanujanTable:
             np.diff(self.classified_primes(primes)[0]) == 2))
 
     def prime_ranks(self, primes: PrimeTable) -> np.ndarray:
-        """pi(R_n) for every n, computed once and memoized."""
-        return self.derived(primes, "ranks", lambda: primes.prime_count_batch(self.values))
+        """pi(R_n) for every n, memoized: R_n is the n-th prime the classified mask marks."""
+        def build():
+            ranks = np.flatnonzero(self.classified_primes(primes)[1]) + 1
+            if ranks.size < self.count:
+                raise CoverageError(f"R_{ranks.size + 1} lies past the primes to {primes.limit}")
+            return ranks
+        return self.derived(primes, "ranks", build)
 
     def save(self, path) -> None:
         path = Path(path)
@@ -191,11 +196,10 @@ def load(path) -> RamanujanTable:
 
 @dataclass
 class BoundsReport:
-    """Result of a bound check: the exact ratio R_n/p_3n and flags."""
+    """Result of a bound check: the exact ratio R_n/p_3n at its argmax n."""
 
     n: int
     ratio: Fraction
-    log_bounds_ok: bool | None = None
     argmax_n: int | None = None
 
 
@@ -241,7 +245,7 @@ def compute_first(n: int, primes: PrimeTable, *, block_size: int = _SCAN_BLOCK) 
         carry = int(m[0])
         if carry == 0:
             break
-    if values[0] != 2 or np.any(np.diff(values) <= 0):
+    if values[0] != 2 or np.any(values[1:] <= values[:-1]):
         raise InternalConsistencyError("scan produced a non-canonical value list")
     return RamanujanTable(values=values, scan_limit=top,
                           complete_below=int(values[-1]) + 1)
@@ -266,32 +270,28 @@ def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:
     return RamanujanTable(values=kept, scan_limit=table.scan_limit, complete_below=x)
 
 
-def check_log_bounds(table: RamanujanTable, n: int, primes: PrimeTable) -> BoundsReport:
-    """Check 2n log 2n < p_2n < R_n < 4n log 4n < p_4n for one n > 1.
+def log_bound_failures(table: RamanujanTable, max_n: int, primes: PrimeTable) -> list[int]:
+    """Every 1 < n <= max_n at which 2n log 2n < p_2n < R_n < 4n log 4n < p_4n fails.
 
     The real-valued bounds are evaluated in double precision; each
     comparison must clear a relative margin of 1e-6 so rounding cannot
     flip it, otherwise the check refuses to answer.
     """
-    if n <= 1:
-        raise ValueError(f"the inequality chain requires n > 1, got {n}")
-    if n > table.count:
-        raise ValueError(f"index {n} outside [1, {table.count}]")
-    if primes.total_primes < 4 * n:
-        raise CoverageError(f"needs p_{4 * n}; table covers only {primes.limit}")
-    r_n = table.value(n)
-    p2n = primes.nth_prime(2 * n)
-    p3n = primes.nth_prime(3 * n)
-    p4n = primes.nth_prime(4 * n)
-    lo = 2 * n * math.log(2 * n)
-    hi = 4 * n * math.log(4 * n)
+    if max_n > table.count:
+        raise ValueError(f"index {max_n} outside [1, {table.count}]")
+    if primes.total_primes < 4 * max_n:
+        raise CoverageError(f"needs p_{4 * max_n}; table covers only {primes.limit}")
+    n = np.arange(2, max_n + 1, dtype=np.int64)
+    r_n = table.values[n - 1]
+    p2n, p4n = primes.nth_prime_batch(2 * n), primes.nth_prime_batch(4 * n)
+    lo, hi = 2 * n * np.log(2 * n), 4 * n * np.log(4 * n)
     for a, b in ((lo, p2n), (r_n, hi), (hi, p4n)):
-        if abs(b - a) <= 1e-6 * max(abs(a), abs(b)):
-            raise InternalConsistencyError(
-                f"margin too small to compare {a} and {b} in double precision"
-            )
-    ok = lo < p2n < r_n and r_n < hi < p4n
-    return BoundsReport(n=n, ratio=Fraction(r_n, p3n), log_bounds_ok=ok)
+        close = np.flatnonzero(np.abs(b - a) <= 1e-6 * np.maximum(np.abs(a), np.abs(b)))
+        if close.size:
+            raise InternalConsistencyError(f"margin too small to compare {a[close[0]]} and "
+                                           f"{b[close[0]]} in double precision")
+    ok = (lo < p2n) & (p2n < r_n) & (r_n < hi) & (hi < p4n)
+    return n[~ok].tolist()
 
 
 def max_ratio(

@@ -94,12 +94,13 @@ def lower_membership_violations(bound: int, rt: RamanujanTable, pt: PrimeTable) 
         raise CoverageError(f"needs Ramanujan membership through {bound}")
     listed, mask = rt.classified_primes(pt)
     n = int(np.searchsorted(listed, bound, side="right"))
-    primes, ram = listed[:n], mask[:n]
-    # primes lists every prime up to its end, so pi(primes[i]) = i + 1 and the
-    # condition pi(p) - pi(p/2) + 1 == pi(q) - pi(q/2) reduces to pi(p/2) == pi(q/2)
-    half = pt.prime_count_batch(primes // 2)
-    bad = (half[:-1] == half[1:]) & ram[1:] & ~ram[:-1]
-    return [(int(primes[i]), int(primes[i + 1])) for i in np.flatnonzero(bad)]
+    # only a pair with q Ramanujan and p not can be flagged
+    i = np.flatnonzero(mask[1:n] & ~mask[:n][:-1])
+    p, q = listed[i], listed[i + 1]
+    # p and q are consecutive primes, so pi(q) = pi(p) + 1 and the condition
+    # pi(p) - pi(p/2) + 1 == pi(q) - pi(q/2) reduces to pi(p/2) == pi(q/2)
+    bad = pt.prime_count_batch(p // 2) == pt.prime_count_batch(q // 2)
+    return list(zip(p[bad].tolist(), q[bad].tolist()))
 
 
 def twin_condition_violations(bound: int, pt: PrimeTable) -> list[tuple[int, int]]:

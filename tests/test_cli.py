@@ -1,13 +1,12 @@
 import csv
 import io
 import json
-from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from ramprimes import prime_core, ramanujan_core, twin_stats
-from ramprimes.cli import cli
+from ramprimes.cli import _cached, cli
 
 FIRST_21 = [2, 11, 17, 29, 41, 47, 59, 67, 71, 97, 101, 107, 127, 149, 151,
             167, 179, 181, 227, 229, 233]
@@ -109,8 +108,7 @@ def test_verify_conjecture1_notes_last_violation_below_threshold(runner, m, limi
 
 
 @pytest.mark.parametrize("module, name, value, args, text", [
-    (ramanujan_core, "check_log_bounds",
-     ramanujan_core.BoundsReport(n=2, ratio=Fraction(1, 2), log_bounds_ok=False),
+    (ramanujan_core, "log_bound_failures", list(range(2, 11)),
      ["verify", "theorem2", "--max-n", "10"],
      "inequality chain FAILED at n = [2, 3, 4, 5, 6, 7, 8, 9, 10]"),
     (ramanujan_core, "verify_max_ratio_bound", False, ["verify", "theorem4"],
@@ -235,6 +233,24 @@ def test_cache_warm_and_cold_identical(runner, tmp_path):
     warm = invoke(runner, *args)
     assert cold.output == warm.output
     assert cold.exit_code == warm.exit_code == 0
+
+
+def test_cache_write_goes_through_a_temporary_file(tmp_path):
+    class Table:
+        def __init__(self, fail):
+            self.fail = fail
+
+        def save(self, path):
+            with open(path, "wb") as fh:
+                fh.write(b"RPRT partial")
+                if self.fail:
+                    raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _cached(tmp_path, "t.rprt", None, None, lambda: Table(fail=True))
+    assert list(tmp_path.iterdir()) == []  # no partial table, no temporary file
+    _cached(tmp_path, "t.rprt", None, None, lambda: Table(fail=False))
+    assert [p.name for p in tmp_path.iterdir()] == ["t.rprt"]
 
 
 def test_rejected_cache_file_is_rebuilt(runner, tmp_path):

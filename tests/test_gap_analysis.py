@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ramprimes import gap_analysis, prime_core, ramanujan_core, twin_stats
+from ramprimes import prime_core, ramanujan_core, twin_stats
 from ramprimes.errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
 from ramprimes.gap_analysis import (
     first_sharp_run,
@@ -56,7 +56,7 @@ def twin_gap_reference(p, q, rt, pt):
         span = (gap_lo - 1, gap_lo + 3)
     if flags_between(pt, *span).any():
         raise InternalConsistencyError(f"prime inside expected composite span {span}")
-    a, b = gap_analysis._maximal_composite_interval(gap_lo, gap_hi, pt)
+    a, b = walk_composite_interval(gap_lo, gap_hi, pt)
     if b - a + 1 < 5:
         raise InternalConsistencyError(
             f"enclosing gap ({a}, {b}) shorter than 5 for twins ({p}, {q})"
@@ -194,16 +194,15 @@ def test_gap_records_match_the_scalar_walk(rt_wide, pt_wide):
             record.gap_lo, record.gap_hi, pt_wide)
 
 
-def test_enclosing_gap_open_at_table_limit():
-    # 89 and 97 are consecutive primes; no prime follows 97 up to 100
-    pt = prime_core.build(100)
-    assert gap_analysis._maximal_composite_interval(92, 94, pt) == (90, 96)
-    with pytest.raises(CoverageError, match="table limit 100"):
-        gap_analysis._maximal_composite_interval(98, 99, pt)
-    with pytest.raises(CoverageError):
-        walk_composite_interval(98, 99, pt)
-    # a prime exactly at the limit closes the gap
-    assert gap_analysis._maximal_composite_interval(92, 94, prime_core.build(97)) == (90, 96)
+def test_run_past_the_classified_list_is_a_coverage_error(pt1m):
+    rt = ramanujan_core.compute_below(30, pt1m)  # classification ends at 29 = R_4 = p_10
+    # a run ending on the last listed prime still closes its gap inside the list
+    record = gap_for_run(10, 1, rt, pt1m)
+    assert (record.run_start, record.enclosing_gap) == (29, (14, 16))
+    assert record.enclosing_gap == walk_composite_interval(15, 15, pt1m)
+    for rank, r in ((10, 2), (11, 1)):  # 31 = p_11 lies past the list
+        with pytest.raises(CoverageError, match=f"p_{rank}..p_{rank + r - 1}"):
+            gap_for_run(rank, r, rt, pt1m)
 
 
 def test_twin_gap_check_validation(rt_wide, pt_wide):

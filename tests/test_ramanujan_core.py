@@ -12,10 +12,10 @@ from ramprimes.ramanujan_core import (
     LAISHRAM_LIMIT,
     BoundsReport,
     RamanujanTable,
-    check_log_bounds,
     compute_below,
     compute_first,
     last_violation_below_threshold,
+    log_bound_failures,
     max_ratio,
     rank_scaling_threshold,
     rank_scaling_violations,
@@ -52,6 +52,25 @@ def oracle_tables(n_max: int):
         p3n = int(primes[3 * n - 1])
         values.append(1 + int(np.flatnonzero(counts[: p3n + 1] < n).max()))
     return values, counts, primes
+
+
+def check_log_bounds(table, n: int, primes) -> bool:
+    """Scalar reference for log_bound_failures: the chain
+    2n log 2n < p_2n < R_n < 4n log 4n < p_4n at one n > 1, from scalar
+    nth_prime and math.log, under the same 1e-6 margin rule."""
+    if n <= 1:
+        raise ValueError(f"the inequality chain requires n > 1, got {n}")
+    r_n = table.value(n)
+    p2n = primes.nth_prime(2 * n)
+    p4n = primes.nth_prime(4 * n)
+    lo = 2 * n * math.log(2 * n)
+    hi = 4 * n * math.log(4 * n)
+    for a, b in ((lo, p2n), (r_n, hi), (hi, p4n)):
+        if abs(b - a) <= 1e-6 * max(abs(a), abs(b)):
+            raise InternalConsistencyError(
+                f"margin too small to compare {a} and {b} in double precision"
+            )
+    return lo < p2n < r_n and r_n < hi < p4n
 
 
 def blockwise_reference(n: int, primes, block_size: int = 1 << 22) -> np.ndarray:
@@ -214,6 +233,18 @@ def test_coverage_error_names_requirement():
         compute_first(1000, pt)
 
 
+def test_scan_rejects_a_non_increasing_value_list(pt1m, monkeypatch):
+    # each block lists its first prime twice: s overcounts by one from there on
+    between = pt1m.primes_between
+    monkeypatch.setattr(pt1m, "primes_between",
+                        lambda lo, hi: np.concatenate([between(lo, hi)[:1], between(lo, hi)]))
+    with pytest.raises(InternalConsistencyError, match="non-canonical") as exc:
+        compute_first(300, pt1m, block_size=64)
+    values = exc.traceback[-1].locals["values"]  # the list the final check rejected
+    assert values[0] == 2  # so only the ordering can have failed
+    assert int(np.sum(values[1:] <= values[:-1])) == 17
+
+
 def test_block_size_does_not_change_results(pt1m):
     baseline = compute_first(200, pt1m).values
     for block in (1, 2, 3, 64, 1 << 10, 1 << 14):
@@ -223,6 +254,30 @@ def test_block_size_does_not_change_results(pt1m):
 def test_prime_rank_values(pt1m):
     rt = compute_first(23, pt1m)
     assert rt.prime_ranks(pt1m).tolist() == FIRST_RANKS
+
+
+def searchsorted_ranks(rt, pt):
+    """Reference for prime_ranks: pi(R_n) by binary search in the prime list."""
+    return np.searchsorted(pt.primes_upto(int(rt.values[-1])), rt.values, side="right")
+
+
+def test_prime_ranks_are_read_by_position(rt_wide, pt_wide, monkeypatch):
+    def no_search(*_):
+        raise AssertionError("prime_ranks searched the prime list")
+
+    for rt in (rt_wide, compute_first(5000, pt_wide)):
+        expected = searchsorted_ranks(rt, pt_wide)
+        fresh = RamanujanTable(values=rt.values, scan_limit=rt.scan_limit,
+                               complete_below=rt.complete_below)  # an empty memo
+        with monkeypatch.context() as patch:
+            patch.setattr(pt_wide, "prime_count_batch", no_search)
+            assert np.array_equal(fresh.prime_ranks(pt_wide), expected)
+
+
+def test_prime_ranks_past_the_classified_list_are_a_coverage_error(pt1m):
+    rt = compute_first(100, pt1m)  # R_100 = 1439
+    with pytest.raises(CoverageError, match="R_"):
+        rt.prime_ranks(prime_core.build(1000))
 
 
 def test_prime_rank_consistent_with_nth_prime(pt1m):
@@ -248,18 +303,41 @@ def test_ratio_to_double_index_prime_stays_moderate(rt_laishram, pt_wide):
 
 def test_check_log_bounds_examples(pt1m):
     rt = compute_first(5, pt1m)
-    report = check_log_bounds(rt, 2, pt1m)
-    assert report.log_bounds_ok
+    assert check_log_bounds(rt, 2, pt1m)
     assert 4 * math.log(4) < 7 < 11 < 8 * math.log(8) < 19
-    report5 = check_log_bounds(rt, 5, pt1m)
-    assert report5.log_bounds_ok
+    assert check_log_bounds(rt, 5, pt1m)
     assert pt1m.nth_prime(10) == 29 < 41 < pt1m.nth_prime(20) == 71
+    assert log_bound_failures(rt, 5, pt1m) == []
 
 
 def test_check_log_bounds_rejects_n1(pt1m):
     rt = compute_first(5, pt1m)
     with pytest.raises(ValueError):
         check_log_bounds(rt, 1, pt1m)
+    assert log_bound_failures(rt, 1, pt1m) == []  # no n with 1 < n <= 1
+
+
+def test_log_bound_failures_match_the_scalar_reference(rt_laishram, pt_wide):
+    top = 2 * 10 ** 4
+    expected = [n for n in range(2, top + 1) if not check_log_bounds(rt_laishram, n, pt_wide)]
+    assert log_bound_failures(rt_laishram, top, pt_wide) == expected == []
+
+
+def test_log_bound_failures_flag_a_broken_chain(pt1m):
+    # R_3 = 17 moved to 23 stays below 12 log 12 = 29.8; moved to 31 it does not
+    for r3, failing in ((23, []), (31, [3])):
+        fake = RamanujanTable(values=np.array([2, 11, r3, 29, 41]), scan_limit=0,
+                              complete_below=42)
+        assert log_bound_failures(fake, 5, pt1m) == failing
+        assert [n for n in range(2, 6) if not check_log_bounds(fake, n, pt1m)] == failing
+
+
+def test_log_bound_failures_need_the_table_and_the_primes(pt1m):
+    rt = compute_first(5, pt1m)
+    with pytest.raises(ValueError, match="outside"):
+        log_bound_failures(rt, 6, pt1m)
+    with pytest.raises(CoverageError, match="p_20"):
+        log_bound_failures(rt, 5, prime_core.build(50))
 
 
 def test_max_ratio_full_range(rt_laishram, pt_wide):
@@ -371,7 +449,7 @@ def test_load_rejects_count_that_does_not_fit_payload(tmp_path, pt1m, offset, ma
 
 
 def test_bounds_report_fields():
-    report = BoundsReport(n=5, ratio=Fraction(41, 47), log_bounds_ok=True, argmax_n=5)
+    report = BoundsReport(n=5, ratio=Fraction(41, 47), argmax_n=5)
     assert report.ratio.numerator == 41
     assert report.ratio.denominator == 47
 
