@@ -1,9 +1,9 @@
 """Command-line frontend: compute Ramanujan primes, verify the bound
 results, and emit the run/twin/gap reports as table, CSV, or JSON.
 
-Exit codes: 0 success, 1 a verification failed, 2 usage error, 3 resource
-limit hit, 4 internal fault (a proved property failed, or tables the command
-built itself fell short of its request).
+Exit codes: 0 success, 1 a verification failed, 2 bad arguments, 3 resource
+limit hit, 4 internal fault (a proved property failed, tables the command
+built itself fell short of its request, or a library call rejected its input).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 
 from . import gap_analysis, prime_core, ramanujan_core, run_stats, twin_stats
-from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound, ResourceLimitError
+from .errors import InternalConsistencyError, NotFoundBelowBound, ResourceLimitError
 from .formatting import ratio_display, round_half_up
 
 EXIT_VERIFICATION_FAILED = 1
@@ -33,9 +33,12 @@ COVERAGE_MARGIN = 100_000
 
 
 class BoundType(click.ParamType):
-    """Positive integer bounds, plain or in scientific notation (1e6, 2.5e7)."""
+    """Integer bounds from `min` on, plain or in scientific notation (1e6, 2.5e7)."""
 
     name = "bound"
+
+    def __init__(self, min: int = 1):
+        self.min = min
 
     def convert(self, value, param, ctx):
         try:
@@ -50,10 +53,13 @@ class BoundType(click.ParamType):
             bound = int(as_float)
         if bound < 1:
             self.fail(f"{value!r} is not a positive bound", param, ctx)
+        if bound < self.min:
+            self.fail(f"{value!r} is below the least bound {self.min}", param, ctx)
         return bound
 
 
 BOUND = BoundType()
+POSITIVE = click.IntRange(min=1)
 
 
 def guarded(fn):
@@ -66,11 +72,9 @@ def guarded(fn):
         except ResourceLimitError as exc:
             click.echo(f"resource limit: {exc}", err=True)
             sys.exit(EXIT_RESOURCE)
-        except (CoverageError, InternalConsistencyError) as exc:
+        except (ValueError, InternalConsistencyError) as exc:  # option types check arguments
             click.echo(f"internal fault: {exc}", err=True)
             sys.exit(EXIT_INTERNAL)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
 
     return wrapper
 
@@ -117,6 +121,13 @@ def _tables_covering(bound, cache_dir):
     return _tables_below(bound + COVERAGE_MARGIN, cache_dir)
 
 
+def _write(text, output):
+    if output is None:
+        click.echo(text, nl=False)
+    else:
+        Path(output).write_text(text)
+
+
 def _emit(rows, columns, fmt, output):
     """Write a report as an aligned table, CSV with header, or one JSON doc."""
     if fmt == "json":
@@ -135,10 +146,7 @@ def _emit(rows, columns, fmt, output):
         lines = ["  ".join(str(c).rjust(w) for c, w in zip(columns, widths))]
         lines += ["  ".join(str(v).rjust(w) for v, w in zip(row, widths)) for row in rows]
         text = "\n".join(lines) + "\n"
-    if output is None:
-        click.echo(text, nl=False)
-    else:
-        Path(output).write_text(text)
+    _write(text, output)
 
 
 def _ratio_cell(num, den):
@@ -169,7 +177,7 @@ def cli(ctx, cache_dir):
 
 @cli.command()
 @click.option("--count", type=BOUND, default=None, help="Compute the first N values.")
-@click.option("--below", type=BOUND, default=None, help="Compute all values below X.")
+@click.option("--below", type=BoundType(2), default=None, help="Compute all values below X.")
 @format_option
 @output_option
 @click.pass_context
@@ -183,8 +191,6 @@ def compute(ctx, count, below, fmt, output):
         pt = _prime_table(ramanujan_core.prime_limit_for_count(count), cache_dir)
         table = ramanujan_core.compute_first(count, pt)
     else:
-        if below < 2:
-            raise click.UsageError("--below must be >= 2")
         _, table = _tables_below(below, cache_dir)
     rows = [(i + 1, int(v)) for i, v in enumerate(table.values)]
     _emit(rows, ["n", "value"], fmt, output)
@@ -195,9 +201,9 @@ def compute(ctx, count, below, fmt, output):
     "target",
     type=click.Choice(["theorem2", "theorem4", "conjecture1", "proposition2"]),
 )
-@click.option("--max-n", type=BOUND, default=1000, help="theorem2: largest index checked.")
-@click.option("--m", "multiplier", type=int, default=2, help="conjecture1: the multiplier m.")
-@click.option("--limit", type=BOUND, default=10_000_000, help="conjecture1: bound on R_mn.")
+@click.option("--max-n", type=BoundType(2), default=1000, help="theorem2: largest index checked.")
+@click.option("--m", "multiplier", type=POSITIVE, default=2, help="conjecture1: the multiplier m.")
+@click.option("--limit", type=BoundType(2), default=10_000_000, help="conjecture1: bound on R_mn.")
 @click.option("--bound", type=BOUND, default=1_000_000, help="proposition2: scan bound.")
 @click.pass_context
 @guarded
@@ -252,15 +258,13 @@ def verify(ctx, target, max_n, multiplier, limit, bound):
 
 
 @cli.command()
-@click.option("--max-decade", type=int, default=5, help="Report decades 10^1..10^D.")
+@click.option("--max-decade", type=POSITIVE, default=5, help="Report decades 10^1..10^D.")
 @format_option
 @output_option
 @click.pass_context
 @guarded
 def runs(ctx, max_decade, fmt, output):
     """Longest-run statistics per decade, with coin-toss expectations."""
-    if max_decade < 1:
-        raise click.UsageError("--max-decade must be >= 1")
     pt, rt = _tables_covering(10 ** max_decade, ctx.obj["cache_dir"])
     reports = run_stats.decade_reports(max_decade, rt, pt)
     rows = [
@@ -282,7 +286,7 @@ def runs(ctx, max_decade, fmt, output):
 
 
 @cli.command()
-@click.option("--bound", type=BOUND, required=True, help="Census bound (lesser member).")
+@click.option("--bound", type=BoundType(3), required=True, help="Census bound (lesser member).")
 @click.option("--strict", is_flag=True, help="Also check the ratio inequalities at every pair.")
 @format_option
 @output_option
@@ -336,7 +340,7 @@ def gaps():
 
 
 @gaps.command()
-@click.option("--max-run", type=int, default=11, help="Largest run length searched.")
+@click.option("--max-run", type=POSITIVE, default=11, help="Largest run length searched.")
 @click.option("--bound", type=BOUND, default=gap_analysis.DEFAULT_SHARP_SEARCH_BOUND,
               help="Search for run starts below this bound.")
 @output_option
@@ -344,8 +348,6 @@ def gaps():
 @guarded
 def sharp(ctx, max_run, bound, output):
     """First sharp run of each length, as JSON lines of gap records."""
-    if max_run < 1:
-        raise click.UsageError("--max-run must be >= 1")
     pt, rt = _tables_covering(bound, ctx.obj["cache_dir"])
     lines = []
     for r in range(1, max_run + 1):
@@ -356,11 +358,7 @@ def sharp(ctx, max_run, bound, output):
             continue
         record = gap_analysis.gap_for_run(pt.prime_count(start), r, rt, pt)
         lines.append(json.dumps(dataclasses.asdict(record)))  # fields in GapRecord order
-    text = "\n".join(lines) + "\n"
-    if output is None:
-        click.echo(text, nl=False)
-    else:
-        Path(output).write_text(text)
+    _write("\n".join(lines) + "\n", output)
 
 
 @gaps.command("twin-check")

@@ -10,22 +10,17 @@ lookup plus a short popcount.
 from __future__ import annotations
 
 import math
-import struct
-import zlib
-from pathlib import Path
 
 import numpy as np
 
+from . import table_file
 from .errors import ResourceLimitError
 
-DEFAULT_SEGMENT_FLAGS = 1 << 20
-DEFAULT_COUNT_STRIDE = 1 << 16
-DEFAULT_MEMORY_CEILING = 4 << 30
-
 _MAGIC = b"RPPT"
-_VERSION = 2
-_HEADER = struct.Struct("<4sIQQQI")  # magic, version, limit, stride, nbytes, payload CRC32
 
+_SEGMENT_FLAGS = 1 << 20  # odd numbers per sieve segment; a multiple of 8: whole bytes
+_COUNT_STRIDE = 1 << 16  # integers per count checkpoint; a multiple of 16: whole bytes
+_MEMORY_CEILING = 4 << 30  # bytes that build() may allocate
 _EXTRACT_CHUNK = 1 << 25  # integers per step when the prime list is extracted
 _POPCOUNT_SLICE = _EXTRACT_CHUNK // 16  # flag bytes popcounted per step while checkpointing
 
@@ -52,11 +47,10 @@ class PrimeTable:
     hand-made flag bytes.
     """
 
-    def __init__(self, limit: int, packed: np.ndarray, count_stride: int):
+    def __init__(self, limit: int, packed: np.ndarray):
         self.limit = limit
-        self.count_stride = count_stride
         self._packed = packed
-        self._bytes_per_block = count_stride // 16
+        self._bytes_per_block = _COUNT_STRIDE // 16
         self._checkpoints = self._build_checkpoints()
         self._prime_cache: np.ndarray | None = None
         self._prime_cache_limit = -1
@@ -123,7 +117,7 @@ class PrimeTable:
             return 2
         m = n - 1  # rank among odd primes
         blk = int(np.searchsorted(self._checkpoints, m, side="left")) - 1
-        stride = self.count_stride  # block blk: the odd numbers in [blk*stride, (blk+1)*stride)
+        stride = 16 * self._bytes_per_block  # block blk: the odds in [blk*stride, (blk+1)*stride)
         odd = self.primes_between(max(blk * stride, 3), min((blk + 1) * stride - 1, self.limit))
         return int(odd[m - int(self._checkpoints[blk]) - 1])
 
@@ -195,75 +189,42 @@ class PrimeTable:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the packed flags with a self-describing, checksummed header."""
-        path = Path(path)
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, self.limit, self.count_stride,
-                                  len(self._packed), zlib.crc32(self._packed)))
-            self._packed.tofile(fh)
+        """Write the packed flags in the cache layout of :mod:`table_file`."""
+        table_file.write(path, _MAGIC, [self.limit], self._packed)
 
 
 def load(path) -> PrimeTable:
     """Read a table written by :meth:`PrimeTable.save`."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, version, limit, stride, nbytes, crc = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a prime table cache")
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        if limit < 2 or nbytes != ((limit + 1) // 2 + 7) // 8 or stride < 16 or stride % 16:
-            raise ValueError(f"{path}: inconsistent header (limit {limit}, "
-                             f"stride {stride}, {nbytes} flag bytes)")
-        packed = np.fromfile(fh, dtype=np.uint8, count=nbytes)
-    if len(packed) != nbytes:
-        raise ValueError(f"{path}: truncated flag data")
-    if zlib.crc32(packed) != crc:
-        raise ValueError(f"{path}: flag data fails its checksum")
-    return PrimeTable(int(limit), packed, int(stride))
+    (limit,), packed = table_file.read(path, _MAGIC, 1, np.uint8)
+    if limit < 2 or packed.size != ((limit + 1) // 2 + 7) // 8:
+        raise ValueError(f"{path}: {packed.size} flag bytes do not fit limit {limit}")
+    return PrimeTable(limit, packed)
 
 
-def build(
-    limit: int,
-    *,
-    segment_flags: int = DEFAULT_SEGMENT_FLAGS,
-    count_stride: int = DEFAULT_COUNT_STRIDE,
-    memory_ceiling: int = DEFAULT_MEMORY_CEILING,
-) -> PrimeTable:
+def build(limit: int) -> PrimeTable:
     """Sieve [2, limit] segment by segment and return the finished table.
 
-    `segment_flags` counts odd numbers per segment. `count_stride` is the
-    number of integers covered by one cumulative-count checkpoint and must
-    be a multiple of 16 so checkpoints align with packed bytes. Peak memory
-    is what is allocated here, and `memory_ceiling` bounds its sum: the
-    packed flags (one bit per odd number) and the checkpoints, written once
-    at their final size, plus one segment's bool flags, their packed bytes
-    and one popcount slice while checkpointing.
+    Peak memory is what is allocated here, and `_MEMORY_CEILING` bounds its
+    sum: the packed flags (one bit per odd number) and the checkpoints,
+    written once at their final size, plus one segment's bool flags, their
+    packed bytes and one popcount slice while checkpointing.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    if count_stride < 16 or count_stride % 16:
-        raise ValueError("count_stride must be a positive multiple of 16")
-    if segment_flags < 8 or segment_flags % 8:
-        # each segment is written at byte lo_bit >> 3, so segments must fill whole bytes
-        raise ValueError("segment_flags must be a positive multiple of 8")
     nbits = (limit + 1) // 2
     nbytes = (nbits + 7) // 8
-    popcount_bytes, nblocks = _popcount_slice(count_stride // 16, nbytes)
-    seg_bits = min(segment_flags, nbits)
+    popcount_bytes, nblocks = _popcount_slice(_COUNT_STRIDE // 16, nbytes)
+    seg_bits = min(_SEGMENT_FLAGS, nbits)
     needed = nbytes + 8 * (nblocks + 1) + seg_bits + (seg_bits + 7) // 8 + popcount_bytes
-    if needed > memory_ceiling:
+    if needed > _MEMORY_CEILING:
         raise ResourceLimitError(f"limit {limit} needs about {needed} bytes to sieve, "
-                                 f"over the {memory_ceiling}-byte ceiling")
+                                 f"over the {_MEMORY_CEILING}-byte ceiling")
 
     base_odd = np.flatnonzero(simple_sieve_flags(math.isqrt(limit)))[1:].tolist()
 
     packed = np.empty(nbytes, dtype=np.uint8)
-    for lo_bit in range(0, nbits, segment_flags):
-        hi_bit = min(lo_bit + segment_flags, nbits)
+    for lo_bit in range(0, nbits, _SEGMENT_FLAGS):
+        hi_bit = min(lo_bit + _SEGMENT_FLAGS, nbits)
         seg = np.ones(hi_bit - lo_bit, dtype=bool)
         if lo_bit == 0:
             seg[0] = False  # the number 1
@@ -278,7 +239,7 @@ def build(
                 continue
             seg[(start >> 1) - lo_bit :: p] = False
         packed[lo_bit >> 3 : (hi_bit + 7) >> 3] = np.packbits(seg, bitorder="little")
-    return PrimeTable(limit, packed, count_stride)
+    return PrimeTable(limit, packed)
 
 
 def _popcount_slice(bytes_per_block: int, nbytes: int) -> tuple[int, int]:

@@ -12,14 +12,12 @@ stay below it. s changes only at a prime p (+1) and at 2q for a prime q
 from __future__ import annotations
 
 import math
-import struct
-import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
+from . import table_file
 from .errors import CoverageError, InternalConsistencyError
 from .prime_core import PrimeTable
 
@@ -28,8 +26,6 @@ from .prime_core import PrimeTable
 LAISHRAM_LIMIT = 169350
 
 _MAGIC = b"RPRT"
-_VERSION = 2
-_HEADER = struct.Struct("<4sIQQQI")  # magic, version, count, scan_limit, complete_below, CRC32
 
 _SCAN_BLOCK = 1 << 20  # integers per scan block; the block size bounds peak RSS
 
@@ -166,32 +162,13 @@ class RamanujanTable:
         return self.derived(primes, "ranks", build)
 
     def save(self, path) -> None:
-        path = Path(path)
-        values = np.ascontiguousarray(self.values, dtype=np.int64)
-        with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, self.count, self.scan_limit,
-                                  self.complete_below, zlib.crc32(values)))
-            values.tofile(fh)
+        table_file.write(path, _MAGIC, [self.scan_limit, self.complete_below],
+                         np.ascontiguousarray(self.values, dtype=np.int64))
 
 
 def load(path) -> RamanujanTable:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, version, count, scan_limit, complete_below, crc = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a Ramanujan table cache")
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        if 8 * count != path.stat().st_size - _HEADER.size:
-            raise ValueError(f"{path}: {count} values do not fit the payload size")
-        values = np.fromfile(fh, dtype=np.int64, count=count)
-    if zlib.crc32(values) != crc:
-        raise ValueError(f"{path}: values fail their checksum")
-    return RamanujanTable(values=values, scan_limit=int(scan_limit),
-                          complete_below=int(complete_below))
+    (scan_limit, complete_below), values = table_file.read(path, _MAGIC, 2, np.int64)
+    return RamanujanTable(values=values, scan_limit=scan_limit, complete_below=complete_below)
 
 
 @dataclass
@@ -203,7 +180,7 @@ class BoundsReport:
     argmax_n: int | None = None
 
 
-def compute_first(n: int, primes: PrimeTable, *, block_size: int = _SCAN_BLOCK) -> RamanujanTable:
+def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
     """Compute R_1..R_n by walking the events of the interval prime counts s(k).
 
     Conceptually the scan walks k = 1 .. p_3n - 1 keeping a counter that
@@ -225,8 +202,8 @@ def compute_first(n: int, primes: PrimeTable, *, block_size: int = _SCAN_BLOCK) 
     top = primes.nth_prime(3 * n) - 1
     values = np.zeros(n, dtype=np.int64)
     carry = None  # min of s over every k already walked, all to the right
-    for lo in range(1 + block_size * ((top - 1) // block_size), 0, -block_size):
-        hi = min(lo + block_size - 1, top)
+    for lo in range(1 + _SCAN_BLOCK * ((top - 1) // _SCAN_BLOCK), 0, -_SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK - 1, top)
         up = primes.primes_between(lo, hi)
         events = np.concatenate([up, 2 * primes.primes_between((lo + 1) // 2, hi // 2)])
         order = np.argsort(events, kind="stable")  # one merge of two sorted runs

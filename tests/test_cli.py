@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import struct
+import zlib
 
 import pytest
 from click.testing import CliRunner
 
 from ramprimes import prime_core, ramanujan_core, twin_stats
 from ramprimes.cli import _cached, cli
+from ramprimes.errors import CoverageError, InternalConsistencyError
+from test_table_file import HEADER_SIZE
 
 FIRST_21 = [2, 11, 17, 29, 41, 47, 59, 67, 71, 97, 101, 107, 127, 149, 151,
             167, 179, 181, 227, 229, 233]
@@ -68,6 +72,22 @@ def test_non_positive_bound_is_usage_error(runner, args):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert f"{args[-1]!r} is not a positive bound" in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "theorem2", "--max-n", "1"],  # the chain needs n > 1
+    ["verify", "conjecture1", "--limit", "1"],
+    ["verify", "conjecture1", "--m", "0"],
+    ["compute", "--below", "1"],
+    ["twins", "--bound", "2"],
+    ["runs", "--max-decade", "0"],
+    ["gaps", "sharp", "--max-run", "0"],
+])
+def test_option_below_its_range_is_usage_error(runner, args):
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"Invalid value for '{args[-2]}'" in result.stderr
 
 
 def test_unknown_flag_is_usage_error(runner):
@@ -195,6 +215,14 @@ def test_output_file(runner, tmp_path):
     assert "35" in out.read_text()
 
 
+def test_gaps_sharp_output_file_matches_stdout(runner, tmp_path):
+    out = tmp_path / "sharp.jsonl"
+    args = ["gaps", "sharp", "--max-run", "3", "--bound", "3000"]
+    result = invoke(runner, *args, "--output", str(out))
+    assert result.exit_code == 0 and result.stdout == ""
+    assert out.read_text() == invoke(runner, *args).stdout
+
+
 def test_twins_strict_below_scope_is_usage_error(runner):
     assert invoke(runner, "twins", "--bound", "100", "--strict").exit_code == 2
 
@@ -211,12 +239,21 @@ def test_resource_limit_maps_to_exit_three(runner, monkeypatch):
     assert result.exit_code == 3
 
 
-@pytest.mark.parametrize("error", ["InternalConsistencyError", "CoverageError"])
+def test_resource_limit_hit_before_any_allocation_exits_three(runner):
+    result = runner.invoke(cli, ["runs", "--max-decade", "12"])  # a sieve to about 1.6e12
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "resource limit: " in result.stderr
+
+
+# options check their arguments, so a library ValueError is a fault, not bad usage
+@pytest.mark.parametrize("error", [InternalConsistencyError, CoverageError, ValueError],
+                         ids=lambda error: error.__name__)
 def test_internal_fault_maps_to_exit_four(runner, monkeypatch, error):
-    from ramprimes import errors, gap_analysis
+    from ramprimes import gap_analysis
 
     def faulty_table(rt, pt):
-        raise getattr(errors, error)("synthetic fault")
+        raise error("synthetic fault")
 
     monkeypatch.setattr(gap_analysis, "twin_gap_table", faulty_table)
     result = runner.invoke(cli, ["gaps", "twin-check", "--bound", "1e3"])
@@ -275,7 +312,7 @@ def test_cache_with_impossible_header_is_rebuilt(runner, tmp_path):
     cold = invoke(runner, *args)
     # the high byte of the flag byte count (prime table) and of the value
     # count (Ramanujan table): loading them as stated would ask for ~2**64 bytes
-    for pattern, offset in (("primes_*.rppt", 31), ("ramanujan_below_*.rprt", 15)):
+    for pattern, offset in (("primes_*.rppt", 15), ("ramanujan_below_*.rprt", 15)):
         (path,) = cache.glob(pattern)
         data = bytearray(path.read_bytes())
         data[offset] ^= 0xFF
@@ -292,8 +329,8 @@ def test_cache_with_corrupted_payload_is_rebuilt(runner, tmp_path):
     cold = invoke(runner, *args)
     # the flags of 81..95 (prime table) and the value R_4 = 29 (Ramanujan table):
     # read as stored, either flip changes the census
-    for pattern, offset in (("primes_*.rppt", prime_core._HEADER.size + 5),
-                            ("ramanujan_below_*.rprt", ramanujan_core._HEADER.size + 24)):
+    for pattern, offset in (("primes_*.rppt", HEADER_SIZE["primes"] + 5),
+                            ("ramanujan_below_*.rprt", HEADER_SIZE["ramanujan"] + 24)):
         (path,) = cache.glob(pattern)
         data = bytearray(path.read_bytes())
         data[offset] ^= 0x01
@@ -302,3 +339,27 @@ def test_cache_with_corrupted_payload_is_rebuilt(runner, tmp_path):
         assert rebuilt.exit_code == 0
         assert rebuilt.stdout == cold.stdout
         assert "rejected cache file" in rebuilt.stderr and "checksum" in rebuilt.stderr
+
+
+def test_version_2_cache_files_are_rebuilt(runner, tmp_path):
+    cache = tmp_path / "cache"
+    args = ["--cache-dir", str(cache), "twins", "--bound", "1e3", "--format", "csv"]
+    cold = invoke(runner, *args)
+    (primes_path,) = cache.glob("primes_*.rppt")
+    (ram_path,) = cache.glob("ramanujan_below_*.rprt")
+    pt, rt = prime_core.load(primes_path), ramanujan_core.load(ram_path)
+    # the version-2 layouts: magic, version, three uint64 fields, CRC32 of the payload
+    primes_path.write_bytes(struct.pack("<4sIQQQI", b"RPPT", 2, pt.limit, 1 << 16,
+                                        pt._packed.size, zlib.crc32(pt._packed))
+                            + pt._packed.tobytes())
+    ram_path.write_bytes(struct.pack("<4sIQQQI", b"RPRT", 2, rt.count, rt.scan_limit,
+                                     rt.complete_below, zlib.crc32(rt.values))
+                         + rt.values.tobytes())
+    rebuilt = invoke(runner, *args)
+    assert rebuilt.exit_code == 0
+    assert rebuilt.stdout == cold.stdout
+    assert rebuilt.stderr.count("rejected cache file") == 2
+    assert rebuilt.stderr.count("unsupported cache version 2") == 2
+    warm = invoke(runner, *args)
+    assert warm.stdout == cold.stdout
+    assert warm.stderr == ""

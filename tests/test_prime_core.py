@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramprimes import prime_core
+from ramprimes import prime_core, table_file
 from ramprimes.errors import ResourceLimitError
+from test_table_file import HEADER_SIZE
 
 
 def flags_between(pt, lo: int, hi: int) -> np.ndarray:
@@ -43,16 +44,19 @@ def test_build_rejects_tiny_limit():
         prime_core.build(1)
 
 
-def test_build_rejects_over_memory_ceiling():
+def test_build_rejects_over_memory_ceiling(monkeypatch):
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 1000)
     with pytest.raises(ResourceLimitError):
-        prime_core.build(10 ** 8, memory_ceiling=1000)
+        prime_core.build(10 ** 8)
     # at 10**6 the flags and checkpoints take 62,636 bytes; the working arrays
     # take 628,036 more: one segment of 500,000 bool flags, their 62,500 packed
     # bytes and a 65,536-byte popcount slice (16 whole checkpoint blocks)
     for ceiling in (100_000, 690_671):
+        monkeypatch.setattr(prime_core, "_MEMORY_CEILING", ceiling)
         with pytest.raises(ResourceLimitError):
-            prime_core.build(10 ** 6, memory_ceiling=ceiling)
-    assert prime_core.build(10 ** 6, memory_ceiling=690_672).limit == 10 ** 6
+            prime_core.build(10 ** 6)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 690_672)
+    assert prime_core.build(10 ** 6).limit == 10 ** 6
 
 
 def test_nth_prime_reference_points():
@@ -136,9 +140,10 @@ def test_count_of_nth_prime_roundtrip(pt1m, n):
 
 
 @pytest.mark.parametrize("segment_flags", [8, 64, 1 << 10, 1 << 18])
-def test_segmented_matches_simple_construction(segment_flags):
+def test_segmented_matches_simple_construction(monkeypatch, segment_flags):
+    monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", segment_flags)
     limit = 10 ** 5 + 7
-    pt = prime_core.build(limit, segment_flags=segment_flags)
+    pt = prime_core.build(limit)
     assert np.array_equal(flags_between(pt, 0, limit), prime_core.simple_sieve_flags(limit))
 
 
@@ -146,11 +151,12 @@ def test_segmented_matches_simple_at_one_million(pt1m, sieve1m):
     assert np.array_equal(flags_between(pt1m, 0, 10 ** 6), sieve1m)
 
 
-def test_count_stride_variants_agree():
+def test_count_stride_variants_agree(monkeypatch):
     limit = 10 ** 5
     reference = prime_core.build(limit)
     for stride in (16, 4096, 1 << 20):
-        pt = prime_core.build(limit, count_stride=stride)
+        monkeypatch.setattr(prime_core, "_COUNT_STRIDE", stride)
+        pt = prime_core.build(limit)
         for x in (2, 3, 1000, 65535, 65536, 99991, limit):
             assert pt.prime_count(x) == reference.prime_count(x)
 
@@ -159,8 +165,9 @@ def test_count_stride_variants_agree():
 def test_checkpoints_for_any_popcount_slice(monkeypatch, stride, slice_bytes):
     # 6,251 flag bytes: (48, 1000) ends on a 257-byte slice holding a partial block
     monkeypatch.setattr(prime_core, "_POPCOUNT_SLICE", slice_bytes)
+    monkeypatch.setattr(prime_core, "_COUNT_STRIDE", stride)
     limit = 10 ** 5 + 3
-    pt = prime_core.build(limit, count_stride=stride)
+    pt = prime_core.build(limit)
     below = np.concatenate([[0], np.cumsum(prime_core.simple_sieve_flags(limit))])
     edges = np.minimum(np.arange(pt._checkpoints.size) * stride, limit + 1)
     assert np.array_equal(pt._checkpoints, np.maximum(below[edges] - 1, 0))  # odd primes only
@@ -185,10 +192,11 @@ def test_primes_between_windows(pt1m, sieve1m):
         assert pt1m.primes_between(lo, hi).tolist() == expected.tolist()
 
 
-@pytest.mark.parametrize("stride", [16, 48, prime_core.DEFAULT_COUNT_STRIDE])
-def test_nth_prime_across_checkpoint_boundaries(stride):
+@pytest.mark.parametrize("stride", [16, 48, prime_core._COUNT_STRIDE])
+def test_nth_prime_across_checkpoint_boundaries(monkeypatch, stride):
+    monkeypatch.setattr(prime_core, "_COUNT_STRIDE", stride)
     limit = 10 ** 5 + 3
-    pt = prime_core.build(limit, count_stride=stride)
+    pt = prime_core.build(limit)
     primes = np.flatnonzero(prime_core.simple_sieve_flags(limit))
     for edge in range(0, limit + 1, stride):  # block edges, in integers
         rank = int(np.searchsorted(primes, edge))  # primes below the edge
@@ -215,7 +223,7 @@ def test_save_load_roundtrip(tmp_path, pt1m):
     pt1m.save(path)
     loaded = prime_core.load(path)
     assert loaded.limit == pt1m.limit
-    assert loaded.count_stride == pt1m.count_stride
+    assert np.array_equal(loaded._checkpoints, pt1m._checkpoints)  # rebuilt from the flags
     assert loaded.prime_count(10 ** 6) == pt1m.prime_count(10 ** 6)
     assert np.array_equal(flags_between(loaded, 0, 10 ** 6), flags_between(pt1m, 0, 10 ** 6))
 
@@ -247,14 +255,15 @@ def test_primes_between_edges(pt1m):
             pt1m.primes_between(lo, hi)
 
 
-# header layout: magic 0-3, version 4-7, limit 8-15, stride 16-23, nbytes 24-31, CRC32 32-35
+# header layout: magic 0-3, version 4-7, nbytes 8-15, limit 16-23, CRC32 24-27;
+# tests/test_table_file.py covers the rejections shared with the Ramanujan table
 @pytest.mark.parametrize("offset, mask", [
-    (31, 0xFF),  # nbytes near 2**64: rejected before any allocation
-    (24, 0x01),  # nbytes one off
-    (8, 0x01),   # limit 100001 on a payload built for 100000
-    (15, 0x80),  # limit near 2**63
-    (16, 0x01),  # stride not a multiple of 16
-    (18, 0x01),  # stride zero
+    (15, 0x80),  # nbytes near 2**63: rejected before any allocation
+    (8, 0x01),   # nbytes one off
+    (16, 0x01),  # limit 100001 on a payload built for 100000: fails the header checksum
+    (23, 0x80),  # limit near 2**63: fails the header checksum
+    (24, 0x01),  # the stored checksum itself
+    (31, 0xFF),  # the fourth flag byte, just past the header: the checksum covers it too
 ])
 def test_load_rejects_inconsistent_header(tmp_path, offset, mask):
     path = tmp_path / "primes.rppt"
@@ -266,11 +275,24 @@ def test_load_rejects_inconsistent_header(tmp_path, offset, mask):
         prime_core.load(path)
 
 
+@pytest.mark.parametrize("limit, nbytes", [
+    (1, 1),             # too small a limit, though one byte is its flag count
+    (10 ** 5 + 1, 6250),  # the flags of limit 100000
+    (2 ** 63, 6250),
+])
+def test_load_rejects_limit_that_does_not_fit_the_flags(tmp_path, limit, nbytes):
+    # a well-formed file with a valid checksum still needs a limit that fits its flags
+    path = tmp_path / "primes.rppt"
+    table_file.write(path, prime_core._MAGIC, [limit], np.zeros(nbytes, dtype=np.uint8))
+    with pytest.raises(ValueError, match=f"{nbytes} flag bytes do not fit limit {limit}"):
+        prime_core.load(path)
+
+
 def test_load_rejects_payload_failing_checksum(tmp_path, pt1m):
     path = tmp_path / "primes.rppt"
     pt1m.save(path)
     data = bytearray(path.read_bytes())
-    data[prime_core._HEADER.size + 1000] ^= 0x04  # one flag among 16001..16015
+    data[HEADER_SIZE["primes"] + 1000] ^= 0x04  # one flag among 16001..16015
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="checksum"):
         prime_core.load(path)

@@ -22,6 +22,7 @@ from ramprimes.ramanujan_core import (
     verify_max_ratio_bound,
 )
 from test_prime_core import flags_between
+from test_table_file import HEADER_SIZE
 
 FIRST_21 = [2, 11, 17, 29, 41, 47, 59, 67, 71, 97, 101, 107, 127, 149, 151,
             167, 179, 181, 227, 229, 233]
@@ -129,7 +130,9 @@ def test_matches_blockwise_reference_below_21e6(pt_wide, rt_wide):
 @given(n=st.integers(min_value=1, max_value=400), block=st.integers(min_value=1, max_value=5000))
 def test_any_block_size_matches_both_oracles(pt1m, oracle_1000, n, block):
     # block 1 starts every block on an event, so the first interval is empty
-    values = compute_first(n, pt1m, block_size=block).values
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ramanujan_core, "_SCAN_BLOCK", block)
+        values = compute_first(n, pt1m).values
     assert values.tolist() == oracle_1000[0][:n]
     assert np.array_equal(values, blockwise_reference(n, pt1m, block))
 
@@ -238,17 +241,19 @@ def test_scan_rejects_a_non_increasing_value_list(pt1m, monkeypatch):
     between = pt1m.primes_between
     monkeypatch.setattr(pt1m, "primes_between",
                         lambda lo, hi: np.concatenate([between(lo, hi)[:1], between(lo, hi)]))
+    monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 64)
     with pytest.raises(InternalConsistencyError, match="non-canonical") as exc:
-        compute_first(300, pt1m, block_size=64)
+        compute_first(300, pt1m)
     values = exc.traceback[-1].locals["values"]  # the list the final check rejected
     assert values[0] == 2  # so only the ordering can have failed
     assert int(np.sum(values[1:] <= values[:-1])) == 17
 
 
-def test_block_size_does_not_change_results(pt1m):
+def test_block_size_does_not_change_results(pt1m, monkeypatch):
     baseline = compute_first(200, pt1m).values
     for block in (1, 2, 3, 64, 1 << 10, 1 << 14):
-        assert np.array_equal(compute_first(200, pt1m, block_size=block).values, baseline)
+        monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", block)
+        assert np.array_equal(compute_first(200, pt1m).values, baseline)
 
 
 def test_prime_rank_values(pt1m):
@@ -432,7 +437,7 @@ def test_table_save_load_roundtrip(tmp_path, pt1m):
 
 
 # header layout: magic 0-3, version 4-7, count 8-15, scan_limit 16-23, complete_below 24-31,
-# CRC32 32-35
+# CRC32 32-35; tests/test_table_file.py covers the rejections shared with the prime table
 @pytest.mark.parametrize("offset, mask, cut", [
     (15, 0xFF, 0),  # count near 2**64: rejected before any allocation
     (8, 0x01, 0),   # count one off
@@ -458,7 +463,7 @@ def test_load_rejects_values_failing_checksum(tmp_path, pt1m):
     path = tmp_path / "ramanujan.rprt"
     compute_first(100, pt1m).save(path)
     data = bytearray(path.read_bytes())
-    data[ramanujan_core._HEADER.size + 8 * 50] ^= 0x02  # the low byte of R_51
+    data[HEADER_SIZE["ramanujan"] + 8 * 50] ^= 0x02  # the low byte of R_51
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="checksum"):
         ramanujan_core.load(path)
