@@ -33,9 +33,10 @@ COVERAGE_MARGIN = 100_000
 
 
 class BoundType(click.ParamType):
-    """Integer bounds from `min` on, plain or in scientific notation (1e6, 2.5e7)."""
+    """Integer bounds from `min` to MAX, plain or in scientific notation (1e6, 2.5e7)."""
 
     name = "bound"
+    MAX = 10 ** 18  # far past any table that fits in memory; keeps the float sizing finite
 
     def __init__(self, min: int = 1):
         self.min = min
@@ -55,11 +56,12 @@ class BoundType(click.ParamType):
             self.fail(f"{value!r} is not a positive bound", param, ctx)
         if bound < self.min:
             self.fail(f"{value!r} is below the least bound {self.min}", param, ctx)
+        if bound > self.MAX:
+            self.fail(f"{value!r} is above the largest bound {self.MAX}", param, ctx)
         return bound
 
 
 BOUND = BoundType()
-POSITIVE = click.IntRange(min=1)
 
 
 def guarded(fn):
@@ -202,7 +204,8 @@ def compute(ctx, count, below, fmt, output):
     type=click.Choice(["theorem2", "theorem4", "conjecture1", "proposition2"]),
 )
 @click.option("--max-n", type=BoundType(2), default=1000, help="theorem2: largest index checked.")
-@click.option("--m", "multiplier", type=POSITIVE, default=2, help="conjecture1: the multiplier m.")
+@click.option("--m", "multiplier", type=click.IntRange(1, BoundType.MAX), default=2,
+              help="conjecture1: the multiplier m.")
 @click.option("--limit", type=BoundType(2), default=10_000_000, help="conjecture1: bound on R_mn.")
 @click.option("--bound", type=BOUND, default=1_000_000, help="proposition2: scan bound.")
 @click.pass_context
@@ -258,7 +261,8 @@ def verify(ctx, target, max_n, multiplier, limit, bound):
 
 
 @cli.command()
-@click.option("--max-decade", type=POSITIVE, default=5, help="Report decades 10^1..10^D.")
+@click.option("--max-decade", type=click.IntRange(1, 18), default=5,
+              help="Report decades 10^1..10^D.")
 @format_option
 @output_option
 @click.pass_context
@@ -340,7 +344,7 @@ def gaps():
 
 
 @gaps.command()
-@click.option("--max-run", type=POSITIVE, default=11, help="Largest run length searched.")
+@click.option("--max-run", type=click.IntRange(1), default=11, help="Largest run length searched.")
 @click.option("--bound", type=BOUND, default=gap_analysis.DEFAULT_SHARP_SEARCH_BOUND,
               help="Search for run starts below this bound.")
 @output_option

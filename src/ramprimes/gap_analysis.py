@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
 from .prime_core import PrimeTable
 from .ramanujan_core import RamanujanTable
-from .run_stats import run_blocks
+from .run_stats import blocks_below, run_blocks
 
 DEFAULT_SHARP_SEARCH_BOUND = 20_000_000
 
@@ -99,10 +99,7 @@ def first_sharp_run(
     """
     if r < 1:
         raise ValueError(f"run length must be >= 1, got {r}")
-    if search_bound >= rt.complete_below:
-        raise CoverageError(
-            f"search bound {search_bound} beyond membership coverage {rt.complete_below}"
-        )
+    rt.coverage(pt, search_bound - 1)
     primes, mask = rt.classified_primes(pt)
     # windows start below index n, so they end before n + r - 1; the blocks are
     # read from index 1, past the even prime 2. A Ramanujan block of b >= r
@@ -117,6 +114,11 @@ def first_sharp_run(
     hi = (primes[starts + r - 1] + 1) // 2
     hits = np.flatnonzero(pt.is_prime_batch(lo - 1) & pt.is_prime_batch(hi + 1))
     if hits.size == 0:
+        # windows cut off by the end of the list start after every whole one, so
+        # only a miss is in doubt, and only when the last listed prime is Ramanujan
+        if n + r - 1 > primes.size and mask[-1]:
+            raise CoverageError(f"a run from below {search_bound} is open at the coverage "
+                                f"edge; extend tables past {primes[-1]}")
         raise NotFoundBelowBound(search_bound)
     record = gap_for_run(int(starts[hits[0]]) + 1, r, rt, pt)  # re-validate the certificate
     if not record.sharp:
@@ -182,7 +184,7 @@ def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[
         return int(a[i]), int(b[i])
     if not (pt.is_prime(p) and pt.is_prime(q)):
         raise ValueError(f"({p}, {q}) are not both prime")
-    if not (rt.contains(p) and rt.contains(q)):
+    if not rt.membership_mask([p, q]).all():
         raise ValueError(f"({p}, {q}) are not both Ramanujan")
     raise InternalConsistencyError(f"twin Ramanujan pair ({p}, {q}) missing from the gap table")
 
@@ -191,21 +193,21 @@ def odd_ramanujan_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
     """Maximal runs of consecutive primes that are all odd Ramanujan primes,
     restricted to runs starting below `bound`.
 
-    Returns (start ranks, start primes, end primes, lengths) as arrays.
+    Returns (start ranks, start primes, end primes, lengths) as arrays. A
+    block of either class still open at the coverage edge is a CoverageError.
     """
-    cov = min(pt.limit, rt.complete_below - 1)
-    if bound > cov:
-        raise CoverageError(f"runs below {bound} need coverage {cov} or more")
+    rt.coverage(pt, bound - 1)
     primes, mask = rt.classified_primes(pt)
     starts, lengths, values = run_blocks(mask[1:])  # skip index 0, the even prime 2
     starts += 1
-    keep = values & (primes[starts] < bound)
-    starts, lengths = starts[keep], lengths[keep]
+    keep = np.flatnonzero(values[: blocks_below(bound, primes, starts)])
+    starts, lengths = starts[keep], lengths[keep]  # frees the full RLE early
     return starts + 1, primes[starts], primes[starts + lengths - 1], lengths
 
 
 def half_point_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[int]:
     """Odd Ramanujan primes R < bound whose (R+1)/2 is prime; provably none."""
+    rt.coverage(pt, bound - 1)
     values = rt.values[(rt.values < bound) & (rt.values > 2)]
     if values.size == 0:
         return []

@@ -98,14 +98,6 @@ class RamanujanTable:
             raise ValueError(f"index {n} outside [1, {self.count}]")
         return int(self.values[n - 1])
 
-    def contains(self, p: int) -> bool:
-        if p >= self.complete_below:
-            raise ValueError(
-                f"membership of {p} undecidable; table complete below {self.complete_below}"
-            )
-        i = int(np.searchsorted(self.values, p))
-        return i < self.count and int(self.values[i]) == p
-
     def membership_mask(self, primes) -> np.ndarray:
         """Boolean Ramanujan mask over an ascending array of primes."""
         v = np.asarray(primes, dtype=np.int64)
@@ -117,6 +109,16 @@ class RamanujanTable:
             return np.zeros(v.shape, dtype=bool)
         idx = np.clip(np.searchsorted(self.values, v), 0, self.count - 1)
         return self.values[idx] == v
+
+    def coverage(self, primes: PrimeTable, through: int | None = None) -> int:
+        """The largest integer this table and `primes` both classify. The one
+        coverage rule: an analytic reading the integers up to `through` passes
+        it here, and gets a CoverageError if that lies past them. Builds nothing."""
+        cov = min(primes.limit, self.complete_below - 1)
+        if through is not None and through > cov:
+            raise CoverageError(f"needs primes classified through {through}; "
+                                f"the tables classify through {cov}")
+        return cov
 
     def derived(self, primes: PrimeTable, key: str, build):
         """The array, or tuple of arrays, that `build()` returns, made read-only
@@ -135,7 +137,7 @@ class RamanujanTable:
         """Every prime both tables can classify, with its memoized, read-only
         Ramanujan mask. The primes from 2 to any covered bound are a prefix
         of this list, so callers slice the mask instead of classifying again."""
-        cov = min(primes.limit, self.complete_below - 1)
+        cov = self.coverage(primes)
         listed = primes.primes_upto(cov)
 
         def build():
@@ -335,6 +337,7 @@ def verify_max_ratio_bound(table: RamanujanTable, primes: PrimeTable) -> bool:
 
 def _rank_scaling_failures(table, m, limit, primes) -> np.ndarray:
     """Ascending n >= 1 with R_mn < limit and pi(R_mn) > m*pi(R_n)."""
+    table.coverage(primes, limit - 1)
     ranks = table.prime_ranks(primes)
     end = int(np.searchsorted(table.values, limit)) // m + 1  # R_mn < limit for n < end
     ns = np.arange(1, end, dtype=np.int64)

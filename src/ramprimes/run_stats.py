@@ -70,16 +70,20 @@ def _classified_runs(rt: RamanujanTable, pt: PrimeTable):
     return primes, *run_blocks(mask)
 
 
+def blocks_below(bound: int, primes: np.ndarray, starts: np.ndarray) -> int:
+    """How many blocks, given by their start indices into the classified
+    `primes`, start below `bound`. If the last block is among them it is
+    still open at the coverage edge, its full length unknown, and the
+    answer is a CoverageError."""
+    n = int(np.searchsorted(starts, np.searchsorted(primes, bound)))
+    if n == starts.size > 0:
+        raise CoverageError(f"run at coverage edge unresolved; extend tables past {primes[-1]}")
+    return n
+
+
 def _longest_runs(bound: int, runs) -> tuple[int, int]:
     primes, starts, lengths, values = runs
-    if primes.size == 0 or int(primes[-1]) < bound - 1:
-        raise CoverageError(f"tables do not cover {bound}")
-    # the blocks starting below the bound: those starting before its first prime index
-    n = int(np.searchsorted(starts, np.searchsorted(primes, bound)))
-    if n == starts.size:
-        # the final block starts below the bound and is still open at the
-        # edge of classification coverage, so its full length is unknown
-        raise CoverageError(f"run at coverage edge unresolved; extend tables past {primes[-1]}")
+    n = blocks_below(bound, primes, starts)
     ram = lengths[:n][values[:n]]
     nonram = lengths[:n][~values[:n]]
     return int(ram.max(initial=0)), int(nonram.max(initial=0))
@@ -95,6 +99,7 @@ def longest_runs(bound: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, i
     """
     if bound < 10:
         raise ValueError(f"bound must be >= 10, got {bound}")
+    rt.coverage(pt, bound - 1)
     return _longest_runs(bound, _classified_runs(rt, pt))
 
 
@@ -122,12 +127,11 @@ def decade_reports(max_decade: int, rt: RamanujanTable, pt: PrimeTable) -> list[
     of the classified mask answers every row."""
     if max_decade < 1:
         raise ValueError(f"max_decade must be >= 1, got {max_decade}")
+    rt.coverage(pt, 10 ** max_decade - 1)
     runs = _classified_runs(rt, pt)
     reports = []
     for decade in range(1, max_decade + 1):
         bound = 10 ** decade
-        if bound - 1 > pt.limit or bound > rt.complete_below:
-            raise CoverageError(f"tables do not cover the 10^{decade} row")
         frac_count = int(np.searchsorted(rt.values, bound))
         trials = pt.prime_count(bound - 1)
         p = frac_count / trials

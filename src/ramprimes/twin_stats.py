@@ -34,18 +34,6 @@ class TwinCensus:
     pi21: int
     pi22: int
 
-    @property
-    def ratio21(self) -> float | None:
-        return self.pi21 / self.pi2 if self.pi2 else None
-
-    @property
-    def ratio22(self) -> float | None:
-        return self.pi22 / self.pi2 if self.pi2 else None
-
-    @property
-    def ratio2221(self) -> float | None:
-        return self.pi22 / self.pi21 if self.pi21 else None
-
 
 @dataclass
 class BrunPartial:
@@ -60,12 +48,7 @@ class BrunPartial:
 def twin_pair_arrays(bound: int, rt: RamanujanTable, pt: PrimeTable):
     """Lesser members of twin pairs with lesser <= bound, plus both masks,
     sliced from the Ramanujan table's twin index."""
-    if bound + 2 > pt.limit:
-        raise CoverageError(f"twin census at {bound} needs primes through {bound + 2}")
-    if bound + 2 >= rt.complete_below:
-        raise CoverageError(
-            f"twin census at {bound} needs Ramanujan membership through {bound + 2}"
-        )
+    rt.coverage(pt, bound + 2)
     primes, mask = rt.classified_primes(pt)
     i = rt.twin_index(pt)
     i = i[: int(np.searchsorted(i, np.searchsorted(primes, bound, side="right")))]  # p <= bound
@@ -90,8 +73,7 @@ def lower_membership_violations(bound: int, rt: RamanujanTable, pt: PrimeTable) 
     with the larger prime Ramanujan; the smaller is then provably Ramanujan
     too, so any returned pair marks an implementation bug.
     """
-    if bound >= rt.complete_below:
-        raise CoverageError(f"needs Ramanujan membership through {bound}")
+    rt.coverage(pt, bound)
     listed, mask = rt.classified_primes(pt)
     n = int(np.searchsorted(listed, bound, side="right"))
     # only a pair with q Ramanujan and p not can be flagged

@@ -90,6 +90,29 @@ def test_option_below_its_range_is_usage_error(runner, args):
     assert f"Invalid value for '{args[-2]}'" in result.stderr
 
 
+BIG = "9" * 311  # past the largest float
+
+
+@pytest.mark.parametrize("args", [
+    ["runs", "--max-decade", "400"],
+    ["twins", "--bound", BIG],
+    ["compute", "--count", BIG],
+    ["verify", "theorem2", "--max-n", BIG],
+    ["verify", "conjecture1", "--m", str(10 ** 30)],
+])
+def test_option_above_its_range_is_usage_error(runner, args):
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"Invalid value for '{args[-2]}'" in result.stderr
+
+
+def test_largest_bound_is_not_a_usage_error(runner):
+    result = runner.invoke(cli, ["twins", "--bound", "1e18"])
+    assert result.exit_code == 3
+    assert "resource limit: " in result.stderr
+
+
 def test_unknown_flag_is_usage_error(runner):
     assert runner.invoke(cli, ["compute", "--frobnicate"]).exit_code == 2
 

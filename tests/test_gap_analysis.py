@@ -40,7 +40,7 @@ def twin_gap_reference(p, q, rt, pt):
         raise ValueError(f"twin gap analysis needs p > 3, got {p}")
     if not (pt.is_prime(p) and pt.is_prime(q)):
         raise ValueError(f"({p}, {q}) are not both prime")
-    if not (rt.contains(p) and rt.contains(q)):
+    if not rt.membership_mask([p, q]).all():
         raise ValueError(f"({p}, {q}) are not both Ramanujan")
     k, rem = divmod(p + 1, 6)
     if rem:

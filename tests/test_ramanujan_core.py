@@ -224,10 +224,9 @@ def test_another_prime_table_rebuilds_each_derived_array_once(pt1m, monkeypatch)
 
 def test_compute_below_membership_coverage(pt1m):
     rt = compute_below(100, pt1m)
-    assert rt.contains(97)
-    assert not rt.contains(89)
+    assert rt.membership_mask([89, 97]).tolist() == [False, True]
     with pytest.raises(ValueError):
-        rt.contains(101)  # beyond the completeness bound
+        rt.membership_mask([101])  # beyond the completeness bound
 
 
 def test_coverage_error_names_requirement():
