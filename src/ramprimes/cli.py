@@ -107,20 +107,23 @@ def _cached(cache_dir, name, load, covers, build):
 
 
 def _prime_table(limit, cache_dir):
-    return _cached(cache_dir, f"primes_{limit}.rppt", prime_core.load,
+    return _cached(cache_dir, "primes.rppt", prime_core.load,
                    lambda t: t.limit >= limit, lambda: prime_core.build(limit))
 
 
 def _tables_below(x, cache_dir):
-    pt = _prime_table(ramanujan_core.prime_limit_for_below(x), cache_dir)
-    return pt, _cached(cache_dir, f"ramanujan_below_{x}.rprt", ramanujan_core.load,
-                       lambda t: t.complete_below >= x,
-                       lambda: ramanujan_core.compute_below(x, pt))
+    """The prime table for `x` as a call, read on first use, and the Ramanujan table cut to `x`."""
+    limit = ramanujan_core.prime_limit_for_below(x)
+    primes = functools.cache(lambda: _prime_table(limit, cache_dir))
+    return primes, _cached(cache_dir, "ramanujan.rprt", ramanujan_core.load,
+                           lambda t: t.complete_below >= x,
+                           lambda: ramanujan_core.compute_below(x, primes())).below(x)
 
 
 def _tables_covering(bound, cache_dir):
     """Tables for a report up to `bound`, COVERAGE_MARGIN past it."""
-    return _tables_below(bound + COVERAGE_MARGIN, cache_dir)
+    primes, rt = _tables_below(bound + COVERAGE_MARGIN, cache_dir)
+    return primes(), rt
 
 
 def _write(text, output):
@@ -238,10 +241,10 @@ def verify(ctx, target, max_n, multiplier, limit, bound):
         best = ramanujan_core.max_ratio(table, n, set(), pt)
         click.echo(f"max = {best.ratio} at n={best.n}; all other n <= {n} below 13/15")
     elif target == "conjecture1":
-        pt, table = _tables_below(limit, cache_dir)
-        violations = ramanujan_core.rank_scaling_violations(table, multiplier, limit, pt)
+        primes, table = _tables_below(limit, cache_dir)
+        violations = ramanujan_core.rank_scaling_violations(table, multiplier, limit, primes())
         threshold = ramanujan_core.rank_scaling_threshold(multiplier)
-        last = ramanujan_core.last_violation_below_threshold(table, multiplier, limit, pt)
+        last = ramanujan_core.last_violation_below_threshold(table, multiplier, limit, primes())
         if last is not None:
             sharpness = ("so the threshold is sharp" if last == threshold - 1 else
                          f"and none of n = {last + 1}..{threshold - 1} with R_mn < {limit}")

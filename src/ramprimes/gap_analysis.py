@@ -179,9 +179,9 @@ def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[
     if p <= 3:
         raise ValueError(f"twin gap analysis needs p > 3, got {p}")
     lesser, a, b = twin_gap_table(rt, pt)
-    i = int(np.searchsorted(lesser, p))
-    if i < lesser.size and lesser[i] == p:
-        return int(a[i]), int(b[i])
+    i = lesser.searchsorted(p)
+    if i < lesser.size and lesser.item(i) == p:
+        return a.item(i), b.item(i)
     if not (pt.is_prime(p) and pt.is_prime(q)):
         raise ValueError(f"({p}, {q}) are not both prime")
     if not rt.membership_mask([p, q]).all():

@@ -154,14 +154,22 @@ class RamanujanTable:
         return self.derived(primes, "twins", lambda: np.flatnonzero(
             np.diff(self.classified_primes(primes)[0]) == 2))
 
+    def classified_ranks(self, primes: PrimeTable) -> np.ndarray:
+        """Memoized pi(R_n) of each R_n both tables classify: the n-th prime the mask marks."""
+        return self.derived(primes, "ranks",
+                            lambda: np.flatnonzero(self.classified_primes(primes)[1]) + 1)
+
     def prime_ranks(self, primes: PrimeTable) -> np.ndarray:
-        """pi(R_n) for every n, memoized: R_n is the n-th prime the classified mask marks."""
-        def build():
-            ranks = np.flatnonzero(self.classified_primes(primes)[1]) + 1
-            if ranks.size < self.count:
-                raise CoverageError(f"R_{ranks.size + 1} lies past the primes to {primes.limit}")
-            return ranks
-        return self.derived(primes, "ranks", build)
+        """pi(R_n) for every n; a CoverageError if some R_n lies past the tables."""
+        if (ranks := self.classified_ranks(primes)).size < self.count:
+            raise CoverageError(f"R_{ranks.size + 1} lies past the primes to {primes.limit}")
+        return ranks
+
+    def below(self, x: int) -> RamanujanTable:
+        """What compute_below(x) gives, cut from this table; `scan_limit` stays its own."""
+        if x > self.complete_below:
+            raise CoverageError(f"asked for values below {x}; complete below {self.complete_below}")
+        return RamanujanTable(self.values[: np.searchsorted(self.values, x)], self.scan_limit, x)
 
     def save(self, path) -> None:
         table_file.write(path, _MAGIC, [self.scan_limit, self.complete_below],
@@ -245,8 +253,7 @@ def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:
     table = compute_first(n, primes)
     if int(table.values[-1]) < x:
         raise InternalConsistencyError("sizing bound failed to clear the cutoff")
-    kept = table.values[: int(np.searchsorted(table.values, x))]
-    return RamanujanTable(values=kept, scan_limit=table.scan_limit, complete_below=x)
+    return table.below(x)
 
 
 def log_bound_failures(table: RamanujanTable, max_n: int, primes: PrimeTable) -> list[int]:
@@ -338,7 +345,7 @@ def verify_max_ratio_bound(table: RamanujanTable, primes: PrimeTable) -> bool:
 def _rank_scaling_failures(table, m, limit, primes) -> np.ndarray:
     """Ascending n >= 1 with R_mn < limit and pi(R_mn) > m*pi(R_n)."""
     table.coverage(primes, limit - 1)
-    ranks = table.prime_ranks(primes)
+    ranks = table.classified_ranks(primes)
     end = int(np.searchsorted(table.values, limit)) // m + 1  # R_mn < limit for n < end
     ns = np.arange(1, end, dtype=np.int64)
     return ns[ranks[m * ns - 1] > m * ranks[ns - 1]]

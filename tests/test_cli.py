@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from ramprimes import prime_core, ramanujan_core, twin_stats
-from ramprimes.cli import _cached, cli
+from ramprimes.cli import COVERAGE_MARGIN, _cached, cli
 from ramprimes.errors import CoverageError, InternalConsistencyError
 from test_table_file import HEADER_SIZE
 
@@ -313,11 +313,85 @@ def test_cache_write_goes_through_a_temporary_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["t.rprt"]
 
 
+def listing(cache):
+    """{name: (size, mtime)} of a cache directory: unchanged by a cache hit."""
+    return {p.name: (p.stat().st_size, p.stat().st_mtime_ns) for p in cache.iterdir()}
+
+
+COVERED_BY_1E5 = [
+    ["twins", "--bound", "5e4"],
+    ["brun", "--kind", "one", "--bound", "5e4"],
+    ["verify", "conjecture1", "--m", "3", "--limit", "5e4"],
+    ["compute", "--below", "1e4", "--format", "csv"],
+    ["gaps", "sharp", "--max-run", "3", "--bound", "5e4"],
+    ["gaps", "twin-check", "--bound", "1e4"],
+]
+
+
+def test_covering_cache_answers_smaller_requests(runner, tmp_path):
+    cache = tmp_path / "cache"
+    invoke(runner, "--cache-dir", str(cache), "twins", "--bound", "1e5")
+    files = listing(cache)
+    assert sorted(files) == ["primes.rppt", "ramanujan.rprt"]
+    for args in COVERED_BY_1E5:
+        cached = invoke(runner, "--cache-dir", str(cache), *args)
+        assert listing(cache) == files, args
+        uncached = invoke(runner, *args)
+        assert cached.exit_code == uncached.exit_code == 0
+        assert (cached.stdout, cached.stderr) == (uncached.stdout, uncached.stderr)
+
+
+def test_larger_request_grows_the_cache_files(runner, tmp_path):
+    cache = tmp_path / "cache"
+    args = ["--cache-dir", str(cache), "twins", "--bound"]
+    invoke(runner, *args, "1e3")
+    small = listing(cache)
+    invoke(runner, *args, "1e5")
+    grown = listing(cache)
+    assert sorted(grown) == sorted(small) == ["primes.rppt", "ramanujan.rprt"]
+    assert all(grown[name][0] > small[name][0] for name in grown)
+    x = 10 ** 5 + COVERAGE_MARGIN
+    assert prime_core.load(cache / "primes.rppt").limit == ramanujan_core.prime_limit_for_below(x)
+    assert ramanujan_core.load(cache / "ramanujan.rprt").complete_below == x
+    warm = invoke(runner, *args, "1e3")
+    assert listing(cache) == grown
+    assert warm.stdout == invoke(runner, "twins", "--bound", "1e3").stdout
+
+
+def test_each_command_reads_the_prime_table_once(runner, tmp_path, monkeypatch):
+    calls = []
+    for name in ("build", "load"):
+        real = getattr(prime_core, name)
+        monkeypatch.setattr(prime_core, name,
+                            lambda arg, real=real, name=name: calls.append(name) or real(arg))
+    cache = tmp_path / "cache"
+    args = ["--cache-dir", str(cache), "twins", "--bound", "1e3"]
+    invoke(runner, *args)  # both files miss
+    (cache / "ramanujan.rprt").unlink()
+    invoke(runner, *args)  # the Ramanujan file misses, the prime file hits
+    invoke(runner, *args)  # both hit
+    assert calls == ["build", "load", "load"]
+
+
+def test_compute_below_on_a_covering_cache_reads_no_prime_table(runner, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    invoke(runner, "--cache-dir", str(cache), "twins", "--bound", "1e5")
+    args = ["compute", "--below", "1e4", "--format", "csv"]
+    expected = invoke(runner, *args).stdout
+
+    def refuse(*_):
+        raise AssertionError("compute --below asked for the prime table")
+
+    monkeypatch.setattr(prime_core, "load", refuse)
+    monkeypatch.setattr(prime_core, "build", refuse)
+    assert invoke(runner, "--cache-dir", str(cache), *args).stdout == expected
+
+
 def test_rejected_cache_file_is_rebuilt(runner, tmp_path):
     cache = tmp_path / "cache"
     args = ["--cache-dir", str(cache), "twins", "--bound", "1e3", "--format", "csv"]
     cold = invoke(runner, *args)
-    for pattern in ("primes_*.rppt", "ramanujan_below_*.rprt"):
+    for pattern in ("primes.rppt", "ramanujan.rprt"):
         (path,) = cache.glob(pattern)
         path.write_bytes(path.read_bytes()[:10])  # cut inside the header
         rebuilt = invoke(runner, *args)
@@ -335,7 +409,7 @@ def test_cache_with_impossible_header_is_rebuilt(runner, tmp_path):
     cold = invoke(runner, *args)
     # the high byte of the flag byte count (prime table) and of the value
     # count (Ramanujan table): loading them as stated would ask for ~2**64 bytes
-    for pattern, offset in (("primes_*.rppt", 15), ("ramanujan_below_*.rprt", 15)):
+    for pattern, offset in (("primes.rppt", 15), ("ramanujan.rprt", 15)):
         (path,) = cache.glob(pattern)
         data = bytearray(path.read_bytes())
         data[offset] ^= 0xFF
@@ -352,8 +426,8 @@ def test_cache_with_corrupted_payload_is_rebuilt(runner, tmp_path):
     cold = invoke(runner, *args)
     # the flags of 81..95 (prime table) and the value R_4 = 29 (Ramanujan table):
     # read as stored, either flip changes the census
-    for pattern, offset in (("primes_*.rppt", HEADER_SIZE["primes"] + 5),
-                            ("ramanujan_below_*.rprt", HEADER_SIZE["ramanujan"] + 24)):
+    for pattern, offset in (("primes.rppt", HEADER_SIZE["primes"] + 5),
+                            ("ramanujan.rprt", HEADER_SIZE["ramanujan"] + 24)):
         (path,) = cache.glob(pattern)
         data = bytearray(path.read_bytes())
         data[offset] ^= 0x01
@@ -368,8 +442,8 @@ def test_version_2_cache_files_are_rebuilt(runner, tmp_path):
     cache = tmp_path / "cache"
     args = ["--cache-dir", str(cache), "twins", "--bound", "1e3", "--format", "csv"]
     cold = invoke(runner, *args)
-    (primes_path,) = cache.glob("primes_*.rppt")
-    (ram_path,) = cache.glob("ramanujan_below_*.rprt")
+    (primes_path,) = cache.glob("primes.rppt")
+    (ram_path,) = cache.glob("ramanujan.rprt")
     pt, rt = prime_core.load(primes_path), ramanujan_core.load(ram_path)
     # the version-2 layouts: magic, version, three uint64 fields, CRC32 of the payload
     primes_path.write_bytes(struct.pack("<4sIQQQI", b"RPPT", 2, pt.limit, 1 << 16,

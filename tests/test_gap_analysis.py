@@ -129,6 +129,7 @@ def test_twin_gap_check_reference_pairs(rt_wide, pt_wide):
     assert twin_gap_check(149, 151, rt_wide, pt_wide) == (74, 78)
     a, b = twin_gap_check(179, 181, rt_wide, pt_wide)
     assert (a, b) == (90, 96)
+    assert type(a) is type(b) is int  # Python ints, not NumPy scalars
     assert b - a + 1 >= 5
 
 

@@ -162,6 +162,19 @@ def test_compute_below_golden(pt1m):
     assert not compute_below(100, pt1m).values.flags.owndata  # a prefix view, not a copy
 
 
+def test_below_cuts_to_what_compute_below_gives(pt1m):
+    wide = compute_below(10 ** 4, pt1m)
+    # 29 = R_4, one past it, a prime that is not Ramanujan, non-primes, the edge
+    for x in (2, 29, 30, 31, 100, 1000, 10 ** 4):
+        cut, fresh = wide.below(x), compute_below(x, pt1m)
+        assert np.array_equal(cut.values, fresh.values)
+        assert cut.complete_below == fresh.complete_below == x
+        assert cut.coverage(pt1m) == fresh.coverage(pt1m)
+        assert np.array_equal(cut.classified_primes(pt1m)[1], fresh.classified_primes(pt1m)[1])
+    with pytest.raises(CoverageError, match="complete below 10000"):
+        wide.below(10 ** 4 + 1)
+
+
 def test_compute_below_density_at_one_million(pt_wide):
     rt = compute_below(10 ** 6, pt_wide)
     ratio = rt.count / pt_wide.prime_count(10 ** 6 - 1)
@@ -409,6 +422,21 @@ def test_rank_scaling_no_violations_small(pt_wide):
     rt = compute_below(10 ** 6, pt_wide)
     assert rank_scaling_violations(rt, 2, 10 ** 6, pt_wide) == []
     assert rank_scaling_violations(rt, 1, 10 ** 6, pt_wide) == []
+
+
+def test_rank_scaling_reads_only_classified_ranks(rt_wide, pt_wide, pt1m):
+    # values run to 21e6, primes to 1e6: every R_mn < 1e6 is classified, R_36961 is not
+    wide = RamanujanTable(values=rt_wide.values, scan_limit=rt_wide.scan_limit,
+                          complete_below=rt_wide.complete_below)  # an empty memo
+    exact = compute_below(10 ** 6, pt_wide)
+    for m in (2, 3, 7, 20):
+        assert rank_scaling_violations(wide, m, 10 ** 6, pt1m) == \
+            rank_scaling_violations(exact, m, 10 ** 6, pt_wide) == []
+        assert last_violation_below_threshold(wide, m, 10 ** 6, pt1m) == \
+            last_violation_below_threshold(exact, m, 10 ** 6, pt_wide) == \
+            rank_scaling_threshold(m) - 1
+    with pytest.raises(CoverageError, match="R_36961"):
+        wide.prime_ranks(pt1m)
 
 
 def test_rank_scaling_spot_value(pt1m):
