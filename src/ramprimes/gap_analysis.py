@@ -101,15 +101,13 @@ def first_sharp_run(
         raise ValueError(f"run length must be >= 1, got {r}")
     rt.coverage(pt, search_bound - 1)
     primes, mask = rt.classified_primes(pt)
-    # windows start below index n, so they end before n + r - 1; the blocks are
-    # read from index 1, past the even prime 2. A Ramanujan block of b >= r
-    # primes from s holds the b - r + 1 windows starting at s .. s + b - r
+    # windows start below index n, so they end before n + r - 1; the mask is
+    # read from index 1, past the even prime 2. A window starts at the i-th
+    # Ramanujan index exactly when the (i + r - 1)-th lies r - 1 places on
     n = int(np.searchsorted(primes, search_bound))
-    starts, lengths, values = run_blocks(mask[1 : n + r - 1])
-    keep = values & (lengths >= r)
-    counts = lengths[keep] - r + 1
-    before = np.cumsum(counts) - counts  # windows listed ahead of each block
-    starts = np.repeat(starts[keep] + 1 - before, counts) + np.arange(counts.sum())
+    ram = np.flatnonzero(mask[1 : n + r - 1]) + 1
+    ends = ram[r - 1 :]
+    starts = ram[: ends.size][ends - ram[: ends.size] == r - 1]
     lo = (primes[starts] + 1) // 2
     hi = (primes[starts + r - 1] + 1) // 2
     hits = np.flatnonzero(pt.is_prime_batch(lo - 1) & pt.is_prime_batch(hi + 1))
@@ -208,12 +206,8 @@ def odd_ramanujan_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
 def half_point_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[int]:
     """Odd Ramanujan primes R < bound whose (R+1)/2 is prime; provably none."""
     rt.coverage(pt, bound - 1)
-    values = rt.values[(rt.values < bound) & (rt.values > 2)]
-    if values.size == 0:
-        return []
-    half = (values + 1) // 2
-    bad = pt.is_prime_batch(half)
-    return [int(v) for v in values[bad]]
+    values = rt.values[1 : np.searchsorted(rt.values, bound)]  # past R_1 = 2
+    return values[pt.is_prime_batch((values + 1) // 2)].tolist()
 
 
 def run_interval_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[tuple[int, int]]:

@@ -5,8 +5,10 @@ The n-th Ramanujan prime R_n is the smallest integer such that every
 x >= R_n has at least n primes in (x/2, x]. Writing s(k) for the number
 of primes in (k/2, k], R_n equals 1 plus the largest k with s(k) = n - 1,
 and the scan only has to run to the (3n)-th prime because R_n is known to
-stay below it. s changes only at a prime p (+1) and at 2q for a prime q
-(-1), so the scan steps from event to event rather than over every integer.
+stay below it. s rises only at a prime p (+1) and falls only at 2q for a
+prime q (-1), so between two primes it only falls: its value just before
+each prime decides every R_n, and the scan reads one value per prime
+rather than one per integer.
 """
 
 from __future__ import annotations
@@ -191,16 +193,18 @@ class BoundsReport:
 
 
 def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
-    """Compute R_1..R_n by walking the events of the interval prime counts s(k).
+    """Compute R_1..R_n by walking the primes through p_3n, one value of s each.
 
     Conceptually the scan walks k = 1 .. p_3n - 1 keeping a counter that
     gains one when k is prime and loses one when k is even with k/2 prime,
     recording for each value v the last k where the counter equals v; R_{v+1}
-    is that k plus one. Here the walk runs blockwise from the right and moves
-    from event to event: the primes and the doubled primes 2q of a block,
-    merged by one stable sort. Since s moves by at most 1 per event, its
-    suffix minimum is a staircase whose step from v to v+1 sits at the end
-    of the last event interval with suffix minimum v.
+    is that k plus one. The counter rises only at primes, so on [p_i, p_{i+1} - 1]
+    its least value is t_i = s(p_{i+1} - 1) = i - pi((p_{i+1} - 1)/2), with
+    t_0 = s(1) = 0, and R_{v+1} = p_{j+1} for the largest j < 3n with t_j <= v.
+    t rises by at most 1 per prime, so its suffix minimum is a staircase
+    rising by exactly 1, and each step from v to v + 1 is read off at the
+    prime p_{j+1}. The walk runs blockwise from the right, carrying the
+    suffix minimum from block to block.
     """
     if n < 1:
         raise ValueError(f"count must be >= 1, got {n}")
@@ -209,32 +213,26 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
             f"scan needs primes through p_{3 * n} (about {nth_prime_upper(3 * n)}); "
             f"table covers only {primes.limit}"
         )
-    top = primes.nth_prime(3 * n) - 1
+    top = primes.nth_prime(3 * n)
     values = np.zeros(n, dtype=np.int64)
-    carry = None  # min of s over every k already walked, all to the right
+    carry = n  # min of t over the primes already walked, all to the right; starting
+    # at n caps the staircase there, as R_{v+1} is wanted only for v < n
     for lo in range(1 + _SCAN_BLOCK * ((top - 1) // _SCAN_BLOCK), 0, -_SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK - 1, top)
-        up = primes.primes_between(lo, hi)
-        events = np.concatenate([up, 2 * primes.primes_between((lo + 1) // 2, hi // 2)])
-        order = np.argsort(events, kind="stable")  # one merge of two sorted runs
-        # s[i] holds from starts[i] to starts[i + 1] - 1; interval 0 is empty when
-        # an event sits at lo, and the last entry stands for the walk right of hi
-        starts = np.concatenate([[lo], events[order], [hi + 1]])
-        s = np.empty(starts.size, dtype=np.int64)
-        s[0] = primes.prime_count(lo - 1) - primes.prime_count((lo - 1) // 2)
-        np.cumsum(2 * (order < up.size).view(np.int8) - 1, out=s[1:-1])  # +1 at p, -1 at 2q
-        s[1:-1] += s[0]
-        s[-1] = s[-2] + 1 if carry is None else carry
-        np.minimum(s, n, out=s)  # R_{v+1} is wanted only for v < n
-        m = np.minimum.accumulate(s[::-1])[::-1]
+        p = primes.primes_between(lo, hi)  # p_{a+1} .. p_b
+        dn = primes.primes_between((lo + 1) // 2, hi // 2)
+        # doubled primes 2q below each p: those below lo, then those from lo on
+        below = np.bincount(np.searchsorted(p, 2 * dn), minlength=p.size + 1).cumsum()
+        a, base = primes.prime_count(lo - 1), primes.prime_count((lo - 1) // 2)
+        t = np.arange(a - base, a - base + p.size + 1) - below  # t_a .. t_{b-1}, carry
+        t[-1] = carry  # stands for the walk right of hi
+        m = np.minimum.accumulate(t[::-1])[::-1]
         rise = np.flatnonzero(m[1:] != m[:-1])  # each step of the staircase is +1
-        values[m[rise]] = starts[rise + 1]  # R_{v+1} = 1 + last k with s(k) = v
+        values[m[rise]] = p[rise]  # R_{v+1} = p_{j+1}, the prime after the last t_j = v
         carry = int(m[0])
-        if carry == 0:
-            break
     if values[0] != 2 or np.any(values[1:] <= values[:-1]):
         raise InternalConsistencyError("scan produced a non-canonical value list")
-    return RamanujanTable(values=values, scan_limit=top,
+    return RamanujanTable(values=values, scan_limit=top - 1,
                           complete_below=int(values[-1]) + 1)
 
 

@@ -63,11 +63,8 @@ def run_blocks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return starts, lengths, mask[starts]
 
 
-def _classified_runs(rt: RamanujanTable, pt: PrimeTable):
-    """The classified primes and the RLE of their mask:
-    (primes, block start indices, lengths, values)."""
-    primes, mask = rt.classified_primes(pt)
-    return primes, *run_blocks(mask)
+def _open_edge(primes: np.ndarray) -> CoverageError:
+    return CoverageError(f"run at coverage edge unresolved; extend tables past {primes[-1]}")
 
 
 def blocks_below(bound: int, primes: np.ndarray, starts: np.ndarray) -> int:
@@ -77,7 +74,7 @@ def blocks_below(bound: int, primes: np.ndarray, starts: np.ndarray) -> int:
     answer is a CoverageError."""
     n = int(np.searchsorted(starts, np.searchsorted(primes, bound)))
     if n == starts.size > 0:
-        raise CoverageError(f"run at coverage edge unresolved; extend tables past {primes[-1]}")
+        raise _open_edge(primes)
     return n
 
 
@@ -100,7 +97,8 @@ def longest_runs(bound: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, i
     if bound < 10:
         raise ValueError(f"bound must be >= 10, got {bound}")
     rt.coverage(pt, bound - 1)
-    return _longest_runs(bound, _classified_runs(rt, pt))
+    primes, mask = rt.classified_primes(pt)
+    return _longest_runs(bound, (primes, *run_blocks(mask)))
 
 
 def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) -> int:
@@ -108,7 +106,9 @@ def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) 
 
     The first window of `length` lies at the start of the first block of
     that class holding `length` or more primes, so a longer block answers
-    every shorter length too.
+    every shorter length too. With no such block, a last block of that
+    class is still open at the coverage edge and may yet reach `length`:
+    a CoverageError, not "not found".
     """
     if length < 1:
         raise ValueError(f"run length must be >= 1, got {length}")
@@ -116,8 +116,11 @@ def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) 
         raise ValueError(f"kind must be {RAMANUJAN!r} or {NON_RAMANUJAN!r}")
     primes, mask = rt.classified_primes(pt)
     starts, lengths, values = run_blocks(mask)
-    hits = np.flatnonzero((values == (kind == RAMANUJAN)) & (lengths >= length))
+    of_kind = values == (kind == RAMANUJAN)
+    hits = np.flatnonzero(of_kind & (lengths >= length))
     if hits.size == 0:
+        if of_kind.size and of_kind[-1]:
+            raise _open_edge(primes)
         raise NotFoundBelowBound(int(primes[-1]) if primes.size else 0)
     return int(primes[starts[hits[0]]])
 
@@ -128,7 +131,8 @@ def decade_reports(max_decade: int, rt: RamanujanTable, pt: PrimeTable) -> list[
     if max_decade < 1:
         raise ValueError(f"max_decade must be >= 1, got {max_decade}")
     rt.coverage(pt, 10 ** max_decade - 1)
-    runs = _classified_runs(rt, pt)
+    primes, mask = rt.classified_primes(pt)
+    runs = primes, *run_blocks(mask)
     reports = []
     for decade in range(1, max_decade + 1):
         bound = 10 ** decade

@@ -5,6 +5,7 @@ RAMPRIMES_EXTENDED=1 to also reproduce the 10^8 and 10^9 decade rows
 (several extra minutes and about 1 GB of memory).
 """
 
+import hashlib
 import math
 import os
 import resource
@@ -23,6 +24,8 @@ from test_ramanujan_core import FIRST_21, FIRST_RANKS, oracle_tables
 
 EXTENDED = os.environ.get("RAMPRIMES_EXTENDED") == "1"
 EXTENDED_BOUND = 10 ** 9
+# SHA-256 of R_n < 10^9 + 10^5 as little-endian int64: 24,494,003 values
+EXTENDED_DIGEST = "22c91a40587b1abbce67ff4425d2198acdfa2eb714f28fab1bdeec6ff53f9395"
 
 RUN_ROWS = {  # decade: (P display, expected ram, actual ram, expected non, actual non)
     1: (0.250, 1, 1, 2, 3),
@@ -89,6 +92,12 @@ def extended_tables():
     pt = prime_core.build(ramanujan_core.prime_limit_for_below(EXTENDED_BOUND + margin))
     rt = ramanujan_core.compute_below(EXTENDED_BOUND + margin, pt)
     return pt, rt, time.perf_counter() - start
+
+
+def test_extended_table_digest(extended_tables):
+    _, rt, _ = extended_tables
+    digest = hashlib.sha256(rt.values.astype("<i8", copy=False).tobytes()).hexdigest()
+    assert (rt.count, digest) == (24_494_003, EXTENDED_DIGEST)
 
 
 def teardown_module():

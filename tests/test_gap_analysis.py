@@ -230,6 +230,14 @@ def test_half_points_always_composite(rt_wide, pt_wide):
     assert half_point_violations(rt_wide, pt_wide, 10 ** 6) == []
 
 
+def test_half_point_violations_reports_odd_values_below_the_bound(pt1m):
+    # a false table: (5 + 1)/2 = 3 and (13 + 1)/2 = 7 are prime; R_1 = 2 is skipped
+    fake = RamanujanTable(values=np.array([2, 5, 11, 13]), scan_limit=0, complete_below=14)
+    assert half_point_violations(fake, pt1m, 14) == [5, 13]
+    assert half_point_violations(fake, pt1m, 13) == [5]
+    assert half_point_violations(fake, pt1m, 3) == []
+
+
 def test_run_intervals_always_composite(rt_wide, pt_wide):
     assert run_interval_violations(rt_wide, pt_wide, 10 ** 6) == []
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramprimes import gap_analysis, prime_core, ramanujan_core
@@ -77,7 +77,8 @@ def check_log_bounds(table, n: int, primes) -> bool:
 def blockwise_reference(n: int, primes, block_size: int = 1 << 22) -> np.ndarray:
     """R_1..R_n from a per-integer scan: s(k) for every k of each block from
     the primality flags, then the right-to-left suffix-minimum staircase.
-    A second route to the production event walk, which never builds s(k)."""
+    A second route to the production walk over primes, which reads s(k)
+    only just before each prime."""
     top = primes.nth_prime(3 * n) - 1
     values = np.zeros(n, dtype=np.int64)
     carry = None  # min of s over every k already walked, all to the right
@@ -128,13 +129,17 @@ def test_matches_blockwise_reference_below_21e6(pt_wide, rt_wide):
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(min_value=1, max_value=400), block=st.integers(min_value=1, max_value=5000))
+@example(n=400, block=1)  # most blocks hold no prime
+@example(n=400, block=2)  # [9, 10], [15, 16], ... hold no prime
+@example(n=400, block=10)  # blocks start on the primes 11, 31, 41, 61, ...
+@example(n=100, block=1987)  # one block, its upper edge exactly p_300 = 1987
 def test_any_block_size_matches_both_oracles(pt1m, oracle_1000, n, block):
-    # block 1 starts every block on an event, so the first interval is empty
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ramanujan_core, "_SCAN_BLOCK", block)
-        values = compute_first(n, pt1m).values
-    assert values.tolist() == oracle_1000[0][:n]
-    assert np.array_equal(values, blockwise_reference(n, pt1m, block))
+        table = compute_first(n, pt1m)
+    assert table.values.tolist() == oracle_1000[0][:n]
+    assert np.array_equal(table.values, blockwise_reference(n, pt1m, block))
+    assert table.scan_limit == pt1m.nth_prime(3 * n) - 1  # the cache header stores it
 
 
 def test_interval_counts_walk_properties(oracle_1000):

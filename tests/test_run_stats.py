@@ -157,10 +157,25 @@ def test_first_run_start_matches_the_window_search(kind, rt_wide, pt_wide):
     _, mask = rt_wide.classified_primes(pt_wide)
     _, lengths, values = run_stats.run_blocks(mask)
     longest = int(lengths[values == (kind == RAMANUJAN)].max())
-    for length in range(1, longest + 2):  # the last one is not found
+    for length in range(1, longest + 1):
         assert outcome(first_run_start, length, kind, rt_wide, pt_wide) == outcome(
             first_run_start_reference, length, kind, rt_wide, pt_wide)
-    assert outcome(first_run_start, longest + 1, kind, rt_wide, pt_wide)[0] == "not found"
+    # no block is longer: the open last block may still grow, the other class is settled
+    if values[-1] == (kind == RAMANUJAN):
+        with pytest.raises(CoverageError, match="coverage edge"):
+            first_run_start(longest + 1, kind, rt_wide, pt_wide)
+    else:
+        assert outcome(first_run_start, longest + 1, kind, rt_wide, pt_wide)[0] == "not found"
+
+
+def test_first_run_start_does_not_settle_an_open_last_block(pt1m):
+    rt = ramanujan_core.compute_below(10 ** 5, pt1m)
+    # 10007, the 10th of the 13 non-Ramanujan primes from 9901, is the last one
+    # classified, so that run is open at the edge and may reach 13
+    with pytest.raises(CoverageError, match="coverage edge"):
+        first_run_start(13, NON_RAMANUJAN, rt.below(10008), pt1m)
+    # through its 13th prime, 10039, the still open last block answers
+    assert first_run_start(13, NON_RAMANUJAN, rt.below(10040), pt1m) == 9901
 
 
 def test_first_sharp_run_matches_the_window_search(rt_wide, pt_wide):
