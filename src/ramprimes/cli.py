@@ -377,7 +377,7 @@ def twin_check(ctx, bound):
     """Verify every twin Ramanujan pair sits in a composite stretch of 5+."""
     pt, rt = _tables_covering(bound, ctx.obj["cache_dir"])
     lesser, a, b = gap_analysis.twin_gap_table(rt, pt)
-    n = int(lesser.searchsorted(bound, side="right"))
+    n = int(lesser.searchsorted(bound, side="left"))
     min_len = int((b[:n] - a[:n]).min()) + 1 if n else None
     click.echo(
         f"{n} twin Ramanujan pairs below {bound}; "

@@ -145,6 +145,35 @@ class PrimeTable:
         primes = self._primes_through(int(v.max()))
         return np.searchsorted(primes, v, side="right")
 
+    def prime_count_ascending(self, values) -> np.ndarray:
+        """Vectorized pi over an ascending integer array, read from the flag
+        bytes between its ends: a running popcount from the scalar count at
+        the first byte, plus each value's partial byte. Its memory follows the
+        span of `values`, not the table, so it suits short windows."""
+        y = np.asarray(values, dtype=np.int64)
+        if y.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        if int(y[0]) < 0 or int(y[-1]) > self.limit:
+            raise ValueError(f"prime_count_ascending arguments outside [0, {self.limit}]")
+        # arrays of the input's size are reused in place: the scan calls this
+        # once per block, and each extra one raises its peak memory
+        bit = y - 1
+        np.maximum(bit, 0, out=bit)
+        bit >>= 1  # the flag bit of the largest odd number <= max(y, 1)
+        first = int(bit[0]) >> 3
+        window = self._packed[first : (int(bit[-1]) >> 3) + 1]
+        pops = np.bitwise_count(window)
+        before = np.cumsum(pops, dtype=np.int64) - pops  # bits set in the window before each byte
+        if first:
+            before += self.prime_count(16 * first - 1) - 1  # and in the bytes before the window
+        mask = ((2 << (bit & 7)) - 1).astype(np.uint8)  # built in int64: 2 << 7 must not wrap
+        k = np.right_shift(bit, 3, out=bit)  # each value's byte, counted from the window's start
+        k -= first
+        counts = before[k]
+        counts += np.bitwise_count(window[k] & mask)
+        counts[np.searchsorted(y, 2) :] += 1  # the prime 2
+        return counts
+
     def nth_prime_batch(self, ns) -> np.ndarray:
         """Vectorized nth_prime over an integer array."""
         n = np.asarray(ns, dtype=np.int64)

@@ -8,7 +8,9 @@ and the scan only has to run to the (3n)-th prime because R_n is known to
 stay below it. s rises only at a prime p (+1) and falls only at 2q for a
 prime q (-1), so between two primes it only falls: its value just before
 each prime decides every R_n, and the scan reads one value per prime
-rather than one per integer.
+rather than one per integer. Each scan block decodes its primes from the
+flags once; pi((p - 1)/2) for each of them is a prefix popcount of the
+flag bytes of the block's half range, so the doubled primes are never listed.
 """
 
 from __future__ import annotations
@@ -204,7 +206,10 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
     t rises by at most 1 per prime, so its suffix minimum is a staircase
     rising by exactly 1, and each step from v to v + 1 is read off at the
     prime p_{j+1}. The walk runs blockwise from the right, carrying the
-    suffix minimum from block to block.
+    suffix minimum from block to block. Each block decodes its primes p once
+    and reads pi((p - 1)/2) from a prefix popcount of the flag bytes of its
+    half range (`PrimeTable.prime_count_ascending`), with no list of the
+    doubled primes and no search.
     """
     if n < 1:
         raise ValueError(f"count must be >= 1, got {n}")
@@ -220,16 +225,14 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
     for lo in range(1 + _SCAN_BLOCK * ((top - 1) // _SCAN_BLOCK), 0, -_SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK - 1, top)
         p = primes.primes_between(lo, hi)  # p_{a+1} .. p_b
-        dn = primes.primes_between((lo + 1) // 2, hi // 2)
-        # doubled primes 2q below each p: those below lo, then those from lo on
-        below = np.bincount(np.searchsorted(p, 2 * dn), minlength=p.size + 1).cumsum()
-        a, base = primes.prime_count(lo - 1), primes.prime_count((lo - 1) // 2)
-        t = np.arange(a - base, a - base + p.size + 1) - below  # t_a .. t_{b-1}, carry
+        a = primes.prime_count(lo - 1)
+        t = np.arange(a, a + p.size + 1)  # t_a .. t_{b-1}, carry
+        t[:-1] -= primes.prime_count_ascending((p - 1) >> 1)
         t[-1] = carry  # stands for the walk right of hi
         m = np.minimum.accumulate(t[::-1])[::-1]
         rise = np.flatnonzero(m[1:] != m[:-1])  # each step of the staircase is +1
-        values[m[rise]] = p[rise]  # R_{v+1} = p_{j+1}, the prime after the last t_j = v
         carry = int(m[0])
+        values[carry : carry + rise.size] = p[rise]  # R_{v+1} = p_{j+1}, after the last t_j = v
     if values[0] != 2 or np.any(values[1:] <= values[:-1]):
         raise InternalConsistencyError("scan produced a non-canonical value list")
     return RamanujanTable(values=values, scan_limit=top - 1,

@@ -230,6 +230,14 @@ def test_gaps_twin_check(runner):
     assert "smallest enclosing gap length 5" in result.output
 
 
+@pytest.mark.parametrize("bound, count", [(149, 0), (150, 1)])
+def test_gaps_twin_check_counts_below_the_bound(runner, bound, count):
+    # (149, 151) is the least twin Ramanujan pair
+    result = invoke(runner, "gaps", "twin-check", "--bound", str(bound))
+    assert result.exit_code == 0
+    assert result.output.startswith(f"{count} twin Ramanujan pairs below {bound};")
+
+
 def test_output_file(runner, tmp_path):
     out = tmp_path / "report.csv"
     result = invoke(runner, "twins", "--bound", "1e3", "--format", "csv",

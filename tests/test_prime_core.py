@@ -181,6 +181,55 @@ def test_batch_queries_match_scalar(pt1m):
     assert pt1m.nth_prime_batch(ns).tolist() == [pt1m.nth_prime(int(n)) for n in ns]
 
 
+def scalar_counts(pt, values) -> list[int]:
+    return [pt.prime_count(int(y)) for y in values]
+
+
+@pytest.mark.parametrize("values", [
+    [0, 1, 2, 3],
+    [15, 16, 17, 31, 32, 33],  # byte edges: y = 15 and 31 fill their last byte, mask 0xff
+    [0, 0, 1, 1, 2, 2, 15, 15, 16],  # repeats
+    [7], [16], [999_983], [10 ** 6],  # one element
+    [],
+])
+def test_prime_count_ascending_cases(pt1m, values):
+    got = pt1m.prime_count_ascending(np.array(values, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == scalar_counts(pt1m, values)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 15, 16, 17, 31, 33, 1000, 1001, 4999])
+def test_prime_count_ascending_up_to_the_limit(limit):
+    # the last flag byte is full at limit 15, 16 and 31, partly filled otherwise
+    pt = prime_core.build(limit)
+    values = np.arange(limit + 1)
+    assert pt.prime_count_ascending(values).tolist() == scalar_counts(pt, values)
+    assert pt.prime_count_ascending([limit]).tolist() == [pt.prime_count(limit)]
+
+
+def test_prime_count_ascending_rejects_out_of_range(pt1m):
+    for values in ([-1, 5], [5, 10 ** 6 + 1]):
+        with pytest.raises(ValueError):
+            pt1m.prime_count_ascending(values)
+
+
+@given(data=st.data(), limit=st.integers(min_value=2, max_value=5000))
+@settings(max_examples=50, deadline=None)
+def test_prime_count_ascending_matches_scalar_small(data, limit):
+    pt = prime_core.build(limit)
+    lo = data.draw(st.integers(min_value=0, max_value=limit))
+    hi = data.draw(st.integers(min_value=lo, max_value=limit))
+    values = sorted(data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=60)))
+    assert pt.prime_count_ascending(values).tolist() == scalar_counts(pt, values)
+
+
+@given(data=st.data(), lo=st.integers(min_value=0, max_value=10 ** 6))
+def test_prime_count_ascending_matches_scalar_1m(pt1m, data, lo):
+    hi = data.draw(st.integers(min_value=lo, max_value=min(lo + 5000, 10 ** 6)))
+    values = sorted(data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=60)))
+    assert pt1m.prime_count_ascending(values).tolist() == scalar_counts(pt1m, values)
+
+
 def test_primes_upto(pt1m):
     assert pt1m.primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert pt1m.primes_upto(1).size == 0

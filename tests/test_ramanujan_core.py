@@ -254,7 +254,8 @@ def test_coverage_error_names_requirement():
 
 
 def test_scan_rejects_a_non_increasing_value_list(pt1m, monkeypatch):
-    # each block lists its first prime twice: s overcounts by one from there on
+    # each block lists its first prime twice: t overcounts by one from there on;
+    # pi((p - 1)/2) is read from the flags, so only the walked primes are corrupted
     between = pt1m.primes_between
     monkeypatch.setattr(pt1m, "primes_between",
                         lambda lo, hi: np.concatenate([between(lo, hi)[:1], between(lo, hi)]))
@@ -263,7 +264,26 @@ def test_scan_rejects_a_non_increasing_value_list(pt1m, monkeypatch):
         compute_first(300, pt1m)
     values = exc.traceback[-1].locals["values"]  # the list the final check rejected
     assert values[0] == 2  # so only the ordering can have failed
-    assert int(np.sum(values[1:] <= values[:-1])) == 17
+    assert int(np.sum(values[1:] <= values[:-1])) == 31
+
+
+def test_scan_decodes_each_block_once(pt1m, monkeypatch):
+    expected = compute_first(300, pt1m).values
+    top = pt1m.nth_prime(900)
+    calls = []
+    between = pt1m.primes_between
+    monkeypatch.setattr(pt1m, "primes_between",
+                        lambda lo, hi: calls.append((lo, hi)) or between(lo, hi))
+
+    def no_prime_list(*_):
+        raise AssertionError("the scan read a prime list")
+
+    for name in ("primes_upto", "_primes_through", "prime_count_batch"):
+        monkeypatch.setattr(pt1m, name, no_prime_list)
+    monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 64)
+    assert np.array_equal(compute_first(300, pt1m).values, expected)
+    blocks = [(lo, min(lo + 63, top)) for lo in range(1, top + 1, 64)]
+    assert calls[1:] == blocks[::-1]  # calls[0] is nth_prime(900) finding p_900
 
 
 def test_block_size_does_not_change_results(pt1m, monkeypatch):
