@@ -377,12 +377,10 @@ def twin_check(ctx, bound):
     """Verify every twin Ramanujan pair sits in a composite stretch of 5+."""
     pt, rt = _tables_covering(bound, ctx.obj["cache_dir"])
     lesser, a, b = gap_analysis.twin_gap_table(rt, pt)
-    n = int(lesser.searchsorted(bound, side="left"))
-    min_len = int((b[:n] - a[:n]).min()) + 1 if n else None
-    click.echo(
-        f"{n} twin Ramanujan pairs below {bound}; "
-        f"smallest enclosing gap length {min_len}"
-    )
+    n = int(prime_core.search(lesser, bound))
+    shortest = (f"smallest enclosing gap length {int((b[:n] - a[:n]).min()) + 1}" if n
+                else "no enclosing gap measured")
+    click.echo(f"{n} twin Ramanujan pairs below {bound}; {shortest}")
 
 
 def main():

@@ -14,12 +14,13 @@ gaps in the table's memo; `twin_gap_check` answers one pair from it.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
-from .prime_core import PrimeTable
+from .prime_core import PrimeTable, search
 from .ramanujan_core import RamanujanTable
 from .run_stats import blocks_below, run_blocks
 
@@ -43,8 +44,8 @@ def _gap_ends(primes: np.ndarray, lo, hi):
     """Ends a, b of the maximal prime gaps holding the prime-free [lo, hi],
     elementwise, read from the ascending prime list `primes`. The list must
     hold a prime below each lo and one above each hi."""
-    a = primes[np.searchsorted(primes, lo) - 1] + 1
-    b = primes[np.searchsorted(primes, hi, side="right")] - 1
+    a = primes[search(primes, lo) - 1] + 1
+    b = primes[search(primes, hi, side="right")] - 1
     return a, b
 
 
@@ -104,7 +105,7 @@ def first_sharp_run(
     # windows start below index n, so they end before n + r - 1; the mask is
     # read from index 1, past the even prime 2. A window starts at the i-th
     # Ramanujan index exactly when the (i + r - 1)-th lies r - 1 places on
-    n = int(np.searchsorted(primes, search_bound))
+    n = int(search(primes, search_bound))
     ram = np.flatnonzero(mask[1 : n + r - 1]) + 1
     ends = ram[r - 1 :]
     starts = ram[: ends.size][ends - ram[: ends.size] == r - 1]
@@ -177,8 +178,9 @@ def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[
     if p <= 3:
         raise ValueError(f"twin gap analysis needs p > 3, got {p}")
     lesser, a, b = twin_gap_table(rt, pt)
-    i = lesser.searchsorted(p)
-    if i < lesser.size and lesser.item(i) == p:
+    view = memoryview(lesser)  # bisect reads Python ints from it, with no NumPy scalar per call
+    i = bisect.bisect_left(view, p)
+    if i < len(view) and view[i] == p:
         return a.item(i), b.item(i)
     if not (pt.is_prime(p) and pt.is_prime(q)):
         raise ValueError(f"({p}, {q}) are not both prime")
@@ -206,7 +208,7 @@ def odd_ramanujan_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
 def half_point_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[int]:
     """Odd Ramanujan primes R < bound whose (R+1)/2 is prime; provably none."""
     rt.coverage(pt, bound - 1)
-    values = rt.values[1 : np.searchsorted(rt.values, bound)]  # past R_1 = 2
+    values = rt.values[1 : search(rt.values, bound)]  # past R_1 = 2
     return values[pt.is_prime_batch((values + 1) // 2)].tolist()
 
 

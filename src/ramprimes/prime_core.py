@@ -5,6 +5,15 @@ queries for every integer in [2, limit]. Flags are kept one bit per odd
 number (the prime 2 is handled out of band), and cumulative prime counts
 are checkpointed at a fixed stride so a counting query is one checkpoint
 lookup plus a short popcount.
+
+Tables of integers up to a limit, here the prime list and in
+:mod:`ramanujan_core` the Ramanujan values, take their dtype from
+:func:`table_dtype`: ``uint32`` while the limit stays 16 below 2**32, so
+that sums such as ``p + 5`` cannot wrap, and ``int64`` past it. Every
+search of such a table goes through :func:`search`, which casts its keys
+to the table's dtype: under NumPy 2, searching a ``uint32`` table with a
+Python int or an ``int64`` array would convert the whole table to
+``int64`` on each call.
 """
 
 from __future__ import annotations
@@ -23,6 +32,29 @@ _COUNT_STRIDE = 1 << 16  # integers per count checkpoint; a multiple of 16: whol
 _MEMORY_CEILING = 4 << 30  # bytes that build() may allocate
 _EXTRACT_CHUNK = 1 << 25  # integers per step when the prime list is extracted
 _POPCOUNT_SLICE = _EXTRACT_CHUNK // 16  # flag bytes popcounted per step while checkpointing
+_NARROW = np.uint32  # the dtype of tables whose limit leaves it 16 of headroom
+
+
+def table_dtype(limit: int) -> np.dtype:
+    """The dtype of an array of integers in [0, limit]: `_NARROW` while
+    `limit` stays 16 below its range, so that adding a small constant to an
+    element cannot wrap, and int64 past that."""
+    return np.dtype(_NARROW if limit < np.iinfo(_NARROW).max - 15 else np.int64)
+
+
+def search(table: np.ndarray, keys, side: str = "left"):
+    """np.searchsorted over an ascending `table` of positive integers below
+    its dtype's maximum, with `keys` clipped to [0, that maximum] and cast to
+    the table's dtype, which changes no answer. Searching without the cast
+    would convert the whole table to the keys' wider dtype on every call."""
+    dtype = table.dtype
+    if np.ndim(keys) == 0:
+        keys = dtype.type(min(max(int(keys), 0), np.iinfo(dtype).max))
+    else:
+        keys = np.asarray(keys)
+        if not np.can_cast(keys.dtype, dtype):
+            keys = np.clip(keys, 0, np.iinfo(dtype).max).astype(dtype)
+    return np.searchsorted(table, keys, side=side)
 
 
 def simple_sieve_flags(limit: int) -> np.ndarray:
@@ -124,8 +156,8 @@ class PrimeTable:
     # -- vectorized queries ------------------------------------------------
 
     def is_prime_batch(self, values) -> np.ndarray:
-        """Vectorized is_prime over an integer array."""
-        v = np.asarray(values, dtype=np.int64)
+        """Vectorized is_prime over an integer array, read in its own dtype."""
+        v = np.asarray(values)
         if v.size and (int(v.min()) < 0 or int(v.max()) > self.limit):
             raise ValueError(f"is_prime_batch arguments outside [0, {self.limit}]")
         out = np.zeros(v.shape, dtype=bool)
@@ -136,14 +168,14 @@ class PrimeTable:
         return out
 
     def prime_count_batch(self, values) -> np.ndarray:
-        """Vectorized pi over an integer array (need not be sorted)."""
-        v = np.asarray(values, dtype=np.int64)
+        """Vectorized pi over an integer array (need not be sorted), as int64."""
+        v = np.asarray(values)
         if v.size == 0:
             return np.zeros(0, dtype=np.int64)
         if int(v.min()) < 0 or int(v.max()) > self.limit:
             raise ValueError(f"prime_count_batch arguments outside [0, {self.limit}]")
         primes = self._primes_through(int(v.max()))
-        return np.searchsorted(primes, v, side="right")
+        return search(primes, v, side="right")
 
     def prime_count_ascending(self, values) -> np.ndarray:
         """Vectorized pi over an ascending integer array, read from the flag
@@ -188,7 +220,7 @@ class PrimeTable:
         if not 0 <= x <= self.limit:
             raise ValueError(f"primes_upto argument {x} outside [0, {self.limit}]")
         primes = self._primes_through(x)
-        return primes[: int(np.searchsorted(primes, x, side="right"))]
+        return primes[: int(search(primes, x, side="right"))]
 
     def primes_between(self, lo: int, hi: int) -> np.ndarray:
         """All primes in [lo, hi], ascending, read from the flags, not the prime list."""
@@ -203,10 +235,11 @@ class PrimeTable:
         return np.concatenate([[2], odd]) if lo <= 2 <= hi else odd
 
     def _primes_through(self, x: int) -> np.ndarray:
-        """Cached ascending array of all primes <= max(x, previous requests)."""
+        """Cached ascending array of all primes <= max(x, previous requests),
+        in the dtype of the table's limit."""
         if self._prime_cache_limit < x:
             x = min(max(x, 2), self.limit)
-            cache = np.empty(self.prime_count(x), dtype=np.int64)
+            cache = np.empty(self.prime_count(x), dtype=table_dtype(self.limit))
             cache[0] = 2
             for lo in range(0, x + 1, _EXTRACT_CHUNK):
                 lo, hi = max(lo, 3), min(lo + _EXTRACT_CHUNK - 1, x)

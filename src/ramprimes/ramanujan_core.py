@@ -11,6 +11,12 @@ each prime decides every R_n, and the scan reads one value per prime
 rather than one per integer. Each scan block decodes its primes from the
 flags once; pi((p - 1)/2) for each of them is a prefix popcount of the
 flag bytes of the block's half range, so the doubled primes are never listed.
+
+The values take the dtype that `prime_core.table_dtype` gives for the
+scan's end p_3n, so they are ``uint32`` below 2**32, whether computed,
+loaded or cut by `below`, and every search of them goes through
+`prime_core.search`. Products of them, as in the ratio checks, are taken in
+int64, because a ``uint32`` array times a Python int stays ``uint32``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from . import table_file
 from .errors import CoverageError, InternalConsistencyError
-from .prime_core import PrimeTable
+from .prime_core import PrimeTable, search, table_dtype
 
 # floor((10/3)**10). Above this index the ratio R_n/p_3n is provably below
 # 13/15, so an exhaustive check up to here settles the maximum.
@@ -104,14 +110,14 @@ class RamanujanTable:
 
     def membership_mask(self, primes) -> np.ndarray:
         """Boolean Ramanujan mask over an ascending array of primes."""
-        v = np.asarray(primes, dtype=np.int64)
+        v = np.asarray(primes)
         if v.size and int(v[-1]) >= self.complete_below:
             raise ValueError(
                 f"membership above {self.complete_below - 1} undecidable with this table"
             )
         if self.count == 0:
             return np.zeros(v.shape, dtype=bool)
-        idx = np.clip(np.searchsorted(self.values, v), 0, self.count - 1)
+        idx = np.clip(search(self.values, v), 0, self.count - 1)
         return self.values[idx] == v
 
     def coverage(self, primes: PrimeTable, through: int | None = None) -> int:
@@ -146,8 +152,8 @@ class RamanujanTable:
 
         def build():
             mask = np.zeros(listed.size, dtype=bool)
-            kept = self.values[: int(np.searchsorted(self.values, cov, side="right"))]
-            mask[np.searchsorted(listed, kept)] = True
+            kept = self.values[: int(search(self.values, cov, side="right"))]
+            mask[search(listed, kept)] = True
             return mask
 
         return listed, self.derived(primes, "mask", build)
@@ -173,7 +179,7 @@ class RamanujanTable:
         """What compute_below(x) gives, cut from this table; `scan_limit` stays its own."""
         if x > self.complete_below:
             raise CoverageError(f"asked for values below {x}; complete below {self.complete_below}")
-        return RamanujanTable(self.values[: np.searchsorted(self.values, x)], self.scan_limit, x)
+        return RamanujanTable(self.values[: int(search(self.values, x))], self.scan_limit, x)
 
     def save(self, path) -> None:
         table_file.write(path, _MAGIC, [self.scan_limit, self.complete_below],
@@ -181,7 +187,12 @@ class RamanujanTable:
 
 
 def load(path) -> RamanujanTable:
+    """Read a table written by :meth:`RamanujanTable.save`, its values
+    narrowed to the dtype that `compute_first` gives them."""
     (scan_limit, complete_below), values = table_file.read(path, _MAGIC, 2, np.int64)
+    if values.size and not 0 <= int(values.min()) <= int(values.max()) <= scan_limit + 1:
+        raise ValueError(f"{path}: values outside [0, {scan_limit + 1}]")  # or narrowing wraps
+    values = values.astype(table_dtype(scan_limit + 1), copy=False)
     return RamanujanTable(values=values, scan_limit=scan_limit, complete_below=complete_below)
 
 
@@ -219,7 +230,7 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
             f"table covers only {primes.limit}"
         )
     top = primes.nth_prime(3 * n)
-    values = np.zeros(n, dtype=np.int64)
+    values = np.zeros(n, dtype=table_dtype(top))
     carry = n  # min of t over the primes already walked, all to the right; starting
     # at n caps the staircase there, as R_{v+1} is wanted only for v < n
     for lo in range(1 + _SCAN_BLOCK * ((top - 1) // _SCAN_BLOCK), 0, -_SCAN_BLOCK):
@@ -301,8 +312,8 @@ def max_ratio(
         idx = idx[~np.isin(idx, np.fromiter(exclusions, dtype=np.int64))]
     if idx.size == 0:
         raise ValueError("no indices left after exclusions")
-    r = table.values[idx - 1]
-    p3 = primes.nth_prime_batch(3 * idx)
+    r = table.values[idx - 1].astype(np.int64)  # the cross products below need 64 bits
+    p3 = primes.nth_prime_batch(3 * idx).astype(np.int64)
     if int(r[-1]) >= 3_000_000_000 or int(p3[-1]) >= 3_000_000_000:
         raise ValueError("values too large for exact 64-bit cross-multiplication")
     best = int(np.argmax(r / p3))  # a floating-point guess, refined exactly
@@ -336,8 +347,8 @@ def verify_max_ratio_bound(table: RamanujanTable, primes: PrimeTable) -> bool:
             f"needs the first {LAISHRAM_LIMIT} Ramanujan primes, table has {table.count}"
         )
     n = np.arange(1, LAISHRAM_LIMIT + 1, dtype=np.int64)
-    r = table.values[:LAISHRAM_LIMIT]
-    p3 = primes.nth_prime_batch(3 * n)
+    r = table.values[:LAISHRAM_LIMIT].astype(np.int64)  # 15 * r and 13 * p3 need 64 bits
+    p3 = primes.nth_prime_batch(3 * n).astype(np.int64)
     below = 15 * r < 13 * p3
     below[4] = True  # n = 5 is the one allowed exception
     return bool(below.all()) and 47 * table.value(5) == 41 * primes.nth_prime(15)
@@ -347,7 +358,7 @@ def _rank_scaling_failures(table, m, limit, primes) -> np.ndarray:
     """Ascending n >= 1 with R_mn < limit and pi(R_mn) > m*pi(R_n)."""
     table.coverage(primes, limit - 1)
     ranks = table.classified_ranks(primes)
-    end = int(np.searchsorted(table.values, limit)) // m + 1  # R_mn < limit for n < end
+    end = int(search(table.values, limit)) // m + 1  # R_mn < limit for n < end
     ns = np.arange(1, end, dtype=np.int64)
     return ns[ranks[m * ns - 1] > m * ranks[ns - 1]]
 

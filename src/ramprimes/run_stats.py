@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, NotFoundBelowBound
-from .prime_core import PrimeTable
+from .prime_core import PrimeTable, search
 from .ramanujan_core import RamanujanTable
 
 EULER_MASCHERONI = 0.5772156649
@@ -72,7 +72,7 @@ def blocks_below(bound: int, primes: np.ndarray, starts: np.ndarray) -> int:
     `primes`, start below `bound`. If the last block is among them it is
     still open at the coverage edge, its full length unknown, and the
     answer is a CoverageError."""
-    n = int(np.searchsorted(starts, np.searchsorted(primes, bound)))
+    n = int(np.searchsorted(starts, search(primes, bound)))
     if n == starts.size > 0:
         raise _open_edge(primes)
     return n
@@ -136,7 +136,7 @@ def decade_reports(max_decade: int, rt: RamanujanTable, pt: PrimeTable) -> list[
     reports = []
     for decade in range(1, max_decade + 1):
         bound = 10 ** decade
-        frac_count = int(np.searchsorted(rt.values, bound))
+        frac_count = int(search(rt.values, bound))
         trials = pt.prime_count(bound - 1)
         p = frac_count / trials
         lr, ln = _longest_runs(bound, runs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError
-from .prime_core import PrimeTable
+from .prime_core import PrimeTable, search
 from .ramanujan_core import RamanujanTable
 
 RATIO_CONJECTURE_MIN_BOUND = 10 ** 5
@@ -51,7 +51,7 @@ def twin_pair_arrays(bound: int, rt: RamanujanTable, pt: PrimeTable):
     rt.coverage(pt, bound + 2)
     primes, mask = rt.classified_primes(pt)
     i = rt.twin_index(pt)
-    i = i[: int(np.searchsorted(i, np.searchsorted(primes, bound, side="right")))]  # p <= bound
+    i = i[: int(np.searchsorted(i, search(primes, bound, side="right")))]  # p <= bound
     return primes[i], mask[i], mask[i + 1]
 
 
@@ -75,7 +75,7 @@ def lower_membership_violations(bound: int, rt: RamanujanTable, pt: PrimeTable) 
     """
     rt.coverage(pt, bound)
     listed, mask = rt.classified_primes(pt)
-    n = int(np.searchsorted(listed, bound, side="right"))
+    n = int(search(listed, bound, side="right"))
     # only a pair with q Ramanujan and p not can be flagged
     i = np.flatnonzero(mask[1:n] & ~mask[:n][:-1])
     p, q = listed[i], listed[i + 1]
@@ -141,7 +141,7 @@ def ratio_inequalities_strict(bound: int, rt: RamanujanTable, pt: PrimeTable) ->
     c2 = np.arange(1, lesser.size + 1, dtype=np.int64)
     c21 = np.cumsum((ram_lo | ram_hi).astype(np.int64))
     c22 = np.cumsum((ram_lo & ram_hi).astype(np.int64))
-    start = int(np.searchsorted(lesser, RATIO_CONJECTURE_MIN_BOUND, side="right")) - 1
+    start = int(search(lesser, RATIO_CONJECTURE_MIN_BOUND, side="right")) - 1
     if start < 0:
         return True
     return bool(_ratios_hold(c2[start:], c21[start:], c22[start:]).all())

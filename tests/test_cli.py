@@ -238,6 +238,16 @@ def test_gaps_twin_check_counts_below_the_bound(runner, bound, count):
     assert result.output.startswith(f"{count} twin Ramanujan pairs below {bound};")
 
 
+@pytest.mark.parametrize("bound, line", [
+    (149, "0 twin Ramanujan pairs below 149; no enclosing gap measured"),
+    (150, "1 twin Ramanujan pairs below 150; smallest enclosing gap length 5"),
+])
+def test_gaps_twin_check_line(runner, bound, line):
+    result = invoke(runner, "gaps", "twin-check", "--bound", str(bound))
+    assert result.exit_code == 0
+    assert result.output == line + "\n"
+
+
 def test_output_file(runner, tmp_path):
     out = tmp_path / "report.csv"
     result = invoke(runner, "twins", "--bound", "1e3", "--format", "csv",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ramprimes import prime_core, ramanujan_core
+from ramprimes import prime_core, ramanujan_core, table_file
 
 # the shared header: magic 0-3, version 4-7, count 8-15, one uint64 per field, CRC32;
 # the prime table has one field (limit), the Ramanujan table two (scan_limit, complete_below)
@@ -66,4 +66,22 @@ def test_an_empty_table_round_trips(tmp_path, pt1m):
     rt.save(path)  # count 0: no payload at all
     loaded = ramanujan_core.load(path)
     assert (loaded.count, loaded.scan_limit, loaded.complete_below) == (0, rt.scan_limit, 2)
-    assert loaded.values.dtype == np.int64
+    assert loaded.values.dtype == rt.values.dtype  # narrowed in memory as the scan narrows it
+    assert path.stat().st_size == HEADER_SIZE["ramanujan"]
+
+
+def test_ramanujan_values_stay_int64_on_disk(tmp_path, pt1m):
+    path = saved_file(tmp_path, "ramanujan", pt1m)
+    loaded = ramanujan_core.load(path)
+    assert loaded.values.dtype == np.uint32
+    assert path.stat().st_size == HEADER_SIZE["ramanujan"] + 8 * loaded.count
+    assert np.fromfile(path, dtype="<i8", offset=HEADER_SIZE["ramanujan"]).tolist() == \
+        loaded.values.tolist()
+
+
+@pytest.mark.parametrize("values", [[2, 11, 2 ** 32 + 17], [-1, 2, 11]])
+def test_values_that_narrowing_would_wrap_are_rejected(tmp_path, values):
+    path = tmp_path / "ramanujan.rprt"
+    table_file.write(path, ramanujan_core._MAGIC, [100, 12], np.array(values, dtype=np.int64))
+    with pytest.raises(ValueError, match=r"values outside \[0, 101\]"):
+        ramanujan_core.load(path)
