@@ -112,18 +112,17 @@ def _prime_table(limit, cache_dir):
 
 
 def _tables_below(x, cache_dir):
-    """The prime table for `x` as a call, read on first use, and the Ramanujan table cut to `x`."""
-    limit = ramanujan_core.prime_limit_for_below(x)
-    primes = functools.cache(lambda: _prime_table(limit, cache_dir))
-    return primes, _cached(cache_dir, "ramanujan.rprt", ramanujan_core.load,
+    """The prime table for `x`, and the Ramanujan table cut to `x`, decoded from it on a hit."""
+    primes = _prime_table(ramanujan_core.prime_limit_for_below(x), cache_dir)
+    return primes, _cached(cache_dir, "ramanujan.rprt",
+                           lambda path: ramanujan_core.load(path, primes, below=x),
                            lambda t: t.complete_below >= x,
-                           lambda: ramanujan_core.compute_below(x, primes())).below(x)
+                           lambda: ramanujan_core.compute_below(x, primes)).below(x)
 
 
 def _tables_covering(bound, cache_dir):
     """Tables for a report up to `bound`, COVERAGE_MARGIN past it."""
-    primes, rt = _tables_below(bound + COVERAGE_MARGIN, cache_dir)
-    return primes(), rt
+    return _tables_below(bound + COVERAGE_MARGIN, cache_dir)
 
 
 def _write(text, output):
@@ -197,7 +196,7 @@ def compute(ctx, count, below, fmt, output):
         table = ramanujan_core.compute_first(count, pt)
     else:
         _, table = _tables_below(below, cache_dir)
-    rows = [(i + 1, int(v)) for i, v in enumerate(table.values)]
+    rows = list(enumerate(table.values.tolist(), 1))
     _emit(rows, ["n", "value"], fmt, output)
 
 
@@ -242,9 +241,9 @@ def verify(ctx, target, max_n, multiplier, limit, bound):
         click.echo(f"max = {best.ratio} at n={best.n}; all other n <= {n} below 13/15")
     elif target == "conjecture1":
         primes, table = _tables_below(limit, cache_dir)
-        violations = ramanujan_core.rank_scaling_violations(table, multiplier, limit, primes())
+        violations = ramanujan_core.rank_scaling_violations(table, multiplier, limit, primes)
         threshold = ramanujan_core.rank_scaling_threshold(multiplier)
-        last = ramanujan_core.last_violation_below_threshold(table, multiplier, limit, primes())
+        last = ramanujan_core.last_violation_below_threshold(table, multiplier, limit, primes)
         if last is not None:
             sharpness = ("so the threshold is sharp" if last == threshold - 1 else
                          f"and none of n = {last + 1}..{threshold - 1} with R_mn < {limit}")

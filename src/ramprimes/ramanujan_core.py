@@ -11,6 +11,8 @@ each prime decides every R_n, and the scan reads one value per prime
 rather than one per integer. Each scan block decodes its primes from the
 flags once; pi((p - 1)/2) for each of them is a prefix popcount of the
 flag bytes of the block's half range, so the doubled primes are never listed.
+The scan also marks each R_n in a bit mask over prime indices, which
+classification unpacks and a cache file stores: `load` decodes values from it.
 
 The values take the dtype that `prime_core.table_dtype` gives for the
 scan's end p_3n, so they are ``uint32`` below 2**32, whether computed,
@@ -22,7 +24,7 @@ int64, because a ``uint32`` array times a Python int stays ``uint32``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +40,7 @@ LAISHRAM_LIMIT = 169350
 _MAGIC = b"RPRT"
 
 _SCAN_BLOCK = 1 << 20  # integers per scan block; the block size bounds peak RSS
+_DECODE_CHUNK = 1 << 16  # primes per step of load's decode; bounds its int64 indices
 
 
 def nth_prime_upper(k: int) -> int:
@@ -91,12 +94,14 @@ class RamanujanTable:
     `scan_limit` is the highest k the construction examined. Membership
     queries are decidable only for primes below `complete_below`: every
     Ramanujan prime under that bound is present, so absence means
-    non-Ramanujan there and is unknown beyond it.
+    non-Ramanujan there and is unknown beyond it. `mask` packs the set over prime
+    indices, bit i for the (i + 1)-th prime; past `complete_below` it goes unread.
     """
 
     values: np.ndarray
     scan_limit: int
     complete_below: int
+    mask: np.ndarray
     _derived: dict = field(default_factory=dict, init=False, repr=False)  # see derived()
 
     @property
@@ -147,16 +152,9 @@ class RamanujanTable:
         """Every prime both tables can classify, with its memoized, read-only
         Ramanujan mask. The primes from 2 to any covered bound are a prefix
         of this list, so callers slice the mask instead of classifying again."""
-        cov = self.coverage(primes)
-        listed = primes.primes_upto(cov)
-
-        def build():
-            mask = np.zeros(listed.size, dtype=bool)
-            kept = self.values[: int(search(self.values, cov, side="right"))]
-            mask[search(listed, kept)] = True
-            return mask
-
-        return listed, self.derived(primes, "mask", build)
+        listed = primes.primes_upto(self.coverage(primes))
+        return listed, self.derived(primes, "mask", lambda: np.unpackbits(
+            self.mask, count=listed.size, bitorder="little").view(bool))
 
     def twin_index(self, primes: PrimeTable) -> np.ndarray:
         """Memoized, read-only positions i in the classified list with
@@ -179,21 +177,35 @@ class RamanujanTable:
         """What compute_below(x) gives, cut from this table; `scan_limit` stays its own."""
         if x > self.complete_below:
             raise CoverageError(f"asked for values below {x}; complete below {self.complete_below}")
-        return RamanujanTable(self.values[: int(search(self.values, x))], self.scan_limit, x)
+        return replace(self, values=self.values[: int(search(self.values, x))], complete_below=x)
 
     def save(self, path) -> None:
-        table_file.write(path, _MAGIC, [self.scan_limit, self.complete_below],
-                         np.ascontiguousarray(self.values, dtype=np.int64))
+        table_file.write(path, _MAGIC, [self.scan_limit, self.complete_below, self.count],
+                         self.mask)
 
 
-def load(path) -> RamanujanTable:
-    """Read a table written by :meth:`RamanujanTable.save`, its values
-    narrowed to the dtype that `compute_first` gives them."""
-    (scan_limit, complete_below), values = table_file.read(path, _MAGIC, 2, np.int64)
-    if values.size and not 0 <= int(values.min()) <= int(values.max()) <= scan_limit + 1:
-        raise ValueError(f"{path}: values outside [0, {scan_limit + 1}]")  # or narrowing wraps
-    values = values.astype(table_dtype(scan_limit + 1), copy=False)
-    return RamanujanTable(values=values, scan_limit=scan_limit, complete_below=complete_below)
+def load(path, primes: PrimeTable, below: int | None = None) -> RamanujanTable:
+    """Read a table written by :meth:`RamanujanTable.save`, cut to x = min(below,
+    complete_below, primes.limit + 1): its values, in the dtype `compute_first` gives,
+    are the primes of the checksummed `primes` below x whose mask bit is set. A mask
+    short of those primes, or whose set bits there miss its count, is a ValueError."""
+    (scan_limit, complete_below, count), mask = table_file.read(path, _MAGIC, 3, np.uint8)
+    if complete_below > scan_limit + 1:  # so the values fit the dtype of scan_limit + 1
+        raise ValueError(f"{path}: complete below {complete_below}, past the scan to {scan_limit}")
+    x = min(complete_below if below is None else below, complete_below, primes.limit + 1)
+    listed = primes.primes_upto(max(x - 1, 0))
+    if listed.size > 8 * mask.size:
+        raise ValueError(f"{path}: {mask.size} mask bytes do not cover the primes below {x}")
+    bits = np.unpackbits(mask, count=listed.size, bitorder="little").view(bool)
+    values = np.empty(np.count_nonzero(bits), dtype=table_dtype(scan_limit + 1))
+    if values.size > count or (x == complete_below and values.size < count):
+        raise ValueError(f"{path}: {values.size} set bits below {x} do not fit count {count}")
+    k = 0  # by chunks through flatnonzero: listed[bits] branches on each bit, 3x slower
+    for s in range(0, listed.size, _DECODE_CHUNK):
+        kept = listed[s : s + _DECODE_CHUNK][np.flatnonzero(bits[s : s + _DECODE_CHUNK])]
+        values[k : k + kept.size] = kept
+        k += kept.size
+    return RamanujanTable(values, scan_limit, x, mask)
 
 
 @dataclass
@@ -231,6 +243,7 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
         )
     top = primes.nth_prime(3 * n)
     values = np.zeros(n, dtype=table_dtype(top))
+    mask = np.zeros(-(-3 * n // 8), dtype=np.uint8)  # bit i: p_{i+1} is Ramanujan
     carry = n  # min of t over the primes already walked, all to the right; starting
     # at n caps the staircase there, as R_{v+1} is wanted only for v < n
     for lo in range(1 + _SCAN_BLOCK * ((top - 1) // _SCAN_BLOCK), 0, -_SCAN_BLOCK):
@@ -241,13 +254,15 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
         t[:-1] -= primes.prime_count_ascending((p - 1) >> 1)
         t[-1] = carry  # stands for the walk right of hi
         m = np.minimum.accumulate(t[::-1])[::-1]
-        rise = np.flatnonzero(m[1:] != m[:-1])  # each step of the staircase is +1
+        rise = np.flatnonzero(step := m[1:] != m[:-1])  # each step of the staircase is +1
         carry = int(m[0])
         values[carry : carry + rise.size] = p[rise]  # R_{v+1} = p_{j+1}, after the last t_j = v
+        if rise.size:  # bit a + j per step; blocks past R_n have none and touch no mask page
+            bits = np.packbits(np.concatenate((np.zeros(a & 7, bool), step)), bitorder="little")
+            mask[a >> 3 : (a >> 3) + bits.size] |= bits
     if values[0] != 2 or np.any(values[1:] <= values[:-1]):
         raise InternalConsistencyError("scan produced a non-canonical value list")
-    return RamanujanTable(values=values, scan_limit=top - 1,
-                          complete_below=int(values[-1]) + 1)
+    return RamanujanTable(values, top - 1, int(values[-1]) + 1, mask)
 
 
 def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:
@@ -265,6 +280,7 @@ def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:
     table = compute_first(n, primes)
     if int(table.values[-1]) < x:
         raise InternalConsistencyError("sizing bound failed to clear the cutoff")
+    table.mask = table.mask[: -(-primes.prime_count(x - 1) // 8)]  # the bytes below x, as saved
     return table.below(x)
 
 

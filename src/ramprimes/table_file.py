@@ -11,7 +11,7 @@ import zlib
 
 import numpy as np
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def write(path, magic: bytes, fields, payload: np.ndarray) -> None:

@@ -1,10 +1,31 @@
 import time
 
+import numpy as np
 import pytest
 
 from ramprimes import prime_core, ramanujan_core
 
 WIDE_BOUND = 21_000_000  # covers the default sharp-run search and all 10^7 scans
+
+
+def search_mask(listed, values):
+    """The Ramanujan mask over the ascending primes `listed` by binary search
+    for each value, `mask[search(listed, values)] = True`: the reference that
+    the scan's own mask is checked against."""
+    idx = prime_core.search(listed, values)
+    assert idx.size == 0 or (idx[-1] < listed.size and np.array_equal(listed[idx], values))
+    mask = np.zeros(listed.size, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
+def table_of(values, scan_limit, complete_below):
+    """A RamanujanTable of hand-picked prime values below `complete_below`,
+    its mask packed from `search_mask` over the primes below that bound."""
+    values = np.asarray(values)
+    listed = prime_core.build(max(complete_below - 1, 2)).primes_upto(complete_below - 1)
+    mask = np.packbits(search_mask(listed, values), bitorder="little")
+    return ramanujan_core.RamanujanTable(values, scan_limit, complete_below, mask)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import json
 import struct
 import zlib
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -370,7 +371,8 @@ def test_larger_request_grows_the_cache_files(runner, tmp_path):
     assert all(grown[name][0] > small[name][0] for name in grown)
     x = 10 ** 5 + COVERAGE_MARGIN
     assert prime_core.load(cache / "primes.rppt").limit == ramanujan_core.prime_limit_for_below(x)
-    assert ramanujan_core.load(cache / "ramanujan.rprt").complete_below == x
+    primes = prime_core.load(cache / "primes.rppt")
+    assert ramanujan_core.load(cache / "ramanujan.rprt", primes).complete_below == x
     warm = invoke(runner, *args, "1e3")
     assert listing(cache) == grown
     assert warm.stdout == invoke(runner, "twins", "--bound", "1e3").stdout
@@ -391,17 +393,17 @@ def test_each_command_reads_the_prime_table_once(runner, tmp_path, monkeypatch):
     assert calls == ["build", "load", "load"]
 
 
-def test_compute_below_on_a_covering_cache_reads_no_prime_table(runner, tmp_path, monkeypatch):
+def test_compute_below_on_a_covering_cache_builds_nothing(runner, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     invoke(runner, "--cache-dir", str(cache), "twins", "--bound", "1e5")
     args = ["compute", "--below", "1e4", "--format", "csv"]
     expected = invoke(runner, *args).stdout
 
     def refuse(*_):
-        raise AssertionError("compute --below asked for the prime table")
+        raise AssertionError("compute --below built a table on a covering cache")
 
-    monkeypatch.setattr(prime_core, "load", refuse)
     monkeypatch.setattr(prime_core, "build", refuse)
+    monkeypatch.setattr(ramanujan_core, "compute_first", refuse)
     assert invoke(runner, "--cache-dir", str(cache), *args).stdout == expected
 
 
@@ -442,13 +444,13 @@ def test_cache_with_corrupted_payload_is_rebuilt(runner, tmp_path):
     cache = tmp_path / "cache"
     args = ["--cache-dir", str(cache), "twins", "--bound", "1e3", "--format", "csv"]
     cold = invoke(runner, *args)
-    # the flags of 81..95 (prime table) and the value R_4 = 29 (Ramanujan table):
-    # read as stored, either flip changes the census
-    for pattern, offset in (("primes.rppt", HEADER_SIZE["primes"] + 5),
-                            ("ramanujan.rprt", HEADER_SIZE["ramanujan"] + 24)):
+    # the flag of 81 (prime table) and the mask bit of R_4 = 29 = p_10 (Ramanujan
+    # table): read as stored, either flip changes the census
+    for pattern, offset, bit in (("primes.rppt", HEADER_SIZE["primes"] + 5, 0x01),
+                                 ("ramanujan.rprt", HEADER_SIZE["ramanujan"] + 1, 0x02)):
         (path,) = cache.glob(pattern)
         data = bytearray(path.read_bytes())
-        data[offset] ^= 0x01
+        data[offset] ^= bit
         path.write_bytes(bytes(data))
         rebuilt = invoke(runner, *args)
         assert rebuilt.exit_code == 0
@@ -456,25 +458,40 @@ def test_cache_with_corrupted_payload_is_rebuilt(runner, tmp_path):
         assert "rejected cache file" in rebuilt.stderr and "checksum" in rebuilt.stderr
 
 
-def test_version_2_cache_files_are_rebuilt(runner, tmp_path):
+def old_layout(version, magic, fields, payload):
+    """A cache file as versions 2 and 3 wrote it. Version 2: magic, version, three
+    uint64 fields, CRC32 of the payload. Version 3: magic, version, payload count,
+    the table's fields, CRC32 of the header and then the payload."""
+    if version == 2:
+        head = struct.pack("<4sIQQQI", magic, 2, *fields, zlib.crc32(payload))
+    else:
+        head = struct.pack(f"<4sIQ{len(fields)}Q", magic, 3, payload.size, *fields)
+        head += struct.pack("<I", zlib.crc32(payload, zlib.crc32(head)))
+    return head + payload.tobytes()
+
+
+@pytest.mark.parametrize("version", [2, 3])
+def test_older_cache_files_are_rebuilt(runner, tmp_path, version):
     cache = tmp_path / "cache"
     args = ["--cache-dir", str(cache), "twins", "--bound", "1e3", "--format", "csv"]
     cold = invoke(runner, *args)
     (primes_path,) = cache.glob("primes.rppt")
     (ram_path,) = cache.glob("ramanujan.rprt")
-    pt, rt = prime_core.load(primes_path), ramanujan_core.load(ram_path)
-    # the version-2 layouts: magic, version, three uint64 fields, CRC32 of the payload
-    primes_path.write_bytes(struct.pack("<4sIQQQI", b"RPPT", 2, pt.limit, 1 << 16,
-                                        pt._packed.size, zlib.crc32(pt._packed))
-                            + pt._packed.tobytes())
-    ram_path.write_bytes(struct.pack("<4sIQQQI", b"RPRT", 2, rt.count, rt.scan_limit,
-                                     rt.complete_below, zlib.crc32(rt.values))
-                         + rt.values.tobytes())
+    pt = prime_core.load(primes_path)
+    rt = ramanujan_core.load(ram_path, pt)
+    values = rt.values.astype(np.int64)  # both older layouts stored int64 values
+    if version == 2:
+        primes_fields = [pt.limit, 1 << 16, pt._packed.size]
+        ram_fields = [rt.count, rt.scan_limit, rt.complete_below]
+    else:
+        primes_fields, ram_fields = [pt.limit], [rt.scan_limit, rt.complete_below]
+    primes_path.write_bytes(old_layout(version, b"RPPT", primes_fields, pt._packed))
+    ram_path.write_bytes(old_layout(version, b"RPRT", ram_fields, values))
     rebuilt = invoke(runner, *args)
     assert rebuilt.exit_code == 0
     assert rebuilt.stdout == cold.stdout
     assert rebuilt.stderr.count("rejected cache file") == 2
-    assert rebuilt.stderr.count("unsupported cache version 2") == 2
+    assert rebuilt.stderr.count(f"unsupported cache version {version}") == 2
     warm = invoke(runner, *args)
     assert warm.stdout == cold.stdout
     assert warm.stderr == ""

@@ -12,7 +12,7 @@ from ramprimes.gap_analysis import (
     twin_gap_check,
     twin_gap_table,
 )
-from ramprimes.ramanujan_core import RamanujanTable
+from conftest import table_of
 from test_prime_core import flags_between
 
 # first sharp run of length r = 1..11 starts at... (OEIS A177804)
@@ -179,8 +179,7 @@ def test_twin_gap_table_is_built_once_and_read_only(pt1m, monkeypatch):
 ])
 def test_twin_gap_table_rejects_a_listed_non_ramanujan_twin(pt1m, extra, failure):
     true = ramanujan_core.compute_below(1000, pt1m)
-    fake = RamanujanTable(values=np.sort(np.append(true.values, extra)),
-                          scan_limit=true.scan_limit, complete_below=1000)
+    fake = table_of(np.sort(np.append(true.values, extra)), true.scan_limit, 1000)
     with pytest.raises(InternalConsistencyError, match=failure):
         twin_gap_table(fake, pt1m)
     with pytest.raises(InternalConsistencyError, match=failure):
@@ -232,7 +231,7 @@ def test_half_points_always_composite(rt_wide, pt_wide):
 
 def test_half_point_violations_reports_odd_values_below_the_bound(pt1m):
     # a false table: (5 + 1)/2 = 3 and (13 + 1)/2 = 7 are prime; R_1 = 2 is skipped
-    fake = RamanujanTable(values=np.array([2, 5, 11, 13]), scan_limit=0, complete_below=14)
+    fake = table_of([2, 5, 11, 13], scan_limit=0, complete_below=14)
     assert half_point_violations(fake, pt1m, 14) == [5, 13]
     assert half_point_violations(fake, pt1m, 13) == [5]
     assert half_point_violations(fake, pt1m, 3) == []
@@ -267,6 +266,6 @@ def test_long_run_chains_like_its_sub_runs(rt_wide, pt_wide):
 
 def test_gap_for_run_rejects_a_prime_inside_the_halved_run(pt1m):
     # a made-up table calling 11 and 13 Ramanujan: 7 = (13 + 1) / 2 ends the gap [6, 7]
-    fake = RamanujanTable(values=np.array([2, 11, 13]), scan_limit=0, complete_below=14)
+    fake = table_of([2, 11, 13], scan_limit=0, complete_below=14)
     with pytest.raises(InternalConsistencyError, match=r"prime found inside \[6, 7\]"):
         gap_for_run(5, 2, fake, pt1m)

@@ -10,7 +10,6 @@ import pytest
 from ramprimes import gap_analysis, prime_core, ramanujan_core, run_stats, twin_stats
 from ramprimes.errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
 from ramprimes.prime_core import search, table_dtype
-from ramprimes.ramanujan_core import RamanujanTable
 
 
 def test_dtype_rule_keeps_sixteen_of_headroom():
@@ -64,14 +63,11 @@ def test_no_call_allocates_a_copy_of_its_table(rt_wide, pt_wide, pt1m):
         ("membership_mask", values, lambda: rt_wide.membership_mask([p, p + 2])),
         ("twin_gap_check", lesser, lambda: gap_analysis.twin_gap_check(p, p + 2, rt_wide, pt_wide)),
     ]
-    # the mask build searches the Ramanujan values with a bound, then the prime
-    # list with the values below it: once with narrow values past the prime
-    # table, once with a few int64 values, whose search must not widen the list
+    # classification unpacks the mask of a table whose values run past the prime
+    # table: it allocates one bool per listed prime, a quarter of the list
     listed = pt1m.primes_upto(pt1m.limit)
-    past = RamanujanTable(values, rt_wide.scan_limit, rt_wide.complete_below)  # a memo of its own
-    few = RamanujanTable(values[:50].astype(np.int64), rt_wide.scan_limit, pt1m.limit + 1)
-    calls += [("classified mask", values, lambda: past.classified_primes(pt1m)),
-              ("classified mask, int64 values", listed, lambda: few.classified_primes(pt1m))]
+    past = dataclasses.replace(rt_wide)  # a memo of its own
+    calls += [("classified mask", listed, lambda: past.classified_primes(pt1m))]
     for name, table, call in calls:
         assert peak_bytes(call) < table.nbytes, name
 
@@ -151,7 +147,7 @@ def stand_in_run(monkeypatch, tmp_path, narrow):
         pt = prime_core.build(STAND_IN_LIMIT)
         first = ramanujan_core.compute_first(-(-pt.prime_count(BOUND) // 2) + 1, pt)
         first.save(tmp_path / f"{np.dtype(narrow)}.rprt")
-        loaded = ramanujan_core.load(tmp_path / f"{np.dtype(narrow)}.rprt")
+        loaded = ramanujan_core.load(tmp_path / f"{np.dtype(narrow)}.rprt", pt)
         rt = ramanujan_core.compute_below(BOUND, pt)
         dtypes = {first.values.dtype, loaded.values.dtype, first.below(BOUND).values.dtype,
                   rt.values.dtype, pt.primes_upto(STAND_IN_LIMIT).dtype}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,12 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramprimes import gap_analysis, prime_core, ramanujan_core
+from ramprimes import gap_analysis, prime_core, ramanujan_core, table_file
 from ramprimes.errors import CoverageError, InternalConsistencyError
 from ramprimes.ramanujan_core import (
     LAISHRAM_LIMIT,
     BoundsReport,
-    RamanujanTable,
     compute_below,
     compute_first,
     last_violation_below_threshold,
@@ -21,6 +21,7 @@ from ramprimes.ramanujan_core import (
     rank_scaling_violations,
     verify_max_ratio_bound,
 )
+from conftest import search_mask, table_of
 from test_prime_core import flags_between
 from test_table_file import HEADER_SIZE
 
@@ -127,12 +128,24 @@ def test_matches_blockwise_reference_below_21e6(pt_wide, rt_wide):
     assert np.array_equal(reference[reference < x], rt_wide.values)
 
 
+def assert_mask_is_search_mask(table, pt):
+    """The table's mask, over every prime `pt` lists below its coverage, is the
+    reference `search_mask` of its values."""
+    cov = table.coverage(pt)
+    listed = pt.primes_upto(cov)
+    assert 8 * table.mask.size >= listed.size
+    bits = np.unpackbits(table.mask, count=listed.size, bitorder="little").view(bool)
+    assert np.array_equal(bits, search_mask(listed, table.values[table.values <= cov]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(min_value=1, max_value=400), block=st.integers(min_value=1, max_value=5000))
 @example(n=400, block=1)  # most blocks hold no prime
 @example(n=400, block=2)  # [9, 10], [15, 16], ... hold no prime
 @example(n=400, block=10)  # blocks start on the primes 11, 31, 41, 61, ...
 @example(n=100, block=1987)  # one block, its upper edge exactly p_300 = 1987
+@example(n=60, block=64)  # the blocks past R_60 = 769 have no step; a = pi(lo - 1) is
+# 18, 31, 43, 54, ... at the blocks' bases, so their bits start inside a byte
 def test_any_block_size_matches_both_oracles(pt1m, oracle_1000, n, block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ramanujan_core, "_SCAN_BLOCK", block)
@@ -140,6 +153,11 @@ def test_any_block_size_matches_both_oracles(pt1m, oracle_1000, n, block):
     assert table.values.tolist() == oracle_1000[0][:n]
     assert np.array_equal(table.values, blockwise_reference(n, pt1m, block))
     assert table.scan_limit == pt1m.nth_prime(3 * n) - 1  # the cache header stores it
+    # one bit per prime p_1..p_3n, set at the ranks of the values, and no other
+    bits = np.unpackbits(table.mask, bitorder="little").view(bool)
+    assert bits.size == 8 * -(-3 * n // 8) and not bits[3 * n :].any()
+    assert np.array_equal(bits[: 3 * n],
+                          search_mask(pt1m.primes_upto(pt1m.nth_prime(3 * n)), table.values))
 
 
 def test_interval_counts_walk_properties(oracle_1000):
@@ -173,6 +191,8 @@ def test_below_cuts_to_what_compute_below_gives(pt1m):
     for x in (2, 29, 30, 31, 100, 1000, 10 ** 4):
         cut, fresh = wide.below(x), compute_below(x, pt1m)
         assert np.array_equal(cut.values, fresh.values)
+        assert_mask_is_search_mask(cut, pt1m)
+        assert_mask_is_search_mask(fresh, pt1m)
         assert cut.complete_below == fresh.complete_below == x
         assert cut.coverage(pt1m) == fresh.coverage(pt1m)
         assert np.array_equal(cut.classified_primes(pt1m)[1], fresh.classified_primes(pt1m)[1])
@@ -309,8 +329,7 @@ def test_prime_ranks_are_read_by_position(rt_wide, pt_wide, monkeypatch):
 
     for rt in (rt_wide, compute_first(5000, pt_wide)):
         expected = searchsorted_ranks(rt, pt_wide)
-        fresh = RamanujanTable(values=rt.values, scan_limit=rt.scan_limit,
-                               complete_below=rt.complete_below)  # an empty memo
+        fresh = dataclasses.replace(rt)  # an empty memo
         with monkeypatch.context() as patch:
             patch.setattr(pt_wide, "prime_count_batch", no_search)
             assert np.array_equal(fresh.prime_ranks(pt_wide), expected)
@@ -368,8 +387,7 @@ def test_log_bound_failures_match_the_scalar_reference(rt_laishram, pt_wide):
 def test_log_bound_failures_flag_a_broken_chain(pt1m):
     # R_3 = 17 moved to 23 stays below 12 log 12 = 29.8; moved to 31 it does not
     for r3, failing in ((23, []), (31, [3])):
-        fake = RamanujanTable(values=np.array([2, 11, r3, 29, 41]), scan_limit=0,
-                              complete_below=42)
+        fake = table_of([2, 11, r3, 29, 41], scan_limit=0, complete_below=42)
         assert log_bound_failures(fake, 5, pt1m) == failing
         assert [n for n in range(2, 6) if not check_log_bounds(fake, n, pt1m)] == failing
 
@@ -403,7 +421,7 @@ def test_max_ratio_empty_range(pt1m):
 
 def test_max_ratio_tie_raises(pt1m):
     # 5/p_3 = 13/p_6 = 1: a table no scan can produce
-    rt = RamanujanTable(values=np.array([5, 13, 17, 29, 41]), scan_limit=41, complete_below=42)
+    rt = table_of([5, 13, 17, 29, 41], scan_limit=41, complete_below=42)
     with pytest.raises(InternalConsistencyError, match=r"^ratio tie between n=2 and n=1$"):
         max_ratio(rt, 5, set(), pt1m)
 
@@ -451,8 +469,7 @@ def test_rank_scaling_no_violations_small(pt_wide):
 
 def test_rank_scaling_reads_only_classified_ranks(rt_wide, pt_wide, pt1m):
     # values run to 21e6, primes to 1e6: every R_mn < 1e6 is classified, R_36961 is not
-    wide = RamanujanTable(values=rt_wide.values, scan_limit=rt_wide.scan_limit,
-                          complete_below=rt_wide.complete_below)  # an empty memo
+    wide = dataclasses.replace(rt_wide)  # an empty memo
     exact = compute_below(10 ** 6, pt_wide)
     for m in (2, 3, 7, 20):
         assert rank_scaling_violations(wide, m, 10 ** 6, pt1m) == \
@@ -482,18 +499,58 @@ def test_table_save_load_roundtrip(tmp_path, pt1m):
     rt = compute_first(100, pt1m)
     path = tmp_path / "ramanujan.rprt"
     rt.save(path)
-    loaded = ramanujan_core.load(path)
+    loaded = ramanujan_core.load(path, pt1m)
     assert np.array_equal(loaded.values, rt.values)
+    assert np.array_equal(loaded.mask, rt.mask)
     assert loaded.scan_limit == rt.scan_limit
     assert loaded.complete_below == rt.complete_below
 
 
-# header layout: magic 0-3, version 4-7, count 8-15, scan_limit 16-23, complete_below 24-31,
-# CRC32 32-35; tests/test_table_file.py covers the rejections shared with the prime table
+@pytest.mark.parametrize("chunk", [ramanujan_core._DECODE_CHUNK, 7])  # one decode step, or many
+def test_loaded_masks_match_search(tmp_path, pt1m, monkeypatch, chunk):
+    monkeypatch.setattr(ramanujan_core, "_DECODE_CHUNK", chunk)
+    path = tmp_path / "ramanujan.rprt"
+    compute_below(10 ** 4, pt1m).save(path)
+    small = prime_core.build(3000)  # lists fewer primes than the file covers
+    for loaded in (ramanujan_core.load(path, pt1m), ramanujan_core.load(path, small),
+                   ramanujan_core.load(path, pt1m, below=1000),
+                   ramanujan_core.load(path, pt1m).below(1000)):
+        assert np.array_equal(loaded.values,
+                              compute_below(loaded.complete_below, pt1m).values)
+        assert_mask_is_search_mask(loaded, pt1m)
+    assert ramanujan_core.load(path, small).complete_below == 3001
+    assert ramanujan_core.load(path, pt1m, below=1000).complete_below == 1000
+
+
+def test_a_mask_short_of_the_covered_primes_is_rejected(tmp_path, pt1m):
+    # compute_below(1000) marks the 168 primes below 1000 in 21 bytes; without the
+    # last, unpacking would read 947..997 as non-Ramanujan, and 947, 967, 983 are not
+    rt = compute_below(1000, pt1m)
+    path = tmp_path / "ramanujan.rprt"
+    fields = [rt.scan_limit, rt.complete_below]
+    table_file.write(path, ramanujan_core._MAGIC, fields + [rt.count - 1], rt.mask[:-1])
+    with pytest.raises(ValueError, match="20 mask bytes do not cover the primes below 1000"):
+        ramanujan_core.load(path, pt1m)
+    assert ramanujan_core.load(path, pt1m, below=947).count == rt.count - 3  # p_160 = 941
+
+
+@pytest.mark.parametrize("count, below", [(71, None), (73, None), (46, 600)],
+                         ids=["fewer", "more", "fewer-than-the-decoded-prefix"])
+def test_set_bits_that_do_not_match_the_count_are_rejected(tmp_path, pt1m, count, below):
+    rt = compute_below(1000, pt1m)  # 72 values, 47 of them below 600
+    path = tmp_path / "ramanujan.rprt"
+    table_file.write(path, ramanujan_core._MAGIC, [rt.scan_limit, 1000, count], rt.mask)
+    with pytest.raises(ValueError, match=f"set bits below {below or 1000} do not fit count"):
+        ramanujan_core.load(path, pt1m, below=below)
+
+
+# header layout: magic 0-3, version 4-7, byte count 8-15, scan_limit 16-23,
+# complete_below 24-31, count 32-39, CRC32 40-43; tests/test_table_file.py covers
+# the rejections shared with the prime table
 @pytest.mark.parametrize("offset, mask, cut", [
-    (15, 0xFF, 0),  # count near 2**64: rejected before any allocation
-    (8, 0x01, 0),   # count one off
-    (8, 0x00, 8),   # header intact, last value cut off
+    (15, 0xFF, 0),  # byte count near 2**64: rejected before any allocation
+    (8, 0x01, 0),   # byte count one off
+    (8, 0x00, 1),   # header intact, last mask byte cut off
 ])
 def test_load_rejects_count_that_does_not_fit_payload(tmp_path, pt1m, offset, mask, cut):
     path = tmp_path / "ramanujan.rprt"
@@ -502,7 +559,7 @@ def test_load_rejects_count_that_does_not_fit_payload(tmp_path, pt1m, offset, ma
     data[offset] ^= mask
     path.write_bytes(bytes(data[: len(data) - cut]))
     with pytest.raises(ValueError):
-        ramanujan_core.load(path)
+        ramanujan_core.load(path, pt1m)
 
 
 def test_bounds_report_fields():
@@ -515,10 +572,10 @@ def test_load_rejects_values_failing_checksum(tmp_path, pt1m):
     path = tmp_path / "ramanujan.rprt"
     compute_first(100, pt1m).save(path)
     data = bytearray(path.read_bytes())
-    data[HEADER_SIZE["ramanujan"] + 8 * 50] ^= 0x02  # the low byte of R_51
+    data[HEADER_SIZE["ramanujan"] + 6] ^= 0x02  # p_50 = 229 = R_20 unmarked
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="checksum"):
-        ramanujan_core.load(path)
+        ramanujan_core.load(path, pt1m)
 
 
 def test_classified_mask_includes_a_ramanujan_prime_at_the_coverage_edge(pt1m):

@@ -18,6 +18,7 @@ from ramprimes.twin_stats import (
     twin_census,
     twin_condition_violations,
 )
+from conftest import table_of
 
 # decade census rows: (pi2, pi21, pi22) with the published 694 at 10^5
 # corrected to 964, the value its own ratio columns imply
@@ -213,6 +214,5 @@ def test_lower_membership_violation_is_reported(pt1m):
     # with 149 dropped, 151 is Ramanujan after a non-Ramanujan 149 and
     # pi(149/2) = pi(151/2), so the scan must flag the pair
     true = ramanujan_core.compute_below(1000, pt1m)
-    fake = ramanujan_core.RamanujanTable(values=true.values[true.values != 149],
-                                         scan_limit=true.scan_limit, complete_below=1000)
+    fake = table_of(true.values[true.values != 149], true.scan_limit, 1000)
     assert lower_membership_violations(999, fake, pt1m) == [(149, 151)]
