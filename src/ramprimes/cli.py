@@ -24,6 +24,7 @@ from .errors import InternalConsistencyError, NotFoundBelowBound, ResourceLimitE
 from .formatting import ratio_display, round_half_up
 
 EXIT_VERIFICATION_FAILED = 1
+EXIT_USAGE = 2  # click's own code for bad arguments
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
@@ -84,25 +85,30 @@ def guarded(fn):
 def _cached(cache_dir, name, load, covers, build):
     """The table cached as `name` if `load` accepts it and it `covers` the
     request; otherwise a new one from `build`, written to the cache through
-    a temporary file, so that `name` never holds a partly written table."""
+    a temporary file, so that `name` never holds a partly written table.
+    Caches affect speed only: a file that cannot be read is rebuilt, and one
+    that cannot be written is left out, each with a note on stderr."""
     path = None if cache_dir is None else Path(cache_dir) / name
-    if path is not None and path.exists():
+    if path is not None and os.path.exists(path):  # False, not a raise, on any OSError
         try:
             table = load(path)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             click.echo(f"note: rebuilding rejected cache file: {exc}", err=True)
         else:
             if covers(table):
                 return table
     table = build()
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
         temp = path.with_name(f"{name}.{os.getpid()}.tmp")
         try:
-            table.save(temp)
-            os.replace(temp, path)
-        finally:
-            temp.unlink(missing_ok=True)  # gone already once the replace succeeded
+            path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                table.save(temp)
+                os.replace(temp, path)
+            finally:
+                temp.unlink(missing_ok=True)  # gone already once the replace succeeded
+        except OSError as exc:
+            click.echo(f"note: cache file not written: {exc}", err=True)
     return table
 
 
@@ -128,8 +134,12 @@ def _tables_covering(bound, cache_dir):
 def _write(text, output):
     if output is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         Path(output).write_text(text)
+    except OSError as exc:  # bad usage, as click's own check of --output
+        click.echo(f"error: cannot write --output: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
 
 
 def _emit(rows, columns, fmt, output):

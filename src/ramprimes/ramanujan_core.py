@@ -11,6 +11,11 @@ each prime decides every R_n, and the scan reads one value per prime
 rather than one per integer. Each scan block decodes its primes from the
 flags once; pi((p - 1)/2) for each of them is a prefix popcount of the
 flag bytes of the block's half range, so the doubled primes are never listed.
+A block [lo, hi] none of whose values t_j = j - pi((p_{j+1} - 1)/2) can fall
+below the minimum carried in from its right holds no R_n and is skipped
+undecoded; two exact counts settle it, as j >= pi(lo - 1) and p_{j+1} <= hi
+give t_j >= pi(lo - 1) - pi((hi - 1)/2). No bound on R_n is assumed, so the
+scan still runs to p_3n, but the blocks past R_n are in practice skipped.
 The scan also marks each R_n in a bit mask over prime indices, which
 classification unpacks and a cache file stores: `load` decodes values from it.
 
@@ -91,7 +96,9 @@ def rank_scaling_threshold(m: int) -> int:
 class RamanujanTable:
     """Ordered Ramanujan primes R_1..R_count with derived lookups.
 
-    `scan_limit` is the highest k the construction examined. Membership
+    `scan_limit` is the end p_3n - 1 of the scan that made the values, kept
+    for the cache header; blocks of it past R_n are settled by two prime
+    counts rather than decoded (see `compute_first`). Membership
     queries are decidable only for primes below `complete_below`: every
     Ramanujan prime under that bound is present, so absence means
     non-Ramanujan there and is unknown beyond it. `mask` packs the set over prime
@@ -232,7 +239,12 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
     suffix minimum from block to block. Each block decodes its primes p once
     and reads pi((p - 1)/2) from a prefix popcount of the flag bytes of its
     half range (`PrimeTable.prime_count_ascending`), with no list of the
-    doubled primes and no search.
+    doubled primes and no search. Before that, a block is skipped when
+    a - pi((hi - 1)/2) >= carry, with a = pi(lo - 1): every t_j in it has
+    j >= a and p_{j+1} <= hi, so none takes the suffix minimum below the
+    carry, and the block holds no step. The test reads two exact counts from
+    the flags, not a theorem on R_n, so the sizing to p_3n and `scan_limit`
+    stand, and criterion 03's check of Theorem 4 does not assume what it checks.
     """
     if n < 1:
         raise ValueError(f"count must be >= 1, got {n}")
@@ -248,8 +260,10 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
     # at n caps the staircase there, as R_{v+1} is wanted only for v < n
     for lo in range(1 + _SCAN_BLOCK * ((top - 1) // _SCAN_BLOCK), 0, -_SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK - 1, top)
-        p = primes.primes_between(lo, hi)  # p_{a+1} .. p_b
         a = primes.prime_count(lo - 1)
+        if a - primes.prime_count((hi - 1) >> 1) >= carry:
+            continue  # each t_j here is >= that bound (j >= a, p_{j+1} <= hi): no step
+        p = primes.primes_between(lo, hi)  # p_{a+1} .. p_b
         t = np.arange(a, a + p.size + 1)  # t_a .. t_{b-1}, carry
         t[:-1] -= primes.prime_count_ascending((p - 1) >> 1)
         t[-1] = carry  # stands for the walk right of hi

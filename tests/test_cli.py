@@ -314,7 +314,7 @@ def test_cache_warm_and_cold_identical(runner, tmp_path):
     assert cold.exit_code == warm.exit_code == 0
 
 
-def test_cache_write_goes_through_a_temporary_file(tmp_path):
+def test_cache_write_goes_through_a_temporary_file(tmp_path, capsys):
     class Table:
         def __init__(self, fail):
             self.fail = fail
@@ -325,11 +325,48 @@ def test_cache_write_goes_through_a_temporary_file(tmp_path):
                 if self.fail:
                     raise OSError("disk full")
 
-    with pytest.raises(OSError, match="disk full"):
-        _cached(tmp_path, "t.rprt", None, None, lambda: Table(fail=True))
+    assert _cached(tmp_path, "t.rprt", None, None, lambda: Table(fail=True)).fail
     assert list(tmp_path.iterdir()) == []  # no partial table, no temporary file
+    assert capsys.readouterr().err == "note: cache file not written: disk full\n"
     _cached(tmp_path, "t.rprt", None, None, lambda: Table(fail=False))
     assert [p.name for p in tmp_path.iterdir()] == ["t.rprt"]
+
+
+def test_cache_dir_under_a_regular_file_is_a_note(runner, tmp_path):
+    blocker = tmp_path / "f"
+    blocker.touch()
+    for args, notes in ((["compute", "--count", "5"], 1),
+                        (["twins", "--bound", "1e3", "--format", "csv"], 2)):
+        result = invoke(runner, "--cache-dir", str(blocker / "sub"), *args)
+        assert result.exit_code == 0
+        assert result.stdout == invoke(runner, *args).stdout
+        assert result.stderr.count("note: cache file not written: ") == notes
+        assert result.stderr.count("\n") == notes
+    assert blocker.read_bytes() == b"" and list(tmp_path.iterdir()) == [blocker]
+
+
+def test_unreadable_cache_file_is_rebuilt(runner, tmp_path):
+    cache = tmp_path / "cache"
+    (cache / "primes.rppt").mkdir(parents=True)  # opening it is an OSError
+    args = ["compute", "--count", "5"]
+    result = invoke(runner, "--cache-dir", str(cache), *args)
+    assert result.exit_code == 0
+    assert result.stdout == invoke(runner, *args).stdout
+    assert "note: rebuilding rejected cache file: " in result.stderr
+    assert "note: cache file not written: " in result.stderr  # replacing a directory fails
+    assert [p.name for p in cache.iterdir()] == ["primes.rppt"]  # no temporary file left
+
+
+def test_output_under_a_regular_file_is_a_usage_error(runner, tmp_path):
+    blocker = tmp_path / "f"
+    blocker.touch()
+    for args in (["compute", "--count", "5"],
+                 ["gaps", "sharp", "--max-run", "2", "--bound", "3000"]):
+        result = invoke(runner, *args, "--output", str(blocker / "out.txt"))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: cannot write --output: ")
+        assert result.stderr.count("\n") == 1
 
 
 def listing(cache):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -140,7 +141,8 @@ def assert_mask_is_search_mask(table, pt):
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(min_value=1, max_value=400), block=st.integers(min_value=1, max_value=5000))
-@example(n=400, block=1)  # most blocks hold no prime
+@example(n=400, block=1)  # most blocks hold no prime; such a block is always skipped,
+# below R_n too, as a - pi((hi - 1)/2) >= t_a >= carry there
 @example(n=400, block=2)  # [9, 10], [15, 16], ... hold no prime
 @example(n=400, block=10)  # blocks start on the primes 11, 31, 41, 61, ...
 @example(n=100, block=1987)  # one block, its upper edge exactly p_300 = 1987
@@ -287,7 +289,7 @@ def test_scan_rejects_a_non_increasing_value_list(pt1m, monkeypatch):
     assert int(np.sum(values[1:] <= values[:-1])) == 31
 
 
-def test_scan_decodes_each_block_once(pt1m, monkeypatch):
+def test_scan_decodes_each_unsettled_block_once(pt1m, monkeypatch):
     expected = compute_first(300, pt1m).values
     top = pt1m.nth_prime(900)
     calls = []
@@ -302,8 +304,14 @@ def test_scan_decodes_each_block_once(pt1m, monkeypatch):
         monkeypatch.setattr(pt1m, name, no_prime_list)
     monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 64)
     assert np.array_equal(compute_first(300, pt1m).values, expected)
-    blocks = [(lo, min(lo + 63, top)) for lo in range(1, top + 1, 64)]
-    assert calls[1:] == blocks[::-1]  # calls[0] is nth_prime(900) finding p_900
+    blocks = [(lo, min(lo + 63, top)) for lo in range(1, top + 1, 64)][::-1]
+    decoded = calls[1:]  # calls[0] is nth_prime(900) finding p_900
+    assert decoded == [b for b in blocks if b in decoded]  # right to left, once each
+    assert (len(decoded), len(blocks)) == (79, 110)
+    # two counts settle every block above R_300 = 4987 but the first one;
+    # every block holding a value is decoded
+    assert expected[-1] == 4987 and decoded[0] == (4993, 5056)
+    assert {blocks[-1 - (int(v) - 1) // 64] for v in expected} <= set(decoded)
 
 
 def test_block_size_does_not_change_results(pt1m, monkeypatch):
@@ -504,6 +512,16 @@ def test_table_save_load_roundtrip(tmp_path, pt1m):
     assert np.array_equal(loaded.mask, rt.mask)
     assert loaded.scan_limit == rt.scan_limit
     assert loaded.complete_below == rt.complete_below
+
+
+def test_saved_file_bytes_are_pinned(tmp_path):
+    # the header's scan_limit and the mask bytes, which no value comparison reads
+    pt = prime_core.build(ramanujan_core.prime_limit_for_below(10 ** 6))
+    rt = compute_below(10 ** 6, pt)
+    assert (rt.scan_limit, rt.count) == (1551190, 36960)
+    rt.save(path := tmp_path / "ramanujan.rprt")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "7597237bc98be64b91863850bcd67e6f97f11d6930861fb2107e0edb38ec7740"
 
 
 @pytest.mark.parametrize("chunk", [ramanujan_core._DECODE_CHUNK, 7])  # one decode step, or many
