@@ -40,12 +40,12 @@ class GapRecord:
     enclosing_gap: tuple[int, int] | None = None
 
 
-def _gap_ends(primes: np.ndarray, lo, hi):
+def _gap_ends(pt: PrimeTable, primes: np.ndarray, lo, hi):
     """Ends a, b of the maximal prime gaps holding the prime-free [lo, hi],
-    elementwise, read from the ascending prime list `primes`. The list must
-    hold a prime below each lo and one above each hi."""
-    a = primes[search(primes, lo) - 1] + 1
-    b = primes[search(primes, hi, side="right")] - 1
+    elementwise: the primes just outside it, found by rank in the ascending
+    prime list `primes` from 2, which must hold a prime above each hi."""
+    a = primes[pt.prime_count_batch(lo - 1) - 1] + 1
+    b = primes[pt.prime_count_batch(hi)] - 1
     return a, b
 
 
@@ -75,7 +75,7 @@ def gap_for_run(start_index: int, run_length: int, rt: RamanujanTable, pt: Prime
             f"prime found inside [{gap_lo}, {gap_hi}] for run ({p}, {q})"
         )
     # q is listed above gap_hi, and gap_lo > 2, so both gap ends are in the list
-    a, b = map(int, _gap_ends(primes, gap_lo, gap_hi))
+    a, b = map(int, _gap_ends(pt, primes, gap_lo, gap_hi))
     return GapRecord(
         run_start=p,
         run_end=q,
@@ -142,10 +142,16 @@ def twin_gap_table(rt: RamanujanTable, pt: PrimeTable) -> tuple[np.ndarray, np.n
     p = 6k - 1, an even k puts the halved pair at the start of a five-wide
     composite stretch, while an odd k relies on (q+3)/2 being composite,
     which is forced by q being Ramanujan. Those stretches are read from the
-    flags, the gap ends from the prime list. The three read-only arrays are
+    flags, the gap ends from prime counts. The three read-only arrays are
     built on first use and kept in the memo of `rt` for `pt`.
     """
     return rt.derived(pt, "twin_gaps", lambda: _build_twin_gaps(rt, pt))
+
+
+def _twin_gap_view(rt: RamanujanTable, pt: PrimeTable) -> memoryview:
+    """A memoryview of the lesser members of `twin_gap_table`, kept beside it:
+    bisect reads Python ints from it, with no NumPy scalar per probe."""
+    return rt.derived(pt, "twin_gap_view", lambda: memoryview(twin_gap_table(rt, pt)[0]))
 
 
 def _build_twin_gaps(rt: RamanujanTable, pt: PrimeTable):
@@ -164,7 +170,7 @@ def _build_twin_gaps(rt: RamanujanTable, pt: PrimeTable):
         inside |= pt.is_prime_batch(span + offset)
     _require_none(inside, lesser, "prime inside the expected five-wide composite span")
     # q = p + 2 is a listed prime above the halved pair, so the gap closes inside the list
-    a, b = _gap_ends(primes, gap_lo, gap_lo + 1)
+    a, b = _gap_ends(pt, primes, gap_lo, gap_lo + 1)
     _require_none(b - a + 1 < 5, lesser, "enclosing gap shorter than 5")
     return lesser, a, b
 
@@ -177,8 +183,8 @@ def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[
         raise ValueError(f"({p}, {q}) is not a twin pair")
     if p <= 3:
         raise ValueError(f"twin gap analysis needs p > 3, got {p}")
-    lesser, a, b = twin_gap_table(rt, pt)
-    view = memoryview(lesser)  # bisect reads Python ints from it, with no NumPy scalar per call
+    _, a, b = twin_gap_table(rt, pt)
+    view = _twin_gap_view(rt, pt)
     i = bisect.bisect_left(view, p)
     if i < len(view) and view[i] == p:
         return a.item(i), b.item(i)

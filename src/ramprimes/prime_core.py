@@ -6,6 +6,15 @@ number (the prime 2 is handled out of band), and cumulative prime counts
 are checkpointed at a fixed stride so a counting query is one checkpoint
 lookup plus a short popcount.
 
+Prime counts over arrays come from a rank directory over the same flags,
+viewed in place as uint64 words (Jacobson's rank; Vigna's broadword
+layout): the odd primes before each superblock of `1 << _SUPER_SHIFT` words
+as int64, and those before each word inside its superblock as uint16. A
+count is then three gathers and a popcount. The directory takes a quarter of
+the flag bytes and is built on the first batch count, never by `build`,
+`load` or the Ramanujan scan. For the in-place view, `build` and `load`
+allocate the flag bytes padded to whole words (`table_file.word_padded`).
+
 Tables of integers up to a limit, here the prime list and in
 :mod:`ramanujan_core` the Ramanujan values, take their dtype from
 :func:`table_dtype`: ``uint32`` while the limit stays 16 below 2**32, so
@@ -33,6 +42,8 @@ _MEMORY_CEILING = 4 << 30  # bytes that build() may allocate
 _EXTRACT_CHUNK = 1 << 25  # integers per step when the prime list is extracted
 _POPCOUNT_SLICE = _EXTRACT_CHUNK // 16  # flag bytes popcounted per step while checkpointing
 _NARROW = np.uint32  # the dtype of tables whose limit leaves it 16 of headroom
+_SUPER_SHIFT = 9  # 512 flag words per rank superblock: 511 * 64 bits fit a uint16 offset
+_RANK_CHUNK = 1 << 14  # keys per step of prime_count_batch, and words per directory step
 
 
 def table_dtype(limit: int) -> np.dtype:
@@ -86,6 +97,7 @@ class PrimeTable:
         self._checkpoints = self._build_checkpoints()
         self._prime_cache: np.ndarray | None = None
         self._prime_cache_limit = -1
+        self._rank: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def _build_checkpoints(self) -> np.ndarray:
         # One popcount buffer of whole blocks is reused slice by slice and summed
@@ -168,14 +180,39 @@ class PrimeTable:
         return out
 
     def prime_count_batch(self, values) -> np.ndarray:
-        """Vectorized pi over an integer array (need not be sorted), as int64."""
+        """Vectorized pi over an integer array of any shape, sorted or not, as
+        int64 of that shape. Each count is read in O(1) from the rank
+        directory (built on the first call): the odd primes before the key's
+        superblock, plus those before its word, plus the popcount of the word
+        shifted left to drop the bits past the key. Keys go through in steps
+        of `_RANK_CHUNK`, so no temporary grows with their number, and no
+        prime list is extracted."""
         v = np.asarray(values)
         if v.size == 0:
-            return np.zeros(0, dtype=np.int64)
+            return np.zeros(v.shape, dtype=np.int64)
         if int(v.min()) < 0 or int(v.max()) > self.limit:
             raise ValueError(f"prime_count_batch arguments outside [0, {self.limit}]")
-        primes = self._primes_through(int(v.max()))
-        return search(primes, v, side="right")
+        # the kept directory is made before the output, so it does not sit above
+        # the freed output in the heap, where it would keep that memory resident
+        words, supers, offsets = self._rank_directory()
+        out = np.empty(v.shape, dtype=np.int64)
+        keys, counts = v.reshape(-1), out.reshape(-1)
+        for s in range(0, keys.size, _RANK_CHUNK):
+            x, count = keys[s : s + _RANK_CHUNK], counts[s : s + _RANK_CHUNK]
+            bit = x.astype(np.int64)
+            np.maximum(bit, 1, out=bit)
+            bit -= 1
+            bit >>= 1  # the flag bit of the largest odd number <= max(x, 1)
+            w = bit >> 6
+            np.take(supers, w >> _SUPER_SHIFT, out=count)
+            count += offsets[w]
+            np.invert(bit, out=bit)
+            bit &= 63  # 63 - bit % 64: the left shift that drops the word's bits past the key
+            word = words[w]
+            word <<= bit.view(np.uint64)
+            count += np.bitwise_count(word)
+            count += x >= 2  # the prime 2
+        return out
 
     def prime_count_ascending(self, values) -> np.ndarray:
         """Vectorized pi over an ascending integer array, read from the flag
@@ -234,6 +271,31 @@ class PrimeTable:
         odd = 2 * (b0 + np.flatnonzero(bits[b0 - (byte0 << 3) : b1 + 1 - (byte0 << 3)])) + 1
         return np.concatenate([[2], odd]) if lo <= 2 <= hi else odd
 
+    def _rank_directory(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(words, supers, offsets), built once: the flags as little-endian
+        uint64 words, in place; the odd primes before each superblock of
+        `1 << _SUPER_SHIFT` words; and before each word inside its superblock."""
+        if self._rank is None:
+            packed, nwords = self._packed, -(-self._packed.size // 8)
+            base = packed.base
+            if base is None or base.nbytes < 8 * nwords or base.ctypes.data != packed.ctypes.data:
+                raise ValueError("flag bytes are not padded to whole 8-byte words")
+            words = base.view(np.uint8)[: 8 * nwords].view("<u8")
+            per = 1 << _SUPER_SHIFT
+            nsuper = -(-nwords // per)
+            offsets = np.zeros(nsuper * per, dtype=np.uint16)
+            np.bitwise_count(words, out=offsets[:nwords])
+            blocks = offsets.reshape(nsuper, per)
+            totals = np.empty(nsuper, dtype=np.int64)
+            step = max(1, _RANK_CHUNK >> _SUPER_SHIFT)
+            for s in range(0, nsuper, step):  # in steps: the inclusive sums are a temporary
+                inclusive = np.cumsum(blocks[s : s + step], axis=1, dtype=np.uint16)
+                totals[s : s + step] = inclusive[:, -1]
+                np.subtract(inclusive, blocks[s : s + step], out=blocks[s : s + step])
+            supers = np.cumsum(totals) - totals
+            self._rank = words, supers, offsets
+        return self._rank
+
     def _primes_through(self, x: int) -> np.ndarray:
         """Cached ascending array of all primes <= max(x, previous requests),
         in the dtype of the table's limit."""
@@ -267,9 +329,10 @@ def build(limit: int) -> PrimeTable:
     """Sieve [2, limit] segment by segment and return the finished table.
 
     Peak memory is what is allocated here, and `_MEMORY_CEILING` bounds its
-    sum: the packed flags (one bit per odd number) and the checkpoints,
-    written once at their final size, plus one segment's bool flags, their
-    packed bytes and one popcount slice while checkpointing.
+    sum: the packed flags (one bit per odd number, padded to whole 8-byte
+    words for the rank directory) and the checkpoints, written once at their
+    final size, plus one segment's bool flags, their packed bytes and one
+    popcount slice while checkpointing. The rank directory is not built here.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -277,14 +340,15 @@ def build(limit: int) -> PrimeTable:
     nbytes = (nbits + 7) // 8
     popcount_bytes, nblocks = _popcount_slice(_COUNT_STRIDE // 16, nbytes)
     seg_bits = min(_SEGMENT_FLAGS, nbits)
-    needed = nbytes + 8 * (nblocks + 1) + seg_bits + (seg_bits + 7) // 8 + popcount_bytes
+    padded = -(-nbytes // 8) * 8
+    needed = padded + 8 * (nblocks + 1) + seg_bits + (seg_bits + 7) // 8 + popcount_bytes
     if needed > _MEMORY_CEILING:
         raise ResourceLimitError(f"limit {limit} needs about {needed} bytes to sieve, "
                                  f"over the {_MEMORY_CEILING}-byte ceiling")
 
     base_odd = np.flatnonzero(simple_sieve_flags(math.isqrt(limit)))[1:].tolist()
 
-    packed = np.empty(nbytes, dtype=np.uint8)
+    packed = table_file.word_padded(nbytes)
     for lo_bit in range(0, nbits, _SEGMENT_FLAGS):
         hi_bit = min(lo_bit + _SEGMENT_FLAGS, nbits)
         seg = np.ones(hi_bit - lo_bit, dtype=bool)

@@ -143,15 +143,16 @@ class RamanujanTable:
         return cov
 
     def derived(self, primes: PrimeTable, key: str, build):
-        """The array, or tuple of arrays, that `build()` returns, made read-only
-        and kept under `key` for `primes`. The memo holds one prime table at a
-        time, under "primes": passing another starts it afresh."""
+        """What `build()` returns, kept under `key` for `primes`, with each
+        array in it, alone or in a tuple, made read-only. The memo holds one
+        prime table at a time, under "primes": passing another starts it afresh."""
         if self._derived.get("primes") is not primes:
             self._derived = {"primes": primes}
         if key not in self._derived:
             value = build()
             for arr in value if isinstance(value, tuple) else (value,):
-                arr.setflags(write=False)
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
             self._derived[key] = value
         return self._derived[key]
 

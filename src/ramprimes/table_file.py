@@ -2,7 +2,9 @@
 little-endian header, then the payload as a flat array. The header holds a
 4-byte magic per kind of table, the uint32 FORMAT_VERSION, the uint64 count
 of payload elements, one uint64 per field of the table, and a uint32 CRC32
-of those header bytes and then of the payload.
+of those header bytes and then of the payload. A payload is read into a
+buffer padded to whole 8-byte words, so that it can be viewed as words in
+place (see :func:`word_padded`).
 """
 
 import os
@@ -12,6 +14,14 @@ import zlib
 import numpy as np
 
 FORMAT_VERSION = 4
+
+
+def word_padded(nbytes: int) -> np.ndarray:
+    """`nbytes` uint8 bytes at the start of a buffer of whole 8-byte words,
+    whose padding is zeroed; the buffer is the view's `base`."""
+    buf = np.empty(-(-nbytes // 8) * 8, dtype=np.uint8)
+    buf[nbytes:] = 0
+    return buf[:nbytes]
 
 
 def write(path, magic: bytes, fields, payload: np.ndarray) -> None:
@@ -36,9 +46,13 @@ def read(path, magic: bytes, nfields: int, dtype) -> tuple[list[int], np.ndarray
             raise ValueError(f"{path}: not a {magic.decode()} cache file")
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported cache version {version}")
-        if count * np.dtype(dtype).itemsize != os.fstat(fh.fileno()).st_size - header.size:
+        nbytes = count * np.dtype(dtype).itemsize
+        if nbytes != os.fstat(fh.fileno()).st_size - header.size:
             raise ValueError(f"{path}: {count} elements do not fit the payload size")
-        payload = np.fromfile(fh, dtype=dtype, count=count)
+        payload = word_padded(nbytes)
+        if fh.readinto(payload) != nbytes:
+            raise ValueError(f"{path}: truncated payload")
+        payload = payload.view(dtype)
     if zlib.crc32(payload, zlib.crc32(raw[:-4])) != crc:
         raise ValueError(f"{path}: header or payload fails its checksum")
     return fields, payload

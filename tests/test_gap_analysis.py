@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ramprimes import prime_core, ramanujan_core, twin_stats
+from ramprimes import gap_analysis, prime_core, ramanujan_core, twin_stats
 from ramprimes.errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
 from ramprimes.gap_analysis import (
     first_sharp_run,
@@ -171,6 +171,18 @@ def test_twin_gap_table_is_built_once_and_read_only(pt1m, monkeypatch):
     other = twin_gap_table(rt, prime_core.build(pt1m.limit))
     assert other[0] is not first[0]
     assert all(np.array_equal(x, y) for x, y in zip(other, first))
+
+
+def test_twin_gap_check_bisects_one_memoized_view(pt1m, monkeypatch):
+    rt = ramanujan_core.compute_below(10 ** 5, pt1m)
+    views = []
+    monkeypatch.setattr(gap_analysis, "memoryview",
+                        lambda arr: views.append(memoryview(arr)) or views[-1], raising=False)
+    assert twin_gap_check(149, 151, rt, pt1m) == (74, 78)
+    assert twin_gap_check(179, 181, rt, pt1m) == (90, 96)
+    assert len(views) == 1  # two calls, one view
+    lesser = twin_gap_table(rt, pt1m)[0]
+    assert views[0].readonly and np.shares_memory(np.asarray(views[0]), lesser)
 
 
 @pytest.mark.parametrize("extra, failure", [

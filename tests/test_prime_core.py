@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramprimes import prime_core, table_file
+from ramprimes import prime_core, ramanujan_core, table_file
 from ramprimes.errors import ResourceLimitError
 from test_table_file import HEADER_SIZE
 
@@ -48,14 +49,15 @@ def test_build_rejects_over_memory_ceiling(monkeypatch):
     monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 1000)
     with pytest.raises(ResourceLimitError):
         prime_core.build(10 ** 8)
-    # at 10**6 the flags and checkpoints take 62,636 bytes; the working arrays
-    # take 628,036 more: one segment of 500,000 bool flags, their 62,500 packed
-    # bytes and a 65,536-byte popcount slice (16 whole checkpoint blocks)
-    for ceiling in (100_000, 690_671):
+    # at 10**6 the flags, 62,500 bytes padded to 62,504 (whole 8-byte words), and
+    # the checkpoints take 62,640 bytes; the working arrays take 628,036 more: one
+    # segment of 500,000 bool flags, their 62,500 packed bytes and a 65,536-byte
+    # popcount slice (16 whole checkpoint blocks)
+    for ceiling in (100_000, 690_675):
         monkeypatch.setattr(prime_core, "_MEMORY_CEILING", ceiling)
         with pytest.raises(ResourceLimitError):
             prime_core.build(10 ** 6)
-    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 690_672)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 690_676)
     assert prime_core.build(10 ** 6).limit == 10 ** 6
 
 
@@ -179,6 +181,132 @@ def test_batch_queries_match_scalar(pt1m):
     assert pt1m.prime_count_batch(xs).tolist() == [pt1m.prime_count(int(x)) for x in xs]
     ns = np.array([1, 2, 3, 100, 78498])
     assert pt1m.nth_prime_batch(ns).tolist() == [pt1m.nth_prime(int(n)) for n in ns]
+
+
+# -- prime counts over arrays: the rank directory ------------------------------
+
+WORD_INTS = 128  # integers per flag word: 64 odd numbers
+SUPER_INTS = WORD_INTS << prime_core._SUPER_SHIFT  # integers per rank superblock: 65,536
+
+
+def edge_keys(limit: int) -> np.ndarray:
+    """0, 1, 2, `limit`, and each word and superblock edge +-1 inside [0, limit]."""
+    edges = np.concatenate([np.arange(0, limit + 2, WORD_INTS),
+                            np.arange(0, limit + 2, SUPER_INTS)])
+    keys = np.concatenate([[0, 1, 2, limit], edges - 1, edges, edges + 1])
+    return keys[(keys >= 0) & (keys <= limit)]
+
+
+def searched_counts(pt, keys) -> np.ndarray:
+    """Reference for prime_count_batch: binary search in the prime list."""
+    return prime_core.search(pt.primes_upto(pt.limit), keys, side="right")
+
+
+def saved_and_loaded(pt, path):
+    pt.save(path)
+    return prime_core.load(path)
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables") / "primes.rppt"
+
+
+# 100,007: 6,251 flag bytes, not whole words; 65,535 and 131,071: whole superblocks,
+# so the limit's bit is the last of the last word
+@pytest.mark.parametrize("limit", [2, 3, 127, 128, 129, 65_535, 65_536, 131_071, 100_007, 300_001])
+@pytest.mark.parametrize("stride", [16, 48, prime_core._COUNT_STRIDE])
+def test_batch_counts_at_word_and_superblock_edges(monkeypatch, tmp_path, limit, stride):
+    monkeypatch.setattr(prime_core, "_COUNT_STRIDE", stride)  # the directory ignores it
+    built = prime_core.build(limit)
+    keys = edge_keys(limit)
+    expected = searched_counts(built, keys)
+    assert expected.tolist() == scalar_counts(built, keys)
+    for pt in (built, saved_and_loaded(built, tmp_path / "primes.rppt")):
+        assert np.array_equal(pt.prime_count_batch(keys), expected)
+
+
+@pytest.mark.parametrize("chunk, shift", [(1, 0), (7, 1), (1 << 14, 2)])
+def test_batch_counts_for_any_chunk_and_superblock(monkeypatch, chunk, shift):
+    monkeypatch.setattr(prime_core, "_RANK_CHUNK", chunk)
+    monkeypatch.setattr(prime_core, "_SUPER_SHIFT", shift)
+    pt = prime_core.build(10 ** 4 + 3)
+    keys = np.arange(pt.limit + 1)[::-1]
+    assert np.array_equal(pt.prime_count_batch(keys), searched_counts(pt, keys))
+
+
+@given(data=st.data(), limit=st.integers(min_value=2, max_value=300_000),
+       dtype=st.sampled_from([np.uint32, np.int64]), rows=st.sampled_from([None, 1, 3]),
+       loaded=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_batch_counts_match_search_and_scalar(table_path, data, limit, dtype, rows, loaded):
+    pt = prime_core.build(limit)
+    if loaded:
+        pt = saved_and_loaded(pt, table_path)
+    drawn = data.draw(st.lists(st.integers(0, limit), max_size=120))  # in any order
+    edges = data.draw(st.sampled_from([[], edge_keys(limit).tolist()]))
+    keys = np.array(drawn + edges, dtype=dtype)
+    if rows is not None:
+        keys = keys[: keys.size - keys.size % rows].reshape(rows, -1)
+    got = pt.prime_count_batch(keys)
+    assert got.dtype == np.int64 and got.shape == keys.shape
+    assert np.array_equal(got, searched_counts(pt, keys))
+    assert got.ravel().tolist() == scalar_counts(pt, keys.ravel())
+
+
+def test_batch_counts_of_empty_keys(pt1m):
+    for keys in ([], np.zeros(0, dtype=np.uint32), np.zeros((0, 3), dtype=np.int64)):
+        got = pt1m.prime_count_batch(keys)
+        assert got.dtype == np.int64 and got.shape == np.shape(keys)
+
+
+def test_batch_counts_reject_keys_out_of_range(pt1m):
+    for keys in ([-1, 5], [5, 10 ** 6 + 1]):
+        with pytest.raises(ValueError, match="outside"):
+            pt1m.prime_count_batch(keys)
+
+
+def test_the_rank_directory_is_built_on_the_first_batch_count_only(tmp_path):
+    built = prime_core.build(10 ** 6)
+    rt = ramanujan_core.compute_below(10 ** 5, built)  # the scan counts primes by its own route
+    assert rt.count and built._rank is None
+    for pt in (built, saved_and_loaded(built, tmp_path / "primes.rppt")):
+        assert pt._rank is None
+        pt.prime_count_batch([10])
+        words, supers, offsets = pt._rank
+        assert np.shares_memory(words, pt._packed)  # the flags read in place, not copied
+        assert words.size == -(-pt._packed.size // 8) and offsets.dtype == np.uint16
+        pt.prime_count_batch([20])
+        assert pt._rank[0] is words  # built once
+
+
+def test_batch_counts_extract_no_prime_list(monkeypatch):
+    pt = prime_core.build(10 ** 5)
+
+    def no_prime_list(*_):
+        raise AssertionError("prime_count_batch extracted a prime list")
+
+    monkeypatch.setattr(pt, "_primes_through", no_prime_list)
+    assert pt.prime_count_batch([10 ** 5]).tolist() == [9592]
+
+
+def test_flag_bytes_not_padded_to_whole_words_are_refused():
+    pt = prime_core.build(1000)
+    copied = prime_core.PrimeTable(pt.limit, pt._packed.copy())  # 63 bytes, no padding
+    assert copied.prime_count(1000) == 168
+    with pytest.raises(ValueError, match="not padded to whole 8-byte words"):
+        copied.prime_count_batch([1000])
+
+
+def test_saved_flags_hold_no_padding(tmp_path):
+    # 62,500 flag bytes, padded to 62,504 in memory; the file is the 28-byte header
+    # and the flags, and its SHA-256 was recorded before the padding existed
+    path = tmp_path / "primes.rppt"
+    prime_core.build(10 ** 6).save(path)
+    data = path.read_bytes()
+    assert len(data) == HEADER_SIZE["primes"] + 62_500
+    assert hashlib.sha256(data).hexdigest() == \
+        "200580689ae1d1333d37c5de6eddc893f1d33a8ec31400a0d8bdb932cbbe3b10"
 
 
 def scalar_counts(pt, values) -> list[int]:
