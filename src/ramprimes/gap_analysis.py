@@ -97,29 +97,33 @@ def first_sharp_run(
     primes, all Ramanujan, whose halved endpoints are flanked by primes.
 
     Sub-runs of longer runs qualify: the run is not required to be maximal.
+    Windows are read from the memoized `classified_ranks`; a miss whose last
+    window is cut off by the coverage edge, all Ramanujan, is a CoverageError.
     """
     if r < 1:
         raise ValueError(f"run length must be >= 1, got {r}")
     rt.coverage(pt, search_bound - 1)
     primes, mask = rt.classified_primes(pt)
-    # windows start below index n, so they end before n + r - 1; the mask is
-    # read from index 1, past the even prime 2. A window starts at the i-th
-    # Ramanujan index exactly when the (i + r - 1)-th lies r - 1 places on
+    ranks = rt.classified_ranks(pt)
+    # windows start at the ranks 2..n, past the even prime 2 and below the bound, so
+    # they end by rank n + r - 1. One starts at the i-th Ramanujan rank of these
+    # exactly when the (i + r - 1)-th lies r - 1 on; the ranks are read as a view
     n = int(search(primes, search_bound))
-    ram = np.flatnonzero(mask[1 : n + r - 1]) + 1
+    ram = ranks[slice(*np.searchsorted(ranks, [1, n + r - 1], side="right"))]
     ends = ram[r - 1 :]
     starts = ram[: ends.size][ends - ram[: ends.size] == r - 1]
-    lo = (primes[starts] + 1) // 2
-    hi = (primes[starts + r - 1] + 1) // 2
+    lo = (primes[starts - 1] + 1) // 2
+    hi = (primes[starts + r - 2] + 1) // 2
     hits = np.flatnonzero(pt.is_prime_batch(lo - 1) & pt.is_prime_batch(hi + 1))
     if hits.size == 0:
         # windows cut off by the end of the list start after every whole one, so
-        # only a miss is in doubt, and only when the last listed prime is Ramanujan
-        if n + r - 1 > primes.size and mask[-1]:
+        # only a miss is in doubt: when the last window, from rank n >= 2, is
+        # cut off with every prime listed in it Ramanujan
+        if n + r - 1 > primes.size and n > 1 and mask[n - 1 :].all():
             raise CoverageError(f"a run from below {search_bound} is open at the coverage "
                                 f"edge; extend tables past {primes[-1]}")
         raise NotFoundBelowBound(search_bound)
-    record = gap_for_run(int(starts[hits[0]]) + 1, r, rt, pt)  # re-validate the certificate
+    record = gap_for_run(int(starts[hits[0]]), r, rt, pt)  # re-validate the certificate
     if not record.sharp:
         raise InternalConsistencyError("sharp candidate failed re-validation")
     return record.run_start
@@ -148,12 +152,6 @@ def twin_gap_table(rt: RamanujanTable, pt: PrimeTable) -> tuple[np.ndarray, np.n
     return rt.derived(pt, "twin_gaps", lambda: _build_twin_gaps(rt, pt))
 
 
-def _twin_gap_view(rt: RamanujanTable, pt: PrimeTable) -> memoryview:
-    """A memoryview of the lesser members of `twin_gap_table`, kept beside it:
-    bisect reads Python ints from it, with no NumPy scalar per probe."""
-    return rt.derived(pt, "twin_gap_view", lambda: memoryview(twin_gap_table(rt, pt)[0]))
-
-
 def _build_twin_gaps(rt: RamanujanTable, pt: PrimeTable):
     primes, mask = rt.classified_primes(pt)
     i = rt.twin_index(pt)
@@ -177,17 +175,18 @@ def _build_twin_gaps(rt: RamanujanTable, pt: PrimeTable):
 
 def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, int]:
     """Maximal prime gap containing the halved endpoints of twin Ramanujan
-    primes (p, q), read from `twin_gap_table`, which checked it.
+    primes (p, q), read from `twin_gap_table`, which checked it: one memo entry
+    holds read-only memoryviews of its arrays, bisected and indexed as Python ints.
     """
     if q != p + 2:
         raise ValueError(f"({p}, {q}) is not a twin pair")
     if p <= 3:
         raise ValueError(f"twin gap analysis needs p > 3, got {p}")
-    _, a, b = twin_gap_table(rt, pt)
-    view = _twin_gap_view(rt, pt)
-    i = bisect.bisect_left(view, p)
-    if i < len(view) and view[i] == p:
-        return a.item(i), b.item(i)
+    lesser, a, b = rt.derived(pt, "twin_gap_views",
+                              lambda: tuple(map(memoryview, twin_gap_table(rt, pt))))
+    i = bisect.bisect_left(lesser, p)
+    if i < len(lesser) and lesser[i] == p:
+        return a[i], b[i]
     if not (pt.is_prime(p) and pt.is_prime(q)):
         raise ValueError(f"({p}, {q}) are not both prime")
     if not rt.membership_mask([p, q]).all():

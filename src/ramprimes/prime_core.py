@@ -168,16 +168,15 @@ class PrimeTable:
     # -- vectorized queries ------------------------------------------------
 
     def is_prime_batch(self, values) -> np.ndarray:
-        """Vectorized is_prime over an integer array, read in its own dtype."""
+        """Vectorized is_prime over an integer array of any shape, read in its
+        own dtype: every key's flag bit in one gather, zeroed for even keys
+        by `v & 1`, with the key 2 set apart. The flag bit of 1 is clear."""
         v = np.asarray(values)
         if v.size and (int(v.min()) < 0 or int(v.max()) > self.limit):
             raise ValueError(f"is_prime_batch arguments outside [0, {self.limit}]")
-        out = np.zeros(v.shape, dtype=bool)
-        odd = (v & 1).astype(bool) & (v > 2)
-        b = v[odd] >> 1
-        out[odd] = ((self._packed[b >> 3] >> (b & 7)) & 1).astype(bool)
-        out[v == 2] = True
-        return out
+        b = v >> 1  # an even limit's own bit can lie past the flags: its byte is clipped
+        flag = np.take(self._packed, b >> 3, mode="clip") >> (b & 7)
+        return np.asarray((flag & v & 1).astype(bool) | (v == 2))
 
     def prime_count_batch(self, values) -> np.ndarray:
         """Vectorized pi over an integer array of any shape, sorted or not, as

@@ -172,8 +172,8 @@ class RamanujanTable:
 
     def classified_ranks(self, primes: PrimeTable) -> np.ndarray:
         """Memoized pi(R_n) of each R_n both tables classify: the n-th prime the mask marks."""
-        return self.derived(primes, "ranks",
-                            lambda: np.flatnonzero(self.classified_primes(primes)[1]) + 1)
+        return self.derived(primes, "ranks", lambda: np.add(  # in place: no second int64 copy
+            r := np.flatnonzero(self.classified_primes(primes)[1]), 1, out=r))
 
     def prime_ranks(self, primes: PrimeTable) -> np.ndarray:
         """pi(R_n) for every n; a CoverageError if some R_n lies past the tables."""
@@ -386,12 +386,12 @@ def verify_max_ratio_bound(table: RamanujanTable, primes: PrimeTable) -> bool:
 
 
 def _rank_scaling_failures(table, m, limit, primes) -> np.ndarray:
-    """Ascending n >= 1 with R_mn < limit and pi(R_mn) > m*pi(R_n)."""
+    """Ascending n >= 1 with R_mn < limit and pi(R_mn) > m*pi(R_n), from strided
+    views of the memoized ranks: ranks[m - 1::m][n - 1] is pi(R_mn)."""
     table.coverage(primes, limit - 1)
     ranks = table.classified_ranks(primes)
     end = int(search(table.values, limit)) // m + 1  # R_mn < limit for n < end
-    ns = np.arange(1, end, dtype=np.int64)
-    return ns[ranks[m * ns - 1] > m * ranks[ns - 1]]
+    return np.flatnonzero(ranks[m - 1 :: m][: end - 1] > m * ranks[: end - 1]) + 1
 
 
 def rank_scaling_violations(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ramprimes import gap_analysis, prime_core, ramanujan_core, twin_stats
 from ramprimes.errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
@@ -118,6 +120,53 @@ def test_first_sharp_run_not_found(rt_wide, pt_wide):
         first_sharp_run(40, rt_wide, pt_wide)
 
 
+def sharp_window_walk(r, rt, pt, search_bound):
+    """Reference for first_sharp_run: walk the classified primes from p_2 = 3
+    and try each window of r that starts below the bound. A window of Ramanujan
+    primes that runs past the list is open at the coverage edge."""
+    rt.coverage(pt, search_bound - 1)
+    primes, mask = (arr.tolist() for arr in rt.classified_primes(pt))
+    for i in range(1, len(primes)):
+        if primes[i] >= search_bound:
+            break
+        if not (mask[i] and all(mask[i : i + r])):
+            continue
+        if i + r > len(primes):
+            raise CoverageError("a run is open at the coverage edge")
+        p, q = primes[i], primes[i + r - 1]
+        if pt.is_prime((p + 1) // 2 - 1) and pt.is_prime((q + 1) // 2 + 1):
+            return p
+    raise NotFoundBelowBound(search_bound)
+
+
+def sharp_outcome(fn, *args):
+    """The start `fn` returns, or which of its misses it raises."""
+    try:
+        return fn(*args)
+    except NotFoundBelowBound as exc:
+        return "not found", exc.bound
+    except CoverageError as exc:
+        return "open at the edge" if "open at the coverage edge" in str(exc) else "past the tables"
+
+
+@pytest.fixture(scope="module")
+def rt1m(pt_wide):
+    return ramanujan_core.compute_below(10 ** 6, pt_wide)
+
+
+@given(r=st.integers(1, 12), edge=st.integers(2, 10 ** 6),
+       back=st.integers(0, 40) | st.integers(0, 10 ** 6))
+@example(r=2, edge=4925, back=6)  # 4919, the last prime listed, opens a window of two
+@example(r=3, edge=3, back=1)  # the prime 2 alone is listed, and starts no window
+@example(r=4, edge=1722, back=2)  # the last window, from 1709, is cut off; 1709 is not Ramanujan
+@settings(max_examples=100, deadline=None)
+def test_first_sharp_run_matches_the_window_walk(rt1m, pt_wide, r, edge, back):
+    rt = rt1m.below(edge)  # a memo of its own, classifying through edge - 1
+    bound = max(2, edge + 1 - back)  # back = 0 reads one past the tables
+    assert sharp_outcome(first_sharp_run, r, rt, pt_wide, bound) == \
+        sharp_outcome(sharp_window_walk, r, rt, pt_wide, bound)
+
+
 def test_first_sharp_run_certificate_revalidates(rt_wide, pt_wide):
     start = first_sharp_run(4, rt_wide, pt_wide)
     record = gap_for_run(pt_wide.prime_count(start), 4, rt_wide, pt_wide)
@@ -173,16 +222,23 @@ def test_twin_gap_table_is_built_once_and_read_only(pt1m, monkeypatch):
     assert all(np.array_equal(x, y) for x, y in zip(other, first))
 
 
-def test_twin_gap_check_bisects_one_memoized_view(pt1m, monkeypatch):
-    rt = ramanujan_core.compute_below(10 ** 5, pt1m)
+@pytest.mark.parametrize("narrow", [np.uint32, np.int64])
+def test_twin_gap_check_reads_three_memoized_views(pt1m, monkeypatch, narrow):
+    monkeypatch.setattr(prime_core, "_NARROW", narrow)  # int64 stands in for tables past 2**32
+    pt = prime_core.build(pt1m.limit)
+    rt = ramanujan_core.compute_below(10 ** 5, pt)
     views = []
     monkeypatch.setattr(gap_analysis, "memoryview",
                         lambda arr: views.append(memoryview(arr)) or views[-1], raising=False)
-    assert twin_gap_check(149, 151, rt, pt1m) == (74, 78)
-    assert twin_gap_check(179, 181, rt, pt1m) == (90, 96)
-    assert len(views) == 1  # two calls, one view
-    lesser = twin_gap_table(rt, pt1m)[0]
-    assert views[0].readonly and np.shares_memory(np.asarray(views[0]), lesser)
+    gaps = {(149, 151): (74, 78), (179, 181): (90, 96)}
+    for (p, q), gap in list(gaps.items()) * 3:
+        got = twin_gap_check(p, q, rt, pt)
+        assert got == gap and all(type(end) is int for end in got)  # not NumPy scalars
+    table = twin_gap_table(rt, pt)
+    assert table[0].dtype == narrow
+    assert len(views) == 3  # six calls, one view of each array, made once
+    for view, arr in zip(views, table):
+        assert view.readonly and np.shares_memory(np.asarray(view), arr)
 
 
 @pytest.mark.parametrize("extra, failure", [

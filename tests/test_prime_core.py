@@ -254,6 +254,38 @@ def test_batch_counts_match_search_and_scalar(table_path, data, limit, dtype, ro
     assert got.ravel().tolist() == scalar_counts(pt, keys.ravel())
 
 
+@given(data=st.data(), limit=st.integers(2, 300_000) | st.sampled_from([2, 3, 16, 17, 65_536]),
+       dtype=st.sampled_from([np.uint32, np.int64]), shape=st.sampled_from(["flat", "0-d", "2-D"]),
+       kind=st.sampled_from(["built", "loaded", "unpadded"]))
+@settings(max_examples=80, deadline=None)
+def test_is_prime_batch_matches_scalar(table_path, data, limit, dtype, shape, kind):
+    pt = prime_core.build(limit)
+    if kind == "loaded":
+        pt = saved_and_loaded(pt, table_path)
+    elif kind == "unpadded":  # flags cut to their bytes: an even limit's own bit lies past them
+        pt = prime_core.PrimeTable(limit, pt._packed.copy())
+    keys = np.array([0, 1, 2, limit] + data.draw(st.lists(st.integers(0, limit), max_size=120)),
+                    dtype=dtype)
+    want = [pt.is_prime(int(k)) for k in keys]
+    if shape == "0-d":
+        for k, w in zip(keys, want):
+            got = pt.is_prime_batch(np.array(k, dtype=dtype))
+            assert got.shape == () and got.dtype == bool and bool(got) == w
+    else:
+        if shape == "2-D":
+            rows = data.draw(st.sampled_from([1, 2, 4]))
+            keys = keys[: keys.size - keys.size % rows].reshape(rows, -1)
+        got = pt.is_prime_batch(keys)
+        assert got.dtype == bool and got.shape == keys.shape
+        assert got.ravel().tolist() == want[: keys.size]
+    for empty in (np.zeros(0, dtype=dtype), np.zeros((0, 3), dtype=dtype)):
+        got = pt.is_prime_batch(empty)
+        assert got.dtype == bool and got.shape == empty.shape
+    for bad in ([limit + 1], [-1, 2] if dtype == np.int64 else [2, limit + 1, 0]):
+        with pytest.raises(ValueError, match="outside"):
+            pt.is_prime_batch(np.array(bad, dtype=dtype))
+
+
 def test_batch_counts_of_empty_keys(pt1m):
     for keys in ([], np.zeros(0, dtype=np.uint32), np.zeros((0, 3), dtype=np.int64)):
         got = pt1m.prime_count_batch(keys)

@@ -503,6 +503,29 @@ def test_rank_scaling_thresholds_are_sharp_below_1e5(pt_wide):
     assert last_violation_below_threshold(rt, 1, 10 ** 5, pt_wide) is None
 
 
+def rank_scaling_reference(rt, m, limit, pt):
+    """Plain loop over prime_ranks: every n >= 1 with R_mn < limit and
+    pi(R_mn) > m * pi(R_n), ascending."""
+    values, ranks = rt.values.tolist(), rt.prime_ranks(pt).tolist()
+    return [n for n in range(1, len(values) // m + 1)
+            if values[m * n - 1] < limit and ranks[m * n - 1] > m * ranks[n - 1]]
+
+
+def test_rank_scaling_matches_the_plain_loop(pt_wide):
+    rt = compute_below(10 ** 6, pt_wide)
+    values = rt.values.tolist()
+    for m in range(1, 26):
+        # 3 and 12 leave one and two values, fewer than m; the others include
+        # limits just past and at R_5m, so that m divides the count below, or not
+        for limit in (3, 12, 1000, values[5 * m - 1] + 1, values[5 * m - 1], 99_991, 10 ** 6):
+            bad = rank_scaling_reference(rt, m, limit, pt_wide)
+            start = rank_scaling_threshold(m)
+            assert rank_scaling_violations(rt, m, limit, pt_wide) == \
+                [(m, n) for n in bad if n >= start]
+            assert last_violation_below_threshold(rt, m, limit, pt_wide) == \
+                max((n for n in bad if n < start), default=None)
+
+
 def test_table_save_load_roundtrip(tmp_path, pt1m):
     rt = compute_first(100, pt1m)
     path = tmp_path / "ramanujan.rprt"
