@@ -5,8 +5,9 @@ p to q, every integer in [(p+1)/2, (q+1)/2] is composite. A run is "sharp"
 when the integers just outside that interval are both prime. The single
 even Ramanujan prime 2 takes no part in any of this.
 
-Runs and their gaps are read by position from the classified prime list
-and the run-length encoding of its mask (`run_stats.run_blocks`). The halves
+Runs and their gaps are read by position from the classified prime list,
+and runs are walked a step at a time from its mask (`run_stats.blocks_below`),
+so the run checks keep only what they report. The halves
 of a twin Ramanujan pair sit in a prime gap of length 5 or more.
 `twin_gap_table` checks that for every covered pair at once and keeps the
 gaps in the table's memo; `twin_gap_check` answers one pair from it.
@@ -21,8 +22,8 @@ import numpy as np
 
 from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
 from .prime_core import PrimeTable, search
-from .ramanujan_core import RamanujanTable
-from .run_stats import blocks_below, run_blocks
+from .ramanujan_core import RamanujanTable, walk
+from .run_stats import blocks_below
 
 DEFAULT_SHARP_SEARCH_BOUND = 20_000_000
 
@@ -194,6 +195,16 @@ def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[
     raise InternalConsistencyError(f"twin Ramanujan pair ({p}, {q}) missing from the gap table")
 
 
+def _odd_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
+    """The arrays of `odd_ramanujan_runs`, a walk step at a time."""
+    rt.coverage(pt, bound - 1)
+    primes, mask = rt.classified_primes(pt)
+    # blocks of the primes past index 0, the even prime 2, so starts are one short
+    for starts, lengths, values in blocks_below(int(search(primes, bound)) - 1, mask[1:], primes):
+        starts, lengths = starts[values] + 1, lengths[values]
+        yield starts + 1, primes[starts], primes[starts + lengths - 1], lengths
+
+
 def odd_ramanujan_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
     """Maximal runs of consecutive primes that are all odd Ramanujan primes,
     restricted to runs starting below `bound`.
@@ -201,32 +212,27 @@ def odd_ramanujan_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
     Returns (start ranks, start primes, end primes, lengths) as arrays. A
     block of either class still open at the coverage edge is a CoverageError.
     """
-    rt.coverage(pt, bound - 1)
-    primes, mask = rt.classified_primes(pt)
-    starts, lengths, values = run_blocks(mask[1:])  # skip index 0, the even prime 2
-    starts += 1
-    keep = np.flatnonzero(values[: blocks_below(bound, primes, starts)])
-    starts, lengths = starts[keep], lengths[keep]  # frees the full RLE early
-    return starts + 1, primes[starts], primes[starts + lengths - 1], lengths
+    primes = rt.classified_primes(pt)[0]
+    empty = np.zeros(0, np.intp), primes[:0], primes[:0], np.zeros(0, np.intp)
+    return tuple(np.concatenate(column) for column in zip(empty, *_odd_runs(rt, pt, bound)))
 
 
 def half_point_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[int]:
     """Odd Ramanujan primes R < bound whose (R+1)/2 is prime; provably none."""
     rt.coverage(pt, bound - 1)
-    values = rt.values[1 : search(rt.values, bound)]  # past R_1 = 2
-    return values[pt.is_prime_batch((values + 1) // 2)].tolist()
+    steps = (rt.values[lo:hi] for lo, hi in walk(1, int(search(rt.values, bound))))  # past R_1
+    return [r for v in steps for r in v[pt.is_prime_batch((v + 1) // 2)].tolist()]
 
 
 def run_interval_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[tuple[int, int]]:
     """Maximal odd-Ramanujan runs below `bound` whose halved interval
     contains a prime; provably none. Checked with prime-count differences,
-    a separate route from the flag scan in gap_for_run.
+    a separate route from the flag scan in gap_for_run, as each walk step
+    closes its runs.
     """
-    _, start_p, end_p, _ = odd_ramanujan_runs(rt, pt, bound)
-    if start_p.size == 0:
-        return []
-    lo = (start_p + 1) // 2
-    hi = (end_p + 1) // 2
-    inside = pt.prime_count_batch(hi) - pt.prime_count_batch(lo - 1)
-    bad = np.flatnonzero(inside > 0)
-    return [(int(start_p[i]), int(end_p[i])) for i in bad]
+    bad = []
+    for _, start_p, end_p, _ in _odd_runs(rt, pt, bound):
+        lo, hi = (start_p + 1) // 2, (end_p + 1) // 2
+        inside = pt.prime_count_batch(hi) > pt.prime_count_batch(lo - 1)
+        bad += zip(start_p[inside].tolist(), end_p[inside].tolist())
+    return bad

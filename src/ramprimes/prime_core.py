@@ -169,14 +169,20 @@ class PrimeTable:
 
     def is_prime_batch(self, values) -> np.ndarray:
         """Vectorized is_prime over an integer array of any shape, read in its
-        own dtype: every key's flag bit in one gather, zeroed for even keys
-        by `v & 1`, with the key 2 set apart. The flag bit of 1 is clear."""
-        v = np.asarray(values)
+        own dtype: each key's flag bit by a gather, zeroed for even keys by
+        `x & 1`, with the key 2 set apart. The flag bit of 1 is clear. Keys go
+        through in steps of `_RANK_CHUNK`, so no temporary grows with their number."""
+        v = np.asarray(values)  # an empty list is float64: it reaches no bit operation
         if v.size and (int(v.min()) < 0 or int(v.max()) > self.limit):
             raise ValueError(f"is_prime_batch arguments outside [0, {self.limit}]")
-        b = v >> 1  # an even limit's own bit can lie past the flags: its byte is clipped
-        flag = np.take(self._packed, b >> 3, mode="clip") >> (b & 7)
-        return np.asarray((flag & v & 1).astype(bool) | (v == 2))
+        out = np.empty(v.shape, dtype=bool)
+        keys, flags = v.reshape(-1), out.reshape(-1)
+        for s in range(0, keys.size, _RANK_CHUNK):
+            x = keys[s : s + _RANK_CHUNK]
+            b = x >> 1  # an even limit's own bit can lie past the flags: its byte is clipped
+            flag = np.take(self._packed, b >> 3, mode="clip") >> (b & 7)
+            flags[s : s + _RANK_CHUNK] = (flag & x & 1).astype(bool) | (x == 2)
+        return out
 
     def prime_count_batch(self, values) -> np.ndarray:
         """Vectorized pi over an integer array of any shape, sorted or not, as

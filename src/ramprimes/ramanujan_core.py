@@ -46,6 +46,14 @@ _MAGIC = b"RPRT"
 
 _SCAN_BLOCK = 1 << 20  # integers per scan block; the block size bounds peak RSS
 _DECODE_CHUNK = 1 << 16  # primes per step of load's decode; bounds its int64 indices
+_WALK_CHUNK = 1 << 16  # prime indices per step of `walk`; bounds every analytic's temporaries
+
+
+def walk(start: int, stop: int):
+    """The steps (lo, hi), each at most `_WALK_CHUNK` long, that cover [start, stop)
+    in order. An analytic carries its state from step to step, so that no
+    temporary grows with the classified prime list."""
+    return ((lo, min(lo + _WALK_CHUNK, stop)) for lo in range(start, stop, _WALK_CHUNK))
 
 
 def nth_prime_upper(k: int) -> int:
@@ -166,9 +174,12 @@ class RamanujanTable:
 
     def twin_index(self, primes: PrimeTable) -> np.ndarray:
         """Memoized, read-only positions i in the classified list with
-        listed[i + 1] == listed[i] + 2: the lesser members of twin pairs."""
-        return self.derived(primes, "twins", lambda: np.flatnonzero(
-            np.diff(self.classified_primes(primes)[0]) == 2))
+        listed[i + 1] == listed[i] + 2: the lesser members of twin pairs,
+        found a `walk` step at a time."""
+        listed = self.classified_primes(primes)[0]
+        return self.derived(primes, "twins", lambda: np.concatenate([np.zeros(0, np.intp), *(
+            lo + np.flatnonzero(listed[lo + 1 : hi + 1] - listed[lo:hi] == 2)
+            for lo, hi in walk(0, listed.size - 1))]))
 
     def classified_ranks(self, primes: PrimeTable) -> np.ndarray:
         """Memoized pi(R_n) of each R_n both tables classify: the n-th prime the mask marks."""

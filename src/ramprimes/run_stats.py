@@ -3,8 +3,10 @@
 Walking the primes in order and marking each one Ramanujan or not gives a
 two-letter sequence; this module measures its longest runs below decade
 bounds and compares them with the expected longest run of heads for a
-biased coin flipped once per prime. Every run query reads one run-length
-encoding of the shared classified mask (`run_blocks`), built per call.
+biased coin flipped once per prime. Every run query walks the blocks of the
+shared classified mask a fixed step of prime indices at a time
+(`walk_blocks`), carrying only the open block, running maxima or the first
+hit from step to step, so its memory does not grow with the tables.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import CoverageError, NotFoundBelowBound
 from .prime_core import PrimeTable, search
-from .ramanujan_core import RamanujanTable
+from .ramanujan_core import RamanujanTable, walk
 
 EULER_MASCHERONI = 0.5772156649
 
@@ -56,34 +58,53 @@ def run_variance(p: float) -> float:
     return math.pi ** 2 / (6 * math.log(1 / p) ** 2) + 1 / 12
 
 
-def run_blocks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RLE of a boolean sequence: (start indices, lengths, block values)."""
-    starts = np.flatnonzero(np.diff(mask, prepend=~mask[:1]))  # index 0 always starts a block
-    lengths = np.diff(starts, append=len(mask))
-    return starts, lengths, mask[starts]
+def walk_blocks(mask: np.ndarray):
+    """Maximal one-class blocks of a boolean sequence, a `walk` step at a time:
+    for each step, the (starts, lengths, values) of the blocks it closes. The
+    last block reaches the end of `mask` and is still open there; it comes
+    with the last step. Only the start of the block in progress is carried
+    from step to step."""
+    start = 0
+    for lo, hi in walk(0, mask.size):
+        i = max(lo, 1)
+        ends = np.flatnonzero(mask[i:hi] != mask[i - 1 : hi - 1]) + i
+        if hi == mask.size:
+            ends = np.append(ends, hi)
+        if ends.size:
+            starts = np.concatenate(([start], ends[:-1]))
+            yield starts, ends - starts, mask[starts]
+            start = int(ends[-1])
 
 
 def _open_edge(primes: np.ndarray) -> CoverageError:
     return CoverageError(f"run at coverage edge unresolved; extend tables past {primes[-1]}")
 
 
-def blocks_below(bound: int, primes: np.ndarray, starts: np.ndarray) -> int:
-    """How many blocks, given by their start indices into the classified
-    `primes`, start below `bound`. If the last block is among them it is
-    still open at the coverage edge, its full length unknown, and the
-    answer is a CoverageError."""
-    n = int(np.searchsorted(starts, search(primes, bound)))
-    if n == starts.size > 0:
-        raise _open_edge(primes)
-    return n
+def blocks_below(n: int, mask: np.ndarray, primes: np.ndarray):
+    """The blocks of `mask` that start below index `n`, step by step as
+    `walk_blocks` gives them, stopping at the first step past `n`. If the
+    last block, still open at the coverage edge of the classified `primes`,
+    is among them, its full length is unknown: a CoverageError."""
+    for starts, lengths, values in walk_blocks(mask):
+        k = int(np.searchsorted(starts, n))
+        if k and starts[k - 1] + lengths[k - 1] == mask.size:
+            raise _open_edge(primes)
+        yield starts[:k], lengths[:k], values[:k]
+        if k < starts.size:
+            return
 
 
-def _longest_runs(bound: int, runs) -> tuple[int, int]:
-    primes, starts, lengths, values = runs
-    n = blocks_below(bound, primes, starts)
-    ram = lengths[:n][values[:n]]
-    nonram = lengths[:n][~values[:n]]
-    return int(ram.max(initial=0)), int(nonram.max(initial=0))
+def _longest_runs(bounds: list[int], primes: np.ndarray, mask: np.ndarray) -> list[tuple[int, int]]:
+    """Longest Ramanujan and non-Ramanujan runs below each of the ascending
+    `bounds`, from one walk: each block is credited to the first bound above
+    its first prime, and the maxima are carried upward."""
+    ns = search(primes, bounds)
+    best = np.zeros((2, ns.size), dtype=np.int64)  # rows: non-Ramanujan, Ramanujan
+    for starts, lengths, values in blocks_below(int(ns[-1]), mask, primes):
+        np.maximum.at(best, (values.view(np.uint8), np.searchsorted(ns, starts, side="right")),
+                      lengths)
+    ram, nonram = np.maximum.accumulate(best, axis=1)[::-1].tolist()
+    return list(zip(ram, nonram))
 
 
 def longest_runs(bound: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, int]:
@@ -97,8 +118,7 @@ def longest_runs(bound: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, i
     if bound < 10:
         raise ValueError(f"bound must be >= 10, got {bound}")
     rt.coverage(pt, bound - 1)
-    primes, mask = rt.classified_primes(pt)
-    return _longest_runs(bound, (primes, *run_blocks(mask)))
+    return _longest_runs([bound], *rt.classified_primes(pt))[0]
 
 
 def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) -> int:
@@ -106,40 +126,36 @@ def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) 
 
     The first window of `length` lies at the start of the first block of
     that class holding `length` or more primes, so a longer block answers
-    every shorter length too. With no such block, a last block of that
-    class is still open at the coverage edge and may yet reach `length`:
-    a CoverageError, not "not found".
+    every shorter length too; the walk stops at that block. With no such
+    block, a last block of that class is still open at the coverage edge
+    and may yet reach `length`: a CoverageError, not "not found".
     """
     if length < 1:
         raise ValueError(f"run length must be >= 1, got {length}")
     if kind not in (RAMANUJAN, NON_RAMANUJAN):
         raise ValueError(f"kind must be {RAMANUJAN!r} or {NON_RAMANUJAN!r}")
     primes, mask = rt.classified_primes(pt)
-    starts, lengths, values = run_blocks(mask)
-    of_kind = values == (kind == RAMANUJAN)
-    hits = np.flatnonzero(of_kind & (lengths >= length))
-    if hits.size == 0:
-        if of_kind.size and of_kind[-1]:
-            raise _open_edge(primes)
-        raise NotFoundBelowBound(int(primes[-1]) if primes.size else 0)
-    return int(primes[starts[hits[0]]])
+    for starts, lengths, values in walk_blocks(mask):
+        hits = np.flatnonzero((values == (kind == RAMANUJAN)) & (lengths >= length))
+        if hits.size:
+            return int(primes[starts[hits[0]]])
+    if mask.size and mask[-1] == (kind == RAMANUJAN):
+        raise _open_edge(primes)
+    raise NotFoundBelowBound(int(primes[-1]) if primes.size else 0)
 
 
 def decade_reports(max_decade: int, rt: RamanujanTable, pt: PrimeTable) -> list[RunReport]:
-    """Run-statistics rows for the bounds 10**1 .. 10**max_decade; one RLE
+    """Run-statistics rows for the bounds 10**1 .. 10**max_decade; one walk
     of the classified mask answers every row."""
     if max_decade < 1:
         raise ValueError(f"max_decade must be >= 1, got {max_decade}")
     rt.coverage(pt, 10 ** max_decade - 1)
-    primes, mask = rt.classified_primes(pt)
-    runs = primes, *run_blocks(mask)
+    bounds = [10 ** decade for decade in range(1, max_decade + 1)]
     reports = []
-    for decade in range(1, max_decade + 1):
-        bound = 10 ** decade
+    for bound, (lr, ln) in zip(bounds, _longest_runs(bounds, *rt.classified_primes(pt))):
         frac_count = int(search(rt.values, bound))
         trials = pt.prime_count(bound - 1)
         p = frac_count / trials
-        lr, ln = _longest_runs(bound, runs)
         reports.append(RunReport(
             bound=bound,
             ram_count=frac_count,

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import CoverageError
 from .prime_core import PrimeTable, search
-from .ramanujan_core import RamanujanTable
+from .ramanujan_core import RamanujanTable, walk
 
 RATIO_CONJECTURE_MIN_BOUND = 10 ** 5
 
@@ -75,14 +76,16 @@ def lower_membership_violations(bound: int, rt: RamanujanTable, pt: PrimeTable) 
     """
     rt.coverage(pt, bound)
     listed, mask = rt.classified_primes(pt)
-    n = int(search(listed, bound, side="right"))
-    # only a pair with q Ramanujan and p not can be flagged
-    i = np.flatnonzero(mask[1:n] & ~mask[:n][:-1])
-    p, q = listed[i], listed[i + 1]
-    # p and q are consecutive primes, so pi(q) = pi(p) + 1 and the condition
-    # pi(p) - pi(p/2) + 1 == pi(q) - pi(q/2) reduces to pi(p/2) == pi(q/2)
-    bad = pt.prime_count_batch(p // 2) == pt.prime_count_batch(q // 2)
-    return list(zip(p[bad].tolist(), q[bad].tolist()))
+    found = []
+    for lo, hi in walk(0, int(search(listed, bound, side="right")) - 1):
+        # only a pair with q Ramanujan and p not can be flagged
+        i = lo + np.flatnonzero(mask[lo + 1 : hi + 1] & ~mask[lo:hi])
+        p, q = listed[i], listed[i + 1]
+        # p and q are consecutive primes, so pi(q) = pi(p) + 1 and the condition
+        # pi(p) - pi(p/2) + 1 == pi(q) - pi(q/2) reduces to pi(p/2) == pi(q/2)
+        bad = pt.prime_count_batch(p // 2) == pt.prime_count_batch(q // 2)
+        found += zip(p[bad].tolist(), q[bad].tolist())
+    return found
 
 
 def twin_condition_violations(bound: int, pt: PrimeTable) -> list[tuple[int, int]]:
@@ -92,13 +95,14 @@ def twin_condition_violations(bound: int, pt: PrimeTable) -> list[tuple[int, int
     if bound + 2 > pt.limit:
         raise CoverageError(f"scan to {bound} needs primes through {bound + 2}")
     primes = pt.primes_upto(bound + 2)
-    pair = (primes[1:] - primes[:-1] == 2) & (primes[:-1] <= bound) & (primes[:-1] > 5)
-    lo = primes[:-1][pair]
-    hi = lo + 2
-    lhs = pt.prime_count_batch(lo) - pt.prime_count_batch(lo // 2) + 1
-    rhs = pt.prime_count_batch(hi) - pt.prime_count_batch(hi // 2)
-    bad = np.flatnonzero(lhs != rhs)
-    return [(int(lo[i]), int(hi[i])) for i in bad]
+    found = []
+    for lo, hi in walk(0, primes.size - 1):
+        p = primes[lo:hi]
+        p = p[(primes[lo + 1 : hi + 1] - p == 2) & (p <= bound) & (p > 5)]
+        lhs = pt.prime_count_batch(p) - pt.prime_count_batch(p // 2) + 1
+        rhs = pt.prime_count_batch(p + 2) - pt.prime_count_batch((p + 2) // 2)
+        found += [(x, x + 2) for x in p[lhs != rhs].tolist()]
+    return found
 
 
 def check_one_sided_counts(bound: int, rt: RamanujanTable, pt: PrimeTable) -> bool:
@@ -154,9 +158,10 @@ def brun_partial(bound: int, kind: str, rt: RamanujanTable, pt: PrimeTable) -> B
     lesser, ram_lo, ram_hi = twin_pair_arrays(bound, rt, pt)
     keep = {KIND_ALL: slice(None), KIND_AT_LEAST_ONE: ram_lo | ram_hi,
             KIND_BOTH: ram_lo & ram_hi}[kind]
-    ps = lesser[keep].astype(np.float64)
-    recips = np.empty(2 * ps.size)
-    recips[0::2] = 1.0 / ps
-    recips[1::2] = 1.0 / (ps + 2.0)
-    return BrunPartial(bound=bound, kind=kind, sum=math.fsum(recips.tolist()),
+    ps = lesser[keep]
+    # 1/p, 1/(p + 2) for each pair in turn, a walk step of pairs at a time, all
+    # into one correctly rounded fsum: a sum of per-step fsums would not be
+    terms = (np.divide(1.0, x := ps[lo:hi, None] + (0.0, 2.0), out=x).ravel().tolist()
+             for lo, hi in walk(0, ps.size))
+    return BrunPartial(bound=bound, kind=kind, sum=math.fsum(chain.from_iterable(terms)),
                        terms=ps.size)

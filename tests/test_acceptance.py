@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Default scale covers every check through the 10^7 decade. Set
-RAMPRIMES_EXTENDED=1 to also reproduce the 10^8 and 10^9 decade rows
-(several extra minutes and about 1 GB of memory).
+RAMPRIMES_EXTENDED=1 to also reproduce the 10^8 and 10^9 decade rows and
+scan the proved properties to 10^9 (tens of seconds and under 800 MB of memory).
 """
 
 import hashlib
@@ -208,6 +208,16 @@ def test_criterion_07_zero_counterexample_scans(wide_tables):
         for p in lesser[ram_lo & ram_hi]:
             a, b = gap_analysis.twin_gap_check(int(p), int(p) + 2, rt, pt)
             assert b - a + 1 >= 5
+
+
+def test_criterion_07x_zero_counterexample_scans_extended(extended_tables):
+    pt, rt, _ = extended_tables
+    bound = EXTENDED_BOUND
+    with criterion(7, "proved properties scanned to 1e9 (extended)", budget=60.0):
+        assert twin_stats.twin_condition_violations(bound, pt) == []
+        assert twin_stats.lower_membership_violations(bound, rt, pt) == []
+        assert gap_analysis.half_point_violations(rt, pt, bound) == []
+        assert gap_analysis.run_interval_violations(rt, pt, bound) == []
 
 
 def test_criterion_08_sharp_run_sequence(wide_tables):

@@ -233,6 +233,7 @@ def test_batch_counts_for_any_chunk_and_superblock(monkeypatch, chunk, shift):
     pt = prime_core.build(10 ** 4 + 3)
     keys = np.arange(pt.limit + 1)[::-1]
     assert np.array_equal(pt.prime_count_batch(keys), searched_counts(pt, keys))
+    assert pt.is_prime_batch(keys).tolist() == [pt.is_prime(int(k)) for k in keys]
 
 
 @given(data=st.data(), limit=st.integers(min_value=2, max_value=300_000),
@@ -284,6 +285,12 @@ def test_is_prime_batch_matches_scalar(table_path, data, limit, dtype, shape, ki
     for bad in ([limit + 1], [-1, 2] if dtype == np.int64 else [2, limit + 1, 0]):
         with pytest.raises(ValueError, match="outside"):
             pt.is_prime_batch(np.array(bad, dtype=dtype))
+
+
+def test_is_prime_batch_of_empty_keys(pt1m):
+    for keys in ([], (), np.zeros(0, dtype=np.uint32), np.zeros((0, 3), dtype=np.int64)):
+        got = pt1m.is_prime_batch(keys)
+        assert got.dtype == bool and got.shape == np.shape(keys)
 
 
 def test_batch_counts_of_empty_keys(pt1m):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramprimes import gap_analysis, ramanujan_core, run_stats
 from ramprimes.errors import CoverageError, NotFoundBelowBound
@@ -33,6 +35,19 @@ DECADE_ROWS = {
     6: (0.471, 14, 20, 17, 36),
     7: (0.476, 17, 21, 20, 47),
 }
+
+
+def rle_reference(mask):
+    """Whole-list run-length encoding by np.diff: (starts, lengths, values)."""
+    starts = np.flatnonzero(np.diff(mask, prepend=~mask[:1]))  # index 0 always starts a block
+    return starts, np.diff(starts, append=len(mask)), mask[starts]
+
+
+def walked(mask):
+    """The blocks of `walk_blocks`, joined into whole-list arrays."""
+    steps = list(run_stats.walk_blocks(mask))
+    empty = np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, bool)
+    return tuple(np.concatenate(column) for column in zip(empty, *steps))
 
 
 def run_starts(mask, length):
@@ -155,7 +170,7 @@ def test_first_run_start_nondecreasing(rt_wide, pt_wide):
 @pytest.mark.parametrize("kind", [RAMANUJAN, NON_RAMANUJAN])
 def test_first_run_start_matches_the_window_search(kind, rt_wide, pt_wide):
     _, mask = rt_wide.classified_primes(pt_wide)
-    _, lengths, values = run_stats.run_blocks(mask)
+    _, lengths, values = rle_reference(mask)
     longest = int(lengths[values == (kind == RAMANUJAN)].max())
     for length in range(1, longest + 1):
         assert outcome(first_run_start, length, kind, rt_wide, pt_wide) == outcome(
@@ -199,14 +214,19 @@ def test_first_run_start_validation(rt_wide, pt_wide):
         first_run_start(1, "heads", rt_wide, pt_wide)
 
 
-def test_runs_partition_the_primes(rt_wide, pt_wide):
+def test_runs_partition_the_primes(rt_wide, pt_wide, monkeypatch):
     # within a bound, maximal one-class blocks tile the prime sequence
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 1000)
     bound = 10 ** 5
     primes = pt_wide.primes_upto(bound - 1)
     mask = rt_wide.membership_mask(primes)
-    starts, lengths, _ = run_stats.run_blocks(mask)
+    steps = list(run_stats.walk_blocks(mask))
+    assert len(steps) > 1  # the blocks come in more than one step
+    starts, lengths, values = (np.concatenate(column) for column in zip(*steps))
     assert int(lengths.sum()) == pt_wide.prime_count(bound - 1)
     assert int(lengths.sum()) == len(primes)
+    assert np.array_equal(starts[1:], (starts + lengths)[:-1])  # each starts where one ends
+    assert np.all(values[1:] != values[:-1])  # and is maximal
 
 
 def test_decade_reports_match_reference(rt_wide, pt_wide):
@@ -226,11 +246,23 @@ def test_longest_runs_requires_coverage(rt_wide, pt_wide):
 
 
 def test_decade_reports_encode_the_mask_once(rt_wide, pt_wide, monkeypatch):
-    sizes = []
-    run_blocks = run_stats.run_blocks
-    monkeypatch.setattr(run_stats, "run_blocks", lambda mask: sizes.append(mask.size) or run_blocks(mask))
+    walks, steps = [], []
+    walk_blocks = run_stats.walk_blocks
+
+    def spy(mask):
+        walks.append(mask.size)
+        for step in walk_blocks(mask):
+            steps.append(step[0])
+            yield step
+
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 1 << 16)
+    monkeypatch.setattr(run_stats, "walk_blocks", spy)
     decade_reports(7, rt_wide, pt_wide)
-    assert len(sizes) == 1
+    assert len(walks) == 1  # one walk answers every row
+    # and it stops in the step holding the first block from 10^7
+    n = pt_wide.prime_count(10 ** 7)
+    assert steps[-2][-1] < n <= steps[-1][-1]
+    assert len(steps) < -(-walks[0] // (1 << 16))
 
 
 def test_decade_row_with_a_run_open_at_coverage_edge(pt1m):
@@ -249,3 +281,23 @@ def test_a_block_counts_from_its_first_prime(rt_wide, pt_wide):
     start = first_run_start(47, NON_RAMANUJAN, rt_wide, pt_wide)  # the 47-long run of row 7
     assert longest_runs(start, rt_wide, pt_wide)[1] < 47
     assert longest_runs(start + 1, rt_wide, pt_wide)[1] == 47
+
+
+@given(bits=st.lists(st.booleans(), max_size=200), runs=st.booleans(), chunk=st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_walked_blocks_equal_the_whole_list_encoding(bits, runs, chunk):
+    mask = np.array(bits, dtype=bool)
+    if runs:  # long blocks as well as short ones: each bit repeated a drawn number of times
+        mask = np.repeat(mask, np.arange(mask.size) % 13 + 1)[:200]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
+        got = walked(mask)
+        steps = list(run_stats.walk_blocks(mask))
+    for g, want in zip(got, rle_reference(mask)):
+        assert np.array_equal(g, want)
+    # a step holds the blocks closed by one chunk, the open last block those of the last one
+    for starts, lengths, _ in steps:
+        ends = starts + lengths
+        assert np.unique(np.where(ends == mask.size, (mask.size - 1) // chunk,
+                                  ends // chunk)).size == 1
+    assert [int(s[-1] + n[-1]) for s, n, _ in steps[-1:]] == [mask.size][: len(steps)]

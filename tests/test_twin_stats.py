@@ -161,6 +161,18 @@ def test_brun_ordering_and_monotonicity(rt_wide, pt_wide):
         previous = sums
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_brun_sum_is_one_fsum_over_every_step(rt_wide, pt_wide, monkeypatch, chunk):
+    lesser, ram_lo, ram_hi = twin_stats.twin_pair_arrays(10 ** 6, rt_wide, pt_wide)
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
+    for kind, keep in ((KIND_ALL, slice(None)), (KIND_AT_LEAST_ONE, ram_lo | ram_hi),
+                       (KIND_BOTH, ram_lo & ram_hi)):
+        ps = lesser[keep].tolist()
+        want = math.fsum([t for p in ps for t in (1 / p, 1 / (p + 2))])  # one-shot, in Python
+        got = brun_partial(10 ** 6, kind, rt_wide, pt_wide)
+        assert (got.sum.hex(), got.terms) == (want.hex(), len(ps))
+
+
 def test_brun_kind_validation(rt_wide, pt_wide):
     with pytest.raises(ValueError):
         brun_partial(100, "some", rt_wide, pt_wide)
