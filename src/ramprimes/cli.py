@@ -123,7 +123,7 @@ def _tables_below(x, cache_dir):
     return primes, _cached(cache_dir, "ramanujan.rprt",
                            lambda path: ramanujan_core.load(path, primes, below=x),
                            lambda t: t.complete_below >= x,
-                           lambda: ramanujan_core.compute_below(x, primes)).below(x)
+                           lambda: ramanujan_core.compute_below(x, primes))
 
 
 def _tables_covering(bound, cache_dir):

@@ -2,18 +2,19 @@
 
 A :class:`PrimeTable` answers primality, prime counting, and n-th prime
 queries for every integer in [2, limit]. Flags are kept one bit per odd
-number (the prime 2 is handled out of band), and cumulative prime counts
-are checkpointed at a fixed stride so a counting query is one checkpoint
-lookup plus a short popcount.
+number (the prime 2 is handled out of band). The one prime-count index is
+an int64 count of the odd primes before each superblock of
+`1 << _SUPER_SHIFT` flag words (4096 bytes), made with the table in one
+popcount pass: a scalar count is one superblock lookup plus a popcount of
+at most one superblock's bytes.
 
-Prime counts over arrays come from a rank directory over the same flags,
-viewed in place as uint64 words (Jacobson's rank; Vigna's broadword
-layout): the odd primes before each superblock of `1 << _SUPER_SHIFT` words
-as int64, and those before each word inside its superblock as uint16. A
-count is then three gathers and a popcount. The directory takes a quarter of
-the flag bytes and is built on the first batch count, never by `build`,
-`load` or the Ramanujan scan. For the in-place view, `build` and `load`
-allocate the flag bytes padded to whole words (`table_file.word_padded`).
+Prime counts over arrays add a rank directory over the same flags, viewed in
+place as uint64 words (Jacobson's rank; Vigna's broadword layout): the odd
+primes before each word inside its superblock, as uint16. A count is then
+three gathers and a popcount. The directory takes a quarter of the flag
+bytes and is built on the first batch count, never by `build`, `load` or the
+Ramanujan scan. For the in-place view, `build` and `load` allocate the flag
+bytes padded to whole words (`table_file.word_padded`).
 
 Tables of integers up to a limit, here the prime list and in
 :mod:`ramanujan_core` the Ramanujan values, take their dtype from
@@ -37,10 +38,8 @@ from .errors import ResourceLimitError
 _MAGIC = b"RPPT"
 
 _SEGMENT_FLAGS = 1 << 20  # odd numbers per sieve segment; a multiple of 8: whole bytes
-_COUNT_STRIDE = 1 << 16  # integers per count checkpoint; a multiple of 16: whole bytes
 _MEMORY_CEILING = 4 << 30  # bytes that build() may allocate
-_EXTRACT_CHUNK = 1 << 25  # integers per step when the prime list is extracted
-_POPCOUNT_SLICE = _EXTRACT_CHUNK // 16  # flag bytes popcounted per step while checkpointing
+_EXTRACT_CHUNK = 1 << 25  # integers per step over the flags: prime list, superblock counts
 _NARROW = np.uint32  # the dtype of tables whose limit leaves it 16 of headroom
 _SUPER_SHIFT = 9  # 512 flag words per rank superblock: 511 * 64 bits fit a uint16 offset
 _RANK_CHUNK = 1 << 14  # keys per step of prime_count_batch, and words per directory step
@@ -93,45 +92,20 @@ class PrimeTable:
     def __init__(self, limit: int, packed: np.ndarray):
         self.limit = limit
         self._packed = packed
-        self._bytes_per_block = _COUNT_STRIDE // 16
-        self._checkpoints = self._build_checkpoints()
+        self._supers = _superblock_counts(packed)
         self._prime_cache: np.ndarray | None = None
         self._prime_cache_limit = -1
-        self._rank: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def _build_checkpoints(self) -> np.ndarray:
-        # One popcount buffer of whole blocks is reused slice by slice and summed
-        # per block by a buffered reduction: no full-size copy of the flags exists.
-        bpb, packed = self._bytes_per_block, self._packed
-        step, nblocks = _popcount_slice(bpb, len(packed))
-        pops = np.empty(step, dtype=np.uint8)
-        sums = np.zeros(nblocks + 1, dtype=np.int64)
-        for s in range(0, len(packed), step):
-            n = min(step, len(packed) - s)
-            k = -(-n // bpb)  # blocks in this slice; a final partial block is zero-padded
-            pops[n : k * bpb] = 0
-            np.bitwise_count(packed[s : s + n], out=pops[:n])
-            sums[s // bpb + 1 :][:k] = pops[: k * bpb].reshape(k, bpb).sum(axis=1, dtype=np.int64)
-        return np.cumsum(sums, out=sums)
+        self._rank: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def total_primes(self) -> int:
-        return int(self._checkpoints[-1]) + 1  # +1 for the prime 2
+        return int(self._supers[-1]) + 1  # +1 for the prime 2
 
     # -- scalar queries ----------------------------------------------------
 
     def is_prime(self, k: int) -> bool:
         """True iff k is prime. k outside [0, limit] is rejected."""
-        if not 0 <= k <= self.limit:
-            raise ValueError(f"is_prime argument {k} outside [0, {self.limit}]")
-        if k < 2:
-            return False
-        if k == 2:
-            return True
-        if k % 2 == 0:
-            return False
-        b = k >> 1
-        return bool(self._packed[b >> 3] >> (b & 7) & 1)
+        return bool(self.is_prime_batch(k))
 
     def prime_count(self, x: int) -> int:
         """pi(x): the number of primes not exceeding x."""
@@ -139,15 +113,11 @@ class PrimeTable:
             raise ValueError(f"prime_count argument {x} outside [0, {self.limit}]")
         if x < 2:
             return 0
-        if x == 2:
-            return 1
-        b = (x if x & 1 else x - 1) >> 1  # inclusive bit index of last odd <= x
+        b = (x - 1) >> 1  # the flag bit of the largest odd number <= x
         full_bytes, rem_bits = divmod(b + 1, 8)
-        blk = full_bytes // self._bytes_per_block
-        cnt = int(self._checkpoints[blk])
-        start = blk * self._bytes_per_block
-        if full_bytes > start:
-            cnt += int(np.bitwise_count(self._packed[start:full_bytes]).sum())
+        blk = full_bytes >> _SUPER_SHIFT + 3  # 8 << _SUPER_SHIFT flag bytes per superblock
+        start = blk << _SUPER_SHIFT + 3
+        cnt = int(self._supers[blk]) + int(np.bitwise_count(self._packed[start:full_bytes]).sum())
         if rem_bits:
             cnt += (int(self._packed[full_bytes]) & ((1 << rem_bits) - 1)).bit_count()
         return cnt + 1
@@ -160,10 +130,10 @@ class PrimeTable:
         if n == 1:
             return 2
         m = n - 1  # rank among odd primes
-        blk = int(np.searchsorted(self._checkpoints, m, side="left")) - 1
-        stride = 16 * self._bytes_per_block  # block blk: the odds in [blk*stride, (blk+1)*stride)
-        odd = self.primes_between(max(blk * stride, 3), min((blk + 1) * stride - 1, self.limit))
-        return int(odd[m - int(self._checkpoints[blk]) - 1])
+        blk = int(np.searchsorted(self._supers, m, side="left")) - 1
+        lo = blk << _SUPER_SHIFT + 7  # superblock blk: the odds in [lo, lo + 128 << _SUPER_SHIFT)
+        odd = self.primes_between(max(lo, 3), min(lo + (128 << _SUPER_SHIFT) - 1, self.limit))
+        return int(odd[m - int(self._supers[blk]) - 1])
 
     # -- vectorized queries ------------------------------------------------
 
@@ -199,7 +169,7 @@ class PrimeTable:
             raise ValueError(f"prime_count_batch arguments outside [0, {self.limit}]")
         # the kept directory is made before the output, so it does not sit above
         # the freed output in the heap, where it would keep that memory resident
-        words, supers, offsets = self._rank_directory()
+        words, offsets = self._rank_directory()
         out = np.empty(v.shape, dtype=np.int64)
         keys, counts = v.reshape(-1), out.reshape(-1)
         for s in range(0, keys.size, _RANK_CHUNK):
@@ -209,7 +179,7 @@ class PrimeTable:
             bit -= 1
             bit >>= 1  # the flag bit of the largest odd number <= max(x, 1)
             w = bit >> 6
-            np.take(supers, w >> _SUPER_SHIFT, out=count)
+            np.take(self._supers, w >> _SUPER_SHIFT, out=count)
             count += offsets[w]
             np.invert(bit, out=bit)
             bit &= 63  # 63 - bit % 64: the left shift that drops the word's bits past the key
@@ -276,10 +246,10 @@ class PrimeTable:
         odd = 2 * (b0 + np.flatnonzero(bits[b0 - (byte0 << 3) : b1 + 1 - (byte0 << 3)])) + 1
         return np.concatenate([[2], odd]) if lo <= 2 <= hi else odd
 
-    def _rank_directory(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(words, supers, offsets), built once: the flags as little-endian
-        uint64 words, in place; the odd primes before each superblock of
-        `1 << _SUPER_SHIFT` words; and before each word inside its superblock."""
+    def _rank_directory(self) -> tuple[np.ndarray, np.ndarray]:
+        """(words, offsets), built once: the flags as little-endian uint64
+        words, in place, and the odd primes before each word inside its
+        superblock of `1 << _SUPER_SHIFT` words."""
         if self._rank is None:
             packed, nwords = self._packed, -(-self._packed.size // 8)
             base = packed.base
@@ -287,18 +257,14 @@ class PrimeTable:
                 raise ValueError("flag bytes are not padded to whole 8-byte words")
             words = base.view(np.uint8)[: 8 * nwords].view("<u8")
             per = 1 << _SUPER_SHIFT
-            nsuper = -(-nwords // per)
-            offsets = np.zeros(nsuper * per, dtype=np.uint16)
+            offsets = np.zeros(-(-nwords // per) * per, dtype=np.uint16)
             np.bitwise_count(words, out=offsets[:nwords])
-            blocks = offsets.reshape(nsuper, per)
-            totals = np.empty(nsuper, dtype=np.int64)
+            blocks = offsets.reshape(-1, per)
             step = max(1, _RANK_CHUNK >> _SUPER_SHIFT)
-            for s in range(0, nsuper, step):  # in steps: the inclusive sums are a temporary
+            for s in range(0, len(blocks), step):  # in steps: the inclusive sums are a temporary
                 inclusive = np.cumsum(blocks[s : s + step], axis=1, dtype=np.uint16)
-                totals[s : s + step] = inclusive[:, -1]
                 np.subtract(inclusive, blocks[s : s + step], out=blocks[s : s + step])
-            supers = np.cumsum(totals) - totals
-            self._rank = words, supers, offsets
+            self._rank = words, offsets
         return self._rank
 
     def _primes_through(self, x: int) -> np.ndarray:
@@ -335,18 +301,18 @@ def build(limit: int) -> PrimeTable:
 
     Peak memory is what is allocated here, and `_MEMORY_CEILING` bounds its
     sum: the packed flags (one bit per odd number, padded to whole 8-byte
-    words for the rank directory) and the checkpoints, written once at their
-    final size, plus one segment's bool flags, their packed bytes and one
-    popcount slice while checkpointing. The rank directory is not built here.
+    words for the rank directory) and the superblock counts, written once at
+    their final size, plus one segment's bool flags, their packed bytes and
+    the popcounts of one counting step. The rank directory is not built here.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     nbits = (limit + 1) // 2
     nbytes = (nbits + 7) // 8
-    popcount_bytes, nblocks = _popcount_slice(_COUNT_STRIDE // 16, nbytes)
+    nsuper = -(-nbytes // (8 << _SUPER_SHIFT))
     seg_bits = min(_SEGMENT_FLAGS, nbits)
-    padded = -(-nbytes // 8) * 8
-    needed = padded + 8 * (nblocks + 1) + seg_bits + (seg_bits + 7) // 8 + popcount_bytes
+    needed = (8 * -(-nbytes // 8) + 8 * (nsuper + 1) + seg_bits + (seg_bits + 7) // 8
+              + min(_EXTRACT_CHUNK // 16, nsuper << _SUPER_SHIFT + 3))
     if needed > _MEMORY_CEILING:
         raise ResourceLimitError(f"limit {limit} needs about {needed} bytes to sieve, "
                                  f"over the {_MEMORY_CEILING}-byte ceiling")
@@ -373,8 +339,22 @@ def build(limit: int) -> PrimeTable:
     return PrimeTable(limit, packed)
 
 
-def _popcount_slice(bytes_per_block: int, nbytes: int) -> tuple[int, int]:
-    """(bytes popcounted per checkpointing step, number of checkpoint blocks)."""
-    nblocks = -(-nbytes // bytes_per_block)
-    step = bytes_per_block * max(1, _POPCOUNT_SLICE // bytes_per_block)
-    return min(step, nblocks * bytes_per_block), nblocks
+def _superblock_counts(packed: np.ndarray) -> np.ndarray:
+    """The odd primes flagged before each superblock of `8 << _SUPER_SHIFT`
+    bytes, and in all, as int64: one popcount pass in steps of `_EXTRACT_CHUNK`
+    integers (2 MiB of flags) through one buffer, with no full-size copy."""
+    # Freeing that buffer lets glibc serve blocks up to 2 MiB from the heap, not
+    # fresh mmaps: at 128 KiB steps, compute_below(3e8) faulted in 8 times the
+    # pages and ran about 15% slower.
+    per = 8 << _SUPER_SHIFT  # flag bytes per superblock
+    step = per * max(1, _EXTRACT_CHUNK // 16 // per)
+    nsuper = -(-packed.size // per)
+    pops = np.empty(min(step, nsuper * per), dtype=np.uint8)
+    counts = np.zeros(nsuper + 1, dtype=np.int64)
+    for s in range(0, packed.size, step):
+        n = min(step, packed.size - s)
+        pops[n:] = 0  # a final partial superblock is zero-padded
+        np.bitwise_count(packed[s : s + n], out=pops[:n])
+        k = -(-n // per)
+        counts[1 + s // per :][:k] = pops[: k * per].reshape(k, per).sum(axis=1, dtype=np.int64)
+    return np.cumsum(counts, out=counts)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,12 +24,20 @@ SHARP_STARTS = [11, 4919, 1439, 7187, 37547, 210143, 3376943, 663563,
                 4429739, 17939627, 12034427]
 
 
+@functools.cache
+def sieve_flags(limit: int) -> np.ndarray:
+    """Flags over [0, limit] from the independent one-shot sieve, read by the
+    per-integer references below."""
+    return prime_core.simple_sieve_flags(limit)
+
+
 def walk_composite_interval(lo, hi, pt):
     """Reference for the enclosing gap: widen [lo, hi] one integer at a time."""
+    flags = sieve_flags(pt.limit)
     a, b = lo, hi
-    while a > 1 and not pt.is_prime(a - 1):
+    while a > 1 and not flags[a - 1]:
         a -= 1
-    while b < pt.limit and not pt.is_prime(b + 1):
+    while b < pt.limit and not flags[b + 1]:
         b += 1
     if b == pt.limit:
         raise CoverageError(f"composite interval still open at table limit {pt.limit}")
@@ -51,7 +61,7 @@ def twin_gap_reference(p, q, rt, pt):
     if k % 2 == 0:
         span = (gap_lo, gap_lo + 4)
     else:
-        if pt.is_prime((q + 3) // 2):
+        if sieve_flags(pt.limit)[(q + 3) // 2]:
             raise InternalConsistencyError(
                 f"(q+3)/2 = {(q + 3) // 2} prime despite {q} being Ramanujan"
             )

@@ -50,9 +50,9 @@ def test_build_rejects_over_memory_ceiling(monkeypatch):
     with pytest.raises(ResourceLimitError):
         prime_core.build(10 ** 8)
     # at 10**6 the flags, 62,500 bytes padded to 62,504 (whole 8-byte words), and
-    # the checkpoints take 62,640 bytes; the working arrays take 628,036 more: one
-    # segment of 500,000 bool flags, their 62,500 packed bytes and a 65,536-byte
-    # popcount slice (16 whole checkpoint blocks)
+    # the 17 int64 superblock counts take 62,640 bytes; the working arrays take
+    # 628,036 more: one segment of 500,000 bool flags, their 62,500 packed bytes
+    # and a 65,536-byte counting step (all 16 superblocks, the last zero-padded)
     for ceiling in (100_000, 690_675):
         monkeypatch.setattr(prime_core, "_MEMORY_CEILING", ceiling)
         with pytest.raises(ResourceLimitError):
@@ -153,31 +153,46 @@ def test_segmented_matches_simple_at_one_million(pt1m, sieve1m):
     assert np.array_equal(flags_between(pt1m, 0, 10 ** 6), sieve1m)
 
 
+SHIFTS = (0, 1, 2, 9)  # superblocks of 1, 2, 4 and 512 (the default) flag words
+
+
 def test_count_stride_variants_agree(monkeypatch):
-    limit = 10 ** 5
-    reference = prime_core.build(limit)
-    for stride in (16, 4096, 1 << 20):
-        monkeypatch.setattr(prime_core, "_COUNT_STRIDE", stride)
+    limit = 10 ** 4 + 3
+    flags = prime_core.simple_sieve_flags(limit)
+    primes = np.flatnonzero(flags).tolist()
+    for shift in SHIFTS:
+        monkeypatch.setattr(prime_core, "_SUPER_SHIFT", shift)
         pt = prime_core.build(limit)
-        for x in (2, 3, 1000, 65535, 65536, 99991, limit):
-            assert pt.prime_count(x) == reference.prime_count(x)
+        assert scalar_counts(pt, range(limit + 1)) == np.cumsum(flags).tolist()
+        assert [pt.nth_prime(n) for n in range(1, pt.total_primes + 1)] == primes
 
 
-@pytest.mark.parametrize("stride, slice_bytes", [(16, 1), (48, 1000), (4096, 1)])
-def test_checkpoints_for_any_popcount_slice(monkeypatch, stride, slice_bytes):
-    # 6,251 flag bytes: (48, 1000) ends on a 257-byte slice holding a partial block
-    monkeypatch.setattr(prime_core, "_POPCOUNT_SLICE", slice_bytes)
-    monkeypatch.setattr(prime_core, "_COUNT_STRIDE", stride)
+def superblock_counts(flags: np.ndarray, shift: int, size: int) -> np.ndarray:
+    """Reference for `_supers`: the odd primes below each of `size` superblock
+    edges, `128 << shift` integers apart, the last one cut to the flags' end."""
+    below = np.concatenate([[0], np.cumsum(flags)])
+    edges = np.minimum(np.arange(size) * (WORD_INTS << shift), flags.size)
+    return np.maximum(below[edges] - 1, 0)  # odd primes only
+
+
+@pytest.mark.parametrize("shift, chunk", [(0, 16), (1, 1792), (2, 5000), (9, 16)])
+def test_superblock_counts_for_any_counting_step(monkeypatch, tmp_path, shift, chunk):
+    # 6,251 flag bytes, counted in steps of chunk // 16 bytes cut to whole superblocks,
+    # at least one: (2, 5000) counts 9 superblocks of 32 bytes, not 312 bytes, a step
+    # and ends on a 203-byte step holding a partial superblock; (9, 16) on a 2,155-byte one
+    monkeypatch.setattr(prime_core, "_SUPER_SHIFT", shift)
+    monkeypatch.setattr(prime_core, "_EXTRACT_CHUNK", chunk)
     limit = 10 ** 5 + 3
-    pt = prime_core.build(limit)
-    below = np.concatenate([[0], np.cumsum(prime_core.simple_sieve_flags(limit))])
-    edges = np.minimum(np.arange(pt._checkpoints.size) * stride, limit + 1)
-    assert np.array_equal(pt._checkpoints, np.maximum(below[edges] - 1, 0))  # odd primes only
+    flags = prime_core.simple_sieve_flags(limit)
+    built = prime_core.build(limit)
+    want = superblock_counts(flags, shift, -(-6251 // (8 << shift)) + 1)
+    for pt in (built, saved_and_loaded(built, tmp_path / "primes.rppt")):
+        assert pt._supers.dtype == np.int64 and np.array_equal(pt._supers, want)
 
 
 def test_batch_queries_match_scalar(pt1m):
     xs = np.array([0, 1, 2, 3, 4, 17, 100, 9973, 65536, 999983, 10 ** 6])
-    assert pt1m.is_prime_batch(xs).tolist() == [pt1m.is_prime(int(x)) for x in xs]
+    assert pt1m.is_prime_batch(xs).tolist() == [trial_division(int(x)) for x in xs]
     assert pt1m.prime_count_batch(xs).tolist() == [pt1m.prime_count(int(x)) for x in xs]
     ns = np.array([1, 2, 3, 100, 78498])
     assert pt1m.nth_prime_batch(ns).tolist() == [pt1m.nth_prime(int(n)) for n in ns]
@@ -186,13 +201,13 @@ def test_batch_queries_match_scalar(pt1m):
 # -- prime counts over arrays: the rank directory ------------------------------
 
 WORD_INTS = 128  # integers per flag word: 64 odd numbers
-SUPER_INTS = WORD_INTS << prime_core._SUPER_SHIFT  # integers per rank superblock: 65,536
 
 
-def edge_keys(limit: int) -> np.ndarray:
-    """0, 1, 2, `limit`, and each word and superblock edge +-1 inside [0, limit]."""
+def edge_keys(limit: int, shift: int = prime_core._SUPER_SHIFT) -> np.ndarray:
+    """0, 1, 2, `limit`, and each word and superblock edge +-1 inside [0, limit],
+    for superblocks of `1 << shift` words: 65,536 integers at the default."""
     edges = np.concatenate([np.arange(0, limit + 2, WORD_INTS),
-                            np.arange(0, limit + 2, SUPER_INTS)])
+                            np.arange(0, limit + 2, WORD_INTS << shift)])
     keys = np.concatenate([[0, 1, 2, limit], edges - 1, edges, edges + 1])
     return keys[(keys >= 0) & (keys <= limit)]
 
@@ -215,25 +230,31 @@ def table_path(tmp_path_factory):
 # 100,007: 6,251 flag bytes, not whole words; 65,535 and 131,071: whole superblocks,
 # so the limit's bit is the last of the last word
 @pytest.mark.parametrize("limit", [2, 3, 127, 128, 129, 65_535, 65_536, 131_071, 100_007, 300_001])
-@pytest.mark.parametrize("stride", [16, 48, prime_core._COUNT_STRIDE])
-def test_batch_counts_at_word_and_superblock_edges(monkeypatch, tmp_path, limit, stride):
-    monkeypatch.setattr(prime_core, "_COUNT_STRIDE", stride)  # the directory ignores it
-    built = prime_core.build(limit)
-    keys = edge_keys(limit)
-    expected = searched_counts(built, keys)
-    assert expected.tolist() == scalar_counts(built, keys)
-    for pt in (built, saved_and_loaded(built, tmp_path / "primes.rppt")):
-        assert np.array_equal(pt.prime_count_batch(keys), expected)
+@pytest.mark.parametrize("chunk", [16, 48, 1 << 16])  # keys, and directory words, per step
+def test_batch_counts_at_word_and_superblock_edges(monkeypatch, tmp_path, limit, chunk):
+    monkeypatch.setattr(prime_core, "_RANK_CHUNK", chunk)
+    flags = prime_core.simple_sieve_flags(limit)
+    below = np.cumsum(flags)
+    for shift in SHIFTS:
+        monkeypatch.setattr(prime_core, "_SUPER_SHIFT", shift)
+        built = prime_core.build(limit)
+        keys = edge_keys(limit, shift)
+        expected = below[keys]
+        for pt in (built, saved_and_loaded(built, tmp_path / "primes.rppt")):
+            assert np.array_equal(pt.prime_count_batch(keys), expected)
+            assert scalar_counts(pt, keys) == expected.tolist()
+            assert pt.total_primes == below[-1]
+            assert np.array_equal(pt._supers, superblock_counts(flags, shift, pt._supers.size))
 
 
-@pytest.mark.parametrize("chunk, shift", [(1, 0), (7, 1), (1 << 14, 2)])
+@pytest.mark.parametrize("chunk, shift", [(1, 0), (7, 1), (1 << 14, 2), (1 << 14, 9)])
 def test_batch_counts_for_any_chunk_and_superblock(monkeypatch, chunk, shift):
     monkeypatch.setattr(prime_core, "_RANK_CHUNK", chunk)
     monkeypatch.setattr(prime_core, "_SUPER_SHIFT", shift)
     pt = prime_core.build(10 ** 4 + 3)
     keys = np.arange(pt.limit + 1)[::-1]
     assert np.array_equal(pt.prime_count_batch(keys), searched_counts(pt, keys))
-    assert pt.is_prime_batch(keys).tolist() == [pt.is_prime(int(k)) for k in keys]
+    assert np.array_equal(pt.is_prime_batch(keys), prime_core.simple_sieve_flags(pt.limit)[keys])
 
 
 @given(data=st.data(), limit=st.integers(min_value=2, max_value=300_000),
@@ -267,7 +288,7 @@ def test_is_prime_batch_matches_scalar(table_path, data, limit, dtype, shape, ki
         pt = prime_core.PrimeTable(limit, pt._packed.copy())
     keys = np.array([0, 1, 2, limit] + data.draw(st.lists(st.integers(0, limit), max_size=120)),
                     dtype=dtype)
-    want = [pt.is_prime(int(k)) for k in keys]
+    want = prime_core.simple_sieve_flags(limit)[keys].tolist()
     if shape == "0-d":
         for k, w in zip(keys, want):
             got = pt.is_prime_batch(np.array(k, dtype=dtype))
@@ -312,7 +333,7 @@ def test_the_rank_directory_is_built_on_the_first_batch_count_only(tmp_path):
     for pt in (built, saved_and_loaded(built, tmp_path / "primes.rppt")):
         assert pt._rank is None
         pt.prime_count_batch([10])
-        words, supers, offsets = pt._rank
+        words, offsets = pt._rank
         assert np.shares_memory(words, pt._packed)  # the flags read in place, not copied
         assert words.size == -(-pt._packed.size // 8) and offsets.dtype == np.uint16
         pt.prime_count_batch([20])
@@ -408,19 +429,20 @@ def test_primes_between_windows(pt1m, sieve1m):
         assert pt1m.primes_between(lo, hi).tolist() == expected.tolist()
 
 
-@pytest.mark.parametrize("stride", [16, 48, prime_core._COUNT_STRIDE])
-def test_nth_prime_across_checkpoint_boundaries(monkeypatch, stride):
-    monkeypatch.setattr(prime_core, "_COUNT_STRIDE", stride)
+@pytest.mark.parametrize("chunk", [16, 48, 1 << 16])  # integers per counting step
+def test_nth_prime_across_checkpoint_boundaries(monkeypatch, tmp_path, chunk):
+    monkeypatch.setattr(prime_core, "_EXTRACT_CHUNK", chunk)
     limit = 10 ** 5 + 3
-    pt = prime_core.build(limit)
     primes = np.flatnonzero(prime_core.simple_sieve_flags(limit))
-    for edge in range(0, limit + 1, stride):  # block edges, in integers
-        rank = int(np.searchsorted(primes, edge))  # primes below the edge
-        for n in (rank - 1, rank, rank + 1, rank + 2):
-            if 1 <= n <= primes.size:
-                assert pt.nth_prime(n) == primes[n - 1]
-    assert pt.total_primes == primes.size
-    assert pt.nth_prime(pt.total_primes) == primes[-1]
+    for shift in SHIFTS:
+        monkeypatch.setattr(prime_core, "_SUPER_SHIFT", shift)
+        built = prime_core.build(limit)
+        for pt in (built, saved_and_loaded(built, tmp_path / "primes.rppt")):
+            ranks = np.searchsorted(primes, np.arange(0, limit + 1, WORD_INTS << shift))
+            ns = np.unique(np.clip(ranks[:, None] + [-1, 0, 1, 2], 1, primes.size))
+            assert [pt.nth_prime(int(n)) for n in ns] == primes[ns - 1].tolist()  # superblock edges
+            assert pt.total_primes == primes.size
+            assert pt.nth_prime(pt.total_primes) == primes[-1]
 
 
 def test_prime_list_extracts_across_chunk_edges(monkeypatch):
@@ -439,7 +461,7 @@ def test_save_load_roundtrip(tmp_path, pt1m):
     pt1m.save(path)
     loaded = prime_core.load(path)
     assert loaded.limit == pt1m.limit
-    assert np.array_equal(loaded._checkpoints, pt1m._checkpoints)  # rebuilt from the flags
+    assert np.array_equal(loaded._supers, pt1m._supers)  # rebuilt from the flags
     assert loaded.prime_count(10 ** 6) == pt1m.prime_count(10 ** 6)
     assert np.array_equal(flags_between(loaded, 0, 10 ** 6), flags_between(pt1m, 0, 10 ** 6))
 
