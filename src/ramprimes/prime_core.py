@@ -43,6 +43,7 @@ _EXTRACT_CHUNK = 1 << 25  # integers per step over the flags: prime list, superb
 _NARROW = np.uint32  # the dtype of tables whose limit leaves it 16 of headroom
 _SUPER_SHIFT = 9  # 512 flag words per rank superblock: 511 * 64 bits fit a uint16 offset
 _RANK_CHUNK = 1 << 14  # keys per step of prime_count_batch, and words per directory step
+_PRESIEVE = (3, 5, 7, 11, 13, 17)  # primes sieved by copying one pattern, ascending
 
 
 def table_dtype(limit: int) -> np.dtype:
@@ -299,11 +300,18 @@ def load(path) -> PrimeTable:
 def build(limit: int) -> PrimeTable:
     """Sieve [2, limit] segment by segment and return the finished table.
 
+    Each segment starts as a copy of one pattern, the odd numbers coprime to
+    the `_PRESIEVE` primes, which repeats every 255,255 flag bits. Each larger
+    base prime then clears its odd multiples with one strided write, from the
+    flag bit of its next odd multiple, carried from segment to segment.
+
     Peak memory is what is allocated here, and `_MEMORY_CEILING` bounds its
     sum: the packed flags (one bit per odd number, padded to whole 8-byte
     words for the rank directory) and the superblock counts, written once at
-    their final size, plus one segment's bool flags, their packed bytes and
-    the popcounts of one counting step. The rank directory is not built here.
+    their final size, plus the pattern (one period, or fewer bits if the flags
+    are fewer), the one reused segment buffer of bool flags, a segment's packed
+    bytes and the popcounts of one counting step. The base primes and their
+    offsets, O(sqrt(limit)), are left out. The rank directory is not built here.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -311,30 +319,44 @@ def build(limit: int) -> PrimeTable:
     nbytes = (nbits + 7) // 8
     nsuper = -(-nbytes // (8 << _SUPER_SHIFT))
     seg_bits = min(_SEGMENT_FLAGS, nbits)
-    needed = (8 * -(-nbytes // 8) + 8 * (nsuper + 1) + seg_bits + (seg_bits + 7) // 8
-              + min(_EXTRACT_CHUNK // 16, nsuper << _SUPER_SHIFT + 3))
+    period = math.prod(_PRESIEVE)  # flag bits: odd numbers, so 2 * period integers
+    needed = (8 * -(-nbytes // 8) + 8 * (nsuper + 1) + min(period, nbits) + seg_bits
+              + (seg_bits + 7) // 8 + min(_EXTRACT_CHUNK // 16, nsuper << _SUPER_SHIFT + 3))
     if needed > _MEMORY_CEILING:
         raise ResourceLimitError(f"limit {limit} needs about {needed} bytes to sieve, "
                                  f"over the {_MEMORY_CEILING}-byte ceiling")
 
-    base_odd = np.flatnonzero(simple_sieve_flags(math.isqrt(limit)))[1:].tolist()
+    # the odd numbers coprime to every pre-sieved prime, clear at the primes
+    # themselves too, so that the pattern repeats exactly every `period` bits
+    pattern = np.ones(min(period, nbits), dtype=bool)
+    for p in _PRESIEVE:
+        pattern[p >> 1 :: p] = False
+    base = np.flatnonzero(simple_sieve_flags(math.isqrt(limit)))
+    base = base[base > _PRESIEVE[-1]]
+    nxt = base * base >> 1  # the flag bit of each base prime's next odd multiple
 
     packed = table_file.word_padded(nbytes)
+    buf = np.empty(seg_bits, dtype=bool)
     for lo_bit in range(0, nbits, _SEGMENT_FLAGS):
         hi_bit = min(lo_bit + _SEGMENT_FLAGS, nbits)
-        seg = np.ones(hi_bit - lo_bit, dtype=bool)
+        seg = buf[: hi_bit - lo_bit]
+        i, r = 0, lo_bit % period  # r: the segment's offset into the pattern's period
+        while i < seg.size:
+            n = min(period - r, seg.size - i)
+            seg[i : i + n] = pattern[r : r + n]
+            i, r = i + n, 0
+        for p in _PRESIEVE:
+            if lo_bit <= p >> 1 < hi_bit:
+                seg[(p >> 1) - lo_bit] = True
         if lo_bit == 0:
             seg[0] = False  # the number 1
-        lo_val, hi_val = 2 * lo_bit + 1, 2 * hi_bit - 1
-        for p in base_odd:
-            if p * p > hi_val:
-                break
-            start = max(p * p, (lo_val + p - 1) // p * p)
-            if start % 2 == 0:
-                start += p
-            if start > hi_val:
-                continue
-            seg[(start >> 1) - lo_bit :: p] = False
+        # the base primes whose square is below the segment's end, then those with a multiple in it
+        reach = np.searchsorted(base, math.isqrt(2 * hi_bit - 1), side="right")
+        active = np.flatnonzero(nxt[:reach] < hi_bit)
+        step, at = base[active], nxt[active]
+        for i, p in zip((at - lo_bit).tolist(), step.tolist()):
+            seg[i::p] = False
+        nxt[active] = at + (hi_bit - at + step - 1) // step * step
         packed[lo_bit >> 3 : (hi_bit + 7) >> 3] = np.packbits(seg, bitorder="little")
     return PrimeTable(limit, packed)
 

@@ -175,11 +175,24 @@ class RamanujanTable:
     def twin_index(self, primes: PrimeTable) -> np.ndarray:
         """Memoized, read-only positions i in the classified list with
         listed[i + 1] == listed[i] + 2: the lesser members of twin pairs,
-        found a `walk` step at a time."""
+        found a `walk` step at a time. The steps are walked twice, to count the
+        twins and then to fill one array of that size, so it is never held twice."""
         listed = self.classified_primes(primes)[0]
-        return self.derived(primes, "twins", lambda: np.concatenate([np.zeros(0, np.intp), *(
-            lo + np.flatnonzero(listed[lo + 1 : hi + 1] - listed[lo:hi] == 2)
-            for lo, hi in walk(0, listed.size - 1))]))
+
+        def is_twin(lo, hi):
+            return listed[lo + 1 : hi + 1] - listed[lo:hi] == 2
+
+        def twins():
+            steps = list(walk(0, listed.size - 1))
+            out = np.empty(sum(np.count_nonzero(is_twin(*s)) for s in steps), dtype=np.intp)
+            at = 0
+            for lo, hi in steps:
+                i = lo + np.flatnonzero(is_twin(lo, hi))
+                out[at : at + i.size] = i
+                at += i.size
+            return out
+
+        return self.derived(primes, "twins", twins)
 
     def classified_ranks(self, primes: PrimeTable) -> np.ndarray:
         """Memoized pi(R_n) of each R_n both tables classify: the n-th prime the mask marks."""

@@ -87,9 +87,11 @@ def criterion(number, name, budget=None):
 def extended_tables():
     if not EXTENDED:
         pytest.skip("extended decades disabled (set RAMPRIMES_EXTENDED=1)")
-    start = time.perf_counter()
     margin = 100_000  # room to resolve runs that straddle the top decade bound
-    pt = prime_core.build(ramanujan_core.prime_limit_for_below(EXTENDED_BOUND + margin))
+    limit = ramanujan_core.prime_limit_for_below(EXTENDED_BOUND + margin)
+    start = time.perf_counter()
+    pt = prime_core.build(limit)
+    print(f"ACCEPTANCE build {limit}: {time.perf_counter() - start:.2f}s")
     rt = ramanujan_core.compute_below(EXTENDED_BOUND + margin, pt)
     return pt, rt, time.perf_counter() - start
 

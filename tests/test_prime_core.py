@@ -51,13 +51,14 @@ def test_build_rejects_over_memory_ceiling(monkeypatch):
         prime_core.build(10 ** 8)
     # at 10**6 the flags, 62,500 bytes padded to 62,504 (whole 8-byte words), and
     # the 17 int64 superblock counts take 62,640 bytes; the working arrays take
-    # 628,036 more: one segment of 500,000 bool flags, their 62,500 packed bytes
-    # and a 65,536-byte counting step (all 16 superblocks, the last zero-padded)
-    for ceiling in (100_000, 690_675):
+    # 883,291 more: the pre-sieve pattern's one period of 255,255 bool flags, one
+    # segment of 500,000 bool flags, their 62,500 packed bytes and a 65,536-byte
+    # counting step (all 16 superblocks, the last zero-padded)
+    for ceiling in (100_000, 945_930):
         monkeypatch.setattr(prime_core, "_MEMORY_CEILING", ceiling)
         with pytest.raises(ResourceLimitError):
             prime_core.build(10 ** 6)
-    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 690_676)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 945_931)
     assert prime_core.build(10 ** 6).limit == 10 ** 6
 
 
@@ -141,12 +142,33 @@ def test_count_of_nth_prime_roundtrip(pt1m, n):
     assert pt1m.prime_count(p - 1) == n - 1
 
 
+def assert_sieved_exactly(pt):
+    """The table's flags equal the one-shot sieve's, the word padding past them
+    is zero, and its superblock counts equal a direct popcount of its flags."""
+    limit = pt.limit
+    flags = prime_core.simple_sieve_flags(limit)
+    assert np.array_equal(flags_between(pt, 0, limit), flags), limit
+    padded = pt._packed.base
+    assert padded.size % 8 == 0 and not padded[pt._packed.size :].any(), limit
+    bits = np.unpackbits(padded, bitorder="little")
+    assert not bits[(limit + 1) // 2 :].any(), limit
+    assert np.array_equal(pt._supers, superblock_counts(flags, prime_core._SUPER_SHIFT,
+                                                        pt._supers.size)), limit
+
+
+# 600,001 is past one period of the pre-sieve pattern (510,510 integers), so the
+# segment starts of the smaller sizes fall on every residue of it
 @pytest.mark.parametrize("segment_flags", [8, 64, 1 << 10, 1 << 18])
 def test_segmented_matches_simple_construction(monkeypatch, segment_flags):
     monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", segment_flags)
-    limit = 10 ** 5 + 7
-    pt = prime_core.build(limit)
-    assert np.array_equal(flags_between(pt, 0, limit), prime_core.simple_sieve_flags(limit))
+    for limit in (10 ** 5 + 7, 600_001):
+        assert_sieved_exactly(prime_core.build(limit))
+
+
+def test_build_matches_simple_at_every_small_limit():
+    # every limit around 17**2 and 19**2, where the first carried prime starts
+    for limit in range(2, 1001):
+        assert_sieved_exactly(prime_core.build(limit))
 
 
 def test_segmented_matches_simple_at_one_million(pt1m, sieve1m):

@@ -87,6 +87,9 @@ def test_the_step_size_changes_no_answer(tables_1e6, monkeypatch, chunk, edges):
     for name in ("decade_reports", "longest_runs", "first_run_start"):  # 13 from 9901, in turn
         assert default[10_008][name][-1 if name != "first_run_start" else -6][0] == "CoverageError"
     assert default[10_040]["first_run_start"][-6] == 9901
+    for edge in edges:  # the twin index, filled step by step, equals one whole-list diff
+        listed = rt.below(edge).classified_primes(pt)[0]
+        assert default[edge]["twin_index"] == np.flatnonzero(np.diff(listed) == 2).tolist()
 
 
 def peak_bytes(call) -> int:
@@ -108,7 +111,7 @@ def test_walked_analytics_peak_far_below_one_list_sized_array(rt_wide, pt_wide, 
         "decade_reports": lambda: run_stats.decade_reports(7, rt, pt_wide),
         "run_interval_violations": lambda: gap_analysis.run_interval_violations(rt, pt_wide,
                                                                                 10 ** 7),
-        "twin_index": lambda: rt.twin_index(pt_wide),  # holds its output twice, while joining it
+        "twin_index": lambda: rt.twin_index(pt_wide),  # holds its output and one step's positions
         "half_point_violations": lambda: gap_analysis.half_point_violations(rt, pt_wide, 10 ** 7),
     }
     peaks = {name: peak_bytes(call) for name, call in calls.items()}
