@@ -157,7 +157,7 @@ def assert_sieved_exactly(pt):
 
 
 # 600,001 is past one period of the pre-sieve pattern (510,510 integers), so the
-# segment starts of the smaller sizes fall on every residue of it
+# smaller segments start at many offsets into it and some copies wrap past its end
 @pytest.mark.parametrize("segment_flags", [8, 64, 1 << 10, 1 << 18])
 def test_segmented_matches_simple_construction(monkeypatch, segment_flags):
     monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", segment_flags)
