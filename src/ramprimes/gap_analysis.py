@@ -5,9 +5,10 @@ p to q, every integer in [(p+1)/2, (q+1)/2] is composite. A run is "sharp"
 when the integers just outside that interval are both prime. The single
 even Ramanujan prime 2 takes no part in any of this.
 
-Runs and their gaps are read by position from the classified prime list,
-and runs are walked a step at a time from its mask (`run_stats.blocks_below`),
-so the run checks keep only what they report. The halves
+Runs and their gaps are read by position from the classified prime list.
+Maximal runs (`run_stats.blocks_below`) and the windows of `first_sharp_run`
+are walked a step at a time from its mask, so the run checks keep only what
+they report and build no rank memo. The halves
 of a twin Ramanujan pair sit in a prime gap of length 5 or more.
 `twin_gap_table` checks that for every covered pair at once and keeps the
 gaps in the table's memo; `twin_gap_check` answers one pair from it.
@@ -98,25 +99,28 @@ def first_sharp_run(
     primes, all Ramanujan, whose halved endpoints are flanked by primes.
 
     Sub-runs of longer runs qualify: the run is not required to be maximal.
-    Windows are read from the memoized `classified_ranks`; a miss whose last
-    window is cut off by the coverage edge, all Ramanujan, is a CoverageError.
+    The classified mask is walked a `walk` step of window starts at a time,
+    each step reading the r - 1 flags past its end, and the walk stops at the
+    first flanked window. A miss whose last window is cut off by the coverage
+    edge, all Ramanujan, is a CoverageError.
     """
     if r < 1:
         raise ValueError(f"run length must be >= 1, got {r}")
     rt.coverage(pt, search_bound - 1)
     primes, mask = rt.classified_primes(pt)
-    ranks = rt.classified_ranks(pt)
-    # windows start at the ranks 2..n, past the even prime 2 and below the bound, so
-    # they end by rank n + r - 1. One starts at the i-th Ramanujan rank of these
-    # exactly when the (i + r - 1)-th lies r - 1 on; the ranks are read as a view
+    # windows start at the positions 1..n - 1, past the even prime 2 and below the
+    # bound. One starts at the i-th Ramanujan position of a step exactly when the
+    # (i + r - 1)-th lies r - 1 on; a step's windows end before its end + r - 1
     n = int(search(primes, search_bound))
-    ram = ranks[slice(*np.searchsorted(ranks, [1, n + r - 1], side="right"))]
-    ends = ram[r - 1 :]
-    starts = ram[: ends.size][ends - ram[: ends.size] == r - 1]
-    lo = (primes[starts - 1] + 1) // 2
-    hi = (primes[starts + r - 2] + 1) // 2
-    hits = np.flatnonzero(pt.is_prime_batch(lo - 1) & pt.is_prime_batch(hi + 1))
-    if hits.size == 0:
+    for lo, hi in walk(1, n):
+        ram = lo + np.flatnonzero(mask[lo : hi + r - 1])
+        k = max(ram.size - r + 1, 0)  # the positions that have r - 1 more after them
+        starts = ram[:k][ram[r - 1 :] - ram[:k] == r - 1]
+        flanked = (pt.is_prime_batch((primes[starts] + 1) // 2 - 1)
+                   & pt.is_prime_batch((primes[starts + r - 1] + 1) // 2 + 1))
+        if flanked.any():
+            break
+    else:
         # windows cut off by the end of the list start after every whole one, so
         # only a miss is in doubt: when the last window, from rank n >= 2, is
         # cut off with every prime listed in it Ramanujan
@@ -124,7 +128,7 @@ def first_sharp_run(
             raise CoverageError(f"a run from below {search_bound} is open at the coverage "
                                 f"edge; extend tables past {primes[-1]}")
         raise NotFoundBelowBound(search_bound)
-    record = gap_for_run(int(starts[hits[0]]), r, rt, pt)  # re-validate the certificate
+    record = gap_for_run(int(starts[flanked.argmax()]) + 1, r, rt, pt)  # re-validate it
     if not record.sharp:
         raise InternalConsistencyError("sharp candidate failed re-validation")
     return record.run_start

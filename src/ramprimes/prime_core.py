@@ -39,7 +39,8 @@ _MAGIC = b"RPPT"
 
 _SEGMENT_FLAGS = 1 << 20  # odd numbers per sieve segment; a multiple of 8: whole bytes
 _MEMORY_CEILING = 4 << 30  # bytes that build() may allocate
-_EXTRACT_CHUNK = 1 << 25  # integers per step over the flags: prime list, superblock counts
+_EXTRACT_CHUNK = 1 << 20  # integers per step of the prime list's extraction
+_COUNT_CHUNK = 1 << 25  # integers per step of the superblock-count pass: 2 MiB of flags
 _NARROW = np.uint32  # the dtype of tables whose limit leaves it 16 of headroom
 _SUPER_SHIFT = 9  # 512 flag words per rank superblock: 511 * 64 bits fit a uint16 offset
 _RANK_CHUNK = 1 << 14  # keys per step of prime_count_batch, and words per directory step
@@ -274,10 +275,11 @@ class PrimeTable:
         if self._prime_cache_limit < x:
             x = min(max(x, 2), self.limit)
             cache = np.empty(self.prime_count(x), dtype=table_dtype(self.limit))
-            cache[0] = 2
-            for lo in range(0, x + 1, _EXTRACT_CHUNK):
-                lo, hi = max(lo, 3), min(lo + _EXTRACT_CHUNK - 1, x)
-                cache[self.prime_count(lo - 1) : self.prime_count(hi)] = self.primes_between(lo, hi)
+            cache[0], at = 2, 1
+            for lo in range(3, x + 1, _EXTRACT_CHUNK):  # each step's primes straight into the list
+                odd = self.primes_between(lo, min(lo + _EXTRACT_CHUNK - 1, x))
+                cache[at : at + odd.size] = odd
+                at += odd.size
             cache.setflags(write=False)
             self._prime_cache, self._prime_cache_limit = cache, x
         return self._prime_cache
@@ -321,7 +323,7 @@ def build(limit: int) -> PrimeTable:
     seg_bits = min(_SEGMENT_FLAGS, nbits)
     period = math.prod(_PRESIEVE)  # flag bits: odd numbers, so 2 * period integers
     needed = (8 * -(-nbytes // 8) + 8 * (nsuper + 1) + min(period, nbits) + seg_bits
-              + (seg_bits + 7) // 8 + min(_EXTRACT_CHUNK // 16, nsuper << _SUPER_SHIFT + 3))
+              + (seg_bits + 7) // 8 + min(_COUNT_CHUNK // 16, nsuper << _SUPER_SHIFT + 3))
     if needed > _MEMORY_CEILING:
         raise ResourceLimitError(f"limit {limit} needs about {needed} bytes to sieve, "
                                  f"over the {_MEMORY_CEILING}-byte ceiling")
@@ -363,13 +365,14 @@ def build(limit: int) -> PrimeTable:
 
 def _superblock_counts(packed: np.ndarray) -> np.ndarray:
     """The odd primes flagged before each superblock of `8 << _SUPER_SHIFT`
-    bytes, and in all, as int64: one popcount pass in steps of `_EXTRACT_CHUNK`
+    bytes, and in all, as int64: one popcount pass in steps of `_COUNT_CHUNK`
     integers (2 MiB of flags) through one buffer, with no full-size copy."""
     # Freeing that buffer lets glibc serve blocks up to 2 MiB from the heap, not
     # fresh mmaps: at 128 KiB steps, compute_below(3e8) faulted in 8 times the
-    # pages and ran about 15% slower.
+    # pages and ran about 15% slower. That is why this step has its own constant
+    # and stays at 2 MiB while the prime list is extracted in smaller steps.
     per = 8 << _SUPER_SHIFT  # flag bytes per superblock
-    step = per * max(1, _EXTRACT_CHUNK // 16 // per)
+    step = per * max(1, _COUNT_CHUNK // 16 // per)
     nsuper = -(-packed.size // per)
     pops = np.empty(min(step, nsuper * per), dtype=np.uint8)
     counts = np.zeros(nsuper + 1, dtype=np.int64)

@@ -22,7 +22,9 @@ classification unpacks and a cache file stores: `load` decodes values from it.
 The values take the dtype that `prime_core.table_dtype` gives for the
 scan's end p_3n, so they are ``uint32`` below 2**32, whether computed,
 loaded or cut by `below`, and every search of them goes through
-`prime_core.search`. Products of them, as in the ratio checks, are taken in
+`prime_core.search`. The memoized ranks and twin positions take the dtype
+`table_dtype` gives for the length of the classified list. Products of
+values or ranks, as in the ratio and rank-scaling checks, are taken in
 int64, because a ``uint32`` array times a Python int stays ``uint32``.
 """
 
@@ -54,6 +56,22 @@ def walk(start: int, stop: int):
     in order. An analytic carries its state from step to step, so that no
     temporary grows with the classified prime list."""
     return ((lo, min(lo + _WALK_CHUNK, stop)) for lo in range(start, stop, _WALK_CHUNK))
+
+
+def _positions(size: int, stop: int, hit, first: int = 0) -> np.ndarray:
+    """first + i for each i in [0, stop) where the bool step `hit(lo, hi)` is
+    set, in `table_dtype(size)`. The `walk` steps are read twice, to count
+    the hits and then to fill one array of that size: no int64 array of
+    every position is made, and the result is never held twice."""
+    steps = list(walk(0, stop))
+    out = np.empty(sum(np.count_nonzero(hit(*s)) for s in steps), dtype=table_dtype(size))
+    at = 0
+    for lo, hi in steps:
+        i = np.flatnonzero(hit(lo, hi))
+        i += lo + first
+        out[at : at + i.size] = i
+        at += i.size
+    return out
 
 
 def nth_prime_upper(k: int) -> int:
@@ -174,30 +192,19 @@ class RamanujanTable:
 
     def twin_index(self, primes: PrimeTable) -> np.ndarray:
         """Memoized, read-only positions i in the classified list with
-        listed[i + 1] == listed[i] + 2: the lesser members of twin pairs,
-        found a `walk` step at a time. The steps are walked twice, to count the
-        twins and then to fill one array of that size, so it is never held twice."""
+        listed[i + 1] == listed[i] + 2: the lesser members of twin pairs, in
+        the dtype `table_dtype` gives for the list's length."""
         listed = self.classified_primes(primes)[0]
-
-        def is_twin(lo, hi):
-            return listed[lo + 1 : hi + 1] - listed[lo:hi] == 2
-
-        def twins():
-            steps = list(walk(0, listed.size - 1))
-            out = np.empty(sum(np.count_nonzero(is_twin(*s)) for s in steps), dtype=np.intp)
-            at = 0
-            for lo, hi in steps:
-                i = lo + np.flatnonzero(is_twin(lo, hi))
-                out[at : at + i.size] = i
-                at += i.size
-            return out
-
-        return self.derived(primes, "twins", twins)
+        return self.derived(primes, "twins", lambda: _positions(
+            listed.size, listed.size - 1, lambda lo, hi: listed[lo + 1 : hi + 1] - listed[lo:hi] == 2))
 
     def classified_ranks(self, primes: PrimeTable) -> np.ndarray:
-        """Memoized pi(R_n) of each R_n both tables classify: the n-th prime the mask marks."""
-        return self.derived(primes, "ranks", lambda: np.add(  # in place: no second int64 copy
-            r := np.flatnonzero(self.classified_primes(primes)[1]), 1, out=r))
+        """Memoized pi(R_n) of each R_n both tables classify: the n-th prime the
+        mask marks, one more than its position, in the dtype `table_dtype` gives
+        for the mask's length. Only rank scaling and `prime_ranks` read it."""
+        mask = self.classified_primes(primes)[1]
+        return self.derived(primes, "ranks", lambda: _positions(
+            mask.size, mask.size, lambda lo, hi: mask[lo:hi], first=1))
 
     def prime_ranks(self, primes: PrimeTable) -> np.ndarray:
         """pi(R_n) for every n; a CoverageError if some R_n lies past the tables."""
@@ -411,11 +418,15 @@ def verify_max_ratio_bound(table: RamanujanTable, primes: PrimeTable) -> bool:
 
 def _rank_scaling_failures(table, m, limit, primes) -> np.ndarray:
     """Ascending n >= 1 with R_mn < limit and pi(R_mn) > m*pi(R_n), from strided
-    views of the memoized ranks: ranks[m - 1::m][n - 1] is pi(R_mn)."""
+    views of the memoized ranks: ranks[m - 1::m][n - 1] is pi(R_mn). The products
+    are taken in int64 a `walk` step at a time: uint32 ranks times m would wrap."""
     table.coverage(primes, limit - 1)
     ranks = table.classified_ranks(primes)
+    scaled = ranks[m - 1 :: m]
     end = int(search(table.values, limit)) // m + 1  # R_mn < limit for n < end
-    return np.flatnonzero(ranks[m - 1 :: m][: end - 1] > m * ranks[: end - 1]) + 1
+    return np.concatenate([np.zeros(0, np.intp)] + [
+        lo + 1 + np.flatnonzero(scaled[lo:hi] > m * ranks[lo:hi].astype(np.int64))
+        for lo, hi in walk(0, end - 1)])
 
 
 def rank_scaling_violations(

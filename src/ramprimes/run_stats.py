@@ -97,12 +97,18 @@ def blocks_below(n: int, mask: np.ndarray, primes: np.ndarray):
 def _longest_runs(bounds: list[int], primes: np.ndarray, mask: np.ndarray) -> list[tuple[int, int]]:
     """Longest Ramanujan and non-Ramanujan runs below each of the ascending
     `bounds`, from one walk: each block is credited to the first bound above
-    its first prime, and the maxima are carried upward."""
+    its first prime, and the maxima are carried upward. A step's starts ascend,
+    so its bounds' blocks are contiguous: one grouped maximum per step."""
     ns = search(primes, bounds)
     best = np.zeros((2, ns.size), dtype=np.int64)  # rows: non-Ramanujan, Ramanujan
+    rows = np.array([[False], [True]])
     for starts, lengths, values in blocks_below(int(ns[-1]), mask, primes):
-        np.maximum.at(best, (values.view(np.uint8), np.searchsorted(ns, starts, side="right")),
-                      lengths)
+        bucket = np.searchsorted(ns, starts, side="right")
+        first = np.flatnonzero(np.diff(bucket, prepend=-1))  # each bucket's first block
+        # each row holds its class's lengths and 0 for the other, which no maximum takes
+        peaks = np.maximum.reduceat(np.where(values == rows, lengths, 0), first, axis=1)
+        b = bucket[first]
+        best[:, b] = np.maximum(best[:, b], peaks)
     ram, nonram = np.maximum.accumulate(best, axis=1)[::-1].tolist()
     return list(zip(ram, nonram))
 

@@ -52,7 +52,7 @@ def twin_pair_arrays(bound: int, rt: RamanujanTable, pt: PrimeTable):
     rt.coverage(pt, bound + 2)
     primes, mask = rt.classified_primes(pt)
     i = rt.twin_index(pt)
-    i = i[: int(np.searchsorted(i, search(primes, bound, side="right")))]  # p <= bound
+    i = i[: int(search(i, search(primes, bound, side="right")))]  # p <= bound
     return primes[i], mask[i], mask[i + 1]
 
 

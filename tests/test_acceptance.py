@@ -229,6 +229,15 @@ def test_criterion_08_sharp_run_sequence(wide_tables):
         assert found == SHARP_STARTS
 
 
+def test_criterion_08x_sharp_run_sequence_extended(extended_tables):
+    pt, rt, _ = extended_tables
+    with criterion(8, "first sharp run of length 1..11 searched below 1e9 (extended)",
+                   budget=60.0):
+        found = [gap_analysis.first_sharp_run(r, rt, pt, search_bound=EXTENDED_BOUND)
+                 for r in range(1, 12)]
+        assert found == SHARP_STARTS
+
+
 def test_criterion_09_rank_scaling_scan(wide_tables):
     pt, rt, _ = wide_tables
     with criterion(9, "rank scaling clean from N(m) on, and N(m) sharp, m = 2..20 below 1e7"):

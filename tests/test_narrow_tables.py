@@ -151,7 +151,8 @@ def stand_in_run(monkeypatch, tmp_path, narrow):
         loaded = ramanujan_core.load(tmp_path / f"{np.dtype(narrow)}.rprt", pt)
         rt = ramanujan_core.compute_below(BOUND, pt)
         dtypes = {first.values.dtype, loaded.values.dtype, first.below(BOUND).values.dtype,
-                  rt.values.dtype, pt.primes_upto(STAND_IN_LIMIT).dtype}
+                  rt.values.dtype, pt.primes_upto(STAND_IN_LIMIT).dtype,
+                  rt.classified_ranks(pt).dtype, rt.twin_index(pt).dtype}
         return dtypes, analytics(rt, pt)
 
 
@@ -163,3 +164,18 @@ def test_a_narrow_stand_in_changes_no_answer(monkeypatch, tmp_path):
     assert narrow["twin_gap_check"] and narrow["gap_for_run"]  # the answers are not all empty
     for name in wide:
         assert narrow[name] == wide[name], name
+
+
+def test_rank_scaling_products_do_not_wrap(pt1m, monkeypatch):
+    rt = ramanujan_core.compute_below(10 ** 5, pt1m)
+    ms = (2, 3, 7, 20)
+    want = {m: ramanujan_core._rank_scaling_failures(rt, m, 10 ** 5, pt1m).tolist() for m in ms}
+    assert all(want.values())  # some n below each threshold violates
+    # scaling every rank keeps each comparison; the scaled ranks fit uint32, but m
+    # times them pass 2**32, where a uint32 product would wrap
+    ranks = rt.classified_ranks(pt1m)
+    scaled = ranks.astype(np.int64) * (2 ** 32 // (int(ranks[-1]) + 1))
+    assert ranks.dtype == np.uint32 and 2 * int(scaled[-1]) >= 2 ** 32
+    monkeypatch.setattr(rt, "classified_ranks", lambda primes: scaled.astype(np.uint32))
+    for m in ms:
+        assert ramanujan_core._rank_scaling_failures(rt, m, 10 ** 5, pt1m).tolist() == want[m]

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ def test_superblock_counts_for_any_counting_step(monkeypatch, tmp_path, shift, c
     # at least one: (2, 5000) counts 9 superblocks of 32 bytes, not 312 bytes, a step
     # and ends on a 203-byte step holding a partial superblock; (9, 16) on a 2,155-byte one
     monkeypatch.setattr(prime_core, "_SUPER_SHIFT", shift)
-    monkeypatch.setattr(prime_core, "_EXTRACT_CHUNK", chunk)
+    monkeypatch.setattr(prime_core, "_COUNT_CHUNK", chunk)
     limit = 10 ** 5 + 3
     flags = prime_core.simple_sieve_flags(limit)
     built = prime_core.build(limit)
@@ -453,7 +454,7 @@ def test_primes_between_windows(pt1m, sieve1m):
 
 @pytest.mark.parametrize("chunk", [16, 48, 1 << 16])  # integers per counting step
 def test_nth_prime_across_checkpoint_boundaries(monkeypatch, tmp_path, chunk):
-    monkeypatch.setattr(prime_core, "_EXTRACT_CHUNK", chunk)
+    monkeypatch.setattr(prime_core, "_COUNT_CHUNK", chunk)
     limit = 10 ** 5 + 3
     primes = np.flatnonzero(prime_core.simple_sieve_flags(limit))
     for shift in SHIFTS:
@@ -469,6 +470,7 @@ def test_nth_prime_across_checkpoint_boundaries(monkeypatch, tmp_path, chunk):
 
 def test_prime_list_extracts_across_chunk_edges(monkeypatch):
     monkeypatch.setattr(prime_core, "_EXTRACT_CHUNK", 64)
+    monkeypatch.setattr(prime_core, "_COUNT_CHUNK", 64)  # and the counting pass in small steps
     pt = prime_core.build(10 ** 5)
     flags = prime_core.simple_sieve_flags(10 ** 5)
     for x in (2, 3, 63, 64, 65, 127, 128, 129, 1000, 10 ** 5):  # each x extracts afresh
@@ -476,6 +478,22 @@ def test_prime_list_extracts_across_chunk_edges(monkeypatch):
         assert got.size == pt.prime_count(x)
         assert not got.flags.writeable
         assert got.tolist() == np.flatnonzero(flags[: x + 1]).tolist()
+
+
+def test_prime_list_extraction_holds_one_step_beside_the_list(pt_wide, monkeypatch):
+    for chunk in (prime_core._EXTRACT_CHUNK, 1 << 16):
+        monkeypatch.setattr(prime_core, "_EXTRACT_CHUNK", chunk)
+        pt = prime_core.PrimeTable(pt_wide.limit, pt_wide._packed)  # no prime list yet
+        tracemalloc.start()
+        try:
+            primes = pt._primes_through(pt.limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert primes.size == pt.total_primes
+        # one step's bits and int64 primes: 2.4 MB at the default step beside the
+        # 8.4 MB list here, and 50 MB when the whole list was one step of 2^25
+        assert peak - primes.nbytes < min(4 * chunk, primes.nbytes // 2), (chunk, peak)
 
 
 def test_save_load_roundtrip(tmp_path, pt1m):

@@ -237,7 +237,7 @@ def test_twin_index_lists_the_twin_pairs_read_only(rt_wide, pt_wide):
     twins = rt_wide.twin_index(pt_wide)
     # a second route: the flags say which listed primes p have p + 2 prime
     assert np.array_equal(twins, np.flatnonzero(pt_wide.is_prime_batch(primes[:-1] + 2)))
-    assert twins.dtype == np.intp and rt_wide.twin_index(pt_wide) is twins
+    assert twins.dtype == prime_core.table_dtype(primes.size) and rt_wide.twin_index(pt_wide) is twins
     with pytest.raises(ValueError):
         twins[0] = 0
 

@@ -48,6 +48,8 @@ def walked_answers(pt, rt, edges):
                                 for n in (1, 2, 13, 14, 20, 21, 36, 37)],
             "odd_ramanujan_runs": [answer(lambda b=b: gap_analysis.odd_ramanujan_runs(t, pt, b))
                                    for b in (3, 1000, edge)],
+            "first_sharp_run": [answer(lambda r=r: gap_analysis.first_sharp_run(r, t, pt, edge))
+                                for r in (1, 2, 3, 4, 5, 6, 7, 12, 13, 14)],
             "run_interval_violations": answer(
                 lambda: gap_analysis.run_interval_violations(t, pt, edge)),
             "half_point_violations":
@@ -87,6 +89,9 @@ def test_the_step_size_changes_no_answer(tables_1e6, monkeypatch, chunk, edges):
     for name in ("decade_reports", "longest_runs", "first_run_start"):  # 13 from 9901, in turn
         assert default[10_008][name][-1 if name != "first_run_start" else -6][0] == "CoverageError"
     assert default[10_040]["first_run_start"][-6] == 9901
+    # the first sharp runs of 1..4 lie below 10008, those of 5 and more do not
+    assert default[10_008]["first_sharp_run"][:4] == [11, 4919, 1439, 7187]
+    assert default[10_008]["first_sharp_run"][4][0] == "NotFoundBelowBound"
     for edge in edges:  # the twin index, filled step by step, equals one whole-list diff
         listed = rt.below(edge).classified_primes(pt)[0]
         assert default[edge]["twin_index"] == np.flatnonzero(np.diff(listed) == 2).tolist()
@@ -116,3 +121,17 @@ def test_walked_analytics_peak_far_below_one_list_sized_array(rt_wide, pt_wide, 
     }
     peaks = {name: peak_bytes(call) for name, call in calls.items()}
     assert all(peak < list_int64 // 4 for peak in peaks.values()), (peaks, list_int64)
+
+
+def test_first_sharp_run_peak_follows_the_step_not_the_list(rt_wide, pt_wide, monkeypatch):
+    chunk = 1 << 10
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
+    rt = rt_wide.below(rt_wide.complete_below)  # a fresh memo
+    rt.classified_primes(pt_wide)
+    rt.classified_ranks(pt_wide)  # every memo exists before the calls are traced
+    pt_wide.prime_count_batch([0])
+    for r, start in ((1, 11), (4, 7187), (11, 12034427)):  # the last walks 12e6 integers
+        found = []
+        peak = peak_bytes(lambda: found.append(gap_analysis.first_sharp_run(r, rt, pt_wide)))
+        # 10-22 bytes per step position; a rank-sized int64 array here is 5 MB
+        assert found == [start] and peak < 64 * chunk, (r, peak)
