@@ -8,10 +8,8 @@ built itself fell short of its request, or a library call rejected its input).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
-import io
 import json
 import os
 import sys
@@ -146,12 +144,9 @@ def _emit(rows, columns, fmt, output):
     """Write a report as an aligned table, CSV with header, or one JSON doc."""
     if fmt == "json":
         text = json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(columns)
-        writer.writerows(rows)
-        text = buf.getvalue()
+    elif fmt == "csv":  # CSV as Python's csv module writes it: no cell needs quoting
+        line = ",".join(["%s"] * len(columns)) + "\r\n"
+        text = line % tuple(columns) + "".join([line % row for row in rows])
     else:
         widths = [
             max(len(str(c)), *(len(str(r[i])) for r in rows)) if rows else len(str(c))

@@ -1,4 +1,5 @@
-"""Segmented sieve of Eratosthenes with packed odd-only flag storage.
+"""Segmented sieve of Eratosthenes with packed odd-only flag storage, its
+segments split across forked processes that write one shared flag buffer.
 
 A :class:`PrimeTable` answers primality, prime counting, and n-th prime
 queries for every integer in [2, limit]. Flags are kept one bit per odd
@@ -29,11 +30,16 @@ Python int or an ``int64`` array would convert the whole table to
 from __future__ import annotations
 
 import math
+import os
+import signal
+import sys
+import threading
+import traceback
 
 import numpy as np
 
 from . import table_file
-from .errors import ResourceLimitError
+from .errors import InternalConsistencyError, ResourceLimitError
 
 _MAGIC = b"RPPT"
 
@@ -45,6 +51,8 @@ _NARROW = np.uint32  # the dtype of tables whose limit leaves it 16 of headroom
 _SUPER_SHIFT = 9  # 512 flag words per rank superblock: 511 * 64 bits fit a uint16 offset
 _RANK_CHUNK = 1 << 14  # keys per step of prime_count_batch, and words per directory step
 _PRESIEVE = (3, 5, 7, 11, 13, 17)  # primes sieved by copying one pattern, ascending
+_SEGMENT_WRITES = 1200  # a segment's copy and packing cost as much as this many strided writes
+_PART_SEGMENTS = 8  # least segments per sieving process: below twice this many, none is forked
 
 
 def table_dtype(limit: int) -> np.dtype:
@@ -307,23 +315,32 @@ def build(limit: int) -> PrimeTable:
     base prime then clears its odd multiples with one strided write, from the
     flag bit of its next odd multiple, carried from segment to segment.
 
+    The segments are split into contiguous parts, one per process (see
+    :func:`_processes`). The parts past the first are sieved by forked
+    processes into the same shared flag bytes while this process sieves the
+    first; the table is built once every one of them has exited.
+
     Peak memory is what is allocated here, and `_MEMORY_CEILING` bounds its
     sum: the packed flags (one bit per odd number, padded to whole 8-byte
     words for the rank directory) and the superblock counts, written once at
-    their final size, plus the pattern (one period, or fewer bits if the flags
-    are fewer), the one reused segment buffer of bool flags, a segment's packed
-    bytes and the popcounts of one counting step. The base primes and their
-    offsets, O(sqrt(limit)), are left out. The rank directory is not built here.
+    their final size, and the popcounts of one counting step, plus in each
+    process the pattern (one period, or fewer bits if the flags are fewer),
+    the one reused segment buffer of bool flags and a segment's packed bytes.
+    The base primes and their offsets, O(sqrt(limit)), are left out. The rank
+    directory is not built here.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     nbits = (limit + 1) // 2
     nbytes = (nbits + 7) // 8
     nsuper = -(-nbytes // (8 << _SUPER_SHIFT))
+    nseg = -(-nbits // _SEGMENT_FLAGS)
+    nproc = _processes(nseg)
     seg_bits = min(_SEGMENT_FLAGS, nbits)
     period = math.prod(_PRESIEVE)  # flag bits: odd numbers, so 2 * period integers
-    needed = (8 * -(-nbytes // 8) + 8 * (nsuper + 1) + min(period, nbits) + seg_bits
-              + (seg_bits + 7) // 8 + min(_COUNT_CHUNK // 16, nsuper << _SUPER_SHIFT + 3))
+    needed = (8 * -(-nbytes // 8) + 8 * (nsuper + 1)
+              + nproc * (min(period, nbits) + seg_bits + (seg_bits + 7) // 8)
+              + min(_COUNT_CHUNK // 16, nsuper << _SUPER_SHIFT + 3))
     if needed > _MEMORY_CEILING:
         raise ResourceLimitError(f"limit {limit} needs about {needed} bytes to sieve, "
                                  f"over the {_MEMORY_CEILING}-byte ceiling")
@@ -335,12 +352,84 @@ def build(limit: int) -> PrimeTable:
         pattern[p >> 1 :: p] = False
     base = np.flatnonzero(simple_sieve_flags(math.isqrt(limit)))
     base = base[base > _PRESIEVE[-1]]
-    nxt = base * base >> 1  # the flag bit of each base prime's next odd multiple
-
     packed = table_file.word_padded(nbytes)
-    buf = np.empty(seg_bits, dtype=bool)
-    for lo_bit in range(0, nbits, _SEGMENT_FLAGS):
-        hi_bit = min(lo_bit + _SEGMENT_FLAGS, nbits)
+    parts = _parts(nbits, base, nproc)
+    parent, children = os.getpid(), {}
+    try:
+        for start, stop in parts[1:]:
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                raise ResourceLimitError(f"cannot start a sieve process: {exc}") from exc
+            if pid == 0:  # the child sieves its part and ends here, unwinding nothing
+                code = 1
+                try:
+                    _sieve(packed, pattern, base, start, stop, parent)
+                    code = 0
+                except BaseException:
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(code)
+            children[pid] = start, stop
+        _sieve(packed, pattern, base, *parts[0])
+        for pid, (start, stop) in list(children.items()):
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status:
+                raise InternalConsistencyError(
+                    f"the process sieving flag bits [{start}, {stop}) ended with status "
+                    f"{os.waitstatus_to_exitcode(status)}")
+    finally:
+        for pid in children:  # left only by an exception: no process outlives build
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return PrimeTable(limit, packed)
+
+
+def _processes(nseg: int) -> int:
+    """How many processes sieve `nseg` segments: one per CPU this process may
+    run on, with at least `_PART_SEGMENTS` segments each, or just this one.
+    It is also just this one where forking is unsafe or would warn: while
+    another Python thread runs, and from Python 3.12, which warns on a fork in
+    a process with more than one OS thread (numpy's OpenBLAS pool is one
+    unless OPENBLAS_NUM_THREADS=1), while this process has another."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    if sys.version_info >= (3, 12):
+        try:
+            if len(os.listdir("/proc/self/task")) > 1:
+                return 1
+        except OSError:  # no per-thread listing: the Python threads were counted above
+            pass
+    return max(1, min(len(os.sched_getaffinity(0)), nseg // _PART_SEGMENTS))
+
+
+def _parts(nbits: int, base: np.ndarray, nproc: int) -> list[tuple[int, int]]:
+    """`nproc` contiguous ranges [start, stop) of the flag bits, each from a
+    segment's first bit, of about equal work: a segment costs about as much
+    as `_SEGMENT_WRITES` strided writes, plus one for each base prime whose
+    square lies below its end."""
+    nseg = -(-nbits // _SEGMENT_FLAGS)
+    ends = np.minimum(np.arange(1, nseg + 1) * _SEGMENT_FLAGS, nbits)
+    work = np.cumsum(np.searchsorted(base, np.sqrt(2 * ends)) + _SEGMENT_WRITES)
+    # part k starts after the last segment whose cumulative work stays within k / nproc of it all
+    firsts = np.searchsorted(work, work[-1] * np.arange(1, nproc) // nproc, side="right")
+    cuts = [0, *(firsts * _SEGMENT_FLAGS).tolist(), nbits]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _sieve(packed, pattern, base, start: int, stop: int, parent: int | None = None) -> None:
+    """Sieve flag bits [start, stop) into `packed`, one segment of
+    `_SEGMENT_FLAGS` bits at a time from `start`, a segment's first bit. A
+    process forked by `parent` exits once that process is gone."""
+    period = math.prod(_PRESIEVE)
+    # the flag bit of each base prime's first odd multiple from max(its square, start)
+    nxt = np.maximum(base * base >> 1, start + ((base >> 1) - start) % base)
+    buf = np.empty(min(_SEGMENT_FLAGS, stop - start), dtype=bool)
+    for lo_bit in range(start, stop, _SEGMENT_FLAGS):
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        hi_bit = min(lo_bit + _SEGMENT_FLAGS, stop)
         seg = buf[: hi_bit - lo_bit]
         i, r = 0, lo_bit % period  # r: the segment's offset into the pattern's period
         while i < seg.size:
@@ -360,7 +449,6 @@ def build(limit: int) -> PrimeTable:
             seg[i::p] = False
         nxt[active] = at + (hi_bit - at + step - 1) // step * step
         packed[lo_bit >> 3 : (hi_bit + 7) >> 3] = np.packbits(seg, bitorder="little")
-    return PrimeTable(limit, packed)
 
 
 def _superblock_counts(packed: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ buffer padded to whole 8-byte words, so that it can be viewed as words in
 place (see :func:`word_padded`).
 """
 
+import mmap
 import os
 import struct
 import zlib
@@ -17,11 +18,12 @@ FORMAT_VERSION = 4
 
 
 def word_padded(nbytes: int) -> np.ndarray:
-    """`nbytes` uint8 bytes at the start of a buffer of whole 8-byte words,
-    whose padding is zeroed; the buffer is the view's `base`."""
-    buf = np.empty(-(-nbytes // 8) * 8, dtype=np.uint8)
-    buf[nbytes:] = 0
-    return buf[:nbytes]
+    """`nbytes` uint8 bytes at the start of a zeroed buffer of whole 8-byte
+    words; the buffer is the view's `base`. It is a shared anonymous mapping,
+    so that processes forked after it is made write the same bytes; it is
+    unmapped when the last array over it is freed."""
+    size = -(-max(nbytes, 1) // 8) * 8
+    return np.frombuffer(mmap.mmap(-1, size), dtype=np.uint8)[:nbytes]
 
 
 def write(path, magic: bytes, fields, payload: np.ndarray) -> None:

@@ -46,13 +46,18 @@ class BrunPartial:
     terms: int
 
 
-def twin_pair_arrays(bound: int, rt: RamanujanTable, pt: PrimeTable):
-    """Lesser members of twin pairs with lesser <= bound, plus both masks,
-    sliced from the Ramanujan table's twin index."""
+def _twin_positions(bound: int, rt: RamanujanTable, pt: PrimeTable):
+    """(the twin index cut to pairs with lesser <= bound, the classified primes, their mask)."""
     rt.coverage(pt, bound + 2)
     primes, mask = rt.classified_primes(pt)
     i = rt.twin_index(pt)
-    i = i[: int(search(i, search(primes, bound, side="right")))]  # p <= bound
+    return i[: int(search(i, search(primes, bound, side="right")))], primes, mask
+
+
+def twin_pair_arrays(bound: int, rt: RamanujanTable, pt: PrimeTable):
+    """Lesser members of twin pairs with lesser <= bound, plus both masks,
+    sliced from the Ramanujan table's twin index."""
+    i, primes, mask = _twin_positions(bound, rt, pt)
     return primes[i], mask[i], mask[i + 1]
 
 
@@ -138,17 +143,27 @@ def ratio_inequalities_hold(bound: int, census: TwinCensus) -> bool:
 
 def ratio_inequalities_strict(bound: int, rt: RamanujanTable, pt: PrimeTable) -> bool:
     """Event-driven variant: the inequalities must hold at every twin-pair
-    count state from 10^5 up to `bound`, not just at decade snapshots.
+    count state from 10^5 up to `bound`, not just at decade snapshots. The
+    pairs are read a `walk` step at a time, with the counts carried across.
     """
     _check_ratio_scope(bound)
-    lesser, ram_lo, ram_hi = twin_pair_arrays(bound, rt, pt)
-    c2 = np.arange(1, lesser.size + 1, dtype=np.int64)
-    c21 = np.cumsum((ram_lo | ram_hi).astype(np.int64))
-    c22 = np.cumsum((ram_lo & ram_hi).astype(np.int64))
-    start = int(search(lesser, RATIO_CONJECTURE_MIN_BOUND, side="right")) - 1
+    i, primes, mask = _twin_positions(bound, rt, pt)
+    # the state after the last pair with lesser <= 10^5 is the first one checked
+    start = int(search(i, search(primes, RATIO_CONJECTURE_MIN_BOUND, side="right"))) - 1
     if start < 0:
         return True
-    return bool(_ratios_hold(c2[start:], c21[start:], c22[start:]).all())
+    c21 = c22 = 0  # the counts carried in from the steps before
+    for lo, hi in walk(0, i.size):
+        ram_lo, ram_hi = mask[i[lo:hi]], mask[i[lo:hi] + 1]
+        pi21 = np.cumsum(ram_lo | ram_hi, dtype=np.int64)
+        pi21 += c21
+        pi22 = np.cumsum(np.logical_and(ram_lo, ram_hi, out=ram_lo), dtype=np.int64)
+        pi22 += c22
+        at = max(start - lo, 0)
+        if not _ratios_hold(np.arange(lo + 1 + at, hi + 1), pi21[at:], pi22[at:]).all():
+            return False
+        c21, c22 = int(pi21[-1]), int(pi22[-1])
+    return True
 
 
 def brun_partial(bound: int, kind: str, rt: RamanujanTable, pt: PrimeTable) -> BrunPartial:

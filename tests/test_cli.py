@@ -210,6 +210,15 @@ def test_runs_csv_matches_reference(runner):
     assert rows[3] == ["3", "0.429", "6", "5", "8", "7"]
 
 
+@pytest.mark.parametrize("args", [["compute", "--below", "1e4"], ["twins", "--bound", "10"],
+                                  ["twins", "--bound", "1e4"], ["runs", "--max-decade", "3"]])
+def test_csv_is_what_the_csv_module_writes(runner, args):
+    out = invoke(runner, *args, "--format", "csv").stdout_bytes.decode()
+    buf = io.StringIO()
+    csv.writer(buf).writerows(csv.reader(io.StringIO(out, newline="")))
+    assert out == buf.getvalue() and out.endswith("\r\n")
+
+
 def test_brun_output(runner):
     result = invoke(runner, "brun", "--kind", "both", "--bound", "1000")
     assert result.exit_code == 0

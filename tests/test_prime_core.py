@@ -1,5 +1,10 @@
+import _thread
+import contextlib
 import hashlib
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramprimes import prime_core, ramanujan_core, table_file
-from ramprimes.errors import ResourceLimitError
+from ramprimes.errors import InternalConsistencyError, ResourceLimitError
 from test_table_file import HEADER_SIZE
 
 
@@ -61,6 +66,17 @@ def test_build_rejects_over_memory_ceiling(monkeypatch):
             prime_core.build(10 ** 6)
     monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 945_931)
     assert prime_core.build(10 ** 6).limit == 10 ** 6
+    # at 4 * 10**7, 20 segments sieved by two processes: the flags, 2,500,000 bytes,
+    # the 612 counts, 4,896 bytes, and a 2,097,152-byte counting step take 4,602,048
+    # bytes; each process adds its pattern, 255,255, its segment buffer, 1,048,576,
+    # and a segment's 131,072 packed bytes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = counted_forks(monkeypatch)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 7_471_853)
+    with pytest.raises(ResourceLimitError):
+        prime_core.build(4 * 10 ** 7)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 7_471_854)
+    assert prime_core.build(4 * 10 ** 7).total_primes == 2_433_654 and len(forks) == 1
 
 
 def test_nth_prime_reference_points():
@@ -170,6 +186,171 @@ def test_build_matches_simple_at_every_small_limit():
     # every limit around 17**2 and 19**2, where the first carried prime starts
     for limit in range(2, 1001):
         assert_sieved_exactly(prime_core.build(limit))
+
+
+def counted_forks(monkeypatch) -> list[int]:
+    """The pids of the processes forked from here on, as a list that grows."""
+    forks, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def base_primes(limit: int) -> np.ndarray:
+    base = np.flatnonzero(prime_core.simple_sieve_flags(math.isqrt(limit)))
+    return base[base > prime_core._PRESIEVE[-1]]
+
+
+def limits_with_part_edges(edges, nproc, candidates) -> set[int]:
+    """For each flag bit in `edges`, the first of `candidates` whose split into
+    `nproc` parts starts a part there."""
+    found = {}
+    for limit in candidates:
+        for start, _ in prime_core._parts((limit + 1) // 2, base_primes(limit), nproc)[1:]:
+            found.setdefault(start, limit)
+    assert set(edges) <= found.keys(), (nproc, sorted(set(edges) - found.keys()))
+    return {found[e] for e in edges}
+
+
+# parts that start on and around the flag bits of 17**2 (144, a segment's first
+# bit at 8 bits a segment) and 19**2 (180, inside one), where the first carried
+# primes begin, and around the pattern's period (255,255 bits, inside the 1024-bit
+# segment from 254,976), so that a part starts at many offsets into it
+SPLITS = [(8, (136, 144, 152, 176, 184), range(300, 1200)),
+          (1024, (253_952, 254_976, 256_000), range(600_000, 1_200_000, 512))]
+
+
+@pytest.mark.parametrize("nproc", [1, 2, 3])
+def test_split_sieve_matches_simple_construction(monkeypatch, nproc):
+    monkeypatch.setattr(prime_core, "_PART_SEGMENTS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(nproc)))
+    forks = counted_forks(monkeypatch)
+    builds = 0
+    for segment_flags, edges, candidates in SPLITS:
+        monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", segment_flags)
+        limits = limits_with_part_edges(edges, 2, candidates) | limits_with_part_edges(
+            edges, 3, candidates)  # the same limits for every part count
+        for limit in sorted(limits):
+            nbits = (limit + 1) // 2
+            parts = prime_core._parts(nbits, base_primes(limit), nproc)
+            cuts = [start for start, _ in parts] + [nbits]
+            assert cuts == sorted(set(cuts)) and all(c % segment_flags == 0 for c in cuts[:-1])
+            assert_sieved_exactly(prime_core.build(limit))
+            assert_no_child_left()
+            builds += 1
+    assert len(forks) == (nproc - 1) * builds
+
+
+@pytest.fixture()
+def three_parts(monkeypatch):
+    """`build(10**6)` in three parts: 489 segments of 1024 flag bits on three CPUs."""
+    monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", 1024)
+    monkeypatch.setattr(prime_core, "_PART_SEGMENTS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+def test_a_failed_sieve_process_is_an_error_and_no_process_is_left(monkeypatch, three_parts):
+    sieve = prime_core._sieve
+
+    def failing(packed, pattern, base, start, stop, parent=None):
+        if parent is None:  # this process
+            return sieve(packed, pattern, base, start, stop)
+        if start < packed.size * 4:  # the second part's process fails, the third's hangs
+            raise RuntimeError("injected")
+        time.sleep(60)
+
+    monkeypatch.setattr(prime_core, "_sieve", failing)
+    t0 = time.perf_counter()
+    with pytest.raises(InternalConsistencyError, match=r"flag bits \[\d+, \d+\) ended with status 1"):
+        prime_core.build(10 ** 6)
+    assert_no_child_left()
+    assert time.perf_counter() - t0 < 30
+
+
+def test_an_interrupted_build_leaves_no_process(monkeypatch, three_parts):
+    def interrupted(packed, pattern, base, start, stop, parent=None):
+        if parent is None:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(prime_core, "_sieve", interrupted)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        prime_core.build(10 ** 6)
+    assert_no_child_left()
+    assert time.perf_counter() - t0 < 30
+
+
+def test_a_sieve_process_whose_parent_is_gone_exits():
+    packed = table_file.word_padded(8)
+    pid = os.fork()
+    if pid == 0:
+        try:  # -1 is no process's pid, so the parent reads as gone before the first segment
+            prime_core._sieve(packed, np.ones(64, dtype=bool), base_primes(127), 0, 64, -1)
+        finally:
+            os._exit(0)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
+    assert not packed.any()
+
+
+def refuse_fork():
+    raise OSError("fork refused")
+
+
+def test_below_the_part_threshold_nothing_is_forked(monkeypatch):
+    monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", 1024)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    # two processes need 2 * _PART_SEGMENTS segments: 16 * 1024 flag bits
+    below = 2 * (2 * prime_core._PART_SEGMENTS - 1) * 1024
+    assert_sieved_exactly(prime_core.build(below))
+    with pytest.raises(ResourceLimitError, match="cannot start a sieve process: fork refused"):
+        prime_core.build(below + 1)
+
+
+@contextlib.contextmanager
+def another_thread(start):
+    """While the block runs, one more OS thread, made by `start(wait)`, waits."""
+    release, before = threading.Event(), len(os.listdir("/proc/self/task"))
+    start(release.wait)
+    try:
+        while len(os.listdir("/proc/self/task")) == before:
+            time.sleep(0.001)
+        yield
+    finally:
+        release.set()
+    while len(os.listdir("/proc/self/task")) > before:
+        time.sleep(0.001)
+
+
+def test_no_process_is_forked_beside_another_thread(monkeypatch):
+    monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", 1024)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    limit = 10 ** 6  # 489 segments, two processes
+    with another_thread(lambda wait: threading.Thread(target=wait).start()):
+        for version in ((3, 11, 0), (3, 12, 0)):
+            monkeypatch.setattr(prime_core.sys, "version_info", version)
+            assert_sieved_exactly(prime_core.build(limit))
+    # an OS thread that the threading module does not count: only from Python
+    # 3.12, which warns on a fork beside it, does it keep the sieve in one process
+    with another_thread(lambda wait: _thread.start_new_thread(wait, ())):
+        assert threading.active_count() == 1
+        assert_sieved_exactly(prime_core.build(limit))
+        monkeypatch.setattr(prime_core.sys, "version_info", (3, 11, 0))
+        with pytest.raises(ResourceLimitError, match="fork refused"):
+            prime_core.build(limit)
 
 
 def test_segmented_matches_simple_at_one_million(pt1m, sieve1m):

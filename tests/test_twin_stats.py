@@ -129,6 +129,27 @@ def test_ratio_inequalities_strict_below_one_million(rt_wide, pt_wide):
     assert ratio_inequalities_strict(10 ** 6, rt_wide, pt_wide)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 16])
+def test_strict_ratios_check_every_count_state_at_any_step(rt_wide, pt_wide, monkeypatch, chunk):
+    bound = 10 ** 6
+    lesser, ram_lo, ram_hi = twin_stats.twin_pair_arrays(bound, rt_wide, pt_wide)
+    start = int(prime_core.search(lesser, 10 ** 5, side="right")) - 1
+    want = np.stack([np.arange(1, lesser.size + 1), np.cumsum(ram_lo | ram_hi),
+                     np.cumsum(ram_lo & ram_hi)])[:, start:]  # the one-shot running counts
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
+    seen, fail_at = [], 0
+
+    def recorded(pi2, pi21, pi22):
+        seen.append(np.stack([pi2, pi21, pi22]))
+        return pi2 != fail_at
+
+    monkeypatch.setattr(twin_stats, "_ratios_hold", recorded)
+    assert ratio_inequalities_strict(bound, rt_wide, pt_wide)
+    assert np.array_equal(np.concatenate(seen, axis=1), want)
+    for fail_at in want[0, [0, want.shape[1] // 2, -1]].tolist():  # one state fails
+        assert not ratio_inequalities_strict(bound, rt_wide, pt_wide)
+
+
 def test_brun_first_terms_all(rt_wide, pt_wide):
     partial = brun_partial(10, KIND_ALL, rt_wide, pt_wide)
     assert partial.terms == 2

@@ -135,3 +135,17 @@ def test_first_sharp_run_peak_follows_the_step_not_the_list(rt_wide, pt_wide, mo
         peak = peak_bytes(lambda: found.append(gap_analysis.first_sharp_run(r, rt, pt_wide)))
         # 10-22 bytes per step position; a rank-sized int64 array here is 5 MB
         assert found == [start] and peak < 64 * chunk, (r, peak)
+
+
+def test_strict_ratios_peak_follows_the_step_not_the_pairs(rt_wide, pt_wide, monkeypatch):
+    chunk = 1 << 10
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
+    rt = rt_wide.below(rt_wide.complete_below)  # a fresh memo
+    rt.twin_index(pt_wide)  # every memo exists before the call is traced
+    bound = rt.coverage(pt_wide, rt.complete_below - 1) - 2
+    pairs = twin_stats.twin_pair_arrays(bound, rt, pt_wide)[0].size
+    found = []
+    peak = peak_bytes(lambda: found.append(twin_stats.ratio_inequalities_strict(bound, rt, pt_wide)))
+    # about 50 bytes per step position; the bound is below one byte per pair (112,103
+    # here), while the running counts over all pairs were five int64 arrays of them
+    assert found == [True] and peak < 64 * chunk < pairs, (peak, pairs)
