@@ -52,7 +52,9 @@ _SUPER_SHIFT = 9  # 512 flag words per rank superblock: 511 * 64 bits fit a uint
 _RANK_CHUNK = 1 << 14  # keys per step of prime_count_batch, and words per directory step
 _PRESIEVE = (3, 5, 7, 11, 13, 17)  # primes sieved by copying one pattern, ascending
 _SEGMENT_WRITES = 1200  # a segment's copy and packing cost as much as this many strided writes
-_PART_SEGMENTS = 8  # least segments per sieving process: below twice this many, none is forked
+_PART_SEGMENTS = 8  # least segments or scan blocks per process: below twice this many, no fork
+_STEP = 1 << 13  # int64 elements per step of a decode, count or compaction: 64 KiB, so that its
+# temporaries stay below glibc's least mmap threshold and come from the heap, whatever came before
 
 
 def table_dtype(limit: int) -> np.dtype:
@@ -199,34 +201,40 @@ class PrimeTable:
             count += x >= 2  # the prime 2
         return out
 
-    def prime_count_ascending(self, values) -> np.ndarray:
-        """Vectorized pi over an ascending integer array, read from the flag
-        bytes between its ends: a running popcount from the scalar count at
-        the first byte, plus each value's partial byte. Its memory follows the
-        span of `values`, not the table, so it suits short windows."""
+    def prime_count_ascending(self, values, out: np.ndarray | None = None) -> np.ndarray:
+        """Vectorized pi over an ascending integer array, as int64, written into
+        `out` when given (it may be `values` itself). In steps of `_STEP` values,
+        each read from the flag bytes between the step's ends: a running
+        popcount from the scalar count at the first byte, plus each value's
+        partial byte. Its memory follows the span of a step, not the table, so
+        it suits short windows."""
         y = np.asarray(values, dtype=np.int64)
-        if y.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if int(y[0]) < 0 or int(y[-1]) > self.limit:
+        out = np.empty(y.size, dtype=np.int64) if out is None else out
+        if y.size and (int(y[0]) < 0 or int(y[-1]) > self.limit):
             raise ValueError(f"prime_count_ascending arguments outside [0, {self.limit}]")
-        # arrays of the input's size are reused in place: the scan calls this
-        # once per block, and each extra one raises its peak memory
-        bit = y - 1
-        np.maximum(bit, 0, out=bit)
-        bit >>= 1  # the flag bit of the largest odd number <= max(y, 1)
-        first = int(bit[0]) >> 3
-        window = self._packed[first : (int(bit[-1]) >> 3) + 1]
-        pops = np.bitwise_count(window)
-        before = np.cumsum(pops, dtype=np.int64) - pops  # bits set in the window before each byte
-        if first:
-            before += self.prime_count(16 * first - 1) - 1  # and in the bytes before the window
-        mask = ((2 << (bit & 7)) - 1).astype(np.uint8)  # built in int64: 2 << 7 must not wrap
-        k = np.right_shift(bit, 3, out=bit)  # each value's byte, counted from the window's start
-        k -= first
-        counts = before[k]
-        counts += np.bitwise_count(window[k] & mask)
-        counts[np.searchsorted(y, 2) :] += 1  # the prime 2
-        return counts
+        for s in range(0, y.size, _STEP):
+            x, count = y[s : s + _STEP], out[s : s + _STEP]
+            two = int(np.searchsorted(x, 2))  # read before `count` overwrites a shared `x`
+            bit = np.maximum(x, 1, out=count)
+            bit -= 1
+            bit >>= 1  # the flag bit of the largest odd number <= max(x, 1)
+            first = int(bit[0]) >> 3
+            window = self._packed[first : (int(bit[-1]) >> 3) + 1]
+            pops = np.bitwise_count(window)
+            before = np.cumsum(pops, dtype=np.int64)
+            before -= pops  # bits set in the window before each byte
+            low = np.bitwise_and(bit, 7, dtype=np.uint8, casting="unsafe")
+            np.left_shift(2, low, out=low)
+            low -= 1  # the bits of a value's byte up to its own: 2 << 7 wraps to 0, so 255
+            k = bit >> 3  # each value's byte, counted from the window's start
+            k -= first
+            low &= window[k]
+            np.take(before, k, out=count)
+            count += np.bitwise_count(low, out=low)
+            count[two:] += 1  # the prime 2
+            if first:  # and the odd primes in the bytes before the window
+                count += self.prime_count(16 * first - 1) - 1
+        return out
 
     def nth_prime_batch(self, ns) -> np.ndarray:
         """Vectorized nth_prime over an integer array."""
@@ -244,17 +252,26 @@ class PrimeTable:
         primes = self._primes_through(x)
         return primes[: int(search(primes, x, side="right"))]
 
-    def primes_between(self, lo: int, hi: int) -> np.ndarray:
-        """All primes in [lo, hi], ascending, read from the flags, not the prime list."""
+    def primes_between(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """All primes in [lo, hi], ascending, read from the flags, not the prime
+        list, as int64: the prefix of `out` they fill (it must hold them all),
+        or a new array. The flags are unpacked `8 * _STEP` bits at a time."""
         if lo < 0 or hi > self.limit:
             raise ValueError(f"primes_between [{lo}, {hi}] outside [0, {self.limit}]")
-        b0, b1 = lo >> 1, (hi - 1) >> 1  # bits of the first and last odd in range
-        if b1 < b0:
-            return np.array([2] if lo <= 2 <= hi else [], dtype=np.int64)
-        byte0 = b0 >> 3
-        bits = np.unpackbits(self._packed[byte0 : (b1 >> 3) + 1], bitorder="little").view(bool)
-        odd = 2 * (b0 + np.flatnonzero(bits[b0 - (byte0 << 3) : b1 + 1 - (byte0 << 3)])) + 1
-        return np.concatenate([[2], odd]) if lo <= 2 <= hi else odd
+        if out is None:
+            count = self.prime_count(max(hi, 0)) - self.prime_count(max(lo - 1, 0))
+            out = np.empty(max(count, 0), dtype=np.int64)
+        at = int(lo <= 2 <= hi)
+        out[:at] = 2
+        end = ((hi - 1) >> 1) + 1  # past the bit of the last odd number in range
+        for b0 in range(lo >> 1, end, 8 * _STEP):
+            byte0, b1 = b0 >> 3, min(b0 + 8 * _STEP, end)
+            bits = np.unpackbits(self._packed[byte0 : (b1 + 7) >> 3], bitorder="little").view(bool)
+            odd = np.flatnonzero(bits[b0 - 8 * byte0 : b1 - 8 * byte0])
+            step = np.left_shift(odd, 1, out=out[at : at + odd.size])
+            step += 2 * b0 + 1  # the odd number 2 * bit + 1
+            at += odd.size
+        return out[:at]
 
     def _rank_directory(self) -> tuple[np.ndarray, np.ndarray]:
         """(words, offsets), built once: the flags as little-endian uint64
@@ -316,9 +333,8 @@ def build(limit: int) -> PrimeTable:
     flag bit of its next odd multiple, carried from segment to segment.
 
     The segments are split into contiguous parts, one per process (see
-    :func:`_processes`). The parts past the first are sieved by forked
-    processes into the same shared flag bytes while this process sieves the
-    first; the table is built once every one of them has exited.
+    :func:`_processes`), sieved into the same shared flag bytes by
+    :func:`_run_parts`; the table is built once every child has exited.
 
     Peak memory is what is allocated here, and `_MEMORY_CEILING` bounds its
     sum: the packed flags (one bit per odd number, padded to whole 8-byte
@@ -353,46 +369,54 @@ def build(limit: int) -> PrimeTable:
     base = np.flatnonzero(simple_sieve_flags(math.isqrt(limit)))
     base = base[base > _PRESIEVE[-1]]
     packed = table_file.word_padded(nbytes)
-    parts = _parts(nbits, base, nproc)
+    _run_parts(_parts(nbits, base, nproc), lambda part, parent: _sieve(
+        packed, pattern, base, *part, parent), "sieve", "sieving flag bits [{}, {})")
+    return PrimeTable(limit, packed)
+
+
+def _run_parts(parts, run, kind: str, doing: str) -> None:
+    """Call `run(parts[0], None)` here and `run(part, pid)` in a child forked
+    from this process, of pid `pid`, for each later part; return once all have
+    exited. A failed child is an InternalConsistencyError, a refused fork a
+    ResourceLimitError; on any exception every child is killed and reaped."""
     parent, children = os.getpid(), {}
     try:
-        for start, stop in parts[1:]:
+        for part in parts[1:]:
             try:
                 pid = os.fork()
             except OSError as exc:
-                raise ResourceLimitError(f"cannot start a sieve process: {exc}") from exc
-            if pid == 0:  # the child sieves its part and ends here, unwinding nothing
+                raise ResourceLimitError(f"cannot start a {kind} process: {exc}") from exc
+            if pid == 0:  # the child runs its part and ends here, unwinding nothing
                 code = 1
                 try:
-                    _sieve(packed, pattern, base, start, stop, parent)
+                    run(part, parent)
                     code = 0
                 except BaseException:
                     os.write(2, traceback.format_exc().encode())
                 finally:
                     os._exit(code)
-            children[pid] = start, stop
-        _sieve(packed, pattern, base, *parts[0])
-        for pid, (start, stop) in list(children.items()):
+            children[pid] = part
+        run(parts[0], None)
+        for pid, part in list(children.items()):
             status = os.waitpid(pid, 0)[1]
             del children[pid]
             if status:
                 raise InternalConsistencyError(
-                    f"the process sieving flag bits [{start}, {stop}) ended with status "
+                    f"the process {doing.format(*part)} ended with status "
                     f"{os.waitstatus_to_exitcode(status)}")
     finally:
-        for pid in children:  # left only by an exception: no process outlives build
+        for pid in children:  # left only by an exception
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return PrimeTable(limit, packed)
 
 
-def _processes(nseg: int) -> int:
-    """How many processes sieve `nseg` segments: one per CPU this process may
-    run on, with at least `_PART_SEGMENTS` segments each, or just this one.
-    It is also just this one where forking is unsafe or would warn: while
-    another Python thread runs, and from Python 3.12, which warns on a fork in
-    a process with more than one OS thread (numpy's OpenBLAS pool is one
-    unless OPENBLAS_NUM_THREADS=1), while this process has another."""
+def _processes(units: int) -> int:
+    """How many processes share `units` sieve segments or scan blocks: one per
+    CPU this process may run on, with at least `_PART_SEGMENTS` units each, or
+    just this one. It is also just this one where forking is unsafe or would
+    warn: while another Python thread runs, and from Python 3.12, which warns
+    on a fork in a process with more than one OS thread (numpy's OpenBLAS pool
+    is one unless OPENBLAS_NUM_THREADS=1), while this process has another."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     if sys.version_info >= (3, 12):
@@ -401,7 +425,7 @@ def _processes(nseg: int) -> int:
                 return 1
         except OSError:  # no per-thread listing: the Python threads were counted above
             pass
-    return max(1, min(len(os.sched_getaffinity(0)), nseg // _PART_SEGMENTS))
+    return max(1, min(len(os.sched_getaffinity(0)), units // _PART_SEGMENTS))
 
 
 def _parts(nbits: int, base: np.ndarray, nproc: int) -> list[tuple[int, int]]:
@@ -455,10 +479,6 @@ def _superblock_counts(packed: np.ndarray) -> np.ndarray:
     """The odd primes flagged before each superblock of `8 << _SUPER_SHIFT`
     bytes, and in all, as int64: one popcount pass in steps of `_COUNT_CHUNK`
     integers (2 MiB of flags) through one buffer, with no full-size copy."""
-    # Freeing that buffer lets glibc serve blocks up to 2 MiB from the heap, not
-    # fresh mmaps: at 128 KiB steps, compute_below(3e8) faulted in 8 times the
-    # pages and ran about 15% slower. That is why this step has its own constant
-    # and stays at 2 MiB while the prime list is extracted in smaller steps.
     per = 8 << _SUPER_SHIFT  # flag bytes per superblock
     step = per * max(1, _COUNT_CHUNK // 16 // per)
     nsuper = -(-packed.size // per)

@@ -5,19 +5,12 @@ The n-th Ramanujan prime R_n is the smallest integer such that every
 x >= R_n has at least n primes in (x/2, x]. Writing s(k) for the number
 of primes in (k/2, k], R_n equals 1 plus the largest k with s(k) = n - 1,
 and the scan only has to run to the (3n)-th prime because R_n is known to
-stay below it. s rises only at a prime p (+1) and falls only at 2q for a
-prime q (-1), so between two primes it only falls: its value just before
-each prime decides every R_n, and the scan reads one value per prime
-rather than one per integer. Each scan block decodes its primes from the
-flags once; pi((p - 1)/2) for each of them is a prefix popcount of the
-flag bytes of the block's half range, so the doubled primes are never listed.
-A block [lo, hi] none of whose values t_j = j - pi((p_{j+1} - 1)/2) can fall
-below the minimum carried in from its right holds no R_n and is skipped
-undecoded; two exact counts settle it, as j >= pi(lo - 1) and p_{j+1} <= hi
-give t_j >= pi(lo - 1) - pi((hi - 1)/2). No bound on R_n is assumed, so the
-scan still runs to p_3n, but the blocks past R_n are in practice skipped.
-The scan also marks each R_n in a bit mask over prime indices, which
-classification unpacks and a cache file stores: `load` decodes values from it.
+stay below it. `compute_first` reads one value of s per prime, blockwise
+from the right, skips undecoded each block that two exact counts show to
+hold no R_n, and splits the blocks among parallel processes, as a suffix
+minimum combines across parts. It also marks each R_n in a bit mask over
+prime indices, which classification unpacks and a cache file stores:
+`load` decodes values from it.
 
 The values take the dtype that `prime_core.table_dtype` gives for the
 scan's end p_3n, so they are ``uint32`` below 2**32, whether computed,
@@ -31,12 +24,14 @@ int64, because a ``uint32`` array times a Python int stays ``uint32``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from . import table_file
+from . import prime_core, table_file
 from .errors import CoverageError, InternalConsistencyError
 from .prime_core import PrimeTable, search, table_dtype
 
@@ -259,11 +254,8 @@ class BoundsReport:
 def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
     """Compute R_1..R_n by walking the primes through p_3n, one value of s each.
 
-    Conceptually the scan walks k = 1 .. p_3n - 1 keeping a counter that
-    gains one when k is prime and loses one when k is even with k/2 prime,
-    recording for each value v the last k where the counter equals v; R_{v+1}
-    is that k plus one. The counter rises only at primes, so on [p_i, p_{i+1} - 1]
-    its least value is t_i = s(p_{i+1} - 1) = i - pi((p_{i+1} - 1)/2), with
+    s(k) = pi(k) - pi(k/2) rises only at primes, so on [p_i, p_{i+1} - 1] its
+    least value is t_i = s(p_{i+1} - 1) = i - pi((p_{i+1} - 1)/2), with
     t_0 = s(1) = 0, and R_{v+1} = p_{j+1} for the largest j < 3n with t_j <= v.
     t rises by at most 1 per prime, so its suffix minimum is a staircase
     rising by exactly 1, and each step from v to v + 1 is read off at the
@@ -271,12 +263,21 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
     suffix minimum from block to block. Each block decodes its primes p once
     and reads pi((p - 1)/2) from a prefix popcount of the flag bytes of its
     half range (`PrimeTable.prime_count_ascending`), with no list of the
-    doubled primes and no search. Before that, a block is skipped when
-    a - pi((hi - 1)/2) >= carry, with a = pi(lo - 1): every t_j in it has
-    j >= a and p_{j+1} <= hi, so none takes the suffix minimum below the
-    carry, and the block holds no step. The test reads two exact counts from
-    the flags, not a theorem on R_n, so the sizing to p_3n and `scan_limit`
-    stand, and criterion 03's check of Theorem 4 does not assume what it checks.
+    doubled primes and no search. A block is skipped undecoded when its
+    lb = a - pi((hi - 1)/2) >= carry, with a = pi(lo - 1): every t_j in it
+    has j >= a and p_{j+1} <= hi, so t_j >= lb and the block holds no step.
+    The test reads two exact counts, not a theorem on R_n, so the sizing to
+    p_3n stands, and criterion 03's check of Theorem 4 does not assume what
+    it checks.
+
+    The blocks are split into contiguous parts with equal numbers of blocks
+    left to decode, one per process (`prime_core._processes`); one process
+    walks the one part from the carry n, by the same loop. Each part walks
+    from an upper bound on the carry into it (see `_scan`): the least of n
+    and s(hi - 1) = pi(hi - 1) - pi((hi - 1)/2) over the blocks right of it,
+    as each t_j is the least s on [p_j, p_{j+1} - 1]. The merge then runs
+    from right to left with the exact carry: it keeps each part's side
+    entries below it and clears the mask bits of the rest.
     """
     if n < 1:
         raise ValueError(f"count must be >= 1, got {n}")
@@ -286,29 +287,80 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
             f"table covers only {primes.limit}"
         )
     top = primes.nth_prime(3 * n)
-    values = np.zeros(n, dtype=table_dtype(top))
-    mask = np.zeros(-(-3 * n // 8), dtype=np.uint8)  # bit i: p_{i+1} is Ramanujan
-    carry = n  # min of t over the primes already walked, all to the right; starting
-    # at n caps the staircase there, as R_{v+1} is wanted only for v < n
-    for lo in range(1 + _SCAN_BLOCK * ((top - 1) // _SCAN_BLOCK), 0, -_SCAN_BLOCK):
-        hi = min(lo + _SCAN_BLOCK - 1, top)
-        a = primes.prime_count(lo - 1)
-        if a - primes.prime_count((hi - 1) >> 1) >= carry:
-            continue  # each t_j here is >= that bound (j >= a, p_{j+1} <= hi): no step
-        p = primes.primes_between(lo, hi)  # p_{a+1} .. p_b
-        t = np.arange(a, a + p.size + 1)  # t_a .. t_{b-1}, carry
-        t[:-1] -= primes.prime_count_ascending((p - 1) >> 1)
-        t[-1] = carry  # stands for the walk right of hi
-        m = np.minimum.accumulate(t[::-1])[::-1]
-        rise = np.flatnonzero(step := m[1:] != m[:-1])  # each step of the staircase is +1
-        carry = int(m[0])
-        values[carry : carry + rise.size] = p[rise]  # R_{v+1} = p_{j+1}, after the last t_j = v
-        if rise.size:  # bit a + j per step; blocks past R_n have none and touch no mask page
-            bits = np.packbits(np.concatenate((np.zeros(a & 7, bool), step)), bitorder="little")
-            mask[a >> 3 : (a >> 3) + bits.size] |= bits
+    starts = range(1, top + 1, _SCAN_BLOCK)
+    ends = [min(lo + _SCAN_BLOCK - 1, top) for lo in starts]
+    a = [primes.prime_count(lo - 1) for lo in starts] + [3 * n]  # and pi(top) past the last block
+    half = [primes.prime_count((hi - 1) >> 1) for hi in ends]
+    lb = [x - y for x, y in zip(a, half)]  # each t_j of a block is >= its lb: j >= a, p_{j+1} <= hi
+    edge = [x - int(q) - y for x, q, y in zip(a[1:], primes.is_prime_batch(ends), half)]  # s(hi-1)
+    bound = list(accumulate(reversed(edge[1:] + [n]), min))[::-1]
+    floor = list(accumulate(reversed(lb + [n]), min))[::-1]  # <= the carry into block i - 1
+    busy = [i for i, (x, y) in enumerate(zip(lb, bound)) if x < y]
+    nproc = prime_core._processes(len(busy))
+    cuts = [0, *(busy[len(busy) * k // nproc] for k in range(1, nproc)), len(ends)]
+    dtype = table_dtype(top)
+    values = table_file.word_padded(n * dtype.itemsize).view(dtype)
+    mask = table_file.word_padded(-(-3 * n // 8))  # bit i: p_{i+1} is Ramanujan
+    parts = [(i0, i1, bound[i1 - 1], floor[i1], table_file.word_padded(
+        8 * (2 + bound[i1 - 1] - floor[i1])).view(np.int64)) for i0, i1 in zip(cuts, cuts[1:])]
+    prime_core._run_parts(parts, lambda part, parent: _scan(primes, (starts, ends, a, lb), *part,
+                          values, mask, parent), "scan", "scanning blocks [{}, {})")
+    carry = n  # the exact carry into each part, from the right
+    for i0, _, _, cut, slot in parts[::-1]:
+        mask[a[i0] >> 3] |= slot[1]
+        low, side = int(slot[0]), slot[2:]
+        values[max(low, cut) : carry] = side[max(low, cut) - cut : carry - cut]
+        dropped = side[carry - cut :][side[carry - cut :] != 0]  # steps at or above the carry
+        bit = primes.prime_count_ascending(dropped) - 1
+        np.bitwise_and.at(mask, bit >> 3, (~(1 << (bit & 7))).astype(np.uint8))
+        carry = min(carry, low)
     if values[0] != 2 or np.any(values[1:] <= values[:-1]):
         raise InternalConsistencyError("scan produced a non-canonical value list")
     return RamanujanTable(values, top - 1, int(values[-1]) + 1, mask)
+
+
+def _scan(primes, blocks, i0, i1, carry, cut, slot, values, mask, parent=None) -> None:
+    """Walk blocks i1 - 1 down to i0 from `carry`, at least the exact carry.
+    Values count up from each block's new carry, exact below the exact one,
+    so a jump at the top of the part's first staircase is one step, exact or
+    else dropped at the merge. A value v below `cut` goes to values[v], the
+    rest to slot[2 + v - cut]; the final carry to slot[0], and the mask bits
+    in the byte shared with the part on the left to slot[1]. A process forked
+    by `parent` exits once that process is gone."""
+    starts, ends, a, lb = blocks
+    size = max(y - x for x, y in zip(a[i0:i1], a[i0 + 1 : i1 + 1]))  # primes in the largest block
+    p_buf, t_buf, m_buf = (np.empty(size + 1, dtype=np.int64) for _ in range(3))
+    steps = np.zeros(size + 8, dtype=bool)  # 8 clear bits before the steps align them to a byte
+    index, own = np.arange(size, dtype=np.int64), -(-a[i0] // 8)  # own: no other part writes it
+    for i in range(i1 - 1, i0 - 1, -1):
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        if lb[i] >= carry:
+            continue  # no t_j here falls below the carry: no step
+        p = primes.primes_between(starts[i], ends[i], out=p_buf)  # p_{a+1} .. p_b
+        t, m, step = t_buf[: p.size + 1], m_buf[: p.size + 1], steps[8 : 8 + p.size]
+        primes.prime_count_ascending(np.right_shift(p, 1, out=t[:-1]), out=t[:-1])  # pi((p - 1)/2)
+        np.subtract(index[: p.size], t[:-1], out=t[:-1])
+        t[:-1] += a[i]  # t_a .. t_{b-1}
+        t[-1] = carry  # stands for the walk right of hi
+        np.minimum.accumulate(t[::-1], out=m[::-1])
+        np.not_equal(m[1:], m[:-1], out=step)  # each step of the staircase is +1
+        carry = int(m[0])
+        if not step.any():
+            continue  # blocks past R_n have no step and touch no mask page
+        k = 0  # R_{v+1} = p_{j+1}, after the last t_j = v: the stepping primes, into t_buf
+        for s in range(0, p.size, prime_core._STEP):
+            stepping = np.flatnonzero(step[s : s + prime_core._STEP])
+            np.take(p[s:], stepping, out=t_buf[k : k + stepping.size])
+            k += stepping.size
+        j = min(max(cut - carry, 0), k)
+        values[carry : carry + j] = t_buf[:j]
+        slot[2 + carry + j - cut : 2 + carry + k - cut] = t_buf[j:k]
+        bits = np.packbits(steps[8 - (a[i] & 7) : 8 + p.size], bitorder="little")  # from bit a
+        byte, shared = a[i] >> 3, a[i] >> 3 < own  # a byte that the part on the left writes
+        slot[1] |= bits[0] if shared else 0
+        mask[byte + shared : byte + bits.size] |= bits[shared:]
+    slot[0] = carry
 
 
 def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:

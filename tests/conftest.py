@@ -1,3 +1,4 @@
+import os
 import time
 
 import numpy as np
@@ -26,6 +27,18 @@ def table_of(values, scan_limit, complete_below):
     listed = prime_core.build(max(complete_below - 1, 2)).primes_upto(complete_below - 1)
     mask = np.packbits(search_mask(listed, values), bitorder="little")
     return ramanujan_core.RamanujanTable(values, scan_limit, complete_below, mask)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test after which a child process of this one is still running
+    or was left unreaped: the one rule for every test that forks."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process was left behind: waitpid gave pid {pid}, status {status}")
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import math
+import os
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramprimes import gap_analysis, prime_core, ramanujan_core, table_file
-from ramprimes.errors import CoverageError, InternalConsistencyError
+from ramprimes.errors import CoverageError, InternalConsistencyError, ResourceLimitError
 from ramprimes.ramanujan_core import (
     LAISHRAM_LIMIT,
     BoundsReport,
@@ -23,7 +26,7 @@ from ramprimes.ramanujan_core import (
     verify_max_ratio_bound,
 )
 from conftest import search_mask, table_of
-from test_prime_core import flags_between
+from test_prime_core import another_thread, counted_forks, flags_between, refuse_fork
 from test_table_file import HEADER_SIZE
 
 FIRST_21 = [2, 11, 17, 29, 41, 47, 59, 67, 71, 97, 101, 107, 127, 149, 151,
@@ -276,12 +279,19 @@ def test_coverage_error_names_requirement():
 
 
 def test_scan_rejects_a_non_increasing_value_list(pt1m, monkeypatch):
-    # each block lists its first prime twice: t overcounts by one from there on;
-    # pi((p - 1)/2) is read from the flags, so only the walked primes are corrupted
+    # each block lists its first prime twice and drops its last, so that the count
+    # that sized the scan's buffers still holds; pi((p - 1)/2) is read from the
+    # flags, so only the walked primes are corrupted
     between = pt1m.primes_between
-    monkeypatch.setattr(pt1m, "primes_between",
-                        lambda lo, hi: np.concatenate([between(lo, hi)[:1], between(lo, hi)]))
+
+    def first_twice(lo, hi, out=None):
+        p = between(lo, hi, out)
+        p[1:] = p[:-1].copy()
+        return p
+
+    monkeypatch.setattr(pt1m, "primes_between", first_twice)
     monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one process walks every block
     with pytest.raises(InternalConsistencyError, match="non-canonical") as exc:
         compute_first(300, pt1m)
     values = exc.traceback[-1].locals["values"]  # the list the final check rejected
@@ -295,7 +305,7 @@ def test_scan_decodes_each_unsettled_block_once(pt1m, monkeypatch):
     calls = []
     between = pt1m.primes_between
     monkeypatch.setattr(pt1m, "primes_between",
-                        lambda lo, hi: calls.append((lo, hi)) or between(lo, hi))
+                        lambda lo, hi, out=None: calls.append((lo, hi)) or between(lo, hi, out))
 
     def no_prime_list(*_):
         raise AssertionError("the scan read a prime list")
@@ -303,6 +313,7 @@ def test_scan_decodes_each_unsettled_block_once(pt1m, monkeypatch):
     for name in ("primes_upto", "_primes_through", "prime_count_batch"):
         monkeypatch.setattr(pt1m, name, no_prime_list)
     monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one process walks every block
     assert np.array_equal(compute_first(300, pt1m).values, expected)
     blocks = [(lo, min(lo + 63, top)) for lo in range(1, top + 1, 64)][::-1]
     decoded = calls[1:]  # calls[0] is nth_prime(900) finding p_900
@@ -319,6 +330,125 @@ def test_block_size_does_not_change_results(pt1m, monkeypatch):
     for block in (1, 2, 3, 64, 1 << 10, 1 << 14):
         monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", block)
         assert np.array_equal(compute_first(200, pt1m).values, baseline)
+
+
+def split_scan(monkeypatch, n, pt, nproc):
+    """compute_first(n, pt) split among `nproc` CPUs at one block a part, with
+    the parts it ran and, for each, the exact carry into it from the right."""
+    monkeypatch.setattr(prime_core, "_PART_SEGMENTS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(nproc)))
+    runs, run_parts = [], prime_core._run_parts
+    monkeypatch.setattr(prime_core, "_run_parts", lambda parts, *args: (
+        runs.append(parts), run_parts(parts, *args)))
+    table = compute_first(n, pt)
+    # the suffix minimum of t from p_{j+1} on is the number of values below p_{j+1}
+    exact = [int(np.searchsorted(table.values, 1 + i1 * ramanujan_core._SCAN_BLOCK))
+             for _, i1, _, _, _ in runs[0][:-1]] + [n]
+    return table, runs[0], exact
+
+
+# (block, prime table, counts n): at 64 integers a block, parts start on blocks
+# whose first prime index is not a multiple of 8, so a mask byte is shared
+SPLIT_SCANS = [(64, "pt1m", (66, 300, 1000, 5000, 26000)), (1 << 20, "pt_wide", (400_000, 690_000))]
+
+
+@pytest.mark.parametrize("nproc", [1, 2, 3])
+@pytest.mark.parametrize("block, fixture, counts", SPLIT_SCANS)
+def test_split_scan_matches_one_process(monkeypatch, request, nproc, block, fixture, counts):
+    pt = request.getfixturevalue(fixture)
+    monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", block)
+    forks, loose, kept, dropped, shared = counted_forks(monkeypatch), 0, 0, 0, 0
+    for n in counts:
+        with pytest.MonkeyPatch.context() as one:
+            one.setattr(os, "sched_getaffinity", lambda pid: {0})
+            reference = compute_first(n, pt)
+        table, parts, exact = split_scan(monkeypatch, n, pt, nproc)
+        assert len(parts) == nproc and table.values.dtype == reference.values.dtype
+        assert np.array_equal(table.values, reference.values)
+        assert table.mask.tobytes() == reference.mask.tobytes()
+        for (i0, _, carry, cut, slot), into in zip(parts, exact):
+            assert cut <= into <= carry  # the two bounds on the carry into the part
+            loose += carry > into + 1  # from a loose bound, its first staircase jumps
+            shared += slot[1] != 0  # its first mask byte holds bits of the part on its left
+            v = cut + np.flatnonzero(slot[2:])  # the side buffer's values
+            kept, dropped = kept + np.count_nonzero(v < into), dropped + np.count_nonzero(v >= into)
+    assert len(forks) == (nproc - 1) * len(counts)
+    if nproc > 1:  # each case that a merge handles occurs
+        assert loose and kept and dropped and shared
+
+
+def test_a_part_without_a_step_passes_the_exact_carry_on(monkeypatch, pt1m):
+    # at 2 integers a block in 8 parts, a part left of R_n holds no value: it ends
+    # above the exact carry into it, which the merge must carry past it unchanged
+    monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 2)
+    for n in (3, 4, 5):
+        with pytest.MonkeyPatch.context() as one:
+            one.setattr(os, "sched_getaffinity", lambda pid: {0})
+            reference = compute_first(n, pt1m)
+        table, parts, exact = split_scan(monkeypatch, n, pt1m, 8)
+        assert np.array_equal(table.values, reference.values)
+        assert table.mask.tobytes() == reference.mask.tobytes()
+        assert any(slot[0] > into for (_, _, _, _, slot), into in zip(parts, exact))
+
+
+def test_a_failed_scan_process_is_an_error_and_no_process_is_left(monkeypatch, pt1m):
+    scan = ramanujan_core._scan
+
+    def failing(primes, blocks, i0, i1, *args):
+        if args[-1] is None:  # this process
+            return scan(primes, blocks, i0, i1, *args)
+        if i1 < len(blocks[1]):  # the second part's process fails, the last one's hangs
+            raise RuntimeError("injected")
+        time.sleep(60)
+
+    monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 64)
+    monkeypatch.setattr(ramanujan_core, "_scan", failing)
+    t0 = time.perf_counter()
+    with pytest.raises(InternalConsistencyError, match=r"scanning blocks \[\d+, \d+\) ended with"):
+        split_scan(monkeypatch, 5000, pt1m, 3)
+    assert time.perf_counter() - t0 < 30
+
+
+def test_an_interrupted_scan_leaves_no_process(monkeypatch, pt1m):
+    def interrupted(*args):
+        if args[-1] is None:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 64)
+    monkeypatch.setattr(ramanujan_core, "_scan", interrupted)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        split_scan(monkeypatch, 5000, pt1m, 3)
+    assert time.perf_counter() - t0 < 30
+
+
+def test_a_scan_process_whose_parent_is_gone_exits(monkeypatch, pt1m):
+    monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 64)
+    monkeypatch.setattr(os, "getppid", lambda: -1)  # no process's pid: the parent reads as gone
+    with pytest.raises(InternalConsistencyError, match="ended with status 1"):
+        split_scan(monkeypatch, 5000, pt1m, 2)
+
+
+def test_a_refused_scan_process_is_a_resource_limit(monkeypatch, pt1m):
+    monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 64)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    with pytest.raises(ResourceLimitError, match="cannot start a scan process: fork refused"):
+        split_scan(monkeypatch, 5000, pt1m, 2)
+
+
+def test_no_scan_process_below_the_part_threshold_or_beside_a_thread(monkeypatch, pt1m):
+    monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    units, processes = [], prime_core._processes
+    monkeypatch.setattr(prime_core, "_processes", lambda n: units.append(n) or processes(n))
+    expected = compute_first(65, pt1m).values  # two processes need 2 * _PART_SEGMENTS busy blocks
+    with pytest.raises(ResourceLimitError, match="cannot start a scan process: fork refused"):
+        compute_first(66, pt1m)
+    assert units == [2 * prime_core._PART_SEGMENTS - 1, 2 * prime_core._PART_SEGMENTS]
+    with another_thread(lambda wait: threading.Thread(target=wait).start()):
+        assert np.array_equal(compute_first(66, pt1m).values[:-1], expected)
 
 
 def test_prime_rank_values(pt1m):
