@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
 from .prime_core import PrimeTable, search
-from .ramanujan_core import RamanujanTable, walk
+from .ramanujan_core import RamanujanTable, mask_at, mask_bits, walk
 from .run_stats import blocks_below
 
 DEFAULT_SHARP_SEARCH_BOUND = 20_000_000
@@ -62,14 +62,14 @@ def gap_for_run(start_index: int, run_length: int, rt: RamanujanTable, pt: Prime
     """
     if run_length < 1 or start_index < 1:
         raise ValueError(f"rank {start_index} and run length {run_length} must be >= 1")
-    primes, mask = rt.classified_primes(pt)
+    primes = rt.classified_primes(pt)
     end = start_index + run_length - 1
     if end > primes.size:
         raise CoverageError(f"run p_{start_index}..p_{end} passes the classified primes")
     p, q = int(primes[start_index - 1]), int(primes[end - 1])
     if p == 2:
         raise ValueError("runs must consist of odd Ramanujan primes; 2 is excluded")
-    if not mask[start_index - 1 : end].all():
+    if not all(mask_bits(rt.mask, lo, hi).all() for lo, hi in walk(start_index - 1, end)):
         raise ValueError(f"primes p_{start_index}..p_{end} are not all Ramanujan")
     gap_lo, gap_hi = (p + 1) // 2, (q + 1) // 2
     if pt.primes_between(gap_lo, gap_hi).size:
@@ -100,20 +100,20 @@ def first_sharp_run(
 
     Sub-runs of longer runs qualify: the run is not required to be maximal.
     The classified mask is walked a `walk` step of window starts at a time,
-    each step reading the r - 1 flags past its end, and the walk stops at the
+    each step reading the r - 1 bits past its end, and the walk stops at the
     first flanked window. A miss whose last window is cut off by the coverage
     edge, all Ramanujan, is a CoverageError.
     """
     if r < 1:
         raise ValueError(f"run length must be >= 1, got {r}")
     rt.coverage(pt, search_bound - 1)
-    primes, mask = rt.classified_primes(pt)
+    primes = rt.classified_primes(pt)
     # windows start at the positions 1..n - 1, past the even prime 2 and below the
     # bound. One starts at the i-th Ramanujan position of a step exactly when the
     # (i + r - 1)-th lies r - 1 on; a step's windows end before its end + r - 1
     n = int(search(primes, search_bound))
     for lo, hi in walk(1, n):
-        ram = lo + np.flatnonzero(mask[lo : hi + r - 1])
+        ram = lo + np.flatnonzero(mask_bits(rt.mask, lo, min(hi + r - 1, primes.size)))
         k = max(ram.size - r + 1, 0)  # the positions that have r - 1 more after them
         starts = ram[:k][ram[r - 1 :] - ram[:k] == r - 1]
         flanked = (pt.is_prime_batch((primes[starts] + 1) // 2 - 1)
@@ -124,7 +124,7 @@ def first_sharp_run(
         # windows cut off by the end of the list start after every whole one, so
         # only a miss is in doubt: when the last window, from rank n >= 2, is
         # cut off with every prime listed in it Ramanujan
-        if n + r - 1 > primes.size and n > 1 and mask[n - 1 :].all():
+        if n + r - 1 > primes.size and n > 1 and mask_bits(rt.mask, n - 1, primes.size).all():
             raise CoverageError(f"a run from below {search_bound} is open at the coverage "
                                 f"edge; extend tables past {primes[-1]}")
         raise NotFoundBelowBound(search_bound)
@@ -158,9 +158,8 @@ def twin_gap_table(rt: RamanujanTable, pt: PrimeTable) -> tuple[np.ndarray, np.n
 
 
 def _build_twin_gaps(rt: RamanujanTable, pt: PrimeTable):
-    primes, mask = rt.classified_primes(pt)
-    i = rt.twin_index(pt)
-    lesser = primes[i[mask[i] & mask[i + 1] & (primes[i] > 3)]]
+    primes, i = rt.classified_primes(pt), rt.twin_index(pt)
+    lesser = primes[i[mask_at(rt.mask, i) & mask_at(rt.mask, i + 1) & (primes[i] > 3)]]
     k, rem = np.divmod(lesser + 1, 6)
     _require_none(rem, lesser, "not of the form 6k -/+ 1")
     odd = (k & 1).astype(bool)
@@ -202,10 +201,10 @@ def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[
 def _odd_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
     """The arrays of `odd_ramanujan_runs`, a walk step at a time."""
     rt.coverage(pt, bound - 1)
-    primes, mask = rt.classified_primes(pt)
-    # blocks of the primes past index 0, the even prime 2, so starts are one short
-    for starts, lengths, values in blocks_below(int(search(primes, bound)) - 1, mask[1:], primes):
-        starts, lengths = starts[values] + 1, lengths[values]
+    primes = rt.classified_primes(pt)
+    # the blocks of the primes past index 0, the even prime 2
+    for starts, lengths, values in blocks_below(int(search(primes, bound)), rt.mask, primes, 1):
+        starts, lengths = starts[values], lengths[values]
         yield starts + 1, primes[starts], primes[starts + lengths - 1], lengths
 
 
@@ -216,7 +215,7 @@ def odd_ramanujan_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
     Returns (start ranks, start primes, end primes, lengths) as arrays. A
     block of either class still open at the coverage edge is a CoverageError.
     """
-    primes = rt.classified_primes(pt)[0]
+    primes = rt.classified_primes(pt)
     empty = np.zeros(0, np.intp), primes[:0], primes[:0], np.zeros(0, np.intp)
     return tuple(np.concatenate(column) for column in zip(empty, *_odd_runs(rt, pt, bound)))
 

@@ -253,9 +253,9 @@ class PrimeTable:
         return primes[: int(search(primes, x, side="right"))]
 
     def primes_between(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """All primes in [lo, hi], ascending, read from the flags, not the prime
-        list, as int64: the prefix of `out` they fill (it must hold them all),
-        or a new array. The flags are unpacked `8 * _STEP` bits at a time."""
+        """All primes in [lo, hi], ascending, read from the flags, not the prime list:
+        the prefix of `out` they fill (it must hold them all, in int64 or the table's
+        dtype), or a new int64 array. The flags are unpacked `8 * _STEP` bits at a time."""
         if lo < 0 or hi > self.limit:
             raise ValueError(f"primes_between [{lo}, {hi}] outside [0, {self.limit}]")
         if out is None:
@@ -268,7 +268,7 @@ class PrimeTable:
             byte0, b1 = b0 >> 3, min(b0 + 8 * _STEP, end)
             bits = np.unpackbits(self._packed[byte0 : (b1 + 7) >> 3], bitorder="little").view(bool)
             odd = np.flatnonzero(bits[b0 - 8 * byte0 : b1 - 8 * byte0])
-            step = np.left_shift(odd, 1, out=out[at : at + odd.size])
+            step = np.left_shift(odd, 1, out=out[at : at + odd.size], casting="unsafe")
             step += 2 * b0 + 1  # the odd number 2 * bit + 1
             at += odd.size
         return out[:at]
@@ -302,9 +302,7 @@ class PrimeTable:
             cache = np.empty(self.prime_count(x), dtype=table_dtype(self.limit))
             cache[0], at = 2, 1
             for lo in range(3, x + 1, _EXTRACT_CHUNK):  # each step's primes straight into the list
-                odd = self.primes_between(lo, min(lo + _EXTRACT_CHUNK - 1, x))
-                cache[at : at + odd.size] = odd
-                at += odd.size
+                at += self.primes_between(lo, min(lo + _EXTRACT_CHUNK - 1, x), out=cache[at:]).size
             cache.setflags(write=False)
             self._prime_cache, self._prime_cache_limit = cache, x
         return self._prime_cache

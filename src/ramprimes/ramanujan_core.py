@@ -9,8 +9,8 @@ stay below it. `compute_first` reads one value of s per prime, blockwise
 from the right, skips undecoded each block that two exact counts show to
 hold no R_n, and splits the blocks among parallel processes, as a suffix
 minimum combines across parts. It also marks each R_n in a bit mask over
-prime indices, which classification unpacks and a cache file stores:
-`load` decodes values from it.
+prime indices, the classification, which analytics read in place a `walk`
+step (`mask_bits`) or a gather (`mask_at`) at a time and a cache file stores.
 
 The values take the dtype that `prime_core.table_dtype` gives for the
 scan's end p_3n, so they are ``uint32`` below 2**32, whether computed,
@@ -42,7 +42,6 @@ LAISHRAM_LIMIT = 169350
 _MAGIC = b"RPRT"
 
 _SCAN_BLOCK = 1 << 20  # integers per scan block; the block size bounds peak RSS
-_DECODE_CHUNK = 1 << 16  # primes per step of load's decode; bounds its int64 indices
 _WALK_CHUNK = 1 << 16  # prime indices per step of `walk`; bounds every analytic's temporaries
 
 
@@ -53,18 +52,31 @@ def walk(start: int, stop: int):
     return ((lo, min(lo + _WALK_CHUNK, stop)) for lo in range(start, stop, _WALK_CHUNK))
 
 
-def _positions(size: int, stop: int, hit, first: int = 0) -> np.ndarray:
-    """first + i for each i in [0, stop) where the bool step `hit(lo, hi)` is
-    set, in `table_dtype(size)`. The `walk` steps are read twice, to count
+def mask_bits(mask: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Bits lo .. hi - 1 of the little-endian packed `mask`, unpacked from their bytes alone."""
+    b0 = lo >> 3
+    bits = np.unpackbits(mask[b0 : (hi + 7) >> 3], bitorder="little").view(bool)
+    return bits[lo - 8 * b0 : hi - 8 * b0]
+
+
+def mask_at(mask: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The bits of the packed `mask` at each integer of the array `index`, as bools."""
+    return (mask[index >> 3] >> (index & 7).astype(np.uint8) & 1).view(bool)
+
+
+def _positions(limit: int, stop: int, hit, take=None) -> np.ndarray:
+    """take(i), or i itself, for each i in [0, stop) where the bool step
+    `hit(lo, hi)` is set, in `table_dtype(limit)`. The `walk` steps are read twice, to count
     the hits and then to fill one array of that size: no int64 array of
-    every position is made, and the result is never held twice."""
+    every position is made, and the result is never held twice. The hits go
+    through flatnonzero, as a boolean index branches on each bit, 3x slower."""
     steps = list(walk(0, stop))
-    out = np.empty(sum(np.count_nonzero(hit(*s)) for s in steps), dtype=table_dtype(size))
+    out = np.empty(sum(np.count_nonzero(hit(*s)) for s in steps), dtype=table_dtype(limit))
     at = 0
     for lo, hi in steps:
         i = np.flatnonzero(hit(lo, hi))
-        i += lo + first
-        out[at : at + i.size] = i
+        i += lo
+        out[at : at + i.size] = i if take is None else take(i)
         at += i.size
     return out
 
@@ -122,8 +134,8 @@ class RamanujanTable:
     counts rather than decoded (see `compute_first`). Membership
     queries are decidable only for primes below `complete_below`: every
     Ramanujan prime under that bound is present, so absence means
-    non-Ramanujan there and is unknown beyond it. `mask` packs the set over prime
-    indices, bit i for the (i + 1)-th prime; past `complete_below` it goes unread.
+    non-Ramanujan there and is unknown beyond it. The read-only `mask` is the
+    classification: bit i is set for a Ramanujan (i + 1)-th prime; unread past `complete_below`.
     """
 
     values: np.ndarray
@@ -131,6 +143,9 @@ class RamanujanTable:
     complete_below: int
     mask: np.ndarray
     _derived: dict = field(default_factory=dict, init=False, repr=False)  # see derived()
+
+    def __post_init__(self):
+        self.mask.setflags(write=False)
 
     @property
     def count(self) -> int:
@@ -177,19 +192,17 @@ class RamanujanTable:
             self._derived[key] = value
         return self._derived[key]
 
-    def classified_primes(self, primes: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
-        """Every prime both tables can classify, with its memoized, read-only
-        Ramanujan mask. The primes from 2 to any covered bound are a prefix
-        of this list, so callers slice the mask instead of classifying again."""
-        listed = primes.primes_upto(self.coverage(primes))
-        return listed, self.derived(primes, "mask", lambda: np.unpackbits(
-            self.mask, count=listed.size, bitorder="little").view(bool))
+    def classified_primes(self, primes: PrimeTable) -> np.ndarray:
+        """Every prime both tables can classify: bit i of `mask` classifies the
+        (i + 1)-th. The primes from 2 to any covered bound are a prefix of this
+        list, so callers read a prefix of the mask instead of classifying again."""
+        return primes.primes_upto(self.coverage(primes))
 
     def twin_index(self, primes: PrimeTable) -> np.ndarray:
         """Memoized, read-only positions i in the classified list with
         listed[i + 1] == listed[i] + 2: the lesser members of twin pairs, in
         the dtype `table_dtype` gives for the list's length."""
-        listed = self.classified_primes(primes)[0]
+        listed = self.classified_primes(primes)
         return self.derived(primes, "twins", lambda: _positions(
             listed.size, listed.size - 1, lambda lo, hi: listed[lo + 1 : hi + 1] - listed[lo:hi] == 2))
 
@@ -197,9 +210,9 @@ class RamanujanTable:
         """Memoized pi(R_n) of each R_n both tables classify: the n-th prime the
         mask marks, one more than its position, in the dtype `table_dtype` gives
         for the mask's length. Only rank scaling and `prime_ranks` read it."""
-        mask = self.classified_primes(primes)[1]
+        n = self.classified_primes(primes).size
         return self.derived(primes, "ranks", lambda: _positions(
-            mask.size, mask.size, lambda lo, hi: mask[lo:hi], first=1))
+            n, n, lambda lo, hi: mask_bits(self.mask, lo, hi), lambda i: i + 1))
 
     def prime_ranks(self, primes: PrimeTable) -> np.ndarray:
         """pi(R_n) for every n; a CoverageError if some R_n lies past the tables."""
@@ -230,15 +243,10 @@ def load(path, primes: PrimeTable, below: int | None = None) -> RamanujanTable:
     listed = primes.primes_upto(max(x - 1, 0))
     if listed.size > 8 * mask.size:
         raise ValueError(f"{path}: {mask.size} mask bytes do not cover the primes below {x}")
-    bits = np.unpackbits(mask, count=listed.size, bitorder="little").view(bool)
-    values = np.empty(np.count_nonzero(bits), dtype=table_dtype(scan_limit + 1))
+    values = _positions(scan_limit + 1, listed.size, lambda lo, hi: mask_bits(mask, lo, hi),
+                        listed.__getitem__)
     if values.size > count or (x == complete_below and values.size < count):
         raise ValueError(f"{path}: {values.size} set bits below {x} do not fit count {count}")
-    k = 0  # by chunks through flatnonzero: listed[bits] branches on each bit, 3x slower
-    for s in range(0, listed.size, _DECODE_CHUNK):
-        kept = listed[s : s + _DECODE_CHUNK][np.flatnonzero(bits[s : s + _DECODE_CHUNK])]
-        values[k : k + kept.size] = kept
-        k += kept.size
     return RamanujanTable(values, scan_limit, x, mask)
 
 
@@ -314,7 +322,8 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
         bit = primes.prime_count_ascending(dropped) - 1
         np.bitwise_and.at(mask, bit >> 3, (~(1 << (bit & 7))).astype(np.uint8))
         carry = min(carry, low)
-    if values[0] != 2 or np.any(values[1:] <= values[:-1]):
+    if values[0] != 2 or any(np.any(values[lo + 1 : hi + 1] <= values[lo:hi])
+                             for lo, hi in walk(0, n - 1)):
         raise InternalConsistencyError("scan produced a non-canonical value list")
     return RamanujanTable(values, top - 1, int(values[-1]) + 1, mask)
 

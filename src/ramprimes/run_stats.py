@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CoverageError, NotFoundBelowBound
 from .prime_core import PrimeTable, search
-from .ramanujan_core import RamanujanTable, walk
+from .ramanujan_core import RamanujanTable, mask_bits, walk
 
 EULER_MASCHERONI = 0.5772156649
 
@@ -58,21 +58,22 @@ def run_variance(p: float) -> float:
     return math.pi ** 2 / (6 * math.log(1 / p) ** 2) + 1 / 12
 
 
-def walk_blocks(mask: np.ndarray):
-    """Maximal one-class blocks of a boolean sequence, a `walk` step at a time:
-    for each step, the (starts, lengths, values) of the blocks it closes. The
-    last block reaches the end of `mask` and is still open there; it comes
-    with the last step. Only the start of the block in progress is carried
-    from step to step."""
-    start = 0
-    for lo, hi in walk(0, mask.size):
-        i = max(lo, 1)
-        ends = np.flatnonzero(mask[i:hi] != mask[i - 1 : hi - 1]) + i
-        if hi == mask.size:
+def walk_blocks(mask: np.ndarray, first: int, stop: int):
+    """Maximal one-class blocks of the bits first .. stop - 1 of the packed
+    `mask`, a `walk` step at a time: for each step, the (starts, lengths,
+    values) of the blocks it closes, with starts counted from bit 0. The last
+    block reaches `stop` and is still open there; it comes with the last step.
+    Only the start of the block in progress is carried from step to step."""
+    start = first
+    for lo, hi in walk(first, stop):
+        i = max(lo, first + 1)
+        bits = mask_bits(mask, i - 1, hi)
+        ends = np.flatnonzero(bits[1:] != bits[:-1]) + i
+        if hi == stop:
             ends = np.append(ends, hi)
         if ends.size:
             starts = np.concatenate(([start], ends[:-1]))
-            yield starts, ends - starts, mask[starts]
+            yield starts, ends - starts, bits[ends - i]  # the last bit of each block
             start = int(ends[-1])
 
 
@@ -80,14 +81,14 @@ def _open_edge(primes: np.ndarray) -> CoverageError:
     return CoverageError(f"run at coverage edge unresolved; extend tables past {primes[-1]}")
 
 
-def blocks_below(n: int, mask: np.ndarray, primes: np.ndarray):
-    """The blocks of `mask` that start below index `n`, step by step as
-    `walk_blocks` gives them, stopping at the first step past `n`. If the
-    last block, still open at the coverage edge of the classified `primes`,
-    is among them, its full length is unknown: a CoverageError."""
-    for starts, lengths, values in walk_blocks(mask):
+def blocks_below(n: int, mask: np.ndarray, primes: np.ndarray, first: int = 0):
+    """The blocks of the packed `mask` over the classified `primes` from index
+    `first` that start below index `n`, step by step as `walk_blocks` gives
+    them, stopping at the first step past `n`. If the last block, still open at
+    the coverage edge, is among them, its length is unknown: a CoverageError."""
+    for starts, lengths, values in walk_blocks(mask, first, primes.size):
         k = int(np.searchsorted(starts, n))
-        if k and starts[k - 1] + lengths[k - 1] == mask.size:
+        if k and starts[k - 1] + lengths[k - 1] == primes.size:
             raise _open_edge(primes)
         yield starts[:k], lengths[:k], values[:k]
         if k < starts.size:
@@ -124,7 +125,7 @@ def longest_runs(bound: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, i
     if bound < 10:
         raise ValueError(f"bound must be >= 10, got {bound}")
     rt.coverage(pt, bound - 1)
-    return _longest_runs([bound], *rt.classified_primes(pt))[0]
+    return _longest_runs([bound], rt.classified_primes(pt), rt.mask)[0]
 
 
 def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) -> int:
@@ -140,12 +141,12 @@ def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) 
         raise ValueError(f"run length must be >= 1, got {length}")
     if kind not in (RAMANUJAN, NON_RAMANUJAN):
         raise ValueError(f"kind must be {RAMANUJAN!r} or {NON_RAMANUJAN!r}")
-    primes, mask = rt.classified_primes(pt)
-    for starts, lengths, values in walk_blocks(mask):
+    primes = rt.classified_primes(pt)
+    for starts, lengths, values in walk_blocks(rt.mask, 0, primes.size):
         hits = np.flatnonzero((values == (kind == RAMANUJAN)) & (lengths >= length))
         if hits.size:
             return int(primes[starts[hits[0]]])
-    if mask.size and mask[-1] == (kind == RAMANUJAN):
+    if primes.size and mask_bits(rt.mask, primes.size - 1, primes.size)[0] == (kind == RAMANUJAN):
         raise _open_edge(primes)
     raise NotFoundBelowBound(int(primes[-1]) if primes.size else 0)
 
@@ -158,7 +159,7 @@ def decade_reports(max_decade: int, rt: RamanujanTable, pt: PrimeTable) -> list[
     rt.coverage(pt, 10 ** max_decade - 1)
     bounds = [10 ** decade for decade in range(1, max_decade + 1)]
     reports = []
-    for bound, (lr, ln) in zip(bounds, _longest_runs(bounds, *rt.classified_primes(pt))):
+    for bound, (lr, ln) in zip(bounds, _longest_runs(bounds, rt.classified_primes(pt), rt.mask)):
         frac_count = int(search(rt.values, bound))
         trials = pt.prime_count(bound - 1)
         p = frac_count / trials

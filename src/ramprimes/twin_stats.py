@@ -8,15 +8,13 @@ counts exactly and matches the usual twin-counting function.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import CoverageError
 from .prime_core import PrimeTable, search
-from .ramanujan_core import RamanujanTable, walk
+from .ramanujan_core import RamanujanTable, mask_at, mask_bits, walk
 
 RATIO_CONJECTURE_MIN_BOUND = 10 ** 5
 
@@ -47,18 +45,17 @@ class BrunPartial:
 
 
 def _twin_positions(bound: int, rt: RamanujanTable, pt: PrimeTable):
-    """(the twin index cut to pairs with lesser <= bound, the classified primes, their mask)."""
+    """(the twin index cut to pairs with lesser <= bound, the classified primes)."""
     rt.coverage(pt, bound + 2)
-    primes, mask = rt.classified_primes(pt)
-    i = rt.twin_index(pt)
-    return i[: int(search(i, search(primes, bound, side="right")))], primes, mask
+    primes, i = rt.classified_primes(pt), rt.twin_index(pt)
+    return i[: int(search(i, search(primes, bound, side="right")))], primes
 
 
 def twin_pair_arrays(bound: int, rt: RamanujanTable, pt: PrimeTable):
     """Lesser members of twin pairs with lesser <= bound, plus both masks,
     sliced from the Ramanujan table's twin index."""
-    i, primes, mask = _twin_positions(bound, rt, pt)
-    return primes[i], mask[i], mask[i + 1]
+    i, primes = _twin_positions(bound, rt, pt)
+    return primes[i], mask_at(rt.mask, i), mask_at(rt.mask, i + 1)
 
 
 def twin_census(bound: int, rt: RamanujanTable, pt: PrimeTable) -> TwinCensus:
@@ -80,11 +77,11 @@ def lower_membership_violations(bound: int, rt: RamanujanTable, pt: PrimeTable) 
     too, so any returned pair marks an implementation bug.
     """
     rt.coverage(pt, bound)
-    listed, mask = rt.classified_primes(pt)
+    listed = rt.classified_primes(pt)
     found = []
     for lo, hi in walk(0, int(search(listed, bound, side="right")) - 1):
-        # only a pair with q Ramanujan and p not can be flagged
-        i = lo + np.flatnonzero(mask[lo + 1 : hi + 1] & ~mask[lo:hi])
+        # only a pair with q Ramanujan and p not, where the mask rises, can be flagged
+        i = lo + np.flatnonzero(np.diff(mask_bits(rt.mask, lo, hi + 1).view(np.int8)) == 1)
         p, q = listed[i], listed[i + 1]
         # p and q are consecutive primes, so pi(q) = pi(p) + 1 and the condition
         # pi(p) - pi(p/2) + 1 == pi(q) - pi(q/2) reduces to pi(p/2) == pi(q/2)
@@ -147,14 +144,14 @@ def ratio_inequalities_strict(bound: int, rt: RamanujanTable, pt: PrimeTable) ->
     pairs are read a `walk` step at a time, with the counts carried across.
     """
     _check_ratio_scope(bound)
-    i, primes, mask = _twin_positions(bound, rt, pt)
+    i, primes = _twin_positions(bound, rt, pt)
     # the state after the last pair with lesser <= 10^5 is the first one checked
     start = int(search(i, search(primes, RATIO_CONJECTURE_MIN_BOUND, side="right"))) - 1
     if start < 0:
         return True
     c21 = c22 = 0  # the counts carried in from the steps before
     for lo, hi in walk(0, i.size):
-        ram_lo, ram_hi = mask[i[lo:hi]], mask[i[lo:hi] + 1]
+        ram_lo, ram_hi = mask_at(rt.mask, i[lo:hi]), mask_at(rt.mask, i[lo:hi] + 1)
         pi21 = np.cumsum(ram_lo | ram_hi, dtype=np.int64)
         pi21 += c21
         pi22 = np.cumsum(np.logical_and(ram_lo, ram_hi, out=ram_lo), dtype=np.int64)
@@ -166,17 +163,33 @@ def ratio_inequalities_strict(bound: int, rt: RamanujanTable, pt: PrimeTable) ->
     return True
 
 
+def _exact_sum(steps) -> float:
+    """`math.fsum` of the finite floats in the arrays `steps` (+0.0 for zeros alone),
+    with no Python float per term: each is m * 2**(e - 53), m a 53-bit integer
+    (`np.frexp`). A step's m are summed per e in int64 halves of 27 and 26 bits, safe
+    below 2**36 terms, then as Python ints; the exact total is rounded once."""
+    sums = {}
+    for x in steps:
+        mant, exp = np.frexp(x)
+        m = (mant * 2.0 ** 53).astype(np.int64)  # exact: a mantissa holds 53 bits
+        low = int(exp.min(initial=0))
+        for e in (np.flatnonzero(np.bincount((exp - low).ravel())) + low).tolist():
+            at = m[exp == e]
+            sums[e] = sums.get(e, 0) + (int(np.sum(at >> 26)) << 26) + int(np.sum(at & 2**26 - 1))
+    low = min(sums, default=0)
+    total = sum(s << (e - low) for e, s in sums.items())
+    return total / (1 << (53 - low)) if low <= 53 else float(total << (low - 53))
+
+
 def brun_partial(bound: int, kind: str, rt: RamanujanTable, pt: PrimeTable) -> BrunPartial:
-    """Compensated partial sum of twin reciprocals for one membership class."""
+    """Correctly rounded partial sum of twin reciprocals for one membership class."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     lesser, ram_lo, ram_hi = twin_pair_arrays(bound, rt, pt)
     keep = {KIND_ALL: slice(None), KIND_AT_LEAST_ONE: ram_lo | ram_hi,
             KIND_BOTH: ram_lo & ram_hi}[kind]
     ps = lesser[keep]
-    # 1/p, 1/(p + 2) for each pair in turn, a walk step of pairs at a time, all
-    # into one correctly rounded fsum: a sum of per-step fsums would not be
-    terms = (np.divide(1.0, x := ps[lo:hi, None] + (0.0, 2.0), out=x).ravel().tolist()
+    # 1/p, 1/(p + 2) for each pair, a walk step of pairs at a time
+    terms = (np.divide(1.0, x := ps[lo:hi, None] + (0.0, 2.0), out=x)
              for lo, hi in walk(0, ps.size))
-    return BrunPartial(bound=bound, kind=kind, sum=math.fsum(chain.from_iterable(terms)),
-                       terms=ps.size)
+    return BrunPartial(bound=bound, kind=kind, sum=_exact_sum(terms), terms=ps.size)

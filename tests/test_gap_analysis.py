@@ -16,6 +16,7 @@ from ramprimes.gap_analysis import (
     twin_gap_check,
     twin_gap_table,
 )
+from ramprimes.ramanujan_core import mask_bits
 from conftest import table_of
 from test_prime_core import flags_between
 
@@ -135,7 +136,8 @@ def sharp_window_walk(r, rt, pt, search_bound):
     and try each window of r that starts below the bound. A window of Ramanujan
     primes that runs past the list is open at the coverage edge."""
     rt.coverage(pt, search_bound - 1)
-    primes, mask = (arr.tolist() for arr in rt.classified_primes(pt))
+    primes = rt.classified_primes(pt)
+    primes, mask = primes.tolist(), mask_bits(rt.mask, 0, primes.size).tolist()
     for i in range(1, len(primes)):
         if primes[i] >= search_bound:
             break

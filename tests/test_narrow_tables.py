@@ -64,8 +64,8 @@ def test_no_call_allocates_a_copy_of_its_table(rt_wide, pt_wide, pt1m):
         ("membership_mask", values, lambda: rt_wide.membership_mask([p, p + 2])),
         ("twin_gap_check", lesser, lambda: gap_analysis.twin_gap_check(p, p + 2, rt_wide, pt_wide)),
     ]
-    # classification unpacks the mask of a table whose values run past the prime
-    # table: it allocates one bool per listed prime, a quarter of the list
+    # classification by a table whose values run past the prime table reads its
+    # packed mask in place: no array of one entry per listed prime
     listed = pt1m.primes_upto(pt1m.limit)
     past = dataclasses.replace(rt_wide)  # a memo of its own
     calls += [("classified mask", listed, lambda: past.classified_primes(pt1m))]

@@ -654,7 +654,7 @@ def test_prime_list_extracts_across_chunk_edges(monkeypatch):
 
 
 def test_prime_list_extraction_holds_one_step_beside_the_list(pt_wide, monkeypatch):
-    for chunk in (prime_core._EXTRACT_CHUNK, 1 << 16):
+    for chunk in (prime_core._EXTRACT_CHUNK, 1 << 16, 1 << 22):
         monkeypatch.setattr(prime_core, "_EXTRACT_CHUNK", chunk)
         pt = prime_core.PrimeTable(pt_wide.limit, pt_wide._packed)  # no prime list yet
         tracemalloc.start()
@@ -664,9 +664,10 @@ def test_prime_list_extraction_holds_one_step_beside_the_list(pt_wide, monkeypat
         finally:
             tracemalloc.stop()
         assert primes.size == pt.total_primes
-        # one step's bits and int64 primes: 2.4 MB at the default step beside the
-        # 8.4 MB list here, and 50 MB when the whole list was one step of 2^25
-        assert peak - primes.nbytes < min(4 * chunk, primes.nbytes // 2), (chunk, peak)
+        # each step's primes are written into the list, so beside it are one
+        # unpacked step of flags and its int64 offsets, 0.25 MB here at any step:
+        # 1.5 MB at the default step when each step allocated its own primes
+        assert peak - primes.nbytes < 64 * prime_core._STEP, (chunk, peak)
 
 
 def test_save_load_roundtrip(tmp_path, pt1m):
@@ -694,6 +695,9 @@ def test_primes_between_matches_flags(pt1m, sieve1m, lo, width):
     assert got.dtype == np.int64
     expected = lo + np.flatnonzero(sieve1m[lo : hi + 1]) if lo <= hi else []
     assert got.tolist() == list(expected)
+    out = np.zeros(got.size + 2, dtype=np.uint32)  # the prime list's dtype, with room to spare
+    assert pt1m.primes_between(lo, hi, out=out).tolist() == got.tolist()
+    assert out[: got.size].tolist() == got.tolist() and not out[got.size :].any()
 
 
 def test_primes_between_edges(pt1m):

@@ -4,6 +4,7 @@ import math
 import os
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,8 @@ from ramprimes.ramanujan_core import (
     compute_first,
     last_violation_below_threshold,
     log_bound_failures,
+    mask_at,
+    mask_bits,
     max_ratio,
     rank_scaling_threshold,
     rank_scaling_violations,
@@ -182,6 +185,25 @@ def test_definition_invariant_below_and_at_each_value(pt1m, oracle_1000):
         assert suffix_min[r] >= n
 
 
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(st.booleans(), max_size=70), lo=st.integers(0, 80), hi=st.integers(0, 80),
+       index=st.lists(st.integers(0, 79), max_size=20),
+       dtype=st.sampled_from([np.uint32, np.int64, np.intp]))
+@example(bits=[True] * 13, lo=9, hi=13, index=[12], dtype=np.uint32)  # the last, partial byte
+@example(bits=[True] * 13, lo=13, hi=13, index=[], dtype=np.int64)  # an empty range at the end
+@example(bits=[True] * 16, lo=5, hi=5, index=[], dtype=np.int64)  # an empty range inside a byte
+@example(bits=[False, True] * 20, lo=3, hi=37, index=[3, 36, 3], dtype=np.uint32)
+def test_mask_readers_match_unpackbits(bits, lo, hi, index, dtype):
+    packed = np.packbits(np.array(bits, dtype=bool), bitorder="little")
+    whole = np.unpackbits(packed, bitorder="little").view(bool)  # with the last byte's padding
+    lo, hi = min(lo, whole.size), min(hi, whole.size)
+    got = mask_bits(packed, lo, hi)
+    assert got.dtype == bool and got.tolist() == whole[lo:hi].tolist()
+    index = np.array([i for i in index if i < whole.size], dtype=dtype)
+    got = mask_at(packed, index)
+    assert got.dtype == bool and got.tolist() == whole[index].tolist()
+
+
 def test_compute_below_golden(pt1m):
     assert compute_below(100, pt1m).values.tolist() == [
         2, 11, 17, 29, 41, 47, 59, 67, 71, 97,
@@ -200,7 +222,8 @@ def test_below_cuts_to_what_compute_below_gives(pt1m):
         assert_mask_is_search_mask(fresh, pt1m)
         assert cut.complete_below == fresh.complete_below == x
         assert cut.coverage(pt1m) == fresh.coverage(pt1m)
-        assert np.array_equal(cut.classified_primes(pt1m)[1], fresh.classified_primes(pt1m)[1])
+        n = cut.classified_primes(pt1m).size
+        assert mask_bits(cut.mask, 0, n).tolist() == mask_bits(fresh.mask, 0, n).tolist()
     with pytest.raises(CoverageError, match="complete below 10000"):
         wide.below(10 ** 4 + 1)
 
@@ -215,28 +238,30 @@ def test_compute_below_two_is_empty(pt1m):
     rt = compute_below(2, pt1m)
     assert rt.count == 0
     assert rt.membership_mask(np.array([], dtype=np.int64)).size == 0
-    assert rt.classified_primes(pt1m)[1].size == 0
+    assert rt.classified_primes(pt1m).size == 0
     with pytest.raises(ValueError):
         rt.value(1)
 
 
 def test_classified_primes_share_one_mask(rt_wide, pt_wide):
-    primes, mask = rt_wide.classified_primes(pt_wide)
+    primes = rt_wide.classified_primes(pt_wide)
     assert np.array_equal(primes, pt_wide.primes_upto(rt_wide.complete_below - 1))
-    assert np.array_equal(mask, rt_wide.membership_mask(primes))
-    assert rt_wide.classified_primes(pt_wide)[1] is mask
+    assert np.array_equal(mask_bits(rt_wide.mask, 0, primes.size), rt_wide.membership_mask(primes))
+    assert np.shares_memory(rt_wide.classified_primes(pt_wide), primes)  # the one cached list
+    assert "mask" not in rt_wide._derived  # the packed mask is the classification
 
 
 def test_classified_primes_mask_is_read_only(rt_wide, pt_wide):
-    _, mask = rt_wide.classified_primes(pt_wide)
-    with pytest.raises(ValueError):
-        mask[0] = False
-    with pytest.raises(ValueError):
-        mask[1:][:3] = True
+    primes = rt_wide.classified_primes(pt_wide)
+    for array in (rt_wide.mask, primes, compute_first(100, pt_wide).mask):
+        with pytest.raises(ValueError):
+            array[0] = 0
+        with pytest.raises(ValueError):
+            array[1:][:3] = 1
 
 
 def test_twin_index_lists_the_twin_pairs_read_only(rt_wide, pt_wide):
-    primes, _ = rt_wide.classified_primes(pt_wide)
+    primes = rt_wide.classified_primes(pt_wide)
     twins = rt_wide.twin_index(pt_wide)
     # a second route: the flags say which listed primes p have p + 2 prime
     assert np.array_equal(twins, np.flatnonzero(pt_wide.is_prime_batch(primes[:-1] + 2)))
@@ -253,7 +278,7 @@ def test_another_prime_table_rebuilds_each_derived_array_once(pt1m, monkeypatch)
         primes, key, lambda: builds.append(key) or build()))
 
     def arrays(pt):
-        return [rt.classified_primes(pt)[1], rt.twin_index(pt),
+        return [rt.twin_index(pt),
                 *gap_analysis.twin_gap_table(rt, pt), rt.prime_ranks(pt)]
 
     first = arrays(pt1m)
@@ -261,7 +286,7 @@ def test_another_prime_table_rebuilds_each_derived_array_once(pt1m, monkeypatch)
     second = arrays(other)
     assert all(x is not y and np.array_equal(x, y) for x, y in zip(first, second))
     assert all(x is y for x, y in zip(arrays(other), second))
-    keys = ["mask", "twins", "twin_gaps", "ranks"]
+    keys = ["twins", "twin_gaps", "ranks"]
     assert sorted(builds) == sorted(2 * keys)
 
 
@@ -297,6 +322,24 @@ def test_scan_rejects_a_non_increasing_value_list(pt1m, monkeypatch):
     values = exc.traceback[-1].locals["values"]  # the list the final check rejected
     assert values[0] == 2  # so only the ordering can have failed
     assert int(np.sum(values[1:] <= values[:-1])) == 31
+
+
+def test_scan_checks_the_order_of_its_first_two_values(monkeypatch):
+    # every prime the scan walks (it passes `out`) reads as 2, so t_j = j and
+    # R_1 = R_2 = 2: the list starts with 2, and only its first pair is out of order
+    pt = prime_core.build(100)
+    pt.primes_upto(100)  # the prime list, extracted before the flags read falsely
+    between = pt.primes_between
+
+    def all_two(lo, hi, out=None):
+        p = between(lo, hi, out)
+        p[:] = 2 if out is not None else p
+        return p
+
+    monkeypatch.setattr(pt, "primes_between", all_two)
+    with pytest.raises(InternalConsistencyError, match="non-canonical") as exc:
+        compute_first(2, pt)
+    assert exc.traceback[-1].locals["values"].tolist() == [2, 2]
 
 
 def test_scan_decodes_each_unsettled_block_once(pt1m, monkeypatch):
@@ -677,9 +720,9 @@ def test_saved_file_bytes_are_pinned(tmp_path):
         "7597237bc98be64b91863850bcd67e6f97f11d6930861fb2107e0edb38ec7740"
 
 
-@pytest.mark.parametrize("chunk", [ramanujan_core._DECODE_CHUNK, 7])  # one decode step, or many
+@pytest.mark.parametrize("chunk", [ramanujan_core._WALK_CHUNK, 7])  # one decode step, or many
 def test_loaded_masks_match_search(tmp_path, pt1m, monkeypatch, chunk):
-    monkeypatch.setattr(ramanujan_core, "_DECODE_CHUNK", chunk)
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
     path = tmp_path / "ramanujan.rprt"
     compute_below(10 ** 4, pt1m).save(path)
     small = prime_core.build(3000)  # lists fewer primes than the file covers
@@ -691,6 +734,24 @@ def test_loaded_masks_match_search(tmp_path, pt1m, monkeypatch, chunk):
         assert_mask_is_search_mask(loaded, pt1m)
     assert ramanujan_core.load(path, small).complete_below == 3001
     assert ramanujan_core.load(path, pt1m, below=1000).complete_below == 1000
+
+
+def test_load_peak_follows_the_step_not_the_list(tmp_path, rt_wide, pt_wide, monkeypatch):
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 1 << 12)
+    path = tmp_path / "ramanujan.rprt"
+    rt_wide.below(10 ** 7).save(path)
+    listed = pt_wide.primes_upto(10 ** 7 - 1)  # the prime list exists before tracing
+    tracemalloc.start()
+    try:
+        loaded = ramanujan_core.load(path, pt_wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.values, rt_wide.values[: loaded.count])
+    # beside the values (the mask bytes are a mapping, which tracemalloc does not
+    # see), one decode step; unpacking the whole mask took one byte per listed
+    # prime, 0.66 MB of a 1.17 MB peak here
+    assert peak - loaded.values.nbytes < listed.size // 4, (peak, listed.size)
 
 
 def test_a_mask_short_of_the_covered_primes_is_rejected(tmp_path, pt1m):
@@ -751,6 +812,7 @@ def test_load_rejects_values_failing_checksum(tmp_path, pt1m):
 
 def test_classified_mask_includes_a_ramanujan_prime_at_the_coverage_edge(pt1m):
     rt = compute_below(30, pt1m)  # classification ends at 29 = R_4
-    primes, mask = rt.classified_primes(pt1m)
+    primes = rt.classified_primes(pt1m)
+    mask = mask_bits(rt.mask, 0, primes.size)
     assert primes[-1] == 29 and mask[-1]
     assert np.array_equal(mask, rt.membership_mask(primes))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ramprimes import gap_analysis, ramanujan_core, run_stats
 from ramprimes.errors import CoverageError, NotFoundBelowBound
 from ramprimes.formatting import ratio_display, round_half_up
+from ramprimes.ramanujan_core import mask_bits
 from ramprimes.run_stats import (
     NON_RAMANUJAN,
     RAMANUJAN,
@@ -43,9 +44,10 @@ def rle_reference(mask):
     return starts, np.diff(starts, append=len(mask)), mask[starts]
 
 
-def walked(mask):
-    """The blocks of `walk_blocks`, joined into whole-list arrays."""
-    steps = list(run_stats.walk_blocks(mask))
+def walked(mask, first):
+    """The blocks of `walk_blocks` over the bits from `first` of the bool `mask`,
+    packed, joined into whole-list arrays."""
+    steps = list(run_stats.walk_blocks(np.packbits(mask, bitorder="little"), first, mask.size))
     empty = np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, bool)
     return tuple(np.concatenate(column) for column in zip(empty, *steps))
 
@@ -56,8 +58,14 @@ def run_starts(mask, length):
     return np.flatnonzero(cs[length:] - cs[:-length] == length)
 
 
+def classified(rt, pt):
+    """The classified primes and their mask, unpacked whole: the reference."""
+    primes = rt.classified_primes(pt)
+    return primes, mask_bits(rt.mask, 0, primes.size)
+
+
 def first_run_start_reference(length, kind, rt, pt):
-    primes, mask = rt.classified_primes(pt)
+    primes, mask = classified(rt, pt)
     hits = run_starts(mask if kind == RAMANUJAN else ~mask, length)
     if hits.size == 0:
         raise NotFoundBelowBound(int(primes[-1]))
@@ -65,7 +73,7 @@ def first_run_start_reference(length, kind, rt, pt):
 
 
 def first_sharp_run_reference(r, rt, pt, search_bound):
-    primes, mask = rt.classified_primes(pt)
+    primes, mask = classified(rt, pt)
     for i in (run_starts(mask[1:], r) + 1).tolist():  # past the even prime 2
         p, q = int(primes[i]), int(primes[i + r - 1])
         if p >= search_bound:
@@ -169,7 +177,7 @@ def test_first_run_start_nondecreasing(rt_wide, pt_wide):
 
 @pytest.mark.parametrize("kind", [RAMANUJAN, NON_RAMANUJAN])
 def test_first_run_start_matches_the_window_search(kind, rt_wide, pt_wide):
-    _, mask = rt_wide.classified_primes(pt_wide)
+    _, mask = classified(rt_wide, pt_wide)
     _, lengths, values = rle_reference(mask)
     longest = int(lengths[values == (kind == RAMANUJAN)].max())
     for length in range(1, longest + 1):
@@ -219,8 +227,7 @@ def test_runs_partition_the_primes(rt_wide, pt_wide, monkeypatch):
     monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 1000)
     bound = 10 ** 5
     primes = pt_wide.primes_upto(bound - 1)
-    mask = rt_wide.membership_mask(primes)
-    steps = list(run_stats.walk_blocks(mask))
+    steps = list(run_stats.walk_blocks(rt_wide.mask, 0, primes.size))
     assert len(steps) > 1  # the blocks come in more than one step
     starts, lengths, values = (np.concatenate(column) for column in zip(*steps))
     assert int(lengths.sum()) == pt_wide.prime_count(bound - 1)
@@ -249,9 +256,9 @@ def test_decade_reports_encode_the_mask_once(rt_wide, pt_wide, monkeypatch):
     walks, steps = [], []
     walk_blocks = run_stats.walk_blocks
 
-    def spy(mask):
-        walks.append(mask.size)
-        for step in walk_blocks(mask):
+    def spy(mask, first, stop):
+        walks.append(stop)
+        for step in walk_blocks(mask, first, stop):
             steps.append(step[0])
             yield step
 
@@ -283,21 +290,24 @@ def test_a_block_counts_from_its_first_prime(rt_wide, pt_wide):
     assert longest_runs(start + 1, rt_wide, pt_wide)[1] == 47
 
 
-@given(bits=st.lists(st.booleans(), max_size=200), runs=st.booleans(), chunk=st.integers(1, 9))
+@given(bits=st.lists(st.booleans(), max_size=200), runs=st.booleans(), chunk=st.integers(1, 9),
+       first=st.integers(0, 11))
 @settings(max_examples=300, deadline=None)
-def test_walked_blocks_equal_the_whole_list_encoding(bits, runs, chunk):
+def test_walked_blocks_equal_the_whole_list_encoding(bits, runs, chunk, first):
     mask = np.array(bits, dtype=bool)
     if runs:  # long blocks as well as short ones: each bit repeated a drawn number of times
         mask = np.repeat(mask, np.arange(mask.size) % 13 + 1)[:200]
+    first = min(first, mask.size)  # the walk may start inside a byte of the packed mask
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
-        got = walked(mask)
-        steps = list(run_stats.walk_blocks(mask))
-    for g, want in zip(got, rle_reference(mask)):
+        got = walked(mask, first)
+        steps = list(run_stats.walk_blocks(np.packbits(mask, bitorder="little"), first, mask.size))
+    starts, lengths, values = rle_reference(mask[first:])
+    for g, want in zip(got, (starts + first, lengths, values)):
         assert np.array_equal(g, want)
     # a step holds the blocks closed by one chunk, the open last block those of the last one
     for starts, lengths, _ in steps:
-        ends = starts + lengths
-        assert np.unique(np.where(ends == mask.size, (mask.size - 1) // chunk,
+        ends = starts + lengths - first
+        assert np.unique(np.where(ends == mask.size - first, (mask.size - first - 1) // chunk,
                                   ends // chunk)).size == 1
     assert [int(s[-1] + n[-1]) for s, n, _ in steps[-1:]] == [mask.size][: len(steps)]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ramprimes import gap_analysis, prime_core, ramanujan_core, twin_stats
 from ramprimes.errors import CoverageError
@@ -194,6 +196,27 @@ def test_brun_sum_is_one_fsum_over_every_step(rt_wide, pt_wide, monkeypatch, chu
         assert (got.sum.hex(), got.terms) == (want.hex(), len(ps))
 
 
+# finite floats of either sign, subnormals included; -0.0 becomes 0.0, as a sum
+# of negative zeros alone is the one case where the exact sum's sign differs
+finite = st.floats(min_value=-1e300, max_value=1e300).map(lambda x: x + 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(finite, max_size=40), repeat=st.sampled_from([1, 2, 3, 3000]),
+       cuts=st.lists(st.integers(0, 10 ** 6), max_size=6))
+@example(terms=[], repeat=1, cuts=[])
+@example(terms=[1 / 3], repeat=1, cuts=[])
+@example(terms=[1 / 3], repeat=1, cuts=[0, 1])  # empty steps on both sides
+# thousands of terms share one exponent, with all 53 mantissa bits set: both
+# halves' sums pass 26 bits, so they carry into each other
+@example(terms=[1 - 2 ** -53], repeat=3000, cuts=[1500])
+@example(terms=[1e300, -1e300, 2 ** -1074, 1.0], repeat=1, cuts=[2])
+def test_exact_sum_is_fsum_bit_for_bit(terms, repeat, cuts):
+    x = np.repeat(np.array(terms, dtype=np.float64), repeat)
+    steps = np.split(x, sorted(c % (x.size + 1) for c in cuts))  # any split into steps
+    assert twin_stats._exact_sum(steps).hex() == math.fsum(x.tolist()).hex()
+
+
 def test_brun_kind_validation(rt_wide, pt_wide):
     with pytest.raises(ValueError):
         brun_partial(100, "some", rt_wide, pt_wide)
@@ -223,7 +246,7 @@ def test_scans_slice_the_one_classified_prime_list(scan, monkeypatch):
 
     monkeypatch.setattr(pt, "_primes_through", spy)
     scan(10 ** 4, rt, pt)
-    listed, _ = rt.classified_primes(pt)
+    listed = rt.classified_primes(pt)
     assert len(built) == 1 and pt._prime_cache is built[0]
     assert np.shares_memory(listed, built[0])
 

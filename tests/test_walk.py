@@ -93,7 +93,7 @@ def test_the_step_size_changes_no_answer(tables_1e6, monkeypatch, chunk, edges):
     assert default[10_008]["first_sharp_run"][:4] == [11, 4919, 1439, 7187]
     assert default[10_008]["first_sharp_run"][4][0] == "NotFoundBelowBound"
     for edge in edges:  # the twin index, filled step by step, equals one whole-list diff
-        listed = rt.below(edge).classified_primes(pt)[0]
+        listed = rt.below(edge).classified_primes(pt)
         assert default[edge]["twin_index"] == np.flatnonzero(np.diff(listed) == 2).tolist()
 
 
@@ -109,7 +109,7 @@ def peak_bytes(call) -> int:
 def test_walked_analytics_peak_far_below_one_list_sized_array(rt_wide, pt_wide, monkeypatch):
     monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 1 << 10)
     rt = rt_wide.below(10 ** 7 + 10 ** 5)  # a fresh memo, so twin_index is built below
-    listed, _ = rt.classified_primes(pt_wide)
+    listed = rt.classified_primes(pt_wide)
     pt_wide.prime_count_batch([0])  # the rank directory is the table's, built once
     list_int64 = listed.size * 8
     calls = {
@@ -121,6 +121,36 @@ def test_walked_analytics_peak_far_below_one_list_sized_array(rt_wide, pt_wide, 
     }
     peaks = {name: peak_bytes(call) for name, call in calls.items()}
     assert all(peak < list_int64 // 4 for peak in peaks.values()), (peaks, list_int64)
+
+
+def memo_bytes(rt) -> int:
+    return sum(a.nbytes for v in rt._derived.values() for a in (v if isinstance(v, tuple) else (v,))
+               if isinstance(a, np.ndarray))
+
+
+def test_no_memo_holds_or_builds_a_byte_per_classified_prime(rt_wide, pt_wide, monkeypatch):
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 1 << 10)
+    rt = rt_wide.below(rt_wide.complete_below)  # a fresh memo
+    n = rt.classified_primes(pt_wide).size  # the prime list, which the prime table keeps
+    pairs = rt.twin_index(pt_wide).size
+    del rt._derived["twins"]  # rebuilt below, traced
+    pt_wide.prime_count_batch([0])  # the rank directory is the table's, built once
+    builds = {  # each with its bound on what it allocates beside what it keeps
+        "twin_index": (lambda: rt.twin_index(pt_wide), n // 2),
+        "classified_ranks": (lambda: rt.classified_ranks(pt_wide), n // 2),
+        # int64 temporaries over the twin pairs, 17 bytes a pair here; one byte
+        # per classified prime would add 12 more
+        "twin_gap_table": (lambda: gap_analysis.twin_gap_table(rt, pt_wide), 24 * pairs),
+        "twin_gap_check": (lambda: gap_analysis.twin_gap_check(149, 151, rt, pt_wide), n // 2),
+    }
+    for name, (build, bound) in builds.items():
+        before = memo_bytes(rt)
+        peak = peak_bytes(build)
+        assert peak - (memo_bytes(rt) - before) < bound, (name, peak)
+    assert len(rt._derived) == 5  # "primes" and the four memos
+    assert memo_bytes(rt) > 0 and all(
+        a.size < n for v in rt._derived.values() for a in (v if isinstance(v, tuple) else (v,))
+        if isinstance(a, np.ndarray))
 
 
 def test_first_sharp_run_peak_follows_the_step_not_the_list(rt_wide, pt_wide, monkeypatch):
