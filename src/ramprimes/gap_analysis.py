@@ -199,25 +199,16 @@ def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[
 
 
 def _odd_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
-    """The arrays of `odd_ramanujan_runs`, a walk step at a time."""
+    """Maximal runs of consecutive primes that are all odd Ramanujan primes,
+    starting below `bound`, a walk step at a time: (start ranks, start
+    primes, end primes, lengths) as arrays. A block of either class still
+    open at the coverage edge is a CoverageError."""
     rt.coverage(pt, bound - 1)
     primes = rt.classified_primes(pt)
     # the blocks of the primes past index 0, the even prime 2
     for starts, lengths, values in blocks_below(int(search(primes, bound)), rt.mask, primes, 1):
         starts, lengths = starts[values], lengths[values]
         yield starts + 1, primes[starts], primes[starts + lengths - 1], lengths
-
-
-def odd_ramanujan_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
-    """Maximal runs of consecutive primes that are all odd Ramanujan primes,
-    restricted to runs starting below `bound`.
-
-    Returns (start ranks, start primes, end primes, lengths) as arrays. A
-    block of either class still open at the coverage edge is a CoverageError.
-    """
-    primes = rt.classified_primes(pt)
-    empty = np.zeros(0, np.intp), primes[:0], primes[:0], np.zeros(0, np.intp)
-    return tuple(np.concatenate(column) for column in zip(empty, *_odd_runs(rt, pt, bound)))
 
 
 def half_point_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[int]:

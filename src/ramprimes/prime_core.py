@@ -9,13 +9,12 @@ an int64 count of the odd primes before each superblock of
 popcount pass: a scalar count is one superblock lookup plus a popcount of
 at most one superblock's bytes.
 
-Prime counts over arrays add a rank directory over the same flags, viewed in
-place as uint64 words (Jacobson's rank; Vigna's broadword layout): the odd
-primes before each word inside its superblock, as uint16. A count is then
-three gathers and a popcount. The directory takes a quarter of the flag
-bytes and is built on the first batch count, never by `build`, `load` or the
-Ramanujan scan. For the in-place view, `build` and `load` allocate the flag
-bytes padded to whole words (`table_file.word_padded`).
+Prime counts over arrays of ascending keys, the one vectorized pi, read the
+same flags viewed in place as uint64 words: for a step of keys, the scalar
+count before the step's first word, a running popcount of the words up to
+each key's word, and the popcount of that word up to the key's bit. No index
+is kept for them. For the in-place view, `build` and `load` allocate the
+flag bytes padded to whole words (`table_file.word_padded`).
 
 Tables of integers up to a limit, here the prime list and in
 :mod:`ramanujan_core` the Ramanujan values, take their dtype from
@@ -45,11 +44,9 @@ _MAGIC = b"RPPT"
 
 _SEGMENT_FLAGS = 1 << 20  # odd numbers per sieve segment; a multiple of 8: whole bytes
 _MEMORY_CEILING = 4 << 30  # bytes that build() may allocate
-_EXTRACT_CHUNK = 1 << 20  # integers per step of the prime list's extraction
 _COUNT_CHUNK = 1 << 25  # integers per step of the superblock-count pass: 2 MiB of flags
 _NARROW = np.uint32  # the dtype of tables whose limit leaves it 16 of headroom
-_SUPER_SHIFT = 9  # 512 flag words per rank superblock: 511 * 64 bits fit a uint16 offset
-_RANK_CHUNK = 1 << 14  # keys per step of prime_count_batch, and words per directory step
+_SUPER_SHIFT = 9  # 512 flag words per superblock of the prime-count index
 _PRESIEVE = (3, 5, 7, 11, 13, 17)  # primes sieved by copying one pattern, ascending
 _SEGMENT_WRITES = 1200  # a segment's copy and packing cost as much as this many strided writes
 _PART_SEGMENTS = 8  # least segments or scan blocks per process: below twice this many, no fork
@@ -105,9 +102,9 @@ class PrimeTable:
         self.limit = limit
         self._packed = packed
         self._supers = _superblock_counts(packed)
+        self._words = _words_in_place(packed)
         self._prime_cache: np.ndarray | None = None
         self._prime_cache_limit = -1
-        self._rank: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def total_primes(self) -> int:
@@ -153,87 +150,61 @@ class PrimeTable:
         """Vectorized is_prime over an integer array of any shape, read in its
         own dtype: each key's flag bit by a gather, zeroed for even keys by
         `x & 1`, with the key 2 set apart. The flag bit of 1 is clear. Keys go
-        through in steps of `_RANK_CHUNK`, so no temporary grows with their number."""
+        through in steps of `_STEP`, so no temporary grows with their number."""
         v = np.asarray(values)  # an empty list is float64: it reaches no bit operation
         if v.size and (int(v.min()) < 0 or int(v.max()) > self.limit):
             raise ValueError(f"is_prime_batch arguments outside [0, {self.limit}]")
         out = np.empty(v.shape, dtype=bool)
         keys, flags = v.reshape(-1), out.reshape(-1)
-        for s in range(0, keys.size, _RANK_CHUNK):
-            x = keys[s : s + _RANK_CHUNK]
+        for s in range(0, keys.size, _STEP):
+            x = keys[s : s + _STEP]
             b = x >> 1  # an even limit's own bit can lie past the flags: its byte is clipped
             flag = np.take(self._packed, b >> 3, mode="clip") >> (b & 7)
-            flags[s : s + _RANK_CHUNK] = (flag & x & 1).astype(bool) | (x == 2)
+            flags[s : s + _STEP] = (flag & x & 1).astype(bool) | (x == 2)
         return out
 
-    def prime_count_batch(self, values) -> np.ndarray:
-        """Vectorized pi over an integer array of any shape, sorted or not, as
-        int64 of that shape. Each count is read in O(1) from the rank
-        directory (built on the first call): the odd primes before the key's
-        superblock, plus those before its word, plus the popcount of the word
-        shifted left to drop the bits past the key. Keys go through in steps
-        of `_RANK_CHUNK`, so no temporary grows with their number, and no
-        prime list is extracted."""
+    def prime_count_batch(self, values, out: np.ndarray | None = None) -> np.ndarray:
+        """Vectorized pi over ascending integer keys of any shape, as int64 of
+        that shape, written into `out` when given (it may be `values` itself).
+        In steps of `_STEP` keys, each count adds the scalar count before the
+        step's first flag word, a running popcount of the words from there to
+        the key's word (the flags viewed in place as little-endian uint64), and
+        the popcount of the key's word shifted left past the key's bit. So a
+        step's temporaries follow its keys and the flags between its ends, and
+        no prime list is extracted. Keys that do not ascend are a ValueError."""
         v = np.asarray(values)
-        if v.size == 0:
-            return np.zeros(v.shape, dtype=np.int64)
-        if int(v.min()) < 0 or int(v.max()) > self.limit:
-            raise ValueError(f"prime_count_batch arguments outside [0, {self.limit}]")
-        # the kept directory is made before the output, so it does not sit above
-        # the freed output in the heap, where it would keep that memory resident
-        words, offsets = self._rank_directory()
-        out = np.empty(v.shape, dtype=np.int64)
+        out = np.empty(v.shape, dtype=np.int64) if out is None else out
         keys, counts = v.reshape(-1), out.reshape(-1)
-        for s in range(0, keys.size, _RANK_CHUNK):
-            x, count = keys[s : s + _RANK_CHUNK], counts[s : s + _RANK_CHUNK]
-            bit = x.astype(np.int64)
-            np.maximum(bit, 1, out=bit)
-            bit -= 1
-            bit >>= 1  # the flag bit of the largest odd number <= max(x, 1)
-            w = bit >> 6
-            np.take(self._supers, w >> _SUPER_SHIFT, out=count)
-            count += offsets[w]
-            np.invert(bit, out=bit)
-            bit &= 63  # 63 - bit % 64: the left shift that drops the word's bits past the key
-            word = words[w]
-            word <<= bit.view(np.uint64)
-            count += np.bitwise_count(word)
-            count += x >= 2  # the prime 2
-        return out
-
-    def prime_count_ascending(self, values, out: np.ndarray | None = None) -> np.ndarray:
-        """Vectorized pi over an ascending integer array, as int64, written into
-        `out` when given (it may be `values` itself). In steps of `_STEP` values,
-        each read from the flag bytes between the step's ends: a running
-        popcount from the scalar count at the first byte, plus each value's
-        partial byte. Its memory follows the span of a step, not the table, so
-        it suits short windows."""
-        y = np.asarray(values, dtype=np.int64)
-        out = np.empty(y.size, dtype=np.int64) if out is None else out
-        if y.size and (int(y[0]) < 0 or int(y[-1]) > self.limit):
-            raise ValueError(f"prime_count_ascending arguments outside [0, {self.limit}]")
-        for s in range(0, y.size, _STEP):
-            x, count = y[s : s + _STEP], out[s : s + _STEP]
-            two = int(np.searchsorted(x, 2))  # read before `count` overwrites a shared `x`
+        if keys.size and (int(keys[0]) < 0 or int(keys[-1]) > self.limit):
+            raise ValueError(f"prime_count_batch arguments outside [0, {self.limit}]")
+        if self._words is None:
+            raise ValueError("flag bytes are not padded to whole 8-byte words")
+        last = 0
+        for s in range(0, keys.size, _STEP):
+            x, count = keys[s : s + _STEP], counts[s : s + _STEP]
+            # `x` is read before `count`, which may share its memory, overwrites it
+            if int(x[0]) < last or np.any(x[1:] < x[:-1]):
+                raise ValueError("prime_count_batch arguments do not ascend")
+            last, two = int(x[-1]), int(np.searchsorted(x, 2))
             bit = np.maximum(x, 1, out=count)
             bit -= 1
             bit >>= 1  # the flag bit of the largest odd number <= max(x, 1)
-            first = int(bit[0]) >> 3
-            window = self._packed[first : (int(bit[-1]) >> 3) + 1]
-            pops = np.bitwise_count(window)
-            before = np.cumsum(pops, dtype=np.int64)
-            before -= pops  # bits set in the window before each byte
-            low = np.bitwise_and(bit, 7, dtype=np.uint8, casting="unsafe")
-            np.left_shift(2, low, out=low)
-            low -= 1  # the bits of a value's byte up to its own: 2 << 7 wraps to 0, so 255
-            k = bit >> 3  # each value's byte, counted from the window's start
-            k -= first
-            low &= window[k]
-            np.take(before, k, out=count)
-            count += np.bitwise_count(low, out=low)
+            first = int(bit[0]) >> 6
+            window = self._words[first : (int(bit[-1]) >> 6) + 1]
+            w = bit >> 6
+            w -= first  # each key's word, counted from the window's start
+            word = window[w]
+            np.invert(bit, out=bit)
+            bit &= 63  # 63 - bit % 64: the left shift that drops the word's bits past the key
+            word <<= bit.view(np.uint64)
+            before = np.empty(window.size + 1, dtype=np.int64)
+            before[0] = 0
+            np.cumsum(np.bitwise_count(window), out=before[1:])  # bits set before each word
+            np.take(before, w, out=count)
+            count += np.bitwise_count(word)
             count[two:] += 1  # the prime 2
-            if first:  # and the odd primes in the bytes before the window
-                count += self.prime_count(16 * first - 1) - 1
+            if first:  # and the odd primes in the words before the window
+                count += self.prime_count(128 * first - 1) - 1
         return out
 
     def nth_prime_batch(self, ns) -> np.ndarray:
@@ -273,36 +244,14 @@ class PrimeTable:
             at += odd.size
         return out[:at]
 
-    def _rank_directory(self) -> tuple[np.ndarray, np.ndarray]:
-        """(words, offsets), built once: the flags as little-endian uint64
-        words, in place, and the odd primes before each word inside its
-        superblock of `1 << _SUPER_SHIFT` words."""
-        if self._rank is None:
-            packed, nwords = self._packed, -(-self._packed.size // 8)
-            base = packed.base
-            if base is None or base.nbytes < 8 * nwords or base.ctypes.data != packed.ctypes.data:
-                raise ValueError("flag bytes are not padded to whole 8-byte words")
-            words = base.view(np.uint8)[: 8 * nwords].view("<u8")
-            per = 1 << _SUPER_SHIFT
-            offsets = np.zeros(-(-nwords // per) * per, dtype=np.uint16)
-            np.bitwise_count(words, out=offsets[:nwords])
-            blocks = offsets.reshape(-1, per)
-            step = max(1, _RANK_CHUNK >> _SUPER_SHIFT)
-            for s in range(0, len(blocks), step):  # in steps: the inclusive sums are a temporary
-                inclusive = np.cumsum(blocks[s : s + step], axis=1, dtype=np.uint16)
-                np.subtract(inclusive, blocks[s : s + step], out=blocks[s : s + step])
-            self._rank = words, offsets
-        return self._rank
-
     def _primes_through(self, x: int) -> np.ndarray:
         """Cached ascending array of all primes <= max(x, previous requests),
         in the dtype of the table's limit."""
         if self._prime_cache_limit < x:
             x = min(max(x, 2), self.limit)
             cache = np.empty(self.prime_count(x), dtype=table_dtype(self.limit))
-            cache[0], at = 2, 1
-            for lo in range(3, x + 1, _EXTRACT_CHUNK):  # each step's primes straight into the list
-                at += self.primes_between(lo, min(lo + _EXTRACT_CHUNK - 1, x), out=cache[at:]).size
+            cache[0] = 2
+            self.primes_between(3, x, out=cache[1:])
             cache.setflags(write=False)
             self._prime_cache, self._prime_cache_limit = cache, x
         return self._prime_cache
@@ -335,13 +284,13 @@ def build(limit: int) -> PrimeTable:
     :func:`_run_parts`; the table is built once every child has exited.
 
     Peak memory is what is allocated here, and `_MEMORY_CEILING` bounds its
-    sum: the packed flags (one bit per odd number, padded to whole 8-byte
-    words for the rank directory) and the superblock counts, written once at
+    sum: the packed flags (one bit per odd number, in one shared mapping that
+    the forked processes write, padded to whole 8-byte words so that the
+    batch counts view them as words) and the superblock counts, written once at
     their final size, and the popcounts of one counting step, plus in each
     process the pattern (one period, or fewer bits if the flags are fewer),
     the one reused segment buffer of bool flags and a segment's packed bytes.
-    The base primes and their offsets, O(sqrt(limit)), are left out. The rank
-    directory is not built here.
+    The base primes and their offsets, O(sqrt(limit)), are left out.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -471,6 +420,15 @@ def _sieve(packed, pattern, base, start: int, stop: int, parent: int | None = No
             seg[i::p] = False
         nxt[active] = at + (hi_bit - at + step - 1) // step * step
         packed[lo_bit >> 3 : (hi_bit + 7) >> 3] = np.packbits(seg, bitorder="little")
+
+
+def _words_in_place(packed: np.ndarray) -> np.ndarray | None:
+    """The flag bytes as little-endian uint64 words, viewed in place, or None
+    unless they start a buffer of whole words, as `build` and `load` allocate."""
+    nwords, base = -(-packed.size // 8), packed.base
+    if base is None or base.nbytes < 8 * nwords or base.ctypes.data != packed.ctypes.data:
+        return None
+    return base.view(np.uint8)[: 8 * nwords].view("<u8")
 
 
 def _superblock_counts(packed: np.ndarray) -> np.ndarray:

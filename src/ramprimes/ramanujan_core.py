@@ -269,9 +269,9 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
     rising by exactly 1, and each step from v to v + 1 is read off at the
     prime p_{j+1}. The walk runs blockwise from the right, carrying the
     suffix minimum from block to block. Each block decodes its primes p once
-    and reads pi((p - 1)/2) from a prefix popcount of the flag bytes of its
-    half range (`PrimeTable.prime_count_ascending`), with no list of the
-    doubled primes and no search. A block is skipped undecoded when its
+    and reads pi((p - 1)/2) from a running popcount of the flag words of its
+    half range (`PrimeTable.prime_count_batch`, in place), with no list of
+    the doubled primes and no search. A block is skipped undecoded when its
     lb = a - pi((hi - 1)/2) >= carry, with a = pi(lo - 1): every t_j in it
     has j >= a and p_{j+1} <= hi, so t_j >= lb and the block holds no step.
     The test reads two exact counts, not a theorem on R_n, so the sizing to
@@ -319,7 +319,7 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
         low, side = int(slot[0]), slot[2:]
         values[max(low, cut) : carry] = side[max(low, cut) - cut : carry - cut]
         dropped = side[carry - cut :][side[carry - cut :] != 0]  # steps at or above the carry
-        bit = primes.prime_count_ascending(dropped) - 1
+        bit = primes.prime_count_batch(dropped) - 1
         np.bitwise_and.at(mask, bit >> 3, (~(1 << (bit & 7))).astype(np.uint8))
         carry = min(carry, low)
     if values[0] != 2 or any(np.any(values[lo + 1 : hi + 1] <= values[lo:hi])
@@ -348,7 +348,7 @@ def _scan(primes, blocks, i0, i1, carry, cut, slot, values, mask, parent=None) -
             continue  # no t_j here falls below the carry: no step
         p = primes.primes_between(starts[i], ends[i], out=p_buf)  # p_{a+1} .. p_b
         t, m, step = t_buf[: p.size + 1], m_buf[: p.size + 1], steps[8 : 8 + p.size]
-        primes.prime_count_ascending(np.right_shift(p, 1, out=t[:-1]), out=t[:-1])  # pi((p - 1)/2)
+        primes.prime_count_batch(np.right_shift(p, 1, out=t[:-1]), out=t[:-1])  # pi((p - 1)/2)
         np.subtract(index[: p.size], t[:-1], out=t[:-1])
         t[:-1] += a[i]  # t_a .. t_{b-1}
         t[-1] = carry  # stands for the walk right of hi

@@ -95,11 +95,15 @@ def blocks_below(n: int, mask: np.ndarray, primes: np.ndarray, first: int = 0):
             return
 
 
-def _longest_runs(bounds: list[int], primes: np.ndarray, mask: np.ndarray) -> list[tuple[int, int]]:
+def _longest_runs(bounds: list[int], rt: RamanujanTable, pt: PrimeTable) -> list[tuple[int, int]]:
     """Longest Ramanujan and non-Ramanujan runs below each of the ascending
-    `bounds`, from one walk: each block is credited to the first bound above
-    its first prime, and the maxima are carried upward. A step's starts ascend,
-    so its bounds' blocks are contiguous: one grouped maximum per step."""
+    `bounds`, from one walk: each block is credited with its full length to
+    the first bound above its first prime, as the reference run-length tables
+    index runs (the run of 13 from 9901 counts for 10^4), and the maxima are
+    carried upward. A step's starts ascend, so its bounds' blocks are
+    contiguous: one grouped maximum per step."""
+    rt.coverage(pt, bounds[-1] - 1)
+    primes, mask = rt.classified_primes(pt), rt.mask
     ns = search(primes, bounds)
     best = np.zeros((2, ns.size), dtype=np.int64)  # rows: non-Ramanujan, Ramanujan
     rows = np.array([[False], [True]])
@@ -112,20 +116,6 @@ def _longest_runs(bounds: list[int], primes: np.ndarray, mask: np.ndarray) -> li
         best[:, b] = np.maximum(best[:, b], peaks)
     ram, nonram = np.maximum.accumulate(best, axis=1)[::-1].tolist()
     return list(zip(ram, nonram))
-
-
-def longest_runs(bound: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, int]:
-    """Longest run of Ramanujan primes and of non-Ramanujan primes below `bound`.
-
-    A run belongs to the decade its starting prime falls in and counts with
-    its full length even when it ends past the bound; this is how the
-    reference run-length tables are indexed (a run of 13 starting at 9901
-    is credited to 10^4).
-    """
-    if bound < 10:
-        raise ValueError(f"bound must be >= 10, got {bound}")
-    rt.coverage(pt, bound - 1)
-    return _longest_runs([bound], rt.classified_primes(pt), rt.mask)[0]
 
 
 def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) -> int:
@@ -156,10 +146,9 @@ def decade_reports(max_decade: int, rt: RamanujanTable, pt: PrimeTable) -> list[
     of the classified mask answers every row."""
     if max_decade < 1:
         raise ValueError(f"max_decade must be >= 1, got {max_decade}")
-    rt.coverage(pt, 10 ** max_decade - 1)
     bounds = [10 ** decade for decade in range(1, max_decade + 1)]
     reports = []
-    for bound, (lr, ln) in zip(bounds, _longest_runs(bounds, rt.classified_primes(pt), rt.mask)):
+    for bound, (lr, ln) in zip(bounds, _longest_runs(bounds, rt, pt)):
         frac_count = int(search(rt.values, bound))
         trials = pt.prime_count(bound - 1)
         p = frac_count / trials

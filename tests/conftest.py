@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from ramprimes import prime_core, ramanujan_core
+from ramprimes import gap_analysis, prime_core, ramanujan_core
 
 WIDE_BOUND = 21_000_000  # covers the default sharp-run search and all 10^7 scans
 
@@ -27,6 +27,15 @@ def table_of(values, scan_limit, complete_below):
     listed = prime_core.build(max(complete_below - 1, 2)).primes_upto(complete_below - 1)
     mask = np.packbits(search_mask(listed, values), bitorder="little")
     return ramanujan_core.RamanujanTable(values, scan_limit, complete_below, mask)
+
+
+def odd_runs(rt, pt, bound):
+    """The maximal odd Ramanujan runs starting below `bound`, as (start ranks,
+    start primes, end primes, lengths), each joined from the walk steps of
+    `gap_analysis._odd_runs` into one array."""
+    empty = (np.zeros(0, np.int64),) * 4
+    return tuple(np.concatenate(column)
+                 for column in zip(empty, *gap_analysis._odd_runs(rt, pt, bound)))
 
 
 @pytest.fixture(autouse=True)

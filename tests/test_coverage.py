@@ -6,6 +6,7 @@ import pytest
 
 from ramprimes import gap_analysis, prime_core, ramanujan_core, run_stats, twin_stats
 from ramprimes.errors import CoverageError
+from conftest import odd_runs
 
 THROUGH = 10 ** 6 - 1
 
@@ -31,10 +32,9 @@ ANALYTICS = {
         (lambda t, rt, pt: ramanujan_core.rank_scaling_violations(rt, 2, t + 1, pt), False),
     "last_violation_below_threshold":
         (lambda t, rt, pt: ramanujan_core.last_violation_below_threshold(rt, 2, t + 1, pt), False),
-    "longest_runs": (lambda t, rt, pt: run_stats.longest_runs(t + 1, rt, pt), True),
+    "longest_runs": (lambda t, rt, pt: run_stats._longest_runs([t + 1], rt, pt), True),
     "decade_reports": (lambda t, rt, pt: run_stats.decade_reports(len(str(t)), rt, pt), True),
-    "odd_ramanujan_runs":
-        (lambda t, rt, pt: gap_analysis.odd_ramanujan_runs(rt, pt, t + 1), True),
+    "odd_ramanujan_runs": (lambda t, rt, pt: odd_runs(rt, pt, t + 1), True),
     "run_interval_violations":
         (lambda t, rt, pt: gap_analysis.run_interval_violations(rt, pt, t + 1), True),
 }
@@ -114,9 +114,9 @@ def test_scans_past_the_ramanujan_table_raise(call, rt1e5, pt1m):
 def test_odd_run_open_at_the_coverage_edge_is_unresolved(rt1e5, pt1m):
     # the odd Ramanujan run from 50077 holds 4 primes; a prime table cut at
     # 50087 lists only 2 of them
-    _, start_p, _, lengths = gap_analysis.odd_ramanujan_runs(rt1e5, pt1m, 50080)
+    _, start_p, _, lengths = odd_runs(rt1e5, pt1m, 50080)
     assert lengths[start_p == 50077].tolist() == [4]
     cut = prime_core.build(50087)
-    for call in (gap_analysis.odd_ramanujan_runs, gap_analysis.run_interval_violations):
+    for call in (odd_runs, gap_analysis.run_interval_violations):
         with pytest.raises(CoverageError, match="unresolved"):
             call(rt1e5, cut, 50080)

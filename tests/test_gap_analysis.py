@@ -11,13 +11,12 @@ from ramprimes.gap_analysis import (
     first_sharp_run,
     gap_for_run,
     half_point_violations,
-    odd_ramanujan_runs,
     run_interval_violations,
     twin_gap_check,
     twin_gap_table,
 )
 from ramprimes.ramanujan_core import mask_bits
-from conftest import table_of
+from conftest import odd_runs, table_of
 from test_prime_core import flags_between
 
 # first sharp run of length r = 1..11 starts at... (OEIS A177804)
@@ -267,7 +266,7 @@ def test_twin_gap_table_rejects_a_listed_non_ramanujan_twin(pt1m, extra, failure
 
 
 def test_gap_records_match_the_scalar_walk(rt_wide, pt_wide):
-    ranks, _, _, lengths = odd_ramanujan_runs(rt_wide, pt_wide, 10 ** 5)
+    ranks, _, _, lengths = odd_runs(rt_wide, pt_wide, 10 ** 5)
     for rank, r in zip(ranks.tolist(), lengths.tolist()):
         record = gap_for_run(rank, r, rt_wide, pt_wide)
         assert record.enclosing_gap == walk_composite_interval(
@@ -322,7 +321,7 @@ def test_run_intervals_always_composite(rt_wide, pt_wide):
 
 
 def test_runs_enumeration_shape(rt_wide, pt_wide):
-    ranks, start_p, end_p, lengths = odd_ramanujan_runs(rt_wide, pt_wide, 1000)
+    ranks, start_p, end_p, lengths = odd_runs(rt_wide, pt_wide, 1000)
     assert start_p[0] == 11  # first odd Ramanujan prime
     assert np.all(end_p >= start_p)
     assert np.all(lengths >= 1)
@@ -333,7 +332,7 @@ def test_runs_enumeration_shape(rt_wide, pt_wide):
 
 def test_long_run_chains_like_its_sub_runs(rt_wide, pt_wide):
     # a run's interval is exactly the chain of its length-2 sub-run intervals
-    ranks, start_p, end_p, lengths = odd_ramanujan_runs(rt_wide, pt_wide, 10 ** 4)
+    ranks, start_p, end_p, lengths = odd_runs(rt_wide, pt_wide, 10 ** 4)
     i = int(np.flatnonzero(lengths >= 4)[0])
     rank, r = int(ranks[i]), int(lengths[i])
     full = gap_for_run(rank, r, rt_wide, pt_wide)

@@ -10,6 +10,7 @@ import pytest
 from ramprimes import gap_analysis, prime_core, ramanujan_core, run_stats, twin_stats
 from ramprimes.errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
 from ramprimes.prime_core import search, table_dtype
+from conftest import odd_runs
 
 
 def test_dtype_rule_keeps_sixteen_of_headroom():
@@ -103,7 +104,7 @@ def answer(call):
 
 
 def analytics(rt, pt):
-    runs = gap_analysis.odd_ramanujan_runs(rt, pt, TOP)
+    runs = odd_runs(rt, pt, TOP)
     lesser = gap_analysis.twin_gap_table(rt, pt)[0]
     return {
         "decade_reports": answer(lambda: run_stats.decade_reports(4, rt, pt)),

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramprimes import prime_core, ramanujan_core, table_file
+from ramprimes import prime_core, table_file
 from ramprimes.errors import InternalConsistencyError, ResourceLimitError
 from test_table_file import HEADER_SIZE
 
@@ -394,18 +394,18 @@ def test_batch_queries_match_scalar(pt1m):
     assert pt1m.nth_prime_batch(ns).tolist() == [pt1m.nth_prime(int(n)) for n in ns]
 
 
-# -- prime counts over arrays: the rank directory ------------------------------
+# -- prime counts over arrays: a running popcount of the flag words -----------
 
 WORD_INTS = 128  # integers per flag word: 64 odd numbers
 
 
 def edge_keys(limit: int, shift: int = prime_core._SUPER_SHIFT) -> np.ndarray:
     """0, 1, 2, `limit`, and each word and superblock edge +-1 inside [0, limit],
-    for superblocks of `1 << shift` words: 65,536 integers at the default."""
+    for superblocks of `1 << shift` words, ascending: 65,536 integers at the default."""
     edges = np.concatenate([np.arange(0, limit + 2, WORD_INTS),
                             np.arange(0, limit + 2, WORD_INTS << shift)])
     keys = np.concatenate([[0, 1, 2, limit], edges - 1, edges, edges + 1])
-    return keys[(keys >= 0) & (keys <= limit)]
+    return np.sort(keys[(keys >= 0) & (keys <= limit)])
 
 
 def searched_counts(pt, keys) -> np.ndarray:
@@ -426,9 +426,9 @@ def table_path(tmp_path_factory):
 # 100,007: 6,251 flag bytes, not whole words; 65,535 and 131,071: whole superblocks,
 # so the limit's bit is the last of the last word
 @pytest.mark.parametrize("limit", [2, 3, 127, 128, 129, 65_535, 65_536, 131_071, 100_007, 300_001])
-@pytest.mark.parametrize("chunk", [16, 48, 1 << 16])  # keys, and directory words, per step
+@pytest.mark.parametrize("chunk", [16, 48, 1 << 16])  # keys per step
 def test_batch_counts_at_word_and_superblock_edges(monkeypatch, tmp_path, limit, chunk):
-    monkeypatch.setattr(prime_core, "_RANK_CHUNK", chunk)
+    monkeypatch.setattr(prime_core, "_STEP", chunk)
     flags = prime_core.simple_sieve_flags(limit)
     below = np.cumsum(flags)
     for shift in SHIFTS:
@@ -445,10 +445,10 @@ def test_batch_counts_at_word_and_superblock_edges(monkeypatch, tmp_path, limit,
 
 @pytest.mark.parametrize("chunk, shift", [(1, 0), (7, 1), (1 << 14, 2), (1 << 14, 9)])
 def test_batch_counts_for_any_chunk_and_superblock(monkeypatch, chunk, shift):
-    monkeypatch.setattr(prime_core, "_RANK_CHUNK", chunk)
+    monkeypatch.setattr(prime_core, "_STEP", chunk)
     monkeypatch.setattr(prime_core, "_SUPER_SHIFT", shift)
     pt = prime_core.build(10 ** 4 + 3)
-    keys = np.arange(pt.limit + 1)[::-1]
+    keys = np.arange(pt.limit + 1)
     assert np.array_equal(pt.prime_count_batch(keys), searched_counts(pt, keys))
     assert np.array_equal(pt.is_prime_batch(keys), prime_core.simple_sieve_flags(pt.limit)[keys])
 
@@ -461,9 +461,9 @@ def test_batch_counts_match_search_and_scalar(table_path, data, limit, dtype, ro
     pt = prime_core.build(limit)
     if loaded:
         pt = saved_and_loaded(pt, table_path)
-    drawn = data.draw(st.lists(st.integers(0, limit), max_size=120))  # in any order
+    drawn = data.draw(st.lists(st.integers(0, limit), max_size=120))
     edges = data.draw(st.sampled_from([[], edge_keys(limit).tolist()]))
-    keys = np.array(drawn + edges, dtype=dtype)
+    keys = np.sort(np.array(drawn + edges, dtype=dtype))
     if rows is not None:
         keys = keys[: keys.size - keys.size % rows].reshape(rows, -1)
     got = pt.prime_count_batch(keys)
@@ -522,18 +522,33 @@ def test_batch_counts_reject_keys_out_of_range(pt1m):
             pt1m.prime_count_batch(keys)
 
 
-def test_the_rank_directory_is_built_on_the_first_batch_count_only(tmp_path):
-    built = prime_core.build(10 ** 6)
-    rt = ramanujan_core.compute_below(10 ** 5, built)  # the scan counts primes by its own route
-    assert rt.count and built._rank is None
-    for pt in (built, saved_and_loaded(built, tmp_path / "primes.rppt")):
-        assert pt._rank is None
-        pt.prime_count_batch([10])
-        words, offsets = pt._rank
-        assert np.shares_memory(words, pt._packed)  # the flags read in place, not copied
-        assert words.size == -(-pt._packed.size // 8) and offsets.dtype == np.uint16
-        pt.prime_count_batch([20])
-        assert pt._rank[0] is words  # built once
+def test_batch_counts_reject_keys_that_do_not_ascend(pt1m, monkeypatch):
+    monkeypatch.setattr(prime_core, "_STEP", 4)
+    for keys in ([5, 3], [0, 0, 7, 6], [1, 2, 3, 4, 3, 5], [10, 11, 12, 13, 9]):  # the last two
+        with pytest.raises(ValueError, match="do not ascend"):  # descend across a step's edge
+            pt1m.prime_count_batch(np.array(keys, dtype=np.int64))
+
+
+def test_batch_counts_keep_the_shape_of_their_keys(pt1m):
+    for k in (0, 2, 97, 10 ** 6):  # a plain int, as gap_for_run passes, and a 0-d array
+        for key in (k, np.array(k, dtype=np.uint32)):
+            got = pt1m.prime_count_batch(key)
+            assert got.shape == () and got.dtype == np.int64 and int(got) == pt1m.prime_count(k)
+    keys = np.arange(0, 120, 10, dtype=np.uint32).reshape(3, 4)
+    got = pt1m.prime_count_batch(keys)
+    assert got.shape == (3, 4) and got.dtype == np.int64
+    assert got.ravel().tolist() == scalar_counts(pt1m, keys.ravel())
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 13])
+def test_batch_counts_written_over_their_keys_match_a_fresh_output(pt1m, monkeypatch, chunk):
+    monkeypatch.setattr(prime_core, "_STEP", chunk)
+    keys = np.arange(0, 10 ** 6, 977, dtype=np.int64)
+    fresh = pt1m.prime_count_batch(keys)
+    shared = keys.copy()
+    assert pt1m.prime_count_batch(shared, out=shared) is shared  # the scan's in-place use
+    assert np.array_equal(shared, fresh)
+    assert fresh.tolist() == scalar_counts(pt1m, keys)
 
 
 def test_batch_counts_extract_no_prime_list(monkeypatch):
@@ -546,8 +561,10 @@ def test_batch_counts_extract_no_prime_list(monkeypatch):
     assert pt.prime_count_batch([10 ** 5]).tolist() == [9592]
 
 
-def test_flag_bytes_not_padded_to_whole_words_are_refused():
+def test_flag_bytes_not_padded_to_whole_words_are_refused(tmp_path):
     pt = prime_core.build(1000)
+    for padded in (pt, saved_and_loaded(pt, tmp_path / "primes.rppt")):  # 63 bytes in 8 words
+        assert np.shares_memory(padded._words, padded._packed) and padded._words.size == 8
     copied = prime_core.PrimeTable(pt.limit, pt._packed.copy())  # 63 bytes, no padding
     assert copied.prime_count(1000) == 168
     with pytest.raises(ValueError, match="not padded to whole 8-byte words"):
@@ -569,15 +586,17 @@ def scalar_counts(pt, values) -> list[int]:
     return [pt.prime_count(int(y)) for y in values]
 
 
+# -- counts of short ascending runs of keys, as the Ramanujan scan asks them ---
+
 @pytest.mark.parametrize("values", [
     [0, 1, 2, 3],
-    [15, 16, 17, 31, 32, 33],  # byte edges: y = 15 and 31 fill their last byte, mask 0xff
+    [15, 16, 17, 31, 32, 33],  # byte edges: 15 and 31 are the last odd numbers of a byte
     [0, 0, 1, 1, 2, 2, 15, 15, 16],  # repeats
     [7], [16], [999_983], [10 ** 6],  # one element
     [],
 ])
 def test_prime_count_ascending_cases(pt1m, values):
-    got = pt1m.prime_count_ascending(np.array(values, dtype=np.int64))
+    got = pt1m.prime_count_batch(np.array(values, dtype=np.int64))
     assert got.dtype == np.int64
     assert got.tolist() == scalar_counts(pt1m, values)
 
@@ -587,14 +606,14 @@ def test_prime_count_ascending_up_to_the_limit(limit):
     # the last flag byte is full at limit 15, 16 and 31, partly filled otherwise
     pt = prime_core.build(limit)
     values = np.arange(limit + 1)
-    assert pt.prime_count_ascending(values).tolist() == scalar_counts(pt, values)
-    assert pt.prime_count_ascending([limit]).tolist() == [pt.prime_count(limit)]
+    assert pt.prime_count_batch(values).tolist() == scalar_counts(pt, values)
+    assert pt.prime_count_batch([limit]).tolist() == [pt.prime_count(limit)]
 
 
 def test_prime_count_ascending_rejects_out_of_range(pt1m):
     for values in ([-1, 5], [5, 10 ** 6 + 1]):
-        with pytest.raises(ValueError):
-            pt1m.prime_count_ascending(values)
+        with pytest.raises(ValueError, match="outside"):
+            pt1m.prime_count_batch(values)
 
 
 @given(data=st.data(), limit=st.integers(min_value=2, max_value=5000))
@@ -604,14 +623,14 @@ def test_prime_count_ascending_matches_scalar_small(data, limit):
     lo = data.draw(st.integers(min_value=0, max_value=limit))
     hi = data.draw(st.integers(min_value=lo, max_value=limit))
     values = sorted(data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=60)))
-    assert pt.prime_count_ascending(values).tolist() == scalar_counts(pt, values)
+    assert pt.prime_count_batch(values).tolist() == scalar_counts(pt, values)
 
 
 @given(data=st.data(), lo=st.integers(min_value=0, max_value=10 ** 6))
 def test_prime_count_ascending_matches_scalar_1m(pt1m, data, lo):
     hi = data.draw(st.integers(min_value=lo, max_value=min(lo + 5000, 10 ** 6)))
     values = sorted(data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=60)))
-    assert pt1m.prime_count_ascending(values).tolist() == scalar_counts(pt1m, values)
+    assert pt1m.prime_count_batch(values).tolist() == scalar_counts(pt1m, values)
 
 
 def test_primes_upto(pt1m):
@@ -642,7 +661,7 @@ def test_nth_prime_across_checkpoint_boundaries(monkeypatch, tmp_path, chunk):
 
 
 def test_prime_list_extracts_across_chunk_edges(monkeypatch):
-    monkeypatch.setattr(prime_core, "_EXTRACT_CHUNK", 64)
+    monkeypatch.setattr(prime_core, "_STEP", 4)  # 32 flag bits, 64 integers, per step
     monkeypatch.setattr(prime_core, "_COUNT_CHUNK", 64)  # and the counting pass in small steps
     pt = prime_core.build(10 ** 5)
     flags = prime_core.simple_sieve_flags(10 ** 5)
@@ -653,23 +672,20 @@ def test_prime_list_extracts_across_chunk_edges(monkeypatch):
         assert got.tolist() == np.flatnonzero(flags[: x + 1]).tolist()
 
 
-def test_prime_list_extraction_holds_one_step_beside_the_list(pt_wide, monkeypatch):
-    for chunk in (prime_core._EXTRACT_CHUNK, 1 << 16, 1 << 22):
-        monkeypatch.setattr(prime_core, "_EXTRACT_CHUNK", chunk)
-        pt = prime_core.PrimeTable(pt_wide.limit, pt_wide._packed)  # no prime list yet
-        tracemalloc.start()
-        try:
-            primes = pt._primes_through(pt.limit)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert primes.size == pt.total_primes
-        # each step's primes are written into the list, so beside it are one
-        # unpacked step of flags and its int64 offsets: 0.14 MB here at a step of
-        # 2^16 and 0.25 MB at 2^20 and 2^22, never above 64 * _STEP bytes (0.5 MB);
-        # 1.5 MB at the default step when each step allocated its own primes
-        limit = min(4 * chunk, 64 * prime_core._STEP, primes.nbytes // 2)
-        assert peak - primes.nbytes < limit, (chunk, peak)
+def test_prime_list_extraction_holds_one_step_beside_the_list(pt_wide):
+    pt = prime_core.PrimeTable(pt_wide.limit, pt_wide._packed)  # no prime list yet
+    tracemalloc.start()
+    try:
+        primes = pt._primes_through(pt.limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert primes.size == pt.total_primes
+    # each step's primes are written into the list, so beside it are one
+    # unpacked step of `8 * _STEP` flag bits and its int64 offsets, never
+    # above 64 * _STEP bytes (0.5 MB); 1.5 MB at the default step when each step
+    # allocated its own primes
+    assert peak - primes.nbytes < min(64 * prime_core._STEP, primes.nbytes // 2), peak
 
 
 def test_save_load_roundtrip(tmp_path, pt1m):

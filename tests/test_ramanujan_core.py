@@ -353,7 +353,7 @@ def test_scan_decodes_each_unsettled_block_once(pt1m, monkeypatch):
     def no_prime_list(*_):
         raise AssertionError("the scan read a prime list")
 
-    for name in ("primes_upto", "_primes_through", "prime_count_batch"):
+    for name in ("primes_upto", "_primes_through"):
         monkeypatch.setattr(pt1m, name, no_prime_list)
     monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one process walks every block

@@ -14,8 +14,8 @@ from ramprimes.run_stats import (
     RAMANUJAN,
     decade_reports,
     expected_run_length,
+    _longest_runs,
     first_run_start,
-    longest_runs,
     run_variance,
 )
 
@@ -106,19 +106,19 @@ def test_fraction_rounds_to_reference(rt_wide, pt_wide):
 
 
 def test_longest_runs_reference_rows(rt_wide, pt_wide):
-    assert longest_runs(10 ** 2, rt_wide, pt_wide) == (2, 4)
-    assert longest_runs(10 ** 4, rt_wide, pt_wide) == (13, 13)
+    assert _longest_runs([10 ** 2], rt_wide, pt_wide) == [(2, 4)]
+    assert _longest_runs([10 ** 4], rt_wide, pt_wide) == [(13, 13)]
 
 
 def test_longest_runs_count_full_length_from_start_decade(rt_wide, pt_wide):
     # the run of 13 non-Ramanujan primes starting at 9901 runs past 10^4 and
     # still belongs to the 10^4 row
     assert first_run_start(13, NON_RAMANUJAN, rt_wide, pt_wide) == 9901
-    assert longest_runs(10 ** 4, rt_wide, pt_wide)[1] == 13
+    assert _longest_runs([10 ** 4], rt_wide, pt_wide)[0][1] == 13
 
 
 def test_longest_runs_monotone_in_bound(rt_wide, pt_wide):
-    rows = [longest_runs(10 ** d, rt_wide, pt_wide) for d in range(1, 8)]
+    rows = [_longest_runs([10 ** d], rt_wide, pt_wide)[0] for d in range(1, 8)]
     for (r1, n1), (r2, n2) in zip(rows, rows[1:]):
         assert r2 >= r1 and n2 >= n1
 
@@ -249,7 +249,7 @@ def test_decade_reports_match_reference(rt_wide, pt_wide):
 
 def test_longest_runs_requires_coverage(rt_wide, pt_wide):
     with pytest.raises(CoverageError):
-        longest_runs(10 ** 8, rt_wide, pt_wide)
+        _longest_runs([10 ** 8], rt_wide, pt_wide)
 
 
 def test_decade_reports_encode_the_mask_once(rt_wide, pt_wide, monkeypatch):
@@ -278,7 +278,7 @@ def test_decade_row_with_a_run_open_at_coverage_edge(pt1m):
     with pytest.raises(CoverageError, match="unresolved"):
         decade_reports(4, rt, pt1m)
     with pytest.raises(CoverageError, match="unresolved"):
-        longest_runs(10_008, rt, pt1m)
+        _longest_runs([10_008], rt, pt1m)
     rows = decade_reports(3, rt, pt1m)
     assert [(r.longest_ram, r.longest_nonram) for r in rows] == [
         DECADE_ROWS[d][2::2] for d in (1, 2, 3)]
@@ -286,8 +286,8 @@ def test_decade_row_with_a_run_open_at_coverage_edge(pt1m):
 
 def test_a_block_counts_from_its_first_prime(rt_wide, pt_wide):
     start = first_run_start(47, NON_RAMANUJAN, rt_wide, pt_wide)  # the 47-long run of row 7
-    assert longest_runs(start, rt_wide, pt_wide)[1] < 47
-    assert longest_runs(start + 1, rt_wide, pt_wide)[1] == 47
+    assert _longest_runs([start], rt_wide, pt_wide)[0][1] < 47
+    assert _longest_runs([start + 1], rt_wide, pt_wide)[0][1] == 47
 
 
 @given(bits=st.lists(st.booleans(), max_size=200), runs=st.booleans(), chunk=st.integers(1, 9),

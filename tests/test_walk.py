@@ -9,7 +9,7 @@ import pytest
 from ramprimes import gap_analysis, prime_core, ramanujan_core, run_stats, twin_stats
 from ramprimes.errors import CoverageError, NotFoundBelowBound
 from ramprimes.run_stats import NON_RAMANUJAN, RAMANUJAN
-from conftest import table_of
+from conftest import odd_runs, table_of
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +40,13 @@ def walked_answers(pt, rt, edges):
         out[edge] = {
             "decade_reports": [answer(lambda d=d: run_stats.decade_reports(d, t, pt))
                                for d in range(1, len(str(edge)))],
-            "longest_runs": [answer(lambda b=b: run_stats.longest_runs(b, t, pt))
+            "longest_runs": [answer(lambda b=b: run_stats._longest_runs([b], t, pt)[0])
                              for b in (10, 100, 9901, 9902, 10_008, 10 ** 5, edge)
                              if b <= edge],
             "first_run_start": [answer(lambda n=n, k=k: run_stats.first_run_start(n, k, t, pt))
                                 for k in (RAMANUJAN, NON_RAMANUJAN)
                                 for n in (1, 2, 13, 14, 20, 21, 36, 37)],
-            "odd_ramanujan_runs": [answer(lambda b=b: gap_analysis.odd_ramanujan_runs(t, pt, b))
+            "odd_ramanujan_runs": [answer(lambda b=b: odd_runs(t, pt, b))
                                    for b in (3, 1000, edge)],
             "first_sharp_run": [answer(lambda r=r: gap_analysis.first_sharp_run(r, t, pt, edge))
                                 for r in (1, 2, 3, 4, 5, 6, 7, 12, 13, 14)],
@@ -110,7 +110,6 @@ def test_walked_analytics_peak_far_below_one_list_sized_array(rt_wide, pt_wide, 
     monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 1 << 10)
     rt = rt_wide.below(10 ** 7 + 10 ** 5)  # a fresh memo, so twin_index is built below
     listed = rt.classified_primes(pt_wide)
-    pt_wide.prime_count_batch([0])  # the rank directory is the table's, built once
     list_int64 = listed.size * 8
     calls = {
         "decade_reports": lambda: run_stats.decade_reports(7, rt, pt_wide),
@@ -134,11 +133,10 @@ def test_no_memo_holds_or_builds_a_byte_per_classified_prime(rt_wide, pt_wide, m
     n = rt.classified_primes(pt_wide).size  # the prime list, which the prime table keeps
     pairs = rt.twin_index(pt_wide).size
     del rt._derived["twins"]  # rebuilt below, traced
-    pt_wide.prime_count_batch([0])  # the rank directory is the table's, built once
     builds = {  # each with its bound on what it allocates beside what it keeps
         "twin_index": (lambda: rt.twin_index(pt_wide), n // 2),
         "classified_ranks": (lambda: rt.classified_ranks(pt_wide), n // 2),
-        # int64 temporaries over the twin pairs, 17 bytes a pair here; one byte
+        # int64 temporaries over the twin pairs, 16 bytes a pair here; one byte
         # per classified prime would add 12 more
         "twin_gap_table": (lambda: gap_analysis.twin_gap_table(rt, pt_wide), 24 * pairs),
         "twin_gap_check": (lambda: gap_analysis.twin_gap_check(149, 151, rt, pt_wide), n // 2),
@@ -159,7 +157,6 @@ def test_first_sharp_run_peak_follows_the_step_not_the_list(rt_wide, pt_wide, mo
     rt = rt_wide.below(rt_wide.complete_below)  # a fresh memo
     rt.classified_primes(pt_wide)
     rt.classified_ranks(pt_wide)  # every memo exists before the calls are traced
-    pt_wide.prime_count_batch([0])
     for r, start in ((1, 11), (4, 7187), (11, 12034427)):  # the last walks 12e6 integers
         found = []
         peak = peak_bytes(lambda: found.append(gap_analysis.first_sharp_run(r, rt, pt_wide)))
