@@ -10,20 +10,21 @@ Maximal runs (`run_stats.blocks_below`) and the windows of `first_sharp_run`
 are walked a step at a time from its mask, so the run checks keep only what
 they report and build no rank memo. The halves
 of a twin Ramanujan pair sit in a prime gap of length 5 or more.
-`twin_gap_table` checks that for every covered pair at once and keeps the
-gaps in the table's memo; `twin_gap_check` answers one pair from it.
+`twin_gap_table` checks that for every covered pair, a step of pairs at a
+time, and keeps the gaps in the table's memo; `twin_gap_check` answers one
+pair from it in O(1), through a bucket directory over its lesser members.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
-from .prime_core import PrimeTable, search
-from .ramanujan_core import RamanujanTable, mask_at, mask_bits, walk
+from .prime_core import PrimeTable, search, table_dtype
+from .ramanujan_core import RamanujanTable, mask_bits, walk
 from .run_stats import blocks_below
 
 DEFAULT_SHARP_SEARCH_BOUND = 20_000_000
@@ -151,46 +152,67 @@ def twin_gap_table(rt: RamanujanTable, pt: PrimeTable) -> tuple[np.ndarray, np.n
     p = 6k - 1, an even k puts the halved pair at the start of a five-wide
     composite stretch, while an odd k relies on (q+3)/2 being composite,
     which is forced by q being Ramanujan. Those stretches are read from the
-    flags, the gap ends from prime counts. The three read-only arrays are
-    built on first use and kept in the memo of `rt` for `pt`.
+    flags, the gap ends from prime counts, a `walk` step of pairs at a time. The
+    three read-only arrays are built on first use and kept in the memo of `rt` for `pt`.
     """
-    return rt.derived(pt, "twin_gaps", lambda: _build_twin_gaps(rt, pt))
+    return rt.derived(pt, "twin_gaps", _build_twin_gaps)
 
 
 def _build_twin_gaps(rt: RamanujanTable, pt: PrimeTable):
-    primes, i = rt.classified_primes(pt), rt.twin_index(pt)
-    lesser = primes[i[mask_at(rt.mask, i) & mask_at(rt.mask, i + 1) & (primes[i] > 3)]]
-    k, rem = np.divmod(lesser + 1, 6)
-    _require_none(rem, lesser, "not of the form 6k -/+ 1")
-    odd = (k & 1).astype(bool)
-    _require_none(odd & pt.is_prime_batch((lesser + 5) // 2), lesser,
-                  "(q+3)/2 prime despite q being Ramanujan")
-    gap_lo = (lesser + 1) // 2  # = 3k; the halved pair is 3k, 3k + 1
-    span = gap_lo - odd  # [gap_lo, gap_lo + 4] for even k, one lower for odd k
-    inside = np.zeros(lesser.size, dtype=bool)
-    for offset in range(5):
-        inside |= pt.is_prime_batch(span + offset)
-    _require_none(inside, lesser, "prime inside the expected five-wide composite span")
-    # q = p + 2 is a listed prime above the halved pair, so the gap closes inside the list
-    a, b = _gap_ends(pt, primes, gap_lo, gap_lo + 1)
-    _require_none(b - a + 1 < 5, lesser, "enclosing gap shorter than 5")
+    primes = rt.classified_primes(pt)
+    twins, ram_lo, ram_hi = rt.twin_pairs(pt)
+    start = int(search(twins, 3, side="right"))  # the pairs with p > 3
+    lesser = twins[start:][ram_lo[start:] & ram_hi[start:]]
+    a, b = np.empty_like(lesser), np.empty_like(lesser)
+    for lo, hi in walk(0, lesser.size):
+        p = lesser[lo:hi]
+        k, rem = np.divmod(p + 1, 6)
+        _require_none(rem, p, "not of the form 6k -/+ 1")
+        odd = (k & 1).astype(bool)
+        _require_none(odd & pt.is_prime_batch((p + 5) // 2), p,
+                      "(q+3)/2 prime despite q being Ramanujan")
+        gap_lo = (p + 1) // 2  # = 3k; the halved pair is 3k, 3k + 1
+        span = gap_lo - odd  # [gap_lo, gap_lo + 4] for even k, one lower for odd k
+        inside = np.zeros(p.size, dtype=bool)
+        for offset in range(5):
+            inside |= pt.is_prime_batch(span + offset)
+        _require_none(inside, p, "prime inside the expected five-wide composite span")
+        # q = p + 2 is a listed prime above the halved pair, so the gap closes inside the list
+        a[lo:hi], b[lo:hi] = _gap_ends(pt, primes, gap_lo, gap_lo + 1)
+        _require_none(b[lo:hi] - a[lo:hi] + 1 < 5, p, "enclosing gap shorter than 5")
     return lesser, a, b
+
+
+def _gap_lookup(rt: RamanujanTable, pt: PrimeTable):
+    """`twin_gap_table` as memoryviews (lesser, a, b, first), the bucket count and `shift`:
+    first[k] is the first row with lesser >= k << shift; the width 1 << shift, the least
+    power of two above the lesser members' mean spacing, puts one or two rows in a bucket."""
+    lesser, a, b = twin_gap_table(rt, pt)
+    last = int(lesser[-1]) if lesser.size else 0
+    shift = (last // max(lesser.size, 1)).bit_length()
+    first = np.empty((last >> shift) + 2, dtype=table_dtype(lesser.size))
+    for lo, hi in walk(0, first.size):
+        first[lo:hi] = search(lesser, np.arange(lo, hi, dtype=np.int64) << shift)
+    first.setflags(write=False)
+    return (*map(memoryview, (lesser, a, b, first)), first.size - 1, shift)
 
 
 def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[int, int]:
     """Maximal prime gap containing the halved endpoints of twin Ramanujan
-    primes (p, q), read from `twin_gap_table`, which checked it: one memo entry
-    holds read-only memoryviews of its arrays, bisected and indexed as Python ints.
+    primes (p, q), read from `twin_gap_table`, which checked it: a hit reads p's
+    bucket of one or two rows in the memoized `_gap_lookup`, as Python ints.
     """
     if q != p + 2:
         raise ValueError(f"({p}, {q}) is not a twin pair")
     if p <= 3:
         raise ValueError(f"twin gap analysis needs p > 3, got {p}")
-    lesser, a, b = rt.derived(pt, "twin_gap_views",
-                              lambda: tuple(map(memoryview, twin_gap_table(rt, pt))))
-    i = bisect.bisect_left(lesser, p)
-    if i < len(lesser) and lesser[i] == p:
-        return a[i], b[i]
+    lesser, a, b, first, buckets, shift = rt.derived(pt, "twin_gap_lookup", _gap_lookup)
+    k = p >> shift
+    if k < buckets:
+        end = first[k + 1]
+        i = bisect_left(lesser, p, first[k], end)
+        if i < end and lesser[i] == p:
+            return a[i], b[i]
     if not (pt.is_prime(p) and pt.is_prime(q)):
         raise ValueError(f"({p}, {q}) are not both prime")
     if not rt.membership_mask([p, q]).all():

@@ -166,12 +166,13 @@ class PrimeTable:
     def prime_count_batch(self, values, out: np.ndarray | None = None) -> np.ndarray:
         """Vectorized pi over ascending integer keys of any shape, as int64 of
         that shape, written into `out` when given (it may be `values` itself).
-        In steps of `_STEP` keys, each count adds the scalar count before the
-        step's first flag word, a running popcount of the words from there to
+        In steps of at most `_STEP` keys, each count adds the scalar count before
+        the step's first flag word, a running popcount of the words from there to
         the key's word (the flags viewed in place as little-endian uint64), and
-        the popcount of the key's word shifted left past the key's bit. So a
-        step's temporaries follow its keys and the flags between its ends, and
-        no prime list is extracted. Keys that do not ascend are a ValueError."""
+        the popcount of the key's word shifted left past the key's bit. A step ends
+        at the first key `_STEP` or more words on, so its temporaries stay within
+        `_STEP` keys and words, and no prime list is extracted. Keys that do not
+        ascend are a ValueError."""
         v = np.asarray(values)
         out = np.empty(v.shape, dtype=np.int64) if out is None else out
         keys, counts = v.reshape(-1), out.reshape(-1)
@@ -179,17 +180,20 @@ class PrimeTable:
             raise ValueError(f"prime_count_batch arguments outside [0, {self.limit}]")
         if self._words is None:
             raise ValueError("flag bytes are not padded to whole 8-byte words")
-        last = 0
-        for s in range(0, keys.size, _STEP):
-            x, count = keys[s : s + _STEP], counts[s : s + _STEP]
+        last = s = 0
+        while s < keys.size:
+            x = keys[s : s + _STEP]
             # `x` is read before `count`, which may share its memory, overwrites it
             if int(x[0]) < last or np.any(x[1:] < x[:-1]):
                 raise ValueError("prime_count_batch arguments do not ascend")
+            first = (max(int(x[0]), 1) - 1) >> 7  # the flag word of the step's first key
+            if (int(x[-1]) - 1) >> 7 >= first + _STEP:  # end at the first key _STEP words on
+                x = x[: int(np.searchsorted(x, 128 * (first + _STEP) + 1))]
+            count, s = counts[s : s + x.size], s + x.size
             last, two = int(x[-1]), int(np.searchsorted(x, 2))
             bit = np.maximum(x, 1, out=count)
             bit -= 1
             bit >>= 1  # the flag bit of the largest odd number <= max(x, 1)
-            first = int(bit[0]) >> 6
             window = self._words[first : (int(bit[-1]) >> 6) + 1]
             w = bit >> 6
             w -= first  # each key's word, counted from the window's start

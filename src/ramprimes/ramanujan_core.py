@@ -10,15 +10,17 @@ from the right, skips undecoded each block that two exact counts show to
 hold no R_n, and splits the blocks among parallel processes, as a suffix
 minimum combines across parts. It also marks each R_n in a bit mask over
 prime indices, the classification, which analytics read in place a `walk`
-step (`mask_bits`) or a gather (`mask_at`) at a time and a cache file stores.
+step (`mask_bits`) at a time and a cache file stores, or, for twin pairs, from
+the memoized twin table (`RamanujanTable.twin_pairs`).
 
 The values take the dtype that `prime_core.table_dtype` gives for the
 scan's end p_3n, so they are ``uint32`` below 2**32, whether computed,
 loaded or cut by `below`, and every search of them goes through
-`prime_core.search`. The memoized ranks and twin positions take the dtype
-`table_dtype` gives for the length of the classified list. Products of
-values or ranks, as in the ratio and rank-scaling checks, are taken in
-int64, because a ``uint32`` array times a Python int stays ``uint32``.
+`prime_core.search`. The memoized ranks take the dtype `table_dtype` gives
+for the length of the classified list, and the twin table's lesser members
+the list's own dtype. Products of values or ranks, as in the ratio and
+rank-scaling checks, are taken in int64, because a ``uint32`` array times a
+Python int stays ``uint32``.
 """
 
 from __future__ import annotations
@@ -59,26 +61,35 @@ def mask_bits(mask: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return bits[lo - 8 * b0 : hi - 8 * b0]
 
 
-def mask_at(mask: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The bits of the packed `mask` at each integer of the array `index`, as bools."""
-    return (mask[index >> 3] >> (index & 7).astype(np.uint8) & 1).view(bool)
-
-
-def _positions(limit: int, stop: int, hit, take=None) -> np.ndarray:
-    """take(i), or i itself, for each i in [0, stop) where the bool step
-    `hit(lo, hi)` is set, in `table_dtype(limit)`. The `walk` steps are read twice, to count
-    the hits and then to fill one array of that size: no int64 array of
-    every position is made, and the result is never held twice. The hits go
-    through flatnonzero, as a boolean index branches on each bit, 3x slower."""
-    steps = list(walk(0, stop))
-    out = np.empty(sum(np.count_nonzero(hit(*s)) for s in steps), dtype=table_dtype(limit))
+def _positions(limit: int, mask: np.ndarray, stop: int, take) -> np.ndarray:
+    """take(i) for each i in [0, stop) whose bit is set in the packed `mask`, in
+    `table_dtype(limit)`. A popcount of the mask bytes sizes the one array, which one
+    pass of `walk` steps fills: no int64 array of every position is made, and the
+    result is never held twice. The hits go through flatnonzero, as a boolean index
+    branches on each bit, 3x slower."""
+    size = int(np.bitwise_count(mask[: stop >> 3]).sum())  # the whole bytes below stop
+    out = np.empty(size + int(mask_bits(mask, stop & ~7, stop).sum()), dtype=table_dtype(limit))
     at = 0
-    for lo, hi in steps:
-        i = np.flatnonzero(hit(lo, hi))
+    for lo, hi in walk(0, stop):
+        i = np.flatnonzero(mask_bits(mask, lo, hi))
         i += lo
-        out[at : at + i.size] = i if take is None else take(i)
+        out[at : at + i.size] = take(i)
         at += i.size
     return out
+
+
+def _twin_table(rt: RamanujanTable, primes: PrimeTable):
+    listed = rt.classified_primes(primes)
+    steps = list(walk(0, listed.size - 1))
+    size = sum(np.count_nonzero(listed[lo + 1 : hi + 1] - listed[lo:hi] == 2) for lo, hi in steps)
+    lesser, ram_lo, ram_hi = (np.empty(size, dtype) for dtype in (listed.dtype, bool, bool))
+    at = 0
+    for lo, hi in steps:
+        i = np.flatnonzero(listed[lo + 1 : hi + 1] - listed[lo:hi] == 2)
+        bits, out = mask_bits(rt.mask, lo, hi + 1), slice(at, at + i.size)
+        lesser[out], ram_lo[out], ram_hi[out] = listed[lo:hi][i], bits[i], bits[1:][i]
+        at += i.size
+    return lesser, ram_lo, ram_hi
 
 
 def nth_prime_upper(k: int) -> int:
@@ -179,18 +190,19 @@ class RamanujanTable:
         return cov
 
     def derived(self, primes: PrimeTable, key: str, build):
-        """What `build()` returns, kept under `key` for `primes`, with each
-        array in it, alone or in a tuple, made read-only. The memo holds one
+        """What `build(self, primes)` returns, kept under `key` for `primes`, with
+        each array in it, alone or in a tuple, made read-only. The memo holds one
         prime table at a time, under "primes": passing another starts it afresh."""
-        if self._derived.get("primes") is not primes:
-            self._derived = {"primes": primes}
-        if key not in self._derived:
-            value = build()
+        memo = self._derived
+        if memo.get("primes") is not primes:
+            memo = self._derived = {"primes": primes}
+        if key not in memo:
+            value = build(self, primes)
             for arr in value if isinstance(value, tuple) else (value,):
                 if isinstance(arr, np.ndarray):
                     arr.setflags(write=False)
-            self._derived[key] = value
-        return self._derived[key]
+            memo[key] = value
+        return memo[key]
 
     def classified_primes(self, primes: PrimeTable) -> np.ndarray:
         """Every prime both tables can classify: bit i of `mask` classifies the
@@ -198,21 +210,20 @@ class RamanujanTable:
         list, so callers read a prefix of the mask instead of classifying again."""
         return primes.primes_upto(self.coverage(primes))
 
-    def twin_index(self, primes: PrimeTable) -> np.ndarray:
-        """Memoized, read-only positions i in the classified list with
-        listed[i + 1] == listed[i] + 2: the lesser members of twin pairs, in
-        the dtype `table_dtype` gives for the list's length."""
-        listed = self.classified_primes(primes)
-        return self.derived(primes, "twins", lambda: _positions(
-            listed.size, listed.size - 1, lambda lo, hi: listed[lo + 1 : hi + 1] - listed[lo:hi] == 2))
+    def twin_pairs(self, primes: PrimeTable):
+        """The memoized, read-only twin table (lesser, ram_lo, ram_hi): the lesser member p
+        of every twin pair (p, p + 2) in the classified list, ascending, in its dtype, and
+        the mask bits of p and p + 2, which the twin analytics slice by prefix. Two passes
+        of `walk` steps build it, to count the pairs and then to fill the three arrays."""
+        return self.derived(primes, "twins", _twin_table)
 
     def classified_ranks(self, primes: PrimeTable) -> np.ndarray:
         """Memoized pi(R_n) of each R_n both tables classify: the n-th prime the
         mask marks, one more than its position, in the dtype `table_dtype` gives
         for the mask's length. Only rank scaling and `prime_ranks` read it."""
         n = self.classified_primes(primes).size
-        return self.derived(primes, "ranks", lambda: _positions(
-            n, n, lambda lo, hi: mask_bits(self.mask, lo, hi), lambda i: i + 1))
+        return self.derived(primes, "ranks",
+                            lambda rt, _: _positions(n, rt.mask, n, lambda i: i + 1))
 
     def prime_ranks(self, primes: PrimeTable) -> np.ndarray:
         """pi(R_n) for every n; a CoverageError if some R_n lies past the tables."""
@@ -243,8 +254,7 @@ def load(path, primes: PrimeTable, below: int | None = None) -> RamanujanTable:
     listed = primes.primes_upto(max(x - 1, 0))
     if listed.size > 8 * mask.size:
         raise ValueError(f"{path}: {mask.size} mask bytes do not cover the primes below {x}")
-    values = _positions(scan_limit + 1, listed.size, lambda lo, hi: mask_bits(mask, lo, hi),
-                        listed.__getitem__)
+    values = _positions(scan_limit + 1, mask, listed.size, listed.__getitem__)
     if values.size > count or (x == complete_below and values.size < count):
         raise ValueError(f"{path}: {values.size} set bits below {x} do not fit count {count}")
     return RamanujanTable(values, scan_limit, x, mask)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import CoverageError
 from .prime_core import PrimeTable, search
-from .ramanujan_core import RamanujanTable, mask_at, mask_bits, walk
+from .ramanujan_core import RamanujanTable, mask_bits, walk
 
 RATIO_CONJECTURE_MIN_BOUND = 10 ** 5
 
@@ -44,18 +44,14 @@ class BrunPartial:
     terms: int
 
 
-def _twin_positions(bound: int, rt: RamanujanTable, pt: PrimeTable):
-    """(the twin index cut to pairs with lesser <= bound, the classified primes)."""
-    rt.coverage(pt, bound + 2)
-    primes, i = rt.classified_primes(pt), rt.twin_index(pt)
-    return i[: int(search(i, search(primes, bound, side="right")))], primes
-
-
 def twin_pair_arrays(bound: int, rt: RamanujanTable, pt: PrimeTable):
-    """Lesser members of twin pairs with lesser <= bound, plus both masks,
-    sliced from the Ramanujan table's twin index."""
-    i, primes = _twin_positions(bound, rt, pt)
-    return primes[i], mask_at(rt.mask, i), mask_at(rt.mask, i + 1)
+    """Lesser members of twin pairs with lesser <= bound, plus the Ramanujan
+    bits of both members: read-only views of a prefix of the table's memoized
+    twin table (`RamanujanTable.twin_pairs`), found by one search."""
+    rt.coverage(pt, bound + 2)
+    lesser, ram_lo, ram_hi = rt.twin_pairs(pt)
+    n = int(search(lesser, bound, side="right"))
+    return lesser[:n], ram_lo[:n], ram_hi[:n]
 
 
 def twin_census(bound: int, rt: RamanujanTable, pt: PrimeTable) -> TwinCensus:
@@ -66,8 +62,8 @@ def twin_census(bound: int, rt: RamanujanTable, pt: PrimeTable) -> TwinCensus:
     return TwinCensus(
         bound=bound,
         pi2=int(ram_lo.size),
-        pi21=int((ram_lo | ram_hi).sum()),
-        pi22=int((ram_lo & ram_hi).sum()),
+        pi21=int(np.count_nonzero(ram_lo | ram_hi)),
+        pi22=int(np.count_nonzero(ram_lo & ram_hi)),
     )
 
 
@@ -144,17 +140,16 @@ def ratio_inequalities_strict(bound: int, rt: RamanujanTable, pt: PrimeTable) ->
     pairs are read a `walk` step at a time, with the counts carried across.
     """
     _check_ratio_scope(bound)
-    i, primes = _twin_positions(bound, rt, pt)
+    lesser, ram_lo, ram_hi = twin_pair_arrays(bound, rt, pt)
     # the state after the last pair with lesser <= 10^5 is the first one checked
-    start = int(search(i, search(primes, RATIO_CONJECTURE_MIN_BOUND, side="right"))) - 1
+    start = int(search(lesser, RATIO_CONJECTURE_MIN_BOUND, side="right")) - 1
     if start < 0:
         return True
     c21 = c22 = 0  # the counts carried in from the steps before
-    for lo, hi in walk(0, i.size):
-        ram_lo, ram_hi = mask_at(rt.mask, i[lo:hi]), mask_at(rt.mask, i[lo:hi] + 1)
-        pi21 = np.cumsum(ram_lo | ram_hi, dtype=np.int64)
+    for lo, hi in walk(0, lesser.size):
+        pi21 = np.cumsum(ram_lo[lo:hi] | ram_hi[lo:hi], dtype=np.int64)
         pi21 += c21
-        pi22 = np.cumsum(np.logical_and(ram_lo, ram_hi, out=ram_lo), dtype=np.int64)
+        pi22 = np.cumsum(ram_lo[lo:hi] & ram_hi[lo:hi], dtype=np.int64)
         pi22 += c22
         at = max(start - lo, 0)
         if not _ratios_hold(np.arange(lo + 1 + at, hi + 1), pi21[at:], pi22[at:]).all():

@@ -234,7 +234,7 @@ def test_twin_gap_table_is_built_once_and_read_only(pt1m, monkeypatch):
 
 
 @pytest.mark.parametrize("narrow", [np.uint32, np.int64])
-def test_twin_gap_check_reads_three_memoized_views(pt1m, monkeypatch, narrow):
+def test_twin_gap_check_reads_memoized_views_and_a_bucket_directory(pt1m, monkeypatch, narrow):
     monkeypatch.setattr(prime_core, "_NARROW", narrow)  # int64 stands in for tables past 2**32
     pt = prime_core.build(pt1m.limit)
     rt = ramanujan_core.compute_below(10 ** 5, pt)
@@ -247,9 +247,50 @@ def test_twin_gap_check_reads_three_memoized_views(pt1m, monkeypatch, narrow):
         assert got == gap and all(type(end) is int for end in got)  # not NumPy scalars
     table = twin_gap_table(rt, pt)
     assert table[0].dtype == narrow
-    assert len(views) == 3  # six calls, one view of each array, made once
+    assert len(views) == 4  # six calls, one view of each array and of the directory, made once
+    assert all(view.readonly for view in views)
     for view, arr in zip(views, table):
-        assert view.readonly and np.shares_memory(np.asarray(view), arr)
+        assert np.shares_memory(np.asarray(view), arr)
+    # first[k] is the first row whose lesser member is at least k << shift, and
+    # the buckets hold one to two rows on average
+    lesser, first = table[0], np.asarray(views[3])
+    shift = rt.derived(pt, "twin_gap_lookup", gap_analysis._gap_lookup)[-1]
+    assert first.tolist() == np.searchsorted(lesser, np.arange(first.size) << shift).tolist()
+    assert first.size - 1 <= lesser.size < 2 * (first.size - 1)
+
+
+def test_twin_gap_check_returns_every_gap_table_row(rt_wide, pt_wide):
+    rows = list(zip(*(arr.tolist() for arr in twin_gap_table(rt_wide, pt_wide))))
+    assert len(rows) == 49092
+    for p, a, b in rows:
+        got = twin_gap_check(p, p + 2, rt_wide, pt_wide)
+        assert got == (a, b) and type(got[0]) is type(got[1]) is int
+
+
+@pytest.mark.parametrize("below", [150, 10 ** 5])  # the first row is 149's: none below 150
+def test_twin_gap_check_misses_keep_their_messages_at_the_bucket_edges(pt1m, below):
+    rt = ramanujan_core.compute_below(below, pt1m)
+    lesser = twin_gap_table(rt, pt1m)[0].tolist()
+    width = 1 << rt.derived(pt1m, "twin_gap_lookup", gap_analysis._gap_lookup)[-1]
+    # p around each bucket's ends, below the first row's bucket, past the last bucket,
+    # every twin pair not in the table, and past the classification and the prime table
+    twins = twin_stats.twin_pair_arrays(below - 3, rt, pt1m)[0].tolist()
+    edges = [k * width for k in range(max(lesser, default=0) // width + 3)]
+    ps = ({p for e in edges + [rt.complete_below, pt1m.limit] for p in range(e - 8, e + 9)}
+          | set(range(min(lesser, default=below) + 1)) | set(twins))
+    hits = misses = 0
+    for p in sorted(p for p in ps if p > 3):
+        try:
+            want = twin_gap_reference(p, p + 2, rt, pt1m)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                twin_gap_check(p, p + 2, rt, pt1m)
+            assert str(got.value) == str(exc)
+            misses += 1
+        else:
+            assert twin_gap_check(p, p + 2, rt, pt1m) == want
+            hits += 1
+    assert hits == len(lesser) and misses > len(twins) - hits
 
 
 @pytest.mark.parametrize("extra, failure", [

@@ -153,7 +153,7 @@ def stand_in_run(monkeypatch, tmp_path, narrow):
         rt = ramanujan_core.compute_below(BOUND, pt)
         dtypes = {first.values.dtype, loaded.values.dtype, first.below(BOUND).values.dtype,
                   rt.values.dtype, pt.primes_upto(STAND_IN_LIMIT).dtype,
-                  rt.classified_ranks(pt).dtype, rt.twin_index(pt).dtype}
+                  rt.classified_ranks(pt).dtype, rt.twin_pairs(pt)[0].dtype}
         return dtypes, analytics(rt, pt)
 
 

@@ -551,6 +551,25 @@ def test_batch_counts_written_over_their_keys_match_a_fresh_output(pt1m, monkeyp
     assert fresh.tolist() == scalar_counts(pt1m, keys)
 
 
+def test_batch_counts_of_sparse_keys_hold_one_step_of_words(pt_wide, pt1m, monkeypatch):
+    keys = np.linspace(0, pt_wide.limit, 5).astype(np.int64)  # 5 keys over the whole table
+    tracemalloc.start()
+    try:
+        got = pt_wide.prime_count_batch(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == scalar_counts(pt_wide, keys)
+    # a step ends at the first key `_STEP` or more flag words past its first, so its
+    # running popcount spans fewer words; one over every word between the ends
+    # peaked at 4.6 MB here
+    assert peak < 64 * prime_core._STEP, peak
+    # steps that end early, at keys on, before and past each word's edges
+    monkeypatch.setattr(prime_core, "_STEP", 3)
+    keys = np.array([x for k in range(1, 200) for x in (384 * k - 1, 384 * k, 384 * k + 1)])
+    assert pt1m.prime_count_batch(keys).tolist() == scalar_counts(pt1m, keys)
+
+
 def test_batch_counts_extract_no_prime_list(monkeypatch):
     pt = prime_core.build(10 ** 5)
 

@@ -21,7 +21,6 @@ from ramprimes.ramanujan_core import (
     compute_first,
     last_violation_below_threshold,
     log_bound_failures,
-    mask_at,
     mask_bits,
     max_ratio,
     rank_scaling_threshold,
@@ -186,22 +185,20 @@ def test_definition_invariant_below_and_at_each_value(pt1m, oracle_1000):
 
 
 @settings(max_examples=300, deadline=None)
-@given(bits=st.lists(st.booleans(), max_size=70), lo=st.integers(0, 80), hi=st.integers(0, 80),
-       index=st.lists(st.integers(0, 79), max_size=20),
-       dtype=st.sampled_from([np.uint32, np.int64, np.intp]))
-@example(bits=[True] * 13, lo=9, hi=13, index=[12], dtype=np.uint32)  # the last, partial byte
-@example(bits=[True] * 13, lo=13, hi=13, index=[], dtype=np.int64)  # an empty range at the end
-@example(bits=[True] * 16, lo=5, hi=5, index=[], dtype=np.int64)  # an empty range inside a byte
-@example(bits=[False, True] * 20, lo=3, hi=37, index=[3, 36, 3], dtype=np.uint32)
-def test_mask_readers_match_unpackbits(bits, lo, hi, index, dtype):
+@given(bits=st.lists(st.booleans(), max_size=70), lo=st.integers(0, 80), hi=st.integers(0, 80))
+@example(bits=[True] * 13, lo=9, hi=13)  # the last, partial byte
+@example(bits=[True] * 13, lo=13, hi=13)  # an empty range at the end
+@example(bits=[True] * 16, lo=5, hi=5)  # an empty range inside a byte
+@example(bits=[False, True] * 20, lo=3, hi=37)
+def test_mask_readers_match_unpackbits(bits, lo, hi):
     packed = np.packbits(np.array(bits, dtype=bool), bitorder="little")
     whole = np.unpackbits(packed, bitorder="little").view(bool)  # with the last byte's padding
     lo, hi = min(lo, whole.size), min(hi, whole.size)
     got = mask_bits(packed, lo, hi)
     assert got.dtype == bool and got.tolist() == whole[lo:hi].tolist()
-    index = np.array([i for i in index if i < whole.size], dtype=dtype)
-    got = mask_at(packed, index)
-    assert got.dtype == bool and got.tolist() == whole[index].tolist()
+    # the set positions below hi, sized by a popcount that skips the bits past hi
+    got = ramanujan_core._positions(whole.size, packed, hi, lambda i: i + 1)
+    assert got.tolist() == (np.flatnonzero(whole[:hi]) + 1).tolist()
 
 
 def test_compute_below_golden(pt1m):
@@ -260,14 +257,19 @@ def test_classified_primes_mask_is_read_only(rt_wide, pt_wide):
             array[1:][:3] = 1
 
 
-def test_twin_index_lists_the_twin_pairs_read_only(rt_wide, pt_wide):
+def test_twin_table_lists_the_twin_pairs_read_only(rt_wide, pt_wide):
     primes = rt_wide.classified_primes(pt_wide)
-    twins = rt_wide.twin_index(pt_wide)
+    table = rt_wide.twin_pairs(pt_wide)
+    lesser, ram_lo, ram_hi = table
     # a second route: the flags say which listed primes p have p + 2 prime
-    assert np.array_equal(twins, np.flatnonzero(pt_wide.is_prime_batch(primes[:-1] + 2)))
-    assert twins.dtype == prime_core.table_dtype(primes.size) and rt_wide.twin_index(pt_wide) is twins
-    with pytest.raises(ValueError):
-        twins[0] = 0
+    i = np.flatnonzero(pt_wide.is_prime_batch(primes[:-1] + 2))
+    assert np.array_equal(lesser, primes[i]) and lesser.dtype == primes.dtype
+    assert np.array_equal(ram_lo, rt_wide.membership_mask(primes[i]))
+    assert np.array_equal(ram_hi, rt_wide.membership_mask(primes[i + 1]))
+    assert rt_wide.twin_pairs(pt_wide) is table
+    for arr in table:
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_another_prime_table_rebuilds_each_derived_array_once(pt1m, monkeypatch):
@@ -275,10 +277,10 @@ def test_another_prime_table_rebuilds_each_derived_array_once(pt1m, monkeypatch)
     builds = []
     derived = rt.derived
     monkeypatch.setattr(rt, "derived", lambda primes, key, build: derived(
-        primes, key, lambda: builds.append(key) or build()))
+        primes, key, lambda *args: builds.append(key) or build(*args)))
 
     def arrays(pt):
-        return [rt.twin_index(pt),
+        return [*rt.twin_pairs(pt),
                 *gap_analysis.twin_gap_table(rt, pt), rt.prime_ranks(pt)]
 
     first = arrays(pt1m)

@@ -251,13 +251,13 @@ def test_scans_slice_the_one_classified_prime_list(scan, monkeypatch):
     assert np.shares_memory(listed, built[0])
 
 
-def test_twin_scans_share_one_twin_index(monkeypatch):
+def test_twin_scans_share_one_twin_table(monkeypatch):
     pt = prime_core.build(ramanujan_core.prime_limit_for_below(10 ** 5))
     rt = ramanujan_core.compute_below(10 ** 5, pt)
     seen = []
-    twin_index = rt.twin_index
-    monkeypatch.setattr(rt, "twin_index",
-                        lambda primes: seen.append(twin_index(primes)) or seen[-1])
+    twin_pairs = rt.twin_pairs
+    monkeypatch.setattr(rt, "twin_pairs",
+                        lambda primes: seen.append(twin_pairs(primes)) or seen[-1])
     for bound in (10, 30, 100, 300, 1000, 3000, 10 ** 4, 3 * 10 ** 4):
         twin_census(bound, rt, pt)
     for kind in (KIND_ALL, KIND_AT_LEAST_ONE, KIND_BOTH):
@@ -272,3 +272,55 @@ def test_lower_membership_violation_is_reported(pt1m):
     true = ramanujan_core.compute_below(1000, pt1m)
     fake = table_of(true.values[true.values != 149], true.scan_limit, 1000)
     assert lower_membership_violations(999, fake, pt1m) == [(149, 151)]
+
+
+@pytest.mark.parametrize("narrow", [np.uint32, np.int64])
+def test_twin_pair_arrays_slice_the_whole_list_route(monkeypatch, narrow):
+    monkeypatch.setattr(prime_core, "_NARROW", narrow)  # int64 stands in for tables past 2**32
+    pt = prime_core.build(ramanujan_core.prime_limit_for_below(10 ** 5))
+    rt = ramanujan_core.compute_below(10 ** 5, pt)
+    listed, cov = rt.classified_primes(pt), rt.coverage(pt)
+    i = np.flatnonzero(np.diff(listed) == 2)
+    bits = ramanujan_core.mask_bits(rt.mask, 0, listed.size)
+    ends = listed[i].tolist()  # bounds on, and next to, lesser members, up to the coverage edge
+    bounds = {2, *ends[:40], *(p + d for p in ends[::29] + ends[-2:] for d in (-1, 0, 1)), cov - 2}
+    table = rt.twin_pairs(pt)
+    for bound in sorted(bounds):
+        j = i[listed[i] <= bound]
+        got = twin_stats.twin_pair_arrays(bound, rt, pt)
+        for x, want, whole in zip(got, (listed[j], bits[j], bits[j + 1]), table):
+            assert x.dtype == want.dtype and np.array_equal(x, want)
+            assert not x.flags.writeable and x.base is whole  # a view, not a copy
+    assert table[0].dtype == narrow
+    for bound in (cov - 1, cov):
+        with pytest.raises(CoverageError, match=f"needs primes classified through {bound + 2}; "
+                                                 f"the tables classify through {cov}$"):
+            twin_stats.twin_pair_arrays(bound, rt, pt)
+
+
+def test_twin_analytics_read_no_mask_once_the_twin_table_exists(pt1m, monkeypatch):
+    rt = ramanujan_core.compute_below(2 * 10 ** 5, pt1m)
+    bound = 10 ** 5 + 1000
+
+    def answers(rt):
+        return [twin_census(bound, rt, pt1m), brun_partial(bound, KIND_BOTH, rt, pt1m),
+                check_one_sided_counts(bound, rt, pt1m), ratio_inequalities_strict(bound, rt, pt1m)]
+
+    want = answers(rt)
+    rt = ramanujan_core.compute_below(2 * 10 ** 5, pt1m)  # a fresh memo
+    rt.twin_pairs(pt1m)
+    monkeypatch.setattr(rt, "mask", None)  # any read of the mask from here on fails
+    assert answers(rt) == want
+    assert gap_analysis.twin_gap_check(149, 151, rt, pt1m) == (74, 78)  # the gap table reads none
+
+
+def test_twin_classes_read_both_bits_of_a_pair(pt1m):
+    # with 149 dropped, (149, 151) has only its greater member Ramanujan: still one
+    # or both, no longer both, so the one-sided counts disagree and the gap table drops it
+    true = ramanujan_core.compute_below(1000, pt1m)
+    fake = table_of(true.values[true.values != 149], true.scan_limit, 1000)
+    want, got = twin_census(150, true, pt1m), twin_census(150, fake, pt1m)
+    assert (got.pi2, got.pi21, got.pi22) == (want.pi2, want.pi21, want.pi22 - 1)
+    assert check_one_sided_counts(150, true, pt1m) and not check_one_sided_counts(150, fake, pt1m)
+    assert 149 in gap_analysis.twin_gap_table(true, pt1m)[0].tolist()
+    assert 149 not in gap_analysis.twin_gap_table(fake, pt1m)[0].tolist()

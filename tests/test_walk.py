@@ -54,7 +54,7 @@ def walked_answers(pt, rt, edges):
                 lambda: gap_analysis.run_interval_violations(t, pt, edge)),
             "half_point_violations":
                 answer(lambda: gap_analysis.half_point_violations(t, pt, edge)),
-            "twin_index": answer(lambda: t.twin_index(pt)),
+            "twin_pairs": answer(lambda: t.twin_pairs(pt)),
             "twin_census": answer(lambda: twin_stats.twin_census(top - 2, t, pt)),
             "brun_partial": [answer(lambda k=k: twin_stats.brun_partial(top - 2, k, t, pt).sum)
                              for k in twin_stats._KINDS],
@@ -92,9 +92,13 @@ def test_the_step_size_changes_no_answer(tables_1e6, monkeypatch, chunk, edges):
     # the first sharp runs of 1..4 lie below 10008, those of 5 and more do not
     assert default[10_008]["first_sharp_run"][:4] == [11, 4919, 1439, 7187]
     assert default[10_008]["first_sharp_run"][4][0] == "NotFoundBelowBound"
-    for edge in edges:  # the twin index, filled step by step, equals one whole-list diff
-        listed = rt.below(edge).classified_primes(pt)
-        assert default[edge]["twin_index"] == np.flatnonzero(np.diff(listed) == 2).tolist()
+    for edge in edges:  # the twin table, filled step by step, equals one whole-list diff
+        t = rt.below(edge)
+        listed = t.classified_primes(pt)
+        i = np.flatnonzero(np.diff(listed) == 2)
+        bits = ramanujan_core.mask_bits(t.mask, 0, listed.size)
+        assert default[edge]["twin_pairs"] == [listed[i].tolist(), bits[i].tolist(),
+                                               bits[i + 1].tolist()]
 
 
 def peak_bytes(call) -> int:
@@ -108,14 +112,14 @@ def peak_bytes(call) -> int:
 
 def test_walked_analytics_peak_far_below_one_list_sized_array(rt_wide, pt_wide, monkeypatch):
     monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 1 << 10)
-    rt = rt_wide.below(10 ** 7 + 10 ** 5)  # a fresh memo, so twin_index is built below
+    rt = rt_wide.below(10 ** 7 + 10 ** 5)  # a fresh memo, so the twin table is built below
     listed = rt.classified_primes(pt_wide)
     list_int64 = listed.size * 8
     calls = {
         "decade_reports": lambda: run_stats.decade_reports(7, rt, pt_wide),
         "run_interval_violations": lambda: gap_analysis.run_interval_violations(rt, pt_wide,
                                                                                 10 ** 7),
-        "twin_index": lambda: rt.twin_index(pt_wide),  # holds its output and one step's positions
+        "twin_pairs": lambda: rt.twin_pairs(pt_wide),  # holds its output and one step's pairs
         "half_point_violations": lambda: gap_analysis.half_point_violations(rt, pt_wide, 10 ** 7),
     }
     peaks = {name: peak_bytes(call) for name, call in calls.items()}
@@ -128,17 +132,16 @@ def memo_bytes(rt) -> int:
 
 
 def test_no_memo_holds_or_builds_a_byte_per_classified_prime(rt_wide, pt_wide, monkeypatch):
-    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 1 << 10)
+    chunk = 1 << 10
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
     rt = rt_wide.below(rt_wide.complete_below)  # a fresh memo
     n = rt.classified_primes(pt_wide).size  # the prime list, which the prime table keeps
-    pairs = rt.twin_index(pt_wide).size
-    del rt._derived["twins"]  # rebuilt below, traced
     builds = {  # each with its bound on what it allocates beside what it keeps
-        "twin_index": (lambda: rt.twin_index(pt_wide), n // 2),
+        "twin_pairs": (lambda: rt.twin_pairs(pt_wide), n // 2),
         "classified_ranks": (lambda: rt.classified_ranks(pt_wide), n // 2),
-        # int64 temporaries over the twin pairs, 16 bytes a pair here; one byte
-        # per classified prime would add 12 more
-        "twin_gap_table": (lambda: gap_analysis.twin_gap_table(rt, pt_wide), 24 * pairs),
+        # one step's temporaries, about 105 bytes per step row here; those over
+        # every twin pair took 16 bytes a pair, 1.8 MB
+        "twin_gap_table": (lambda: gap_analysis.twin_gap_table(rt, pt_wide), 128 * chunk),
         "twin_gap_check": (lambda: gap_analysis.twin_gap_check(149, 151, rt, pt_wide), n // 2),
     }
     for name, (build, bound) in builds.items():
@@ -168,7 +171,7 @@ def test_strict_ratios_peak_follows_the_step_not_the_pairs(rt_wide, pt_wide, mon
     chunk = 1 << 10
     monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
     rt = rt_wide.below(rt_wide.complete_below)  # a fresh memo
-    rt.twin_index(pt_wide)  # every memo exists before the call is traced
+    rt.twin_pairs(pt_wide)  # every memo exists before the call is traced
     bound = rt.coverage(pt_wide, rt.complete_below - 1) - 2
     pairs = twin_stats.twin_pair_arrays(bound, rt, pt_wide)[0].size
     found = []
