@@ -211,15 +211,6 @@ class PrimeTable:
                 count += self.prime_count(128 * first - 1) - 1
         return out
 
-    def nth_prime_batch(self, ns) -> np.ndarray:
-        """Vectorized nth_prime over an integer array."""
-        n = np.asarray(ns, dtype=np.int64)
-        if n.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if int(n.min()) < 1 or int(n.max()) > self.total_primes:
-            raise ValueError(f"nth_prime_batch arguments outside [1, {self.total_primes}]")
-        return self._primes_through(self.nth_prime(int(n.max())))[n - 1]
-
     def primes_upto(self, x: int) -> np.ndarray:
         """All primes <= x, ascending. The returned array is read-only."""
         if not 0 <= x <= self.limit:

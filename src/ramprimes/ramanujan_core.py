@@ -18,9 +18,9 @@ scan's end p_3n, so they are ``uint32`` below 2**32, whether computed,
 loaded or cut by `below`, and every search of them goes through
 `prime_core.search`. The memoized ranks take the dtype `table_dtype` gives
 for the length of the classified list, and the twin table's lesser members
-the list's own dtype. Products of values or ranks, as in the ratio and
-rank-scaling checks, are taken in int64, because a ``uint32`` array times a
-Python int stays ``uint32``.
+the list's own dtype. Products of values or ranks remain only in the 13/15
+check of Theorem 4 and in rank scaling, and are taken in int64, because a
+``uint32`` array times a Python int stays ``uint32``.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ class BoundsReport:
 
     n: int
     ratio: Fraction
-    argmax_n: int | None = None
+    argmax_n = property(lambda self: self.n)  # another name for n, read-only
 
 
 def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
@@ -401,6 +401,14 @@ def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:
     return table.below(x)
 
 
+def _every_kth_prime(primes: PrimeTable, k: int, count: int) -> np.ndarray:
+    """p_k, p_2k, ..., p_(k * count): a read-only strided view of the memoized
+    prime list, or a CoverageError if the table holds fewer than k * count primes."""
+    if primes.total_primes < k * count:
+        raise CoverageError(f"needs p_{k * count}; table covers only {primes.limit}")
+    return primes.primes_upto(primes.nth_prime(k * count))[k - 1 :: k]
+
+
 def log_bound_failures(table: RamanujanTable, max_n: int, primes: PrimeTable) -> list[int]:
     """Every 1 < n <= max_n at which 2n log 2n < p_2n < R_n < 4n log 4n < p_4n fails.
 
@@ -410,11 +418,10 @@ def log_bound_failures(table: RamanujanTable, max_n: int, primes: PrimeTable) ->
     """
     if max_n > table.count:
         raise ValueError(f"index {max_n} outside [1, {table.count}]")
-    if primes.total_primes < 4 * max_n:
-        raise CoverageError(f"needs p_{4 * max_n}; table covers only {primes.limit}")
-    n = np.arange(2, max_n + 1, dtype=np.int64)
-    r_n = table.values[n - 1]
-    p2n, p4n = primes.nth_prime_batch(2 * n), primes.nth_prime_batch(4 * n)
+    top = max(max_n, 1)
+    p4n, p2n = (_every_kth_prime(primes, k, top)[1:] for k in (4, 2))  # p_4n's error first
+    n = np.arange(2, top + 1, dtype=np.int64)
+    r_n = table.values[1:top]
     lo, hi = 2 * n * np.log(2 * n), 4 * n * np.log(4 * n)
     for a, b in ((lo, p2n), (r_n, hi), (hi, p4n)):
         close = np.flatnonzero(np.abs(b - a) <= 1e-6 * np.maximum(np.abs(a), np.abs(b)))
@@ -433,39 +440,27 @@ def max_ratio(
 ) -> BoundsReport:
     """Exact argmax of R_n/p_3n over 1 <= n <= range_end, n not excluded.
 
-    A floating-point argmax only picks the first candidate; the answer is
-    settled by cross-multiplication on integers. The maximum is unique
+    The ratios are taken in double precision, -1 at each excluded n. R_n
+    and p_3n below 2**53 convert exactly and the quotient rounds monotonically,
+    so the exact maximum and any tie with it lie among the n at the largest
+    double; those few are compared as Fractions. The maximum is unique
     because the p_3n are distinct primes exceeding R_n, making all the
     ratios distinct, so a tie at the maximum raises.
     """
     if range_end < 1 or range_end > table.count:
         raise ValueError(f"range_end {range_end} outside [1, {table.count}]")
-    idx = np.arange(1, range_end + 1, dtype=np.int64)
-    if exclusions:
-        idx = idx[~np.isin(idx, np.fromiter(exclusions, dtype=np.int64))]
-    if idx.size == 0:
+    p3 = _every_kth_prime(primes, 3, range_end)
+    ratio = table.values[:range_end] / p3
+    ratio[[n - 1 for n in exclusions if 1 <= n <= range_end]] = -1
+    if ratio.max() < 0:
         raise ValueError("no indices left after exclusions")
-    r = table.values[idx - 1].astype(np.int64)  # the cross products below need 64 bits
-    p3 = primes.nth_prime_batch(3 * idx).astype(np.int64)
-    if int(r[-1]) >= 3_000_000_000 or int(p3[-1]) >= 3_000_000_000:
-        raise ValueError("values too large for exact 64-bit cross-multiplication")
-    best = int(np.argmax(r / p3))  # a floating-point guess, refined exactly
-    while True:
-        lhs, rhs = r * int(p3[best]), int(r[best]) * p3  # r_j / p3_j against the best
-        beats = np.flatnonzero(lhs > rhs)
-        if beats.size == 0:
-            break
-        best = int(beats[np.argmax(r[beats] / p3[beats])])
-    ties = np.flatnonzero(lhs == rhs)
-    if ties.size > 1:
-        j = int(ties[ties != best][0])
-        raise InternalConsistencyError(f"ratio tie between n={int(idx[j])} and n={int(idx[best])}")
-    n_best = int(idx[best])
-    return BoundsReport(
-        n=n_best,
-        ratio=Fraction(int(r[best]), int(p3[best])),
-        argmax_n=n_best,
-    )
+    exact = {int(i) + 1: Fraction(int(table.values[i]), int(p3[i]))
+             for i in np.flatnonzero(ratio == ratio.max())}
+    best = max(exact.values())
+    ties = [n for n, r in exact.items() if r == best]
+    if len(ties) > 1:
+        raise InternalConsistencyError(f"ratio tie between n={ties[1]} and n={ties[0]}")
+    return BoundsReport(ties[0], best)
 
 
 def verify_max_ratio_bound(table: RamanujanTable, primes: PrimeTable) -> bool:
@@ -476,15 +471,13 @@ def verify_max_ratio_bound(table: RamanujanTable, primes: PrimeTable) -> bool:
     bound holds by theory, so this finite check settles the maximum.
     """
     if table.count < LAISHRAM_LIMIT:
-        raise CoverageError(
-            f"needs the first {LAISHRAM_LIMIT} Ramanujan primes, table has {table.count}"
-        )
-    n = np.arange(1, LAISHRAM_LIMIT + 1, dtype=np.int64)
-    r = table.values[:LAISHRAM_LIMIT].astype(np.int64)  # 15 * r and 13 * p3 need 64 bits
-    p3 = primes.nth_prime_batch(3 * n).astype(np.int64)
-    below = 15 * r < 13 * p3
+        raise CoverageError(f"needs the first {LAISHRAM_LIMIT} Ramanujan primes, "
+                            f"table has {table.count}")
+    p3 = _every_kth_prime(primes, 3, LAISHRAM_LIMIT)
+    r15 = np.multiply(table.values[:LAISHRAM_LIMIT], 15, dtype=np.int64)  # uint32 would wrap
+    below = r15 < np.multiply(p3, 13, dtype=np.int64)
     below[4] = True  # n = 5 is the one allowed exception
-    return bool(below.all()) and 47 * table.value(5) == 41 * primes.nth_prime(15)
+    return bool(below.all()) and 47 * table.value(5) == 41 * int(p3[4])
 
 
 def _rank_scaling_failures(table, m, limit, primes) -> np.ndarray:

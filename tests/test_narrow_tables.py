@@ -57,6 +57,11 @@ def test_no_call_allocates_a_copy_of_its_table(rt_wide, pt_wide, pt1m):
     lesser, _, _ = gap_analysis.twin_gap_table(rt_wide, pt_wide)
     assert values.dtype == primes.dtype == lesser.dtype == np.uint32
     p = int(lesser[lesser.size // 2])
+    # the bucket directory, built once: its build holds at most a walk step of
+    # int64 beside the directory, and a hit after it reads the memo
+    first = rt_wide.derived(pt_wide, "twin_gap_lookup", gap_analysis._gap_lookup)[3]
+    build = peak_bytes(lambda: gap_analysis._gap_lookup(rt_wide, pt_wide))
+    assert build < first.nbytes + 8 * ramanujan_core._WALK_CHUNK
     calls = [
         ("below", values, lambda: rt_wide.below(10 ** 7)),
         ("primes_upto", primes, lambda: pt_wide.primes_upto(10 ** 7)),

@@ -526,8 +526,10 @@ def test_prime_ranks_past_the_classified_list_are_a_coverage_error(pt1m):
 
 def test_prime_rank_consistent_with_nth_prime(pt1m):
     rt = compute_first(500, pt1m)
-    ranks = rt.prime_ranks(pt1m)
-    assert np.array_equal(pt1m.nth_prime_batch(ranks), rt.values)
+    ranks = rt.prime_ranks(pt1m).tolist()
+    listed = pt1m.primes_upto(pt1m.limit)
+    assert [int(listed[:r][-1]) for r in ranks] == rt.values.tolist()  # the r-th prime ends the prefix
+    assert [pt1m.nth_prime(r) for r in ranks[::50]] == rt.values[::50].tolist()
 
 
 def test_rank_bracketing(pt1m):
@@ -540,9 +542,9 @@ def test_rank_bracketing(pt1m):
 
 def test_ratio_to_double_index_prime_stays_moderate(rt_laishram, pt_wide):
     # weak finite proxy for the expected convergence of R_n / p_2n toward 1
-    n = np.arange(1000, rt_laishram.count + 1)
-    p2n = pt_wide.nth_prime_batch(2 * n)
-    assert np.all(rt_laishram.values[999:] < 1.2 * p2n)
+    p2n = pt_wide.primes_upto(pt_wide.nth_prime(2 * rt_laishram.count))[1::2]  # p_2, p_4, ...
+    assert p2n.size == rt_laishram.count and int(p2n[999]) == pt_wide.nth_prime(2000)
+    assert np.all(rt_laishram.values[999:] < 1.2 * p2n[999:])
 
 
 def test_check_log_bounds_examples(pt1m):
@@ -559,6 +561,7 @@ def test_check_log_bounds_rejects_n1(pt1m):
     with pytest.raises(ValueError):
         check_log_bounds(rt, 1, pt1m)
     assert log_bound_failures(rt, 1, pt1m) == []  # no n with 1 < n <= 1
+    assert log_bound_failures(rt, 0, pt1m) == []
 
 
 def test_log_bound_failures_match_the_scalar_reference(rt_laishram, pt_wide):
@@ -581,6 +584,118 @@ def test_log_bound_failures_need_the_table_and_the_primes(pt1m):
         log_bound_failures(rt, 6, pt1m)
     with pytest.raises(CoverageError, match="p_20"):
         log_bound_failures(rt, 5, prime_core.build(50))
+
+
+def test_every_kth_prime_is_a_strided_view_of_the_prime_list(pt1m):
+    listed = pt1m.primes_upto(pt1m.limit)  # 78498 primes
+    for k, count in ((1, 1), (1, 78498), (2, 7), (3, 26166), (4, 19624)):
+        view = ramanujan_core._every_kth_prime(pt1m, k, count)
+        assert view.size == count and np.shares_memory(view, listed)
+        assert not view.flags.writeable
+        assert np.array_equal(view, listed[k - 1 : k * count : k])
+        assert [int(view[i - 1]) for i in (1, count)] == [pt1m.nth_prime(k), pt1m.nth_prime(k * count)]
+    with pytest.raises(CoverageError, match=r"^needs p_78501; table covers only 1000000$"):
+        ramanujan_core._every_kth_prime(pt1m, 3, 26167)
+    with pytest.raises(CoverageError, match=r"^needs p_78499;"):
+        ramanujan_core._every_kth_prime(pt1m, 1, 78499)
+
+
+def reference_max_ratio(table, range_end, exclusions, primes):
+    """The cross-multiplying route that `max_ratio` replaced: a float argmax over
+    the indices left, refined on int64 products until no index beats it."""
+    if range_end < 1 or range_end > table.count:
+        raise ValueError(f"range_end {range_end} outside [1, {table.count}]")
+    idx = np.arange(1, range_end + 1, dtype=np.int64)
+    if exclusions:
+        idx = idx[~np.isin(idx, np.fromiter(exclusions, dtype=np.int64))]
+    if idx.size == 0:
+        raise ValueError("no indices left after exclusions")
+    r = table.values[idx - 1].astype(np.int64)
+    p3 = primes.primes_upto(primes.nth_prime(3 * range_end))[3 * idx - 1].astype(np.int64)
+    best = int(np.argmax(r / p3))
+    while True:
+        lhs, rhs = r * int(p3[best]), int(r[best]) * p3
+        beats = np.flatnonzero(lhs > rhs)
+        if beats.size == 0:
+            break
+        best = int(beats[np.argmax(r[beats] / p3[beats])])
+    ties = np.flatnonzero(lhs == rhs)
+    if ties.size > 1:
+        j = int(ties[ties != best][0])
+        raise InternalConsistencyError(f"ratio tie between n={int(idx[j])} and n={int(idx[best])}")
+    return BoundsReport(int(idx[best]), Fraction(int(r[best]), int(p3[best])))
+
+
+@pytest.fixture(scope="module")
+def laishram_int64():
+    """rt_laishram's tables with int64 values and prime list: built, and the list
+    extracted, while int64 stands in for the narrow dtype."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prime_core, "_NARROW", np.int64)
+        pt = prime_core.build(ramanujan_core.prime_limit_for_count(LAISHRAM_LIMIT))
+        rt = compute_first(LAISHRAM_LIMIT, pt)
+        listed = pt.primes_upto(pt.limit)
+    assert rt.values.dtype == listed.dtype == np.int64
+    return rt, pt
+
+
+def outcome(call):
+    try:
+        report = call()
+        return report.n, report.ratio
+    except (ValueError, InternalConsistencyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(range_end=st.integers(1, 40) | st.just(LAISHRAM_LIMIT),
+       exclusions=st.sets(st.integers(-2, 45) | st.integers(46, LAISHRAM_LIMIT + 2), max_size=40))
+@example(range_end=3, exclusions={1, 2, 3})
+@example(range_end=1, exclusions={-1, 0, 2})
+@example(range_end=LAISHRAM_LIMIT, exclusions={5, 10, 2})
+def test_max_ratio_matches_the_cross_multiplying_reference(rt_laishram, pt_wide, laishram_int64,
+                                                           range_end, exclusions):
+    for rt, pt in ((rt_laishram, pt_wide), laishram_int64):
+        want = outcome(lambda: reference_max_ratio(rt, range_end, exclusions, pt))
+        assert outcome(lambda: max_ratio(rt, range_end, exclusions, pt)) == want
+
+
+def test_max_ratio_settles_a_float_tie_exactly(monkeypatch):
+    # hand-picked primes: R_1/p_3 and R_2/p_6 round to one double, but the second
+    # is larger by 2/(p_3 p_6); a float argmax would take the first
+    r = [908807917, 1363214357, 1400000023]
+    p3 = np.array([1000000007, 1500002741, 1600000009], dtype=np.int64)
+    assert r[0] / p3[0] == r[1] / p3[1] > r[2] / p3[2]
+    assert Fraction(r[1], int(p3[1])) - Fraction(r[0], int(p3[0])) == Fraction(2, 1500002751500019187)
+    rt = ramanujan_core.RamanujanTable(np.array(r, dtype=np.int64), 0, r[-1] + 1,
+                                       np.zeros(1, dtype=np.uint8))
+    monkeypatch.setattr(ramanujan_core, "_every_kth_prime", lambda primes, k, count: p3[:count])
+    assert outcome(lambda: max_ratio(rt, 3, set(), None)) == (2, Fraction(r[1], int(p3[1])))
+    assert outcome(lambda: max_ratio(rt, 3, {2}, None)) == (1, Fraction(r[0], int(p3[0])))
+    # every float-maximal n excluded: the next double decides
+    assert outcome(lambda: max_ratio(rt, 3, {1, 2}, None)) == (3, Fraction(r[2], int(p3[2])))
+    assert outcome(lambda: max_ratio(rt, 3, {1, 2, 3}, None)) == \
+        ("ValueError", "no indices left after exclusions")
+
+
+def test_theorem4_holds_less_than_three_int64_arrays(rt_laishram, pt_wide):
+    def theorem4():
+        assert verify_max_ratio_bound(rt_laishram, pt_wide)
+        excluded = set()
+        for want in (5, 10, 2):
+            excluded.add(max_ratio(rt_laishram, LAISHRAM_LIMIT, excluded, pt_wide).n)
+            assert want in excluded
+
+    theorem4()  # the prime list through p_3N is memoized before tracing
+    tracemalloc.start()
+    try:
+        theorem4()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the int64 products of the 13/15 check; index arrays, int64 copies and
+    # gathered p_3n took 6.9 MB here
+    assert peak < 3 * 8 * LAISHRAM_LIMIT, peak
 
 
 def test_max_ratio_full_range(rt_laishram, pt_wide):
@@ -618,6 +733,14 @@ def test_max_ratio_is_exact_not_floating(pt1m):
 
 def test_verify_max_ratio_bound(rt_laishram, pt_wide):
     assert verify_max_ratio_bound(rt_laishram, pt_wide)
+
+
+def test_verify_max_ratio_bound_takes_its_products_in_int64(rt_laishram, pt_wide):
+    # 15 * 286331154 is 14 modulo 2**32: a uint32 product would pass R_7
+    values = rt_laishram.values.copy()
+    values[6] = 286331154
+    assert values.dtype == np.uint32
+    assert not verify_max_ratio_bound(dataclasses.replace(rt_laishram, values=values), pt_wide)
 
 
 def test_verify_max_ratio_bound_needs_full_table(pt1m):
@@ -797,9 +920,12 @@ def test_load_rejects_count_that_does_not_fit_payload(tmp_path, pt1m, offset, ma
 
 
 def test_bounds_report_fields():
-    report = BoundsReport(n=5, ratio=Fraction(41, 47), argmax_n=5)
+    report = BoundsReport(n=5, ratio=Fraction(41, 47))
     assert report.ratio.numerator == 41
     assert report.ratio.denominator == 47
+    assert report.argmax_n == report.n == 5  # one index, under two names
+    with pytest.raises(AttributeError):
+        report.argmax_n = 6
 
 
 def test_load_rejects_values_failing_checksum(tmp_path, pt1m):
