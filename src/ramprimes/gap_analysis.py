@@ -207,11 +207,16 @@ def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[
         raise ValueError(f"({p}, {q}) is not a twin pair")
     if p <= 3:
         raise ValueError(f"twin gap analysis needs p > 3, got {p}")
-    lesser, a, b, first, buckets, shift = rt.derived(pt, "twin_gap_lookup", _gap_lookup)
+    memo = rt._derived  # a hit reads the memo in place, with no derived() call
+    lookup = memo.get("twin_gap_lookup") if memo.get("primes") is pt else None
+    lesser, a, b, first, buckets, shift = lookup or rt.derived(pt, "twin_gap_lookup", _gap_lookup)
     k = p >> shift
-    if k < buckets:
+    if k < buckets:  # row first[k] exists, and is p's when p is first in its bucket
+        i = first[k]
+        if lesser[i] == p:
+            return a[i], b[i]
         end = first[k + 1]
-        i = bisect_left(lesser, p, first[k], end)
+        i = bisect_left(lesser, p, i + 1, end)
         if i < end and lesser[i] == p:
             return a[i], b[i]
     if not (pt.is_prime(p) and pt.is_prime(q)):

@@ -1,5 +1,6 @@
 """Segmented sieve of Eratosthenes with packed odd-only flag storage, its
-segments split across forked processes that write one shared flag buffer.
+segments split across forked processes that write one shared flag buffer,
+as they write the one prime list extracted from it.
 
 A :class:`PrimeTable` answers primality, prime counting, and n-th prime
 queries for every integer in [2, limit]. Flags are kept one bit per odd
@@ -240,13 +241,18 @@ class PrimeTable:
         return out[:at]
 
     def _primes_through(self, x: int) -> np.ndarray:
-        """Cached ascending array of all primes <= max(x, previous requests),
-        in the dtype of the table's limit."""
+        """Cached ascending array of all primes <= max(x, previous requests), in
+        the dtype of the table's limit: one shared mapping that :func:`_extract`
+        fills in parts of whole sieve segments, one per process (`_processes`)."""
         if self._prime_cache_limit < x:
             x = min(max(x, 2), self.limit)
-            cache = np.empty(self.prime_count(x), dtype=table_dtype(self.limit))
-            cache[0] = 2
-            self.primes_between(3, x, out=cache[1:])
+            dtype = table_dtype(self.limit)
+            cache = table_file.word_padded(self.prime_count(x) * dtype.itemsize).view(dtype)
+            nseg = -(-((x + 1) // 2) // _SEGMENT_FLAGS)
+            nproc = _processes(nseg)
+            cuts = [2, *(2 * _SEGMENT_FLAGS * (nseg * k // nproc) for k in range(1, nproc)), x + 1]
+            _run_parts(list(zip(cuts, cuts[1:])), lambda part, parent: _extract(
+                self, cache, *part, parent), "prime list", "extracting the primes in [{}, {})")
             cache.setflags(write=False)
             self._prime_cache, self._prime_cache_limit = cache, x
         return self._prime_cache
@@ -415,6 +421,17 @@ def _sieve(packed, pattern, base, start: int, stop: int, parent: int | None = No
             seg[i::p] = False
         nxt[active] = at + (hi_bit - at + step - 1) // step * step
         packed[lo_bit >> 3 : (hi_bit + 7) >> 3] = np.packbits(seg, bitorder="little")
+
+
+def _extract(pt: PrimeTable, out, lo: int, hi: int, parent: int | None = None) -> None:
+    """Write the primes in [lo, hi) into `out` from index pi(lo - 1), a sieve
+    segment's integers at a time, so that parts fill one list with no merge. A
+    process forked by `parent` exits once that process is gone."""
+    at = pt.prime_count(lo - 1)
+    for s in range(lo, hi, 2 * _SEGMENT_FLAGS):
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        at += pt.primes_between(s, min(s + 2 * _SEGMENT_FLAGS, hi) - 1, out=out[at:]).size
 
 
 def _words_in_place(packed: np.ndarray) -> np.ndarray | None:

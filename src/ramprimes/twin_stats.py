@@ -4,6 +4,11 @@ checks for twin Ramanujan pairs, and reciprocal partial sums.
 A pair (p, p+2) of primes is counted at a bound when its lesser member is
 at or below the bound; that convention reproduces the reference decade
 counts exactly and matches the usual twin-counting function.
+
+Both condition checks read consecutive primes p < q, so pi(q) = pi(p) + 1 and
+pi(p) - pi(p/2) + 1 == pi(q) - pi(q/2) reduces to pi(p/2) == pi(q/2): the prime
+after p/2, listed at index pi(p/2), lies past q/2, one prime count and one list
+read a pair. The reciprocal sums add each term's significand as an integer.
 """
 
 from __future__ import annotations
@@ -79,9 +84,8 @@ def lower_membership_violations(bound: int, rt: RamanujanTable, pt: PrimeTable) 
         # only a pair with q Ramanujan and p not, where the mask rises, can be flagged
         i = lo + np.flatnonzero(np.diff(mask_bits(rt.mask, lo, hi + 1).view(np.int8)) == 1)
         p, q = listed[i], listed[i + 1]
-        # p and q are consecutive primes, so pi(q) = pi(p) + 1 and the condition
-        # pi(p) - pi(p/2) + 1 == pi(q) - pi(q/2) reduces to pi(p/2) == pi(q/2)
-        bad = pt.prime_count_batch(p // 2) == pt.prime_count_batch(q // 2)
+        # the condition holds: the prime after p/2, at most p, lies past q/2
+        bad = listed[pt.prime_count_batch(p // 2)] > q // 2
         found += zip(p[bad].tolist(), q[bad].tolist())
     return found
 
@@ -97,9 +101,9 @@ def twin_condition_violations(bound: int, pt: PrimeTable) -> list[tuple[int, int
     for lo, hi in walk(0, primes.size - 1):
         p = primes[lo:hi]
         p = p[(primes[lo + 1 : hi + 1] - p == 2) & (p <= bound) & (p > 5)]
-        lhs = pt.prime_count_batch(p) - pt.prime_count_batch(p // 2) + 1
-        rhs = pt.prime_count_batch(p + 2) - pt.prime_count_batch((p + 2) // 2)
-        found += [(x, x + 2) for x in p[lhs != rhs].tolist()]
+        # the condition fails: the prime after p/2 is at most (p + 2)/2
+        bad = primes[pt.prime_count_batch(p // 2)] <= (p + 2) // 2
+        found += [(x, x + 2) for x in p[bad].tolist()]
     return found
 
 
@@ -159,21 +163,24 @@ def ratio_inequalities_strict(bound: int, rt: RamanujanTable, pt: PrimeTable) ->
 
 
 def _exact_sum(steps) -> float:
-    """`math.fsum` of the finite floats in the arrays `steps` (+0.0 for zeros alone),
-    with no Python float per term: each is m * 2**(e - 53), m a 53-bit integer
-    (`np.frexp`). A step's m are summed per e in int64 halves of 27 and 26 bits, safe
-    below 2**36 terms, then as Python ints; the exact total is rounded once."""
+    """`math.fsum` of the finite float64 arrays `steps` (+0.0 for zeros alone), with no
+    Python float per term: each is +/-m * 2**(e - 1075), its bits read as the sign, the
+    biased exponent e (1 for subnormals, with no implicit bit) and 52 bits of m, summed
+    per sign and e, those present found by one scatter, in int64 halves of 26 bits, safe
+    below 2**37 terms; the implicit bits are added, and the exact total is rounded once."""
     sums = {}
     for x in steps:
-        mant, exp = np.frexp(x)
-        m = (mant * 2.0 ** 53).astype(np.int64)  # exact: a mantissa holds 53 bits
-        low = int(exp.min(initial=0))
-        for e in (np.flatnonzero(np.bincount((exp - low).ravel())) + low).tolist():
-            at = m[exp == e]
-            sums[e] = sums.get(e, 0) + (int(np.sum(at >> 26)) << 26) + int(np.sum(at & 2**26 - 1))
+        bits = np.asarray(x, dtype=np.float64).view(np.int64)
+        key, m = bits >> 52, bits & (1 << 52) - 1  # key: the sign and the biased exponent
+        present = np.zeros(4096, dtype=bool)
+        present[key + 2048] = True
+        for k in (np.flatnonzero(present) - 2048).tolist():
+            at, e = m[key == k], k & 0x7FF
+            s = (int(np.sum(at >> 26)) << 26) + int(np.sum(at & 2**26 - 1)) + (at.size << 52 if e else 0)
+            sums[max(e, 1)] = sums.get(max(e, 1), 0) + (-s if k < 0 else s)
     low = min(sums, default=0)
     total = sum(s << (e - low) for e, s in sums.items())
-    return total / (1 << (53 - low)) if low <= 53 else float(total << (low - 53))
+    return total / (1 << (1075 - low)) if low <= 1075 else float(total << (low - 1075))
 
 
 def brun_partial(bound: int, kind: str, rt: RamanujanTable, pt: PrimeTable) -> BrunPartial:
@@ -184,7 +191,8 @@ def brun_partial(bound: int, kind: str, rt: RamanujanTable, pt: PrimeTable) -> B
     keep = {KIND_ALL: slice(None), KIND_AT_LEAST_ONE: ram_lo | ram_hi,
             KIND_BOTH: ram_lo & ram_hi}[kind]
     ps = lesser[keep]
-    # 1/p, 1/(p + 2) for each pair, a walk step of pairs at a time
-    terms = (np.divide(1.0, x := ps[lo:hi, None] + (0.0, 2.0), out=x)
+    # 1/p and 1/(p + 2) for each pair, a walk step of pairs at a time, as two rows, so
+    # that each inner loop runs along the pairs; _exact_sum adds them in any order
+    terms = (np.divide(1.0, x := ps[lo:hi] + ((0.0,), (2.0,)), out=x)
              for lo, hi in walk(0, ps.size))
     return BrunPartial(bound=bound, kind=kind, sum=_exact_sum(terms), terms=ps.size)

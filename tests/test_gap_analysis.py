@@ -1,3 +1,4 @@
+import bisect
 import functools
 
 import numpy as np
@@ -231,6 +232,11 @@ def test_twin_gap_table_is_built_once_and_read_only(pt1m, monkeypatch):
     other = twin_gap_table(rt, prime_core.build(pt1m.limit))
     assert other[0] is not first[0]
     assert all(np.array_equal(x, y) for x, y in zip(other, first))
+    # and a hit for one prime table is none for another that classifies less
+    p = next(p for p in first[0].tolist() if p > 50_000)
+    assert twin_gap_check(p, p + 2, rt, pt1m) == twin_gap_reference(p, p + 2, rt, pt1m)
+    with pytest.raises(ValueError, match=r"arguments outside \[0, 50000\]"):
+        twin_gap_check(p, p + 2, rt, prime_core.build(50_000))
 
 
 @pytest.mark.parametrize("narrow", [np.uint32, np.int64])
@@ -259,12 +265,20 @@ def test_twin_gap_check_reads_memoized_views_and_a_bucket_directory(pt1m, monkey
     assert first.size - 1 <= lesser.size < 2 * (first.size - 1)
 
 
-def test_twin_gap_check_returns_every_gap_table_row(rt_wide, pt_wide):
+def test_twin_gap_check_returns_every_gap_table_row(rt_wide, pt_wide, monkeypatch):
     rows = list(zip(*(arr.tolist() for arr in twin_gap_table(rt_wide, pt_wide))))
     assert len(rows) == 49092
+    searched = []  # the p that a hit searches for within its bucket
+    monkeypatch.setattr(gap_analysis, "bisect_left",
+                        lambda a, x, lo, hi: searched.append(x) or bisect.bisect_left(a, x, lo, hi))
     for p, a, b in rows:
         got = twin_gap_check(p, p + 2, rt_wide, pt_wide)
         assert got == (a, b) and type(got[0]) is type(got[1]) is int
+    # a row first in its bucket is returned unsearched; both ways are taken
+    shift = rt_wide.derived(pt_wide, "twin_gap_lookup", gap_analysis._gap_lookup)[-1]
+    bucket = [p >> shift for p, _, _ in rows]
+    assert searched == [row[0] for row, k, prev in zip(rows[1:], bucket[1:], bucket) if k == prev]
+    assert 0 < len(searched) < len(rows) - len(searched)
 
 
 @pytest.mark.parametrize("below", [150, 10 ** 5])  # the first row is 149's: none below 150

@@ -701,11 +701,62 @@ def test_prime_list_extraction_holds_one_step_beside_the_list(pt_wide):
     finally:
         tracemalloc.stop()
     assert primes.size == pt.total_primes
-    # each step's primes are written into the list, so beside it are one
-    # unpacked step of `8 * _STEP` flag bits and its int64 offsets, never
-    # above 64 * _STEP bytes (0.5 MB); 1.5 MB at the default step when each step
-    # allocated its own primes
-    assert peak - primes.nbytes < min(64 * prime_core._STEP, primes.nbytes // 2), peak
+    # each step's primes are written into the list, a mapping that tracemalloc does
+    # not see, so all it sees is one unpacked step of `8 * _STEP` flag bits and its
+    # int64 offsets, never above 64 * _STEP bytes (0.5 MB); 1.5 MB at the default
+    # step when each step allocated its own primes
+    assert peak < min(64 * prime_core._STEP, primes.nbytes // 2), peak
+
+
+@pytest.mark.parametrize("nproc", [1, 2, 3])
+def test_split_prime_list_matches_the_simple_sieve(monkeypatch, nproc):
+    monkeypatch.setattr(prime_core, "_PART_SEGMENTS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(nproc)))
+    limit = 10 ** 5
+    flags = prime_core.simple_sieve_flags(limit)
+    pt = prime_core.build(limit)
+    forks, extra = counted_forks(monkeypatch), 0
+    for segment_flags in (8, 1024):  # 16 and 2048 integers a segment
+        monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", segment_flags)
+        # ends on and next to a segment's edge, and lists of one, two, three segments or more
+        for x in (2, 3, 15, 16, 17, 31, 32, 33, 47, 48, 1000, 2047, 2048, 6143, limit - 1, limit):
+            primes = prime_core.PrimeTable(pt.limit, pt._packed)._primes_through(x)
+            assert primes.tolist() == np.flatnonzero(flags[: x + 1]).tolist()
+            assert not primes.flags.writeable
+            extra += min(nproc, -(-((x + 1) // 2) // segment_flags)) - 1
+    assert len(forks) == extra  # one fork for each part past the first
+
+
+def test_a_failed_extraction_process_is_an_error_and_no_process_is_left(monkeypatch, three_parts):
+    pt = prime_core.build(10 ** 6)
+    extract = prime_core._extract
+
+    def failing(pt, out, lo, hi, parent=None):
+        if parent is None:  # this process
+            return extract(pt, out, lo, hi)
+        if lo < pt.limit // 2:  # the second part's process fails, the third's hangs
+            raise RuntimeError("injected")
+        time.sleep(60)
+
+    monkeypatch.setattr(prime_core, "_extract", failing)
+    t0 = time.perf_counter()
+    with pytest.raises(InternalConsistencyError,
+                       match=r"extracting the primes in \[\d+, \d+\) ended with status 1"):
+        pt.primes_upto(pt.limit)
+    assert time.perf_counter() - t0 < 30
+    assert pt._prime_cache is None  # nothing half-written is kept
+
+
+def test_an_extraction_process_whose_parent_is_gone_exits(pt1m):
+    out = table_file.word_padded(8 * 200).view(np.int64)
+    pid = os.fork()
+    if pid == 0:
+        try:  # -1 is no process's pid, so the parent reads as gone before the first segment
+            prime_core._extract(pt1m, out, 2, 1000, -1)
+        finally:
+            os._exit(0)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
+    assert not out.any()
 
 
 def test_save_load_roundtrip(tmp_path, pt1m):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramprimes import gap_analysis, prime_core, ramanujan_core, twin_stats
+from ramprimes import gap_analysis, prime_core, ramanujan_core, table_file, twin_stats
 from ramprimes.errors import CoverageError
 from ramprimes.formatting import ratio_display
 from ramprimes.twin_stats import (
@@ -85,12 +85,78 @@ def test_necessary_condition_spot_check(pt_wide):
     assert twin_necessary_condition(11, 13, pt_wide)
 
 
+def reference_twin_condition_violations(bound, pt):
+    """`twin_condition_violations` by four prime counts a pair: the twin pairs
+    (p, p + 2), 5 < p <= bound, failing `twin_necessary_condition`, taken whole."""
+    primes = pt.primes_upto(bound + 2)
+    p = primes[:-1][np.diff(primes) == 2]
+    p = p[(p <= bound) & (p > 5)]
+    lhs = pt.prime_count_batch(p) - pt.prime_count_batch(p // 2) + 1
+    rhs = pt.prime_count_batch(p + 2) - pt.prime_count_batch((p + 2) // 2)
+    return [(x, x + 2) for x in p[lhs != rhs].tolist()]
+
+
+def reference_lower_membership_violations(bound, rt, pt):
+    """`lower_membership_violations` by two prime counts a pair: consecutive
+    primes p < q <= bound, q Ramanujan and p not, with pi(p/2) == pi(q/2)."""
+    listed = rt.classified_primes(pt)
+    bits = ramanujan_core.mask_bits(rt.mask, 0, int(prime_core.search(listed, bound, side="right")))
+    i = np.flatnonzero(~bits[:-1] & bits[1:])
+    p, q = listed[i], listed[i + 1]
+    bad = pt.prime_count_batch(p // 2) == pt.prime_count_batch(q // 2)
+    return list(zip(p[bad].tolist(), q[bad].tolist()))
+
+
 def test_twin_condition_holds_for_all_pairs(pt_wide):
     assert twin_condition_violations(10 ** 5, pt_wide) == []
 
 
 def test_lower_membership_no_violations(rt_wide, pt_wide):
     assert lower_membership_violations(10 ** 5, rt_wide, pt_wide) == []
+
+
+def test_one_count_routes_match_their_references_on_the_wide_tables(rt_wide, pt_wide):
+    bound = rt_wide.coverage(pt_wide) - 2
+    assert twin_condition_violations(bound, pt_wide) == []
+    assert reference_twin_condition_violations(bound, pt_wide) == []
+    assert lower_membership_violations(bound, rt_wide, pt_wide) == []
+    assert reference_lower_membership_violations(bound, rt_wide, pt_wide) == []
+
+
+def with_flag_set(pt, odd):
+    """A copy of the prime table `pt` whose flags also mark the odd number `odd` prime."""
+    packed = table_file.word_padded(pt._packed.size)
+    packed[:] = pt._packed
+    packed[odd >> 4] |= 1 << (odd >> 1 & 7)
+    return prime_core.PrimeTable(pt.limit, packed)
+
+
+@pytest.mark.parametrize("narrow", [np.uint32, np.int64])
+def test_one_count_routes_report_what_their_references_report(pt1m, monkeypatch, narrow):
+    monkeypatch.setattr(prime_core, "_NARROW", narrow)  # int64 stands in for tables past 2**32
+    pt = prime_core.build(ramanujan_core.prime_limit_for_below(10 ** 5))
+    rt = ramanujan_core.compute_below(10 ** 5, pt)
+    assert pt.primes_upto(10).dtype == narrow
+    for bound in (6, 11, 1000, rt.coverage(pt) - 2):
+        assert twin_condition_violations(bound, pt) == reference_twin_condition_violations(bound, pt)
+        assert (lower_membership_violations(bound, rt, pt)
+                == reference_lower_membership_violations(bound, rt, pt))
+    # the odd 9 listed as a prime: (9 + 1)/2 = 5 and (17 + 1)/2 = 9 are then primes between
+    # the halves of a twin pair, so (9, 11) and (17, 19) fail the twin condition
+    bad = with_flag_set(pt, 9)
+    assert bad.primes_upto(20).tolist() == [2, 3, 5, 7, 9, 11, 13, 17, 19]
+    for bound in (17, 10 ** 4):
+        want = reference_twin_condition_violations(bound, bad)
+        assert twin_condition_violations(bound, bad) == want == [(9, 11), (17, 19)]
+    assert twin_condition_violations(16, bad) == reference_twin_condition_violations(16, bad) == [(9, 11)]
+    # Ramanujan primes dropped from the table, each after a non-Ramanujan prime:
+    # the pairs they end rise from a non-Ramanujan p to a Ramanujan q
+    true = ramanujan_core.compute_below(1000, pt1m)
+    fake = table_of(true.values[~np.isin(true.values, [149, 227, 233])], true.scan_limit, 1000)
+    for bound in (240, 999):
+        want = reference_lower_membership_violations(bound, fake, pt1m)
+        assert lower_membership_violations(bound, fake, pt1m) == want == [
+            (149, 151), (227, 229), (233, 239)]
 
 
 def test_smallest_twin_ramanujan_pair(rt_wide):
@@ -211,6 +277,8 @@ finite = st.floats(min_value=-1e300, max_value=1e300).map(lambda x: x + 0.0)
 # halves' sums pass 26 bits, so they carry into each other
 @example(terms=[1 - 2 ** -53], repeat=3000, cuts=[1500])
 @example(terms=[1e300, -1e300, 2 ** -1074, 1.0], repeat=1, cuts=[2])
+@example(terms=[1e300, 1e-300, 5e-324, 1.0], repeat=1, cuts=[])  # one step over ~2100 exponents
+@example(terms=[2 ** -1022, 3 * 2 ** -1074], repeat=1, cuts=[])  # subnormals: no implicit bit
 def test_exact_sum_is_fsum_bit_for_bit(terms, repeat, cuts):
     x = np.repeat(np.array(terms, dtype=np.float64), repeat)
     steps = np.split(x, sorted(c % (x.size + 1) for c in cuts))  # any split into steps
@@ -272,6 +340,7 @@ def test_lower_membership_violation_is_reported(pt1m):
     true = ramanujan_core.compute_below(1000, pt1m)
     fake = table_of(true.values[true.values != 149], true.scan_limit, 1000)
     assert lower_membership_violations(999, fake, pt1m) == [(149, 151)]
+    assert reference_lower_membership_violations(999, fake, pt1m) == [(149, 151)]
 
 
 @pytest.mark.parametrize("narrow", [np.uint32, np.int64])
