@@ -1,14 +1,17 @@
-"""Segmented sieve of Eratosthenes with packed odd-only flag storage, its
-segments split across forked processes that write one shared flag buffer,
-as they write the one prime list extracted from it.
+"""Segmented sieve of Eratosthenes with packed mod-30 wheel flag storage,
+its segments split across forked processes that write one shared flag
+buffer, as they write the one prime list extracted from it.
 
 A :class:`PrimeTable` answers primality, prime counting, and n-th prime
-queries for every integer in [2, limit]. Flags are kept one bit per odd
-number (the prime 2 is handled out of band). The one prime-count index is
-an int64 count of the odd primes before each superblock of
-`1 << _SUPER_SHIFT` flag words (4096 bytes), made with the table in one
-popcount pass: a scalar count is one superblock lookup plus a popcount of
-at most one superblock's bytes.
+queries for every integer in [2, limit]. Flags are kept one bit per integer
+prime to 30: byte j covers [30j, 30j + 30), and its bit k, little-endian,
+stands for 30j + `_WHEEL`[k]. The primes 2, 3 and 5 are held out of band, and
+the bit of 1 is clear. :func:`_last_bit` and :func:`_integers` are the one
+mapping between integers and bits. The bits stay in integer order, so the
+one prime-count index is an int64 count of the flagged primes before each
+superblock of `1 << _SUPER_SHIFT` flag words (4096 bytes), made with the
+table in one popcount pass: a scalar count is one superblock lookup plus a
+popcount of at most one superblock's bytes.
 
 Prime counts over arrays of ascending keys, the one vectorized pi, read the
 same flags viewed in place as uint64 words: for a step of keys, the scalar
@@ -29,6 +32,7 @@ Python int or an ``int64`` array would convert the whole table to
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import signal
@@ -43,9 +47,9 @@ from .errors import InternalConsistencyError, ResourceLimitError
 
 _MAGIC = b"RPPT"
 
-_SEGMENT_FLAGS = 1 << 20  # odd numbers per sieve segment; a multiple of 8: whole bytes
+_SEGMENT_BYTES = 1 << 16  # flag bytes per sieve segment: 30 integers, 15 odd numbers, each
 _MEMORY_CEILING = 4 << 30  # bytes that build() may allocate
-_COUNT_CHUNK = 1 << 25  # integers per step of the superblock-count pass: 2 MiB of flags
+_COUNT_BYTES = 1 << 21  # flag bytes per step of the superblock-count pass
 _NARROW = np.uint32  # the dtype of tables whose limit leaves it 16 of headroom
 _SUPER_SHIFT = 9  # 512 flag words per superblock of the prime-count index
 _PRESIEVE = (3, 5, 7, 11, 13, 17)  # primes sieved by copying one pattern, ascending
@@ -53,6 +57,31 @@ _SEGMENT_WRITES = 1200  # a segment's copy and packing cost as much as this many
 _PART_SEGMENTS = 8  # least segments or scan blocks per process: below twice this many, no fork
 _STEP = 1 << 13  # int64 elements per step of a decode, count or compaction: 64 KiB, so that its
 # temporaries stay below glibc's least mmap threshold and come from the heap, whatever came before
+
+
+_WHEEL = np.array([1, 7, 11, 13, 17, 19, 23, 29], dtype=np.uint8)  # the residues prime to 30
+_LAST = (np.searchsorted(_WHEEL, np.arange(30), side="right") - 1).tolist()  # r -> the last k, _WHEEL[k] <= r
+_MASKS = np.zeros(30, dtype=np.uint8)  # r -> the bit of residue r in its byte, 0 off the wheel
+_MASKS[_WHEEL] = 1 << np.arange(8)
+_OUT_OF_BAND = (2, 3, 5)  # the primes with no flag bit
+
+
+def _last_bit(x: int) -> int:
+    """Integer to flag bit: the bit of the largest integer <= x prime to 30, -1 for x = 0."""
+    return 8 * (x // 30) + _LAST[x % 30]
+
+
+# s -> the left shift that drops the bits of a flag word past its integer 1 + s, s in [0, 240)
+_SHIFTS = 63 - np.array([_last_bit(s) for s in range(1, 241)])
+
+
+def _integers(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Flag bit to integer: 30 * (i >> 3) + `_WHEEL`[i & 7] for each bit i of
+    the int64 `bits`, written into `out`, int64 or the prime list's dtype."""
+    np.right_shift(bits, 3, out=out, casting="unsafe")
+    out *= 30
+    out += np.take(_WHEEL, bits & 7)
+    return out
 
 
 def table_dtype(limit: int) -> np.dtype:
@@ -109,7 +138,7 @@ class PrimeTable:
 
     @property
     def total_primes(self) -> int:
-        return int(self._supers[-1]) + 1  # +1 for the prime 2
+        return int(self._supers[-1]) + bisect.bisect_right(_OUT_OF_BAND, self.limit)
 
     # -- scalar queries ----------------------------------------------------
 
@@ -121,59 +150,66 @@ class PrimeTable:
         """pi(x): the number of primes not exceeding x."""
         if not 0 <= x <= self.limit:
             raise ValueError(f"prime_count argument {x} outside [0, {self.limit}]")
-        if x < 2:
-            return 0
-        b = (x - 1) >> 1  # the flag bit of the largest odd number <= x
-        full_bytes, rem_bits = divmod(b + 1, 8)
+        return self._flagged(_last_bit(x) + 1) + bisect.bisect_right(_OUT_OF_BAND, x)
+
+    def _flagged(self, nbits: int) -> int:
+        """The primes flagged in the first `nbits` flag bits."""
+        full_bytes, rem_bits = divmod(nbits, 8)
         blk = full_bytes >> _SUPER_SHIFT + 3  # 8 << _SUPER_SHIFT flag bytes per superblock
         start = blk << _SUPER_SHIFT + 3
         cnt = int(self._supers[blk]) + int(np.bitwise_count(self._packed[start:full_bytes]).sum())
         if rem_bits:
             cnt += (int(self._packed[full_bytes]) & ((1 << rem_bits) - 1)).bit_count()
-        return cnt + 1
+        return cnt
 
     def nth_prime(self, n: int) -> int:
         """The n-th prime in increasing order; nth_prime(1) = 2."""
         if n < 1 or n > self.total_primes:
             raise ValueError(f"nth_prime argument {n} outside [1, {self.total_primes}] "
                              f"(table limit {self.limit})")
-        if n == 1:
-            return 2
-        m = n - 1  # rank among odd primes
+        if n <= len(_OUT_OF_BAND):
+            return _OUT_OF_BAND[n - 1]
+        m = n - len(_OUT_OF_BAND)  # rank among the flagged primes
         blk = int(np.searchsorted(self._supers, m, side="left")) - 1
-        lo = blk << _SUPER_SHIFT + 7  # superblock blk: the odds in [lo, lo + 128 << _SUPER_SHIFT)
-        odd = self.primes_between(max(lo, 3), min(lo + (128 << _SUPER_SHIFT) - 1, self.limit))
-        return int(odd[m - int(self._supers[blk]) - 1])
+        span = 240 << _SUPER_SHIFT  # integers per superblock: 30 per flag byte
+        flagged = self.primes_between(max(span * blk, 7), min(span * blk + span - 1, self.limit))
+        return int(flagged[m - int(self._supers[blk]) - 1])
 
     # -- vectorized queries ------------------------------------------------
 
     def is_prime_batch(self, values) -> np.ndarray:
         """Vectorized is_prime over an integer array of any shape, read in its
-        own dtype: each key's flag bit by a gather, zeroed for even keys by
-        `x & 1`, with the key 2 set apart. The flag bit of 1 is clear. Keys go
-        through in steps of `_STEP`, so no temporary grows with their number."""
+        own dtype: each key's flag byte by a gather, and in it the bit of the
+        key's residue mod 30 (`_MASKS`, none off the wheel), with 2, 3 and 5 set
+        apart when a key is that small. Keys go through in steps of `_STEP`, so
+        no temporary grows with their number."""
         v = np.asarray(values)  # an empty list is float64: it reaches no bit operation
-        if v.size and (int(v.min()) < 0 or int(v.max()) > self.limit):
+        least = int(v.min()) if v.size else 0
+        if v.size and (least < 0 or int(v.max()) > self.limit):
             raise ValueError(f"is_prime_batch arguments outside [0, {self.limit}]")
         out = np.empty(v.shape, dtype=bool)
         keys, flags = v.reshape(-1), out.reshape(-1)
         for s in range(0, keys.size, _STEP):
             x = keys[s : s + _STEP]
-            b = x >> 1  # an even limit's own bit can lie past the flags: its byte is clipped
-            flag = np.take(self._packed, b >> 3, mode="clip") >> (b & 7)
-            flags[s : s + _STEP] = (flag & x & 1).astype(bool) | (x == 2)
+            byte = x // 30  # a limit that is a multiple of 30 has its byte past the flags,
+            flag = np.take(self._packed, byte, mode="clip")  # clipped: its mask is 0
+            flag &= np.take(_MASKS, x - 30 * byte, mode="clip")
+            flags[s : s + _STEP] = flag
+            if least <= 5:
+                flags[s : s + _STEP] |= (x == 2) | (x == 3) | (x == 5)
         return out
 
     def prime_count_batch(self, values, out: np.ndarray | None = None) -> np.ndarray:
         """Vectorized pi over ascending integer keys of any shape, as int64 of
         that shape, written into `out` when given (it may be `values` itself).
-        In steps of at most `_STEP` keys, each count adds the scalar count before
-        the step's first flag word, a running popcount of the words from there to
-        the key's word (the flags viewed in place as little-endian uint64), and
-        the popcount of the key's word shifted left past the key's bit. A step ends
-        at the first key `_STEP` or more words on, so its temporaries stay within
-        `_STEP` keys and words, and no prime list is extracted. Keys that do not
-        ascend are a ValueError."""
+        In steps of at most `_STEP` keys, each count adds the primes flagged
+        before the step's first flag word, a running popcount of the words from
+        there to the key's word (the flags viewed in place as little-endian
+        uint64), the popcount of the key's word shifted left past the key's bit,
+        and the primes 2, 3 and 5 up to the key. A step ends at the first key
+        `_STEP` or more words on, so its temporaries stay within `_STEP` keys
+        and words, and no prime list is extracted. Keys that do not ascend are
+        a ValueError."""
         v = np.asarray(values)
         out = np.empty(v.shape, dtype=np.int64) if out is None else out
         keys, counts = v.reshape(-1), out.reshape(-1)
@@ -187,29 +223,30 @@ class PrimeTable:
             # `x` is read before `count`, which may share its memory, overwrites it
             if int(x[0]) < last or np.any(x[1:] < x[:-1]):
                 raise ValueError("prime_count_batch arguments do not ascend")
-            first = (max(int(x[0]), 1) - 1) >> 7  # the flag word of the step's first key
-            if (int(x[-1]) - 1) >> 7 >= first + _STEP:  # end at the first key _STEP words on
-                x = x[: int(np.searchsorted(x, 128 * (first + _STEP) + 1))]
+            first = (max(int(x[0]), 1) - 1) // 240  # the flag word of the step's first key
+            if (int(x[-1]) - 1) // 240 >= first + _STEP:  # end at the first key _STEP words on
+                x = x[: int(np.searchsorted(x, 240 * (first + _STEP) + 1))]
             count, s = counts[s : s + x.size], s + x.size
-            last, two = int(x[-1]), int(np.searchsorted(x, 2))
-            bit = np.maximum(x, 1, out=count)
-            bit -= 1
-            bit >>= 1  # the flag bit of the largest odd number <= max(x, 1)
-            window = self._words[first : (int(bit[-1]) >> 6) + 1]
-            w = bit >> 6
+            last, small = int(x[-1]), np.searchsorted(x, np.array(_OUT_OF_BAND, x.dtype)).tolist()
+            # the largest integer <= max(x, 1) prime to 30 lies in the word y // 240,
+            # 240 integers a word, where its bit is the last bit of 1 + y % 240
+            y = np.maximum(x, 1, out=count)
+            y -= 1
+            w = y // 240
+            y -= 240 * w
+            shift = np.take(_SHIFTS, y, mode="clip")
+            window = self._words[first : int(w[-1]) + 1]
             w -= first  # each key's word, counted from the window's start
             word = window[w]
-            np.invert(bit, out=bit)
-            bit &= 63  # 63 - bit % 64: the left shift that drops the word's bits past the key
-            word <<= bit.view(np.uint64)
+            word <<= shift.view(np.uint64)
             before = np.empty(window.size + 1, dtype=np.int64)
             before[0] = 0
             np.cumsum(np.bitwise_count(window), out=before[1:])  # bits set before each word
             np.take(before, w, out=count)
             count += np.bitwise_count(word)
-            count[two:] += 1  # the prime 2
-            if first:  # and the odd primes in the words before the window
-                count += self.prime_count(128 * first - 1) - 1
+            past = self._flagged(64 * first)  # the primes flagged in the words before the window
+            for k, (i, j) in enumerate(zip([0, *small], [*small, count.size])):
+                count[i:j] += past + k  # and 2, 3 and 5, from the first keys at least 2, 3 and 5
         return out
 
     def primes_upto(self, x: int) -> np.ndarray:
@@ -228,16 +265,17 @@ class PrimeTable:
         if out is None:
             count = self.prime_count(max(hi, 0)) - self.prime_count(max(lo - 1, 0))
             out = np.empty(max(count, 0), dtype=np.int64)
-        at = int(lo <= 2 <= hi)
-        out[:at] = 2
-        end = ((hi - 1) >> 1) + 1  # past the bit of the last odd number in range
-        for b0 in range(lo >> 1, end, 8 * _STEP):
+        small = [p for p in _OUT_OF_BAND if lo <= p <= hi]
+        out[: len(small)] = small
+        at, end = len(small), _last_bit(hi) + 1  # end: past the bit of the last flag in range
+        for b0 in range(_last_bit(lo - 1) + 1, end, 8 * _STEP):
             byte0, b1 = b0 >> 3, min(b0 + 8 * _STEP, end)
             bits = np.unpackbits(self._packed[byte0 : (b1 + 7) >> 3], bitorder="little").view(bool)
-            odd = np.flatnonzero(bits[b0 - 8 * byte0 : b1 - 8 * byte0])
-            step = np.left_shift(odd, 1, out=out[at : at + odd.size], casting="unsafe")
-            step += 2 * b0 + 1  # the odd number 2 * bit + 1
-            at += odd.size
+            bits[: b0 - 8 * byte0] = False  # the first byte's bits below lo
+            found = np.flatnonzero(bits[: b1 - 8 * byte0])  # bits counted from byte0's first
+            step = _integers(found, out[at : at + found.size])
+            step += 30 * byte0
+            at += found.size
         return out[:at]
 
     def _primes_through(self, x: int) -> np.ndarray:
@@ -248,9 +286,9 @@ class PrimeTable:
             x = min(max(x, 2), self.limit)
             dtype = table_dtype(self.limit)
             cache = table_file.word_padded(self.prime_count(x) * dtype.itemsize).view(dtype)
-            nseg = -(-((x + 1) // 2) // _SEGMENT_FLAGS)
+            nseg = -(-(x + 1) // (30 * _SEGMENT_BYTES))
             nproc = _processes(nseg)
-            cuts = [2, *(2 * _SEGMENT_FLAGS * (nseg * k // nproc) for k in range(1, nproc)), x + 1]
+            cuts = [2, *(30 * _SEGMENT_BYTES * (nseg * k // nproc) for k in range(1, nproc)), x + 1]
             _run_parts(list(zip(cuts, cuts[1:])), lambda part, parent: _extract(
                 self, cache, *part, parent), "prime list", "extracting the primes in [{}, {})")
             cache.setflags(write=False)
@@ -267,7 +305,7 @@ class PrimeTable:
 def load(path) -> PrimeTable:
     """Read a table written by :meth:`PrimeTable.save`."""
     (limit,), packed = table_file.read(path, _MAGIC, 1, np.uint8)
-    if limit < 2 or packed.size != ((limit + 1) // 2 + 7) // 8:
+    if limit < 2 or packed.size != (_last_bit(limit) >> 3) + 1:
         raise ValueError(f"{path}: {packed.size} flag bytes do not fit limit {limit}")
     return PrimeTable(limit, packed)
 
@@ -275,50 +313,53 @@ def load(path) -> PrimeTable:
 def build(limit: int) -> PrimeTable:
     """Sieve [2, limit] segment by segment and return the finished table.
 
-    Each segment starts as a copy of one pattern, the odd numbers coprime to
-    the `_PRESIEVE` primes, which repeats every 255,255 flag bits. Each larger
-    base prime then clears its odd multiples with one strided write, from the
-    flag bit of its next odd multiple, carried from segment to segment.
+    Each segment holds its odd numbers as bools, 15 to a flag byte. It starts
+    as a copy of one pattern, the odd numbers coprime to the `_PRESIEVE`
+    primes, which repeats every 255,255 odd numbers. Each larger base prime
+    then clears its odd multiples with one strided write, from its next odd
+    multiple, carried from segment to segment. The 8 of each 15 odd numbers
+    that are prime to 30 are then copied out, column by column, and packed
+    into the segment's flag bytes; the bits past `limit` are cleared last.
 
     The segments are split into contiguous parts, one per process (see
     :func:`_processes`), sieved into the same shared flag bytes by
     :func:`_run_parts`; the table is built once every child has exited.
 
     Peak memory is what is allocated here, and `_MEMORY_CEILING` bounds its
-    sum: the packed flags (one bit per odd number, in one shared mapping that
+    sum: the packed flags (8 bits per 30 integers, in one shared mapping that
     the forked processes write, padded to whole 8-byte words so that the
     batch counts view them as words) and the superblock counts, written once at
     their final size, and the popcounts of one counting step, plus in each
-    process the pattern (one period, or fewer bits if the flags are fewer),
-    the one reused segment buffer of bool flags and a segment's packed bytes.
-    The base primes and their offsets, O(sqrt(limit)), are left out.
+    process the pattern (one period, or fewer odd numbers if the flags span
+    fewer), the one reused segment buffer of 15 bools a flag byte, the one
+    reused buffer of the 8 bools a flag byte copied out of it, and a segment's
+    packed bytes. The base primes and their offsets, O(sqrt(limit)), are left out.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    nbits = (limit + 1) // 2
-    nbytes = (nbits + 7) // 8
+    nbytes = (_last_bit(limit) >> 3) + 1
     nsuper = -(-nbytes // (8 << _SUPER_SHIFT))
-    nseg = -(-nbits // _SEGMENT_FLAGS)
-    nproc = _processes(nseg)
-    seg_bits = min(_SEGMENT_FLAGS, nbits)
-    period = math.prod(_PRESIEVE)  # flag bits: odd numbers, so 2 * period integers
+    nproc = _processes(-(-nbytes // _SEGMENT_BYTES))
+    rows = min(_SEGMENT_BYTES, nbytes)  # the flag bytes of a segment
+    period = math.prod(_PRESIEVE)  # odd numbers, so 2 * period integers
     needed = (8 * -(-nbytes // 8) + 8 * (nsuper + 1)
-              + nproc * (min(period, nbits) + seg_bits + (seg_bits + 7) // 8)
-              + min(_COUNT_CHUNK // 16, nsuper << _SUPER_SHIFT + 3))
+              + nproc * (min(period, 15 * nbytes) + (15 + 8 + 1) * rows)
+              + min(_COUNT_BYTES, nsuper << _SUPER_SHIFT + 3))
     if needed > _MEMORY_CEILING:
         raise ResourceLimitError(f"limit {limit} needs about {needed} bytes to sieve, "
                                  f"over the {_MEMORY_CEILING}-byte ceiling")
 
     # the odd numbers coprime to every pre-sieved prime, clear at the primes
-    # themselves too, so that the pattern repeats exactly every `period` bits
-    pattern = np.ones(min(period, nbits), dtype=bool)
+    # themselves too, so that the pattern repeats exactly every `period` of them
+    pattern = np.ones(min(period, 15 * nbytes), dtype=bool)
     for p in _PRESIEVE:
         pattern[p >> 1 :: p] = False
     base = np.flatnonzero(simple_sieve_flags(math.isqrt(limit)))
     base = base[base > _PRESIEVE[-1]]
     packed = table_file.word_padded(nbytes)
-    _run_parts(_parts(nbits, base, nproc), lambda part, parent: _sieve(
-        packed, pattern, base, *part, parent), "sieve", "sieving flag bits [{}, {})")
+    _run_parts(_parts(nbytes, base, nproc), lambda part, parent: _sieve(
+        packed, pattern, base, *part, parent), "sieve", "sieving flag bytes [{}, {})")
+    packed[-1] &= (2 << (_last_bit(limit) & 7)) - 1  # the last byte's bits past the limit
     return PrimeTable(limit, packed)
 
 
@@ -376,51 +417,58 @@ def _processes(units: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), units // _PART_SEGMENTS))
 
 
-def _parts(nbits: int, base: np.ndarray, nproc: int) -> list[tuple[int, int]]:
-    """`nproc` contiguous ranges [start, stop) of the flag bits, each from a
-    segment's first bit, of about equal work: a segment costs about as much
+def _parts(nbytes: int, base: np.ndarray, nproc: int) -> list[tuple[int, int]]:
+    """`nproc` contiguous ranges [start, stop) of the flag bytes, each from a
+    segment's first byte, of about equal work: a segment costs about as much
     as `_SEGMENT_WRITES` strided writes, plus one for each base prime whose
     square lies below its end."""
-    nseg = -(-nbits // _SEGMENT_FLAGS)
-    ends = np.minimum(np.arange(1, nseg + 1) * _SEGMENT_FLAGS, nbits)
-    work = np.cumsum(np.searchsorted(base, np.sqrt(2 * ends)) + _SEGMENT_WRITES)
+    nseg = -(-nbytes // _SEGMENT_BYTES)
+    ends = np.minimum(np.arange(1, nseg + 1) * _SEGMENT_BYTES, nbytes)
+    work = np.cumsum(np.searchsorted(base, np.sqrt(30 * ends)) + _SEGMENT_WRITES)
     # part k starts after the last segment whose cumulative work stays within k / nproc of it all
     firsts = np.searchsorted(work, work[-1] * np.arange(1, nproc) // nproc, side="right")
-    cuts = [0, *(firsts * _SEGMENT_FLAGS).tolist(), nbits]
+    cuts = [0, *(firsts * _SEGMENT_BYTES).tolist(), nbytes]
     return list(zip(cuts, cuts[1:]))
 
 
 def _sieve(packed, pattern, base, start: int, stop: int, parent: int | None = None) -> None:
-    """Sieve flag bits [start, stop) into `packed`, one segment of
-    `_SEGMENT_FLAGS` bits at a time from `start`, a segment's first bit. A
+    """Sieve flag bytes [start, stop) into `packed`, one segment of
+    `_SEGMENT_BYTES` bytes at a time from `start`, a segment's first byte. A
     process forked by `parent` exits once that process is gone."""
     period = math.prod(_PRESIEVE)
-    # the flag bit of each base prime's first odd multiple from max(its square, start)
-    nxt = np.maximum(base * base >> 1, start + ((base >> 1) - start) % base)
-    buf = np.empty(min(_SEGMENT_FLAGS, stop - start), dtype=bool)
-    for lo_bit in range(start, stop, _SEGMENT_FLAGS):
+    columns = (_WHEEL >> 1).tolist()  # the odd numbers of a flag byte that are prime to 30
+    # the index, among the odd numbers, of each base prime's first odd multiple
+    # from max(its square, the part's first odd number)
+    nxt = np.maximum(base * base >> 1, 15 * start + ((base >> 1) - 15 * start) % base)
+    rows = min(_SEGMENT_BYTES, stop - start)
+    buf, wheel = np.empty(15 * rows, dtype=bool), np.empty((rows, 8), dtype=bool)
+    for lo in range(start, stop, _SEGMENT_BYTES):
         if parent is not None and os.getppid() != parent:
             os._exit(1)
-        hi_bit = min(lo_bit + _SEGMENT_FLAGS, stop)
-        seg = buf[: hi_bit - lo_bit]
-        i, r = 0, lo_bit % period  # r: the segment's offset into the pattern's period
+        hi = min(lo + _SEGMENT_BYTES, stop)
+        lo_odd, hi_odd = 15 * lo, 15 * hi  # odd number i is 2 * i + 1
+        seg = buf[: hi_odd - lo_odd]
+        i, r = 0, lo_odd % period  # r: the segment's offset into the pattern's period
         while i < seg.size:
             n = min(period - r, seg.size - i)
             seg[i : i + n] = pattern[r : r + n]
             i, r = i + n, 0
         for p in _PRESIEVE:
-            if lo_bit <= p >> 1 < hi_bit:
-                seg[(p >> 1) - lo_bit] = True
-        if lo_bit == 0:
+            if lo_odd <= p >> 1 < hi_odd:
+                seg[(p >> 1) - lo_odd] = True
+        if lo_odd == 0:
             seg[0] = False  # the number 1
         # the base primes whose square is below the segment's end, then those with a multiple in it
-        reach = np.searchsorted(base, math.isqrt(2 * hi_bit - 1), side="right")
-        active = np.flatnonzero(nxt[:reach] < hi_bit)
+        reach = np.searchsorted(base, math.isqrt(2 * hi_odd - 1), side="right")
+        active = np.flatnonzero(nxt[:reach] < hi_odd)
         step, at = base[active], nxt[active]
-        for i, p in zip((at - lo_bit).tolist(), step.tolist()):
+        for i, p in zip((at - lo_odd).tolist(), step.tolist()):
             seg[i::p] = False
-        nxt[active] = at + (hi_bit - at + step - 1) // step * step
-        packed[lo_bit >> 3 : (hi_bit + 7) >> 3] = np.packbits(seg, bitorder="little")
+        nxt[active] = at + (hi_odd - at + step - 1) // step * step
+        grid, flags = seg.reshape(-1, 15), wheel[: hi - lo]
+        for k, c in enumerate(columns):
+            flags[:, k] = grid[:, c]
+        packed[lo:hi] = np.packbits(flags, bitorder="little")
 
 
 def _extract(pt: PrimeTable, out, lo: int, hi: int, parent: int | None = None) -> None:
@@ -428,10 +476,10 @@ def _extract(pt: PrimeTable, out, lo: int, hi: int, parent: int | None = None) -
     segment's integers at a time, so that parts fill one list with no merge. A
     process forked by `parent` exits once that process is gone."""
     at = pt.prime_count(lo - 1)
-    for s in range(lo, hi, 2 * _SEGMENT_FLAGS):
+    for s in range(lo, hi, 30 * _SEGMENT_BYTES):
         if parent is not None and os.getppid() != parent:
             os._exit(1)
-        at += pt.primes_between(s, min(s + 2 * _SEGMENT_FLAGS, hi) - 1, out=out[at:]).size
+        at += pt.primes_between(s, min(s + 30 * _SEGMENT_BYTES, hi) - 1, out=out[at:]).size
 
 
 def _words_in_place(packed: np.ndarray) -> np.ndarray | None:
@@ -444,11 +492,11 @@ def _words_in_place(packed: np.ndarray) -> np.ndarray | None:
 
 
 def _superblock_counts(packed: np.ndarray) -> np.ndarray:
-    """The odd primes flagged before each superblock of `8 << _SUPER_SHIFT`
-    bytes, and in all, as int64: one popcount pass in steps of `_COUNT_CHUNK`
-    integers (2 MiB of flags) through one buffer, with no full-size copy."""
+    """The primes flagged before each superblock of `8 << _SUPER_SHIFT` bytes,
+    and in all, as int64: one popcount pass in steps of `_COUNT_BYTES` flag
+    bytes, cut to whole superblocks, through one buffer, with no full-size copy."""
     per = 8 << _SUPER_SHIFT  # flag bytes per superblock
-    step = per * max(1, _COUNT_CHUNK // 16 // per)
+    step = per * max(1, _COUNT_BYTES // per)
     nsuper = -(-packed.size // per)
     pops = np.empty(min(step, nsuper * per), dtype=np.uint8)
     counts = np.zeros(nsuper + 1, dtype=np.int64)

@@ -14,7 +14,7 @@ import zlib
 
 import numpy as np
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def word_padded(nbytes: int) -> np.ndarray:

@@ -490,7 +490,7 @@ def test_cache_with_corrupted_payload_is_rebuilt(runner, tmp_path):
     cache = tmp_path / "cache"
     args = ["--cache-dir", str(cache), "twins", "--bound", "1e3", "--format", "csv"]
     cold = invoke(runner, *args)
-    # the flag of 81 (prime table) and the mask bit of R_4 = 29 = p_10 (Ramanujan
+    # the flag of 151 (prime table) and the mask bit of R_4 = 29 = p_10 (Ramanujan
     # table): read as stored, either flip changes the census
     for pattern, offset, bit in (("primes.rppt", HEADER_SIZE["primes"] + 5, 0x01),
                                  ("ramanujan.rprt", HEADER_SIZE["ramanujan"] + 1, 0x02)):
@@ -505,18 +505,25 @@ def test_cache_with_corrupted_payload_is_rebuilt(runner, tmp_path):
 
 
 def old_layout(version, magic, fields, payload):
-    """A cache file as versions 2 and 3 wrote it. Version 2: magic, version, three
-    uint64 fields, CRC32 of the payload. Version 3: magic, version, payload count,
-    the table's fields, CRC32 of the header and then the payload."""
+    """A cache file as versions 2, 3 and 4 wrote it. Version 2: magic, version,
+    three uint64 fields, CRC32 of the payload. Versions 3 and 4 (and 5): magic,
+    version, payload count, the table's fields, CRC32 of the header and then the
+    payload. Version 4 differs from 5 in its prime flags: one bit per odd number."""
     if version == 2:
         head = struct.pack("<4sIQQQI", magic, 2, *fields, zlib.crc32(payload))
     else:
-        head = struct.pack(f"<4sIQ{len(fields)}Q", magic, 3, payload.size, *fields)
+        head = struct.pack(f"<4sIQ{len(fields)}Q", magic, version, payload.size, *fields)
         head += struct.pack("<I", zlib.crc32(payload, zlib.crc32(head)))
     return head + payload.tobytes()
 
 
-@pytest.mark.parametrize("version", [2, 3])
+def odd_only_flags(limit):
+    """The prime flags of [0, limit] as version 4 stored them: bit i of the
+    little-endian bytes stands for the odd number 2 * i + 1."""
+    return np.packbits(prime_core.simple_sieve_flags(limit)[1::2], bitorder="little")
+
+
+@pytest.mark.parametrize("version", [2, 3, 4])
 def test_older_cache_files_are_rebuilt(runner, tmp_path, version):
     cache = tmp_path / "cache"
     args = ["--cache-dir", str(cache), "twins", "--bound", "1e3", "--format", "csv"]
@@ -525,13 +532,17 @@ def test_older_cache_files_are_rebuilt(runner, tmp_path, version):
     (ram_path,) = cache.glob("ramanujan.rprt")
     pt = prime_core.load(primes_path)
     rt = ramanujan_core.load(ram_path, pt)
-    values = rt.values.astype(np.int64)  # both older layouts stored int64 values
+    flags = odd_only_flags(pt.limit)  # every older layout stored odd-only flags
+    values = rt.values.astype(np.int64)  # versions 2 and 3 stored int64 values
     if version == 2:
-        primes_fields = [pt.limit, 1 << 16, pt._packed.size]
+        primes_fields = [pt.limit, 1 << 16, flags.size]
         ram_fields = [rt.count, rt.scan_limit, rt.complete_below]
-    else:
+    elif version == 3:
         primes_fields, ram_fields = [pt.limit], [rt.scan_limit, rt.complete_below]
-    primes_path.write_bytes(old_layout(version, b"RPPT", primes_fields, pt._packed))
+    else:  # the header of today, and the packed mask, as version 4 wrote it
+        primes_fields, ram_fields = [pt.limit], [rt.scan_limit, rt.complete_below, rt.count]
+        values = np.fromfile(ram_path, dtype=np.uint8, offset=HEADER_SIZE["ramanujan"])
+    primes_path.write_bytes(old_layout(version, b"RPPT", primes_fields, flags))
     ram_path.write_bytes(old_layout(version, b"RPRT", ram_fields, values))
     rebuilt = invoke(runner, *args)
     assert rebuilt.exit_code == 0

@@ -3,9 +3,11 @@ import contextlib
 import hashlib
 import math
 import os
+import struct
 import threading
 import time
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +17,21 @@ from hypothesis import strategies as st
 from ramprimes import prime_core, table_file
 from ramprimes.errors import InternalConsistencyError, ResourceLimitError
 from test_table_file import HEADER_SIZE
+
+WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)  # bit k of flag byte j stands for 30 * j + WHEEL[k]
+
+
+def flag_bytes(limit: int) -> int:
+    """The flag bytes of a table of `limit`: through the byte of the largest
+    integer <= limit prime to 30, which for a multiple of 30 is in the byte before."""
+    return -(-limit // 30)
+
+
+def wheel_bits(flags: np.ndarray, nbytes: int) -> np.ndarray:
+    """The bits of `nbytes` flag bytes as the layout defines them, from per-integer
+    `flags`: each byte's 8 integers prime to 30 in order, clear past the flags' end."""
+    ints = 30 * np.arange(nbytes)[:, None] + np.array(WHEEL)
+    return ((ints < flags.size) & flags[np.minimum(ints, flags.size - 1)]).ravel()
 
 
 def flags_between(pt, lo: int, hi: int) -> np.ndarray:
@@ -55,27 +72,29 @@ def test_build_rejects_over_memory_ceiling(monkeypatch):
     monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 1000)
     with pytest.raises(ResourceLimitError):
         prime_core.build(10 ** 8)
-    # at 10**6 the flags, 62,500 bytes padded to 62,504 (whole 8-byte words), and
-    # the 17 int64 superblock counts take 62,640 bytes; the working arrays take
-    # 883,291 more: the pre-sieve pattern's one period of 255,255 bool flags, one
-    # segment of 500,000 bool flags, their 62,500 packed bytes and a 65,536-byte
-    # counting step (all 16 superblocks, the last zero-padded)
-    for ceiling in (100_000, 945_930):
+    # at 10**6 the flags, 33,334 bytes padded to 33,336 (whole 8-byte words), and
+    # the 10 int64 superblock counts take 33,416 bytes; the working arrays take
+    # 1,092,135 more: the pre-sieve pattern's one period of 255,255 odd numbers, one
+    # segment of 500,010 bools (15 a flag byte), the 266,672 of them prime to 30
+    # copied out (8 a flag byte), their 33,334 packed bytes and a 36,864-byte
+    # counting step (all 9 superblocks, the last zero-padded)
+    for ceiling in (100_000, 1_125_550):
         monkeypatch.setattr(prime_core, "_MEMORY_CEILING", ceiling)
         with pytest.raises(ResourceLimitError):
             prime_core.build(10 ** 6)
-    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 945_931)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 1_125_551)
     assert prime_core.build(10 ** 6).limit == 10 ** 6
-    # at 4 * 10**7, 20 segments sieved by two processes: the flags, 2,500,000 bytes,
-    # the 612 counts, 4,896 bytes, and a 2,097,152-byte counting step take 4,602,048
-    # bytes; each process adds its pattern, 255,255, its segment buffer, 1,048,576,
-    # and a segment's 131,072 packed bytes
+    # at 4 * 10**7, 21 segments sieved by two processes: the flags, 1,333,334 bytes
+    # padded to 1,333,336, the 327 counts, 2,616 bytes, and a 1,335,296-byte
+    # counting step (326 superblocks) take 2,671,248 bytes; each process adds its
+    # pattern, 255,255, its segment buffer, 983,040, the 524,288 bools copied out
+    # of it and a segment's 65,536 packed bytes
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks = counted_forks(monkeypatch)
-    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 7_471_853)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 6_327_485)
     with pytest.raises(ResourceLimitError):
         prime_core.build(4 * 10 ** 7)
-    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 7_471_854)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 6_327_486)
     assert prime_core.build(4 * 10 ** 7).total_primes == 2_433_654 and len(forks) == 1
 
 
@@ -160,32 +179,60 @@ def test_count_of_nth_prime_roundtrip(pt1m, n):
 
 
 def assert_sieved_exactly(pt):
-    """The table's flags equal the one-shot sieve's, the word padding past them
-    is zero, and its superblock counts equal a direct popcount of its flags."""
+    """The table's flags equal the one-shot sieve's, bit for bit in the wheel
+    layout, with the bits past the limit in the last flag byte and the word
+    padding past that byte clear, and its superblock counts equal a direct
+    popcount of its flags."""
     limit = pt.limit
     flags = prime_core.simple_sieve_flags(limit)
     assert np.array_equal(flags_between(pt, 0, limit), flags), limit
     padded = pt._packed.base
+    assert pt._packed.size == flag_bytes(limit), limit
     assert padded.size % 8 == 0 and not padded[pt._packed.size :].any(), limit
-    bits = np.unpackbits(padded, bitorder="little")
-    assert not bits[(limit + 1) // 2 :].any(), limit
+    bits = np.unpackbits(padded, bitorder="little").view(bool)
+    assert np.array_equal(bits, wheel_bits(flags, padded.size)), limit
     assert np.array_equal(pt._supers, superblock_counts(flags, prime_core._SUPER_SHIFT,
                                                         pt._supers.size)), limit
 
 
 # 600,001 is past one period of the pre-sieve pattern (510,510 integers), so the
 # smaller segments start at many offsets into it and some copies wrap past its end
-@pytest.mark.parametrize("segment_flags", [8, 64, 1 << 10, 1 << 18])
-def test_segmented_matches_simple_construction(monkeypatch, segment_flags):
-    monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", segment_flags)
+@pytest.mark.parametrize("segment_bytes", [8, 64, 1 << 10, 1 << 18])  # 30 integers a byte
+def test_segmented_matches_simple_construction(monkeypatch, segment_bytes):
+    monkeypatch.setattr(prime_core, "_SEGMENT_BYTES", segment_bytes)
     for limit in (10 ** 5 + 7, 600_001):
         assert_sieved_exactly(prime_core.build(limit))
 
 
 def test_build_matches_simple_at_every_small_limit():
-    # every limit around 17**2 and 19**2, where the first carried prime starts
+    # every residue of the limit mod 30, the limits 2..7 below the first flagged
+    # prime, and every limit around 19**2, where the first carried prime starts
     for limit in range(2, 1001):
         assert_sieved_exactly(prime_core.build(limit))
+
+
+def test_every_query_matches_the_simple_sieve_at_every_small_limit():
+    # every key of every limit in 2..400: each residue of the limit mod 30, and the
+    # limits 2..7 around the primes 2, 3 and 5, which are held out of band
+    for limit in range(2, 401):
+        pt = prime_core.build(limit)
+        flags = prime_core.simple_sieve_flags(limit)
+        primes, keys, below = np.flatnonzero(flags), np.arange(limit + 1), np.cumsum(flags)
+        assert np.array_equal(pt.is_prime_batch(keys), flags), limit
+        assert np.array_equal(pt.prime_count_batch(keys), below), limit
+        assert [pt.prime_count(k) for k in keys.tolist()] == below.tolist(), limit
+        assert pt.total_primes == primes.size, limit
+        assert [pt.nth_prime(n) for n in range(1, primes.size + 1)] == primes.tolist(), limit
+        # ranges that start or end within 30 of either end, and at one limit past
+        # four periods every range, with the scalar is_prime at every key
+        near = [k for k in keys.tolist() if min(k, limit - k) <= 30]
+        ranges = [(0, k) for k in near] + [(k, limit) for k in near]
+        if limit == 130:
+            assert [pt.is_prime(k) for k in keys.tolist()] == flags.tolist()
+            ranges = [(lo, hi) for lo in keys.tolist() for hi in range(lo - 1, limit + 1)]
+        for lo, hi in ranges:
+            want = primes[(primes >= lo) & (primes <= hi)].tolist()
+            assert pt.primes_between(lo, hi).tolist() == want, (limit, lo, hi)
 
 
 def counted_forks(monkeypatch) -> list[int]:
@@ -208,22 +255,22 @@ def base_primes(limit: int) -> np.ndarray:
 
 
 def limits_with_part_edges(edges, nproc, candidates) -> set[int]:
-    """For each flag bit in `edges`, the first of `candidates` whose split into
+    """For each flag byte in `edges`, the first of `candidates` whose split into
     `nproc` parts starts a part there."""
     found = {}
     for limit in candidates:
-        for start, _ in prime_core._parts((limit + 1) // 2, base_primes(limit), nproc)[1:]:
+        for start, _ in prime_core._parts(flag_bytes(limit), base_primes(limit), nproc)[1:]:
             found.setdefault(start, limit)
     assert set(edges) <= found.keys(), (nproc, sorted(set(edges) - found.keys()))
     return {found[e] for e in edges}
 
 
-# parts that start on and around the flag bits of 17**2 (144, a segment's first
-# bit at 8 bits a segment) and 19**2 (180, inside one), where the first carried
-# primes begin, and around the pattern's period (255,255 bits, inside the 1024-bit
-# segment from 254,976), so that a part starts at many offsets into it
-SPLITS = [(8, (136, 144, 152, 176, 184), range(300, 1200)),
-          (1024, (253_952, 254_976, 256_000), range(600_000, 1_200_000, 512))]
+# parts that start on and around the flag bytes of 19**2 (byte 12) and 23**2
+# (byte 17), where the first carried primes begin, at a byte a segment, and
+# around the pattern's period (255,255 odd numbers, 17,017 bytes, inside the
+# 64-byte segment from byte 16,960), so that a part starts at many offsets into it
+SPLITS = [(1, (11, 12, 13, 16, 17, 18), range(300, 1200)),
+          (64, (16_896, 16_960, 17_024), range(700_000, 1_700_000, 480))]
 
 
 @pytest.mark.parametrize("nproc", [1, 2, 3])
@@ -232,15 +279,15 @@ def test_split_sieve_matches_simple_construction(monkeypatch, nproc):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(nproc)))
     forks = counted_forks(monkeypatch)
     builds = 0
-    for segment_flags, edges, candidates in SPLITS:
-        monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", segment_flags)
+    for segment_bytes, edges, candidates in SPLITS:
+        monkeypatch.setattr(prime_core, "_SEGMENT_BYTES", segment_bytes)
         limits = limits_with_part_edges(edges, 2, candidates) | limits_with_part_edges(
             edges, 3, candidates)  # the same limits for every part count
         for limit in sorted(limits):
-            nbits = (limit + 1) // 2
-            parts = prime_core._parts(nbits, base_primes(limit), nproc)
-            cuts = [start for start, _ in parts] + [nbits]
-            assert cuts == sorted(set(cuts)) and all(c % segment_flags == 0 for c in cuts[:-1])
+            nbytes = flag_bytes(limit)
+            parts = prime_core._parts(nbytes, base_primes(limit), nproc)
+            cuts = [start for start, _ in parts] + [nbytes]
+            assert cuts == sorted(set(cuts)) and all(c % segment_bytes == 0 for c in cuts[:-1])
             assert_sieved_exactly(prime_core.build(limit))
             builds += 1
     assert len(forks) == (nproc - 1) * builds
@@ -248,8 +295,8 @@ def test_split_sieve_matches_simple_construction(monkeypatch, nproc):
 
 @pytest.fixture()
 def three_parts(monkeypatch):
-    """`build(10**6)` in three parts: 489 segments of 1024 flag bits on three CPUs."""
-    monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", 1024)
+    """`build(10**6)` in three parts: 521 segments of 64 flag bytes on three CPUs."""
+    monkeypatch.setattr(prime_core, "_SEGMENT_BYTES", 64)
     monkeypatch.setattr(prime_core, "_PART_SEGMENTS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
 
@@ -260,13 +307,13 @@ def test_a_failed_sieve_process_is_an_error_and_no_process_is_left(monkeypatch, 
     def failing(packed, pattern, base, start, stop, parent=None):
         if parent is None:  # this process
             return sieve(packed, pattern, base, start, stop)
-        if start < packed.size * 4:  # the second part's process fails, the third's hangs
+        if start < packed.size // 2:  # the second part's process fails, the third's hangs
             raise RuntimeError("injected")
         time.sleep(60)
 
     monkeypatch.setattr(prime_core, "_sieve", failing)
     t0 = time.perf_counter()
-    with pytest.raises(InternalConsistencyError, match=r"flag bits \[\d+, \d+\) ended with status 1"):
+    with pytest.raises(InternalConsistencyError, match=r"flag bytes \[\d+, \d+\) ended with status 1"):
         prime_core.build(10 ** 6)
     assert time.perf_counter() - t0 < 30
 
@@ -289,7 +336,7 @@ def test_a_sieve_process_whose_parent_is_gone_exits():
     pid = os.fork()
     if pid == 0:
         try:  # -1 is no process's pid, so the parent reads as gone before the first segment
-            prime_core._sieve(packed, np.ones(64, dtype=bool), base_primes(127), 0, 64, -1)
+            prime_core._sieve(packed, np.ones(120, dtype=bool), base_primes(239), 0, 8, -1)
         finally:
             os._exit(0)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
@@ -301,11 +348,11 @@ def refuse_fork():
 
 
 def test_below_the_part_threshold_nothing_is_forked(monkeypatch):
-    monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", 1024)
+    monkeypatch.setattr(prime_core, "_SEGMENT_BYTES", 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.setattr(os, "fork", refuse_fork)
-    # two processes need 2 * _PART_SEGMENTS segments: 16 * 1024 flag bits
-    below = 2 * (2 * prime_core._PART_SEGMENTS - 1) * 1024
+    # two processes need 2 * _PART_SEGMENTS segments: 16 * 64 flag bytes
+    below = 30 * (2 * prime_core._PART_SEGMENTS - 1) * 64
     assert_sieved_exactly(prime_core.build(below))
     with pytest.raises(ResourceLimitError, match="cannot start a sieve process: fork refused"):
         prime_core.build(below + 1)
@@ -327,10 +374,10 @@ def another_thread(start):
 
 
 def test_no_process_is_forked_beside_another_thread(monkeypatch):
-    monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", 1024)
+    monkeypatch.setattr(prime_core, "_SEGMENT_BYTES", 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", refuse_fork)
-    limit = 10 ** 6  # 489 segments, two processes
+    limit = 10 ** 6  # 521 segments, two processes
     with another_thread(lambda wait: threading.Thread(target=wait).start()):
         for version in ((3, 11, 0), (3, 12, 0)):
             monkeypatch.setattr(prime_core.sys, "version_info", version)
@@ -364,24 +411,25 @@ def test_count_stride_variants_agree(monkeypatch):
 
 
 def superblock_counts(flags: np.ndarray, shift: int, size: int) -> np.ndarray:
-    """Reference for `_supers`: the odd primes below each of `size` superblock
-    edges, `128 << shift` integers apart, the last one cut to the flags' end."""
+    """Reference for `_supers`: the primes past 5 below each of `size` superblock
+    edges, `240 << shift` integers apart, the last one cut to the flags' end."""
     below = np.concatenate([[0], np.cumsum(flags)])
     edges = np.minimum(np.arange(size) * (WORD_INTS << shift), flags.size)
-    return np.maximum(below[edges] - 1, 0)  # odd primes only
+    return below[edges] - np.searchsorted([2, 3, 5], edges)  # less 2, 3 and 5 below the edge
 
 
 @pytest.mark.parametrize("shift, chunk", [(0, 16), (1, 1792), (2, 5000), (9, 16)])
 def test_superblock_counts_for_any_counting_step(monkeypatch, tmp_path, shift, chunk):
-    # 6,251 flag bytes, counted in steps of chunk // 16 bytes cut to whole superblocks,
-    # at least one: (2, 5000) counts 9 superblocks of 32 bytes, not 312 bytes, a step
-    # and ends on a 203-byte step holding a partial superblock; (9, 16) on a 2,155-byte one
+    # 3,334 flag bytes, counted in steps of `chunk` bytes cut to whole superblocks, at
+    # least one: (0, 16) ends on a 6-byte step holding a partial superblock; (1, 1792)
+    # counts 112 superblocks a step and ends on a 1,542-byte one; (2, 5000) counts all
+    # 105 superblocks of 32 bytes in one step; (9, 16) one partial superblock, not 16 bytes
     monkeypatch.setattr(prime_core, "_SUPER_SHIFT", shift)
-    monkeypatch.setattr(prime_core, "_COUNT_CHUNK", chunk)
+    monkeypatch.setattr(prime_core, "_COUNT_BYTES", chunk)
     limit = 10 ** 5 + 3
     flags = prime_core.simple_sieve_flags(limit)
     built = prime_core.build(limit)
-    want = superblock_counts(flags, shift, -(-6251 // (8 << shift)) + 1)
+    want = superblock_counts(flags, shift, -(-3334 // (8 << shift)) + 1)
     for pt in (built, saved_and_loaded(built, tmp_path / "primes.rppt")):
         assert pt._supers.dtype == np.int64 and np.array_equal(pt._supers, want)
 
@@ -397,12 +445,12 @@ def test_batch_queries_match_scalar(pt1m):
 
 # -- prime counts over arrays: a running popcount of the flag words -----------
 
-WORD_INTS = 128  # integers per flag word: 64 odd numbers
+WORD_INTS = 240  # integers per flag word: 8 bytes of 30
 
 
 def edge_keys(limit: int, shift: int = prime_core._SUPER_SHIFT) -> np.ndarray:
     """0, 1, 2, `limit`, and each word and superblock edge +-1 inside [0, limit],
-    for superblocks of `1 << shift` words, ascending: 65,536 integers at the default."""
+    for superblocks of `1 << shift` words, ascending: 122,880 integers apart at the default."""
     edges = np.concatenate([np.arange(0, limit + 2, WORD_INTS),
                             np.arange(0, limit + 2, WORD_INTS << shift)])
     keys = np.concatenate([[0, 1, 2, limit], edges - 1, edges, edges + 1])
@@ -424,9 +472,10 @@ def table_path(tmp_path_factory):
     return tmp_path_factory.mktemp("tables") / "primes.rppt"
 
 
-# 100,007: 6,251 flag bytes, not whole words; 65,535 and 131,071: whole superblocks,
-# so the limit's bit is the last of the last word
-@pytest.mark.parametrize("limit", [2, 3, 127, 128, 129, 65_535, 65_536, 131_071, 100_007, 300_001])
+# 100,007: 3,334 flag bytes, not whole words; 240, 122,880 and 245,760: a whole word
+# and whole superblocks, so the limit's bit (of 239, ...) is the last of the last word
+@pytest.mark.parametrize("limit", [2, 3, 5, 6, 7, 127, 128, 129, 239, 240, 241, 65_535, 65_536,
+                                   122_880, 122_881, 131_071, 245_760, 100_007, 300_001])
 @pytest.mark.parametrize("chunk", [16, 48, 1 << 16])  # keys per step
 def test_batch_counts_at_word_and_superblock_edges(monkeypatch, tmp_path, limit, chunk):
     monkeypatch.setattr(prime_core, "_STEP", chunk)
@@ -567,7 +616,7 @@ def test_batch_counts_of_sparse_keys_hold_one_step_of_words(pt_wide, pt1m, monke
     assert peak < 64 * prime_core._STEP, peak
     # steps that end early, at keys on, before and past each word's edges
     monkeypatch.setattr(prime_core, "_STEP", 3)
-    keys = np.array([x for k in range(1, 200) for x in (384 * k - 1, 384 * k, 384 * k + 1)])
+    keys = np.array([x for k in range(1, 200) for x in (720 * k - 1, 720 * k, 720 * k + 1)])
     assert pt1m.prime_count_batch(keys).tolist() == scalar_counts(pt1m, keys)
 
 
@@ -583,23 +632,27 @@ def test_batch_counts_extract_no_prime_list(monkeypatch):
 
 def test_flag_bytes_not_padded_to_whole_words_are_refused(tmp_path):
     pt = prime_core.build(1000)
-    for padded in (pt, saved_and_loaded(pt, tmp_path / "primes.rppt")):  # 63 bytes in 8 words
-        assert np.shares_memory(padded._words, padded._packed) and padded._words.size == 8
-    copied = prime_core.PrimeTable(pt.limit, pt._packed.copy())  # 63 bytes, no padding
+    for padded in (pt, saved_and_loaded(pt, tmp_path / "primes.rppt")):  # 34 bytes in 5 words
+        assert np.shares_memory(padded._words, padded._packed) and padded._words.size == 5
+    copied = prime_core.PrimeTable(pt.limit, pt._packed.copy())  # 34 bytes, no padding
     assert copied.prime_count(1000) == 168
     with pytest.raises(ValueError, match="not padded to whole 8-byte words"):
         copied.prime_count_batch([1000])
 
 
 def test_saved_flags_hold_no_padding(tmp_path):
-    # 62,500 flag bytes, padded to 62,504 in memory; the file is the 28-byte header
-    # and the flags, and its SHA-256 was recorded before the padding existed
+    # 33,334 flag bytes, padded to 33,336 in memory; the file is the 28-byte header
+    # and the flags, byte for byte the file built here from the one-shot sieve
     path = tmp_path / "primes.rppt"
     prime_core.build(10 ** 6).save(path)
     data = path.read_bytes()
-    assert len(data) == HEADER_SIZE["primes"] + 62_500
+    assert len(data) == HEADER_SIZE["primes"] + 33_334
+    payload = np.packbits(wheel_bits(prime_core.simple_sieve_flags(10 ** 6), 33_334),
+                          bitorder="little").tobytes()
+    head = struct.pack("<4sIQQ", b"RPPT", 5, 33_334, 10 ** 6)
+    assert data == head + struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))) + payload
     assert hashlib.sha256(data).hexdigest() == \
-        "200580689ae1d1333d37c5de6eddc893f1d33a8ec31400a0d8bdb932cbbe3b10"
+        "6410da10308b6a71e12ba360c93afa3d8f7c2c75a620c372d6bdfca8297703c8"
 
 
 def scalar_counts(pt, values) -> list[int]:
@@ -610,7 +663,7 @@ def scalar_counts(pt, values) -> list[int]:
 
 @pytest.mark.parametrize("values", [
     [0, 1, 2, 3],
-    [15, 16, 17, 31, 32, 33],  # byte edges: 15 and 31 are the last odd numbers of a byte
+    [29, 30, 31, 59, 60, 61],  # byte edges: 29 and 59 are the last flagged integers of a byte
     [0, 0, 1, 1, 2, 2, 15, 15, 16],  # repeats
     [7], [16], [999_983], [10 ** 6],  # one element
     [],
@@ -621,9 +674,9 @@ def test_prime_count_ascending_cases(pt1m, values):
     assert got.tolist() == scalar_counts(pt1m, values)
 
 
-@pytest.mark.parametrize("limit", [2, 3, 15, 16, 17, 31, 33, 1000, 1001, 4999])
+@pytest.mark.parametrize("limit", [2, 3, 15, 16, 17, 29, 30, 31, 33, 59, 60, 1000, 1001, 4999])
 def test_prime_count_ascending_up_to_the_limit(limit):
-    # the last flag byte is full at limit 15, 16 and 31, partly filled otherwise
+    # the last flag byte is full at limit 29, 30, 59 and 60, partly filled otherwise
     pt = prime_core.build(limit)
     values = np.arange(limit + 1)
     assert pt.prime_count_batch(values).tolist() == scalar_counts(pt, values)
@@ -664,9 +717,9 @@ def test_primes_between_windows(pt1m, sieve1m):
         assert pt1m.primes_between(lo, hi).tolist() == expected.tolist()
 
 
-@pytest.mark.parametrize("chunk", [16, 48, 1 << 16])  # integers per counting step
+@pytest.mark.parametrize("chunk", [16, 48, 1 << 16])  # flag bytes per counting step
 def test_nth_prime_across_checkpoint_boundaries(monkeypatch, tmp_path, chunk):
-    monkeypatch.setattr(prime_core, "_COUNT_CHUNK", chunk)
+    monkeypatch.setattr(prime_core, "_COUNT_BYTES", chunk)
     limit = 10 ** 5 + 3
     primes = np.flatnonzero(prime_core.simple_sieve_flags(limit))
     for shift in SHIFTS:
@@ -681,11 +734,11 @@ def test_nth_prime_across_checkpoint_boundaries(monkeypatch, tmp_path, chunk):
 
 
 def test_prime_list_extracts_across_chunk_edges(monkeypatch):
-    monkeypatch.setattr(prime_core, "_STEP", 4)  # 32 flag bits, 64 integers, per step
-    monkeypatch.setattr(prime_core, "_COUNT_CHUNK", 64)  # and the counting pass in small steps
+    monkeypatch.setattr(prime_core, "_STEP", 4)  # 32 flag bits, 120 integers, per step
+    monkeypatch.setattr(prime_core, "_COUNT_BYTES", 4)  # and the counting pass in small steps
     pt = prime_core.build(10 ** 5)
     flags = prime_core.simple_sieve_flags(10 ** 5)
-    for x in (2, 3, 63, 64, 65, 127, 128, 129, 1000, 10 ** 5):  # each x extracts afresh
+    for x in (2, 3, 5, 7, 119, 120, 121, 239, 240, 241, 1000, 10 ** 5):  # each x extracts afresh
         got = pt._primes_through(x)
         assert got.size == pt.prime_count(x)
         assert not got.flags.writeable
@@ -716,14 +769,14 @@ def test_split_prime_list_matches_the_simple_sieve(monkeypatch, nproc):
     flags = prime_core.simple_sieve_flags(limit)
     pt = prime_core.build(limit)
     forks, extra = counted_forks(monkeypatch), 0
-    for segment_flags in (8, 1024):  # 16 and 2048 integers a segment
-        monkeypatch.setattr(prime_core, "_SEGMENT_FLAGS", segment_flags)
+    for segment_bytes in (1, 64):  # 30 and 1,920 integers a segment
+        monkeypatch.setattr(prime_core, "_SEGMENT_BYTES", segment_bytes)
         # ends on and next to a segment's edge, and lists of one, two, three segments or more
-        for x in (2, 3, 15, 16, 17, 31, 32, 33, 47, 48, 1000, 2047, 2048, 6143, limit - 1, limit):
+        for x in (2, 3, 5, 7, 29, 30, 31, 59, 60, 61, 89, 1000, 1919, 1920, 5759, limit - 1, limit):
             primes = prime_core.PrimeTable(pt.limit, pt._packed)._primes_through(x)
             assert primes.tolist() == np.flatnonzero(flags[: x + 1]).tolist()
             assert not primes.flags.writeable
-            extra += min(nproc, -(-((x + 1) // 2) // segment_flags)) - 1
+            extra += min(nproc, -(-(x + 1) // (30 * segment_bytes))) - 1
     assert len(forks) == extra  # one fork for each part past the first
 
 
@@ -804,7 +857,7 @@ def test_primes_between_edges(pt1m):
 @pytest.mark.parametrize("offset, mask", [
     (15, 0x80),  # nbytes near 2**63: rejected before any allocation
     (8, 0x01),   # nbytes one off
-    (16, 0x01),  # limit 100001 on a payload built for 100000: fails the header checksum
+    (16, 0x01),  # limit 100001 on a payload built for 100000 (both 3,334 bytes): fails the header checksum
     (23, 0x80),  # limit near 2**63: fails the header checksum
     (24, 0x01),  # the stored checksum itself
     (31, 0xFF),  # the fourth flag byte, just past the header: the checksum covers it too
@@ -821,7 +874,7 @@ def test_load_rejects_inconsistent_header(tmp_path, offset, mask):
 
 @pytest.mark.parametrize("limit, nbytes", [
     (1, 1),             # too small a limit, though one byte is its flag count
-    (10 ** 5 + 1, 6250),  # the flags of limit 100000
+    (10 ** 5 + 1, 6250),  # the flags of limits 187,471..187,500
     (2 ** 63, 6250),
 ])
 def test_load_rejects_limit_that_does_not_fit_the_flags(tmp_path, limit, nbytes):
@@ -836,7 +889,7 @@ def test_load_rejects_payload_failing_checksum(tmp_path, pt1m):
     path = tmp_path / "primes.rppt"
     pt1m.save(path)
     data = bytearray(path.read_bytes())
-    data[HEADER_SIZE["primes"] + 1000] ^= 0x04  # one flag among 16001..16015
+    data[HEADER_SIZE["primes"] + 1000] ^= 0x04  # the flag of 30,011
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="checksum"):
         prime_core.load(path)

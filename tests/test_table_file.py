@@ -47,7 +47,7 @@ def flip_payload(data, kind):
 @pytest.mark.parametrize("edit, message", [
     (cut_header, "truncated header"),
     (flip(0), "not a RP.T cache file"),
-    (flip(4), "unsupported cache version 5"),
+    (flip(4), "unsupported cache version 4"),  # version 5 with its low bit flipped
     (lambda data, kind: data + b"\0", "do not fit the payload size"),  # one trailing byte
     (zero_count, "do not fit the payload size"),
     (flip_payload, "fails its checksum"),

@@ -123,12 +123,27 @@ def test_one_count_routes_match_their_references_on_the_wide_tables(rt_wide, pt_
     assert reference_lower_membership_violations(bound, rt_wide, pt_wide) == []
 
 
-def with_flag_set(pt, odd):
-    """A copy of the prime table `pt` whose flags also mark the odd number `odd` prime."""
+def with_flag_set(pt, k):
+    """A copy of the prime table `pt` whose flags also mark `k`, an integer prime
+    to 30, prime: bit k % 30 of the wheel's residues in flag byte k // 30."""
     packed = table_file.word_padded(pt._packed.size)
     packed[:] = pt._packed
-    packed[odd >> 4] |= 1 << (odd >> 1 & 7)
+    packed[k // 30] |= 1 << (1, 7, 11, 13, 17, 19, 23, 29).index(k % 30)
     return prime_core.PrimeTable(pt.limit, packed)
+
+
+class NineListed(prime_core.PrimeTable):
+    """A prime table that also lists the odd 9 as a prime, in its prime list and
+    its counts. No flag bit stands for 9, a multiple of 3, so the change is made
+    to the table's answers."""
+
+    def primes_upto(self, x):
+        primes = super().primes_upto(x)
+        return np.insert(primes, 4, 9) if x >= 9 else primes
+
+    def prime_count_batch(self, values, out=None):
+        nine = np.asarray(values) >= 9  # read before `out`, which may be `values`, is written
+        return np.add(super().prime_count_batch(values, out), nine, out=out)
 
 
 @pytest.mark.parametrize("narrow", [np.uint32, np.int64])
@@ -141,10 +156,19 @@ def test_one_count_routes_report_what_their_references_report(pt1m, monkeypatch,
         assert twin_condition_violations(bound, pt) == reference_twin_condition_violations(bound, pt)
         assert (lower_membership_violations(bound, rt, pt)
                 == reference_lower_membership_violations(bound, rt, pt))
+    # 49 = 7**2 flagged prime makes (47, 49) a twin pair, yet no flags can fail the
+    # twin condition: every flagged integer past 5 is prime to 3, so for a pair
+    # (p, p + 2) the integer (p + 1)/2 between the halves is a multiple of 3
+    bad = with_flag_set(pt, 49)
+    assert bad.primes_upto(60).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                                            43, 47, 49, 53, 59]
+    for bound in (47, 10 ** 4):
+        assert twin_condition_violations(bound, bad) == reference_twin_condition_violations(bound, bad) == []
     # the odd 9 listed as a prime: (9 + 1)/2 = 5 and (17 + 1)/2 = 9 are then primes between
     # the halves of a twin pair, so (9, 11) and (17, 19) fail the twin condition
-    bad = with_flag_set(pt, 9)
+    bad = NineListed(pt.limit, pt._packed)
     assert bad.primes_upto(20).tolist() == [2, 3, 5, 7, 9, 11, 13, 17, 19]
+    assert bad.prime_count_batch(np.arange(8, 12)).tolist() == [4, 5, 5, 6]
     for bound in (17, 10 ** 4):
         want = reference_twin_condition_violations(bound, bad)
         assert twin_condition_violations(bound, bad) == want == [(9, 11), (17, 19)]
