@@ -248,13 +248,14 @@ def half_point_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> lis
 
 def run_interval_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[tuple[int, int]]:
     """Maximal odd-Ramanujan runs below `bound` whose halved interval
-    contains a prime; provably none. Checked with prime-count differences,
-    a separate route from the flag scan in gap_for_run, as each walk step
-    closes its runs.
+    [lo, hi] contains a prime; provably none. Checked with one prime count
+    a run, a separate route from the flag scan in gap_for_run, as each walk
+    step closes its runs: the interval holds a prime when the prime after
+    lo - 1, at index pi(lo - 1) of the classified list, is at most hi.
     """
     bad = []
     for _, start_p, end_p, _ in _odd_runs(rt, pt, bound):
         lo, hi = (start_p + 1) // 2, (end_p + 1) // 2
-        inside = pt.prime_count_batch(hi) > pt.prime_count_batch(lo - 1)
+        inside = rt.classified_primes(pt)[pt.prime_count_batch(lo - 1)] <= hi
         bad += zip(start_p[inside].tolist(), end_p[inside].tolist())
     return bad

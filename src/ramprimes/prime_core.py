@@ -7,18 +7,21 @@ queries for every integer in [2, limit]. Flags are kept one bit per integer
 prime to 30: byte j covers [30j, 30j + 30), and its bit k, little-endian,
 stands for 30j + `_WHEEL`[k]. The primes 2, 3 and 5 are held out of band, and
 the bit of 1 is clear. :func:`_last_bit` and :func:`_integers` are the one
-mapping between integers and bits. The bits stay in integer order, so the
-one prime-count index is an int64 count of the flagged primes before each
-superblock of `1 << _SUPER_SHIFT` flag words (4096 bytes), made with the
-table in one popcount pass: a scalar count is one superblock lookup plus a
-popcount of at most one superblock's bytes.
+mapping between integers and bits, with the tables `_LAST`, `_SHIFTS` and
+`_HALF_SHIFTS` (a prime's bit to that of (p - 1)/2), and `_flag_bits` is the
+one decoder. The bits stay in integer order, so the one prime-count index is
+an int64 count of the flagged primes before each superblock of
+`1 << _SUPER_SHIFT` flag words (4096 bytes), made with the table in one
+popcount pass: a scalar count is one superblock lookup plus a popcount of at
+most one superblock's bytes.
 
 Prime counts over arrays of ascending keys, the one vectorized pi, read the
 same flags viewed in place as uint64 words: for a step of keys, the scalar
 count before the step's first word, a running popcount of the words up to
-each key's word, and the popcount of that word up to the key's bit. No index
-is kept for them. For the in-place view, `build` and `load` allocate the
-flag bytes padded to whole words (`table_file.word_padded`).
+each key's word, and the popcount of that word up to the key's bit
+(`PrimeTable._through`, which the Ramanujan scan shares). No index is kept
+for them. For the in-place view, `build` and `load` allocate the flag bytes
+padded to whole words (`table_file.word_padded`).
 
 Tables of integers up to a limit, here the prime list and in
 :mod:`ramanujan_core` the Ramanujan values, take their dtype from
@@ -73,11 +76,17 @@ def _last_bit(x: int) -> int:
 
 # s -> the left shift that drops the bits of a flag word past its integer 1 + s, s in [0, 240)
 _SHIFTS = 63 - np.array([_last_bit(s) for s in range(1, 241)])
+# j -> the left shift that drops the bits of flag word i >> 7 past the last bit of (p - 1)/2, for
+# p the integer of a flag bit i with i & 127 = j; 64, dropping them all, at j = 0, where that bit
+# is the last of the word before
+_HALF_SHIFTS = np.array([63 - _last_bit((30 * (j >> 3) + int(_WHEEL[j & 7])) // 2)
+                         for j in range(128)], dtype=np.uint64)
 
 
 def _integers(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Flag bit to integer: 30 * (i >> 3) + `_WHEEL`[i & 7] for each bit i of
-    the int64 `bits`, written into `out`, int64 or the prime list's dtype."""
+    the int64 `bits`, written into `out`, int64 or the prime list's dtype, which
+    must not share memory with `bits`."""
     np.right_shift(bits, 3, out=out, casting="unsafe")
     out *= 30
     out += np.take(_WHEEL, bits & 7)
@@ -205,18 +214,16 @@ class PrimeTable:
         In steps of at most `_STEP` keys, each count adds the primes flagged
         before the step's first flag word, a running popcount of the words from
         there to the key's word (the flags viewed in place as little-endian
-        uint64), the popcount of the key's word shifted left past the key's bit,
-        and the primes 2, 3 and 5 up to the key. A step ends at the first key
-        `_STEP` or more words on, so its temporaries stay within `_STEP` keys
-        and words, and no prime list is extracted. Keys that do not ascend are
-        a ValueError."""
+        uint64), the popcount of the key's word shifted left past the key's bit
+        (`_through`, shared with the scan), and the primes 2, 3 and 5 up to the
+        key. A step ends at the first key `_STEP` or more words on, so its
+        temporaries stay within `_STEP` keys and words, and no prime list is
+        extracted. Keys that do not ascend are a ValueError."""
         v = np.asarray(values)
         out = np.empty(v.shape, dtype=np.int64) if out is None else out
         keys, counts = v.reshape(-1), out.reshape(-1)
         if keys.size and (int(keys[0]) < 0 or int(keys[-1]) > self.limit):
             raise ValueError(f"prime_count_batch arguments outside [0, {self.limit}]")
-        if self._words is None:
-            raise ValueError("flag bytes are not padded to whole 8-byte words")
         last = s = 0
         while s < keys.size:
             x = keys[s : s + _STEP]
@@ -234,19 +241,31 @@ class PrimeTable:
             y -= 1
             w = y // 240
             y -= 240 * w
-            shift = np.take(_SHIFTS, y, mode="clip")
-            window = self._words[first : int(w[-1]) + 1]
-            w -= first  # each key's word, counted from the window's start
-            word = window[w]
-            word <<= shift.view(np.uint64)
-            before = np.empty(window.size + 1, dtype=np.int64)
-            before[0] = 0
-            np.cumsum(np.bitwise_count(window), out=before[1:])  # bits set before each word
-            np.take(before, w, out=count)
-            count += np.bitwise_count(word)
-            past = self._flagged(64 * first)  # the primes flagged in the words before the window
-            for k, (i, j) in enumerate(zip([0, *small], [*small, count.size])):
-                count[i:j] += past + k  # and 2, 3 and 5, from the first keys at least 2, 3 and 5
+            self._through(w, np.take(_SHIFTS, y, mode="clip").view(np.uint64), count, 3)
+            for i in small:
+                count[:i] -= 1  # 2, 3 and 5, each counted only from the first key at least it
+        return out
+
+    def _through(self, words, shifts, out, plus: int) -> np.ndarray:
+        """`plus` and the primes flagged before each of the ascending int64 `words`,
+        and in it after a left shift by the uint64 `shifts` (none at 64), into the
+        int64 `out`, by a running popcount over the words in place: the one vectorized
+        count. `words` and `shifts` are overwritten, so no temporary is as long."""
+        if self._words is None:
+            raise ValueError("flag bytes are not padded to whole 8-byte words")
+        first = int(words[0])
+        window = self._words[first : int(words[-1]) + 1]
+        words -= first  # each key's word, counted from the window's start
+        before = np.empty(window.size + 1, dtype=np.int64)
+        before[0] = self._flagged(64 * first) + plus  # the primes flagged before the window
+        before[1:] = np.bitwise_count(window)
+        np.cumsum(before, out=before)  # and before each word of it
+        word = out.view(np.uint64)
+        np.take(window, words, out=word, mode="clip")  # "raise" would copy through a buffer
+        word <<= shifts
+        np.bitwise_count(word, out=shifts)
+        np.take(before, words, out=out, mode="clip")
+        out += shifts.view(np.int64)
         return out
 
     def primes_upto(self, x: int) -> np.ndarray:
@@ -259,7 +278,8 @@ class PrimeTable:
     def primes_between(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """All primes in [lo, hi], ascending, read from the flags, not the prime list:
         the prefix of `out` they fill (it must hold them all, in int64 or the table's
-        dtype), or a new int64 array. The flags are unpacked `8 * _STEP` bits at a time."""
+        dtype), or a new int64 array. Each step of flag bits that `_flag_bits` yields
+        becomes integers in `out`."""
         if lo < 0 or hi > self.limit:
             raise ValueError(f"primes_between [{lo}, {hi}] outside [0, {self.limit}]")
         if out is None:
@@ -267,16 +287,23 @@ class PrimeTable:
             out = np.empty(max(count, 0), dtype=np.int64)
         small = [p for p in _OUT_OF_BAND if lo <= p <= hi]
         out[: len(small)] = small
-        at, end = len(small), _last_bit(hi) + 1  # end: past the bit of the last flag in range
+        at = len(small)
+        for bits in self._flag_bits(lo, hi):
+            _integers(bits, out[at : at + bits.size])
+            at += bits.size
+        return out[:at]
+
+    def _flag_bits(self, lo: int, hi: int):
+        """The flag bits of the flagged primes in [lo, hi], ascending, as int64
+        arrays, one for each `8 * _STEP` flag bits unpacked: the one decoder of the flags."""
+        end = _last_bit(hi) + 1  # past the bit of the last flag in range
         for b0 in range(_last_bit(lo - 1) + 1, end, 8 * _STEP):
             byte0, b1 = b0 >> 3, min(b0 + 8 * _STEP, end)
             bits = np.unpackbits(self._packed[byte0 : (b1 + 7) >> 3], bitorder="little").view(bool)
             bits[: b0 - 8 * byte0] = False  # the first byte's bits below lo
             found = np.flatnonzero(bits[: b1 - 8 * byte0])  # bits counted from byte0's first
-            step = _integers(found, out[at : at + found.size])
-            step += 30 * byte0
-            at += found.size
-        return out[:at]
+            found += 8 * byte0
+            yield found
 
     def _primes_through(self, x: int) -> np.ndarray:
         """Cached ascending array of all primes <= max(x, previous requests), in

@@ -6,12 +6,13 @@ x >= R_n has at least n primes in (x/2, x]. Writing s(k) for the number
 of primes in (k/2, k], R_n equals 1 plus the largest k with s(k) = n - 1,
 and the scan only has to run to the (3n)-th prime because R_n is known to
 stay below it. `compute_first` reads one value of s per prime, blockwise
-from the right, skips undecoded each block that two exact counts show to
-hold no R_n, and splits the blocks among parallel processes, as a suffix
-minimum combines across parts. It also marks each R_n in a bit mask over
-prime indices, the classification, which analytics read in place a `walk`
-step (`mask_bits`) at a time and a cache file stores, or, for twin pairs, from
-the memoized twin table (`RamanujanTable.twin_pairs`).
+from the right, from the prime's flag bit alone (`_half_counts`), skips
+undecoded each block that two exact counts show to hold no R_n, and splits
+the blocks among parallel processes, as a suffix minimum combines across
+parts. It also marks each R_n in a bit mask over prime indices, the
+classification, which analytics read in place a `walk` step (`mask_bits`) at
+a time and a cache file stores, or, for twin pairs, from the memoized twin
+table (`RamanujanTable.twin_pairs`).
 
 The values take the dtype that `prime_core.table_dtype` gives for the
 scan's end p_3n, so they are ``uint32`` below 2**32, whether computed,
@@ -278,10 +279,12 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
     t rises by at most 1 per prime, so its suffix minimum is a staircase
     rising by exactly 1, and each step from v to v + 1 is read off at the
     prime p_{j+1}. The walk runs blockwise from the right, carrying the
-    suffix minimum from block to block. Each block decodes its primes p once
-    and reads pi((p - 1)/2) from a running popcount of the flag words of its
-    half range (`PrimeTable.prime_count_batch`, in place), with no list of
-    the doubled primes and no search. A block is skipped undecoded when its
+    suffix minimum from block to block. Each block decodes its primes once,
+    to flag bits, and counts pi((p - 1)/2) in flag-bit space (`_half_counts`):
+    a shift and a table take p's bit to that of (p - 1)/2, and a running
+    popcount of the half range's flag words in place counts through it, with
+    no division and no search. Only the stepping primes, about half, become
+    integers. A block is skipped undecoded when its
     lb = a - pi((hi - 1)/2) >= carry, with a = pi(lo - 1): every t_j in it
     has j >= a and p_{j+1} <= hi, so t_j >= lb and the block holds no step.
     The test reads two exact counts, not a theorem on R_n, so the sizing to
@@ -348,38 +351,66 @@ def _scan(primes, blocks, i0, i1, carry, cut, slot, values, mask, parent=None) -
     by `parent` exits once that process is gone."""
     starts, ends, a, lb = blocks
     size = max(y - x for x, y in zip(a[i0:i1], a[i0 + 1 : i1 + 1]))  # primes in the largest block
-    p_buf, t_buf, m_buf = (np.empty(size + 1, dtype=np.int64) for _ in range(3))
+    # one allocation, which the allocator maps apart and unmaps whole when the walk ends
+    b_buf, t_buf, m_buf, s_buf, index = np.empty((5, size + 1), dtype=np.int64)
+    index[:] = np.arange(size + 1)
     steps = np.zeros(size + 8, dtype=bool)  # 8 clear bits before the steps align them to a byte
-    index, own = np.arange(size, dtype=np.int64), -(-a[i0] // 8)  # own: no other part writes it
+    own = -(-a[i0] // 8)  # the first mask byte that no other part writes
     for i in range(i1 - 1, i0 - 1, -1):
         if parent is not None and os.getppid() != parent:
             os._exit(1)
         if lb[i] >= carry:
             continue  # no t_j here falls below the carry: no step
-        p = primes.primes_between(starts[i], ends[i], out=p_buf)  # p_{a+1} .. p_b
-        t, m, step = t_buf[: p.size + 1], m_buf[: p.size + 1], steps[8 : 8 + p.size]
-        primes.prime_count_batch(np.right_shift(p, 1, out=t[:-1]), out=t[:-1])  # pi((p - 1)/2)
-        np.subtract(index[: p.size], t[:-1], out=t[:-1])
-        t[:-1] += a[i]  # t_a .. t_{b-1}
+        lo, hi, n = starts[i], ends[i], a[i + 1] - a[i]
+        t, m, step = t_buf[: n + 1], m_buf[: n + 1], steps[8 : 8 + n]  # p_{a+1} .. p_b
+        small = _half_counts(primes, lo, hi, a[i], b_buf[:n], t[:n], m_buf[:n], s_buf[:n])
+        np.subtract(index[:n], t[:n], out=t[:n])  # t_a .. t_{b-1}: t_j = j - pi((p_{j+1} - 1)/2)
         t[-1] = carry  # stands for the walk right of hi
         np.minimum.accumulate(t[::-1], out=m[::-1])
         np.not_equal(m[1:], m[:-1], out=step)  # each step of the staircase is +1
         carry = int(m[0])
         if not step.any():
             continue  # blocks past R_n have no step and touch no mask page
-        k = 0  # R_{v+1} = p_{j+1}, after the last t_j = v: the stepping primes, into t_buf
-        for s in range(0, p.size, prime_core._STEP):
+        k = 0  # R_{v+1} = p_{j+1}, after the last t_j = v: the stepping primes, into m_buf
+        for s in range(0, n, prime_core._STEP):
             stepping = np.flatnonzero(step[s : s + prime_core._STEP])
-            np.take(p[s:], stepping, out=t_buf[k : k + stepping.size])
+            np.take(b_buf[s:], stepping, out=t_buf[k : k + stepping.size], mode="clip")
+            prime_core._integers(t_buf[k : k + stepping.size], m_buf[k : k + stepping.size])
             k += stepping.size
+        m_buf[: np.count_nonzero(step[: len(small)])] = np.compress(step[: len(small)], small)
         j = min(max(cut - carry, 0), k)
-        values[carry : carry + j] = t_buf[:j]
-        slot[2 + carry + j - cut : 2 + carry + k - cut] = t_buf[j:k]
-        bits = np.packbits(steps[8 - (a[i] & 7) : 8 + p.size], bitorder="little")  # from bit a
+        values[carry : carry + j] = m_buf[:j]
+        slot[2 + carry + j - cut : 2 + carry + k - cut] = m_buf[j:k]
+        bits = np.packbits(steps[8 - (a[i] & 7) : 8 + n], bitorder="little")  # from bit a
         byte, shared = a[i] >> 3, a[i] >> 3 < own  # a byte that the part on the left writes
         slot[1] |= bits[0] if shared else 0
         mask[byte + shared : byte + bits.size] |= bits[shared:]
     slot[0] = carry
+
+
+def _half_counts(primes: PrimeTable, lo: int, hi: int, a: int, bits, out, words, shifts):
+    """pi((p - 1)/2) - a for each prime p in [lo, hi], ascending, into `out`, and p's
+    flag bit i into `bits` (0 for 2, 3 and 5, which come first and are returned): the
+    last flag bit of (p - 1)/2 lies in word i >> 7, which a left shift by
+    `_HALF_SHIFTS[i & 127]` cuts after it. The four int64 arrays hold one entry a
+    prime; `words` and `shifts` are scratch."""
+    small = [p for p in prime_core._OUT_OF_BAND if lo <= p <= hi]
+    bits[: len(small)] = 0
+    out[: len(small)] = [primes.prime_count(p >> 1) - a for p in small]
+    rest = slice(len(small), out.size)
+    at = rest.start
+    for found in primes._flag_bits(lo, hi):
+        bits[at : at + found.size] = found
+        at += found.size
+    if at > rest.start:
+        shifts = shifts[rest].view(np.uint64)
+        np.right_shift(bits[rest], 7, out=words[rest])
+        np.bitwise_and(bits[rest], 127, out=out[rest])
+        np.take(prime_core._HALF_SHIFTS, out[rest], out=shifts, mode="clip")
+        primes._through(words[rest], shifts, out[rest], 3 - a)  # and 2, 3 and 5, below (p - 1)/2
+        if lo <= 7 <= hi:
+            out[len(small)] -= 1  # but for 7: (7 - 1)/2 = 3 lies below 5
+    return small
 
 
 def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramprimes import prime_core, table_file
+from ramprimes import prime_core, ramanujan_core, table_file
 from ramprimes.errors import InternalConsistencyError, ResourceLimitError
 from test_table_file import HEADER_SIZE
 
@@ -233,6 +233,43 @@ def test_every_query_matches_the_simple_sieve_at_every_small_limit():
         for lo, hi in ranges:
             want = primes[(primes >= lo) & (primes <= hi)].tolist()
             assert pt.primes_between(lo, hi).tolist() == want, (limit, lo, hi)
+
+
+def test_half_shifts_map_each_bit_to_the_bit_of_its_half_exhaustively():
+    # every flag bit i in [0, 1024) of an integer p >= 7: word i >> 7 shifted left by
+    # _HALF_SHIFTS[i & 127] keeps the flag bits through (p - 1)/2 and no more. The
+    # bits i with i & 127 = 0 keep none (a shift of 64): their (p - 1)/2 is a multiple
+    # of 240, whose last bit is the last of the word before
+    bits = np.arange(1024, dtype=np.int64)
+    p = prime_core._integers(bits, np.empty_like(bits))
+    half = 64 * (bits >> 7) + 63 - prime_core._HALF_SHIFTS[bits & 127].astype(np.int64)
+    assert [int(h) for h, q in zip(half, p) if q >= 7] == [
+        prime_core._last_bit((int(q) - 1) // 2) for q in p if q >= 7]
+    assert prime_core._HALF_SHIFTS[0] == 64 and prime_core._HALF_SHIFTS.dtype == np.uint64
+    words = np.full(3, 2 ** 64 - 1, dtype=np.uint64)
+    assert (words << prime_core._HALF_SHIFTS[[0, 1, 127]]).tolist() == [0, 2 ** 63, 2 ** 64 - 1]
+
+
+def test_integers_never_write_into_the_bits_they_read(pt1m, monkeypatch):
+    # every route from flag bits to integers (a range, the prime list, the scan's
+    # stepping primes) converts from a buffer apart from its output
+    calls, integers = [], prime_core._integers
+
+    def apart(bits, out):
+        assert not np.shares_memory(bits, out)
+        calls.append(out.dtype)
+        return integers(bits, out)
+
+    monkeypatch.setattr(prime_core, "_integers", apart)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # no process to hide a failure
+    pt = prime_core.PrimeTable(pt1m.limit, pt1m._packed)  # no prime list yet
+    assert pt.primes_between(0, 10 ** 4).tolist() == pt1m.primes_between(0, 10 ** 4).tolist()
+    out = np.zeros(1229, dtype=np.int64)
+    assert pt.primes_between(0, 10 ** 4, out=out).tolist() == out.tolist()
+    assert pt.primes_upto(pt.limit).size == pt.total_primes
+    assert ramanujan_core.compute_first(3000, pt).values.tolist() == \
+        ramanujan_core.compute_first(3000, pt1m).values.tolist()
+    assert set(calls) == {np.dtype(np.int64), np.dtype(np.uint32)}
 
 
 def counted_forks(monkeypatch) -> list[int]:
@@ -638,6 +675,8 @@ def test_flag_bytes_not_padded_to_whole_words_are_refused(tmp_path):
     assert copied.prime_count(1000) == 168
     with pytest.raises(ValueError, match="not padded to whole 8-byte words"):
         copied.prime_count_batch([1000])
+    with pytest.raises(ValueError, match="not padded to whole 8-byte words"):
+        ramanujan_core.compute_first(10, copied)  # the scan counts through the same words
 
 
 def test_saved_flags_hold_no_padding(tmp_path):

@@ -169,6 +169,45 @@ def test_any_block_size_matches_both_oracles(pt1m, oracle_1000, n, block):
                           search_mask(pt1m.primes_upto(pt1m.nth_prime(3 * n)), table.values))
 
 
+def test_scan_half_counts_match_prime_count_at_every_small_limit():
+    # the scan's pi((p - 1)/2) of every prime p, at every limit 2..400, in one block
+    # from 1 and in every block within [1, 12], which splits 2, 3, 5 and 7 every
+    # way (7 counts 2 and 3 only), and in blocks of 30 and 64 integers
+    for limit in range(2, 401):
+        pt = prime_core.build(limit)
+        primes = np.flatnonzero(prime_core.simple_sieve_flags(limit))
+        blocks = [(1, limit)] + [(lo, hi) for hi in range(1, min(limit, 12) + 1)
+                                 for lo in range(1, hi + 1)]
+        blocks += [(lo, min(lo + w - 1, limit)) for w in (30, 64) for lo in range(1, limit + 1, w)]
+        for lo, hi in blocks:
+            p = primes[(primes >= lo) & (primes <= hi)]
+            a = pt.prime_count(lo - 1)
+            bits, out, words, shifts = np.empty((4, p.size), dtype=np.int64)
+            small = ramanujan_core._half_counts(pt, lo, hi, a, bits, out, words, shifts)
+            assert small == [q for q in (2, 3, 5) if lo <= q <= hi], (limit, lo, hi)
+            assert out.tolist() == [pt.prime_count((q - 1) // 2) - a for q in p.tolist()], \
+                (limit, lo, hi)
+            assert bits[: len(small)].tolist() == [0] * len(small)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_busy_blocks_without_a_flagged_prime(pt1m, oracle_1000, monkeypatch, block):
+    # blocks of 1 to 3 integers: some that the walk decodes hold only 2, 3 or 5,
+    # with no flag bit, or no prime at all; each is walked, not skipped, and
+    # counts nothing from the flags
+    decode, sizes = pt1m._flag_bits, []
+
+    def counted(lo, hi):
+        steps = list(decode(lo, hi))
+        sizes.append(sum(bits.size for bits in steps))
+        return iter(steps)
+
+    monkeypatch.setattr(pt1m, "_flag_bits", counted)
+    monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", block)
+    assert compute_first(100, pt1m).values.tolist() == oracle_1000[0][:100]
+    assert 0 in sizes[1:]  # sizes[0] is nth_prime(300) finding p_300
+
+
 def test_interval_counts_walk_properties(oracle_1000):
     # counter stays non-negative and moves by at most one per step
     _, counts, _ = oracle_1000
@@ -308,51 +347,53 @@ def test_coverage_error_names_requirement():
 
 
 def test_scan_rejects_a_non_increasing_value_list(pt1m, monkeypatch):
-    # each block lists its first prime twice and drops its last, so that the count
-    # that sized the scan's buffers still holds; pi((p - 1)/2) is read from the
-    # flags, so only the walked primes are corrupted
-    between = pt1m.primes_between
+    # each block decodes the flag bit of its first prime past 5 twice and drops its
+    # last, so that the count that sized the scan's buffers still holds; the counts
+    # pi((p - 1)/2) are read from the flags, so only the walked primes are corrupted
+    decode = pt1m._flag_bits
 
-    def first_twice(lo, hi, out=None):
-        p = between(lo, hi, out)
-        p[1:] = p[:-1].copy()
-        return p
+    def first_twice(lo, hi):
+        bits = np.concatenate([np.zeros(0, dtype=np.int64), *decode(lo, hi)])
+        bits[1:] = bits[:-1].copy()
+        yield bits
 
-    monkeypatch.setattr(pt1m, "primes_between", first_twice)
+    monkeypatch.setattr(pt1m, "_flag_bits", first_twice)
     monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one process walks every block
     with pytest.raises(InternalConsistencyError, match="non-canonical") as exc:
         compute_first(300, pt1m)
     values = exc.traceback[-1].locals["values"]  # the list the final check rejected
     assert values[0] == 2  # so only the ordering can have failed
-    assert int(np.sum(values[1:] <= values[:-1])) == 31
+    assert int(np.sum(values[1:] <= values[:-1])) == 30  # 2, 3 and 5 have no bit to corrupt
 
 
 def test_scan_checks_the_order_of_its_first_two_values(monkeypatch):
-    # every prime the scan walks (it passes `out`) reads as 2, so t_j = j and
-    # R_1 = R_2 = 2: the list starts with 2, and only its first pair is out of order
+    # every flag bit the scan decodes (its block starts at 1) reads as bit 0, the
+    # integer 1, so the primes past 5 walked through p_6 = 13 count as before and
+    # R_2 reads as 1: the list starts with 2, and only its first pair is out of order
     pt = prime_core.build(100)
     pt.primes_upto(100)  # the prime list, extracted before the flags read falsely
-    between = pt.primes_between
+    decode = pt._flag_bits
 
-    def all_two(lo, hi, out=None):
-        p = between(lo, hi, out)
-        p[:] = 2 if out is not None else p
-        return p
+    def all_one(lo, hi):
+        for bits in decode(lo, hi):
+            if lo == 1:
+                bits[:] = 0
+            yield bits
 
-    monkeypatch.setattr(pt, "primes_between", all_two)
+    monkeypatch.setattr(pt, "_flag_bits", all_one)
     with pytest.raises(InternalConsistencyError, match="non-canonical") as exc:
         compute_first(2, pt)
-    assert exc.traceback[-1].locals["values"].tolist() == [2, 2]
+    assert exc.traceback[-1].locals["values"].tolist() == [2, 1]
 
 
 def test_scan_decodes_each_unsettled_block_once(pt1m, monkeypatch):
     expected = compute_first(300, pt1m).values
     top = pt1m.nth_prime(900)
     calls = []
-    between = pt1m.primes_between
-    monkeypatch.setattr(pt1m, "primes_between",
-                        lambda lo, hi, out=None: calls.append((lo, hi)) or between(lo, hi, out))
+    decode = pt1m._flag_bits
+    monkeypatch.setattr(pt1m, "_flag_bits",
+                        lambda lo, hi: calls.append((lo, hi)) or decode(lo, hi))
 
     def no_prime_list(*_):
         raise AssertionError("the scan read a prime list")
