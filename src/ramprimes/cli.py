@@ -243,7 +243,7 @@ def verify(ctx, target, max_n, multiplier, limit, bound):
             click.echo("maximum-ratio check FAILED")
             ctx.exit(EXIT_VERIFICATION_FAILED)
         best = ramanujan_core.max_ratio(table, n, set(), pt)
-        click.echo(f"max = {best.ratio} at n={best.n}; all other n <= {n} below 13/15")
+        click.echo(f"max = {best.ratio} at n={best.argmax_n}; all other n <= {n} below 13/15")
     elif target == "conjecture1":
         primes, table = _tables_below(limit, cache_dir)
         violations = ramanujan_core.rank_scaling_violations(table, multiplier, limit, primes)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
-from .prime_core import PrimeTable, search, table_dtype
-from .ramanujan_core import RamanujanTable, mask_bits, walk
+from .prime_core import PrimeTable, mask_bits, search, table_dtype
+from .ramanujan_core import RamanujanTable, walk
 from .run_stats import blocks_below
 
 DEFAULT_SHARP_SEARCH_BOUND = 20_000_000
@@ -40,7 +40,7 @@ class GapRecord:
     gap_lo: int
     gap_hi: int
     sharp: bool
-    enclosing_gap: tuple[int, int] | None = None
+    enclosing_gap: tuple[int, int]
 
 
 def _gap_ends(pt: PrimeTable, primes: np.ndarray, lo, hi):

@@ -6,22 +6,24 @@ A :class:`PrimeTable` answers primality, prime counting, and n-th prime
 queries for every integer in [2, limit]. Flags are kept one bit per integer
 prime to 30: byte j covers [30j, 30j + 30), and its bit k, little-endian,
 stands for 30j + `_WHEEL`[k]. The primes 2, 3 and 5 are held out of band, and
-the bit of 1 is clear. :func:`_last_bit` and :func:`_integers` are the one
-mapping between integers and bits, with the tables `_LAST`, `_SHIFTS` and
-`_HALF_SHIFTS` (a prime's bit to that of (p - 1)/2), and `_flag_bits` is the
-one decoder. The bits stay in integer order, so the one prime-count index is
-an int64 count of the flagged primes before each superblock of
-`1 << _SUPER_SHIFT` flag words (4096 bytes), made with the table in one
-popcount pass: a scalar count is one superblock lookup plus a popcount of at
-most one superblock's bytes.
+the bit of 1 is clear. This module alone reads that layout. :func:`_last_bit`
+and :func:`_integers` are the one mapping between integers and bits, with the
+tables `_LAST`, `_SHIFTS` and `_HALF_SHIFTS` (a prime's bit to that of
+(p - 1)/2), and :func:`mask_positions`, on :func:`mask_bits`, is the one
+decoder of packed bits, the flags' and the Ramanujan mask's.
 
-Prime counts over arrays of ascending keys, the one vectorized pi, read the
-same flags viewed in place as uint64 words: for a step of keys, the scalar
-count before the step's first word, a running popcount of the words up to
-each key's word, and the popcount of that word up to the key's bit
-(`PrimeTable._through`, which the Ramanujan scan shares). No index is kept
-for them. For the in-place view, `build` and `load` allocate the flag bytes
-padded to whole words (`table_file.word_padded`).
+A table views its flags in place as little-endian uint64 words, so they must
+start a buffer of whole words, as `build` and `load` allocate them
+(`table_file.word_padded`), and every prime count reads words. The bits stay
+in integer order, so the one prime-count index is an int64 count of the
+flagged primes before each superblock of `1 << _SUPER_SHIFT` flag words
+(4096 bytes), made from one popcount of the words: a scalar count is one
+superblock lookup plus a popcount of at most one superblock's words. Prime
+counts over arrays of ascending keys, the one vectorized pi, keep no index:
+for a step of keys, the scalar count before the step's first word, a running
+popcount of the words up to each key's word, and the popcount of that word up
+to the key's bit (`PrimeTable._through`, which `half_counts`, the Ramanujan
+scan's counts, shares).
 
 Tables of integers up to a limit, here the prime list and in
 :mod:`ramanujan_core` the Ramanujan values, take their dtype from
@@ -52,7 +54,6 @@ _MAGIC = b"RPPT"
 
 _SEGMENT_BYTES = 1 << 16  # flag bytes per sieve segment: 30 integers, 15 odd numbers, each
 _MEMORY_CEILING = 4 << 30  # bytes that build() may allocate
-_COUNT_BYTES = 1 << 21  # flag bytes per step of the superblock-count pass
 _NARROW = np.uint32  # the dtype of tables whose limit leaves it 16 of headroom
 _SUPER_SHIFT = 9  # 512 flag words per superblock of the prime-count index
 _PRESIEVE = (3, 5, 7, 11, 13, 17)  # primes sieved by copying one pattern, ascending
@@ -91,6 +92,25 @@ def _integers(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     out *= 30
     out += np.take(_WHEEL, bits & 7)
     return out
+
+
+def mask_bits(packed: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Bits lo .. hi - 1 of the little-endian `packed` bytes, unpacked from their bytes
+    alone: the one reader of packed bits, the flags' and the Ramanujan mask's."""
+    b0 = lo >> 3
+    bits = np.unpackbits(packed[b0 : (hi + 7) >> 3], bitorder="little").view(bool)
+    return bits[lo - 8 * b0 : hi - 8 * b0]
+
+
+def mask_positions(packed: np.ndarray, lo: int, hi: int):
+    """The set bits in [lo, hi) of the little-endian `packed` bytes, ascending, as
+    int64 arrays, one for each `8 * _STEP` bits unpacked: the one decoder of packed
+    bits, so that no temporary grows with the range. The hits go through
+    flatnonzero, as a boolean index branches on each bit, 3x slower."""
+    for b0 in range(lo, hi, 8 * _STEP):
+        found = np.flatnonzero(mask_bits(packed, b0, min(b0 + 8 * _STEP, hi)))
+        found += b0
+        yield found
 
 
 def table_dtype(limit: int) -> np.dtype:
@@ -138,10 +158,15 @@ class PrimeTable:
     """
 
     def __init__(self, limit: int, packed: np.ndarray):
+        nwords, base = -(-packed.size // 8), packed.base
+        if (base is None or base.nbytes < 8 * nwords or base.ctypes.data != packed.ctypes.data
+                or base.view(np.uint8)[packed.size : 8 * nwords].any()):  # counted as flags
+            raise ValueError("flag bytes do not start a buffer of whole 8-byte words, "
+                             "clear past them")
         self.limit = limit
         self._packed = packed
-        self._supers = _superblock_counts(packed)
-        self._words = _words_in_place(packed)
+        self._words = base.view(np.uint8)[: 8 * nwords].view("<u8")  # the flags in place
+        self._supers = _superblock_counts(self._words)
         self._prime_cache: np.ndarray | None = None
         self._prime_cache_limit = -1
 
@@ -163,12 +188,12 @@ class PrimeTable:
 
     def _flagged(self, nbits: int) -> int:
         """The primes flagged in the first `nbits` flag bits."""
-        full_bytes, rem_bits = divmod(nbits, 8)
-        blk = full_bytes >> _SUPER_SHIFT + 3  # 8 << _SUPER_SHIFT flag bytes per superblock
-        start = blk << _SUPER_SHIFT + 3
-        cnt = int(self._supers[blk]) + int(np.bitwise_count(self._packed[start:full_bytes]).sum())
-        if rem_bits:
-            cnt += (int(self._packed[full_bytes]) & ((1 << rem_bits) - 1)).bit_count()
+        word, rem = divmod(nbits, 64)
+        blk = word >> _SUPER_SHIFT
+        cnt = int(self._supers[blk])
+        cnt += int(np.bitwise_count(self._words[blk << _SUPER_SHIFT : word]).sum())
+        if rem:
+            cnt += (int(self._words[word]) & ((1 << rem) - 1)).bit_count()
         return cnt
 
     def nth_prime(self, n: int) -> int:
@@ -208,26 +233,23 @@ class PrimeTable:
                 flags[s : s + _STEP] |= (x == 2) | (x == 3) | (x == 5)
         return out
 
-    def prime_count_batch(self, values, out: np.ndarray | None = None) -> np.ndarray:
+    def prime_count_batch(self, values) -> np.ndarray:
         """Vectorized pi over ascending integer keys of any shape, as int64 of
-        that shape, written into `out` when given (it may be `values` itself).
-        In steps of at most `_STEP` keys, each count adds the primes flagged
-        before the step's first flag word, a running popcount of the words from
-        there to the key's word (the flags viewed in place as little-endian
-        uint64), the popcount of the key's word shifted left past the key's bit
-        (`_through`, shared with the scan), and the primes 2, 3 and 5 up to the
-        key. A step ends at the first key `_STEP` or more words on, so its
-        temporaries stay within `_STEP` keys and words, and no prime list is
-        extracted. Keys that do not ascend are a ValueError."""
+        that shape. In steps of at most `_STEP` keys, each count adds the primes
+        flagged before the step's first flag word, a running popcount of the words
+        from there to the key's word, the popcount of the key's word shifted left
+        past the key's bit (`_through`, shared with `half_counts`), and the primes
+        2, 3 and 5 up to the key. A step ends at the first key `_STEP` or more
+        words on, so its temporaries stay within `_STEP` keys and words, and no
+        prime list is extracted. Keys that do not ascend are a ValueError."""
         v = np.asarray(values)
-        out = np.empty(v.shape, dtype=np.int64) if out is None else out
+        out = np.empty(v.shape, dtype=np.int64)
         keys, counts = v.reshape(-1), out.reshape(-1)
         if keys.size and (int(keys[0]) < 0 or int(keys[-1]) > self.limit):
             raise ValueError(f"prime_count_batch arguments outside [0, {self.limit}]")
         last = s = 0
         while s < keys.size:
             x = keys[s : s + _STEP]
-            # `x` is read before `count`, which may share its memory, overwrites it
             if int(x[0]) < last or np.any(x[1:] < x[:-1]):
                 raise ValueError("prime_count_batch arguments do not ascend")
             first = (max(int(x[0]), 1) - 1) // 240  # the flag word of the step's first key
@@ -251,8 +273,6 @@ class PrimeTable:
         and in it after a left shift by the uint64 `shifts` (none at 64), into the
         int64 `out`, by a running popcount over the words in place: the one vectorized
         count. `words` and `shifts` are overwritten, so no temporary is as long."""
-        if self._words is None:
-            raise ValueError("flag bytes are not padded to whole 8-byte words")
         first = int(words[0])
         window = self._words[first : int(words[-1]) + 1]
         words -= first  # each key's word, counted from the window's start
@@ -294,16 +314,33 @@ class PrimeTable:
         return out[:at]
 
     def _flag_bits(self, lo: int, hi: int):
-        """The flag bits of the flagged primes in [lo, hi], ascending, as int64
-        arrays, one for each `8 * _STEP` flag bits unpacked: the one decoder of the flags."""
-        end = _last_bit(hi) + 1  # past the bit of the last flag in range
-        for b0 in range(_last_bit(lo - 1) + 1, end, 8 * _STEP):
-            byte0, b1 = b0 >> 3, min(b0 + 8 * _STEP, end)
-            bits = np.unpackbits(self._packed[byte0 : (b1 + 7) >> 3], bitorder="little").view(bool)
-            bits[: b0 - 8 * byte0] = False  # the first byte's bits below lo
-            found = np.flatnonzero(bits[: b1 - 8 * byte0])  # bits counted from byte0's first
-            found += 8 * byte0
-            yield found
+        """The flag bits of the flagged primes in [lo, hi], ascending, as the int64
+        arrays that `mask_positions` yields."""
+        return mask_positions(self._packed, _last_bit(lo - 1) + 1, _last_bit(hi) + 1)
+
+    def half_counts(self, lo: int, hi: int, a: int, bits, out, words, shifts) -> list[int]:
+        """pi((p - 1)/2) - a for each prime p in [lo, hi], ascending, into `out`, and p's
+        flag bit i into `bits` (0 for 2, 3 and 5, which come first and are returned): the
+        last flag bit of (p - 1)/2 lies in word i >> 7, which a left shift by
+        `_HALF_SHIFTS[i & 127]` cuts after it, and `_through` counts through it. The four
+        int64 arrays hold one entry a prime; `words` and `shifts` are scratch."""
+        small = [p for p in _OUT_OF_BAND if lo <= p <= hi]
+        bits[: len(small)] = 0
+        out[: len(small)] = [self.prime_count(p >> 1) - a for p in small]
+        rest = slice(len(small), out.size)
+        at = rest.start
+        for found in self._flag_bits(lo, hi):
+            bits[at : at + found.size] = found
+            at += found.size
+        if at > rest.start:
+            shifts = shifts[rest].view(np.uint64)
+            np.right_shift(bits[rest], 7, out=words[rest])
+            np.bitwise_and(bits[rest], 127, out=out[rest])
+            np.take(_HALF_SHIFTS, out[rest], out=shifts, mode="clip")
+            self._through(words[rest], shifts, out[rest], 3 - a)  # and 2, 3 and 5, below (p - 1)/2
+            if lo <= 7 <= hi:
+                out[len(small)] -= 1  # but for 7: (7 - 1)/2 = 3 lies below 5
+        return small
 
     def _primes_through(self, x: int) -> np.ndarray:
         """Cached ascending array of all primes <= max(x, previous requests), in
@@ -355,8 +392,8 @@ def build(limit: int) -> PrimeTable:
     Peak memory is what is allocated here, and `_MEMORY_CEILING` bounds its
     sum: the packed flags (8 bits per 30 integers, in one shared mapping that
     the forked processes write, padded to whole 8-byte words so that the
-    batch counts view them as words) and the superblock counts, written once at
-    their final size, and the popcounts of one counting step, plus in each
+    table views them as words) and the superblock counts, written once at
+    their final size, and the popcount of the words, one byte a word, plus in each
     process the pattern (one period, or fewer odd numbers if the flags span
     fewer), the one reused segment buffer of 15 bools a flag byte, the one
     reused buffer of the 8 bools a flag byte copied out of it, and a segment's
@@ -365,13 +402,12 @@ def build(limit: int) -> PrimeTable:
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     nbytes = (_last_bit(limit) >> 3) + 1
-    nsuper = -(-nbytes // (8 << _SUPER_SHIFT))
+    nwords = -(-nbytes // 8)
     nproc = _processes(-(-nbytes // _SEGMENT_BYTES))
     rows = min(_SEGMENT_BYTES, nbytes)  # the flag bytes of a segment
     period = math.prod(_PRESIEVE)  # odd numbers, so 2 * period integers
-    needed = (8 * -(-nbytes // 8) + 8 * (nsuper + 1)
-              + nproc * (min(period, 15 * nbytes) + (15 + 8 + 1) * rows)
-              + min(_COUNT_BYTES, nsuper << _SUPER_SHIFT + 3))
+    needed = (9 * nwords + 8 * (-(-nwords >> _SUPER_SHIFT) + 1)  # words, popcounts, superblocks
+              + nproc * (min(period, 15 * nbytes) + (15 + 8 + 1) * rows))
     if needed > _MEMORY_CEILING:
         raise ResourceLimitError(f"limit {limit} needs about {needed} bytes to sieve, "
                                  f"over the {_MEMORY_CEILING}-byte ceiling")
@@ -509,28 +545,15 @@ def _extract(pt: PrimeTable, out, lo: int, hi: int, parent: int | None = None) -
         at += pt.primes_between(s, min(s + 30 * _SEGMENT_BYTES, hi) - 1, out=out[at:]).size
 
 
-def _words_in_place(packed: np.ndarray) -> np.ndarray | None:
-    """The flag bytes as little-endian uint64 words, viewed in place, or None
-    unless they start a buffer of whole words, as `build` and `load` allocate."""
-    nwords, base = -(-packed.size // 8), packed.base
-    if base is None or base.nbytes < 8 * nwords or base.ctypes.data != packed.ctypes.data:
-        return None
-    return base.view(np.uint8)[: 8 * nwords].view("<u8")
-
-
-def _superblock_counts(packed: np.ndarray) -> np.ndarray:
-    """The primes flagged before each superblock of `8 << _SUPER_SHIFT` bytes,
-    and in all, as int64: one popcount pass in steps of `_COUNT_BYTES` flag
-    bytes, cut to whole superblocks, through one buffer, with no full-size copy."""
-    per = 8 << _SUPER_SHIFT  # flag bytes per superblock
-    step = per * max(1, _COUNT_BYTES // per)
-    nsuper = -(-packed.size // per)
-    pops = np.empty(min(step, nsuper * per), dtype=np.uint8)
-    counts = np.zeros(nsuper + 1, dtype=np.int64)
-    for s in range(0, packed.size, step):
-        n = min(step, packed.size - s)
-        pops[n:] = 0  # a final partial superblock is zero-padded
-        np.bitwise_count(packed[s : s + n], out=pops[:n])
-        k = -(-n // per)
-        counts[1 + s // per :][:k] = pops[: k * per].reshape(k, per).sum(axis=1, dtype=np.int64)
+def _superblock_counts(words: np.ndarray) -> np.ndarray:
+    """The primes flagged before each superblock of `1 << _SUPER_SHIFT` flag words,
+    and in all, as int64: one popcount of the words, one byte a word, summed over
+    each whole superblock and then over the last, partial one. The sums are taken
+    in int64 as they go, so no int64 copy of the popcounts is made."""
+    per = 1 << _SUPER_SHIFT
+    pops = np.bitwise_count(words)
+    whole = pops.size // per
+    counts = np.zeros(-(-pops.size // per) + 1, dtype=np.int64)
+    counts[1 : whole + 1] = pops[: whole * per].reshape(whole, per).sum(axis=1, dtype=np.int64)
+    counts[whole + 1 :] = pops[whole * per :].sum(dtype=np.int64)
     return np.cumsum(counts, out=counts)

@@ -6,13 +6,14 @@ x >= R_n has at least n primes in (x/2, x]. Writing s(k) for the number
 of primes in (k/2, k], R_n equals 1 plus the largest k with s(k) = n - 1,
 and the scan only has to run to the (3n)-th prime because R_n is known to
 stay below it. `compute_first` reads one value of s per prime, blockwise
-from the right, from the prime's flag bit alone (`_half_counts`), skips
-undecoded each block that two exact counts show to hold no R_n, and splits
-the blocks among parallel processes, as a suffix minimum combines across
-parts. It also marks each R_n in a bit mask over prime indices, the
-classification, which analytics read in place a `walk` step (`mask_bits`) at
-a time and a cache file stores, or, for twin pairs, from the memoized twin
-table (`RamanujanTable.twin_pairs`).
+from the right, from the prime's flag bit alone (`PrimeTable.half_counts`:
+only `prime_core` reads the flag layout), skips undecoded each block that two
+exact counts show to hold no R_n, and splits the blocks among parallel
+processes, as a suffix minimum combines across parts. It also marks each R_n
+in a bit mask over prime indices, the classification, which analytics read in
+place a `walk` step at a time, through `prime_core`'s one reader of packed
+bits (`mask_bits`), and a cache file stores, or, for twin pairs, from the
+memoized twin table (`RamanujanTable.twin_pairs`).
 
 The values take the dtype that `prime_core.table_dtype` gives for the
 scan's end p_3n, so they are ``uint32`` below 2**32, whether computed,
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import prime_core, table_file
 from .errors import CoverageError, InternalConsistencyError
-from .prime_core import PrimeTable, search, table_dtype
+from .prime_core import PrimeTable, mask_bits, mask_positions, search, table_dtype
 
 # floor((10/3)**10). Above this index the ratio R_n/p_3n is provably below
 # 13/15, so an exhaustive check up to here settles the maximum.
@@ -55,25 +56,15 @@ def walk(start: int, stop: int):
     return ((lo, min(lo + _WALK_CHUNK, stop)) for lo in range(start, stop, _WALK_CHUNK))
 
 
-def mask_bits(mask: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Bits lo .. hi - 1 of the little-endian packed `mask`, unpacked from their bytes alone."""
-    b0 = lo >> 3
-    bits = np.unpackbits(mask[b0 : (hi + 7) >> 3], bitorder="little").view(bool)
-    return bits[lo - 8 * b0 : hi - 8 * b0]
-
-
 def _positions(limit: int, mask: np.ndarray, stop: int, take) -> np.ndarray:
     """take(i) for each i in [0, stop) whose bit is set in the packed `mask`, in
     `table_dtype(limit)`. A popcount of the mask bytes sizes the one array, which one
-    pass of `walk` steps fills: no int64 array of every position is made, and the
-    result is never held twice. The hits go through flatnonzero, as a boolean index
-    branches on each bit, 3x slower."""
+    pass of `mask_positions` steps fills: no int64 array of every position is made,
+    and the result is never held twice."""
     size = int(np.bitwise_count(mask[: stop >> 3]).sum())  # the whole bytes below stop
     out = np.empty(size + int(mask_bits(mask, stop & ~7, stop).sum()), dtype=table_dtype(limit))
     at = 0
-    for lo, hi in walk(0, stop):
-        i = np.flatnonzero(mask_bits(mask, lo, hi))
-        i += lo
+    for i in mask_positions(mask, 0, stop):
         out[at : at + i.size] = take(i)
         at += i.size
     return out
@@ -265,9 +256,8 @@ def load(path, primes: PrimeTable, below: int | None = None) -> RamanujanTable:
 class BoundsReport:
     """Result of a bound check: the exact ratio R_n/p_3n at its argmax n."""
 
-    n: int
+    argmax_n: int
     ratio: Fraction
-    argmax_n = property(lambda self: self.n)  # another name for n, read-only
 
 
 def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
@@ -280,7 +270,7 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
     rising by exactly 1, and each step from v to v + 1 is read off at the
     prime p_{j+1}. The walk runs blockwise from the right, carrying the
     suffix minimum from block to block. Each block decodes its primes once,
-    to flag bits, and counts pi((p - 1)/2) in flag-bit space (`_half_counts`):
+    to flag bits, and counts pi((p - 1)/2) in flag-bit space (`half_counts`):
     a shift and a table take p's bit to that of (p - 1)/2, and a running
     popcount of the half range's flag words in place counts through it, with
     no division and no search. Only the stepping primes, about half, become
@@ -363,7 +353,7 @@ def _scan(primes, blocks, i0, i1, carry, cut, slot, values, mask, parent=None) -
             continue  # no t_j here falls below the carry: no step
         lo, hi, n = starts[i], ends[i], a[i + 1] - a[i]
         t, m, step = t_buf[: n + 1], m_buf[: n + 1], steps[8 : 8 + n]  # p_{a+1} .. p_b
-        small = _half_counts(primes, lo, hi, a[i], b_buf[:n], t[:n], m_buf[:n], s_buf[:n])
+        small = primes.half_counts(lo, hi, a[i], b_buf[:n], t[:n], m_buf[:n], s_buf[:n])
         np.subtract(index[:n], t[:n], out=t[:n])  # t_a .. t_{b-1}: t_j = j - pi((p_{j+1} - 1)/2)
         t[-1] = carry  # stands for the walk right of hi
         np.minimum.accumulate(t[::-1], out=m[::-1])
@@ -386,31 +376,6 @@ def _scan(primes, blocks, i0, i1, carry, cut, slot, values, mask, parent=None) -
         slot[1] |= bits[0] if shared else 0
         mask[byte + shared : byte + bits.size] |= bits[shared:]
     slot[0] = carry
-
-
-def _half_counts(primes: PrimeTable, lo: int, hi: int, a: int, bits, out, words, shifts):
-    """pi((p - 1)/2) - a for each prime p in [lo, hi], ascending, into `out`, and p's
-    flag bit i into `bits` (0 for 2, 3 and 5, which come first and are returned): the
-    last flag bit of (p - 1)/2 lies in word i >> 7, which a left shift by
-    `_HALF_SHIFTS[i & 127]` cuts after it. The four int64 arrays hold one entry a
-    prime; `words` and `shifts` are scratch."""
-    small = [p for p in prime_core._OUT_OF_BAND if lo <= p <= hi]
-    bits[: len(small)] = 0
-    out[: len(small)] = [primes.prime_count(p >> 1) - a for p in small]
-    rest = slice(len(small), out.size)
-    at = rest.start
-    for found in primes._flag_bits(lo, hi):
-        bits[at : at + found.size] = found
-        at += found.size
-    if at > rest.start:
-        shifts = shifts[rest].view(np.uint64)
-        np.right_shift(bits[rest], 7, out=words[rest])
-        np.bitwise_and(bits[rest], 127, out=out[rest])
-        np.take(prime_core._HALF_SHIFTS, out[rest], out=shifts, mode="clip")
-        primes._through(words[rest], shifts, out[rest], 3 - a)  # and 2, 3 and 5, below (p - 1)/2
-        if lo <= 7 <= hi:
-            out[len(small)] -= 1  # but for 7: (7 - 1)/2 = 3 lies below 5
-    return small
 
 
 def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, NotFoundBelowBound
-from .prime_core import PrimeTable, search
-from .ramanujan_core import RamanujanTable, mask_bits, walk
+from .prime_core import PrimeTable, mask_bits, search
+from .ramanujan_core import RamanujanTable, walk
 
 EULER_MASCHERONI = 0.5772156649
 

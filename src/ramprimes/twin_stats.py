@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError
-from .prime_core import PrimeTable, search
-from .ramanujan_core import RamanujanTable, mask_bits, walk
+from .prime_core import PrimeTable, mask_bits, search
+from .ramanujan_core import RamanujanTable, walk
 
 RATIO_CONJECTURE_MIN_BOUND = 10 ** 5
 

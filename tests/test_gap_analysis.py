@@ -16,7 +16,7 @@ from ramprimes.gap_analysis import (
     twin_gap_check,
     twin_gap_table,
 )
-from ramprimes.ramanujan_core import mask_bits
+from ramprimes.prime_core import mask_bits
 from conftest import odd_runs, table_of
 from test_prime_core import flags_between
 

@@ -11,7 +11,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramprimes import prime_core, ramanujan_core, table_file
@@ -72,29 +72,28 @@ def test_build_rejects_over_memory_ceiling(monkeypatch):
     monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 1000)
     with pytest.raises(ResourceLimitError):
         prime_core.build(10 ** 8)
-    # at 10**6 the flags, 33,334 bytes padded to 33,336 (whole 8-byte words), and
-    # the 10 int64 superblock counts take 33,416 bytes; the working arrays take
-    # 1,092,135 more: the pre-sieve pattern's one period of 255,255 odd numbers, one
-    # segment of 500,010 bools (15 a flag byte), the 266,672 of them prime to 30
-    # copied out (8 a flag byte), their 33,334 packed bytes and a 36,864-byte
-    # counting step (all 9 superblocks, the last zero-padded)
-    for ceiling in (100_000, 1_125_550):
+    # at 10**6 the flags, 33,334 bytes padded to 4,167 words (33,336 bytes), their
+    # popcounts, 4,167 bytes, and the 10 int64 superblock counts take 37,583 bytes;
+    # the working arrays take 1,055,271 more: the pre-sieve pattern's one period of
+    # 255,255 odd numbers, one segment of 500,010 bools (15 a flag byte), the 266,672
+    # of them prime to 30 copied out (8 a flag byte) and their 33,334 packed bytes
+    for ceiling in (100_000, 1_092_853):
         monkeypatch.setattr(prime_core, "_MEMORY_CEILING", ceiling)
         with pytest.raises(ResourceLimitError):
             prime_core.build(10 ** 6)
-    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 1_125_551)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 1_092_854)
     assert prime_core.build(10 ** 6).limit == 10 ** 6
     # at 4 * 10**7, 21 segments sieved by two processes: the flags, 1,333,334 bytes
-    # padded to 1,333,336, the 327 counts, 2,616 bytes, and a 1,335,296-byte
-    # counting step (326 superblocks) take 2,671,248 bytes; each process adds its
+    # padded to 166,667 words (1,333,336 bytes), their popcounts, 166,667 bytes, and
+    # the 327 counts, 2,616 bytes, take 1,502,619 bytes; each process adds its
     # pattern, 255,255, its segment buffer, 983,040, the 524,288 bools copied out
     # of it and a segment's 65,536 packed bytes
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks = counted_forks(monkeypatch)
-    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 6_327_485)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 5_158_856)
     with pytest.raises(ResourceLimitError):
         prime_core.build(4 * 10 ** 7)
-    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 6_327_486)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 5_158_857)
     assert prime_core.build(4 * 10 ** 7).total_primes == 2_433_654 and len(forks) == 1
 
 
@@ -455,14 +454,12 @@ def superblock_counts(flags: np.ndarray, shift: int, size: int) -> np.ndarray:
     return below[edges] - np.searchsorted([2, 3, 5], edges)  # less 2, 3 and 5 below the edge
 
 
-@pytest.mark.parametrize("shift, chunk", [(0, 16), (1, 1792), (2, 5000), (9, 16)])
-def test_superblock_counts_for_any_counting_step(monkeypatch, tmp_path, shift, chunk):
-    # 3,334 flag bytes, counted in steps of `chunk` bytes cut to whole superblocks, at
-    # least one: (0, 16) ends on a 6-byte step holding a partial superblock; (1, 1792)
-    # counts 112 superblocks a step and ends on a 1,542-byte one; (2, 5000) counts all
-    # 105 superblocks of 32 bytes in one step; (9, 16) one partial superblock, not 16 bytes
+@pytest.mark.parametrize("shift", [0, 1, 2, 9])
+def test_superblock_counts_for_any_superblock_size(monkeypatch, tmp_path, shift):
+    # 3,334 flag bytes, 417 words: 417 whole superblocks of one word at shift 0; 208
+    # and 104 whole ones and a partial one of a word at shifts 1 and 2; at 9, no
+    # whole superblock, and one partial one of all 417 words
     monkeypatch.setattr(prime_core, "_SUPER_SHIFT", shift)
-    monkeypatch.setattr(prime_core, "_COUNT_BYTES", chunk)
     limit = 10 ** 5 + 3
     flags = prime_core.simple_sieve_flags(limit)
     built = prime_core.build(limit)
@@ -561,16 +558,16 @@ def test_batch_counts_match_search_and_scalar(table_path, data, limit, dtype, ro
 
 @given(data=st.data(), limit=st.integers(2, 300_000) | st.sampled_from([2, 3, 16, 17, 65_536]),
        dtype=st.sampled_from([np.uint32, np.int64]), shape=st.sampled_from(["flat", "0-d", "2-D"]),
-       kind=st.sampled_from(["built", "loaded", "unpadded"]))
+       kind=st.sampled_from(["built", "loaded"]))
+# a multiple of 30: the byte of the key `limit` lies past the flags, and its gather is clipped
+@example(data=None, limit=240, dtype=np.uint32, shape="flat", kind="built")
 @settings(max_examples=80, deadline=None)
 def test_is_prime_batch_matches_scalar(table_path, data, limit, dtype, shape, kind):
     pt = prime_core.build(limit)
     if kind == "loaded":
         pt = saved_and_loaded(pt, table_path)
-    elif kind == "unpadded":  # flags cut to their bytes: an even limit's own bit lies past them
-        pt = prime_core.PrimeTable(limit, pt._packed.copy())
-    keys = np.array([0, 1, 2, limit] + data.draw(st.lists(st.integers(0, limit), max_size=120)),
-                    dtype=dtype)
+    drawn = data.draw(st.lists(st.integers(0, limit), max_size=120)) if data else []
+    keys = np.array([0, 1, 2, limit] + drawn, dtype=dtype)
     want = prime_core.simple_sieve_flags(limit)[keys].tolist()
     if shape == "0-d":
         for k, w in zip(keys, want):
@@ -631,11 +628,7 @@ def test_batch_counts_keep_the_shape_of_their_keys(pt1m):
 def test_batch_counts_written_over_their_keys_match_a_fresh_output(pt1m, monkeypatch, chunk):
     monkeypatch.setattr(prime_core, "_STEP", chunk)
     keys = np.arange(0, 10 ** 6, 977, dtype=np.int64)
-    fresh = pt1m.prime_count_batch(keys)
-    shared = keys.copy()
-    assert pt1m.prime_count_batch(shared, out=shared) is shared  # the scan's in-place use
-    assert np.array_equal(shared, fresh)
-    assert fresh.tolist() == scalar_counts(pt1m, keys)
+    assert pt1m.prime_count_batch(keys).tolist() == scalar_counts(pt1m, keys)
 
 
 def test_batch_counts_of_sparse_keys_hold_one_step_of_words(pt_wide, pt1m, monkeypatch):
@@ -671,12 +664,11 @@ def test_flag_bytes_not_padded_to_whole_words_are_refused(tmp_path):
     pt = prime_core.build(1000)
     for padded in (pt, saved_and_loaded(pt, tmp_path / "primes.rppt")):  # 34 bytes in 5 words
         assert np.shares_memory(padded._words, padded._packed) and padded._words.size == 5
-    copied = prime_core.PrimeTable(pt.limit, pt._packed.copy())  # 34 bytes, no padding
-    assert copied.prime_count(1000) == 168
-    with pytest.raises(ValueError, match="not padded to whole 8-byte words"):
-        copied.prime_count_batch([1000])
-    with pytest.raises(ValueError, match="not padded to whole 8-byte words"):
-        ramanujan_core.compute_first(10, copied)  # the scan counts through the same words
+    # 34 bytes with no padding; bytes that are not a buffer's start; 33 bytes whose word
+    # goes on to a byte of flags, which the superblock counts would count
+    for flags in (pt._packed.copy(), pt._packed[1:], pt._packed[:33]):
+        with pytest.raises(ValueError, match="do not start a buffer of whole 8-byte words"):
+            prime_core.PrimeTable(pt.limit, flags)
 
 
 def test_saved_flags_hold_no_padding(tmp_path):
@@ -756,9 +748,40 @@ def test_primes_between_windows(pt1m, sieve1m):
         assert pt1m.primes_between(lo, hi).tolist() == expected.tolist()
 
 
-@pytest.mark.parametrize("chunk", [16, 48, 1 << 16])  # flag bytes per counting step
+@pytest.mark.parametrize("step", [1, 3])  # 8 and 24 bits a decode step
+@pytest.mark.parametrize("density", [0.05, 0.5])
+def test_the_one_decoder_matches_unpackbits(monkeypatch, step, density):
+    monkeypatch.setattr(prime_core, "_STEP", step)
+    rng = np.random.default_rng(int(100 * density) + step)
+    packed = table_file.word_padded(40)  # 320 bits, 5 words
+    packed[:] = np.packbits(rng.random(320) < density, bitorder="little")
+    bits = np.flatnonzero(np.unpackbits(packed, bitorder="little"))
+    # every bit edge of a byte, a word and a step, and one either side
+    edges = sorted({e + d for e in range(0, 321, 8) for d in (-1, 0, 1) if 0 <= e + d <= 320})
+    for lo in edges:
+        for hi in edges:
+            steps = list(prime_core.mask_positions(packed, lo, hi))
+            assert len(steps) == max(-(-(hi - lo) // (8 * step)), 0)  # one array a step
+            assert all(s.dtype == np.int64 for s in steps)
+            got = np.concatenate([np.zeros(0, np.int64), *steps])
+            assert got.tolist() == bits[(bits >= lo) & (bits < hi)].tolist(), (lo, hi)
+    # the flags' reader: the same bytes as the flags of the integers below 1200, 30 a byte
+    pt = prime_core.PrimeTable(1199, packed)
+    ints = 30 * (bits >> 3) + np.array(WHEEL)[bits & 7]
+    ends = sorted({e + d for e in range(0, 1201, 30) for d in (-1, 0, 1) if 0 <= e + d <= 1199})
+    for lo in ends[::3]:
+        for hi in ends:
+            got = np.concatenate([np.zeros(0, np.int64), *pt._flag_bits(lo, hi)])
+            assert got.tolist() == bits[(ints >= lo) & (ints <= hi)].tolist(), (lo, hi)
+    # the mask's reader: the positions below each edge, sized by a popcount
+    for stop in edges:
+        got = ramanujan_core._positions(stop, packed, stop, lambda i: i)
+        assert got.tolist() == bits[bits < stop].tolist(), stop
+
+
+@pytest.mark.parametrize("chunk", [16, 48, 1 << 16])  # flag bytes per step of the decode
 def test_nth_prime_across_checkpoint_boundaries(monkeypatch, tmp_path, chunk):
-    monkeypatch.setattr(prime_core, "_COUNT_BYTES", chunk)
+    monkeypatch.setattr(prime_core, "_STEP", chunk)  # nth_prime decodes its superblock
     limit = 10 ** 5 + 3
     primes = np.flatnonzero(prime_core.simple_sieve_flags(limit))
     for shift in SHIFTS:
@@ -774,7 +797,6 @@ def test_nth_prime_across_checkpoint_boundaries(monkeypatch, tmp_path, chunk):
 
 def test_prime_list_extracts_across_chunk_edges(monkeypatch):
     monkeypatch.setattr(prime_core, "_STEP", 4)  # 32 flag bits, 120 integers, per step
-    monkeypatch.setattr(prime_core, "_COUNT_BYTES", 4)  # and the counting pass in small steps
     pt = prime_core.build(10 ** 5)
     flags = prime_core.simple_sieve_flags(10 ** 5)
     for x in (2, 3, 5, 7, 119, 120, 121, 239, 240, 241, 1000, 10 ** 5):  # each x extracts afresh

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ramprimes import gap_analysis, prime_core, ramanujan_core, table_file
 from ramprimes.errors import CoverageError, InternalConsistencyError, ResourceLimitError
+from ramprimes.prime_core import mask_bits
 from ramprimes.ramanujan_core import (
     LAISHRAM_LIMIT,
     BoundsReport,
@@ -23,7 +24,6 @@ from ramprimes.ramanujan_core import (
     compute_first,
     last_violation_below_threshold,
     log_bound_failures,
-    mask_bits,
     max_ratio,
     rank_scaling_threshold,
     rank_scaling_violations,
@@ -183,7 +183,7 @@ def test_scan_half_counts_match_prime_count_at_every_small_limit():
             p = primes[(primes >= lo) & (primes <= hi)]
             a = pt.prime_count(lo - 1)
             bits, out, words, shifts = np.empty((4, p.size), dtype=np.int64)
-            small = ramanujan_core._half_counts(pt, lo, hi, a, bits, out, words, shifts)
+            small = pt.half_counts(lo, hi, a, bits, out, words, shifts)
             assert small == [q for q in (2, 3, 5) if lo <= q <= hi], (limit, lo, hi)
             assert out.tolist() == [pt.prime_count((q - 1) // 2) - a for q in p.tolist()], \
                 (limit, lo, hi)
@@ -685,7 +685,7 @@ def laishram_int64():
 def outcome(call):
     try:
         report = call()
-        return report.n, report.ratio
+        return report.argmax_n, report.ratio
     except (ValueError, InternalConsistencyError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -726,7 +726,7 @@ def test_theorem4_holds_less_than_three_int64_arrays(rt_laishram, pt_wide):
         assert verify_max_ratio_bound(rt_laishram, pt_wide)
         excluded = set()
         for want in (5, 10, 2):
-            excluded.add(max_ratio(rt_laishram, LAISHRAM_LIMIT, excluded, pt_wide).n)
+            excluded.add(max_ratio(rt_laishram, LAISHRAM_LIMIT, excluded, pt_wide).argmax_n)
             assert want in excluded
 
     theorem4()  # the prime list through p_3N is memoized before tracing
@@ -771,7 +771,7 @@ def test_max_ratio_is_exact_not_floating(pt1m):
     rt = compute_first(30, pt1m)
     report = max_ratio(rt, 30, set(), pt1m)
     assert isinstance(report.ratio, Fraction)
-    assert report.ratio == Fraction(rt.value(report.n), pt1m.nth_prime(3 * report.n))
+    assert report.ratio == Fraction(rt.value(report.argmax_n), pt1m.nth_prime(3 * report.argmax_n))
 
 
 def test_verify_max_ratio_bound(rt_laishram, pt_wide):
@@ -895,9 +895,9 @@ def test_saved_file_bytes_are_pinned(tmp_path):
         "7597237bc98be64b91863850bcd67e6f97f11d6930861fb2107e0edb38ec7740"
 
 
-@pytest.mark.parametrize("chunk", [ramanujan_core._WALK_CHUNK, 7])  # one decode step, or many
-def test_loaded_masks_match_search(tmp_path, pt1m, monkeypatch, chunk):
-    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
+@pytest.mark.parametrize("step", [prime_core._STEP, 1])  # one decode step, or many of 8 bits
+def test_loaded_masks_match_search(tmp_path, pt1m, monkeypatch, step):
+    monkeypatch.setattr(prime_core, "_STEP", step)
     path = tmp_path / "ramanujan.rprt"
     compute_below(10 ** 4, pt1m).save(path)
     small = prime_core.build(3000)  # lists fewer primes than the file covers
@@ -912,7 +912,7 @@ def test_loaded_masks_match_search(tmp_path, pt1m, monkeypatch, chunk):
 
 
 def test_load_peak_follows_the_step_not_the_list(tmp_path, rt_wide, pt_wide, monkeypatch):
-    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 1 << 12)
+    monkeypatch.setattr(prime_core, "_STEP", 1 << 9)  # 4,096 mask bits a decode step
     path = tmp_path / "ramanujan.rprt"
     rt_wide.below(10 ** 7).save(path)
     listed = pt_wide.primes_upto(10 ** 7 - 1)  # the prime list exists before tracing
@@ -970,12 +970,10 @@ def test_load_rejects_count_that_does_not_fit_payload(tmp_path, pt1m, offset, ma
 
 
 def test_bounds_report_fields():
-    report = BoundsReport(n=5, ratio=Fraction(41, 47))
+    report = BoundsReport(argmax_n=5, ratio=Fraction(41, 47))
     assert report.ratio.numerator == 41
     assert report.ratio.denominator == 47
-    assert report.argmax_n == report.n == 5  # one index, under two names
-    with pytest.raises(AttributeError):
-        report.argmax_n = 6
+    assert report.argmax_n == 5 and not hasattr(report, "n")  # one name for the index
 
 
 def test_load_rejects_values_failing_checksum(tmp_path, pt1m):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ramprimes import gap_analysis, ramanujan_core, run_stats
 from ramprimes.errors import CoverageError, NotFoundBelowBound
 from ramprimes.formatting import ratio_display, round_half_up
-from ramprimes.ramanujan_core import mask_bits
+from ramprimes.prime_core import mask_bits
 from ramprimes.run_stats import (
     NON_RAMANUJAN,
     RAMANUJAN,

@@ -100,7 +100,7 @@ def reference_lower_membership_violations(bound, rt, pt):
     """`lower_membership_violations` by two prime counts a pair: consecutive
     primes p < q <= bound, q Ramanujan and p not, with pi(p/2) == pi(q/2)."""
     listed = rt.classified_primes(pt)
-    bits = ramanujan_core.mask_bits(rt.mask, 0, int(prime_core.search(listed, bound, side="right")))
+    bits = prime_core.mask_bits(rt.mask, 0, int(prime_core.search(listed, bound, side="right")))
     i = np.flatnonzero(~bits[:-1] & bits[1:])
     p, q = listed[i], listed[i + 1]
     bad = pt.prime_count_batch(p // 2) == pt.prime_count_batch(q // 2)
@@ -141,9 +141,10 @@ class NineListed(prime_core.PrimeTable):
         primes = super().primes_upto(x)
         return np.insert(primes, 4, 9) if x >= 9 else primes
 
-    def prime_count_batch(self, values, out=None):
-        nine = np.asarray(values) >= 9  # read before `out`, which may be `values`, is written
-        return np.add(super().prime_count_batch(values, out), nine, out=out)
+    def prime_count_batch(self, values):
+        counts = super().prime_count_batch(values)
+        counts += np.asarray(values) >= 9
+        return counts
 
 
 @pytest.mark.parametrize("narrow", [np.uint32, np.int64])
@@ -374,7 +375,7 @@ def test_twin_pair_arrays_slice_the_whole_list_route(monkeypatch, narrow):
     rt = ramanujan_core.compute_below(10 ** 5, pt)
     listed, cov = rt.classified_primes(pt), rt.coverage(pt)
     i = np.flatnonzero(np.diff(listed) == 2)
-    bits = ramanujan_core.mask_bits(rt.mask, 0, listed.size)
+    bits = prime_core.mask_bits(rt.mask, 0, listed.size)
     ends = listed[i].tolist()  # bounds on, and next to, lesser members, up to the coverage edge
     bounds = {2, *ends[:40], *(p + d for p in ends[::29] + ends[-2:] for d in (-1, 0, 1)), cov - 2}
     table = rt.twin_pairs(pt)

@@ -96,7 +96,7 @@ def test_the_step_size_changes_no_answer(tables_1e6, monkeypatch, chunk, edges):
         t = rt.below(edge)
         listed = t.classified_primes(pt)
         i = np.flatnonzero(np.diff(listed) == 2)
-        bits = ramanujan_core.mask_bits(t.mask, 0, listed.size)
+        bits = prime_core.mask_bits(t.mask, 0, listed.size)
         assert default[edge]["twin_pairs"] == [listed[i].tolist(), bits[i].tolist(),
                                                bits[i + 1].tolist()]
 
