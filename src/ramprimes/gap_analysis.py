@@ -5,10 +5,10 @@ p to q, every integer in [(p+1)/2, (q+1)/2] is composite. A run is "sharp"
 when the integers just outside that interval are both prime. The single
 even Ramanujan prime 2 takes no part in any of this.
 
-Runs and their gaps are read by position from the classified prime list.
 Maximal runs (`run_stats.blocks_below`) and the windows of `first_sharp_run`
-are walked a step at a time from its mask, so the run checks keep only what
-they report and build no rank memo. The halves
+are walked a step at a time from the classified mask, and their first and
+last primes, Ramanujan primes, read from the values, so the run checks keep
+only what they report and build no prime list or rank memo. The halves
 of a twin Ramanujan pair sit in a prime gap of length 5 or more.
 `twin_gap_table` checks that for every covered pair, a step of pairs at a
 time, and keeps the gaps in the table's memo; `twin_gap_check` answers one
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
 from .prime_core import PrimeTable, mask_bits, search, table_dtype
-from .ramanujan_core import RamanujanTable, walk
+from .ramanujan_core import RamanujanTable, primes_at, walk
 from .run_stats import blocks_below
 
 DEFAULT_SHARP_SEARCH_BOUND = 20_000_000
@@ -43,13 +43,12 @@ class GapRecord:
     enclosing_gap: tuple[int, int]
 
 
-def _gap_ends(pt: PrimeTable, primes: np.ndarray, lo, hi):
-    """Ends a, b of the maximal prime gaps holding the prime-free [lo, hi],
-    elementwise: the primes just outside it, found by rank in the ascending
-    prime list `primes` from 2, which must hold a prime above each hi."""
-    a = primes[pt.prime_count_batch(lo - 1) - 1] + 1
-    b = primes[pt.prime_count_batch(hi)] - 1
-    return a, b
+def _gap_ends(pt: PrimeTable, lo):
+    """Ends a, b of the maximal prime gaps that start a prime-free stretch at
+    lo, elementwise, for ascending lo: the primes p_c and p_{c + 1} just outside
+    it, c = pi(lo - 1), picked from the steps (`primes_at`)."""
+    below, above = primes_at(pt, pt.prime_count_batch(np.asarray(lo) - 1))
+    return below + 1, above - 1
 
 
 def gap_for_run(start_index: int, run_length: int, rt: RamanujanTable, pt: PrimeTable) -> GapRecord:
@@ -63,11 +62,10 @@ def gap_for_run(start_index: int, run_length: int, rt: RamanujanTable, pt: Prime
     """
     if run_length < 1 or start_index < 1:
         raise ValueError(f"rank {start_index} and run length {run_length} must be >= 1")
-    primes = rt.classified_primes(pt)
     end = start_index + run_length - 1
-    if end > primes.size:
+    if end > rt.classified_count(pt):
         raise CoverageError(f"run p_{start_index}..p_{end} passes the classified primes")
-    p, q = int(primes[start_index - 1]), int(primes[end - 1])
+    p, q = pt.nth_prime(start_index), pt.nth_prime(end)
     if p == 2:
         raise ValueError("runs must consist of odd Ramanujan primes; 2 is excluded")
     if not all(mask_bits(rt.mask, lo, hi).all() for lo, hi in walk(start_index - 1, end)):
@@ -77,8 +75,9 @@ def gap_for_run(start_index: int, run_length: int, rt: RamanujanTable, pt: Prime
         raise InternalConsistencyError(
             f"prime found inside [{gap_lo}, {gap_hi}] for run ({p}, {q})"
         )
-    # q is listed above gap_hi, and gap_lo > 2, so both gap ends are in the list
-    a, b = map(int, _gap_ends(pt, primes, gap_lo, gap_hi))
+    # q lies above gap_hi, and gap_lo > 2, so p_c and p_{c + 1} are the gap's ends
+    c = pt.prime_count(gap_lo - 1)
+    a, b = pt.nth_prime(c) + 1, pt.nth_prime(c + 1) - 1
     return GapRecord(
         run_start=p,
         run_end=q,
@@ -102,34 +101,37 @@ def first_sharp_run(
     Sub-runs of longer runs qualify: the run is not required to be maximal.
     The classified mask is walked a `walk` step of window starts at a time,
     each step reading the r - 1 bits past its end, and the walk stops at the
-    first flanked window. A miss whose last window is cut off by the coverage
-    edge, all Ramanujan, is a CoverageError.
+    first flanked window, whose ends, Ramanujan primes, are read from the values.
+    A miss whose last window is cut off by the coverage edge, all Ramanujan, is
+    a CoverageError.
     """
     if r < 1:
         raise ValueError(f"run length must be >= 1, got {r}")
     rt.coverage(pt, search_bound - 1)
-    primes = rt.classified_primes(pt)
-    # windows start at the positions 1..n - 1, past the even prime 2 and below the
-    # bound. One starts at the i-th Ramanujan position of a step exactly when the
+    size = rt.classified_count(pt)
+    # windows start at the indices 1..n - 1, past the even prime 2 and below the
+    # bound. One starts at the i-th Ramanujan index of a step exactly when the
     # (i + r - 1)-th lies r - 1 on; a step's windows end before its end + r - 1
-    n = int(search(primes, search_bound))
+    n = pt.prime_count(search_bound - 1)
+    before = 1  # the Ramanujan primes below the step, whose values it reads from: R_1 = 2
     for lo, hi in walk(1, n):
-        ram = lo + np.flatnonzero(mask_bits(rt.mask, lo, min(hi + r - 1, primes.size)))
-        k = max(ram.size - r + 1, 0)  # the positions that have r - 1 more after them
-        starts = ram[:k][ram[r - 1 :] - ram[:k] == r - 1]
-        flanked = (pt.is_prime_batch((primes[starts] + 1) // 2 - 1)
-                   & pt.is_prime_batch((primes[starts + r - 1] + 1) // 2 + 1))
+        ram = lo + np.flatnonzero(mask_bits(rt.mask, lo, min(hi + r - 1, size)))
+        k = max(ram.size - r + 1, 0)  # the indices that have r - 1 more after them
+        at = np.flatnonzero(ram[r - 1 :] - ram[:k] == r - 1)  # windows, by first Ramanujan prime
+        first, last = rt.values[before + at], rt.values[before + at + r - 1]
+        flanked = pt.is_prime_batch((first + 1) // 2 - 1) & pt.is_prime_batch((last + 1) // 2 + 1)
         if flanked.any():
             break
+        before += int(np.searchsorted(ram, hi))
     else:
-        # windows cut off by the end of the list start after every whole one, so
-        # only a miss is in doubt: when the last window, from rank n >= 2, is
-        # cut off with every prime listed in it Ramanujan
-        if n + r - 1 > primes.size and n > 1 and mask_bits(rt.mask, n - 1, primes.size).all():
+        # windows cut off by the coverage edge start after every whole one, so
+        # only a miss is in doubt: when the last window, from index n >= 2, is
+        # cut off with every classified prime in it Ramanujan
+        if n + r - 1 > size and n > 1 and mask_bits(rt.mask, n - 1, size).all():
             raise CoverageError(f"a run from below {search_bound} is open at the coverage "
-                                f"edge; extend tables past {primes[-1]}")
+                                f"edge; extend tables past {pt.nth_prime(size)}")
         raise NotFoundBelowBound(search_bound)
-    record = gap_for_run(int(starts[flanked.argmax()]) + 1, r, rt, pt)  # re-validate it
+    record = gap_for_run(int(ram[at[flanked.argmax()]]) + 1, r, rt, pt)  # re-validate it
     if not record.sharp:
         raise InternalConsistencyError("sharp candidate failed re-validation")
     return record.run_start
@@ -159,7 +161,6 @@ def twin_gap_table(rt: RamanujanTable, pt: PrimeTable) -> tuple[np.ndarray, np.n
 
 
 def _build_twin_gaps(rt: RamanujanTable, pt: PrimeTable):
-    primes = rt.classified_primes(pt)
     twins, ram_lo, ram_hi = rt.twin_pairs(pt)
     start = int(search(twins, 3, side="right"))  # the pairs with p > 3
     lesser = twins[start:][ram_lo[start:] & ram_hi[start:]]
@@ -177,8 +178,8 @@ def _build_twin_gaps(rt: RamanujanTable, pt: PrimeTable):
         for offset in range(5):
             inside |= pt.is_prime_batch(span + offset)
         _require_none(inside, p, "prime inside the expected five-wide composite span")
-        # q = p + 2 is a listed prime above the halved pair, so the gap closes inside the list
-        a[lo:hi], b[lo:hi] = _gap_ends(pt, primes, gap_lo, gap_lo + 1)
+        # q = p + 2 is a classified prime above the halved pair, so the gap closes below it
+        a[lo:hi], b[lo:hi] = _gap_ends(pt, gap_lo)
         _require_none(b[lo:hi] - a[lo:hi] + 1 < 5, p, "enclosing gap shorter than 5")
     return lesser, a, b
 
@@ -229,14 +230,16 @@ def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[
 def _odd_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
     """Maximal runs of consecutive primes that are all odd Ramanujan primes,
     starting below `bound`, a walk step at a time: (start ranks, start
-    primes, end primes, lengths) as arrays. A block of either class still
-    open at the coverage edge is a CoverageError."""
+    primes, end primes, lengths) as arrays, the primes read from the values.
+    A block of either class still open at the coverage edge is a CoverageError."""
     rt.coverage(pt, bound - 1)
-    primes = rt.classified_primes(pt)
+    before = 1  # the Ramanujan primes before the step's first run: R_1 = 2, at index 0
     # the blocks of the primes past index 0, the even prime 2
-    for starts, lengths, values in blocks_below(int(search(primes, bound)), rt.mask, primes, 1):
+    for starts, lengths, values in blocks_below(pt.prime_count(bound - 1), rt, pt, 1):
         starts, lengths = starts[values], lengths[values]
-        yield starts + 1, primes[starts], primes[starts + lengths - 1], lengths
+        at = np.cumsum(lengths) - lengths + before
+        before += int(lengths.sum())
+        yield starts + 1, rt.values[at], rt.values[at + lengths - 1], lengths
 
 
 def half_point_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[int]:
@@ -248,14 +251,13 @@ def half_point_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> lis
 
 def run_interval_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[tuple[int, int]]:
     """Maximal odd-Ramanujan runs below `bound` whose halved interval
-    [lo, hi] contains a prime; provably none. Checked with one prime count
+    [lo, hi] contains a prime; provably none. Checked with two prime counts
     a run, a separate route from the flag scan in gap_for_run, as each walk
-    step closes its runs: the interval holds a prime when the prime after
-    lo - 1, at index pi(lo - 1) of the classified list, is at most hi.
+    step closes its runs: the interval holds a prime when pi(hi) > pi(lo - 1).
     """
     bad = []
     for _, start_p, end_p, _ in _odd_runs(rt, pt, bound):
         lo, hi = (start_p + 1) // 2, (end_p + 1) // 2
-        inside = rt.classified_primes(pt)[pt.prime_count_batch(lo - 1)] <= hi
+        inside = pt.prime_count_batch(hi) > pt.prime_count_batch(lo - 1)
         bad += zip(start_p[inside].tolist(), end_p[inside].tolist())
     return bad

@@ -1,6 +1,7 @@
 """Segmented sieve of Eratosthenes with packed mod-30 wheel flag storage,
 its segments split across forked processes that write one shared flag
-buffer, as they write the one prime list extracted from it.
+buffer. No prime list is kept: primes are decoded from the flags a step at
+a time, into a caller's workspace (`PrimeTable.primes_from`).
 
 A :class:`PrimeTable` answers primality, prime counting, and n-th prime
 queries for every integer in [2, limit]. Flags are kept one bit per integer
@@ -10,7 +11,8 @@ the bit of 1 is clear. This module alone reads that layout. :func:`_last_bit`
 and :func:`_integers` are the one mapping between integers and bits, with the
 tables `_LAST`, `_SHIFTS` and `_HALF_SHIFTS` (a prime's bit to that of
 (p - 1)/2), and :func:`mask_positions`, on :func:`mask_bits`, is the one
-decoder of packed bits, the flags' and the Ramanujan mask's.
+decoder of packed bits, the flags' and the Ramanujan mask's. Twin pairs are
+read from adjacent flag bits (`PrimeTable.twins`).
 
 A table views its flags in place as little-endian uint64 words, so they must
 start a buffer of whole words, as `build` and `load` allocate them
@@ -25,7 +27,7 @@ popcount of the words up to each key's word, and the popcount of that word up
 to the key's bit (`PrimeTable._through`, which `half_counts`, the Ramanujan
 scan's counts, shares).
 
-Tables of integers up to a limit, here the prime list and in
+Tables of integers up to a limit, here decoded primes and in
 :mod:`ramanujan_core` the Ramanujan values, take their dtype from
 :func:`table_dtype`: ``uint32`` while the limit stays 16 below 2**32, so
 that sums such as ``p + 5`` cannot wrap, and ``int64`` past it. Every
@@ -68,6 +70,7 @@ _LAST = (np.searchsorted(_WHEEL, np.arange(30), side="right") - 1).tolist()  # r
 _MASKS = np.zeros(30, dtype=np.uint8)  # r -> the bit of residue r in its byte, 0 off the wheel
 _MASKS[_WHEEL] = 1 << np.arange(8)
 _OUT_OF_BAND = (2, 3, 5)  # the primes with no flag bit
+_PAIRS = np.uint64(0x9494949494949494)  # bits 2, 4 and 7 of each flag byte: 11, 17 and 29 mod 30
 
 
 def _last_bit(x: int) -> int:
@@ -86,7 +89,7 @@ _HALF_SHIFTS = np.array([63 - _last_bit((30 * (j >> 3) + int(_WHEEL[j & 7])) // 
 
 def _integers(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Flag bit to integer: 30 * (i >> 3) + `_WHEEL`[i & 7] for each bit i of
-    the int64 `bits`, written into `out`, int64 or the prime list's dtype, which
+    the int64 `bits`, written into `out`, int64 or the table's dtype, which
     must not share memory with `bits`."""
     np.right_shift(bits, 3, out=out, casting="unsafe")
     out *= 30
@@ -167,8 +170,6 @@ class PrimeTable:
         self._packed = packed
         self._words = base.view(np.uint8)[: 8 * nwords].view("<u8")  # the flags in place
         self._supers = _superblock_counts(self._words)
-        self._prime_cache: np.ndarray | None = None
-        self._prime_cache_limit = -1
 
     @property
     def total_primes(self) -> int:
@@ -205,9 +206,12 @@ class PrimeTable:
             return _OUT_OF_BAND[n - 1]
         m = n - len(_OUT_OF_BAND)  # rank among the flagged primes
         blk = int(np.searchsorted(self._supers, m, side="left")) - 1
-        span = 240 << _SUPER_SHIFT  # integers per superblock: 30 per flag byte
-        flagged = self.primes_between(max(span * blk, 7), min(span * blk + span - 1, self.limit))
-        return int(flagged[m - int(self._supers[blk]) - 1])
+        first, m = blk << _SUPER_SHIFT, m - int(self._supers[blk])  # rank in the superblock
+        through = np.cumsum(np.bitwise_count(self._words[first : first + (1 << _SUPER_SHIFT)]))
+        w = int(np.searchsorted(through, m))  # the word of the m-th, and its place there
+        bit = 64 * (first + w) + int(np.flatnonzero(mask_bits(
+            self._packed, 64 * (first + w), 64 * (first + w + 1)))[m - 1 - (int(through[w - 1]) if w else 0)])
+        return 30 * (bit >> 3) + int(_WHEEL[bit & 7])
 
     # -- vectorized queries ------------------------------------------------
 
@@ -241,7 +245,7 @@ class PrimeTable:
         past the key's bit (`_through`, shared with `half_counts`), and the primes
         2, 3 and 5 up to the key. A step ends at the first key `_STEP` or more
         words on, so its temporaries stay within `_STEP` keys and words, and no
-        prime list is extracted. Keys that do not ascend are a ValueError."""
+        prime is decoded. Keys that do not ascend are a ValueError."""
         v = np.asarray(values)
         out = np.empty(v.shape, dtype=np.int64)
         keys, counts = v.reshape(-1), out.reshape(-1)
@@ -289,14 +293,14 @@ class PrimeTable:
         return out
 
     def primes_upto(self, x: int) -> np.ndarray:
-        """All primes <= x, ascending. The returned array is read-only."""
+        """All primes <= x, ascending, in the dtype of the table's limit: one decode of
+        the flags, which the table does not keep."""
         if not 0 <= x <= self.limit:
             raise ValueError(f"primes_upto argument {x} outside [0, {self.limit}]")
-        primes = self._primes_through(x)
-        return primes[: int(search(primes, x, side="right"))]
+        return self.primes_between(0, x, out=np.empty(self.prime_count(x), table_dtype(self.limit)))
 
     def primes_between(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """All primes in [lo, hi], ascending, read from the flags, not the prime list:
+        """All primes in [lo, hi], ascending, read from the flags:
         the prefix of `out` they fill (it must hold them all, in int64 or the table's
         dtype), or a new int64 array. Each step of flag bits that `_flag_bits` yields
         becomes integers in `out`."""
@@ -317,6 +321,35 @@ class PrimeTable:
         """The flag bits of the flagged primes in [lo, hi], ascending, as the int64
         arrays that `mask_positions` yields."""
         return mask_positions(self._packed, _last_bit(lo - 1) + 1, _last_bit(hi) + 1)
+
+    def twins(self, hi: int) -> np.ndarray:
+        """The lesser members p of the twin pairs (p, p + 2) with p + 2 <= hi, ascending, in
+        the table's dtype. Past 5/7 a pair is a set flag bit 2, 4 or 7 of a byte (`_PAIRS`:
+        11, 17, 29 mod 30) and the set bit after it, found in steps of `_STEP` words ANDed
+        with themselves shifted a bit down, counted, then unpacked from the bytes holding any."""
+        last = _last_bit(hi)
+        nwords = (last >> 6) + 1
+
+        def pairs(s):
+            w = self._words[s : min(s + _STEP, nwords) + 1]  # and the word after, if any
+            pair = w[: min(_STEP, nwords - s)] >> np.uint64(1)
+            pair[: w.size - 1] |= w[1:] << np.uint64(63)
+            pair &= w[: pair.size] & _PAIRS
+            if s + pair.size == nwords:
+                pair[-1] &= np.uint64((1 << (last & 63)) - 1)  # the lesser bits below `last`
+            return pair.view(np.uint8)
+
+        small = [p for p in (3, 5) if p + 2 <= hi]
+        count = sum(int(np.bitwise_count(pairs(s)).sum()) for s in range(0, nwords, _STEP))
+        out, at = np.empty(len(small) + count, dtype=table_dtype(self.limit)), len(small)
+        out[:at] = small
+        for s in range(0, nwords, _STEP):
+            pair = pairs(s)
+            byte = np.flatnonzero(pair != 0)
+            bits = np.flatnonzero(mask_bits(pair[byte], 0, 8 * byte.size))
+            bits = 8 * (byte[bits >> 3] + 8 * s) + (bits & 7)
+            at += _integers(bits, out[at : at + bits.size]).size
+        return out
 
     def half_counts(self, lo: int, hi: int, a: int, bits, out, words, shifts) -> list[int]:
         """pi((p - 1)/2) - a for each prime p in [lo, hi], ascending, into `out`, and p's
@@ -341,23 +374,6 @@ class PrimeTable:
             if lo <= 7 <= hi:
                 out[len(small)] -= 1  # but for 7: (7 - 1)/2 = 3 lies below 5
         return small
-
-    def _primes_through(self, x: int) -> np.ndarray:
-        """Cached ascending array of all primes <= max(x, previous requests), in
-        the dtype of the table's limit: one shared mapping that :func:`_extract`
-        fills in parts of whole sieve segments, one per process (`_processes`)."""
-        if self._prime_cache_limit < x:
-            x = min(max(x, 2), self.limit)
-            dtype = table_dtype(self.limit)
-            cache = table_file.word_padded(self.prime_count(x) * dtype.itemsize).view(dtype)
-            nseg = -(-(x + 1) // (30 * _SEGMENT_BYTES))
-            nproc = _processes(nseg)
-            cuts = [2, *(30 * _SEGMENT_BYTES * (nseg * k // nproc) for k in range(1, nproc)), x + 1]
-            _run_parts(list(zip(cuts, cuts[1:])), lambda part, parent: _extract(
-                self, cache, *part, parent), "prime list", "extracting the primes in [{}, {})")
-            cache.setflags(write=False)
-            self._prime_cache, self._prime_cache_limit = cache, x
-        return self._prime_cache
 
     # -- persistence ---------------------------------------------------------
 
@@ -532,17 +548,6 @@ def _sieve(packed, pattern, base, start: int, stop: int, parent: int | None = No
         for k, c in enumerate(columns):
             flags[:, k] = grid[:, c]
         packed[lo:hi] = np.packbits(flags, bitorder="little")
-
-
-def _extract(pt: PrimeTable, out, lo: int, hi: int, parent: int | None = None) -> None:
-    """Write the primes in [lo, hi) into `out` from index pi(lo - 1), a sieve
-    segment's integers at a time, so that parts fill one list with no merge. A
-    process forked by `parent` exits once that process is gone."""
-    at = pt.prime_count(lo - 1)
-    for s in range(lo, hi, 30 * _SEGMENT_BYTES):
-        if parent is not None and os.getppid() != parent:
-            os._exit(1)
-        at += pt.primes_between(s, min(s + 30 * _SEGMENT_BYTES, hi) - 1, out=out[at:]).size
 
 
 def _superblock_counts(words: np.ndarray) -> np.ndarray:

@@ -13,14 +13,17 @@ processes, as a suffix minimum combines across parts. It also marks each R_n
 in a bit mask over prime indices, the classification, which analytics read in
 place a `walk` step at a time, through `prime_core`'s one reader of packed
 bits (`mask_bits`), and a cache file stores, or, for twin pairs, from the
-memoized twin table (`RamanujanTable.twin_pairs`).
+memoized twin table (`RamanujanTable.twin_pairs`). No prime list is kept: an
+analytic that reads primes by position walks `steps`, decoded from the flags
+into one workspace that each step reuses, or picks them by rank (`primes_at`),
+and reads a Ramanujan prime from the values, at the count of those before it.
 
 The values take the dtype that `prime_core.table_dtype` gives for the
 scan's end p_3n, so they are ``uint32`` below 2**32, whether computed,
 loaded or cut by `below`, and every search of them goes through
 `prime_core.search`. The memoized ranks take the dtype `table_dtype` gives
-for the length of the classified list, and the twin table's lesser members
-the list's own dtype. Products of values or ranks remain only in the 13/15
+for the number of classified primes, and decoded primes, the twin table's
+lesser members among them, the prime table's. Products of values or ranks remain only in the 13/15
 check of Theorem 4 and in rank scaling, and are taken in int64, because a
 ``uint32`` array times a Python int stays ``uint32``.
 """
@@ -52,8 +55,30 @@ _WALK_CHUNK = 1 << 16  # prime indices per step of `walk`; bounds every analytic
 def walk(start: int, stop: int):
     """The steps (lo, hi), each at most `_WALK_CHUNK` long, that cover [start, stop)
     in order. An analytic carries its state from step to step, so that no
-    temporary grows with the classified prime list."""
+    temporary grows with the classified primes."""
     return ((lo, min(lo + _WALK_CHUNK, stop)) for lo in range(start, stop, _WALK_CHUNK))
+
+
+def steps(primes: PrimeTable, start: int, stop: int, mask: np.ndarray | None = None):
+    """For each `walk` step (lo, hi) of [start, stop): lo, the primes p_lo .. p_hi (the one
+    before the step, p_0 = 0, then its own), decoded from the flags into one workspace
+    that the next step overwrites, and the bits lo .. hi - 1 of the packed `mask`, if given."""
+    room = np.empty(min(_WALK_CHUNK, max(stop - start, 0)) + 1, dtype=table_dtype(primes.limit))
+    room[0] = primes.nth_prime(start) if start else 0
+    for lo, hi in walk(start, stop):
+        primes.primes_between(int(room[0]) + 1, top := primes.nth_prime(hi), out=room[1:])
+        yield lo, room[: hi - lo + 1], None if mask is None else mask_bits(mask, lo, hi)
+        room[0] = top
+
+
+def primes_at(primes: PrimeTable, ranks: np.ndarray) -> np.ndarray:
+    """p_r and p_{r+1} for each of the ascending `ranks` r >= 1, as the two rows of an
+    array in the table's dtype, picked from the `steps` from p_{ranks[0]}."""
+    out = np.empty((2, ranks.size), dtype=table_dtype(primes.limit))
+    for lo, p, _ in steps(primes, int(ranks[0]) if ranks.size else 0, int(ranks[-1]) + 1 if ranks.size else 0):
+        i = slice(*np.searchsorted(ranks, [lo, lo + p.size - 1]))
+        out[:, i] = p[ranks[i] - lo], p[ranks[i] - lo + 1]
+    return out
 
 
 def _positions(limit: int, mask: np.ndarray, stop: int, take) -> np.ndarray:
@@ -61,8 +86,7 @@ def _positions(limit: int, mask: np.ndarray, stop: int, take) -> np.ndarray:
     `table_dtype(limit)`. A popcount of the mask bytes sizes the one array, which one
     pass of `mask_positions` steps fills: no int64 array of every position is made,
     and the result is never held twice."""
-    size = int(np.bitwise_count(mask[: stop >> 3]).sum())  # the whole bytes below stop
-    out = np.empty(size + int(mask_bits(mask, stop & ~7, stop).sum()), dtype=table_dtype(limit))
+    out = np.empty(_set_below(mask, stop), dtype=table_dtype(limit))
     at = 0
     for i in mask_positions(mask, 0, stop):
         out[at : at + i.size] = take(i)
@@ -70,17 +94,21 @@ def _positions(limit: int, mask: np.ndarray, stop: int, take) -> np.ndarray:
     return out
 
 
+def _set_below(mask: np.ndarray, stop: int) -> int:
+    """The set bits of the packed `mask` below bit `stop`."""
+    return int(np.bitwise_count(mask[: stop >> 3]).sum() + mask_bits(mask, stop & ~7, stop).sum())
+
+
 def _twin_table(rt: RamanujanTable, primes: PrimeTable):
-    listed = rt.classified_primes(primes)
-    steps = list(walk(0, listed.size - 1))
-    size = sum(np.count_nonzero(listed[lo + 1 : hi + 1] - listed[lo:hi] == 2) for lo, hi in steps)
-    lesser, ram_lo, ram_hi = (np.empty(size, dtype) for dtype in (listed.dtype, bool, bool))
-    at = 0
-    for lo, hi in steps:
-        i = np.flatnonzero(listed[lo + 1 : hi + 1] - listed[lo:hi] == 2)
-        bits, out = mask_bits(rt.mask, lo, hi + 1), slice(at, at + i.size)
-        lesser[out], ram_lo[out], ram_hi[out] = listed[lo:hi][i], bits[i], bits[1:][i]
-        at += i.size
+    """The classified twin pairs (`PrimeTable.twins`) and their mask bits pi(p) - 1 and
+    pi(p), read a `walk` step of pairs at a time."""
+    lesser = primes.twins(rt.coverage(primes))
+    ram_lo, ram_hi = np.empty(lesser.size, dtype=bool), np.empty(lesser.size, dtype=bool)
+    for lo, hi in walk(0, lesser.size):
+        bit = primes.prime_count_batch(lesser[lo:hi]) - 1  # p's, and p + 2's one on
+        bits = mask_bits(rt.mask, int(bit[0]), int(bit[-1]) + 2)
+        bit -= bit[0]
+        ram_lo[lo:hi], ram_hi[lo:hi] = bits[bit], bits[bit + 1]
     return lesser, ram_lo, ram_hi
 
 
@@ -196,24 +224,22 @@ class RamanujanTable:
             memo[key] = value
         return memo[key]
 
-    def classified_primes(self, primes: PrimeTable) -> np.ndarray:
-        """Every prime both tables can classify: bit i of `mask` classifies the
-        (i + 1)-th. The primes from 2 to any covered bound are a prefix of this
-        list, so callers read a prefix of the mask instead of classifying again."""
-        return primes.primes_upto(self.coverage(primes))
+    def classified_count(self, primes: PrimeTable) -> int:
+        """How many primes both tables classify: bit i of `mask` classifies the (i + 1)-th."""
+        return primes.prime_count(self.coverage(primes))
 
     def twin_pairs(self, primes: PrimeTable):
         """The memoized, read-only twin table (lesser, ram_lo, ram_hi): the lesser member p
-        of every twin pair (p, p + 2) in the classified list, ascending, in its dtype, and
-        the mask bits of p and p + 2, which the twin analytics slice by prefix. Two passes
-        of `walk` steps build it, to count the pairs and then to fill the three arrays."""
+        of every twin pair (p, p + 2) of classified primes, ascending, in their dtype, and
+        the mask bits of p and p + 2, which the twin analytics slice by prefix, built from
+        adjacent flag bits and one prime count a pair (`_twin_table`)."""
         return self.derived(primes, "twins", _twin_table)
 
     def classified_ranks(self, primes: PrimeTable) -> np.ndarray:
         """Memoized pi(R_n) of each R_n both tables classify: the n-th prime the
         mask marks, one more than its position, in the dtype `table_dtype` gives
         for the mask's length. Only rank scaling and `prime_ranks` read it."""
-        n = self.classified_primes(primes).size
+        n = self.classified_count(primes)
         return self.derived(primes, "ranks",
                             lambda rt, _: _positions(n, rt.mask, n, lambda i: i + 1))
 
@@ -243,10 +269,13 @@ def load(path, primes: PrimeTable, below: int | None = None) -> RamanujanTable:
     if complete_below > scan_limit + 1:  # so the values fit the dtype of scan_limit + 1
         raise ValueError(f"{path}: complete below {complete_below}, past the scan to {scan_limit}")
     x = min(complete_below if below is None else below, complete_below, primes.limit + 1)
-    listed = primes.primes_upto(max(x - 1, 0))
-    if listed.size > 8 * mask.size:
+    size = primes.prime_count(max(x - 1, 0))
+    if size > 8 * mask.size:
         raise ValueError(f"{path}: {mask.size} mask bytes do not cover the primes below {x}")
-    values = _positions(scan_limit + 1, mask, listed.size, listed.__getitem__)
+    values = np.empty(_set_below(mask, size), dtype=table_dtype(scan_limit + 1))
+    at = 0
+    for _, p, bits in steps(primes, 0, size, mask):
+        at += np.compress(bits, p[1:], out=values[at : at + np.count_nonzero(bits)]).size
     if values.size > count or (x == complete_below and values.size < count):
         raise ValueError(f"{path}: {values.size} set bits below {x} do not fit count {count}")
     return RamanujanTable(values, scan_limit, x, mask)
@@ -398,11 +427,19 @@ def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:
 
 
 def _every_kth_prime(primes: PrimeTable, k: int, count: int) -> np.ndarray:
-    """p_k, p_2k, ..., p_(k * count): a read-only strided view of the memoized
-    prime list, or a CoverageError if the table holds fewer than k * count primes."""
+    """p_k, p_2k, ..., p_(k * count), picked from the steps, or a CoverageError if the
+    table holds fewer than k * count primes."""
     if primes.total_primes < k * count:
         raise CoverageError(f"needs p_{k * count}; table covers only {primes.limit}")
-    return primes.primes_upto(primes.nth_prime(k * count))[k - 1 :: k]
+    out = np.empty(count, dtype=table_dtype(primes.limit))
+    for lo, p, _ in steps(primes, 0, k * count):  # p[i] is p_(lo + i)
+        out[lo // k : (lo + p.size - 1) // k] = p[k * (lo // k + 1) - lo :: k]
+    return out
+
+
+def _p3n(table: RamanujanTable, primes: PrimeTable, count: int) -> np.ndarray:
+    """p_3, p_6, ..., p_(3 * count), which the checks of Theorem 4 read more than once, memoized."""
+    return table.derived(primes, ("p3n", count), lambda _, pt: _every_kth_prime(pt, 3, count))
 
 
 def log_bound_failures(table: RamanujanTable, max_n: int, primes: PrimeTable) -> list[int]:
@@ -445,7 +482,7 @@ def max_ratio(
     """
     if range_end < 1 or range_end > table.count:
         raise ValueError(f"range_end {range_end} outside [1, {table.count}]")
-    p3 = _every_kth_prime(primes, 3, range_end)
+    p3 = _p3n(table, primes, range_end)
     ratio = table.values[:range_end] / p3
     ratio[[n - 1 for n in exclusions if 1 <= n <= range_end]] = -1
     if ratio.max() < 0:
@@ -469,7 +506,7 @@ def verify_max_ratio_bound(table: RamanujanTable, primes: PrimeTable) -> bool:
     if table.count < LAISHRAM_LIMIT:
         raise CoverageError(f"needs the first {LAISHRAM_LIMIT} Ramanujan primes, "
                             f"table has {table.count}")
-    p3 = _every_kth_prime(primes, 3, LAISHRAM_LIMIT)
+    p3 = _p3n(table, primes, LAISHRAM_LIMIT)
     r15 = np.multiply(table.values[:LAISHRAM_LIMIT], 15, dtype=np.int64)  # uint32 would wrap
     below = r15 < np.multiply(p3, 13, dtype=np.int64)
     below[4] = True  # n = 5 is the one allowed exception

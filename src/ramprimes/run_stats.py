@@ -77,19 +77,20 @@ def walk_blocks(mask: np.ndarray, first: int, stop: int):
             start = int(ends[-1])
 
 
-def _open_edge(primes: np.ndarray) -> CoverageError:
-    return CoverageError(f"run at coverage edge unresolved; extend tables past {primes[-1]}")
+def _open_edge(pt: PrimeTable, size: int) -> CoverageError:
+    return CoverageError(f"run at coverage edge unresolved; extend tables past {pt.nth_prime(size)}")
 
 
-def blocks_below(n: int, mask: np.ndarray, primes: np.ndarray, first: int = 0):
-    """The blocks of the packed `mask` over the classified `primes` from index
-    `first` that start below index `n`, step by step as `walk_blocks` gives
-    them, stopping at the first step past `n`. If the last block, still open at
-    the coverage edge, is among them, its length is unknown: a CoverageError."""
-    for starts, lengths, values in walk_blocks(mask, first, primes.size):
+def blocks_below(n: int, rt: RamanujanTable, pt: PrimeTable, first: int = 0):
+    """The blocks of the classified mask from index `first` that start below index
+    `n`, step by step as `walk_blocks` gives them, stopping at the first step past
+    `n`. If the last block, still open at the coverage edge, is among them, its
+    length is unknown: a CoverageError."""
+    size = rt.classified_count(pt)
+    for starts, lengths, values in walk_blocks(rt.mask, first, size):
         k = int(np.searchsorted(starts, n))
-        if k and starts[k - 1] + lengths[k - 1] == primes.size:
-            raise _open_edge(primes)
+        if k and starts[k - 1] + lengths[k - 1] == size:
+            raise _open_edge(pt, size)
         yield starts[:k], lengths[:k], values[:k]
         if k < starts.size:
             return
@@ -101,13 +102,12 @@ def _longest_runs(bounds: list[int], rt: RamanujanTable, pt: PrimeTable) -> list
     the first bound above its first prime, as the reference run-length tables
     index runs (the run of 13 from 9901 counts for 10^4), and the maxima are
     carried upward. A step's starts ascend, so its bounds' blocks are
-    contiguous: one grouped maximum per step."""
+    contiguous: one grouped maximum per step. The bounds' indices are prime counts."""
     rt.coverage(pt, bounds[-1] - 1)
-    primes, mask = rt.classified_primes(pt), rt.mask
-    ns = search(primes, bounds)
+    ns = pt.prime_count_batch(np.array(bounds, dtype=np.int64) - 1)
     best = np.zeros((2, ns.size), dtype=np.int64)  # rows: non-Ramanujan, Ramanujan
     rows = np.array([[False], [True]])
-    for starts, lengths, values in blocks_below(int(ns[-1]), mask, primes):
+    for starts, lengths, values in blocks_below(int(ns[-1]), rt, pt):
         bucket = np.searchsorted(ns, starts, side="right")
         first = np.flatnonzero(np.diff(bucket, prepend=-1))  # each bucket's first block
         # each row holds its class's lengths and 0 for the other, which no maximum takes
@@ -131,14 +131,14 @@ def first_run_start(length: int, kind: str, rt: RamanujanTable, pt: PrimeTable) 
         raise ValueError(f"run length must be >= 1, got {length}")
     if kind not in (RAMANUJAN, NON_RAMANUJAN):
         raise ValueError(f"kind must be {RAMANUJAN!r} or {NON_RAMANUJAN!r}")
-    primes = rt.classified_primes(pt)
-    for starts, lengths, values in walk_blocks(rt.mask, 0, primes.size):
+    size = rt.classified_count(pt)
+    for starts, lengths, values in walk_blocks(rt.mask, 0, size):
         hits = np.flatnonzero((values == (kind == RAMANUJAN)) & (lengths >= length))
         if hits.size:
-            return int(primes[starts[hits[0]]])
-    if primes.size and mask_bits(rt.mask, primes.size - 1, primes.size)[0] == (kind == RAMANUJAN):
-        raise _open_edge(primes)
-    raise NotFoundBelowBound(int(primes[-1]) if primes.size else 0)
+            return pt.nth_prime(int(starts[hits[0]]) + 1)
+    if size and mask_bits(rt.mask, size - 1, size)[0] == (kind == RAMANUJAN):
+        raise _open_edge(pt, size)
+    raise NotFoundBelowBound(pt.nth_prime(size) if size else 0)
 
 
 def decade_reports(max_decade: int, rt: RamanujanTable, pt: PrimeTable) -> list[RunReport]:

@@ -6,9 +6,12 @@ at or below the bound; that convention reproduces the reference decade
 counts exactly and matches the usual twin-counting function.
 
 Both condition checks read consecutive primes p < q, so pi(q) = pi(p) + 1 and
-pi(p) - pi(p/2) + 1 == pi(q) - pi(q/2) reduces to pi(p/2) == pi(q/2): the prime
-after p/2, listed at index pi(p/2), lies past q/2, one prime count and one list
-read a pair. The reciprocal sums add each term's significand as an integer.
+pi(p) - pi(p/2) + 1 == pi(q) - pi(q/2) reduces to pi(p/2) == pi(q/2): no prime
+lies in (p/2, q/2]. The lower-membership check walks the primes in `steps` and
+takes two prime counts a pair. A twin pair, read from adjacent flag bits
+(`PrimeTable.twins`), has q/2 = p/2 + 1 in integer halves, so its check reads
+the one flag of (p + 1)/2. The reciprocal sums add each term's significand as
+an integer.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import CoverageError
 from .prime_core import PrimeTable, mask_bits, search
-from .ramanujan_core import RamanujanTable, walk
+from .ramanujan_core import RamanujanTable, steps, walk
 
 RATIO_CONJECTURE_MIN_BOUND = 10 ** 5
 
@@ -78,14 +81,13 @@ def lower_membership_violations(bound: int, rt: RamanujanTable, pt: PrimeTable) 
     too, so any returned pair marks an implementation bug.
     """
     rt.coverage(pt, bound)
-    listed = rt.classified_primes(pt)
     found = []
-    for lo, hi in walk(0, int(search(listed, bound, side="right")) - 1):
+    for lo, primes, _ in steps(pt, 1, pt.prime_count(bound)):  # q from p_2 = 3
         # only a pair with q Ramanujan and p not, where the mask rises, can be flagged
-        i = lo + np.flatnonzero(np.diff(mask_bits(rt.mask, lo, hi + 1).view(np.int8)) == 1)
-        p, q = listed[i], listed[i + 1]
-        # the condition holds: the prime after p/2, at most p, lies past q/2
-        bad = listed[pt.prime_count_batch(p // 2)] > q // 2
+        i = np.flatnonzero(np.diff(mask_bits(rt.mask, lo - 1, lo + primes.size - 1).view(np.int8)) == 1)
+        p, q = primes[i], primes[i + 1]
+        # the condition holds: no prime lies in (p/2, q/2]
+        bad = pt.prime_count_batch(p // 2) == pt.prime_count_batch(q // 2)
         found += zip(p[bad].tolist(), q[bad].tolist())
     return found
 
@@ -96,15 +98,10 @@ def twin_condition_violations(bound: int, pt: PrimeTable) -> list[tuple[int, int
     """
     if bound + 2 > pt.limit:
         raise CoverageError(f"scan to {bound} needs primes through {bound + 2}")
-    primes = pt.primes_upto(bound + 2)
-    found = []
-    for lo, hi in walk(0, primes.size - 1):
-        p = primes[lo:hi]
-        p = p[(primes[lo + 1 : hi + 1] - p == 2) & (p <= bound) & (p > 5)]
-        # the condition fails: the prime after p/2 is at most (p + 2)/2
-        bad = primes[pt.prime_count_batch(p // 2)] <= (p + 2) // 2
-        found += [(x, x + 2) for x in p[bad].tolist()]
-    return found
+    p = pt.twins(bound + 2)
+    p = p[p > 5]
+    # the condition fails: a prime lies in (p/2, (p + 2)/2], which holds only (p + 1)/2
+    return [(x, x + 2) for x in p[pt.is_prime_batch((p + 1) // 2)].tolist()]
 
 
 def check_one_sided_counts(bound: int, rt: RamanujanTable, pt: PrimeTable) -> bool:

@@ -26,6 +26,7 @@ EXTENDED = os.environ.get("RAMPRIMES_EXTENDED") == "1"
 EXTENDED_BOUND = 10 ** 9
 # SHA-256 of R_n < 10^9 + 10^5 as little-endian int64: 24,494,003 values
 EXTENDED_DIGEST = "22c91a40587b1abbce67ff4425d2198acdfa2eb714f28fab1bdeec6ff53f9395"
+EXTENDED_PEAK_MB = 400  # the tables, their memos and one analytic's steps; no prime list
 
 RUN_ROWS = {  # decade: (P display, expected ram, actual ram, expected non, actual non)
     1: (0.250, 1, 1, 2, 3),
@@ -110,6 +111,7 @@ def teardown_module():
     if EXTENDED:  # the peak memory of the whole run, ru_maxrss in KiB on Linux
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"ACCEPTANCE peak_rss {peak:.0f} MB")
+        assert peak < EXTENDED_PEAK_MB, f"peak RSS {peak:.0f} MB, over {EXTENDED_PEAK_MB} MB"
 
 
 def test_criterion_01_golden_sequence():

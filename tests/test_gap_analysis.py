@@ -136,7 +136,7 @@ def sharp_window_walk(r, rt, pt, search_bound):
     and try each window of r that starts below the bound. A window of Ramanujan
     primes that runs past the list is open at the coverage edge."""
     rt.coverage(pt, search_bound - 1)
-    primes = rt.classified_primes(pt)
+    primes = pt.primes_upto(rt.coverage(pt))
     primes, mask = primes.tolist(), mask_bits(rt.mask, 0, primes.size).tolist()
     for i in range(1, len(primes)):
         if primes[i] >= search_bound:
@@ -219,7 +219,7 @@ def test_twin_gap_table_is_built_once_and_read_only(pt1m, monkeypatch):
     rt = ramanujan_core.compute_below(10 ** 5, pt1m)
     first = twin_gap_table(rt, pt1m)
     # answering a pair needs neither a prime list nor a mask once the table exists
-    monkeypatch.setattr(rt, "classified_primes", None)
+    monkeypatch.setattr(pt1m, "primes_between", None)
     monkeypatch.setattr(pt1m, "primes_upto", None)
     assert all(x is y for x, y in zip(twin_gap_table(rt, pt1m), first))
     assert twin_gap_check(149, 151, rt, pt1m) == (74, 78)

@@ -53,7 +53,7 @@ def peak_bytes(call) -> int:
 
 def test_no_call_allocates_a_copy_of_its_table(rt_wide, pt_wide, pt1m):
     values = rt_wide.values
-    primes = pt_wide.primes_upto(pt_wide.limit)  # the cached prime list, built once
+    primes = pt_wide.primes_upto(pt_wide.limit)  # the prime list, decoded whole
     lesser, _, _ = gap_analysis.twin_gap_table(rt_wide, pt_wide)
     assert values.dtype == primes.dtype == lesser.dtype == np.uint32
     p = int(lesser[lesser.size // 2])
@@ -74,7 +74,7 @@ def test_no_call_allocates_a_copy_of_its_table(rt_wide, pt_wide, pt1m):
     # packed mask in place: no array of one entry per listed prime
     listed = pt1m.primes_upto(pt1m.limit)
     past = dataclasses.replace(rt_wide)  # a memo of its own
-    calls += [("classified mask", listed, lambda: past.classified_primes(pt1m))]
+    calls += [("classified mask", listed, lambda: past.classified_count(pt1m))]
     for name, table, call in calls:
         assert peak_bytes(call) < table.nbytes, name
 

@@ -260,7 +260,7 @@ def test_below_cuts_to_what_compute_below_gives(pt1m):
         assert_mask_is_search_mask(fresh, pt1m)
         assert cut.complete_below == fresh.complete_below == x
         assert cut.coverage(pt1m) == fresh.coverage(pt1m)
-        n = cut.classified_primes(pt1m).size
+        n = pt1m.primes_upto(cut.coverage(pt1m)).size
         assert mask_bits(cut.mask, 0, n).tolist() == mask_bits(fresh.mask, 0, n).tolist()
     with pytest.raises(CoverageError, match="complete below 10000"):
         wide.below(10 ** 4 + 1)
@@ -276,22 +276,14 @@ def test_compute_below_two_is_empty(pt1m):
     rt = compute_below(2, pt1m)
     assert rt.count == 0
     assert rt.membership_mask(np.array([], dtype=np.int64)).size == 0
-    assert rt.classified_primes(pt1m).size == 0
+    assert pt1m.primes_upto(rt.coverage(pt1m)).size == 0
     with pytest.raises(ValueError):
         rt.value(1)
 
 
-def test_classified_primes_share_one_mask(rt_wide, pt_wide):
-    primes = rt_wide.classified_primes(pt_wide)
-    assert np.array_equal(primes, pt_wide.primes_upto(rt_wide.complete_below - 1))
-    assert np.array_equal(mask_bits(rt_wide.mask, 0, primes.size), rt_wide.membership_mask(primes))
-    assert np.shares_memory(rt_wide.classified_primes(pt_wide), primes)  # the one cached list
-    assert "mask" not in rt_wide._derived  # the packed mask is the classification
-
-
 def test_classified_primes_mask_is_read_only(rt_wide, pt_wide):
-    primes = rt_wide.classified_primes(pt_wide)
-    for array in (rt_wide.mask, primes, compute_first(100, pt_wide).mask):
+    assert rt_wide.classified_count(pt_wide) == pt_wide.prime_count(rt_wide.complete_below - 1)
+    for array in (rt_wide.mask, compute_first(100, pt_wide).mask):
         with pytest.raises(ValueError):
             array[0] = 0
         with pytest.raises(ValueError):
@@ -299,7 +291,7 @@ def test_classified_primes_mask_is_read_only(rt_wide, pt_wide):
 
 
 def test_twin_table_lists_the_twin_pairs_read_only(rt_wide, pt_wide):
-    primes = rt_wide.classified_primes(pt_wide)
+    primes = pt_wide.primes_upto(rt_wide.coverage(pt_wide))
     table = rt_wide.twin_pairs(pt_wide)
     lesser, ram_lo, ram_hi = table
     # a second route: the flags say which listed primes p have p + 2 prime
@@ -398,13 +390,13 @@ def test_scan_decodes_each_unsettled_block_once(pt1m, monkeypatch):
     def no_prime_list(*_):
         raise AssertionError("the scan read a prime list")
 
-    for name in ("primes_upto", "_primes_through"):
+    for name in ("primes_upto", "primes_between"):
         monkeypatch.setattr(pt1m, name, no_prime_list)
     monkeypatch.setattr(ramanujan_core, "_SCAN_BLOCK", 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one process walks every block
     assert np.array_equal(compute_first(300, pt1m).values, expected)
     blocks = [(lo, min(lo + 63, top)) for lo in range(1, top + 1, 64)][::-1]
-    decoded = calls[1:]  # calls[0] is nth_prime(900) finding p_900
+    decoded = calls  # nth_prime(900), finding p_900, decodes one flag word, not a block
     assert decoded == [b for b in blocks if b in decoded]  # right to left, once each
     assert (len(decoded), len(blocks)) == (79, 110)
     # two counts settle every block above R_300 = 4987 but the first one;
@@ -629,14 +621,14 @@ def test_log_bound_failures_need_the_table_and_the_primes(pt1m):
         log_bound_failures(rt, 5, prime_core.build(50))
 
 
-def test_every_kth_prime_is_a_strided_view_of_the_prime_list(pt1m):
+def test_every_kth_prime_is_a_strided_view_of_the_prime_list(pt1m, monkeypatch):
     listed = pt1m.primes_upto(pt1m.limit)  # 78498 primes
-    for k, count in ((1, 1), (1, 78498), (2, 7), (3, 26166), (4, 19624)):
-        view = ramanujan_core._every_kth_prime(pt1m, k, count)
-        assert view.size == count and np.shares_memory(view, listed)
-        assert not view.flags.writeable
-        assert np.array_equal(view, listed[k - 1 : k * count : k])
-        assert [int(view[i - 1]) for i in (1, count)] == [pt1m.nth_prime(k), pt1m.nth_prime(k * count)]
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 1000)  # picks from many steps
+    for k, count in ((1, 1), (1, 78498), (2, 7), (3, 26166), (4, 19624), (999, 78), (1001, 78)):
+        picked = ramanujan_core._every_kth_prime(pt1m, k, count)
+        assert picked.size == count and picked.dtype == listed.dtype
+        assert np.array_equal(picked, listed[k - 1 : k * count : k])
+        assert [int(picked[i - 1]) for i in (1, count)] == [pt1m.nth_prime(k), pt1m.nth_prime(k * count)]
     with pytest.raises(CoverageError, match=r"^needs p_78501; table covers only 1000000$"):
         ramanujan_core._every_kth_prime(pt1m, 3, 26167)
     with pytest.raises(CoverageError, match=r"^needs p_78499;"):
@@ -912,10 +904,11 @@ def test_loaded_masks_match_search(tmp_path, pt1m, monkeypatch, step):
 
 
 def test_load_peak_follows_the_step_not_the_list(tmp_path, rt_wide, pt_wide, monkeypatch):
-    monkeypatch.setattr(prime_core, "_STEP", 1 << 9)  # 4,096 mask bits a decode step
+    monkeypatch.setattr(prime_core, "_STEP", 1 << 9)  # 4,096 flag bits a decode step
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 1 << 12)  # and 4,096 primes a walk step
     path = tmp_path / "ramanujan.rprt"
     rt_wide.below(10 ** 7).save(path)
-    listed = pt_wide.primes_upto(10 ** 7 - 1)  # the prime list exists before tracing
+    listed = np.empty(pt_wide.prime_count(10 ** 7 - 1))  # as many as the primes it reads
     tracemalloc.start()
     try:
         loaded = ramanujan_core.load(path, pt_wide)
@@ -924,8 +917,8 @@ def test_load_peak_follows_the_step_not_the_list(tmp_path, rt_wide, pt_wide, mon
         tracemalloc.stop()
     assert np.array_equal(loaded.values, rt_wide.values[: loaded.count])
     # beside the values (the mask bytes are a mapping, which tracemalloc does not
-    # see), one decode step; unpacking the whole mask took one byte per listed
-    # prime, 0.66 MB of a 1.17 MB peak here
+    # see), one walk step of primes and its mask bits; unpacking the whole mask
+    # took one byte per listed prime, 0.66 MB of a 1.17 MB peak here
     assert peak - loaded.values.nbytes < listed.size // 4, (peak, listed.size)
 
 
@@ -988,7 +981,7 @@ def test_load_rejects_values_failing_checksum(tmp_path, pt1m):
 
 def test_classified_mask_includes_a_ramanujan_prime_at_the_coverage_edge(pt1m):
     rt = compute_below(30, pt1m)  # classification ends at 29 = R_4
-    primes = rt.classified_primes(pt1m)
+    primes = pt1m.primes_upto(rt.coverage(pt1m))
     mask = mask_bits(rt.mask, 0, primes.size)
     assert primes[-1] == 29 and mask[-1]
     assert np.array_equal(mask, rt.membership_mask(primes))

@@ -60,7 +60,7 @@ def run_starts(mask, length):
 
 def classified(rt, pt):
     """The classified primes and their mask, unpacked whole: the reference."""
-    primes = rt.classified_primes(pt)
+    primes = pt.primes_upto(rt.coverage(pt))
     return primes, mask_bits(rt.mask, 0, primes.size)
 
 

@@ -99,7 +99,7 @@ def reference_twin_condition_violations(bound, pt):
 def reference_lower_membership_violations(bound, rt, pt):
     """`lower_membership_violations` by two prime counts a pair: consecutive
     primes p < q <= bound, q Ramanujan and p not, with pi(p/2) == pi(q/2)."""
-    listed = rt.classified_primes(pt)
+    listed = pt.primes_upto(rt.coverage(pt))
     bits = prime_core.mask_bits(rt.mask, 0, int(prime_core.search(listed, bound, side="right")))
     i = np.flatnonzero(~bits[:-1] & bits[1:])
     p, q = listed[i], listed[i + 1]
@@ -133,13 +133,20 @@ def with_flag_set(pt, k):
 
 
 class NineListed(prime_core.PrimeTable):
-    """A prime table that also lists the odd 9 as a prime, in its prime list and
-    its counts. No flag bit stands for 9, a multiple of 3, so the change is made
-    to the table's answers."""
+    """A prime table that also lists the odd 9 as a prime, in its prime list, its
+    twin pairs (7, 9) and (9, 11), its counts and its flag reads. No flag bit stands
+    for 9, a multiple of 3, so the change is made to the table's answers."""
 
     def primes_upto(self, x):
         primes = super().primes_upto(x)
         return np.insert(primes, 4, 9) if x >= 9 else primes
+
+    def twins(self, hi):
+        lesser = super().twins(hi)
+        return np.insert(lesser, 2, [p for p in (7, 9) if p + 2 <= hi])
+
+    def is_prime_batch(self, values):
+        return super().is_prime_batch(values) | (np.asarray(values) == 9)
 
     def prime_count_batch(self, values):
         counts = super().prime_count_batch(values)
@@ -328,20 +335,22 @@ def test_brun_sum_stays_under_heuristic_limit(rt_wide, pt_wide):
 def test_scans_slice_the_one_classified_prime_list(scan, monkeypatch):
     pt = prime_core.build(ramanujan_core.prime_limit_for_below(10 ** 5))
     rt = ramanujan_core.compute_below(10 ** 5, pt)
-    built = []  # every prime list the table makes
-    through = pt._primes_through
+    want = scan(10 ** 4, rt, pt)
+    rt = ramanujan_core.compute_below(10 ** 5, pt)  # a fresh memo
+    sizes = []  # the primes of each decode, one walk step or less
 
-    def spy(x):
-        cache = through(x)
-        if not built or cache is not built[-1]:
-            built.append(cache)
-        return cache
+    def spy(lo, hi, out=None):
+        sizes.append((found := decode(lo, hi, out)).size)
+        return found
 
-    monkeypatch.setattr(pt, "_primes_through", spy)
-    scan(10 ** 4, rt, pt)
-    listed = rt.classified_primes(pt)
-    assert len(built) == 1 and pt._prime_cache is built[0]
-    assert np.shares_memory(listed, built[0])
+    decode = pt.primes_between
+    monkeypatch.setattr(pt, "primes_between", spy)
+    monkeypatch.setattr(pt, "primes_upto", None)  # the classification is read with no list
+    got = scan(10 ** 4, rt, pt)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want)) if isinstance(want, tuple) else got == want
+    assert max(sizes, default=0) <= ramanujan_core._WALK_CHUNK
+    assert all(a.size < rt.classified_count(pt) for v in rt._derived.values()
+               for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray))
 
 
 def test_twin_scans_share_one_twin_table(monkeypatch):
@@ -373,7 +382,7 @@ def test_twin_pair_arrays_slice_the_whole_list_route(monkeypatch, narrow):
     monkeypatch.setattr(prime_core, "_NARROW", narrow)  # int64 stands in for tables past 2**32
     pt = prime_core.build(ramanujan_core.prime_limit_for_below(10 ** 5))
     rt = ramanujan_core.compute_below(10 ** 5, pt)
-    listed, cov = rt.classified_primes(pt), rt.coverage(pt)
+    listed, cov = pt.primes_upto(rt.coverage(pt)), rt.coverage(pt)
     i = np.flatnonzero(np.diff(listed) == 2)
     bits = prime_core.mask_bits(rt.mask, 0, listed.size)
     ends = listed[i].tolist()  # bounds on, and next to, lesser members, up to the coverage edge

@@ -94,7 +94,7 @@ def test_the_step_size_changes_no_answer(tables_1e6, monkeypatch, chunk, edges):
     assert default[10_008]["first_sharp_run"][4][0] == "NotFoundBelowBound"
     for edge in edges:  # the twin table, filled step by step, equals one whole-list diff
         t = rt.below(edge)
-        listed = t.classified_primes(pt)
+        listed = pt.primes_upto(t.coverage(pt))
         i = np.flatnonzero(np.diff(listed) == 2)
         bits = prime_core.mask_bits(t.mask, 0, listed.size)
         assert default[edge]["twin_pairs"] == [listed[i].tolist(), bits[i].tolist(),
@@ -113,7 +113,7 @@ def peak_bytes(call) -> int:
 def test_walked_analytics_peak_far_below_one_list_sized_array(rt_wide, pt_wide, monkeypatch):
     monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 1 << 10)
     rt = rt_wide.below(10 ** 7 + 10 ** 5)  # a fresh memo, so the twin table is built below
-    listed = rt.classified_primes(pt_wide)
+    listed = pt_wide.primes_upto(rt.coverage(pt_wide))
     list_int64 = listed.size * 8
     calls = {
         "decade_reports": lambda: run_stats.decade_reports(7, rt, pt_wide),
@@ -134,8 +134,9 @@ def memo_bytes(rt) -> int:
 def test_no_memo_holds_or_builds_a_byte_per_classified_prime(rt_wide, pt_wide, monkeypatch):
     chunk = 1 << 10
     monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
+    monkeypatch.setattr(prime_core, "_STEP", chunk)  # and a decode of the flags, 8 * chunk bits
     rt = rt_wide.below(rt_wide.complete_below)  # a fresh memo
-    n = rt.classified_primes(pt_wide).size  # the prime list, which the prime table keeps
+    n = rt.classified_count(pt_wide)  # the classified primes, of which the prime table keeps no list
     builds = {  # each with its bound on what it allocates beside what it keeps
         "twin_pairs": (lambda: rt.twin_pairs(pt_wide), n // 2),
         "classified_ranks": (lambda: rt.classified_ranks(pt_wide), n // 2),
@@ -158,7 +159,6 @@ def test_first_sharp_run_peak_follows_the_step_not_the_list(rt_wide, pt_wide, mo
     chunk = 1 << 10
     monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
     rt = rt_wide.below(rt_wide.complete_below)  # a fresh memo
-    rt.classified_primes(pt_wide)
     rt.classified_ranks(pt_wide)  # every memo exists before the calls are traced
     for r, start in ((1, 11), (4, 7187), (11, 12034427)):  # the last walks 12e6 integers
         found = []
@@ -179,3 +179,66 @@ def test_strict_ratios_peak_follows_the_step_not_the_pairs(rt_wide, pt_wide, mon
     # about 50 bytes per step position; the bound is below one byte per pair (112,103
     # here), while the running counts over all pairs were five int64 arrays of them
     assert found == [True] and peak < 64 * chunk < pairs, (peak, pairs)
+
+
+def test_paper_analytics_decode_the_flags_a_walk_step_at_a_time(wide_tables, monkeypatch):
+    """The analytics of one pass over the paper's tables, on the acceptance tables:
+    each decode of the flags to primes holds at most one `walk` step, and neither
+    table keeps a prime list."""
+    pt, rt, _ = wide_tables
+    rt = rt.below(rt.complete_below)  # a fresh memo
+    step = ramanujan_core._WALK_CHUNK
+    sizes = []  # the primes of each decode: a whole array, or each step of a generator
+
+    def spied(decode):
+        def call(*args, **kwargs):
+            if isinstance(found := decode(*args, **kwargs), np.ndarray):
+                sizes.append(found.size)
+                return found
+            return (sizes.append(run[1].size - 1) or run for run in found)  # (lo, p_lo..p_hi, bits)
+        return call
+
+    for owner, name in ((pt, "primes_between"), (pt, "primes_upto"), (ramanujan_core, "steps"),
+                        (twin_stats, "steps"), (gap_analysis, "steps")):
+        if hasattr(owner, name):  # each decoder of the flags to primes that the modules use
+            monkeypatch.setattr(owner, name, spied(getattr(owner, name)))
+    bound = 10 ** 7
+    run_stats.decade_reports(7, rt, pt)
+    for decade in range(1, 8):
+        twin_stats.twin_census(10 ** decade, rt, pt)
+    for kind in (twin_stats.KIND_ALL, twin_stats.KIND_AT_LEAST_ONE, twin_stats.KIND_BOTH):
+        twin_stats.brun_partial(bound, kind, rt, pt)
+    assert twin_stats.ratio_inequalities_strict(bound, rt, pt)
+    assert twin_stats.twin_condition_violations(bound, pt) == []
+    assert twin_stats.lower_membership_violations(bound, rt, pt) == []
+    assert gap_analysis.half_point_violations(rt, pt, bound) == []
+    assert gap_analysis.run_interval_violations(rt, pt, bound) == []
+    gap_analysis.twin_gap_table(rt, pt)
+    for r in range(1, 12):
+        gap_analysis.first_sharp_run(r, rt, pt)
+    for m in range(2, 21):
+        assert ramanujan_core.rank_scaling_violations(rt, m, bound, pt) == []
+    assert ramanujan_core.verify_max_ratio_bound(rt, pt)
+    ramanujan_core.max_ratio(rt, ramanujan_core.LAISHRAM_LIMIT, set(), pt)
+    assert sizes and max(sizes) <= step, max(sizes)
+    arrays = sorted(name for name, v in vars(pt).items() if isinstance(v, np.ndarray))
+    assert arrays == ["_packed", "_supers", "_words"]  # no prime list
+    size = rt.classified_count(pt)
+    assert all(a.size < size // 2 for v in rt._derived.values()
+               for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1000])
+def test_steps_decode_each_step_after_the_prime_before_it(pt1m, monkeypatch, chunk):
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
+    primes = pt1m.primes_upto(10 ** 4)
+    listed = np.concatenate((np.zeros(1, primes.dtype), primes))  # p_0 = 0, then p_1 = 2 on
+    mask = np.packbits(np.arange(listed.size) % 3 == 0, bitorder="little")
+    for start, stop in ((0, 1), (0, 5), (1, 4), (3, 10), (2, 1229), (1228, 1229), (5, 5)):
+        got = [(lo, p.copy(), bits.copy()) for lo, p, bits in ramanujan_core.steps(pt1m, start, stop, mask)]
+        assert [lo for lo, _, _ in got] == list(range(start, stop, chunk))
+        for lo, p, bits in got:
+            assert p.dtype == listed.dtype and p.size <= chunk + 1
+            assert p.tolist() == listed[lo : lo + p.size].tolist()
+            assert np.array_equal(bits, prime_core.mask_bits(mask, lo, lo + p.size - 1))
+        assert sum(p.size - 1 for _, p, _ in got) == stop - start
