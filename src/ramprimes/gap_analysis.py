@@ -113,7 +113,7 @@ def first_sharp_run(
     # bound. One starts at the i-th Ramanujan index of a step exactly when the
     # (i + r - 1)-th lies r - 1 on; a step's windows end before its end + r - 1
     n = pt.prime_count(search_bound - 1)
-    before = 1  # the Ramanujan primes below the step, whose values it reads from: R_1 = 2
+    before = int(mask_bits(rt.mask, 0, 1).sum())  # the Ramanujan primes below each step: 2, if it is
     for lo, hi in walk(1, n):
         ram = lo + np.flatnonzero(mask_bits(rt.mask, lo, min(hi + r - 1, size)))
         k = max(ram.size - r + 1, 0)  # the indices that have r - 1 more after them
@@ -233,7 +233,7 @@ def _odd_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
     primes, end primes, lengths) as arrays, the primes read from the values.
     A block of either class still open at the coverage edge is a CoverageError."""
     rt.coverage(pt, bound - 1)
-    before = 1  # the Ramanujan primes before the step's first run: R_1 = 2, at index 0
+    before = int(mask_bits(rt.mask, 0, 1).sum())  # the Ramanujan primes before each step's runs
     # the blocks of the primes past index 0, the even prime 2
     for starts, lengths, values in blocks_below(pt.prime_count(bound - 1), rt, pt, 1):
         starts, lengths = starts[values], lengths[values]
