@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
-from .prime_core import PrimeTable, mask_bits, search, table_dtype
+from .prime_core import PrimeTable, mask_bits, mask_count, search, table_dtype
 from .ramanujan_core import RamanujanTable, primes_at, walk
 from .run_stats import blocks_below
 
@@ -56,9 +56,10 @@ def gap_for_run(start_index: int, run_length: int, rt: RamanujanTable, pt: Prime
     consecutive primes beginning at the prime of rank `start_index`.
 
     The run is sliced from the classified primes and must consist of odd
-    Ramanujan primes. The interval between the halved endpoints is checked
-    against the flags; a prime there would contradict a proved fact, so it
-    raises an internal-consistency error rather than a value error.
+    Ramanujan primes. The enclosing gap is read from the flags (`_gap_ends`) as
+    twin gaps are; a prime between the halved endpoints would end it before the
+    upper one and contradict a proved fact, so it raises an internal-consistency
+    error rather than a value error.
     """
     if run_length < 1 or start_index < 1:
         raise ValueError(f"rank {start_index} and run length {run_length} must be >= 1")
@@ -71,13 +72,11 @@ def gap_for_run(start_index: int, run_length: int, rt: RamanujanTable, pt: Prime
     if not all(mask_bits(rt.mask, lo, hi).all() for lo, hi in walk(start_index - 1, end)):
         raise ValueError(f"primes p_{start_index}..p_{end} are not all Ramanujan")
     gap_lo, gap_hi = (p + 1) // 2, (q + 1) // 2
-    if pt.primes_between(gap_lo, gap_hi).size:
+    a, b = (int(end[0]) for end in _gap_ends(pt, [gap_lo]))  # the prime q > gap_hi closes it
+    if b < gap_hi:
         raise InternalConsistencyError(
             f"prime found inside [{gap_lo}, {gap_hi}] for run ({p}, {q})"
         )
-    # q lies above gap_hi, and gap_lo > 2, so p_c and p_{c + 1} are the gap's ends
-    c = pt.prime_count(gap_lo - 1)
-    a, b = pt.nth_prime(c) + 1, pt.nth_prime(c + 1) - 1
     return GapRecord(
         run_start=p,
         run_end=q,
@@ -113,7 +112,7 @@ def first_sharp_run(
     # bound. One starts at the i-th Ramanujan index of a step exactly when the
     # (i + r - 1)-th lies r - 1 on; a step's windows end before its end + r - 1
     n = pt.prime_count(search_bound - 1)
-    before = int(mask_bits(rt.mask, 0, 1).sum())  # the Ramanujan primes below each step: 2, if it is
+    before = mask_count(rt.mask, 1)  # the Ramanujan primes below each step
     for lo, hi in walk(1, n):
         ram = lo + np.flatnonzero(mask_bits(rt.mask, lo, min(hi + r - 1, size)))
         k = max(ram.size - r + 1, 0)  # the indices that have r - 1 more after them
@@ -233,7 +232,7 @@ def _odd_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
     primes, end primes, lengths) as arrays, the primes read from the values.
     A block of either class still open at the coverage edge is a CoverageError."""
     rt.coverage(pt, bound - 1)
-    before = int(mask_bits(rt.mask, 0, 1).sum())  # the Ramanujan primes before each step's runs
+    before = mask_count(rt.mask, 1)  # the Ramanujan primes before each step's runs
     # the blocks of the primes past index 0, the even prime 2
     for starts, lengths, values in blocks_below(pt.prime_count(bound - 1), rt, pt, 1):
         starts, lengths = starts[values], lengths[values]
@@ -245,7 +244,8 @@ def _odd_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
 def half_point_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[int]:
     """Odd Ramanujan primes R < bound whose (R+1)/2 is prime; provably none."""
     rt.coverage(pt, bound - 1)
-    steps = (rt.values[lo:hi] for lo, hi in walk(1, int(search(rt.values, bound))))  # past R_1
+    start = mask_count(rt.mask, 1)  # the values past 2, if the mask marks it
+    steps = (rt.values[lo:hi] for lo, hi in walk(start, int(search(rt.values, bound))))
     return [r for v in steps for r in v[pt.is_prime_batch((v + 1) // 2)].tolist()]
 
 

@@ -1,7 +1,7 @@
 """Segmented sieve of Eratosthenes with packed mod-30 wheel flag storage,
 its segments split across forked processes that write one shared flag
 buffer. No prime list is kept: primes are decoded from the flags a step at
-a time, into a caller's workspace (`PrimeTable.primes_from`).
+a time, into a caller's workspace (`PrimeTable.primes_between`).
 
 A :class:`PrimeTable` answers primality, prime counting, and n-th prime
 queries for every integer in [2, limit]. Flags are kept one bit per integer
@@ -10,9 +10,10 @@ stands for 30j + `_WHEEL`[k]. The primes 2, 3 and 5 are held out of band, and
 the bit of 1 is clear. This module alone reads that layout. :func:`_last_bit`
 and :func:`_integers` are the one mapping between integers and bits, with the
 tables `_LAST`, `_SHIFTS` and `_HALF_SHIFTS` (a prime's bit to that of
-(p - 1)/2), and :func:`mask_positions`, on :func:`mask_bits`, is the one
-decoder of packed bits, the flags' and the Ramanujan mask's. Twin pairs are
-read from adjacent flag bits (`PrimeTable.twins`).
+(p - 1)/2), which other modules reach through `PrimeTable.integers_of`.
+:func:`mask_bits` is the one reader of packed bits, the flags' and the Ramanujan
+mask's: :func:`mask_positions` decodes ranges on it and :func:`mask_count` counts
+them, while `nth_prime` and `twins` (adjacent flag bits) unpack their own words.
 
 A table views its flags in place as little-endian uint64 words, so they must
 start a buffer of whole words, as `build` and `load` allocate them
@@ -114,6 +115,12 @@ def mask_positions(packed: np.ndarray, lo: int, hi: int):
         found = np.flatnonzero(mask_bits(packed, b0, min(b0 + 8 * _STEP, hi)))
         found += b0
         yield found
+
+
+def mask_count(packed: np.ndarray, stop: int) -> int:
+    """The set bits below bit `stop` of the little-endian `packed` bytes: for the Ramanujan
+    mask, the index in the values of the first Ramanujan prime at bit `stop` or past it."""
+    return int(np.bitwise_count(packed[: stop >> 3]).sum() + mask_bits(packed, stop & ~7, stop).sum())
 
 
 def table_dtype(limit: int) -> np.dtype:
@@ -316,6 +323,10 @@ class PrimeTable:
             _integers(bits, out[at : at + bits.size])
             at += bits.size
         return out[:at]
+
+    def integers_of(self, bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The integers of flag `bits` that `half_counts` gives, into an `out` apart from them."""
+        return _integers(bits, out)
 
     def _flag_bits(self, lo: int, hi: int):
         """The flag bits of the flagged primes in [lo, hi], ascending, as the int64

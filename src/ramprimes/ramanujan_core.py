@@ -10,13 +10,13 @@ from the right, from the prime's flag bit alone (`PrimeTable.half_counts`:
 only `prime_core` reads the flag layout), skips undecoded each block that two
 exact counts show to hold no R_n, and splits the blocks among parallel
 processes, as a suffix minimum combines across parts. It also marks each R_n
-in a bit mask over prime indices, the classification, which analytics read in
-place a `walk` step at a time, through `prime_core`'s one reader of packed
-bits (`mask_bits`), and a cache file stores, or, for twin pairs, from the
-memoized twin table (`RamanujanTable.twin_pairs`). No prime list is kept: an
-analytic that reads primes by position walks `steps`, decoded from the flags
-into one workspace that each step reuses, or picks them by rank (`primes_at`),
-and reads a Ramanujan prime from the values, at the count of those before it.
+in a bit mask over prime indices, the classification, which a cache file stores
+and analytics read in place a `walk` step at a time (`mask_bits`), or, for twin
+pairs, through the memoized twin table (`RamanujanTable.twin_pairs`). No prime
+list is kept: an analytic that reads primes by position walks `steps`, decoded
+from the flags into one workspace that each step reuses, or picks them by rank
+(`primes_at`), and reads the Ramanujan prime at mask bit i from the values at
+index `mask_count(mask, i)`, the count of the set bits before it.
 
 The values take the dtype that `prime_core.table_dtype` gives for the
 scan's end p_3n, so they are ``uint32`` below 2**32, whether computed,
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import prime_core, table_file
 from .errors import CoverageError, InternalConsistencyError
-from .prime_core import PrimeTable, mask_bits, mask_positions, search, table_dtype
+from .prime_core import PrimeTable, mask_bits, mask_count, mask_positions, search, table_dtype
 
 # floor((10/3)**10). Above this index the ratio R_n/p_3n is provably below
 # 13/15, so an exhaustive check up to here settles the maximum.
@@ -59,44 +59,26 @@ def walk(start: int, stop: int):
     return ((lo, min(lo + _WALK_CHUNK, stop)) for lo in range(start, stop, _WALK_CHUNK))
 
 
-def steps(primes: PrimeTable, start: int, stop: int, mask: np.ndarray | None = None):
-    """For each `walk` step (lo, hi) of [start, stop): lo, the primes p_lo .. p_hi (the one
-    before the step, p_0 = 0, then its own), decoded from the flags into one workspace
-    that the next step overwrites, and the bits lo .. hi - 1 of the packed `mask`, if given."""
+def steps(primes: PrimeTable, start: int, stop: int):
+    """For each `walk` step (lo, hi) of [start, stop): lo and the primes p_lo .. p_hi (the
+    one before the step, p_0 = 0, then its own), decoded from the flags into one workspace
+    that the next step overwrites."""
     room = np.empty(min(_WALK_CHUNK, max(stop - start, 0)) + 1, dtype=table_dtype(primes.limit))
     room[0] = primes.nth_prime(start) if start else 0
     for lo, hi in walk(start, stop):
         primes.primes_between(int(room[0]) + 1, top := primes.nth_prime(hi), out=room[1:])
-        yield lo, room[: hi - lo + 1], None if mask is None else mask_bits(mask, lo, hi)
+        yield lo, room[: hi - lo + 1]
         room[0] = top
 
 
 def primes_at(primes: PrimeTable, ranks: np.ndarray) -> np.ndarray:
-    """p_r and p_{r+1} for each of the ascending `ranks` r >= 1, as the two rows of an
-    array in the table's dtype, picked from the `steps` from p_{ranks[0]}."""
+    """p_r and p_{r+1} for each of the ascending `ranks` r >= 0 (p_0 = 0), as the two rows
+    of an array in the table's dtype, picked from the `steps` from p_{ranks[0]}."""
     out = np.empty((2, ranks.size), dtype=table_dtype(primes.limit))
-    for lo, p, _ in steps(primes, int(ranks[0]) if ranks.size else 0, int(ranks[-1]) + 1 if ranks.size else 0):
+    for lo, p in steps(primes, int(ranks[0]) if ranks.size else 0, int(ranks[-1]) + 1 if ranks.size else 0):
         i = slice(*np.searchsorted(ranks, [lo, lo + p.size - 1]))
         out[:, i] = p[ranks[i] - lo], p[ranks[i] - lo + 1]
     return out
-
-
-def _positions(limit: int, mask: np.ndarray, stop: int, take) -> np.ndarray:
-    """take(i) for each i in [0, stop) whose bit is set in the packed `mask`, in
-    `table_dtype(limit)`. A popcount of the mask bytes sizes the one array, which one
-    pass of `mask_positions` steps fills: no int64 array of every position is made,
-    and the result is never held twice."""
-    out = np.empty(_set_below(mask, stop), dtype=table_dtype(limit))
-    at = 0
-    for i in mask_positions(mask, 0, stop):
-        out[at : at + i.size] = take(i)
-        at += i.size
-    return out
-
-
-def _set_below(mask: np.ndarray, stop: int) -> int:
-    """The set bits of the packed `mask` below bit `stop`."""
-    return int(np.bitwise_count(mask[: stop >> 3]).sum() + mask_bits(mask, stop & ~7, stop).sum())
 
 
 def _twin_table(rt: RamanujanTable, primes: PrimeTable):
@@ -238,10 +220,15 @@ class RamanujanTable:
     def classified_ranks(self, primes: PrimeTable) -> np.ndarray:
         """Memoized pi(R_n) of each R_n both tables classify: the n-th prime the
         mask marks, one more than its position, in the dtype `table_dtype` gives
-        for the mask's length. Only rank scaling and `prime_ranks` read it."""
-        n = self.classified_count(primes)
-        return self.derived(primes, "ranks",
-                            lambda rt, _: _positions(n, rt.mask, n, lambda i: i + 1))
+        for the mask's length, filled by one pass of `mask_positions` steps. Only
+        rank scaling and `prime_ranks` read it."""
+        def ranks(rt, _):
+            n = rt.classified_count(primes)
+            out, at = np.empty(mask_count(rt.mask, n), dtype=table_dtype(n)), 0
+            for i in mask_positions(rt.mask, 0, n):
+                at += np.add(i, 1, out=out[at : at + i.size], casting="unsafe").size
+            return out
+        return self.derived(primes, "ranks", ranks)
 
     def prime_ranks(self, primes: PrimeTable) -> np.ndarray:
         """pi(R_n) for every n; a CoverageError if some R_n lies past the tables."""
@@ -263,8 +250,8 @@ class RamanujanTable:
 def load(path, primes: PrimeTable, below: int | None = None) -> RamanujanTable:
     """Read a table written by :meth:`RamanujanTable.save`, cut to x = min(below,
     complete_below, primes.limit + 1): its values, in the dtype `compute_first` gives,
-    are the primes of the checksummed `primes` below x whose mask bit is set. A mask
-    short of those primes, or whose set bits there miss its count, is a ValueError."""
+    are the primes of the checksummed `primes` below x whose mask bit is set. A mask short
+    of those primes, clear at R_1 = 2, or whose set bits there miss its count, is a ValueError."""
     (scan_limit, complete_below, count), mask = table_file.read(path, _MAGIC, 3, np.uint8)
     if complete_below > scan_limit + 1:  # so the values fit the dtype of scan_limit + 1
         raise ValueError(f"{path}: complete below {complete_below}, past the scan to {scan_limit}")
@@ -272,9 +259,12 @@ def load(path, primes: PrimeTable, below: int | None = None) -> RamanujanTable:
     size = primes.prime_count(max(x - 1, 0))
     if size > 8 * mask.size:
         raise ValueError(f"{path}: {mask.size} mask bytes do not cover the primes below {x}")
-    values = np.empty(_set_below(mask, size), dtype=table_dtype(scan_limit + 1))
+    if size and not mask_bits(mask, 0, 1)[0]:
+        raise ValueError(f"{path}: the mask leaves out R_1 = 2")
+    values = np.empty(mask_count(mask, size), dtype=table_dtype(scan_limit + 1))
     at = 0
-    for _, p, bits in steps(primes, 0, size, mask):
+    for lo, p in steps(primes, 0, size):
+        bits = mask_bits(mask, lo, lo + p.size - 1)
         at += np.compress(bits, p[1:], out=values[at : at + np.count_nonzero(bits)]).size
     if values.size > count or (x == complete_below and values.size < count):
         raise ValueError(f"{path}: {values.size} set bits below {x} do not fit count {count}")
@@ -330,6 +320,7 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
     starts = range(1, top + 1, _SCAN_BLOCK)
     ends = [min(lo + _SCAN_BLOCK - 1, top) for lo in starts]
     a = [primes.prime_count(lo - 1) for lo in starts] + [3 * n]  # and pi(top) past the last block
+    # scalar counts: prime_count_batch takes a step of its own for each key this sparse, 6x slower
     half = [primes.prime_count((hi - 1) >> 1) for hi in ends]
     lb = [x - y for x, y in zip(a, half)]  # each t_j of a block is >= its lb: j >= a, p_{j+1} <= hi
     edge = [x - int(q) - y for x, q, y in zip(a[1:], primes.is_prime_batch(ends), half)]  # s(hi-1)
@@ -394,7 +385,7 @@ def _scan(primes, blocks, i0, i1, carry, cut, slot, values, mask, parent=None) -
         for s in range(0, n, prime_core._STEP):
             stepping = np.flatnonzero(step[s : s + prime_core._STEP])
             np.take(b_buf[s:], stepping, out=t_buf[k : k + stepping.size], mode="clip")
-            prime_core._integers(t_buf[k : k + stepping.size], m_buf[k : k + stepping.size])
+            primes.integers_of(t_buf[k : k + stepping.size], m_buf[k : k + stepping.size])
             k += stepping.size
         m_buf[: np.count_nonzero(step[: len(small)])] = np.compress(step[: len(small)], small)
         j = min(max(cut - carry, 0), k)
@@ -427,14 +418,11 @@ def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:
 
 
 def _every_kth_prime(primes: PrimeTable, k: int, count: int) -> np.ndarray:
-    """p_k, p_2k, ..., p_(k * count), picked from the steps, or a CoverageError if the
-    table holds fewer than k * count primes."""
+    """p_k, p_2k, ..., p_(k * count), the primes after the ranks k - 1, 2k - 1, ... (`primes_at`),
+    copied out, so that a memo holds one row; a CoverageError if the table holds fewer."""
     if primes.total_primes < k * count:
         raise CoverageError(f"needs p_{k * count}; table covers only {primes.limit}")
-    out = np.empty(count, dtype=table_dtype(primes.limit))
-    for lo, p, _ in steps(primes, 0, k * count):  # p[i] is p_(lo + i)
-        out[lo // k : (lo + p.size - 1) // k] = p[k * (lo // k + 1) - lo :: k]
-    return out
+    return primes_at(primes, np.arange(k - 1, k * count, k))[1].copy()
 
 
 def _p3n(table: RamanujanTable, primes: PrimeTable, count: int) -> np.ndarray:

@@ -82,7 +82,7 @@ def lower_membership_violations(bound: int, rt: RamanujanTable, pt: PrimeTable) 
     """
     rt.coverage(pt, bound)
     found = []
-    for lo, primes, _ in steps(pt, 1, pt.prime_count(bound)):  # q from p_2 = 3
+    for lo, primes in steps(pt, 1, pt.prime_count(bound)):  # q from p_2 = 3
         # only a pair with q Ramanujan and p not, where the mask rises, can be flagged
         i = np.flatnonzero(np.diff(mask_bits(rt.mask, lo - 1, lo + primes.size - 1).view(np.int8)) == 1)
         p, q = primes[i], primes[i + 1]

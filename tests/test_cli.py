@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import struct
@@ -502,6 +503,23 @@ def test_cache_with_corrupted_payload_is_rebuilt(runner, tmp_path):
         assert rebuilt.exit_code == 0
         assert rebuilt.stdout == cold.stdout
         assert "rejected cache file" in rebuilt.stderr and "checksum" in rebuilt.stderr
+
+
+def test_cache_without_r1_is_rebuilt(runner, tmp_path):
+    cache = tmp_path / "cache"
+    args = ["compute", "--below", "20000", "--format", "csv"]
+    uncached = invoke(runner, *args)
+    invoke(runner, "--cache-dir", str(cache), *args)
+    # checksum-valid and self-consistent: bit 0 of the mask clear, the count one less
+    path = cache / "ramanujan.rprt"
+    rt = ramanujan_core.load(path, prime_core.load(cache / "primes.rppt"))
+    mask = rt.mask.copy()
+    mask[0] &= 0xFE
+    dataclasses.replace(rt, values=rt.values[1:], mask=mask).save(path)
+    warm = invoke(runner, "--cache-dir", str(cache), *args)
+    assert warm.exit_code == 0
+    assert warm.stdout == uncached.stdout and warm.stdout.splitlines()[1] == "1,2"
+    assert "rejected cache file" in warm.stderr and "leaves out R_1 = 2" in warm.stderr
 
 
 def old_layout(version, magic, fields, payload):

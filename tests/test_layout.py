@@ -1,5 +1,6 @@
 """Only `prime_core` reads the flag layout: no other module of the package names
-the wheel tables or a prime table's private state and counters. And no analytic
+the wheel tables, the integer-to-bit mapping (`_last_bit`, `_integers`) or a prime
+table's private state and counters. And no analytic
 reads a prime list: `primes_upto` is kept for callers outside the package."""
 
 import ast
@@ -8,7 +9,7 @@ from pathlib import Path
 import ramprimes
 
 LAYOUT = {"_WHEEL", "_LAST", "_MASKS", "_SHIFTS", "_HALF_SHIFTS", "_OUT_OF_BAND",
-          "_packed", "_words", "_supers", "_flagged", "_through"}
+          "_packed", "_words", "_supers", "_flagged", "_through", "_integers", "_last_bit"}
 PRIME_LIST = {"primes_upto", "classified_primes"}
 LIST_FREE = ("run_stats.py", "twin_stats.py", "gap_analysis.py", "ramanujan_core.py", "cli.py")
 

@@ -237,9 +237,8 @@ def test_mask_readers_match_unpackbits(bits, lo, hi):
     lo, hi = min(lo, whole.size), min(hi, whole.size)
     got = mask_bits(packed, lo, hi)
     assert got.dtype == bool and got.tolist() == whole[lo:hi].tolist()
-    # the set positions below hi, sized by a popcount that skips the bits past hi
-    got = ramanujan_core._positions(whole.size, packed, hi, lambda i: i + 1)
-    assert got.tolist() == (np.flatnonzero(whole[:hi]) + 1).tolist()
+    # the count of the set bits below hi, which skips the bits past hi
+    assert prime_core.mask_count(packed, hi) == np.count_nonzero(whole[:hi])
 
 
 def test_compute_below_golden(pt1m):
@@ -633,6 +632,16 @@ def test_every_kth_prime_is_a_strided_view_of_the_prime_list(pt1m, monkeypatch):
         ramanujan_core._every_kth_prime(pt1m, 3, 26167)
     with pytest.raises(CoverageError, match=r"^needs p_78499;"):
         ramanujan_core._every_kth_prime(pt1m, 1, 78499)
+
+
+@pytest.mark.parametrize("limit", [30, 997, 7919, 10 ** 4])
+def test_every_kth_prime_picks_up_to_the_last_prime_of_the_table(monkeypatch, limit):
+    # k * count = every prime of the table: the pick reads no rank past the last
+    monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", 7)
+    pt = prime_core.build(limit)
+    listed, total = pt.primes_upto(pt.limit), pt.total_primes
+    for k in (k for k in range(1, total + 1) if total % k == 0):
+        assert np.array_equal(ramanujan_core._every_kth_prime(pt, k, total // k), listed[k - 1 :: k])
 
 
 def reference_max_ratio(table, range_end, exclusions, primes):

@@ -326,3 +326,8 @@ def test_run_ends_follow_the_mask_of_a_table_without_two(pt1m):
     starts, first, last, lengths = odd_runs(fake, pt1m, 19_000)
     assert np.array_equal(mask[starts - 1], np.ones(starts.size, bool)) and starts.size > 400
     assert np.array_equal(first, primes[starts - 1]) and np.array_equal(last, primes[starts + lengths - 2])
+    # the half points read the values from that count too: with 5 in place of 2,
+    # (5 + 1)/2 = 3 is prime
+    assert gap_analysis.half_point_violations(fake, pt1m, 19_000) == []
+    five = table_of(np.where(true.values == 2, 5, true.values), true.scan_limit, 20_000)
+    assert gap_analysis.half_point_violations(five, pt1m, 19_000) == [5]

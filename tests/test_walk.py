@@ -233,12 +233,10 @@ def test_steps_decode_each_step_after_the_prime_before_it(pt1m, monkeypatch, chu
     monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
     primes = pt1m.primes_upto(10 ** 4)
     listed = np.concatenate((np.zeros(1, primes.dtype), primes))  # p_0 = 0, then p_1 = 2 on
-    mask = np.packbits(np.arange(listed.size) % 3 == 0, bitorder="little")
     for start, stop in ((0, 1), (0, 5), (1, 4), (3, 10), (2, 1229), (1228, 1229), (5, 5)):
-        got = [(lo, p.copy(), bits.copy()) for lo, p, bits in ramanujan_core.steps(pt1m, start, stop, mask)]
-        assert [lo for lo, _, _ in got] == list(range(start, stop, chunk))
-        for lo, p, bits in got:
+        got = [(lo, p.copy()) for lo, p in ramanujan_core.steps(pt1m, start, stop)]
+        assert [lo for lo, _ in got] == list(range(start, stop, chunk))
+        for lo, p in got:
             assert p.dtype == listed.dtype and p.size <= chunk + 1
             assert p.tolist() == listed[lo : lo + p.size].tolist()
-            assert np.array_equal(bits, prime_core.mask_bits(mask, lo, lo + p.size - 1))
-        assert sum(p.size - 1 for _, p, _ in got) == stop - start
+        assert sum(p.size - 1 for _, p in got) == stop - start
