@@ -251,9 +251,9 @@ def half_point_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> lis
 
 def run_interval_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[tuple[int, int]]:
     """Maximal odd-Ramanujan runs below `bound` whose halved interval
-    [lo, hi] contains a prime; provably none. Checked with two prime counts
-    a run, a separate route from the flag scan in gap_for_run, as each walk
-    step closes its runs: the interval holds a prime when pi(hi) > pi(lo - 1).
+    [lo, hi] contains a prime; provably none. Checked with two prime counts a run
+    as each walk step closes its runs, pi(hi) > pi(lo - 1): the counts that
+    `gap_for_run` reads its gap ends through (`_gap_ends`), so no separate route.
     """
     bad = []
     for _, start_p, end_p, _ in _odd_runs(rt, pt, bound):

@@ -11,9 +11,9 @@ the bit of 1 is clear. This module alone reads that layout. :func:`_last_bit`
 and :func:`_integers` are the one mapping between integers and bits, with the
 tables `_LAST`, `_SHIFTS` and `_HALF_SHIFTS` (a prime's bit to that of
 (p - 1)/2), which other modules reach through `PrimeTable.integers_of`.
-:func:`mask_bits` is the one reader of packed bits, the flags' and the Ramanujan
-mask's: :func:`mask_positions` decodes ranges on it and :func:`mask_count` counts
-them, while `nth_prime` and `twins` (adjacent flag bits) unpack their own words.
+:func:`mask_bits` is the one reader of packed bits, the flags' and the Ramanujan mask's:
+:func:`mask_positions` decodes ranges on it, :func:`mask_count` counts them, and so do
+:func:`mask_select` and :func:`mask_rank`; `nth_prime` and `twins` unpack their own words.
 
 A table views its flags in place as little-endian uint64 words, so they must
 start a buffer of whole words, as `build` and `load` allocate them
@@ -123,6 +123,45 @@ def mask_count(packed: np.ndarray, stop: int) -> int:
     return int(np.bitwise_count(packed[: stop >> 3]).sum() + mask_bits(packed, stop & ~7, stop).sum())
 
 
+def _in_words(packed: np.ndarray) -> np.ndarray | None:
+    """`packed` as little-endian uint64 words in place through its last byte, else None."""
+    nwords, base = -(-packed.size // 8), packed.base
+    if base is None or base.nbytes < 8 * nwords or base.ctypes.data != packed.ctypes.data:
+        return None
+    return base.view(np.uint8)[: 8 * nwords].view("<u8")
+
+
+def mask_index(packed: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(words, before, stop): the little-endian `packed` bytes as words through bit `stop`, in
+    place where the buffer allows, and the int64 count of their set bits before each word."""
+    if (words := _in_words(packed)) is None:
+        words = np.frombuffer(packed.tobytes() + bytes(-packed.size % 8), "<u8")
+    words = words[: -(-stop // 64)] if stop else np.zeros(1, "<u8")  # one for `mask_rank`
+    before = np.zeros(words.size + 1, dtype=np.int64)
+    before[1:] = np.bitwise_count(words)
+    np.cumsum(before, out=before)
+    return words, before, stop
+
+
+def mask_rank(index, k: np.ndarray) -> np.ndarray:
+    """The set bits of a `mask_index` below each bit k >= 0, cut at its stop, as int64: the count
+    before k's word and the popcount of that word shifted left past bit k (none at k & 63 = 0)."""
+    words, before, stop = index
+    k = np.minimum(k, stop)
+    word = np.take(words, k >> 6, mode="clip") << (64 - (k & 63)).astype(np.uint64)
+    return before[k >> 6] + np.bitwise_count(word)
+
+
+def mask_select(index, k: np.ndarray) -> np.ndarray:
+    """The position of each k-th set bit of a `mask_index`, 1 <= k <= its count, as int64: in
+    the word w with before[w] < k <= before[w + 1], unpacked, the (k - before[w])-th set bit."""
+    words, before, _ = index
+    w = np.searchsorted(before, k) - 1
+    bits = mask_bits(words[w].view(np.uint8), 0, 64 * w.size).reshape(-1, 64)
+    through = np.cumsum(bits, axis=1, dtype=np.uint8) >= (k - before[w])[:, None]
+    return 64 * w + np.argmax(through, axis=1)
+
+
 def table_dtype(limit: int) -> np.dtype:
     """The dtype of an array of integers in [0, limit]: `_NARROW` while
     `limit` stays 16 below its range, so that adding a small constant to an
@@ -168,14 +207,13 @@ class PrimeTable:
     """
 
     def __init__(self, limit: int, packed: np.ndarray):
-        nwords, base = -(-packed.size // 8), packed.base
-        if (base is None or base.nbytes < 8 * nwords or base.ctypes.data != packed.ctypes.data
-                or base.view(np.uint8)[packed.size : 8 * nwords].any()):  # counted as flags
+        words = _in_words(packed)  # the flags in place
+        if words is None or words.view(np.uint8)[packed.size :].any():  # counted as flags
             raise ValueError("flag bytes do not start a buffer of whole 8-byte words, "
                              "clear past them")
         self.limit = limit
         self._packed = packed
-        self._words = base.view(np.uint8)[: 8 * nwords].view("<u8")  # the flags in place
+        self._words = words
         self._supers = _superblock_counts(self._words)
 
     @property

@@ -21,11 +21,10 @@ index `mask_count(mask, i)`, the count of the set bits before it.
 The values take the dtype that `prime_core.table_dtype` gives for the
 scan's end p_3n, so they are ``uint32`` below 2**32, whether computed,
 loaded or cut by `below`, and every search of them goes through
-`prime_core.search`. The memoized ranks take the dtype `table_dtype` gives
-for the number of classified primes, and decoded primes, the twin table's
-lesser members among them, the prime table's. Products of values or ranks remain only in the 13/15
-check of Theorem 4 and in rank scaling, and are taken in int64, because a
-``uint32`` array times a Python int stays ``uint32``.
+`prime_core.search`. Decoded primes, the twin table's lesser members among
+them, take the prime table's dtype; no array of ranks is kept. Products of values
+or ranks remain only in the 13/15 check of Theorem 4 and in rank scaling, and are
+taken in int64: a ``uint32`` array times a Python int stays ``uint32``.
 """
 
 from __future__ import annotations
@@ -217,24 +216,18 @@ class RamanujanTable:
         adjacent flag bits and one prime count a pair (`_twin_table`)."""
         return self.derived(primes, "twins", _twin_table)
 
-    def classified_ranks(self, primes: PrimeTable) -> np.ndarray:
-        """Memoized pi(R_n) of each R_n both tables classify: the n-th prime the
-        mask marks, one more than its position, in the dtype `table_dtype` gives
-        for the mask's length, filled by one pass of `mask_positions` steps. Only
-        rank scaling and `prime_ranks` read it."""
-        def ranks(rt, _):
-            n = rt.classified_count(primes)
-            out, at = np.empty(mask_count(rt.mask, n), dtype=table_dtype(n)), 0
-            for i in mask_positions(rt.mask, 0, n):
-                at += np.add(i, 1, out=out[at : at + i.size], casting="unsafe").size
-            return out
-        return self.derived(primes, "ranks", ranks)
+    def rank_index(self, primes: PrimeTable):
+        """The memoized `prime_core.mask_index` of the mask bits both tables classify."""
+        return self.derived(primes, "rank index",
+                            lambda rt, pt: prime_core.mask_index(rt.mask, rt.classified_count(pt)))
 
     def prime_ranks(self, primes: PrimeTable) -> np.ndarray:
-        """pi(R_n) for every n; a CoverageError if some R_n lies past the tables."""
-        if (ranks := self.classified_ranks(primes)).size < self.count:
-            raise CoverageError(f"R_{ranks.size + 1} lies past the primes to {primes.limit}")
-        return ranks
+        """pi(R_n) for every n, as int64, one more than each set mask bit's position, decoded
+        afresh (`mask_positions`); a CoverageError if some R_n lies past the tables."""
+        n = self.classified_count(primes)
+        if (size := mask_count(self.mask, n)) < self.count:
+            raise CoverageError(f"R_{size + 1} lies past the primes to {primes.limit}")
+        return np.concatenate([np.zeros(0, np.int64), *mask_positions(self.mask, 0, n)]) + 1
 
     def below(self, x: int) -> RamanujanTable:
         """What compute_below(x) gives, cut from this table; `scan_limit` stays its own."""
@@ -502,16 +495,24 @@ def verify_max_ratio_bound(table: RamanujanTable, primes: PrimeTable) -> bool:
 
 
 def _rank_scaling_failures(table, m, limit, primes) -> np.ndarray:
-    """Ascending n >= 1 with R_mn < limit and pi(R_mn) > m*pi(R_n), from strided
-    views of the memoized ranks: ranks[m - 1::m][n - 1] is pi(R_mn). The products
-    are taken in int64 a `walk` step at a time: uint32 ranks times m would wrap."""
+    """Ascending n >= 1 with R_mn < limit and r(mn) > m*r(n), r(n) = pi(R_n), by certified
+    jumps. r rises and the C(K) set mask bits below bit K are the k with r(k) <= K, so each n
+    in [a, C(m*r(a)) // m] has r(mn) <= m*r(a) <= m*r(n), and a fails iff C(m*r(a)) // m < a.
+    Walkers start at about 64 points a doubling of n and step together, each jumping past what
+    it certifies or stepping past a failure up to the next start; r and C are an int64 select
+    and count over `rank_index`, and no array has an entry per Ramanujan prime."""
     table.coverage(primes, limit - 1)
-    ranks = table.classified_ranks(primes)
-    scaled = ranks[m - 1 :: m]
     end = int(search(table.values, limit)) // m + 1  # R_mn < limit for n < end
-    return np.concatenate([np.zeros(0, np.intp)] + [
-        lo + 1 + np.flatnonzero(scaled[lo:hi] > m * ranks[lo:hi].astype(np.int64))
-        for lo, hi in walk(0, end - 1)])
+    index = table.rank_index(primes)
+    a = (2 ** (np.arange(64 * end.bit_length()) / 64)).astype(np.int64)
+    a = a[(np.diff(a, prepend=0) > 0) & (a < end) & (m > 1)]  # at m = 1 an identity: no walk
+    stop, bad = np.append(a[1:], end), [np.zeros(0, np.int64)]
+    while a.size:
+        reach = prime_core.mask_rank(index, m * (prime_core.mask_select(index, a) + 1)) // m + 1
+        bad.append(a[reach <= a])
+        a = np.where(reach <= a, a + 1, reach)
+        a, stop = a[a < stop], stop[a < stop]
+    return np.sort(np.concatenate(bad))
 
 
 def rank_scaling_violations(

@@ -253,6 +253,16 @@ def test_criterion_09_rank_scaling_scan(wide_tables):
                 ramanujan_core.rank_scaling_threshold(m) - 1
 
 
+def test_criterion_09x_rank_scaling_scan_extended(extended_tables):
+    pt, rt, _ = extended_tables
+    with criterion(9, "rank scaling clean from N(m) on, and N(m) sharp, m = 2..20 below 1e9 "
+                      "(extended)", budget=10.0):
+        for m in range(2, 21):
+            assert ramanujan_core.rank_scaling_violations(rt, m, EXTENDED_BOUND, pt) == []
+            assert ramanujan_core.last_violation_below_threshold(rt, m, EXTENDED_BOUND, pt) == \
+                ramanujan_core.rank_scaling_threshold(m) - 1
+
+
 def test_criterion_10_ratio_inequalities(wide_tables):
     pt, rt, _ = wide_tables
     with criterion(10, "twin ratio inequalities, snapshots and strict"):

@@ -158,7 +158,7 @@ def stand_in_run(monkeypatch, tmp_path, narrow):
         rt = ramanujan_core.compute_below(BOUND, pt)
         dtypes = {first.values.dtype, loaded.values.dtype, first.below(BOUND).values.dtype,
                   rt.values.dtype, pt.primes_upto(STAND_IN_LIMIT).dtype,
-                  rt.classified_ranks(pt).dtype, rt.twin_pairs(pt)[0].dtype}
+                  rt.twin_pairs(pt)[0].dtype}
         return dtypes, analytics(rt, pt)
 
 
@@ -177,11 +177,16 @@ def test_rank_scaling_products_do_not_wrap(pt1m, monkeypatch):
     ms = (2, 3, 7, 20)
     want = {m: ramanujan_core._rank_scaling_failures(rt, m, 10 ** 5, pt1m).tolist() for m in ms}
     assert all(want.values())  # some n below each threshold violates
-    # scaling every rank keeps each comparison; the scaled ranks fit uint32, but m
-    # times them pass 2**32, where a uint32 product would wrap
-    ranks = rt.classified_ranks(pt1m)
-    scaled = ranks.astype(np.int64) * (2 ** 32 // (int(ranks[-1]) + 1))
-    assert ranks.dtype == np.uint32 and 2 * int(scaled[-1]) >= 2 ** 32
-    monkeypatch.setattr(rt, "classified_ranks", lambda primes: scaled.astype(np.uint32))
+    # scaling every rank by s, and the bit below which each count is taken down by s, keeps
+    # each comparison; the scaled ranks fit uint32, but m times them pass 2**32, where a
+    # uint32 product would wrap
+    top = int(rt.prime_ranks(pt1m)[-1])
+    s, asked = 2 ** 32 // (top + 1), []
+    select, rank = prime_core.mask_select, prime_core.mask_rank
+    monkeypatch.setattr(prime_core, "mask_select",
+                        lambda index, k: s * (select(index, k) + 1) - 1)
+    monkeypatch.setattr(prime_core, "mask_rank",
+                        lambda index, k: asked.append(int(k.max())) or rank(index, k // s))
     for m in ms:
         assert ramanujan_core._rank_scaling_failures(rt, m, 10 ** 5, pt1m).tolist() == want[m]
+    assert s * top < 2 ** 32 <= max(asked)

@@ -778,6 +778,28 @@ def test_the_one_decoder_matches_unpackbits(monkeypatch, step, density):
         assert prime_core.mask_count(packed, stop) == np.count_nonzero(bits < stop), stop
 
 
+EDGES = sorted({e + d for e in range(0, 321, 64) for d in (-1, 0, 1, 7, 8, 9) if 0 <= e + d <= 320})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=40), stop=st.sampled_from(EDGES) | st.integers(0, 320),
+       padded=st.booleans())
+@example(data=b"\xff" * 16, stop=64, padded=True)
+@example(data=b"\xff" * 9, stop=65, padded=False)
+@example(data=b"\x80" * 8, stop=63, padded=True)  # the last bit of a word, past the stop
+@example(data=b"", stop=0, padded=True)
+def test_mask_select_and_rank_match_the_unpacked_bits(data, stop, padded):
+    packed = table_file.word_padded(len(data)) if padded else np.empty(len(data), np.uint8)
+    packed[:] = np.frombuffer(data, np.uint8)
+    stop = min(stop, 8 * packed.size)
+    index = prime_core.mask_index(packed, stop)
+    found = np.flatnonzero(prime_core.mask_bits(packed, 0, stop))
+    ks = np.arange(stop + 70)  # and bits past the stop, which count as none
+    assert prime_core.mask_rank(index, ks).tolist() == np.searchsorted(found, ks).tolist()
+    assert prime_core.mask_select(index, np.arange(1, found.size + 1)).tolist() == found.tolist()
+    assert np.shares_memory(index[0], packed) == (padded and stop > 0)  # words in place
+
+
 @pytest.mark.parametrize("chunk", [16, 48, 1 << 16])  # flag bytes per step of the decode
 def test_nth_prime_across_checkpoint_boundaries(monkeypatch, tmp_path, chunk):
     monkeypatch.setattr(prime_core, "_STEP", chunk)  # nth_prime decodes its superblock

@@ -313,14 +313,14 @@ def test_another_prime_table_rebuilds_each_derived_array_once(pt1m, monkeypatch)
 
     def arrays(pt):
         return [*rt.twin_pairs(pt),
-                *gap_analysis.twin_gap_table(rt, pt), rt.prime_ranks(pt)]
+                *gap_analysis.twin_gap_table(rt, pt), *rt.rank_index(pt)[:2]]
 
     first = arrays(pt1m)
     other = prime_core.build(pt1m.limit)
     second = arrays(other)
     assert all(x is not y and np.array_equal(x, y) for x, y in zip(first, second))
     assert all(x is y for x, y in zip(arrays(other), second))
-    keys = ["twins", "twin_gaps", "ranks"]
+    keys = ["twins", "twin_gaps", "rank index"]
     assert sorted(builds) == sorted(2 * keys)
 
 
@@ -817,16 +817,29 @@ def test_rank_scaling_no_violations_small(pt_wide):
     assert rank_scaling_violations(rt, 1, 10 ** 6, pt_wide) == []
 
 
-def test_rank_scaling_reads_only_classified_ranks(rt_wide, pt_wide, pt1m):
-    # values run to 21e6, primes to 1e6: every R_mn < 1e6 is classified, R_36961 is not
+def test_rank_scaling_reads_only_the_classified_mask_bits(rt_wide, pt_wide, pt1m, monkeypatch):
+    # values run to 21e6, primes to 1e6: every R_mn < 1e6 is classified, R_36961 is not,
+    # and the mask bits from R_36961's on are set past the classified ones
     wide = dataclasses.replace(rt_wide)  # an empty memo
     exact = compute_below(10 ** 6, pt_wide)
-    for m in (2, 3, 7, 20):
-        assert rank_scaling_violations(wide, m, 10 ** 6, pt1m) == \
-            rank_scaling_violations(exact, m, 10 ** 6, pt_wide) == []
-        assert last_violation_below_threshold(wide, m, 10 ** 6, pt1m) == \
-            last_violation_below_threshold(exact, m, 10 ** 6, pt_wide) == \
-            rank_scaling_threshold(m) - 1
+
+    def no_decode(*_):
+        raise AssertionError("rank scaling decoded every set bit")
+
+    with monkeypatch.context() as patch:  # a select and a count for each walker, and no more
+        patch.setattr(ramanujan_core, "mask_positions", no_decode)
+        patch.setattr(ramanujan_core.RamanujanTable, "prime_ranks", no_decode)
+        for m in (2, 3, 7, 20):
+            assert rank_scaling_violations(wide, m, 10 ** 6, pt1m) == \
+                rank_scaling_violations(exact, m, 10 ** 6, pt_wide) == []
+            assert last_violation_below_threshold(wide, m, 10 ** 6, pt1m) == \
+                last_violation_below_threshold(exact, m, 10 ** 6, pt_wide) == \
+                rank_scaling_threshold(m) - 1
+    # what it read: the mask's words in place, counted through the classified bits only
+    index = words, _, stop = wide.rank_index(pt1m)
+    assert stop == pt1m.prime_count(10 ** 6) and words.size == -(-stop // 64)
+    assert prime_core.mask_rank(index, np.array([stop, 8 * wide.mask.size])).tolist() == [36960] * 2
+    assert np.shares_memory(words, wide.mask)
     with pytest.raises(CoverageError, match="R_36961"):
         wide.prime_ranks(pt1m)
 
@@ -866,6 +879,43 @@ def test_rank_scaling_matches_the_plain_loop(pt_wide):
                 [(m, n) for n in bad if n >= start]
             assert last_violation_below_threshold(rt, m, limit, pt_wide) == \
                 max((n for n in bad if n < start), default=None)
+
+
+def test_rank_scaling_matches_the_plain_loop_on_the_wide_tables(rt_wide, pt_wide):
+    values, ranks = rt_wide.values.tolist(), rt_wide.prime_ranks(pt_wide).tolist()
+    for m in range(1, 21):
+        bad = [n for n in range(1, len(values) // m + 1) if ranks[m * n - 1] > m * ranks[n - 1]]
+        for limit in (10 ** 6, 10 ** 7 + 1, values[-1], rt_wide.complete_below):
+            want = [n for n in bad if values[m * n - 1] < limit]
+            start = rank_scaling_threshold(m)
+            assert rank_scaling_violations(rt_wide, m, limit, pt_wide) == \
+                [(m, n) for n in want if n >= start]
+            assert last_violation_below_threshold(rt_wide, m, limit, pt_wide) == \
+                max((n for n in want if n < start), default=None)
+
+
+def test_rank_scaling_matches_the_plain_loop_on_hand_made_tables(pt1m):
+    true = compute_below(20_000, pt1m)
+    values = true.values.tolist()
+    # with the primes below this R_n, its mask bit, which shares a byte with the bit
+    # before it, is set past the classified bits
+    edge = next(v for v in values if v > 10 ** 4 and pt1m.prime_count(v) % 8 != 1)
+    short = prime_core.build(edge - 1)
+    assert mask_bits(true.mask, 0, short.total_primes + 1)[-1] and short.total_primes % 8
+    no_two = table_of(values[1:], true.scan_limit, 20_000)  # a first value other than 2
+    cases = [  # (table, its values below the classified edge, primes, limits)
+        (no_two, no_two, pt1m, (3, 5, 12, 1000, 20_000)),  # no n to walk at 3 and 12 for m > 1
+        (true, true.below(edge), short, (1000, edge)),  # the coverage edge
+        (table_of(values, true.scan_limit, 20_000), true.below(edge), short, (1000, edge)),
+    ]
+    for rt, listed, pt, limits in cases:
+        for m in range(1, 21):
+            for limit in limits:
+                want = rank_scaling_reference(listed, m, limit, pt)
+                assert ramanujan_core._rank_scaling_failures(rt, m, limit, pt).tolist() == want
+        with pytest.raises(CoverageError):
+            rank_scaling_violations(rt, 2, limits[-1] + 1, pt)
+    assert rank_scaling_reference(no_two, 2, 20_000, pt1m)[0] == 8  # 1 without the shift
 
 
 def test_table_save_load_roundtrip(tmp_path, pt1m):

@@ -139,7 +139,6 @@ def test_no_memo_holds_or_builds_a_byte_per_classified_prime(rt_wide, pt_wide, m
     n = rt.classified_count(pt_wide)  # the classified primes, of which the prime table keeps no list
     builds = {  # each with its bound on what it allocates beside what it keeps
         "twin_pairs": (lambda: rt.twin_pairs(pt_wide), n // 2),
-        "classified_ranks": (lambda: rt.classified_ranks(pt_wide), n // 2),
         # one step's temporaries, about 105 bytes per step row here; those over
         # every twin pair took 16 bytes a pair, 1.8 MB
         "twin_gap_table": (lambda: gap_analysis.twin_gap_table(rt, pt_wide), 128 * chunk),
@@ -149,6 +148,12 @@ def test_no_memo_holds_or_builds_a_byte_per_classified_prime(rt_wide, pt_wide, m
         before = memo_bytes(rt)
         peak = peak_bytes(build)
         assert peak - (memo_bytes(rt) - before) < bound, (name, peak)
+    # rank scaling keeps an int64 count a mask word, and builds no array with an entry for
+    # each Ramanujan prime: a memo of pi(R_n) took 4 bytes each, 16 times the mask's bytes
+    limit = rt.coverage(pt_wide) + 1
+    peak = peak_bytes(lambda: [ramanujan_core.rank_scaling_violations(rt, m, limit, pt_wide)
+                               for m in range(2, 21)])
+    assert peak < 4 * rt.mask.nbytes, (peak, rt.mask.nbytes)
     assert len(rt._derived) == 5  # "primes" and the four memos
     assert memo_bytes(rt) > 0 and all(
         a.size < n for v in rt._derived.values() for a in (v if isinstance(v, tuple) else (v,))
@@ -159,7 +164,6 @@ def test_first_sharp_run_peak_follows_the_step_not_the_list(rt_wide, pt_wide, mo
     chunk = 1 << 10
     monkeypatch.setattr(ramanujan_core, "_WALK_CHUNK", chunk)
     rt = rt_wide.below(rt_wide.complete_below)  # a fresh memo
-    rt.classified_ranks(pt_wide)  # every memo exists before the calls are traced
     for r, start in ((1, 11), (4, 7187), (11, 12034427)):  # the last walks 12e6 integers
         found = []
         peak = peak_bytes(lambda: found.append(gap_analysis.first_sharp_run(r, rt, pt_wide)))
