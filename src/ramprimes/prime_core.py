@@ -1,7 +1,8 @@
 """Segmented sieve of Eratosthenes with packed mod-30 wheel flag storage,
-its segments split across forked processes that write one shared flag
-buffer. No prime list is kept: primes are decoded from the flags a step at
-a time, into a caller's workspace (`PrimeTable.primes_between`).
+sieved one wheel residue at a time, its flag bytes split across forked
+processes that write one shared flag buffer. No prime list is kept: primes
+are decoded from the flags a step at a time, into a caller's workspace
+(`PrimeTable.primes_between`).
 
 A :class:`PrimeTable` answers primality, prime counting, and n-th prime
 queries for every integer in [2, limit]. Flags are kept one bit per integer
@@ -55,13 +56,14 @@ from .errors import InternalConsistencyError, ResourceLimitError
 
 _MAGIC = b"RPPT"
 
-_SEGMENT_BYTES = 1 << 16  # flag bytes per sieve segment: 30 integers, 15 odd numbers, each
+_SEGMENT_ROWS = 1 << 20  # flag bytes per sieve segment: one bool each in 8 columns of 1 MiB
+_PART_BYTES = 1 << 16  # flag bytes per unit of sieve work: parts of the flags start on whole units
 _MEMORY_CEILING = 4 << 30  # bytes that build() may allocate
 _NARROW = np.uint32  # the dtype of tables whose limit leaves it 16 of headroom
 _SUPER_SHIFT = 9  # 512 flag words per superblock of the prime-count index
-_PRESIEVE = (3, 5, 7, 11, 13, 17)  # primes sieved by copying one pattern, ascending
-_SEGMENT_WRITES = 1200  # a segment's copy and packing cost as much as this many strided writes
-_PART_SEGMENTS = 8  # least segments or scan blocks per process: below twice this many, no fork
+_PRESIEVE = (7, 11, 13, 17)  # primes sieved by copying one pattern, ascending (2, 3, 5: the wheel)
+_UNIT_WRITES = 3000  # a unit's copy, packing and small-prime writes cost as many large primes' writes
+_PART_SEGMENTS = 8  # least sieve units or scan blocks per process: below twice this many, no fork
 _STEP = 1 << 13  # int64 elements per step of a decode, count or compaction: 64 KiB, so that its
 # temporaries stay below glibc's least mmap threshold and come from the heap, whatever came before
 
@@ -442,15 +444,17 @@ def load(path) -> PrimeTable:
 def build(limit: int) -> PrimeTable:
     """Sieve [2, limit] segment by segment and return the finished table.
 
-    Each segment holds its odd numbers as bools, 15 to a flag byte. It starts
-    as a copy of one pattern, the odd numbers coprime to the `_PRESIEVE`
-    primes, which repeats every 255,255 odd numbers. Each larger base prime
-    then clears its odd multiples with one strided write, from its next odd
-    multiple, carried from segment to segment. The 8 of each 15 odd numbers
-    that are prime to 30 are then copied out, column by column, and packed
-    into the segment's flag bytes; the bits past `limit` are cleared last.
+    A segment is up to `_SEGMENT_ROWS` flag bytes, held as 8 columns of one
+    bool a byte, column k for the integers 30j + `_WHEEL`[k]. It starts as a
+    copy of one pattern, the integers prime to the `_PRESIEVE` primes, which
+    repeats every 17,017 flag bytes. Each larger base prime p then clears its
+    multiples p * m, m >= p, in each column, whose m lie in one residue class
+    mod 30 and whose bytes step by p: one strided write a column, from that
+    column's next byte, carried from segment to segment. Column k, viewed as
+    words and shifted left by k, is ORed into column 0, which holds the
+    segment's flag bytes; the bits past `limit` are cleared last.
 
-    The segments are split into contiguous parts, one per process (see
+    The flag bytes are split into contiguous parts, one per process (see
     :func:`_processes`), sieved into the same shared flag bytes by
     :func:`_run_parts`; the table is built once every child has exited.
 
@@ -458,32 +462,33 @@ def build(limit: int) -> PrimeTable:
     sum: the packed flags (8 bits per 30 integers, in one shared mapping that
     the forked processes write, padded to whole 8-byte words so that the
     table views them as words) and the superblock counts, written once at
-    their final size, and the popcount of the words, one byte a word, plus in each
-    process the pattern (one period, or fewer odd numbers if the flags span
-    fewer), the one reused segment buffer of 15 bools a flag byte, the one
-    reused buffer of the 8 bools a flag byte copied out of it, and a segment's
-    packed bytes. The base primes and their offsets, O(sqrt(limit)), are left out.
+    their final size, and the popcount of the words, one byte a word, plus in
+    each process the pattern (8 columns of one period, or of the flag bytes if
+    fewer), the segment's 8 columns (a segment's flag bytes, padded to whole
+    words, 8 times) and 8 int64 next bytes a base prime. The base primes are
+    sieved only once the rest fits, so that a vast limit fails at once.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     nbytes = (_last_bit(limit) >> 3) + 1
     nwords = -(-nbytes // 8)
-    nproc = _processes(-(-nbytes // _SEGMENT_BYTES))
-    rows = min(_SEGMENT_BYTES, nbytes)  # the flag bytes of a segment
-    period = math.prod(_PRESIEVE)  # odd numbers, so 2 * period integers
+    nproc = _processes(-(-nbytes // _PART_BYTES))
+    period = math.prod(_PRESIEVE)  # flag bytes, of 30 integers each
     needed = (9 * nwords + 8 * (-(-nwords >> _SUPER_SHIFT) + 1)  # words, popcounts, superblocks
-              + nproc * (min(period, 15 * nbytes) + (15 + 8 + 1) * rows))
+              + 8 * nproc * (min(period, nbytes) + 8 * -(-min(_SEGMENT_ROWS, nbytes) // 8)))
+    base = np.flatnonzero(simple_sieve_flags(math.isqrt(limit) if needed <= _MEMORY_CEILING else 1))
+    base = base[base > _PRESIEVE[-1]]
+    needed += 64 * nproc * base.size
     if needed > _MEMORY_CEILING:
         raise ResourceLimitError(f"limit {limit} needs about {needed} bytes to sieve, "
                                  f"over the {_MEMORY_CEILING}-byte ceiling")
 
-    # the odd numbers coprime to every pre-sieved prime, clear at the primes
-    # themselves too, so that the pattern repeats exactly every `period` of them
-    pattern = np.ones(min(period, 15 * nbytes), dtype=bool)
+    # the integers prime to every pre-sieved prime, clear at the primes themselves
+    # too, so that the pattern repeats exactly every `period` flag bytes
+    pattern = np.ones((8, min(period, nbytes)), dtype=bool)
     for p in _PRESIEVE:
-        pattern[p >> 1 :: p] = False
-    base = np.flatnonzero(simple_sieve_flags(math.isqrt(limit)))
-    base = base[base > _PRESIEVE[-1]]
+        for k, w in enumerate(_WHEEL.tolist()):  # 30j + w = 0 mod p from j = -w / 30 mod p
+            pattern[k, -w * pow(30, -1, p) % p :: p] = False
     packed = table_file.word_padded(nbytes)
     _run_parts(_parts(nbytes, base, nproc), lambda part, parent: _sieve(
         packed, pattern, base, *part, parent), "sieve", "sieving flag bytes [{}, {})")
@@ -547,56 +552,54 @@ def _processes(units: int) -> int:
 
 def _parts(nbytes: int, base: np.ndarray, nproc: int) -> list[tuple[int, int]]:
     """`nproc` contiguous ranges [start, stop) of the flag bytes, each from a
-    segment's first byte, of about equal work: a segment costs about as much
-    as `_SEGMENT_WRITES` strided writes, plus one for each base prime whose
-    square lies below its end."""
-    nseg = -(-nbytes // _SEGMENT_BYTES)
-    ends = np.minimum(np.arange(1, nseg + 1) * _SEGMENT_BYTES, nbytes)
-    work = np.cumsum(np.searchsorted(base, np.sqrt(30 * ends)) + _SEGMENT_WRITES)
-    # part k starts after the last segment whose cumulative work stays within k / nproc of it all
+    unit's first byte, of about equal work: a unit of `_PART_BYTES` costs about
+    as much as the writes of `_UNIT_WRITES` large base primes into it, plus one
+    for each base prime whose square lies below its end."""
+    nunits = -(-nbytes // _PART_BYTES)
+    ends = np.minimum(np.arange(1, nunits + 1) * _PART_BYTES, nbytes)
+    work = np.cumsum(np.searchsorted(base, np.sqrt(30 * ends)) + _UNIT_WRITES)
+    # part k starts after the last unit whose cumulative work stays within k / nproc of it all
     firsts = np.searchsorted(work, work[-1] * np.arange(1, nproc) // nproc, side="right")
-    cuts = [0, *(firsts * _SEGMENT_BYTES).tolist(), nbytes]
+    cuts = [0, *(firsts * _PART_BYTES).tolist(), nbytes]
     return list(zip(cuts, cuts[1:]))
 
 
 def _sieve(packed, pattern, base, start: int, stop: int, parent: int | None = None) -> None:
-    """Sieve flag bytes [start, stop) into `packed`, one segment of
-    `_SEGMENT_BYTES` bytes at a time from `start`, a segment's first byte. A
-    process forked by `parent` exits once that process is gone."""
-    period = math.prod(_PRESIEVE)
-    columns = (_WHEEL >> 1).tolist()  # the odd numbers of a flag byte that are prime to 30
-    # the index, among the odd numbers, of each base prime's first odd multiple
-    # from max(its square, the part's first odd number)
-    nxt = np.maximum(base * base >> 1, 15 * start + ((base >> 1) - 15 * start) % base)
-    rows = min(_SEGMENT_BYTES, stop - start)
-    buf, wheel = np.empty(15 * rows, dtype=bool), np.empty((rows, 8), dtype=bool)
-    for lo in range(start, stop, _SEGMENT_BYTES):
+    """Sieve flag bytes [start, stop) into `packed`, one segment of up to
+    `_SEGMENT_ROWS` bytes at a time from `start`, in 8 bool columns that start
+    whole words of one `table_file.word_padded` buffer. A process forked by
+    `parent` exits once that process is gone."""
+    period = pattern.shape[1]
+    # the byte of each base prime's first multiple p * m in each column k, m >= p from
+    # the residue m = _WHEEL[k] / p mod 30 (1 / p = p**7 mod 30), then from the part's first byte
+    m = _WHEEL[:, None].astype(np.int64) * (base % 30) ** 7 % 30
+    nxt = base * (base + (m - base) % 30) // 30
+    nxt -= np.minimum(nxt - start, 0) // base * base
+    width = -(-min(_SEGMENT_ROWS, stop - start) // 8) * 8
+    columns = table_file.word_padded(8 * width).view(bool).reshape(8, width)
+    for lo in range(start, stop, _SEGMENT_ROWS):
         if parent is not None and os.getppid() != parent:
             os._exit(1)
-        hi = min(lo + _SEGMENT_BYTES, stop)
-        lo_odd, hi_odd = 15 * lo, 15 * hi  # odd number i is 2 * i + 1
-        seg = buf[: hi_odd - lo_odd]
-        i, r = 0, lo_odd % period  # r: the segment's offset into the pattern's period
-        while i < seg.size:
-            n = min(period - r, seg.size - i)
-            seg[i : i + n] = pattern[r : r + n]
+        hi = min(lo + _SEGMENT_ROWS, stop)
+        seg = columns[:, : hi - lo]
+        i, r = 0, lo % period  # r: the segment's offset into the pattern's period
+        while i < hi - lo:
+            n = min(period - r, hi - lo - i)
+            seg[:, i : i + n] = pattern[:, r : r + n]
             i, r = i + n, 0
-        for p in _PRESIEVE:
-            if lo_odd <= p >> 1 < hi_odd:
-                seg[(p >> 1) - lo_odd] = True
-        if lo_odd == 0:
-            seg[0] = False  # the number 1
-        # the base primes whose square is below the segment's end, then those with a multiple in it
-        reach = np.searchsorted(base, math.isqrt(2 * hi_odd - 1), side="right")
-        active = np.flatnonzero(nxt[:reach] < hi_odd)
-        step, at = base[active], nxt[active]
-        for i, p in zip((at - lo_odd).tolist(), step.tolist()):
-            seg[i::p] = False
-        nxt[active] = at + (hi_odd - at + step - 1) // step * step
-        grid, flags = seg.reshape(-1, 15), wheel[: hi - lo]
-        for k, c in enumerate(columns):
-            flags[:, k] = grid[:, c]
-        packed[lo:hi] = np.packbits(flags, bitorder="little")
+        if lo == 0:
+            seg[:, 0] = _WHEEL > 1  # 1 is not prime, and 7..29 are
+        for col, at in zip(seg, nxt):  # a column at a time, so that its writes stay in cache
+            active = np.flatnonzero(at < hi)
+            step, first = base[active], at[active]
+            for i, p in zip((first - lo).tolist(), step.tolist()):
+                col[i::p] = False
+            at[active] = first + (hi - first + step - 1) // step * step
+        words = columns.view(np.uint64)[:, : -(-(hi - lo) // 8)]  # each byte 0 or 1: no carry
+        for k in range(1, 8):
+            words[k] <<= k
+            words[0] |= words[k]
+        packed[lo:hi] = words[0].view(np.uint8)[: hi - lo]
 
 
 def _superblock_counts(words: np.ndarray) -> np.ndarray:

@@ -94,11 +94,12 @@ def _twin_table(rt: RamanujanTable, primes: PrimeTable):
 
 
 def nth_prime_upper(k: int) -> int:
-    """Rosser-style upper bound for the k-th prime, used to size sieves."""
+    """An upper bound for the k-th prime, used to size sieves: Rosser's k(ln k + ln ln k),
+    and from k = 39017 Dusart's k(ln k + ln ln k - 0.9484) (Math. Comp. 68 (1999) 411-415)."""
     if k < 6:
         return 14
     lk = math.log(k)
-    return int(k * (lk + math.log(lk))) + 1
+    return int(k * (lk + math.log(lk) - (0.9484 if k >= 39017 else 0))) + 1
 
 
 def prime_limit_for_count(n: int) -> int:

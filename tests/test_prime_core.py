@@ -4,6 +4,8 @@ import hashlib
 import math
 import os
 import struct
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -74,27 +76,53 @@ def test_build_rejects_over_memory_ceiling(monkeypatch):
         prime_core.build(10 ** 8)
     # at 10**6 the flags, 33,334 bytes padded to 4,167 words (33,336 bytes), their
     # popcounts, 4,167 bytes, and the 10 int64 superblock counts take 37,583 bytes;
-    # the working arrays take 1,055,271 more: the pre-sieve pattern's one period of
-    # 255,255 odd numbers, one segment of 500,010 bools (15 a flag byte), the 266,672
-    # of them prime to 30 copied out (8 a flag byte) and their 33,334 packed bytes
-    for ceiling in (100_000, 1_092_853):
+    # the working arrays take 413,128 more: the pattern's 8 columns of one period of
+    # 17,017 flag bytes (136,136 bools), a segment's 8 columns of the 33,334 flag bytes
+    # padded to 33,336 (266,688 bools), and 8 int64 next bytes for each of the 161
+    # base primes from 19 to 1000 (10,304 bytes)
+    for ceiling in (100_000, 450_710):
         monkeypatch.setattr(prime_core, "_MEMORY_CEILING", ceiling)
         with pytest.raises(ResourceLimitError):
             prime_core.build(10 ** 6)
-    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 1_092_854)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 450_711)
     assert prime_core.build(10 ** 6).limit == 10 ** 6
-    # at 4 * 10**7, 21 segments sieved by two processes: the flags, 1,333,334 bytes
-    # padded to 166,667 words (1,333,336 bytes), their popcounts, 166,667 bytes, and
-    # the 327 counts, 2,616 bytes, take 1,502,619 bytes; each process adds its
-    # pattern, 255,255, its segment buffer, 983,040, the 524,288 bools copied out
-    # of it and a segment's 65,536 packed bytes
+    # at 4 * 10**7, 21 units of 2**16 flag bytes sieved by two processes: the flags,
+    # 1,333,334 bytes padded to 166,667 words (1,333,336 bytes), their popcounts,
+    # 166,667 bytes, and the 327 counts, 2,616 bytes, take 1,502,619 bytes; each
+    # process adds its pattern, 136,136, the 8 columns of a segment of 2**20 flag
+    # bytes, 8,388,608, and the next bytes of the 816 base primes to 6,324, 52,224
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks = counted_forks(monkeypatch)
-    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 5_158_856)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 18_656_554)
     with pytest.raises(ResourceLimitError):
         prime_core.build(4 * 10 ** 7)
-    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 5_158_857)
+    monkeypatch.setattr(prime_core, "_MEMORY_CEILING", 18_656_555)
     assert prime_core.build(4 * 10 ** 7).total_primes == 2_433_654 and len(forks) == 1
+
+
+def test_one_process_build_peaks_within_its_estimate():
+    # build(3 * 10**7) on one CPU sieves in one process and needs 9,308,928 bytes: the
+    # flags, 1,000,000 bytes padded to 125,000 words, their popcounts and 246 counts,
+    # 1,126,968; the pattern, 136,136; a segment's 8 columns of 1,000,000 bools each;
+    # the next bytes of the 716 base primes to 5,477, 45,824. The peak RSS of a fresh
+    # process rises by no more, once a small build has run every code path the sieve
+    # runs. The peak is VmHWM, as ru_maxrss keeps the peak of the process it was forked from
+    script = (
+        "import os\n"
+        "from ramprimes import prime_core\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "prime_core._MEMORY_CEILING = 9_308_928\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return 1024 * int(next(x for x in fh if x.startswith('VmHWM:')).split()[1])\n"
+        "prime_core.build(10 ** 5)\n"
+        "before = peak()\n"
+        "prime_core.build(3 * 10 ** 7)\n"
+        "print(peak() - before)\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(prime_core.__file__))})
+    assert run.returncode == 0, run.stderr
+    assert 0 < int(run.stdout) <= 9_308_928
 
 
 def test_nth_prime_reference_points():
@@ -194,11 +222,12 @@ def assert_sieved_exactly(pt):
                                                         pt._supers.size)), limit
 
 
-# 600,001 is past one period of the pre-sieve pattern (510,510 integers), so the
-# smaller segments start at many offsets into it and some copies wrap past its end
-@pytest.mark.parametrize("segment_bytes", [8, 64, 1 << 10, 1 << 18])  # 30 integers a byte
+# 600,001 is past one period of the pre-sieve pattern (510,510 integers, 17,017 flag
+# bytes), so the smaller segments start at many offsets into it, some copies wrap past
+# its end, and a segment of 17,017 or 17,018 bytes holds one period or just more
+@pytest.mark.parametrize("segment_bytes", [1, 7, 8, 64, 1 << 10, 17_017, 17_018, 1 << 18])
 def test_segmented_matches_simple_construction(monkeypatch, segment_bytes):
-    monkeypatch.setattr(prime_core, "_SEGMENT_BYTES", segment_bytes)
+    monkeypatch.setattr(prime_core, "_SEGMENT_ROWS", segment_bytes)  # 30 integers a byte
     for limit in (10 ** 5 + 7, 600_001):
         assert_sieved_exactly(prime_core.build(limit))
 
@@ -302,11 +331,12 @@ def limits_with_part_edges(edges, nproc, candidates) -> set[int]:
 
 
 # parts that start on and around the flag bytes of 19**2 (byte 12) and 23**2
-# (byte 17), where the first carried primes begin, at a byte a segment, and
-# around the pattern's period (255,255 odd numbers, 17,017 bytes, inside the
-# 64-byte segment from byte 16,960), so that a part starts at many offsets into it
-SPLITS = [(1, (11, 12, 13, 16, 17, 18), range(300, 1200)),
-          (64, (16_896, 16_960, 17_024), range(700_000, 1_700_000, 480))]
+# (byte 17), where the first carried primes begin, at a byte a unit and in
+# segments of 7 bytes from each part's start, so that the parts' segments are
+# off those of one process; and around the pattern's period (17,017 bytes, inside
+# the 64-byte unit from byte 16,960), so that a part starts at many offsets into it
+SPLITS = [(1, 7, (11, 12, 13, 16, 17, 18), range(300, 1200)),
+          (64, 1 << 20, (16_896, 16_960, 17_024), range(700_000, 1_700_000, 480))]
 
 
 @pytest.mark.parametrize("nproc", [1, 2, 3])
@@ -315,15 +345,16 @@ def test_split_sieve_matches_simple_construction(monkeypatch, nproc):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(nproc)))
     forks = counted_forks(monkeypatch)
     builds = 0
-    for segment_bytes, edges, candidates in SPLITS:
-        monkeypatch.setattr(prime_core, "_SEGMENT_BYTES", segment_bytes)
+    for unit_bytes, segment_bytes, edges, candidates in SPLITS:
+        monkeypatch.setattr(prime_core, "_PART_BYTES", unit_bytes)
+        monkeypatch.setattr(prime_core, "_SEGMENT_ROWS", segment_bytes)
         limits = limits_with_part_edges(edges, 2, candidates) | limits_with_part_edges(
             edges, 3, candidates)  # the same limits for every part count
         for limit in sorted(limits):
             nbytes = flag_bytes(limit)
             parts = prime_core._parts(nbytes, base_primes(limit), nproc)
             cuts = [start for start, _ in parts] + [nbytes]
-            assert cuts == sorted(set(cuts)) and all(c % segment_bytes == 0 for c in cuts[:-1])
+            assert cuts == sorted(set(cuts)) and all(c % unit_bytes == 0 for c in cuts[:-1])
             assert_sieved_exactly(prime_core.build(limit))
             builds += 1
     assert len(forks) == (nproc - 1) * builds
@@ -331,8 +362,9 @@ def test_split_sieve_matches_simple_construction(monkeypatch, nproc):
 
 @pytest.fixture()
 def three_parts(monkeypatch):
-    """`build(10**6)` in three parts: 521 segments of 64 flag bytes on three CPUs."""
-    monkeypatch.setattr(prime_core, "_SEGMENT_BYTES", 64)
+    """`build(10**6)` in three parts: 521 units and segments of 64 flag bytes on three CPUs."""
+    monkeypatch.setattr(prime_core, "_PART_BYTES", 64)
+    monkeypatch.setattr(prime_core, "_SEGMENT_ROWS", 64)
     monkeypatch.setattr(prime_core, "_PART_SEGMENTS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
 
@@ -372,7 +404,7 @@ def test_a_sieve_process_whose_parent_is_gone_exits():
     pid = os.fork()
     if pid == 0:
         try:  # -1 is no process's pid, so the parent reads as gone before the first segment
-            prime_core._sieve(packed, np.ones(120, dtype=bool), base_primes(239), 0, 8, -1)
+            prime_core._sieve(packed, np.ones((8, 8), dtype=bool), base_primes(239), 0, 8, -1)
         finally:
             os._exit(0)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 1
@@ -384,10 +416,10 @@ def refuse_fork():
 
 
 def test_below_the_part_threshold_nothing_is_forked(monkeypatch):
-    monkeypatch.setattr(prime_core, "_SEGMENT_BYTES", 64)
+    monkeypatch.setattr(prime_core, "_PART_BYTES", 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.setattr(os, "fork", refuse_fork)
-    # two processes need 2 * _PART_SEGMENTS segments: 16 * 64 flag bytes
+    # two processes need 2 * _PART_SEGMENTS units: 16 * 64 flag bytes
     below = 30 * (2 * prime_core._PART_SEGMENTS - 1) * 64
     assert_sieved_exactly(prime_core.build(below))
     with pytest.raises(ResourceLimitError, match="cannot start a sieve process: fork refused"):
@@ -410,10 +442,10 @@ def another_thread(start):
 
 
 def test_no_process_is_forked_beside_another_thread(monkeypatch):
-    monkeypatch.setattr(prime_core, "_SEGMENT_BYTES", 64)
+    monkeypatch.setattr(prime_core, "_PART_BYTES", 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", refuse_fork)
-    limit = 10 ** 6  # 521 segments, two processes
+    limit = 10 ** 6  # 521 units, two processes
     with another_thread(lambda wait: threading.Thread(target=wait).start()):
         for version in ((3, 11, 0), (3, 12, 0)):
             monkeypatch.setattr(prime_core.sys, "version_info", version)

@@ -117,6 +117,28 @@ def oracle_1000():
     return oracle_tables(1000)
 
 
+def test_nth_prime_upper_bounds_every_prime_below_2e8():
+    # every p_k below 2e8, a step of primes at a time, lies below the bound's real value
+    # less 1, computed in numpy, so the scalar int() + 1 of it is at least p_k too; from
+    # k = 39017, where Dusart's form takes over below Rosser's, it is at most 0.16% over
+    pt = prime_core.build(2 * 10 ** 8)
+    assert [ramanujan_core.nth_prime_upper(k) for k in (5, 6, 39016, 39017)] == [14, 15, 504474, 467484]
+    assert [pt.nth_prime(k) for k in (5, 6, 39016, 39017)] == [11, 13, 467471, 467473]
+    first, steps = 1, 0
+    for lo in range(0, 2 * 10 ** 8, 10 ** 7):
+        p = pt.primes_between(lo, lo + 10 ** 7 - 1)
+        k = np.arange(first, first + p.size)
+        lk = np.log(np.maximum(k, 6))
+        dusart = k >= 39017
+        bound = np.where(k < 6, 14, k * (lk + np.log(lk) - 0.9484 * dusart))
+        assert np.all(p <= bound - 1), lo
+        assert np.all(bound[dusart] <= 1.0016 * p[dusart]), lo
+        for i in (0, p.size // 2, p.size - 1):  # the scalar bound agrees, to its rounding
+            assert abs(ramanujan_core.nth_prime_upper(int(k[i])) - bound[i]) <= 1
+        first, steps = first + p.size, steps + dusart.any()
+    assert first == pt.total_primes + 1 == 11_078_938 and steps == 20
+
+
 def test_first_21_values(pt1m):
     assert compute_first(21, pt1m).values.tolist() == FIRST_21
 
@@ -426,9 +448,15 @@ def split_scan(monkeypatch, n, pt, nproc):
     return table, runs[0], exact
 
 
+@pytest.fixture(scope="module")
+def pt_690k():
+    """A prime table sized for the first 690,000 Ramanujan primes."""
+    return prime_core.build(ramanujan_core.prime_limit_for_count(690_000))
+
+
 # (block, prime table, counts n): at 64 integers a block, parts start on blocks
 # whose first prime index is not a multiple of 8, so a mask byte is shared
-SPLIT_SCANS = [(64, "pt1m", (66, 300, 1000, 5000, 26000)), (1 << 20, "pt_wide", (400_000, 690_000))]
+SPLIT_SCANS = [(64, "pt1m", (66, 300, 1000, 5000, 26000)), (1 << 20, "pt_690k", (400_000, 690_000))]
 
 
 @pytest.mark.parametrize("nproc", [1, 2, 3])
