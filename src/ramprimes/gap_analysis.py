@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
 from .prime_core import PrimeTable, mask_bits, mask_count, search, table_dtype
-from .ramanujan_core import RamanujanTable, primes_at, walk
+from .ramanujan_core import RamanujanTable, walk
 from .run_stats import blocks_below
 
 DEFAULT_SHARP_SEARCH_BOUND = 20_000_000
@@ -43,23 +43,14 @@ class GapRecord:
     enclosing_gap: tuple[int, int]
 
 
-def _gap_ends(pt: PrimeTable, lo):
-    """Ends a, b of the maximal prime gaps that start a prime-free stretch at
-    lo, elementwise, for ascending lo: the primes p_c and p_{c + 1} just outside
-    it, c = pi(lo - 1), picked from the steps (`primes_at`)."""
-    below, above = primes_at(pt, pt.prime_count_batch(np.asarray(lo) - 1))
-    return below + 1, above - 1
-
-
 def gap_for_run(start_index: int, run_length: int, rt: RamanujanTable, pt: PrimeTable) -> GapRecord:
     """Build and verify the gap record for the run of `run_length`
     consecutive primes beginning at the prime of rank `start_index`.
 
     The run is sliced from the classified primes and must consist of odd
-    Ramanujan primes. The enclosing gap is read from the flags (`_gap_ends`) as
-    twin gaps are; a prime between the halved endpoints would end it before the
-    upper one and contradict a proved fact, so it raises an internal-consistency
-    error rather than a value error.
+    Ramanujan primes. Its gap ends at the primes nearest the lower halved endpoint, read
+    from the flags (`PrimeTable.neighbours`); a prime before the upper endpoint would
+    contradict a proved fact: an internal-consistency error rather than a value error.
     """
     if run_length < 1 or start_index < 1:
         raise ValueError(f"rank {start_index} and run length {run_length} must be >= 1")
@@ -72,7 +63,8 @@ def gap_for_run(start_index: int, run_length: int, rt: RamanujanTable, pt: Prime
     if not all(mask_bits(rt.mask, lo, hi).all() for lo, hi in walk(start_index - 1, end)):
         raise ValueError(f"primes p_{start_index}..p_{end} are not all Ramanujan")
     gap_lo, gap_hi = (p + 1) // 2, (q + 1) // 2
-    a, b = (int(end[0]) for end in _gap_ends(pt, [gap_lo]))  # the prime q > gap_hi closes it
+    below, above = pt.neighbours([gap_lo])  # the prime q > gap_hi closes the gap
+    a, b = int(below[0]) + 1, int(above[0]) - 1
     if b < gap_hi:
         raise InternalConsistencyError(
             f"prime found inside [{gap_lo}, {gap_hi}] for run ({p}, {q})"
@@ -152,8 +144,8 @@ def twin_gap_table(rt: RamanujanTable, pt: PrimeTable) -> tuple[np.ndarray, np.n
     The case split behind the guarantee is verified along the way: writing
     p = 6k - 1, an even k puts the halved pair at the start of a five-wide
     composite stretch, while an odd k relies on (q+3)/2 being composite,
-    which is forced by q being Ramanujan. Those stretches are read from the
-    flags, the gap ends from prime counts, a `walk` step of pairs at a time. The
+    which is forced by q being Ramanujan. Those stretches, and the gap ends as the nearest
+    set flag bits (`PrimeTable.neighbours`), are read a `walk` step of pairs at a time. The
     three read-only arrays are built on first use and kept in the memo of `rt` for `pt`.
     """
     return rt.derived(pt, "twin_gaps", _build_twin_gaps)
@@ -178,7 +170,9 @@ def _build_twin_gaps(rt: RamanujanTable, pt: PrimeTable):
             inside |= pt.is_prime_batch(span + offset)
         _require_none(inside, p, "prime inside the expected five-wide composite span")
         # q = p + 2 is a classified prime above the halved pair, so the gap closes below it
-        a[lo:hi], b[lo:hi] = _gap_ends(pt, gap_lo)
+        a[lo:hi], b[lo:hi] = pt.neighbours(gap_lo)  # the primes just outside the gap, written
+        a[lo:hi] += 1  # into the rows, so that no array of this step outlives it
+        b[lo:hi] -= 1
         _require_none(b[lo:hi] - a[lo:hi] + 1 < 5, p, "enclosing gap shorter than 5")
     return lesser, a, b
 
@@ -252,8 +246,8 @@ def half_point_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> lis
 def run_interval_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[tuple[int, int]]:
     """Maximal odd-Ramanujan runs below `bound` whose halved interval
     [lo, hi] contains a prime; provably none. Checked with two prime counts a run
-    as each walk step closes its runs, pi(hi) > pi(lo - 1): the counts that
-    `gap_for_run` reads its gap ends through (`_gap_ends`), so no separate route.
+    as each walk step closes its runs, pi(hi) > pi(lo - 1): a route apart from
+    `gap_for_run`, which reads its gap ends from the nearest set flag bits.
     """
     bad = []
     for _, start_p, end_p, _ in _odd_runs(rt, pt, bound):

@@ -339,6 +339,34 @@ class PrimeTable:
         out += shifts.view(np.int64)
         return out
 
+    def neighbours(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """(p_c, p_{c + 1}), c = pi(key - 1), as int64, for the 1-D integer `keys` in [6, the last
+        prime], else a ValueError: the nearest set flag bits at or below key - 1's bit and past it,
+        in the key's word, masked, or a word at a time outward; for keys 6 and 7, p_c is 5."""
+        x, top = np.asarray(keys), self.nth_prime(self.total_primes)
+        if x.size and (int(x.min()) < 6 or int(x.max()) > top):
+            raise ValueError(f"neighbours arguments outside [6, {top}], the table's last prime")
+        bits = x.astype(np.int64) - 2  # key - 1 = 240 * (bits // 240) + 1 + bits % 240
+        word = self._words[bits // 240]
+        low = word & np.right_shift(~np.uint64(0), np.take(_SHIFTS, bits % 240).view(np.uint64))
+        word ^= low  # the bits past key - 1's, and in `low` those at or below it
+        for out, step in ((low, -1), (word, 1)):
+            np.floor_divide(x - 2, 240, out=bits)  # the key's word, moved on while no bit is set
+            miss = np.flatnonzero((out == 0) & (x > 7))  # 7 has the first flag bit
+            while miss.size:  # no key passes the last prime, and none past 7 steps below 7
+                bits[miss] += step
+                out[miss] = self._words[bits[miss]]
+                miss = miss[out[miss] == 0]
+            if step < 0:
+                for s in (1, 2, 4, 8, 16, 32):
+                    out |= out >> s  # smeared down: the bits through the highest set bit
+            else:
+                out ^= out - 1  # the bits through the lowest set bit
+            bits *= 64  # the word's first bit, and the place of the set bit in it:
+            bits += np.bitwise_count(out) - 1  # the bits through it, less one
+            _integers(bits, out.view(np.int64))
+        return np.where(x < 8, 5, low.view(np.int64)), word.view(np.int64)
+
     def primes_upto(self, x: int) -> np.ndarray:
         """All primes <= x, ascending, in the dtype of the table's limit: one decode of
         the flags, which the table does not keep."""

@@ -14,9 +14,9 @@ in a bit mask over prime indices, the classification, which a cache file stores
 and analytics read in place a `walk` step at a time (`mask_bits`), or, for twin
 pairs, through the memoized twin table (`RamanujanTable.twin_pairs`). No prime
 list is kept: an analytic that reads primes by position walks `steps`, decoded
-from the flags into one workspace that each step reuses, or picks them by rank
-(`primes_at`), and reads the Ramanujan prime at mask bit i from the values at
-index `mask_count(mask, i)`, the count of the set bits before it.
+from the flags into one workspace that each step reuses, and reads the Ramanujan
+prime at mask bit i from the values at index `mask_count(mask, i)`, the count of
+the set bits before it.
 
 The values take the dtype that `prime_core.table_dtype` gives for the
 scan's end p_3n, so they are ``uint32`` below 2**32, whether computed,
@@ -68,16 +68,6 @@ def steps(primes: PrimeTable, start: int, stop: int):
         primes.primes_between(int(room[0]) + 1, top := primes.nth_prime(hi), out=room[1:])
         yield lo, room[: hi - lo + 1]
         room[0] = top
-
-
-def primes_at(primes: PrimeTable, ranks: np.ndarray) -> np.ndarray:
-    """p_r and p_{r+1} for each of the ascending `ranks` r >= 0 (p_0 = 0), as the two rows
-    of an array in the table's dtype, picked from the `steps` from p_{ranks[0]}."""
-    out = np.empty((2, ranks.size), dtype=table_dtype(primes.limit))
-    for lo, p in steps(primes, int(ranks[0]) if ranks.size else 0, int(ranks[-1]) + 1 if ranks.size else 0):
-        i = slice(*np.searchsorted(ranks, [lo, lo + p.size - 1]))
-        out[:, i] = p[ranks[i] - lo], p[ranks[i] - lo + 1]
-    return out
 
 
 def _twin_table(rt: RamanujanTable, primes: PrimeTable):
@@ -412,11 +402,14 @@ def compute_below(x: int, primes: PrimeTable) -> RamanujanTable:
 
 
 def _every_kth_prime(primes: PrimeTable, k: int, count: int) -> np.ndarray:
-    """p_k, p_2k, ..., p_(k * count), the primes after the ranks k - 1, 2k - 1, ... (`primes_at`),
-    copied out, so that a memo holds one row; a CoverageError if the table holds fewer."""
+    """p_k, p_2k, ..., p_(k * count), in the table's dtype, a stride of each `steps` step from
+    its p_lo: those of ranks lo + k - lo % k, ...; a CoverageError if the table holds fewer."""
     if primes.total_primes < k * count:
         raise CoverageError(f"needs p_{k * count}; table covers only {primes.limit}")
-    return primes_at(primes, np.arange(k - 1, k * count, k))[1].copy()
+    out = np.empty(count, dtype=table_dtype(primes.limit))
+    for lo, p in steps(primes, 0, k * count):
+        out[lo // k : (lo + p.size - 1) // k] = p[k - lo % k :: k]
+    return out
 
 
 def _p3n(table: RamanujanTable, primes: PrimeTable, count: int) -> np.ndarray:

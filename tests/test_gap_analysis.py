@@ -215,6 +215,25 @@ def test_twin_gap_table_matches_the_per_pair_reference(rt_wide, pt_wide):
     assert list(zip(a[:n].tolist(), b[:n].tolist())) == expected
 
 
+def test_gap_ends_take_no_prime_count_and_no_decode(rt_wide, pt_wide, monkeypatch):
+    # the ends of a gap are the nearest set flag bits: no count, no step of decoded primes
+    expected = twin_gap_table(rt_wide, pt_wide)
+    rt = rt_wide.below(rt_wide.complete_below)  # a fresh memo
+    rt.twin_pairs(pt_wide)  # the twin table counts; it is built before the patch
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a gap end was counted or decoded")
+
+    monkeypatch.setattr(prime_core.PrimeTable, "prime_count_batch", refused)
+    monkeypatch.setattr(prime_core.PrimeTable, "primes_between", refused)
+    record = gap_for_run(657, 2, rt, pt_wide)
+    assert record.sharp and record.enclosing_gap == (2460, 2466)
+    assert [first_sharp_run(r, rt, pt_wide) for r in range(1, 7)] == SHARP_STARTS[:6]
+    found = twin_gap_table(rt, pt_wide)
+    assert found[0].size == 49_092
+    assert all(np.array_equal(f, e) for f, e in zip(found, expected))
+
+
 def test_twin_gap_table_is_built_once_and_read_only(pt1m, monkeypatch):
     rt = ramanujan_core.compute_below(10 ** 5, pt1m)
     first = twin_gap_table(rt, pt1m)

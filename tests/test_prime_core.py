@@ -774,6 +774,60 @@ def test_primes_upto(pt1m):
     assert pt1m.primes_upto(1).size == 0
 
 
+def searched_neighbours(flags: np.ndarray, keys: np.ndarray):
+    """(p_c, p_{c + 1}), c = pi(key - 1), for each key, by a search of the integers set
+    in the per-integer `flags`: the last prime below the key and the first at or past it."""
+    primes = np.flatnonzero(flags)
+    at = np.searchsorted(primes, keys)  # the first prime at or past each key
+    return primes[at - 1], primes[at]
+
+
+# 245,760 and 300,000: multiples of 30, whose last flag byte lies past the flags (245,760 is
+# also a whole number of superblocks); 299,016: just below the prime 299,017, so the table's
+# last prime, 299,011, is 5 below its limit; 7..31: the first flag bits and keys 6 and 7
+@pytest.mark.parametrize("limit", [7, 8, 11, 30, 31, 5_000, 245_760, 299_016, 300_000])
+def test_neighbours_match_the_simple_sieve(limit):
+    pt, flags = prime_core.build(limit), prime_core.simple_sieve_flags(limit)
+    top = int(np.flatnonzero(flags)[-1])
+    words = 240 * np.arange(1, limit // 240 + 1)
+    supers = 122_880 * np.arange(1, limit // 122_880 + 1)
+    keys = np.unique(np.concatenate([np.arange(6, 5_001), words - 1, words, words + 1,
+                                     supers - 1, supers, supers + 1]))
+    keys = keys[keys <= top]
+    expected = searched_neighbours(flags, keys)
+    for dtype in (np.uint32, np.int64):
+        for order in (slice(None), slice(None, None, -1)):  # the keys need not ascend
+            found = pt.neighbours(keys[order].astype(dtype))
+            assert all(f.dtype == np.int64 for f in found)
+            assert np.array_equal(found[0], expected[0][order]), (limit, dtype)
+            assert np.array_equal(found[1], expected[1][order]), (limit, dtype)
+    assert [e.tolist() for e in pt.neighbours(np.array([6, 7]))] == [[5, 5], [7, 7]]
+    for past in range(top + 1, limit + 1):  # no prime at or past it in the table
+        with pytest.raises(ValueError, match=rf"^neighbours arguments outside \[6, {top}\]"):
+            pt.neighbours(np.array([6, past], dtype=np.uint32))
+    for low in (0, 5):
+        with pytest.raises(ValueError, match="outside"):
+            pt.neighbours([low, 11])
+    assert [e.size for e in pt.neighbours(np.zeros(0, np.uint32))] == [0, 0]
+
+
+def test_neighbours_step_over_many_empty_words():
+    # flag bits set for 7, 11, 2,401, 2,639 and 9,001 alone (all prime to 30): gaps of 10 and
+    # 27 words, and 2,401 and 2,639 the first and last bits of word 10, 63 bits apart
+    limit, marked = 10_000, [7, 11, 2_401, 2_639, 9_001]
+    packed = table_file.word_padded(flag_bytes(limit))
+    for n in marked:
+        packed[n // 30] |= 1 << WHEEL.index(n % 30)
+    pt = prime_core.PrimeTable(limit, packed)
+    flags = np.zeros(limit + 1, dtype=bool)
+    flags[[2, 3, 5, *marked]] = True
+    keys = np.arange(6, 9_002)
+    found, expected = pt.neighbours(keys), searched_neighbours(flags, keys)
+    assert np.array_equal(found[0], expected[0]) and np.array_equal(found[1], expected[1])
+    with pytest.raises(ValueError, match=r"outside \[6, 9001\]"):
+        pt.neighbours([9_002])
+
+
 def test_primes_between_windows(pt1m, sieve1m):
     for lo, hi in [(0, 0), (2, 2), (3, 17), (16, 64), (999, 1001), (4096, 5000)]:
         expected = lo + np.flatnonzero(sieve1m[lo : hi + 1])
