@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, InternalConsistencyError, NotFoundBelowBound
-from .prime_core import PrimeTable, mask_bits, mask_count, search, table_dtype
+from .prime_core import PrimeTable, mask_bits, search, table_dtype
 from .ramanujan_core import RamanujanTable, walk
 from .run_stats import blocks_below
 
@@ -104,7 +104,7 @@ def first_sharp_run(
     # bound. One starts at the i-th Ramanujan index of a step exactly when the
     # (i + r - 1)-th lies r - 1 on; a step's windows end before its end + r - 1
     n = pt.prime_count(search_bound - 1)
-    before = mask_count(rt.mask, 1)  # the Ramanujan primes below each step
+    before = 1  # the Ramanujan primes below each step: below the first, R_1 = 2 alone
     for lo, hi in walk(1, n):
         ram = lo + np.flatnonzero(mask_bits(rt.mask, lo, min(hi + r - 1, size)))
         k = max(ram.size - r + 1, 0)  # the indices that have r - 1 more after them
@@ -146,7 +146,7 @@ def twin_gap_table(rt: RamanujanTable, pt: PrimeTable) -> tuple[np.ndarray, np.n
     composite stretch, while an odd k relies on (q+3)/2 being composite,
     which is forced by q being Ramanujan. Those stretches, and the gap ends as the nearest
     set flag bits (`PrimeTable.neighbours`), are read a `walk` step of pairs at a time. The
-    three read-only arrays are built on first use and kept in the memo of `rt` for `pt`.
+    three read-only arrays are built on first use and kept in the memo of `rt`.
     """
     return rt.derived(pt, "twin_gaps", _build_twin_gaps)
 
@@ -201,8 +201,7 @@ def twin_gap_check(p: int, q: int, rt: RamanujanTable, pt: PrimeTable) -> tuple[
         raise ValueError(f"({p}, {q}) is not a twin pair")
     if p <= 3:
         raise ValueError(f"twin gap analysis needs p > 3, got {p}")
-    memo = rt._derived  # a hit reads the memo in place, with no derived() call
-    lookup = memo.get("twin_gap_lookup") if memo.get("primes") is pt else None
+    lookup = rt._derived.get("twin_gap_lookup")  # a hit reads the memo in place, with no call
     lesser, a, b, first, buckets, shift = lookup or rt.derived(pt, "twin_gap_lookup", _gap_lookup)
     k = p >> shift
     if k < buckets:  # row first[k] exists, and is p's when p is first in its bucket
@@ -226,7 +225,7 @@ def _odd_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
     primes, end primes, lengths) as arrays, the primes read from the values.
     A block of either class still open at the coverage edge is a CoverageError."""
     rt.coverage(pt, bound - 1)
-    before = mask_count(rt.mask, 1)  # the Ramanujan primes before each step's runs
+    before = 1  # the Ramanujan primes before each step's runs: before the first, R_1 = 2 alone
     # the blocks of the primes past index 0, the even prime 2
     for starts, lengths, values in blocks_below(pt.prime_count(bound - 1), rt, pt, 1):
         starts, lengths = starts[values], lengths[values]
@@ -238,8 +237,7 @@ def _odd_runs(rt: RamanujanTable, pt: PrimeTable, bound: int):
 def half_point_violations(rt: RamanujanTable, pt: PrimeTable, bound: int) -> list[int]:
     """Odd Ramanujan primes R < bound whose (R+1)/2 is prime; provably none."""
     rt.coverage(pt, bound - 1)
-    start = mask_count(rt.mask, 1)  # the values past 2, if the mask marks it
-    steps = (rt.values[lo:hi] for lo, hi in walk(start, int(search(rt.values, bound))))
+    steps = (rt.values[lo:hi] for lo, hi in walk(1, int(search(rt.values, bound))))  # past R_1 = 2
     return [r for v in steps for r in v[pt.is_prime_batch((v + 1) // 2)].tolist()]
 
 

@@ -125,19 +125,19 @@ def mask_count(packed: np.ndarray, stop: int) -> int:
     return int(np.bitwise_count(packed[: stop >> 3]).sum() + mask_bits(packed, stop & ~7, stop).sum())
 
 
-def _in_words(packed: np.ndarray) -> np.ndarray | None:
-    """`packed` as little-endian uint64 words in place through its last byte, else None."""
+def _in_words(packed: np.ndarray, what: str) -> np.ndarray:
+    """`packed` as little-endian uint64 words in place through its last byte, else a ValueError."""
     nwords, base = -(-packed.size // 8), packed.base
     if base is None or base.nbytes < 8 * nwords or base.ctypes.data != packed.ctypes.data:
-        return None
+        raise ValueError(f"{what} do not start a buffer of whole 8-byte words")
     return base.view(np.uint8)[: 8 * nwords].view("<u8")
 
 
 def mask_index(packed: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(words, before, stop): the little-endian `packed` bytes as words through bit `stop`, in
-    place where the buffer allows, and the int64 count of their set bits before each word."""
-    if (words := _in_words(packed)) is None:
-        words = np.frombuffer(packed.tobytes() + bytes(-packed.size % 8), "<u8")
+    """(words, before, stop): the little-endian `packed` bytes, which start a buffer of whole
+    words as a `RamanujanTable`'s mask does, as words in place through bit `stop`, and the
+    int64 count of their set bits before each word."""
+    words = _in_words(packed, "mask bytes")
     words = words[: -(-stop // 64)] if stop else np.zeros(1, "<u8")  # one for `mask_rank`
     before = np.zeros(words.size + 1, dtype=np.int64)
     before[1:] = np.bitwise_count(words)
@@ -209,14 +209,15 @@ class PrimeTable:
     """
 
     def __init__(self, limit: int, packed: np.ndarray):
-        words = _in_words(packed)  # the flags in place
-        if words is None or words.view(np.uint8)[packed.size :].any():  # counted as flags
+        words = _in_words(packed, "flag bytes")  # the flags in place
+        if words.view(np.uint8)[packed.size :].any():  # counted as flags
             raise ValueError("flag bytes do not start a buffer of whole 8-byte words, "
                              "clear past them")
         self.limit = limit
         self._packed = packed
         self._words = words
         self._supers = _superblock_counts(self._words)
+        self._last_prime = self.nth_prime(self.total_primes)  # the last key of `neighbours`
 
     @property
     def total_primes(self) -> int:
@@ -343,7 +344,7 @@ class PrimeTable:
         """(p_c, p_{c + 1}), c = pi(key - 1), as int64, for the 1-D integer `keys` in [6, the last
         prime], else a ValueError: the nearest set flag bits at or below key - 1's bit and past it,
         in the key's word, masked, or a word at a time outward; for keys 6 and 7, p_c is 5."""
-        x, top = np.asarray(keys), self.nth_prime(self.total_primes)
+        x, top = np.asarray(keys), self._last_prime
         if x.size and (int(x.min()) < 6 or int(x.max()) > top):
             raise ValueError(f"neighbours arguments outside [6, {top}], the table's last prime")
         bits = x.astype(np.int64) - 2  # key - 1 = 240 * (bits // 240) + 1 + bits % 240

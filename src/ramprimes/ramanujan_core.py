@@ -139,6 +139,9 @@ class RamanujanTable:
     Ramanujan prime under that bound is present, so absence means
     non-Ramanujan there and is unknown beyond it. The read-only `mask` is the
     classification: bit i is set for a Ramanujan (i + 1)-th prime; unread past `complete_below`.
+    The constructor checks what every table from `compute_first`, `compute_below`, `load` or
+    `below` holds: the mask starts a buffer of whole 8-byte words (`table_file.word_padded`),
+    read as words in place, and a table complete past 2 has R_1 = 2 as values[0] and mask bit 0.
     """
 
     values: np.ndarray
@@ -148,6 +151,9 @@ class RamanujanTable:
     _derived: dict = field(default_factory=dict, init=False, repr=False)  # see derived()
 
     def __post_init__(self):
+        prime_core._in_words(self.mask, "mask bytes")  # read as words in place, or a ValueError
+        if self.complete_below > 2 and (self.values[:1].tolist() != [2] or not mask_count(self.mask, 1)):
+            raise ValueError("the table leaves out R_1 = 2 from its values or its mask")
         self.mask.setflags(write=False)
 
     @property
@@ -160,44 +166,43 @@ class RamanujanTable:
         return int(self.values[n - 1])
 
     def membership_mask(self, primes) -> np.ndarray:
-        """Boolean Ramanujan mask over an ascending array of primes."""
+        """Boolean Ramanujan mask over an ascending array of primes below `complete_below`."""
         v = np.asarray(primes)
         if v.size and int(v[-1]) >= self.complete_below:
             raise ValueError(
                 f"membership above {self.complete_below - 1} undecidable with this table"
             )
-        if self.count == 0:
-            return np.zeros(v.shape, dtype=bool)
         idx = np.clip(search(self.values, v), 0, self.count - 1)
         return self.values[idx] == v
 
     def coverage(self, primes: PrimeTable, through: int | None = None) -> int:
-        """The largest integer this table and `primes` both classify. The one
-        coverage rule: an analytic reading the integers up to `through` passes
-        it here, and gets a CoverageError if that lies past them. Builds nothing."""
-        cov = min(primes.limit, self.complete_below - 1)
-        if through is not None and through > cov:
+        """The table's edge complete_below - 1, the largest integer it classifies: the one
+        coverage rule, which builds nothing. An analytic reading the integers up to `through`
+        passes it here, and gets a CoverageError if that lies past the edge or `primes` stops
+        short of the edge."""
+        edge = self.complete_below - 1
+        if primes.limit < edge:
+            raise CoverageError(f"needs primes classified through {edge}; the tables classify "
+                                f"through {primes.limit}, where the prime table stops")
+        if through is not None and through > edge:
             raise CoverageError(f"needs primes classified through {through}; "
-                                f"the tables classify through {cov}")
-        return cov
+                                f"the tables classify through {edge}")
+        return edge
 
     def derived(self, primes: PrimeTable, key: str, build):
-        """What `build(self, primes)` returns, kept under `key` for `primes`, with
-        each array in it, alone or in a tuple, made read-only. The memo holds one
-        prime table at a time, under "primes": passing another starts it afresh."""
-        memo = self._derived
-        if memo.get("primes") is not primes:
-            memo = self._derived = {"primes": primes}
-        if key not in memo:
+        """What `build(self, primes)` returns, kept under `key` in the table's one memo, with each
+        array in it, alone or in a tuple, made read-only. An entry reads no prime past the edge,
+        which every prime table that `coverage` accepts holds alike, whichever one built it."""
+        if key not in self._derived:
             value = build(self, primes)
             for arr in value if isinstance(value, tuple) else (value,):
                 if isinstance(arr, np.ndarray):
                     arr.setflags(write=False)
-            memo[key] = value
-        return memo[key]
+            self._derived[key] = value
+        return self._derived[key]
 
     def classified_count(self, primes: PrimeTable) -> int:
-        """How many primes both tables classify: bit i of `mask` classifies the (i + 1)-th."""
+        """How many primes the table classifies: bit i of `mask` classifies the (i + 1)-th."""
         return primes.prime_count(self.coverage(primes))
 
     def twin_pairs(self, primes: PrimeTable):
@@ -208,16 +213,14 @@ class RamanujanTable:
         return self.derived(primes, "twins", _twin_table)
 
     def rank_index(self, primes: PrimeTable):
-        """The memoized `prime_core.mask_index` of the mask bits both tables classify."""
+        """The memoized `prime_core.mask_index` of the classified mask bits."""
         return self.derived(primes, "rank index",
                             lambda rt, pt: prime_core.mask_index(rt.mask, rt.classified_count(pt)))
 
     def prime_ranks(self, primes: PrimeTable) -> np.ndarray:
         """pi(R_n) for every n, as int64, one more than each set mask bit's position, decoded
-        afresh (`mask_positions`); a CoverageError if some R_n lies past the tables."""
+        afresh (`mask_positions`) from the classified bits, which hold every R_n."""
         n = self.classified_count(primes)
-        if (size := mask_count(self.mask, n)) < self.count:
-            raise CoverageError(f"R_{size + 1} lies past the primes to {primes.limit}")
         return np.concatenate([np.zeros(0, np.int64), *mask_positions(self.mask, 0, n)]) + 1
 
     def below(self, x: int) -> RamanujanTable:
@@ -234,8 +237,8 @@ class RamanujanTable:
 def load(path, primes: PrimeTable, below: int | None = None) -> RamanujanTable:
     """Read a table written by :meth:`RamanujanTable.save`, cut to x = min(below,
     complete_below, primes.limit + 1): its values, in the dtype `compute_first` gives,
-    are the primes of the checksummed `primes` below x whose mask bit is set. A mask short
-    of those primes, clear at R_1 = 2, or whose set bits there miss its count, is a ValueError."""
+    are the primes of the checksummed `primes` below x whose mask bit is set. A mask short of
+    those primes, whose set bits there miss its count, or clear at R_1 = 2 is a ValueError."""
     (scan_limit, complete_below, count), mask = table_file.read(path, _MAGIC, 3, np.uint8)
     if complete_below > scan_limit + 1:  # so the values fit the dtype of scan_limit + 1
         raise ValueError(f"{path}: complete below {complete_below}, past the scan to {scan_limit}")
@@ -243,8 +246,6 @@ def load(path, primes: PrimeTable, below: int | None = None) -> RamanujanTable:
     size = primes.prime_count(max(x - 1, 0))
     if size > 8 * mask.size:
         raise ValueError(f"{path}: {mask.size} mask bytes do not cover the primes below {x}")
-    if size and not mask_bits(mask, 0, 1)[0]:
-        raise ValueError(f"{path}: the mask leaves out R_1 = 2")
     values = np.empty(mask_count(mask, size), dtype=table_dtype(scan_limit + 1))
     at = 0
     for lo, p in steps(primes, 0, size):
@@ -329,8 +330,7 @@ def compute_first(n: int, primes: PrimeTable) -> RamanujanTable:
         bit = primes.prime_count_batch(dropped) - 1
         np.bitwise_and.at(mask, bit >> 3, (~(1 << (bit & 7))).astype(np.uint8))
         carry = min(carry, low)
-    if values[0] != 2 or any(np.any(values[lo + 1 : hi + 1] <= values[lo:hi])
-                             for lo, hi in walk(0, n - 1)):
+    if any(np.any(values[lo + 1 : hi + 1] <= values[lo:hi]) for lo, hi in walk(0, n - 1)):
         raise InternalConsistencyError("scan produced a non-canonical value list")
     return RamanujanTable(values, top - 1, int(values[-1]) + 1, mask)
 

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from ramprimes import gap_analysis, prime_core, ramanujan_core
+from ramprimes import gap_analysis, prime_core, ramanujan_core, table_file
 
 WIDE_BOUND = 21_000_000  # covers the default sharp-run search and all 10^7 scans
 
@@ -22,11 +22,21 @@ def search_mask(listed, values):
 
 def table_of(values, scan_limit, complete_below):
     """A RamanujanTable of hand-picked prime values below `complete_below`,
-    its mask packed from `search_mask` over the primes below that bound."""
+    its mask packed from `search_mask` over the primes below that bound into a
+    buffer of whole words (`word_mask`)."""
     values = np.asarray(values)
     listed = prime_core.build(max(complete_below - 1, 2)).primes_upto(complete_below - 1)
-    mask = np.packbits(search_mask(listed, values), bitorder="little")
-    return ramanujan_core.RamanujanTable(values, scan_limit, complete_below, mask)
+    return ramanujan_core.RamanujanTable(values, scan_limit, complete_below,
+                                         word_mask(search_mask(listed, values)))
+
+
+def word_mask(bits):
+    """The boolean `bits` packed little-endian into the start of a buffer of whole
+    words, as every RamanujanTable's mask is."""
+    packed = np.packbits(bits, bitorder="little")
+    mask = table_file.word_padded(packed.size)
+    mask[:] = packed
+    return mask
 
 
 def odd_runs(rt, pt, bound):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import struct
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ramprimes import prime_core, ramanujan_core, twin_stats
+from ramprimes import prime_core, ramanujan_core, table_file, twin_stats
 from ramprimes.cli import COVERAGE_MARGIN, _cached, cli
 from ramprimes.errors import CoverageError, InternalConsistencyError
 from test_table_file import HEADER_SIZE
@@ -515,7 +514,8 @@ def test_cache_without_r1_is_rebuilt(runner, tmp_path):
     rt = ramanujan_core.load(path, prime_core.load(cache / "primes.rppt"))
     mask = rt.mask.copy()
     mask[0] &= 0xFE
-    dataclasses.replace(rt, values=rt.values[1:], mask=mask).save(path)
+    table_file.write(path, ramanujan_core._MAGIC, [rt.scan_limit, rt.complete_below, rt.count - 1],
+                     mask)
     warm = invoke(runner, "--cache-dir", str(cache), *args)
     assert warm.exit_code == 0
     assert warm.stdout == uncached.stdout and warm.stdout.splitlines()[1] == "1,2"

@@ -1,6 +1,7 @@
-"""The one coverage rule: an analytic answers only for integers that both
-tables classify, and past them raises CoverageError instead of answering
-"none found"."""
+"""The one coverage rule: an analytic answers only for integers that the
+Ramanujan table classifies, up to its edge complete_below - 1, with a prime
+table that reaches that edge, and otherwise raises CoverageError instead of
+answering "none found"."""
 
 import pytest
 
@@ -47,9 +48,15 @@ def rt_edge(pt_wide):
 
 
 @pytest.fixture(scope="module")
-def one_short(rt_edge, pt1m, pt_wide):
+def pt_short():
+    """A prime table that stops one short of rt_edge's edge."""
+    return prime_core.build(THROUGH - 1)
+
+
+@pytest.fixture(scope="module")
+def one_short(rt_edge, pt1m, pt_wide, pt_short):
     """Tables classifying through THROUGH - 1, cut on either side."""
-    return {"primes": (rt_edge, prime_core.build(THROUGH - 1)),
+    return {"primes": (rt_edge, pt_short),
             "ramanujan": (ramanujan_core.compute_below(THROUGH, pt_wide), pt1m)}
 
 
@@ -58,13 +65,18 @@ def rt1e5(pt1m):
     return ramanujan_core.compute_below(10 ** 5, pt1m)
 
 
-def test_coverage_is_the_smaller_table_edge(rt_edge, pt1m):
-    assert rt_edge.coverage(pt1m) == THROUGH
-    assert rt_edge.coverage(prime_core.build(THROUGH - 1)) == THROUGH - 1
+def test_coverage_is_the_ramanujan_table_edge(rt_edge, pt1m, pt_wide, pt_short):
+    assert rt_edge.coverage(pt1m) == rt_edge.coverage(pt_wide) == THROUGH
+    assert rt_edge.below(THROUGH).coverage(pt_short) == THROUGH - 1  # cut, not paired short
     assert rt_edge.coverage(pt1m, THROUGH) == THROUGH
     with pytest.raises(CoverageError, match=f"through {THROUGH + 1}; the tables classify "
                                             f"through {THROUGH}"):
         rt_edge.coverage(pt1m, THROUGH + 1)
+    # a prime table that stops short of the edge is refused, whatever the bound
+    for through in (None, 10, THROUGH - 1):
+        with pytest.raises(CoverageError, match=f"through {THROUGH}; the tables classify "
+                                                f"through {THROUGH - 1}, where the prime table"):
+            rt_edge.coverage(pt_short, through)
 
 
 @pytest.mark.parametrize("short_side", ["primes", "ramanujan"])
@@ -82,6 +94,15 @@ def test_every_bound_taking_analytic_obeys_the_coverage_rule(name, short_side, r
         call(THROUGH, *one_short[short_side])
 
 
+@pytest.mark.parametrize("name", sorted(ANALYTICS))
+def test_every_bound_taking_analytic_refuses_a_prime_table_short_of_the_edge(name, rt_edge,
+                                                                            pt_short):
+    # even at a small bound, which both tables classify; the strict ratios start at 10^5
+    call, _ = ANALYTICS[name]
+    with pytest.raises(CoverageError, match="where the prime table stops"):
+        call(10 ** 5 + 2 if name == "ratio_inequalities_strict" else 12, rt_edge, pt_short)
+
+
 def test_lower_membership_reads_the_prime_table_edge_too(rt_wide):
     with pytest.raises(CoverageError):
         twin_stats.lower_membership_violations(10 ** 6, rt_wide, prime_core.build(10 ** 5))
@@ -95,10 +116,10 @@ def test_first_sharp_run_past_the_prime_table(rt_wide, pt_wide):
 
 
 def test_first_sharp_run_window_open_at_the_coverage_edge(rt1e5, pt1m):
-    # 4919 is Ramanujan and the last prime below 4925; its window of two needs 4931
+    # 4919 is Ramanujan and the last prime below 4926; its window of two needs 4931
     assert gap_analysis.first_sharp_run(2, rt1e5, pt1m, search_bound=4920) == 4919
     with pytest.raises(CoverageError, match="open at the coverage edge"):
-        gap_analysis.first_sharp_run(2, rt1e5, prime_core.build(4925), search_bound=4920)
+        gap_analysis.first_sharp_run(2, rt1e5.below(4926), pt1m, search_bound=4920)
 
 
 @pytest.mark.parametrize("call", [
@@ -112,11 +133,11 @@ def test_scans_past_the_ramanujan_table_raise(call, rt1e5, pt1m):
 
 
 def test_odd_run_open_at_the_coverage_edge_is_unresolved(rt1e5, pt1m):
-    # the odd Ramanujan run from 50077 holds 4 primes; a prime table cut at
-    # 50087 lists only 2 of them
+    # the odd Ramanujan run from 50077 holds 4 primes; a table cut at 50088
+    # classifies only 2 of them
     _, start_p, _, lengths = odd_runs(rt1e5, pt1m, 50080)
     assert lengths[start_p == 50077].tolist() == [4]
-    cut = prime_core.build(50087)
+    cut = rt1e5.below(50088)
     for call in (odd_runs, gap_analysis.run_interval_violations):
         with pytest.raises(CoverageError, match="unresolved"):
-            call(rt1e5, cut, 50080)
+            call(cut, pt1m, 50080)

@@ -70,10 +70,10 @@ def test_no_call_allocates_a_copy_of_its_table(rt_wide, pt_wide, pt1m):
         ("membership_mask", values, lambda: rt_wide.membership_mask([p, p + 2])),
         ("twin_gap_check", lesser, lambda: gap_analysis.twin_gap_check(p, p + 2, rt_wide, pt_wide)),
     ]
-    # classification by a table whose values run past the prime table reads its
-    # packed mask in place: no array of one entry per listed prime
+    # classification by a table cut at the prime table's edge, whose mask runs past it,
+    # reads its packed mask in place: no array of one entry per listed prime
     listed = pt1m.primes_upto(pt1m.limit)
-    past = dataclasses.replace(rt_wide)  # a memo of its own
+    past = rt_wide.below(pt1m.limit + 1)  # a memo of its own
     calls += [("classified mask", listed, lambda: past.classified_count(pt1m))]
     for name, table, call in calls:
         assert peak_bytes(call) < table.nbytes, name

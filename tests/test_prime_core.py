@@ -828,6 +828,19 @@ def test_neighbours_step_over_many_empty_words():
         pt.neighbours([9_002])
 
 
+def test_neighbours_read_the_last_prime_once(monkeypatch):
+    pt = prime_core.build(10 ** 4)
+    assert [a.tolist() for a in pt.neighbours([9_973])] == [[9_967], [9_973]]
+
+    def refused(*_):
+        raise AssertionError("neighbours looked up the table's last prime again")
+
+    monkeypatch.setattr(prime_core.PrimeTable, "nth_prime", refused)
+    assert [a.tolist() for a in pt.neighbours([100, 9_973])] == [[97, 9_967], [101, 9_973]]
+    with pytest.raises(ValueError, match=r"outside \[6, 9973\]"):
+        pt.neighbours([9_974])
+
+
 def test_primes_between_windows(pt1m, sieve1m):
     for lo, hi in [(0, 0), (2, 2), (3, 17), (16, 64), (999, 1001), (4096, 5000)]:
         expected = lo + np.flatnonzero(sieve1m[lo : hi + 1])
@@ -868,14 +881,13 @@ EDGES = sorted({e + d for e in range(0, 321, 64) for d in (-1, 0, 1, 7, 8, 9) if
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.binary(max_size=40), stop=st.sampled_from(EDGES) | st.integers(0, 320),
-       padded=st.booleans())
-@example(data=b"\xff" * 16, stop=64, padded=True)
-@example(data=b"\xff" * 9, stop=65, padded=False)
-@example(data=b"\x80" * 8, stop=63, padded=True)  # the last bit of a word, past the stop
-@example(data=b"", stop=0, padded=True)
-def test_mask_select_and_rank_match_the_unpacked_bits(data, stop, padded):
-    packed = table_file.word_padded(len(data)) if padded else np.empty(len(data), np.uint8)
+@given(data=st.binary(max_size=40), stop=st.sampled_from(EDGES) | st.integers(0, 320))
+@example(data=b"\xff" * 16, stop=64)
+@example(data=b"\xff" * 9, stop=65)
+@example(data=b"\x80" * 8, stop=63)  # the last bit of a word, past the stop
+@example(data=b"", stop=0)
+def test_mask_select_and_rank_match_the_unpacked_bits(data, stop):
+    packed = table_file.word_padded(len(data))  # as a RamanujanTable's mask is
     packed[:] = np.frombuffer(data, np.uint8)
     stop = min(stop, 8 * packed.size)
     index = prime_core.mask_index(packed, stop)
@@ -883,7 +895,7 @@ def test_mask_select_and_rank_match_the_unpacked_bits(data, stop, padded):
     ks = np.arange(stop + 70)  # and bits past the stop, which count as none
     assert prime_core.mask_rank(index, ks).tolist() == np.searchsorted(found, ks).tolist()
     assert prime_core.mask_select(index, np.arange(1, found.size + 1)).tolist() == found.tolist()
-    assert np.shares_memory(index[0], packed) == (padded and stop > 0)  # words in place
+    assert np.shares_memory(index[0], packed) == (stop > 0)  # words in place
 
 
 @pytest.mark.parametrize("chunk", [16, 48, 1 << 16])  # flag bytes per step of the decode
@@ -910,7 +922,7 @@ def test_prime_list_extracts_across_chunk_edges(monkeypatch):
         got = pt.primes_upto(x)
         assert got.dtype == prime_core.table_dtype(pt.limit)
         assert got.tolist() == np.flatnonzero(flags[: x + 1]).tolist()
-    assert sorted(vars(pt)) == ["_packed", "_supers", "_words", "limit"]  # the table keeps none
+    assert sorted(vars(pt)) == ["_last_prime", "_packed", "_supers", "_words", "limit"]  # and no list
 
 
 def test_prime_list_extraction_holds_one_step_beside_the_list(pt_wide):

@@ -29,7 +29,7 @@ from ramprimes.ramanujan_core import (
     rank_scaling_violations,
     verify_max_ratio_bound,
 )
-from conftest import search_mask, table_of
+from conftest import search_mask, table_of, word_mask
 from test_prime_core import another_thread, counted_forks, flags_between, refuse_fork
 from test_table_file import HEADER_SIZE
 
@@ -326,7 +326,7 @@ def test_twin_table_lists_the_twin_pairs_read_only(rt_wide, pt_wide):
             arr[0] = 0
 
 
-def test_another_prime_table_rebuilds_each_derived_array_once(pt1m, monkeypatch):
+def test_another_prime_table_reads_the_one_memo(pt1m, monkeypatch):
     rt = compute_below(10 ** 5, pt1m)
     builds = []
     derived = rt.derived
@@ -338,12 +338,10 @@ def test_another_prime_table_rebuilds_each_derived_array_once(pt1m, monkeypatch)
                 *gap_analysis.twin_gap_table(rt, pt), *rt.rank_index(pt)[:2]]
 
     first = arrays(pt1m)
-    other = prime_core.build(pt1m.limit)
-    second = arrays(other)
-    assert all(x is not y and np.array_equal(x, y) for x, y in zip(first, second))
-    assert all(x is y for x, y in zip(arrays(other), second))
-    keys = ["twins", "twin_gaps", "rank index"]
-    assert sorted(builds) == sorted(2 * keys)
+    for other in (prime_core.build(pt1m.limit), prime_core.build(rt.complete_below - 1)):
+        assert all(x is y for x, y in zip(arrays(other), first))  # each reaches the edge
+    assert sorted(builds) == sorted(["twins", "twin_gaps", "rank index"])  # each built once
+    assert "primes" not in rt._derived
 
 
 def test_compute_below_membership_coverage(pt1m):
@@ -582,8 +580,11 @@ def test_prime_ranks_are_read_by_position(rt_wide, pt_wide, monkeypatch):
 
 def test_prime_ranks_past_the_classified_list_are_a_coverage_error(pt1m):
     rt = compute_first(100, pt1m)  # R_100 = 1439
-    with pytest.raises(CoverageError, match="R_"):
+    with pytest.raises(CoverageError, match="through 1000, where the prime table stops"):
         rt.prime_ranks(prime_core.build(1000))
+    # cut at the prime table's edge instead: the 72 Ramanujan primes below 1001, R_72 = 983
+    cut = rt.below(1001).prime_ranks(prime_core.build(1000))
+    assert cut.size == 72 and np.array_equal(cut, rt.prime_ranks(pt1m)[:72])
 
 
 def test_prime_rank_consistent_with_nth_prime(pt1m):
@@ -739,14 +740,16 @@ def test_max_ratio_settles_a_float_tie_exactly(monkeypatch):
     p3 = np.array([1000000007, 1500002741, 1600000009], dtype=np.int64)
     assert r[0] / p3[0] == r[1] / p3[1] > r[2] / p3[2]
     assert Fraction(r[1], int(p3[1])) - Fraction(r[0], int(p3[0])) == Fraction(2, 1500002751500019187)
-    rt = ramanujan_core.RamanujanTable(np.array(r, dtype=np.int64), 0, r[-1] + 1,
-                                       np.zeros(1, dtype=np.uint8))
+    # they stand at n = 2, 3, 4, after R_1 = 2, whose ratio 2/5 is far below theirs
+    rt = ramanujan_core.RamanujanTable(np.array([2, *r], dtype=np.int64), 0, r[-1] + 1,
+                                       word_mask([True]))
+    p3 = np.append(5, p3)
     monkeypatch.setattr(ramanujan_core, "_every_kth_prime", lambda primes, k, count: p3[:count])
-    assert outcome(lambda: max_ratio(rt, 3, set(), None)) == (2, Fraction(r[1], int(p3[1])))
-    assert outcome(lambda: max_ratio(rt, 3, {2}, None)) == (1, Fraction(r[0], int(p3[0])))
+    assert outcome(lambda: max_ratio(rt, 4, set(), None)) == (3, Fraction(r[1], int(p3[2])))
+    assert outcome(lambda: max_ratio(rt, 4, {3}, None)) == (2, Fraction(r[0], int(p3[1])))
     # every float-maximal n excluded: the next double decides
-    assert outcome(lambda: max_ratio(rt, 3, {1, 2}, None)) == (3, Fraction(r[2], int(p3[2])))
-    assert outcome(lambda: max_ratio(rt, 3, {1, 2, 3}, None)) == \
+    assert outcome(lambda: max_ratio(rt, 4, {2, 3}, None)) == (4, Fraction(r[2], int(p3[3])))
+    assert outcome(lambda: max_ratio(rt, 4, {1, 2, 3, 4}, None)) == \
         ("ValueError", "no indices left after exclusions")
 
 
@@ -790,9 +793,9 @@ def test_max_ratio_empty_range(pt1m):
 
 
 def test_max_ratio_tie_raises(pt1m):
-    # 5/p_3 = 13/p_6 = 1: a table no scan can produce
-    rt = table_of([5, 13, 17, 29, 41], scan_limit=41, complete_below=42)
-    with pytest.raises(InternalConsistencyError, match=r"^ratio tie between n=2 and n=1$"):
+    # 13/p_6 = 23/p_9 = 1: a table no scan can produce
+    rt = table_of([2, 13, 23, 29, 41], scan_limit=41, complete_below=42)
+    with pytest.raises(InternalConsistencyError, match=r"^ratio tie between n=3 and n=2$"):
         max_ratio(rt, 5, set(), pt1m)
 
 
@@ -846,9 +849,9 @@ def test_rank_scaling_no_violations_small(pt_wide):
 
 
 def test_rank_scaling_reads_only_the_classified_mask_bits(rt_wide, pt_wide, pt1m, monkeypatch):
-    # values run to 21e6, primes to 1e6: every R_mn < 1e6 is classified, R_36961 is not,
-    # and the mask bits from R_36961's on are set past the classified ones
-    wide = dataclasses.replace(rt_wide)  # an empty memo
+    # the table cut at 1e6 + 1, primes to 1e6: every R_mn < 1e6 is classified, R_36961 is
+    # not, and the mask bits from R_36961's on are set past the classified ones
+    wide = rt_wide.below(10 ** 6 + 1)  # an empty memo
     exact = compute_below(10 ** 6, pt_wide)
 
     def no_decode(*_):
@@ -868,8 +871,7 @@ def test_rank_scaling_reads_only_the_classified_mask_bits(rt_wide, pt_wide, pt1m
     assert stop == pt1m.prime_count(10 ** 6) and words.size == -(-stop // 64)
     assert prime_core.mask_rank(index, np.array([stop, 8 * wide.mask.size])).tolist() == [36960] * 2
     assert np.shares_memory(words, wide.mask)
-    with pytest.raises(CoverageError, match="R_36961"):
-        wide.prime_ranks(pt1m)
+    assert np.array_equal(wide.prime_ranks(pt1m), exact.prime_ranks(pt_wide))  # 36960 ranks
 
 
 def test_rank_scaling_spot_value(pt1m):
@@ -930,20 +932,14 @@ def test_rank_scaling_matches_the_plain_loop_on_hand_made_tables(pt1m):
     edge = next(v for v in values if v > 10 ** 4 and pt1m.prime_count(v) % 8 != 1)
     short = prime_core.build(edge - 1)
     assert mask_bits(true.mask, 0, short.total_primes + 1)[-1] and short.total_primes % 8
-    no_two = table_of(values[1:], true.scan_limit, 20_000)  # a first value other than 2
-    cases = [  # (table, its values below the classified edge, primes, limits)
-        (no_two, no_two, pt1m, (3, 5, 12, 1000, 20_000)),  # no n to walk at 3 and 12 for m > 1
-        (true, true.below(edge), short, (1000, edge)),  # the coverage edge
-        (table_of(values, true.scan_limit, 20_000), true.below(edge), short, (1000, edge)),
-    ]
-    for rt, listed, pt, limits in cases:
+    listed = true.below(edge)  # its values below the classified edge
+    for rt in (listed, table_of(values, true.scan_limit, 20_000).below(edge)):
         for m in range(1, 21):
-            for limit in limits:
-                want = rank_scaling_reference(listed, m, limit, pt)
-                assert ramanujan_core._rank_scaling_failures(rt, m, limit, pt).tolist() == want
+            for limit in (1000, edge):  # and the coverage edge
+                want = rank_scaling_reference(listed, m, limit, short)
+                assert ramanujan_core._rank_scaling_failures(rt, m, limit, short).tolist() == want
         with pytest.raises(CoverageError):
-            rank_scaling_violations(rt, 2, limits[-1] + 1, pt)
-    assert rank_scaling_reference(no_two, 2, 20_000, pt1m)[0] == 8  # 1 without the shift
+            rank_scaling_violations(rt, 2, edge + 1, short)
 
 
 def test_table_save_load_roundtrip(tmp_path, pt1m):
@@ -1019,6 +1015,48 @@ def test_a_mask_short_of_the_covered_primes_is_rejected(tmp_path, pt1m):
     with pytest.raises(ValueError, match="20 mask bytes do not cover the primes below 1000"):
         ramanujan_core.load(path, pt1m)
     assert ramanujan_core.load(path, pt1m, below=947).count == rt.count - 3  # p_160 = 941
+
+
+def test_a_mask_without_r1_is_rejected_at_any_cut(tmp_path, pt1m):
+    # cut below R_2 = 11, such a mask gives no values at all, which a table complete past 2
+    # may not have
+    rt = compute_below(1000, pt1m)
+    path = tmp_path / "ramanujan.rprt"
+    mask = rt.mask.copy()
+    mask[0] &= 0xFE
+    table_file.write(path, ramanujan_core._MAGIC, [rt.scan_limit, 1000, rt.count - 1], mask)
+    for below in (None, 600, 11, 3):
+        with pytest.raises(ValueError, match="leaves out R_1 = 2"):
+            ramanujan_core.load(path, pt1m, below=below)
+    assert ramanujan_core.load(path, pt1m, below=2).count == 0  # 2 is not classified
+
+
+def test_the_constructor_checks_the_word_buffer_and_r1(pt1m):
+    rt = compute_below(1000, pt1m)
+    bits = mask_bits(rt.mask, 0, 8 * rt.mask.size).copy()
+    bits[0] = False
+    without_r1 = word_mask(bits)  # in a buffer of words
+    cases = [
+        (dict(mask=rt.mask.copy()), "start a buffer of whole 8-byte words"),
+        (dict(mask=rt.mask[1:]), "start a buffer of whole 8-byte words"),  # inside, not at its start
+        (dict(mask=without_r1), "leaves out R_1 = 2"),
+        (dict(values=rt.values[1:]), "leaves out R_1 = 2"),
+        (dict(values=rt.values[1:], mask=without_r1), "leaves out R_1 = 2"),
+        (dict(values=rt.values[:0]), "leaves out R_1 = 2"),  # complete below 1000, no values
+    ]
+    for change, message in cases:
+        fields = dict(values=rt.values, scan_limit=rt.scan_limit, complete_below=1000, mask=rt.mask)
+        with pytest.raises(ValueError, match=message):
+            ramanujan_core.RamanujanTable(**(fields | change))
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(rt, **change)
+    with pytest.raises(ValueError, match="mask bytes do not start a buffer"):
+        prime_core.mask_index(rt.mask.copy(), 8)  # it reads a mask's words in place only
+    # what library paths give passes: a copy or a cut keeps the mask's buffer; a cut below 3
+    # keeps R_1 = 2, and one below 2, which classifies no prime, keeps no values
+    assert dataclasses.replace(rt).mask is rt.mask and rt.below(3).count == 1
+    assert rt.below(2).count == 0
+    assert ramanujan_core.RamanujanTable(rt.values[:0], 0, 2, without_r1).count == 0
 
 
 @pytest.mark.parametrize("count, below", [(71, None), (73, None), (46, 600)],

@@ -9,7 +9,7 @@ from ramprimes import gap_analysis, ramanujan_core, run_stats
 from ramprimes.errors import CoverageError, NotFoundBelowBound
 from ramprimes.formatting import ratio_display, round_half_up
 from ramprimes.prime_core import mask_bits
-from conftest import odd_runs, table_of
+from conftest import odd_runs
 from ramprimes.run_stats import (
     NON_RAMANUJAN,
     RAMANUJAN,
@@ -312,22 +312,3 @@ def test_walked_blocks_equal_the_whole_list_encoding(bits, runs, chunk, first):
         assert np.unique(np.where(ends == mask.size - first, (mask.size - first - 1) // chunk,
                                   ends // chunk)).size == 1
     assert [int(s[-1] + n[-1]) for s, n, _ in steps[-1:]] == [mask.size][: len(steps)]
-
-
-def test_run_ends_follow_the_mask_of_a_table_without_two(pt1m):
-    # runs and sharp windows read their ends from the values at the count of the
-    # set mask bits before them, so a table that leaves out R_1 = 2 reads the same
-    true = ramanujan_core.compute_below(20_000, pt1m)
-    fake = table_of(true.values[true.values != 2], true.scan_limit, 20_000)
-    for r in (1, 2, 3, 4):
-        assert (outcome(gap_analysis.first_sharp_run, r, fake, pt1m, 19_000)
-                == outcome(first_sharp_run_reference, r, fake, pt1m, 19_000))
-    primes, mask = classified(fake, pt1m)
-    starts, first, last, lengths = odd_runs(fake, pt1m, 19_000)
-    assert np.array_equal(mask[starts - 1], np.ones(starts.size, bool)) and starts.size > 400
-    assert np.array_equal(first, primes[starts - 1]) and np.array_equal(last, primes[starts + lengths - 2])
-    # the half points read the values from that count too: with 5 in place of 2,
-    # (5 + 1)/2 = 3 is prime
-    assert gap_analysis.half_point_violations(fake, pt1m, 19_000) == []
-    five = table_of(np.where(true.values == 2, 5, true.values), true.scan_limit, 20_000)
-    assert gap_analysis.half_point_violations(five, pt1m, 19_000) == [5]

@@ -154,7 +154,7 @@ def test_no_memo_holds_or_builds_a_byte_per_classified_prime(rt_wide, pt_wide, m
     peak = peak_bytes(lambda: [ramanujan_core.rank_scaling_violations(rt, m, limit, pt_wide)
                                for m in range(2, 21)])
     assert peak < 4 * rt.mask.nbytes, (peak, rt.mask.nbytes)
-    assert len(rt._derived) == 5  # "primes" and the four memos
+    assert len(rt._derived) == 4  # the four memos, with no prime table
     assert memo_bytes(rt) > 0 and all(
         a.size < n for v in rt._derived.values() for a in (v if isinstance(v, tuple) else (v,))
         if isinstance(a, np.ndarray))
